@@ -6,7 +6,8 @@
 #   make adversary  - Byzantine defense matrix (screen, aggregators,
 #                     poisoning suite, networked quarantine) under -race
 #   make alloc      - allocation-regression guard: the training hot path
-#                     must stay zero-allocation in steady state
+#                     and the reusable quantized-delta encoder must stay
+#                     zero-allocation in steady state
 #   make parallel   - compute-pool guards: pool invariants plus the
 #                     serial-vs-parallel bit-identity property tests,
 #                     under -race
@@ -31,9 +32,15 @@
 #                     admin REST validation matrix, front-door rate
 #                     limiting, pause/resume, and the pipelined-vs-
 #                     sequential identity property tests
+#   make quant      - quantized-wire guards under -race: the linear-time
+#                     top-k encoder against its sort oracle and golden
+#                     payload digests, and the quantized federations (each
+#                     session and the server's round loop own their encoder
+#                     scratch; the race detector proves none is shared)
 #   make wirebench  - wire-protocol benchmarks (binary frame encode/decode
 #                     throughput, bytes per federation round with the full
-#                     codec stack), merged into BENCH_hotpath.json
+#                     codec stack, int8 upload encode at the FCNN6 state
+#                     size, top-k and dense), merged into BENCH_hotpath.json
 #   make bench-check - perf regression gate: rerun the benchmarks recorded
 #                     in BENCH_hotpath.json and fail past +15% ns/op (or if
 #                     a 0-alloc entry starts allocating); failing entries
@@ -41,7 +48,8 @@
 #                     on real regressions rather than scheduler noise
 #   make check      - everything above
 #   make fuzz       - short fuzz pass over the wire-protocol decoders (gob
-#                     and binary frames), the update screen, the /healthz
+#                     and binary frames), the top-k delta encoder against
+#                     its sort oracle, the update screen, the /healthz
 #                     JSON round trip, the checkpoint envelope (CRC +
 #                     corruption invariants), the blocked-GEMM shape
 #                     dispatch (arbitrary shapes vs the naive reference),
@@ -55,7 +63,7 @@
 
 GO ?= go
 
-.PHONY: verify vet race adversary alloc parallel telemetry chaos soak service wirebench bench-check check fuzz bench bench-json bench-scaling
+.PHONY: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -74,6 +82,7 @@ adversary:
 alloc:
 	$(GO) test ./internal/nn/ -run 'TestSteadyStateZeroAllocs|TestMatMulSteadyStateZeroAllocs' -v
 	$(GO) test ./internal/tensor/ -run TestWorkspaceSteadyStateAllocs -v
+	$(GO) test ./internal/fl/ -run TestDeltaEncoderSteadyStateAllocs -v
 
 parallel:
 	$(GO) test -race ./internal/parallel/
@@ -97,13 +106,19 @@ service:
 	$(GO) test -race -count=1 ./internal/service/
 	$(GO) test -race ./internal/chaos/ -run 'TestPipelinedMatchesSequential|TestPipelinedDrainResumeIdentity'
 
+quant:
+	$(GO) test -race ./internal/fl/ -run 'TestEncodeDelta|TestDeltaEncoder|TestKthLargestAbsDiff|TestQuantizedStreamingFoldOrderInvariance'
+	$(GO) test -race ./internal/defense/ -run TestGC
+	$(GO) test -race ./internal/flnet/ -run 'TestQuantized|TestMixedWireFederation|TestBinary'
+	$(GO) test -race ./internal/fleetsim/ -run TestWire
+
 wirebench:
-	$(GO) run ./cmd/dinar-bench -only wire_encode,wire_decode,bytes_per_round -json BENCH_hotpath.json
+	$(GO) run ./cmd/dinar-bench -only wire_encode,wire_decode,bytes_per_round,quant_encode_topk,quant_encode_dense -json BENCH_hotpath.json
 
 bench-check:
 	$(GO) run ./cmd/dinar-bench -compare -json BENCH_hotpath.json
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service wirebench bench-check
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/
@@ -118,6 +133,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadMessage -fuzztime=30s ./internal/flnet/
 	$(GO) test -run=NONE -fuzz=FuzzFrame -fuzztime=30s ./internal/flnet/
 	$(GO) test -run=NONE -fuzz=FuzzScreen -fuzztime=30s ./internal/fl/
+	$(GO) test -run=NONE -fuzz=FuzzEncodeDeltaTopK -fuzztime=30s ./internal/fl/
 	$(GO) test -run=NONE -fuzz=FuzzHealthJSON -fuzztime=30s ./internal/telemetry/
 	$(GO) test -run=NONE -fuzz=FuzzEnvelope$$ -fuzztime=30s ./internal/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzEnvelopeCorruption -fuzztime=30s ./internal/checkpoint/

@@ -241,6 +241,8 @@ var suite = []suiteEntry{
 	{"wire_encode", benchWireEncode},
 	{"wire_decode", benchWireDecode},
 	{"bytes_per_round", benchBytesPerRound},
+	{"quant_encode_topk", benchQuantEncode(0.1)},
+	{"quant_encode_dense", benchQuantEncode(0)},
 	{"fig4_per_layer_protection", func(b *testing.B) {
 		o := experiment.QuickOptions()
 		o.UseShadowAttack = false

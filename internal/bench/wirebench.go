@@ -60,6 +60,36 @@ func benchWireDecode(b *testing.B) {
 	b.SetBytes(int64(8 * wireDim))
 }
 
+// quantDim is the state-vector length the quantized-encode benches measure
+// at: purchase100/FCNN6, the model the round benchmark's quantized workload
+// uploads every round.
+const quantDim = 485572
+
+// benchQuantEncode times one steady-state int8 upload encode at quantDim the
+// way a session's codec runs it (one encoder, one payload, reused): topK 0.1
+// is the selection plus 10% of the rounding work, topK 0 the dense rounding
+// alone.
+func benchQuantEncode(topK float64) func(b *testing.B) {
+	return func(b *testing.B) {
+		base := fleetsim.SynthState(17, 0, 0, quantDim, nil)
+		state := fleetsim.SynthState(17, 1, 1, quantDim, nil)
+		var enc fl.DeltaEncoder
+		var p fl.DeltaPayload
+		encode := func(round int) {
+			if err := enc.Encode(&p, fl.QuantInt8, 7, 1, round, round, base, state, topK); err != nil {
+				b.Fatal(err)
+			}
+		}
+		encode(0) // sizes the scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			encode(i + 1)
+		}
+		b.SetBytes(int64(8 * quantDim))
+	}
+}
+
 // benchBytesPerRound measures bytes on the wire per federation round with
 // the full codec stack on (flate + int8 quantized uploads + delta
 // broadcasts): the same sampled streaming federation as round_throughput,

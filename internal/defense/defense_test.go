@@ -349,16 +349,43 @@ func TestDeltaOfErrors(t *testing.T) {
 	}
 }
 
-func TestKthLargestAbs(t *testing.T) {
-	v := []float64{-5, 1, 3, -2}
-	if got := kthLargestAbs(v, 1); got != 5 {
-		t.Fatalf("k=1: %v", got)
+// TestGCExactTopKWithTies pins GC's tie rule on top of the shared selection
+// kernel: everything above the k-th largest magnitude survives, and of the
+// coordinates tied with it only the lowest-indexed, so exactly `keep` do.
+func TestGCExactTopKWithTies(t *testing.T) {
+	d := NewGC()
+	d.Ratio = 0.5
+	m := model.FCNN6(4, 2, rand.New(rand.NewSource(1)))
+	info := fl.InfoOf(m)
+	if err := d.Bind(info); err != nil {
+		t.Fatal(err)
 	}
-	if got := kthLargestAbs(v, 2); got != 3 {
-		t.Fatalf("k=2: %v", got)
+	n := info.NumParams
+	keep := int(float64(n) * d.Ratio)
+	global := make([]float64, info.NumState)
+	state := make([]float64, info.NumState)
+	big := map[int]bool{n - 1: true, n / 2: true, 2: true}
+	for i := 0; i < n; i++ {
+		state[i] = float64(1 - 2*(i%2)) // ±1: one big tie
+		if big[i] {
+			state[i] = -2
+		}
 	}
-	if got := kthLargestAbs(v, 4); got != 1 {
-		t.Fatalf("k=4: %v", got)
+	u := &fl.Update{ClientID: 0, State: state, NumSamples: 1}
+	d.BeforeUpload(0, global, u)
+	ties := keep - len(big)
+	for i := 0; i < n; i++ {
+		want := 0.0
+		switch {
+		case big[i]:
+			want = -2
+		case ties > 0:
+			want = float64(1 - 2*(i%2))
+			ties--
+		}
+		if u.State[i] != want {
+			t.Fatalf("coordinate %d = %v, want %v (keep %d of %d)", i, u.State[i], want, keep, n)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package defense
 
-import (
-	"sort"
-
-	"repro/internal/fl"
-)
+import "repro/internal/fl"
 
 // GC is the gradient-compression defense (§5.2, Fu et al.): each client
 // sparsifies its update, keeping only the Ratio fraction of parameters with
@@ -43,17 +39,12 @@ func (d *GC) BeforeUpload(_ int, global []float64, u *fl.Update) {
 		keep = 1
 	}
 	if keep < n {
-		threshold := kthLargestAbs(delta, keep)
-		// Keep everything strictly above the threshold, then admit values
-		// equal to the threshold until exactly `keep` survive (exact top-k
-		// even with ties, e.g. many zero coordinates).
-		kept := 0
-		for _, v := range delta {
-			if abs(v) > threshold {
-				kept++
-			}
-		}
-		atThreshold := keep - kept
+		// Keep everything strictly above the k-th largest magnitude, then
+		// admit values equal to it, lowest index first, until exactly
+		// `keep` survive (exact top-k even with ties, e.g. many zero
+		// coordinates).
+		threshold, above := fl.KthLargestAbsDiff(u.State[:n], global[:n], keep)
+		atThreshold := keep - above
 		for i, v := range delta {
 			switch {
 			case abs(v) > threshold:
@@ -71,17 +62,6 @@ func (d *GC) BeforeUpload(_ int, global []float64, u *fl.Update) {
 	// GC stores the residual between original and compressed gradients
 	// (Table 3 attributes its +252% memory to exactly that buffer).
 	d.addBytes(2 * n)
-}
-
-// kthLargestAbs returns the magnitude of the k-th largest |v| in vec
-// (1-based), i.e. the sparsification threshold.
-func kthLargestAbs(vec []float64, k int) float64 {
-	mags := make([]float64, len(vec))
-	for i, v := range vec {
-		mags[i] = abs(v)
-	}
-	sort.Float64s(mags)
-	return mags[len(mags)-k]
 }
 
 func abs(v float64) float64 {

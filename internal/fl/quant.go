@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Quantized delta payloads are the lossy half of the v3 wire protocol
@@ -108,97 +107,122 @@ func quantStream(seed int64, stream, round int) uint64 {
 	return quantMix(h ^ uint64(int64(round))*0xaf251af3b0f025b5)
 }
 
-// EncodeDelta quantizes state − base into a DeltaPayload with seeded
-// stochastic rounding (round up with probability equal to the fractional
-// level, so the dequantized delta is unbiased). topK in (0,1) keeps only
-// that fraction of coordinates, chosen by descending |delta| with index
-// ties broken ascending — a deterministic selection. baseRound tags the
-// payload with the base state's round for the decoder's anchor lookup.
+// DeltaEncoder is the one delta-payload encoder. It never materializes
+// state − base — every pass subtracts again, which costs less than a
+// dim-sized buffer held per session — so its only scratch is the selection
+// histogram, and with a reused payload repeated encodes allocate nothing.
+// It is not safe for concurrent use: the owner is whoever already
+// serializes the encodes — a session's wire codec for its uploads, the
+// server's round loop for the canonical broadcast delta. The zero value is
+// ready to use.
+type DeltaEncoder struct {
+	hist []uint32 // radix-select counters, allocated on the first top-k encode
+}
+
+// Encode quantizes state − base into p with seeded stochastic rounding
+// (round up with probability equal to the fractional level, so the
+// dequantized delta is unbiased), reusing p's Indices and Q backing arrays.
+// topK in (0,1) keeps only that fraction of coordinates: descending |delta|,
+// ties broken by ascending index, carried in ascending index order. The
+// selection is linear-time — kthLargestMagnitude finds the k-th largest
+// magnitude, then one ascending pass keeps every coordinate above it plus
+// the first ties until k are taken. baseRound tags the payload with the
+// base state's round for the decoder's anchor lookup. A NaN or Inf anywhere
+// in the delta is refused, selected or not.
 //
 // The encoding is bit-reproducible: the same inputs produce the same
 // payload in every run and on every platform, which is what lets the
 // server's exact fixed-point fold stay deterministic over quantized
 // uploads.
-func EncodeDelta(kind QuantKind, seed int64, stream, round, baseRound int, base, state []float64, topK float64) (*DeltaPayload, error) {
+func (e *DeltaEncoder) Encode(p *DeltaPayload, kind QuantKind, seed int64, stream, round, baseRound int, base, state []float64, topK float64) error {
 	if kind != QuantInt8 && kind != QuantInt16 {
-		return nil, fmt.Errorf("fl: cannot encode delta with quantization kind %v", kind)
+		return fmt.Errorf("fl: cannot encode delta with quantization kind %v", kind)
 	}
 	if len(base) != len(state) || len(state) == 0 {
-		return nil, fmt.Errorf("fl: delta encode needs matching non-empty vectors, got base %d state %d", len(base), len(state))
+		return fmt.Errorf("fl: delta encode needs matching non-empty vectors, got base %d state %d", len(base), len(state))
 	}
 	dim := len(state)
-	p := &DeltaPayload{Kind: kind, Dim: dim, BaseRound: baseRound}
+	base = base[:dim]
+	sparse := topK > 0 && topK < 1
 
-	delta := make([]float64, dim)
-	for i := range delta {
-		delta[i] = state[i] - base[i]
-	}
-	var idx []uint32
-	if topK > 0 && topK < 1 {
-		k := int(math.Ceil(topK * float64(dim)))
-		if k < 1 {
-			k = 1
+	// One pass refuses non-finite deltas and finds the quantization range
+	// of a dense payload: the carried deltas' min/max (a sparse payload
+	// rescans over its selection).
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i, v := range state {
+		d := v - base[i]
+		if math.Float64bits(d)&magnitudeMask >= infMagnitude { // NaN or Inf
+			return fmt.Errorf("fl: delta encode: non-finite delta %g at coordinate %d", d, i)
 		}
-		order := make([]uint32, dim)
-		for i := range order {
-			order[i] = uint32(i)
+		if d < lo {
+			lo = d
 		}
-		sort.Slice(order, func(a, b int) bool {
-			da, db := math.Abs(delta[order[a]]), math.Abs(delta[order[b]])
-			if da != db {
-				return da > db
-			}
-			return order[a] < order[b]
-		})
-		idx = order[:k]
-		sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-		p.Indices = idx
+		if d > hi {
+			hi = d
+		}
 	}
 
-	value := func(j int) float64 {
-		if idx != nil {
-			return delta[idx[j]]
-		}
-		return delta[j]
-	}
 	count := dim
-	if idx != nil {
-		count = len(idx)
+	var idx []uint32
+	if sparse {
+		count = int(math.Ceil(topK * float64(dim)))
+		if count < 1 {
+			count = 1
+		}
+		if idx = p.Indices[:0]; cap(idx) < count {
+			idx = make([]uint32, 0, count)
+		}
+		if e.hist == nil {
+			e.hist = make([]uint32, radixBuckets)
+		}
+		threshold, above := kthLargestMagnitude(state, base, count, e.hist)
+		ties := count - above
+		lo, hi = math.Inf(1), math.Inf(-1)
+		for i, v := range state {
+			d := v - base[i]
+			m := math.Float64bits(d) & magnitudeMask
+			if m < threshold {
+				continue
+			}
+			if m == threshold {
+				if ties == 0 {
+					continue
+				}
+				ties--
+			}
+			if d < lo {
+				lo = d
+			}
+			if d > hi {
+				hi = d
+			}
+			idx = append(idx, uint32(i))
+			if len(idx) == count {
+				break
+			}
+		}
 	}
-	lo, hi := value(0), value(0)
-	for j := 0; j < count; j++ {
-		v := value(j)
-		// NaN must be caught per-value: it compares false against any
-		// bound, so a min/max scan alone would let it through.
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("fl: delta encode: non-finite delta %g at coordinate %d", v, j)
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+	if cap(p.Q) < count {
+		p.Q = make([]uint16, count)
 	}
-	p.Lo, p.Hi = lo, hi
-	p.Q = make([]uint16, count)
+	*p = DeltaPayload{Kind: kind, Dim: dim, BaseRound: baseRound, Lo: lo, Hi: hi, Indices: idx, Q: p.Q[:count]}
 	if hi == lo {
-		return p, nil // constant delta: every level is 0, dequant yields Lo
+		clear(p.Q) // constant delta: every level is 0, dequant yields Lo
+		return nil
 	}
+
 	levels := float64(kind.levels())
 	scale := levels / (hi - lo)
 	h := quantStream(seed, stream, round)
-	for j := 0; j < count; j++ {
+	for j := range p.Q {
 		coord := j
-		if idx != nil {
+		if sparse {
 			coord = int(idx[j])
 		}
-		x := (value(j) - lo) * scale
+		x := (state[coord] - base[coord] - lo) * scale
 		q := math.Floor(x)
-		frac := x - q
-		// Counter-mode draw in [0,1): round up with probability frac.
-		u := float64(quantMix(h+uint64(coord))>>11) / float64(1<<53)
-		if u < frac {
+		// Counter-mode draw in [0,1): round up with probability x − q.
+		if u := float64(quantMix(h+uint64(coord))>>11) / float64(1<<53); u < x-q {
 			q++
 		}
 		if q < 0 {
@@ -208,6 +232,17 @@ func EncodeDelta(kind QuantKind, seed int64, stream, round, baseRound int, base,
 			q = levels
 		}
 		p.Q[j] = uint16(q)
+	}
+	return nil
+}
+
+// EncodeDelta is DeltaEncoder.Encode with fresh scratch and a fresh
+// payload, for callers that encode once or keep the result.
+func EncodeDelta(kind QuantKind, seed int64, stream, round, baseRound int, base, state []float64, topK float64) (*DeltaPayload, error) {
+	var e DeltaEncoder
+	p := new(DeltaPayload)
+	if err := e.Encode(p, kind, seed, stream, round, baseRound, base, state, topK); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -139,3 +139,35 @@ func TestMixedWireFederation(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantizedTopKFederationDeterministic runs the full lossy stack —
+// int8 levels, top-k sparsified uploads, quantized delta broadcasts,
+// streaming fold — twice from the same seeds and demands bit-identical
+// final models. Each client session encodes with its own codec scratch and
+// the server's round loop with its own; under -race this is also the proof
+// that no encoder is ever shared between goroutines.
+func TestQuantizedTopKFederationDeterministic(t *testing.T) {
+	const rounds = 2
+	bed := newFedBed(t, 2)
+	run := func() []float64 {
+		return runFedWithWire(t, bed, rounds, func(cfg *ServerConfig) {
+			cfg.Wire = "binary"
+			cfg.Compress = true
+			cfg.Quantize = "int8"
+			cfg.TopK = 0.1
+			cfg.Delta = true
+			cfg.QuantSeed = 5
+			cfg.Streaming = true
+		}, []string{"binary", "binary"})
+	}
+	first, second := run(), run()
+	if len(first) == 0 || len(first) != len(second) {
+		t.Fatalf("runs produced %d and %d values", len(first), len(second))
+	}
+	for i := range first {
+		if math.Float64bits(first[i]) != math.Float64bits(second[i]) {
+			t.Fatalf("state[%d] = %x in the first run, %x in the second", i,
+				math.Float64bits(first[i]), math.Float64bits(second[i]))
+		}
+	}
+}

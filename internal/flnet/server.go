@@ -306,10 +306,13 @@ type Server struct {
 	// quantization, wireLabel the /healthz codec label, and ring the
 	// recent canonical broadcasts that delta/quantized payloads anchor
 	// against (nil unless quantization or delta broadcasts are offered).
+	// canonEnc is the round loop's encoder for the canonical broadcast
+	// delta (prepareBroadcast); only that goroutine touches it.
 	offerCaps uint32
 	quantKind fl.QuantKind
 	wireLabel string
 	ring      *bcastRing
+	canonEnc  fl.DeltaEncoder
 }
 
 // tokenBucket is a minimal mutex-guarded token bucket (stdlib only): allow

@@ -146,7 +146,10 @@ func (s *Server) prepareBroadcast(round int) broadcast {
 		if prev := s.ring.get(round - 1); len(prev) == len(g) {
 			// Stream -1 marks the server's canonical broadcast draw — shared
 			// by every receiver, unlike per-client upload streams.
-			p, err := fl.EncodeDelta(s.quantKind, s.cfg.QuantSeed, -1, round, round-1, prev, g, 0)
+			// The payload is fresh each round: exchanges still writing an
+			// earlier broadcast hold on to theirs.
+			p := new(fl.DeltaPayload)
+			err := s.canonEnc.Encode(p, s.quantKind, s.cfg.QuantSeed, -1, round, round-1, prev, g, 0)
 			if err == nil {
 				if state, aerr := p.Apply(prev, nil); aerr == nil {
 					bc.state, bc.canon = state, p

@@ -80,11 +80,20 @@ const (
 // recent-broadcast ring, the client from its anchor buffers); returning
 // nil means "not shared", which downgrades sends to full state and fails
 // decodes of frames that need the anchor.
+//
+// A session uploads from one goroutine, so the codec also owns the scratch
+// its quantized uploads are encoded with: two KindUpdate writes through one
+// Codec must not run concurrently.
 type Codec struct {
 	caps      uint32
 	quantSeed int64
 	topK      float64
 	base      func(round int) []float64
+
+	// enc and upload are reused by every quantized upload this session
+	// sends; upload is serialized into the frame before the write returns.
+	enc    fl.DeltaEncoder
+	upload fl.DeltaPayload
 }
 
 // NewCodec builds a session codec from negotiated capabilities. base may
@@ -335,11 +344,11 @@ func encodeStateSection(sec []byte, msg *Message, c *Codec) ([]byte, byte, int, 
 		// client just decoded and the server holds in its ring. Without a
 		// shared base the upload falls back to raw floats.
 		if base := c.lookup(msg.Round); len(base) == len(msg.State) {
-			p, err := fl.EncodeDelta(c.QuantKind(), c.quantSeed, msg.ClientID, msg.Round, msg.Round, base, msg.State, c.topK)
+			err := c.enc.Encode(&c.upload, c.QuantKind(), c.quantSeed, msg.ClientID, msg.Round, msg.Round, base, msg.State, c.topK)
 			if err != nil {
 				return sec, 0, -1, err
 			}
-			return encodeQuantSection(sec, p), flags | flagQuant | flagDelta, msg.Round, nil
+			return encodeQuantSection(sec, &c.upload), flags | flagQuant | flagDelta, msg.Round, nil
 		}
 	case msg.Kind == KindGlobal && c.has(CapDelta) && msg.Round > 0:
 		prev := c.lookup(msg.Round - 1)

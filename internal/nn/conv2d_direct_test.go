@@ -211,9 +211,13 @@ func TestConv2DBackwardAfterInferencePanics(t *testing.T) {
 
 // TestConv2DDirectAllocFree pins the new paths' zero-allocation steady
 // state: after warm-up, neither the direct inference forward nor the
-// fused-backward training step may allocate.
+// fused-backward training step may allocate. The contract is the serial
+// kernels': the pool's fan-out allocates its task closures on a multi-CPU
+// host, so the test pins one worker.
 func TestConv2DDirectAllocFree(t *testing.T) {
 	restoreConvDispatch(t)
+	prev := parallel.SetWorkers(1)
+	t.Cleanup(func() { parallel.SetWorkers(prev) })
 	SetConv2DDirectBudget(1 << 30)
 	layer := NewConv2D(3, 16, 3, 1, 1, rand.New(rand.NewSource(9)))
 	x := tensor.Randn(rand.New(rand.NewSource(10)), 0, 1, 4, 3, 12, 12)

@@ -92,6 +92,11 @@ type Service struct {
 	order  []string // creation order, for stable listings and exposition
 	closed bool
 
+	// manifestMu is held across a whole manifest write, so writes land in
+	// the order their snapshots were taken and markClosed can wait out the
+	// one in flight: nothing touches the state dir after Close returns.
+	manifestMu sync.Mutex
+
 	acceptDone chan struct{}
 	routeWG    sync.WaitGroup
 }
@@ -179,6 +184,8 @@ func (s *Service) manifestPath() string {
 // (temp + rename), so a crash mid-write leaves the previous manifest
 // intact.
 func (s *Service) persistManifest() {
+	s.manifestMu.Lock()
+	defer s.manifestMu.Unlock()
 	s.mu.Lock()
 	doc := manifestDoc{Jobs: make([]manifestJob, 0, len(s.order))}
 	for _, name := range s.order {
@@ -634,6 +641,8 @@ func (s *Service) markClosed() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
+	s.manifestMu.Lock() // a write that passed the closed check finishes first
+	s.manifestMu.Unlock()
 }
 
 // ---------------------------------------------------------------------------

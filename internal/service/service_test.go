@@ -283,6 +283,11 @@ func TestServiceRollingRestart(t *testing.T) {
 			fleet := &fleetsim.Fleet{
 				N: spec.Clients, Dim: jobDim(spec), Seed: spec.Seed, Job: spec.Name,
 				Dial: dial, MaxRetries: 500,
+				// Think time keeps a round (the slowest of three clients)
+				// slower than the 5 ms status poll below: on a host with
+				// sub-millisecond fsync all eight rounds otherwise finish
+				// before the restart can land mid-run.
+				DelaySeed: 1, MaxDelay: 40 * time.Millisecond,
 			}
 			stats := fleet.Run(ctx)
 			if got := stats.Done.Load(); got != int64(spec.Clients) {
@@ -581,6 +586,9 @@ func TestPauseResume(t *testing.T) {
 		fleet := &fleetsim.Fleet{
 			N: spec.Clients, Dim: jobDim(spec), Seed: spec.Seed, Job: spec.Name,
 			Dial: mem.Dial, MaxRetries: 200,
+			// Think time keeps a round slower than the 5 ms status poll
+			// below, so the pause lands before the last round does.
+			DelaySeed: 1, MaxDelay: 40 * time.Millisecond,
 		}
 		stats := fleet.Run(ctx)
 		if got := stats.Done.Load(); got != int64(spec.Clients) {

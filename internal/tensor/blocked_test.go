@@ -232,9 +232,13 @@ func TestBlockedGEMMDispatchThreshold(t *testing.T) {
 // TestBlockedGEMMAllocFree checks the steady-state allocation contract at the
 // tracked bench shapes: pack buffers come from the pool and grow only, so a
 // warmed-up multiply performs zero allocations. GC is disabled around the
-// measurement so the sync.Pool cannot be drained mid-run.
+// measurement so the sync.Pool cannot be drained mid-run, and the compute
+// pool is pinned to one worker: its fan-out allocates task closures on a
+// multi-CPU host, which is not the kernels' contract.
 func TestBlockedGEMMAllocFree(t *testing.T) {
 	restoreGEMM(t)
+	prev := parallel.SetWorkers(1)
+	t.Cleanup(func() { parallel.SetWorkers(prev) })
 	rng := rand.New(rand.NewSource(43))
 	const m, k, n = 256, 128, 64
 	if m*k*n < gemmMinVolume {
