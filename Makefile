@@ -46,12 +46,18 @@
 #                     a 0-alloc entry starts allocating); failing entries
 #                     are retried and the minimum kept, so the gate trips
 #                     on real regressions rather than scheduler noise
+#   make benchmark-test - vet and test the round benchmark, a module of
+#                     its own (repro/benchmark) that the root ./... patterns
+#                     cannot see but that compiles against internal APIs
+#   make nogob      - grep gate: encoding/gob is imported nowhere (the wire
+#                     and the checkpoint chain have one serializer, binenc)
 #   make check      - everything above
-#   make fuzz       - short fuzz pass over the wire-protocol decoders (gob
-#                     and binary frames), the top-k delta encoder against
+#   make fuzz       - short fuzz pass over the frame parser and the Hello
+#                     parser, the top-k delta encoder against
 #                     its sort oracle, the update screen, the /healthz
 #                     JSON round trip, the checkpoint envelope (CRC +
-#                     corruption invariants), the blocked-GEMM shape
+#                     corruption invariants) and payload decoders, the
+#                     blocked-GEMM shape
 #                     dispatch (arbitrary shapes vs the naive reference),
 #                     and the service-mode job-spec decoder/validator
 #   make bench      - kernel + per-layer hot-path microbenchmarks
@@ -63,7 +69,7 @@
 
 GO ?= go
 
-.PHONY: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check check fuzz bench bench-json bench-scaling
+.PHONY: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -109,7 +115,7 @@ service:
 quant:
 	$(GO) test -race ./internal/fl/ -run 'TestEncodeDelta|TestDeltaEncoder|TestKthLargestAbsDiff|TestQuantizedStreamingFoldOrderInvariance'
 	$(GO) test -race ./internal/defense/ -run TestGC
-	$(GO) test -race ./internal/flnet/ -run 'TestQuantized|TestMixedWireFederation|TestBinary'
+	$(GO) test -race ./internal/flnet/ -run 'TestQuantized|TestBinary'
 	$(GO) test -race ./internal/fleetsim/ -run TestWire
 
 wirebench:
@@ -118,7 +124,14 @@ wirebench:
 bench-check:
 	$(GO) run ./cmd/dinar-bench -compare -json BENCH_hotpath.json
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check
+benchmark-test:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
+nogob:
+	@if grep -rn '"encoding/gob"' --include='*.go' .; then echo 'encoding/gob is imported (see above)'; exit 1; fi
+
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/
@@ -130,12 +143,13 @@ bench-scaling:
 	$(GO) run ./cmd/dinar-bench -scaling -json BENCH_hotpath.json
 
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzReadMessage -fuzztime=30s ./internal/flnet/
 	$(GO) test -run=NONE -fuzz=FuzzFrame -fuzztime=30s ./internal/flnet/
+	$(GO) test -run=NONE -fuzz=FuzzHandshake -fuzztime=30s ./internal/flnet/
 	$(GO) test -run=NONE -fuzz=FuzzScreen -fuzztime=30s ./internal/fl/
 	$(GO) test -run=NONE -fuzz=FuzzEncodeDeltaTopK -fuzztime=30s ./internal/fl/
 	$(GO) test -run=NONE -fuzz=FuzzHealthJSON -fuzztime=30s ./internal/telemetry/
 	$(GO) test -run=NONE -fuzz=FuzzEnvelope$$ -fuzztime=30s ./internal/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzEnvelopeCorruption -fuzztime=30s ./internal/checkpoint/
+	$(GO) test -run=NONE -fuzz=FuzzSnapshotPayload -fuzztime=30s ./internal/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzBlockedGEMM -fuzztime=30s ./internal/tensor/
 	$(GO) test -run=NONE -fuzz=FuzzJobSpec -fuzztime=30s ./internal/service/

@@ -39,7 +39,6 @@ func run(args []string) error {
 
 		maxRetries = fs.Int("max-retries", 0, "reconnection attempts after a network fault (0 = default 5, negative disables)")
 		backoff    = fs.Duration("base-backoff", 0, "first reconnection delay, doubled per failure with jitter (0 = default 100ms)")
-		wire       = fs.String("wire", "binary", "transport framing: binary (advertise v3 codecs, server picks the intersection) or gob (pin the legacy encoding)")
 		job        = fs.String("job", "", "federation job name when the server runs in multi-tenant service mode (empty is fine against single-job servers)")
 		privCkpt   = fs.String("private-checkpoint", "", "file persisting the DINAR private-layer store after every round; restarting with the same path restores the personalization state")
 	)
@@ -64,7 +63,6 @@ func run(args []string) error {
 		},
 		MaxRetries:            *maxRetries,
 		BaseBackoff:           *backoff,
-		Wire:                  *wire,
 		Job:                   *job,
 		PrivateCheckpointPath: *privCkpt,
 		Logf: func(format string, args ...any) {

@@ -64,8 +64,7 @@ func run(args []string) error {
 		clipNorms  = fs.Bool("clip-norms", false, "additionally clip oversized update deltas to a running median-of-norms bound")
 		quarantine = fs.Int("quarantine-rounds", 0, "rounds a poisoning client stays excluded after rejection (0 = default 3, negative disables)")
 
-		wire      = fs.String("wire", "binary", "transport framing: binary (v3 frames, clients negotiate down to gob transparently) or gob (legacy encoding, rejects the codec flags below)")
-		compress  = fs.Bool("compress", false, "offer per-frame flate compression to binary clients")
+		compress  = fs.Bool("compress", false, "offer per-frame flate compression to clients")
 		quantize  = fs.String("quantize", "none", "stochastically quantize client uploads: none, int8, or int16 (incompatible with secure-aggregation defenses)")
 		topK      = fs.Float64("topk", 0, "sparsify quantized uploads to this top fraction of coordinates by magnitude, in (0,1) (0 = dense; requires -quantize)")
 		delta     = fs.Bool("delta", false, "delta-encode global broadcasts against each client's last completed round")
@@ -106,7 +105,6 @@ func run(args []string) error {
 		SampleSeed:       *sampleSeed,
 		AsyncStaleness:   *asyncStale,
 		Streaming:        *streaming,
-		Wire:             *wire,
 		Compress:         *compress,
 		Quantize:         *quantize,
 		TopK:             *topK,

@@ -201,10 +201,12 @@ func TestQuickWireFuzz(t *testing.T) {
 			NumSamples: rng.Intn(100000),
 			Err:        "",
 		}
-		n := rng.Intn(256)
-		msg.State = make([]float64, n)
-		for i := range msg.State {
-			msg.State[i] = rng.NormFloat64()
+		// A Hello carries no state section; every other kind may.
+		if msg.Kind != flnet.KindHello {
+			msg.State = make([]float64, rng.Intn(256))
+			for i := range msg.State {
+				msg.State[i] = rng.NormFloat64()
+			}
 		}
 		var buf bytes.Buffer
 		if err := flnet.WriteMessage(&buf, msg); err != nil {

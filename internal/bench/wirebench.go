@@ -95,7 +95,7 @@ func benchQuantEncode(topK float64) func(b *testing.B) {
 // broadcasts): the same sampled streaming federation as round_throughput,
 // with the tx+rx counter movement divided by the round count published as
 // the "bytes/round" extra metric — the number EXPERIMENTS.md tracks
-// against the gob transport.
+// against a codec-free session.
 func benchBytesPerRound(b *testing.B) {
 	const (
 		numClients = 64
@@ -118,7 +118,6 @@ func benchBytesPerRound(b *testing.B) {
 		InitialState: make([]float64, wireDim),
 		Listener:     mem,
 		IOTimeout:    2 * time.Minute,
-		Wire:         "binary",
 		Compress:     true,
 		Quantize:     "int8",
 		Delta:        true,

@@ -5,29 +5,29 @@
 // cost the client its personalization (θᵖ* is never on the server, by
 // design).
 //
-// Format v2 (current) is a CRC32-checksummed binary envelope around a gob
-// payload; v1 files (bare gob) are still readable. The file helpers write
-// durably — fsync on the file and its parent directory around the atomic
-// rename — and chain generations: every save rotates the previous newest
-// file into a ".g<generation>" sibling, retaining the last DefaultRetain
-// generations, so LoadLatestValid can detect a torn or corrupted head and
-// fall back to the newest intact generation.
+// A checkpoint file is a CRC32-checksummed binary envelope around a
+// fixed-layout little-endian payload (the layout tables are in envelope.go),
+// written with the same binenc primitives as the flnet frames; maps are
+// encoded in ascending key order, so equal state always yields equal bytes.
+// The file helpers write durably — fsync on the file and its parent
+// directory around the atomic rename — and chain generations: every save
+// rotates the previous newest file into a ".g<generation>" sibling,
+// retaining the last DefaultRetain generations, so LoadLatestValid can
+// detect a torn or corrupted head and fall back to the newest intact
+// generation.
 package checkpoint
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
+	"sort"
+
+	"repro/internal/binenc"
 )
 
-// FormatVersion is the current on-disk format version.
-const FormatVersion = 2
-
-// legacyVersion is the pre-envelope gob-only format, still readable.
-const legacyVersion = 1
+// FormatVersion is the current on-disk format version; files of any other
+// version are refused with an "unsupported version" error.
+const FormatVersion = 3
 
 // QuarantineState checkpoints the Byzantine update screen so quarantine
 // penalties and offense counts survive a server restart (a poisoner must
@@ -45,10 +45,11 @@ type QuarantineState struct {
 
 // Snapshot is a server-side global-model checkpoint.
 type Snapshot struct {
-	// Version is the format version (set by Save).
+	// Version is the format version of the file the snapshot was loaded
+	// from (set by Load).
 	Version int
-	// Generation is the position in the checkpoint chain (set by SaveFile;
-	// 0 for stream saves and legacy files).
+	// Generation is the position in the checkpoint chain (chosen by
+	// SaveFile, reported by Load; 0 for stream saves).
 	Generation uint64
 	// Dataset names the dataset/model configuration the state belongs to.
 	Dataset string
@@ -57,14 +58,12 @@ type Snapshot struct {
 	// State is the global model state vector.
 	State []float64
 	// Quarantine is the update screen's reputation state at Round, nil
-	// when screening is disabled (and in legacy v1 files).
+	// when screening is disabled.
 	Quarantine *QuarantineState
 
 	// SampleSeed and SampleSize record the per-round client-sampling
 	// configuration, so a resumed server draws bit-identical cohorts for
-	// the remaining rounds (zero when sampling is off or in older files;
-	// gob leaves absent fields at their zero value, so the format version
-	// is unchanged).
+	// the remaining rounds (zero when sampling is off).
 	SampleSeed int64
 	SampleSize int
 	// Async holds updates that arrived after their round closed and were
@@ -80,7 +79,7 @@ type Snapshot struct {
 	// in-flight codec negotiations: the quantization seed stays stable
 	// (clients reconstruct with it) and the broadcast delta chain resumes
 	// from the exact state still-running clients hold. Nil when the server
-	// runs the plain gob/binary transport (and in older files).
+	// offers no quantization or delta codec.
 	Wire *WireState
 }
 
@@ -114,71 +113,203 @@ type AsyncUpdate struct {
 	State []float64
 }
 
-// encodeSnapshot gob-encodes the normalized snapshot payload.
+// Snapshot payload flags: which optional sections follow the fixed part.
+const (
+	snapQuarantine byte = 1 << iota
+	snapWire
+)
+
+// WireState bits.
+const (
+	wireCompress byte = 1 << iota
+	wireDelta
+)
+
+// asyncFixedBytes is an encoded AsyncUpdate with an empty state: three i64s
+// and the state's count.
+const asyncFixedBytes = 3*8 + 4
+
+// snapshotSize is the exact payload length encodeSnapshot produces.
+func snapshotSize(s *Snapshot) int {
+	n := 1 + 3*8 + 4 + len(s.Dataset) + 4 + 8*len(s.State) + 4 + 8*len(s.StreamNorms) + 4
+	for i := range s.Async {
+		n += asyncFixedBytes + 8*len(s.Async[i].State)
+	}
+	if q := s.Quarantine; q != nil {
+		n += 4 + 16*len(q.Offenses) + 4 + 16*len(q.BlockedUntil) + 4 + 8*len(q.Norms)
+	}
+	if ws := s.Wire; ws != nil {
+		n += 1 + 4 + len(ws.Quantize) + 3*8 + 4 + 8*len(ws.Bcast)
+	}
+	return n
+}
+
+// sortedKeys returns m's keys ascending — the order every map is written in.
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// appendIntMap appends a u32 count and the (key, value) i64 pairs of m in
+// ascending key order.
+func appendIntMap(b []byte, m map[int]int) []byte {
+	b = binenc.AppendU32(b, uint32(len(m)))
+	for _, k := range sortedKeys(m) {
+		b = binenc.AppendInt(binenc.AppendInt(b, k), m[k])
+	}
+	return b
+}
+
+// readIntMap reads what appendIntMap wrote. Keys must ascend strictly, so a
+// payload has one valid encoding and a duplicate key cannot drop an entry.
+func readIntMap(rd *binenc.Reader) map[int]int {
+	n := rd.Count(16)
+	if n == 0 {
+		return nil
+	}
+	m := make(map[int]int, n)
+	prev := 0
+	for i := 0; i < n; i++ {
+		k, v := rd.Int(), rd.Int()
+		if i > 0 && k <= prev {
+			rd.Failf("map key %d after %d: keys must ascend", k, prev)
+		}
+		m[k], prev = v, k
+	}
+	return m
+}
+
+// encodeSnapshot builds the complete file image of s at generation gen:
+// one exact-size allocation holding the envelope header and the payload,
+// written once and sealed in place.
 func encodeSnapshot(s *Snapshot, gen uint64) ([]byte, error) {
 	if s == nil || len(s.State) == 0 {
 		return nil, fmt.Errorf("checkpoint: empty snapshot")
 	}
-	out := *s
-	out.Version = FormatVersion
-	out.Generation = gen
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&out); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode: %w", err)
+	var flags byte
+	if s.Quarantine != nil {
+		flags |= snapQuarantine
 	}
-	return buf.Bytes(), nil
+	if s.Wire != nil {
+		flags |= snapWire
+	}
+	b := append(newImage(snapshotSize(s)), flags)
+	b = binenc.AppendInt(b, s.Round)
+	b = binenc.AppendU64(b, uint64(s.SampleSeed))
+	b = binenc.AppendInt(b, s.SampleSize)
+	b = binenc.AppendString(b, s.Dataset)
+	b = binenc.AppendF64s(b, s.State)
+	b = binenc.AppendF64s(b, s.StreamNorms)
+	b = binenc.AppendU32(b, uint32(len(s.Async)))
+	for i := range s.Async {
+		au := &s.Async[i]
+		b = binenc.AppendInt(b, au.ClientID)
+		b = binenc.AppendInt(b, au.Round)
+		b = binenc.AppendInt(b, au.NumSamples)
+		b = binenc.AppendF64s(b, au.State)
+	}
+	if q := s.Quarantine; q != nil {
+		b = appendIntMap(b, q.Offenses)
+		b = appendIntMap(b, q.BlockedUntil)
+		b = binenc.AppendF64s(b, q.Norms)
+	}
+	if ws := s.Wire; ws != nil {
+		var bits byte
+		if ws.Compress {
+			bits |= wireCompress
+		}
+		if ws.Delta {
+			bits |= wireDelta
+		}
+		b = append(b, bits)
+		b = binenc.AppendString(b, ws.Quantize)
+		b = binenc.AppendF64(b, ws.TopK)
+		b = binenc.AppendU64(b, uint64(ws.QuantSeed))
+		b = binenc.AppendInt(b, ws.BcastRound)
+		b = binenc.AppendF64s(b, ws.Bcast)
+	}
+	return seal(b, kindSnapshot, gen)
 }
 
-// decodeSnapshot decodes and validates a gob snapshot payload.
-func decodeSnapshot(r io.Reader, wantVersion int) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode: %w", err)
+// decodeSnapshot parses a CRC-verified snapshot payload. The CRC only
+// proves the bytes are the ones written, not that a well-behaved writer
+// produced them: every count is checked against the bytes remaining before
+// it sizes an allocation, unknown flag bits are refused, and the payload
+// must end exactly where its last field does.
+func decodeSnapshot(payload []byte, gen uint64) (*Snapshot, error) {
+	rd := binenc.NewReader(payload)
+	flags := rd.U8()
+	if unknown := flags &^ (snapQuarantine | snapWire); unknown != 0 {
+		rd.Failf("unknown snapshot flags %#x", unknown)
 	}
-	if s.Version != wantVersion {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d", s.Version)
+	s := &Snapshot{Version: FormatVersion, Generation: gen}
+	s.Round = rd.Int()
+	s.SampleSeed = int64(rd.U64())
+	s.SampleSize = rd.Int()
+	s.Dataset = rd.Str()
+	s.State = rd.F64s()
+	s.StreamNorms = rd.F64s()
+	if n := rd.Count(asyncFixedBytes); n > 0 {
+		s.Async = make([]AsyncUpdate, n)
+		for i := range s.Async {
+			au := &s.Async[i]
+			au.ClientID = rd.Int()
+			au.Round = rd.Int()
+			au.NumSamples = rd.Int()
+			au.State = rd.F64s()
+		}
+	}
+	if flags&snapQuarantine != 0 {
+		q := &QuarantineState{}
+		q.Offenses = readIntMap(rd)
+		q.BlockedUntil = readIntMap(rd)
+		q.Norms = rd.F64s()
+		s.Quarantine = q
+	}
+	if flags&snapWire != 0 {
+		ws := &WireState{}
+		bits := rd.U8()
+		if unknown := bits &^ (wireCompress | wireDelta); unknown != 0 {
+			rd.Failf("unknown wire-state bits %#x", unknown)
+		}
+		ws.Compress = bits&wireCompress != 0
+		ws.Delta = bits&wireDelta != 0
+		ws.Quantize = rd.Str()
+		ws.TopK = rd.F64()
+		ws.QuantSeed = int64(rd.U64())
+		ws.BcastRound = rd.Int()
+		ws.Bcast = rd.F64s()
+		s.Wire = ws
+	}
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("%w: snapshot payload: %v", ErrCorrupt, err)
 	}
 	if len(s.State) == 0 {
-		return nil, fmt.Errorf("checkpoint: snapshot has no state")
+		return nil, fmt.Errorf("%w: snapshot has no state", ErrCorrupt)
 	}
-	return &s, nil
+	return s, nil
 }
 
-// Save writes the snapshot to w as a v2 envelope.
+// Save writes the snapshot to w as one envelope, at generation
+// s.Generation.
 func Save(w io.Writer, s *Snapshot) error {
 	var gen uint64
 	if s != nil {
 		gen = s.Generation
 	}
-	payload, err := encodeSnapshot(s, gen)
+	img, err := encodeSnapshot(s, gen)
 	if err != nil {
 		return err
 	}
-	return writeEnvelope(w, kindSnapshot, gen, payload)
+	return writeImage(w, img)
 }
 
-// Load reads a snapshot from r: a v2 envelope (CRC-verified) or a legacy
-// v1 bare-gob stream.
-func Load(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	head, isV2, err := sniffMagic(br)
-	if err != nil {
-		return nil, err
-	}
-	if !isV2 {
-		return decodeSnapshot(io.MultiReader(bytes.NewReader(head[:]), br), legacyVersion)
-	}
-	gen, payload, err := readEnvelope(head, br, kindSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	s, err := decodeSnapshot(bytes.NewReader(payload), FormatVersion)
-	if err != nil {
-		return nil, err
-	}
-	s.Generation = gen
-	return s, nil
-}
+// Load reads one CRC-verified snapshot envelope from r.
+func Load(r io.Reader) (*Snapshot, error) { return load(r, kindSnapshot, decodeSnapshot) }
 
 // SaveFile writes the snapshot durably at the head of the checkpoint chain
 // at path (atomic rename, fsync on file and directory), rotating the
@@ -196,14 +327,9 @@ func SaveFileRetain(path string, s *Snapshot, retain int) error {
 	})
 }
 
-// LoadFile reads the snapshot at path (either format).
+// LoadFile reads the snapshot at path.
 func LoadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
+	return loadFile(path, kindSnapshot, decodeSnapshot)
 }
 
 // LoadLatestValid walks the checkpoint chain at path newest-first and
@@ -211,102 +337,91 @@ func LoadFile(path string) (*Snapshot, error) {
 // of corrupt files skipped on the way. A missing chain reports
 // os.ErrNotExist; a chain with no intact generation reports every failure.
 func LoadLatestValid(path string) (*Snapshot, []string, error) {
-	var snap *Snapshot
-	skipped, err := loadLatestValid(path, func(cand string) error {
-		s, derr := LoadFile(cand)
-		if derr != nil {
-			return derr
-		}
-		snap = s
-		return nil
-	})
-	if err != nil {
-		return nil, skipped, err
-	}
-	return snap, skipped, nil
+	return loadLatestValid(path, kindSnapshot, decodeSnapshot)
 }
 
 // PrivateLayers is a client-side checkpoint of DINAR's private-layer store
 // (θᵖ* per protected layer).
 type PrivateLayers struct {
-	// Version is the format version (set by SavePrivate).
+	// Version is the format version of the file the store was loaded from
+	// (set by LoadPrivate).
 	Version int
-	// Generation is the position in the checkpoint chain (set by
-	// SavePrivateFile; 0 for stream saves and legacy files).
+	// Generation is the position in the checkpoint chain (chosen by
+	// SavePrivateFile, reported by LoadPrivate; 0 for stream saves).
 	Generation uint64
 	// ClientID identifies the owning client.
 	ClientID int
-	// Round is the last round the stored layers belong to (0 in legacy
-	// files).
+	// Round is the last round the stored layers belong to.
 	Round int
 	// Layers maps logical layer index to the stored parameters.
 	Layers map[int][]float64
 }
 
-// encodePrivate gob-encodes the normalized private-store payload.
+// layerFixedBytes is an encoded layer with no parameters: its i64 index and
+// the parameters' count.
+const layerFixedBytes = 8 + 4
+
+// encodePrivate builds the complete file image of p at generation gen, like
+// encodeSnapshot; layers go out in ascending index order.
 func encodePrivate(p *PrivateLayers, gen uint64) ([]byte, error) {
 	if p == nil || len(p.Layers) == 0 {
 		return nil, fmt.Errorf("checkpoint: empty private store")
 	}
-	out := *p
-	out.Version = FormatVersion
-	out.Generation = gen
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&out); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode private store: %w", err)
+	size := 2*8 + 4
+	for _, params := range p.Layers {
+		size += layerFixedBytes + 8*len(params)
 	}
-	return buf.Bytes(), nil
+	b := binenc.AppendInt(newImage(size), p.ClientID)
+	b = binenc.AppendInt(b, p.Round)
+	b = binenc.AppendU32(b, uint32(len(p.Layers)))
+	for _, layer := range sortedKeys(p.Layers) {
+		b = binenc.AppendF64s(binenc.AppendInt(b, layer), p.Layers[layer])
+	}
+	return seal(b, kindPrivate, gen)
 }
 
-// decodePrivate decodes and validates a gob private-store payload.
-func decodePrivate(r io.Reader, wantVersion int) (*PrivateLayers, error) {
-	var p PrivateLayers
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode private store: %w", err)
+// decodePrivate parses a CRC-verified private-store payload with the same
+// discipline as decodeSnapshot.
+func decodePrivate(payload []byte, gen uint64) (*PrivateLayers, error) {
+	rd := binenc.NewReader(payload)
+	p := &PrivateLayers{Version: FormatVersion, Generation: gen}
+	p.ClientID = rd.Int()
+	p.Round = rd.Int()
+	n := rd.Count(layerFixedBytes)
+	p.Layers = make(map[int][]float64, n)
+	prev := 0
+	for i := 0; i < n; i++ {
+		layer := rd.Int()
+		if i > 0 && layer <= prev {
+			rd.Failf("layer %d after %d: layers must ascend", layer, prev)
+		}
+		p.Layers[layer], prev = rd.F64s(), layer
 	}
-	if p.Version != wantVersion {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d", p.Version)
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("%w: private-store payload: %v", ErrCorrupt, err)
 	}
 	if len(p.Layers) == 0 {
-		return nil, fmt.Errorf("checkpoint: private store has no layers")
+		return nil, fmt.Errorf("%w: private store has no layers", ErrCorrupt)
 	}
-	return &p, nil
+	return p, nil
 }
 
-// SavePrivate writes a private-layer store to w as a v2 envelope.
+// SavePrivate writes a private-layer store to w as one envelope, at
+// generation p.Generation.
 func SavePrivate(w io.Writer, p *PrivateLayers) error {
 	var gen uint64
 	if p != nil {
 		gen = p.Generation
 	}
-	payload, err := encodePrivate(p, gen)
+	img, err := encodePrivate(p, gen)
 	if err != nil {
 		return err
 	}
-	return writeEnvelope(w, kindPrivate, gen, payload)
+	return writeImage(w, img)
 }
 
-// LoadPrivate reads a private-layer store from r (either format).
-func LoadPrivate(r io.Reader) (*PrivateLayers, error) {
-	br := bufio.NewReader(r)
-	head, isV2, err := sniffMagic(br)
-	if err != nil {
-		return nil, err
-	}
-	if !isV2 {
-		return decodePrivate(io.MultiReader(bytes.NewReader(head[:]), br), legacyVersion)
-	}
-	gen, payload, err := readEnvelope(head, br, kindPrivate)
-	if err != nil {
-		return nil, err
-	}
-	p, err := decodePrivate(bytes.NewReader(payload), FormatVersion)
-	if err != nil {
-		return nil, err
-	}
-	p.Generation = gen
-	return p, nil
-}
+// LoadPrivate reads one CRC-verified private-layer store envelope from r.
+func LoadPrivate(r io.Reader) (*PrivateLayers, error) { return load(r, kindPrivate, decodePrivate) }
 
 // SavePrivateFile writes a private-layer store durably at the head of the
 // chain at path, like SaveFile.
@@ -321,36 +436,13 @@ func SavePrivateFileRetain(path string, p *PrivateLayers, retain int) error {
 	})
 }
 
-// LoadPrivateFile reads the private-layer store at path (either format).
+// LoadPrivateFile reads the private-layer store at path.
 func LoadPrivateFile(path string) (*PrivateLayers, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	return LoadPrivate(f)
+	return loadFile(path, kindPrivate, decodePrivate)
 }
 
 // LoadLatestValidPrivate walks the private-store chain at path newest-first
 // like LoadLatestValid.
 func LoadLatestValidPrivate(path string) (*PrivateLayers, []string, error) {
-	var priv *PrivateLayers
-	skipped, err := loadLatestValid(path, func(cand string) error {
-		p, derr := LoadPrivateFile(cand)
-		if derr != nil {
-			return derr
-		}
-		priv = p
-		return nil
-	})
-	if err != nil {
-		return nil, skipped, err
-	}
-	return priv, skipped, nil
-}
-
-// encodeRaw gob-encodes v without normalizing the version field; it exists
-// so tests can construct snapshots with arbitrary versions.
-func encodeRaw(w io.Writer, v interface{}) error {
-	return gob.NewEncoder(w).Encode(v)
+	return loadLatestValid(path, kindPrivate, decodePrivate)
 }

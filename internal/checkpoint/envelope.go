@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,16 +13,37 @@ import (
 	"strings"
 )
 
-// Format v2 wraps the gob payload in a binary envelope so torn or bit-rotted
-// files are *detected* instead of half-decoded:
+// The envelope makes torn or bit-rotted files *detected* instead of
+// half-decoded. Its header is big-endian:
 //
-//	magic   [4]byte  "DNCK"
-//	version uint8    (2)
-//	kind    uint8    (1 = server snapshot, 2 = private-layer store)
-//	gen     uint64   generation number, big-endian
-//	length  uint32   payload byte count, big-endian
-//	crc32   uint32   IEEE CRC of the payload, big-endian
-//	payload []byte   gob-encoded Snapshot / PrivateLayers
+//	off  0  [4]byte "DNCK"
+//	off  4  u8      format version (3)
+//	off  5  u8      kind (1 = server snapshot, 2 = private-layer store)
+//	off  6  u64be   generation
+//	off 14  u32be   payload length
+//	off 18  u32be   IEEE CRC-32 of the payload
+//	off 22          payload
+//
+// The payload is little-endian binenc: i64le integers, f64le bit patterns;
+// "str" is a u32le length and its bytes, "f64s" a u32le count and that many
+// f64le, "map" a u32le count and that many {i64le key, i64le value} in
+// ascending key order. A snapshot is
+//
+//	off  0  u8     flags (1 = quarantine section, 2 = wire section)
+//	off  1  i64le  Round
+//	off  9  i64le  SampleSeed
+//	off 17  i64le  SampleSize
+//	off 25  str Dataset, f64s State, f64s StreamNorms
+//	        u32le n, n × {i64le ClientID, i64le Round, i64le NumSamples, f64s State}  (Async)
+//	        iff flagged: map Offenses, map BlockedUntil, f64s Norms
+//	        iff flagged: u8 bits (1 = Compress, 2 = Delta), str Quantize, f64le TopK,
+//	                     i64le QuantSeed, i64le BcastRound, f64s Bcast
+//
+// and a private-layer store is
+//
+//	off  0  i64le  ClientID
+//	off  8  i64le  Round
+//	off 16  u32le n, n × {i64le layer, f64s parameters}, ascending layer
 //
 // Files are written atomically (temp + rename) and durably (fsync on the
 // file and its parent directory), and each save rotates the previous newest
@@ -48,55 +68,71 @@ const (
 // ".g<gen>" predecessors.
 const DefaultRetain = 3
 
-// ErrCorrupt wraps every integrity failure detected on a v2 envelope (bad
-// magic, truncated header or payload, CRC mismatch), so callers can
-// distinguish corruption from absence.
+// ErrCorrupt wraps every integrity failure detected on an envelope (bad
+// magic, truncated header or payload, CRC mismatch, a payload that does not
+// parse), so callers can distinguish corruption from absence.
 var ErrCorrupt = errors.New("checkpoint: corrupt envelope")
 
-// writeEnvelope frames payload as a v2 envelope.
-func writeEnvelope(w io.Writer, kind byte, gen uint64, payload []byte) error {
+// newImage starts a file image: the header's bytes reserved, capacity for
+// exactly payloadLen more. A save builds one and drops it — retaining
+// multi-megabyte scratch between saves raises the GC heap goal for the
+// whole process.
+func newImage(payloadLen int) []byte {
+	return make([]byte, envHeaderSize, envHeaderSize+payloadLen)
+}
+
+// seal fills in the header of a finished image in place, checksumming the
+// payload where it lies.
+func seal(img []byte, kind byte, gen uint64) ([]byte, error) {
+	payload := img[envHeaderSize:]
 	if len(payload) == 0 || len(payload) > maxPayloadBytes {
-		return fmt.Errorf("checkpoint: payload length %d out of range", len(payload))
+		return nil, fmt.Errorf("checkpoint: payload length %d out of range", len(payload))
 	}
-	var hdr [envHeaderSize]byte
-	copy(hdr[:4], envMagic)
-	hdr[4] = FormatVersion
-	hdr[5] = kind
-	binary.BigEndian.PutUint64(hdr[6:14], gen)
-	binary.BigEndian.PutUint32(hdr[14:18], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[18:22], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("checkpoint: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("checkpoint: write payload: %w", err)
+	copy(img[:4], envMagic)
+	img[4] = FormatVersion
+	img[5] = kind
+	binary.BigEndian.PutUint64(img[6:14], gen)
+	binary.BigEndian.PutUint32(img[14:18], uint32(len(payload)))
+	binary.BigEndian.PutUint32(img[18:22], crc32.ChecksumIEEE(payload))
+	return img, nil
+}
+
+// writeImage writes a sealed image to a stream.
+func writeImage(w io.Writer, img []byte) error {
+	if _, err := w.Write(img); err != nil {
+		return fmt.Errorf("checkpoint: write: %w", err)
 	}
 	return nil
 }
 
-// readEnvelope parses one v2 envelope of the wanted kind, verifying the CRC
-// before the payload reaches any decoder. head is the already-consumed
-// 4-byte prefix (the magic), so callers can sniff legacy files first.
-func readEnvelope(head [4]byte, r io.Reader, wantKind byte) (gen uint64, payload []byte, err error) {
-	if string(head[:]) != envMagic {
-		return 0, nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, head[:])
+// parseHeader validates an envelope header and returns its fields.
+func parseHeader(hdr *[envHeaderSize]byte) (kind byte, gen uint64, n, sum uint32, err error) {
+	if string(hdr[:4]) != envMagic {
+		return 0, 0, 0, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:4])
 	}
-	var rest [envHeaderSize - 4]byte
-	if _, err := io.ReadFull(r, rest[:]); err != nil {
+	if hdr[4] != FormatVersion {
+		return 0, 0, 0, 0, fmt.Errorf("checkpoint: unsupported version %d (this build reads version %d)", hdr[4], FormatVersion)
+	}
+	return hdr[5], binary.BigEndian.Uint64(hdr[6:14]), binary.BigEndian.Uint32(hdr[14:18]), binary.BigEndian.Uint32(hdr[18:22]), nil
+}
+
+// readEnvelope reads one envelope of the wanted kind, verifying the CRC
+// before the payload reaches any decoder.
+func readEnvelope(r io.Reader, wantKind byte) (gen uint64, payload []byte, err error) {
+	var hdr [envHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated header: %v", ErrCorrupt, err)
 	}
-	if rest[0] != FormatVersion {
-		return 0, nil, fmt.Errorf("checkpoint: unsupported version %d", rest[0])
+	kind, gen, n, sum, err := parseHeader(&hdr)
+	if err != nil {
+		return 0, nil, err
 	}
-	if rest[1] != wantKind {
-		return 0, nil, fmt.Errorf("%w: kind %d, want %d", ErrCorrupt, rest[1], wantKind)
+	if kind != wantKind {
+		return 0, nil, fmt.Errorf("%w: kind %d, want %d", ErrCorrupt, kind, wantKind)
 	}
-	gen = binary.BigEndian.Uint64(rest[2:10])
-	n := binary.BigEndian.Uint32(rest[10:14])
 	if n == 0 || n > maxPayloadBytes {
 		return 0, nil, fmt.Errorf("%w: payload length %d out of range", ErrCorrupt, n)
 	}
-	sum := binary.BigEndian.Uint32(rest[14:18])
 	// Read incrementally instead of pre-allocating n bytes: a corrupt
 	// length field must not cost a giant allocation when the file is
 	// actually tiny.
@@ -111,15 +147,6 @@ func readEnvelope(head [4]byte, r io.Reader, wantKind byte) (gen uint64, payload
 		return 0, nil, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrCorrupt, sum, got)
 	}
 	return gen, payload, nil
-}
-
-// sniffMagic reads the first 4 bytes of r and reports whether they are the
-// v2 magic. The bytes are returned so legacy decoding can replay them.
-func sniffMagic(r io.Reader) (head [4]byte, isV2 bool, err error) {
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return head, false, fmt.Errorf("checkpoint: read: %w", err)
-	}
-	return head, string(head[:]) == envMagic, nil
 }
 
 // --- durable file plumbing ---------------------------------------------
@@ -192,24 +219,20 @@ func generationOf(path, name string) (uint64, bool) {
 }
 
 // headerGen reads just the envelope header of path and returns its
-// generation; ok is false for missing, legacy (v1), or corrupt-header files.
+// generation; ok is false for missing, other-version, or corrupt-header
+// files.
 func headerGen(path string, wantKind byte) (uint64, bool) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false
 	}
 	defer f.Close()
-	if _, isV2, err := sniffMagic(f); err != nil || !isV2 {
+	var hdr [envHeaderSize]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return 0, false
 	}
-	var rest [envHeaderSize - 4]byte
-	if _, err := io.ReadFull(f, rest[:]); err != nil {
-		return 0, false
-	}
-	if rest[0] != FormatVersion || rest[1] != wantKind {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(rest[2:10]), true
+	kind, gen, _, _, err := parseHeader(&hdr)
+	return gen, err == nil && kind == wantKind
 }
 
 // siblingGenerations lists the generation numbers of retained ".g<gen>"
@@ -248,35 +271,26 @@ func nextGeneration(path string, kind byte) uint64 {
 }
 
 // saveChain writes one new generation at the head of the chain: the
-// previous head is rotated into its ".g<gen>" sibling, the new envelope is
-// written durably, and generations beyond retain are pruned. encode
-// receives the chosen generation so the payload can embed it.
+// previous head is rotated into its ".g<gen>" sibling, the new file image
+// is written durably, and generations beyond retain are pruned. encode
+// receives the chosen generation and returns the sealed image.
 func saveChain(path string, kind byte, retain int, encode func(gen uint64) ([]byte, error)) error {
 	if retain < 1 {
 		retain = DefaultRetain
 	}
-	gen := nextGeneration(path, kind)
-	payload, err := encode(gen)
+	img, err := encode(nextGeneration(path, kind))
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := writeEnvelope(&buf, kind, gen, payload); err != nil {
-		return err
-	}
-	// Rotate the previous head so it survives as a fallback generation. A
-	// legacy or corrupt head (no readable generation) is preserved under
-	// gen-1 rather than overwritten.
+	// Rotate the previous head so it survives as a fallback generation; a
+	// head with no readable generation has nothing to fall back to and is
+	// replaced by the rename below.
 	if prevGen, ok := headerGen(path, kind); ok {
 		if err := os.Rename(path, genPath(path, prevGen)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("checkpoint: rotate: %w", err)
 		}
-	} else if _, err := os.Stat(path); err == nil {
-		if err := os.Rename(path, genPath(path, gen-1)); err != nil {
-			return fmt.Errorf("checkpoint: rotate legacy: %w", err)
-		}
 	}
-	if err := writeDurable(path, buf.Bytes()); err != nil {
+	if err := writeDurable(path, img); err != nil {
 		return err
 	}
 	pruneGenerations(path, retain)
@@ -311,28 +325,51 @@ func chainCandidates(path string) []string {
 	return out
 }
 
+// decoder parses a CRC-verified payload of one kind into its value.
+type decoder[T any] func(payload []byte, gen uint64) (*T, error)
+
+// load reads one envelope of the given kind from r and decodes it.
+func load[T any](r io.Reader, kind byte, decode decoder[T]) (*T, error) {
+	gen, payload, err := readEnvelope(r, kind)
+	if err != nil {
+		return nil, err
+	}
+	return decode(payload, gen)
+}
+
+// loadFile is load on the file at path.
+func loadFile[T any](path string, kind byte, decode decoder[T]) (*T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	defer f.Close()
+	return load(f, kind, decode)
+}
+
 // loadLatestValid walks the chain newest-first and returns the first file
 // that decodes and validates, plus the paths of the corrupt files it
 // skipped. When no file of the chain exists at all the error wraps
 // os.ErrNotExist; when files exist but none is intact the error reports
 // every failure.
-func loadLatestValid(path string, decode func(string) error) (skipped []string, err error) {
-	var errs []error
-	tried := 0
+func loadLatestValid[T any](path string, kind byte, decode decoder[T]) (*T, []string, error) {
+	var (
+		skipped []string
+		errs    []error
+	)
 	for _, cand := range chainCandidates(path) {
-		derr := decode(cand)
-		if derr == nil {
-			return skipped, nil
+		v, err := loadFile(cand, kind, decode)
+		if err == nil {
+			return v, skipped, nil
 		}
-		if errors.Is(derr, os.ErrNotExist) {
+		if errors.Is(err, os.ErrNotExist) {
 			continue
 		}
-		tried++
 		skipped = append(skipped, cand)
-		errs = append(errs, fmt.Errorf("%s: %w", cand, derr))
+		errs = append(errs, fmt.Errorf("%s: %w", cand, err))
 	}
-	if tried == 0 {
-		return nil, fmt.Errorf("checkpoint: no checkpoint at %s: %w", path, os.ErrNotExist)
+	if errs == nil {
+		return nil, nil, fmt.Errorf("checkpoint: no checkpoint at %s: %w", path, os.ErrNotExist)
 	}
-	return skipped, fmt.Errorf("checkpoint: no intact generation at %s: %w", path, errors.Join(errs...))
+	return nil, skipped, fmt.Errorf("checkpoint: no intact generation at %s: %w", path, errors.Join(errs...))
 }

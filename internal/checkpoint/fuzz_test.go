@@ -7,13 +7,12 @@ import (
 	"testing"
 )
 
-// FuzzEnvelope throws arbitrary bytes at the v2 envelope reader (via the
-// snapshot Load path, which also exercises the legacy-gob sniffing). The
-// invariants: no input panics the decoder; any input whose CRC does not
+// FuzzEnvelope throws arbitrary bytes at the envelope reader (via the
+// snapshot Load path). The invariants: no input panics the decoder; any input whose CRC does not
 // match its payload is rejected; and a well-formed envelope around a valid
 // payload round-trips.
 func FuzzEnvelope(f *testing.F) {
-	// Seed with a valid envelope, a legacy file, and assorted near-misses.
+	// Seed with a valid envelope and assorted near-misses.
 	var valid bytes.Buffer
 	if err := Save(&valid, &Snapshot{Dataset: "purchase100", Round: 3, State: []float64{1, 2}}); err != nil {
 		f.Fatal(err)
@@ -43,7 +42,7 @@ func FuzzEnvelope(f *testing.F) {
 			t.Fatalf("re-saved snapshot does not load: %v", err)
 		}
 
-		// If the input was a v2 envelope, independently verify the CRC
+		// If the input was an envelope, independently verify the CRC
 		// actually matched — Load accepting a mismatch would defeat the
 		// whole point of the format.
 		if len(data) >= envHeaderSize && string(data[:4]) == envMagic {

@@ -98,12 +98,12 @@ type Fleet struct {
 	// (default 8).
 	MaxRetries int
 	// Caps is the wire capability mask each client advertises in its Hello
-	// (e.g. flnet.ClientCaps). 0 means a legacy gob session — the default,
-	// so existing soaks keep measuring the gob transport unchanged.
+	// (e.g. flnet.ClientCaps). 0 — the default — advertises nothing: the
+	// server sends no ack and the session moves raw float64 frames.
 	Caps uint32
 	// Version overrides the protocol version sent in Hello frames (0 means
-	// flnet.ProtocolVersion) — negotiation tests use it to present an old
-	// peer to a new server.
+	// flnet.ProtocolVersion) — the version-rejection test uses it to
+	// present a mismatched peer.
 	Version int
 	// Job names the federation job each Hello asks for — the service-mode
 	// front door routes the connection by it. Empty targets a
@@ -304,7 +304,7 @@ func (f *Fleet) session(ctx context.Context, id int, conn net.Conn, lastRound *i
 			}
 			codec = flnet.NewCodec(msg.WireCaps, msg.QuantSeed, msg.TopK, anch.base)
 		case flnet.KindGlobal:
-			if codec.Binary() {
+			if codec != nil {
 				anch.received(msg.Round, msg.State)
 			}
 			if f.Partition != nil && f.Partition(id, msg.Round) {

@@ -55,11 +55,11 @@ func runWireFederation(t *testing.T, cfg flnet.ServerConfig, fleet *Fleet) ([]fl
 	return final, stats
 }
 
-// TestWireNegotiationMatrix is the cross-version acceptance matrix: a v3
-// server offering the full codec stack must complete federations with v3
-// full-capability clients, with capability-less v3 clients, and with
-// plain-gob v2 peers that predate the binary format entirely — and the
-// negotiated label must show on /healthz.
+// TestWireNegotiationMatrix is the capability-intersection acceptance
+// matrix: a server offering the full codec stack must complete federations
+// with full-capability clients, with clients that ask for the ack but no
+// payload codec, and with clients that advertise nothing at all (no ack,
+// raw float64 frames) — and the offered label must show on /healthz.
 func TestWireNegotiationMatrix(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
 	const (
@@ -70,18 +70,17 @@ func TestWireNegotiationMatrix(t *testing.T) {
 	cases := []struct {
 		name      string
 		caps      uint32
-		version   int
 		wantLabel string
 	}{
-		{"v3 full codecs", flnet.ClientCaps, 0, "binary+flate+int8+topk+delta"},
-		{"v3 binary only", flnet.CapBinary, 0, "binary+flate+int8+topk+delta"},
-		{"v2 gob peer", 0, flnet.MinProtocolVersion, "binary+flate+int8+topk+delta"},
+		{"full codecs", flnet.ClientCaps, "binary+flate+int8+topk+delta"},
+		{"lossless subset", flnet.CapBinary | flnet.CapFlate | flnet.CapDelta, "binary+flate+int8+topk+delta"},
+		{"binary only", flnet.CapBinary, "binary+flate+int8+topk+delta"},
+		{"no capabilities", 0, "binary+flate+int8+topk+delta"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ln := Listen(numClients)
 			cfg := wireServerConfig(numClients, rounds, dim, ln)
-			cfg.Wire = "binary"
 			cfg.Compress = true
 			cfg.Quantize = "int8"
 			cfg.TopK = 0.5
@@ -98,7 +97,7 @@ func TestWireNegotiationMatrix(t *testing.T) {
 			defer cancel()
 			fleet := &Fleet{
 				N: numClients, Dim: dim, Seed: 21,
-				Caps: tc.caps, Version: tc.version,
+				Caps: tc.caps,
 				Dial: ln.Dial, IOTimeout: 20 * time.Second,
 			}
 			statsCh := make(chan *Stats, 1)
@@ -121,8 +120,9 @@ func TestWireNegotiationMatrix(t *testing.T) {
 	}
 }
 
-// TestWireUnsupportedVersionRejected pins the version floor: a protocol-v1
-// hello must be turned away with a version error, not half-served.
+// TestWireUnsupportedVersionRejected pins the version check: a hello of
+// any other protocol version must be turned away with a version error, not
+// half-served.
 func TestWireUnsupportedVersionRejected(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
 	const numClients = 2
@@ -141,20 +141,22 @@ func TestWireUnsupportedVersionRejected(t *testing.T) {
 		srvDone <- err
 	}()
 
-	old := &Fleet{N: 1, Dim: 16, Seed: 1, Version: flnet.MinProtocolVersion - 1, MaxRetries: 1,
-		Dial: ln.Dial, IOTimeout: 5 * time.Second}
-	stats := old.Run(ctx)
-	if stats.Done.Load() != 0 || stats.GaveUp.Load() != 1 {
-		t.Fatalf("v1 client outcome done=%d gaveUp=%d, want a rejection", stats.Done.Load(), stats.GaveUp.Load())
+	for _, version := range []int{flnet.ProtocolVersion - 1, flnet.ProtocolVersion + 1} {
+		old := &Fleet{N: 1, Dim: 16, Seed: 1, Version: version, MaxRetries: 1,
+			Dial: ln.Dial, IOTimeout: 5 * time.Second}
+		stats := old.Run(ctx)
+		if stats.Done.Load() != 0 || stats.GaveUp.Load() != 1 {
+			t.Fatalf("v%d client outcome done=%d gaveUp=%d, want a rejection", version, stats.Done.Load(), stats.GaveUp.Load())
+		}
 	}
 	cancel()
 	<-srvDone
 }
 
-// TestWireBytesReduction is the tentpole's acceptance criterion: with
+// TestWireBytesReduction is the codec stack's acceptance criterion: with
 // compression, int8 quantization, and delta broadcasts negotiated, the
-// bytes moved per federation round must drop at least 4x against the gob
-// transport at the same scale.
+// bytes moved per federation round must drop at least 4x against a
+// codec-free session (raw float64 frames) at the same scale.
 func TestWireBytesReduction(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
 	const (
@@ -167,14 +169,11 @@ func TestWireBytesReduction(t *testing.T) {
 		cfg := wireServerConfig(numClients, rounds, dim, ln)
 		fleet := &Fleet{N: numClients, Dim: dim, Seed: 9, Dial: ln.Dial, IOTimeout: 20 * time.Second}
 		if coded {
-			cfg.Wire = "binary"
 			cfg.Compress = true
 			cfg.Quantize = "int8"
 			cfg.Delta = true
 			cfg.QuantSeed = 3
 			fleet.Caps = flnet.ClientCaps
-		} else {
-			cfg.Wire = "gob"
 		}
 		// Both ends share the in-process counters, so the tx delta alone
 		// counts every frame exactly once.
@@ -184,12 +183,12 @@ func TestWireBytesReduction(t *testing.T) {
 		return txAfter - txBefore
 	}
 
-	gobBytes := run(false)
+	plainBytes := run(false)
 	codedBytes := run(true)
-	t.Logf("gob: %d bytes, coded: %d bytes (%.1fx reduction over %d rounds)",
-		gobBytes, codedBytes, float64(gobBytes)/float64(codedBytes), rounds)
-	if codedBytes <= 0 || gobBytes < 4*codedBytes {
-		t.Fatalf("coded transport moved %d bytes vs %d gob; want at least a 4x reduction", codedBytes, gobBytes)
+	t.Logf("codec-free: %d bytes, coded: %d bytes (%.1fx reduction over %d rounds)",
+		plainBytes, codedBytes, float64(plainBytes)/float64(codedBytes), rounds)
+	if codedBytes <= 0 || plainBytes < 4*codedBytes {
+		t.Fatalf("coded transport moved %d bytes vs %d codec-free; want at least a 4x reduction", codedBytes, plainBytes)
 	}
 }
 
@@ -208,7 +207,6 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 
 	ln := Listen(numClients)
 	cfg := wireServerConfig(numClients, 2, dim, ln)
-	cfg.Wire = "binary"
 	cfg.Compress = true
 	cfg.Quantize = "int8"
 	cfg.Delta = true
@@ -233,7 +231,6 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 
 	// A conflicting seed must be refused before any client connects.
 	conflict := wireServerConfig(numClients, 4, dim, Listen(numClients))
-	conflict.Wire = "binary"
 	conflict.Quantize = "int8"
 	conflict.QuantSeed = seed + 1
 	conflict.CheckpointPath = path
@@ -245,7 +242,6 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 	// federation completes its remaining rounds quantized.
 	ln2 := Listen(numClients)
 	resume := wireServerConfig(numClients, 4, dim, ln2)
-	resume.Wire = "binary"
 	resume.Compress = true
 	resume.Quantize = "int8"
 	resume.Delta = true

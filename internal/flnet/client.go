@@ -41,11 +41,6 @@ type ClientConfig struct {
 	// client restart. It runs on the session goroutine; a slow hook delays
 	// the next round's read.
 	AfterRound func(round int)
-	// Wire selects the transport framing: "binary" (the default, ""
-	// means binary) advertises the full v3 capability set at Hello and
-	// speaks whatever the server negotiates; "gob" advertises nothing and
-	// pins the legacy gob framing.
-	Wire string
 	// Job names the federation job to join on a multi-job service-mode
 	// server; it rides every Hello so reconnects route back to the same
 	// job. Empty is fine against a single-federation server.
@@ -94,9 +89,6 @@ func RunClient(ctx context.Context, cfg ClientConfig) ([]float64, error) {
 	if cfg.Trainer == nil || cfg.Defense == nil {
 		return nil, fmt.Errorf("flnet: client needs Trainer and Defense")
 	}
-	if cfg.Wire != "" && cfg.Wire != "binary" && cfg.Wire != "gob" {
-		return nil, fmt.Errorf("flnet: unknown wire format %q (want binary or gob)", cfg.Wire)
-	}
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 30 * time.Second
 	}
@@ -126,7 +118,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) ([]float64, error) {
 
 	lastCompleted := -1
 	// Broadcast anchors survive reconnects: a redialing client still holds
-	// the broadcast of its last completed round, so a v3 server whose ring
+	// the broadcast of its last completed round, so a server whose ring
 	// still covers it can resume delta encoding immediately.
 	anchors := &wireAnchors{round: -1, pendRound: -1}
 	failures := 0
@@ -276,16 +268,14 @@ func runSession(ctx context.Context, cfg ClientConfig, lastCompleted *int, ancho
 		Version:   ProtocolVersion,
 		LastRound: *lastCompleted,
 		Job:       cfg.Job,
-	}
-	if cfg.Wire != "gob" {
-		hello.WireCaps = ClientCaps
+		WireCaps:  ClientCaps,
 	}
 	if err := WriteMessage(conn, hello); err != nil {
 		return nil, retryableErr(err)
 	}
 
-	// codec stays nil (gob) until the server's KindWire ack negotiates the
-	// binary session; the ack itself is the session's last gob frame.
+	// codec stays nil (plain frames) until the server's KindWire ack
+	// negotiates the session's payload codecs.
 	var codec *Codec
 	msg := &Message{}
 	for {
@@ -304,7 +294,7 @@ func runSession(ctx context.Context, cfg ClientConfig, lastCompleted *int, ancho
 			}
 			codec = NewCodec(caps, msg.QuantSeed, msg.TopK, anchors.base)
 		case KindGlobal:
-			if codec.Binary() {
+			if codec != nil {
 				// Remember the broadcast just decoded: the upload diffs
 				// against it, and the next delta broadcast may anchor on it.
 				anchors.received(msg.Round, msg.State)

@@ -9,9 +9,8 @@ import (
 )
 
 // runFedWithWire runs one complete federation on the shared fedBed fixtures
-// with the given server codec config and per-client wire pins, returning
-// the final global state.
-func runFedWithWire(t *testing.T, bed *fedBed, rounds int, mutate func(*ServerConfig), clientWire []string) []float64 {
+// with the given server codec config, returning the final global state.
+func runFedWithWire(t *testing.T, bed *fedBed, rounds int, mutate func(*ServerConfig)) []float64 {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -37,7 +36,6 @@ func runFedWithWire(t *testing.T, bed *fedBed, rounds int, mutate func(*ServerCo
 				Addr:    srv.Addr().String(),
 				Trainer: bed.trainer(id),
 				Defense: bed.defense("none"),
-				Wire:    clientWire[id],
 			})
 			if err != nil {
 				errCh <- err
@@ -75,20 +73,17 @@ func relL2(a, b []float64) float64 {
 func TestQuantizedFederationConverges(t *testing.T) {
 	const rounds = 3
 	bed := newFedBed(t, 2)
-	gobWire := []string{"gob", "gob"}
-	baseline := runFedWithWire(t, bed, rounds, func(cfg *ServerConfig) { cfg.Wire = "gob" }, gobWire)
+	baseline := runFedWithWire(t, bed, rounds, nil)
 	if len(baseline) == 0 {
 		t.Fatal("baseline federation produced no state")
 	}
 
-	binWire := []string{"binary", "binary"}
 	quantized := runFedWithWire(t, bed, rounds, func(cfg *ServerConfig) {
-		cfg.Wire = "binary"
 		cfg.Compress = true
 		cfg.Quantize = "int8"
 		cfg.Delta = true
 		cfg.QuantSeed = 5
-	}, binWire)
+	})
 	if len(quantized) != len(baseline) {
 		t.Fatalf("quantized run produced %d values, baseline %d", len(quantized), len(baseline))
 	}
@@ -103,39 +98,16 @@ func TestQuantizedFederationConverges(t *testing.T) {
 		t.Fatalf("quantized federation drifted %.4f relative L2 from baseline; tolerance is 0.05", rel)
 	}
 
-	// A lossless binary run (no quantization) must match the gob baseline
-	// exactly: framing alone changes no bits.
+	// A lossless coded run (flate + XOR deltas, no quantization) must match
+	// the codec-free baseline exactly: those codecs change no bits.
 	lossless := runFedWithWire(t, bed, rounds, func(cfg *ServerConfig) {
-		cfg.Wire = "binary"
 		cfg.Compress = true
 		cfg.Delta = true
-	}, binWire)
+	})
 	for i := range baseline {
 		if lossless[i] != baseline[i] {
-			t.Fatalf("lossless binary state[%d] = %x, gob baseline %x; framing must be bit-transparent",
+			t.Fatalf("lossless coded state[%d] = %x, codec-free baseline %x; the codecs must be bit-transparent",
 				i, math.Float64bits(lossless[i]), math.Float64bits(baseline[i]))
-		}
-	}
-}
-
-// TestMixedWireFederation pins a heterogeneous cohort: one client pinned to
-// gob and one speaking the full binary stack complete the same quantized
-// federation side by side.
-func TestMixedWireFederation(t *testing.T) {
-	bed := newFedBed(t, 2)
-	state := runFedWithWire(t, bed, 2, func(cfg *ServerConfig) {
-		cfg.Wire = "binary"
-		cfg.Compress = true
-		cfg.Quantize = "int8"
-		cfg.Delta = true
-		cfg.QuantSeed = 7
-	}, []string{"gob", "binary"})
-	if len(state) == 0 {
-		t.Fatal("mixed federation produced no state")
-	}
-	for i, v := range state {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("state[%d] is %v", i, v)
 		}
 	}
 }
@@ -151,14 +123,13 @@ func TestQuantizedTopKFederationDeterministic(t *testing.T) {
 	bed := newFedBed(t, 2)
 	run := func() []float64 {
 		return runFedWithWire(t, bed, rounds, func(cfg *ServerConfig) {
-			cfg.Wire = "binary"
 			cfg.Compress = true
 			cfg.Quantize = "int8"
 			cfg.TopK = 0.1
 			cfg.Delta = true
 			cfg.QuantSeed = 5
 			cfg.Streaming = true
-		}, []string{"binary", "binary"})
+		})
 	}
 	first, second := run(), run()
 	if len(first) == 0 || len(first) != len(second) {

@@ -150,22 +150,15 @@ type ServerConfig struct {
 	// EventCapacity bounds the in-memory ring of recent structured
 	// events (Events method). 0 means 256.
 	EventCapacity int
-	// Wire selects the transport framing offered to clients: "binary"
-	// (the default, "" means binary) negotiates v3 zero-reflection binary
-	// frames with capable peers and falls back to gob for v2 peers or
-	// clients that decline; "gob" pins the legacy gob framing for every
-	// session.
-	Wire string
-	// Compress offers flate compression of binary frame payloads; each
-	// frame stores whichever encoding is smaller.
+	// Compress offers flate compression of frame payloads; each frame
+	// stores whichever encoding is smaller.
 	Compress bool
 	// Quantize ("", "none", "int8", "int16") offers seeded stochastic
 	// quantization of client uploads (and, with Delta, of the broadcast
 	// itself). Dequantization is a pure function of the payload bytes, so
 	// the exact streaming fold stays bit-deterministic for a fixed
-	// QuantSeed. Requires the binary wire format; incompatible with
-	// cohort-aware (secure-aggregation) defenses, whose pairwise masks do
-	// not survive lossy encoding.
+	// QuantSeed. Incompatible with cohort-aware (secure-aggregation)
+	// defenses, whose pairwise masks do not survive lossy encoding.
 	Quantize string
 	// TopK in (0,1) sparsifies quantized uploads to that fraction of
 	// coordinates (largest |delta| first). 0 means dense uploads.
@@ -302,7 +295,7 @@ type Server struct {
 	asyncBuf []*fl.Update
 
 	// Wire-codec state: offerCaps is the capability mask offered at
-	// negotiation (0 = gob only), quantKind the configured upload
+	// negotiation, quantKind the configured upload
 	// quantization, wireLabel the /healthz codec label, and ring the
 	// recent canonical broadcasts that delta/quantized payloads anchor
 	// against (nil unless quantization or delta broadcasts are offered).
@@ -702,7 +695,8 @@ type session struct {
 	// lastRound is the last round the client reported completing in its
 	// Hello (-1 for a fresh client).
 	lastRound int
-	// codec is the session's negotiated wire codec (nil for gob peers).
+	// codec is the session's negotiated wire codec (nil for a peer that
+	// advertised no capabilities).
 	codec *Codec
 	// anchor is the round whose canonical broadcast the peer is known to
 	// hold — its Hello LastRound until the first Global goes out, then the
@@ -1164,13 +1158,12 @@ func (s *Server) register(conn net.Conn) (*session, error) {
 	}
 
 	conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
-	msg, err := ReadMessage(conn)
-	if err != nil || msg.Kind != KindHello {
+	msg, err := ReadHello(conn)
+	if err != nil {
 		return nil, reject("malformed registration: want a hello frame")
 	}
-	if msg.Version < MinProtocolVersion || msg.Version > ProtocolVersion {
-		return nil, reject(fmt.Sprintf("protocol version %d not supported, server speaks %d (minimum %d)",
-			msg.Version, ProtocolVersion, MinProtocolVersion))
+	if msg.Version != ProtocolVersion {
+		return nil, reject(fmt.Sprintf("protocol version %d not supported, server speaks %d", msg.Version, ProtocolVersion))
 	}
 	if msg.ClientID < 0 || msg.ClientID >= s.cfg.NumClients {
 		return nil, reject(fmt.Sprintf("client id %d outside [0,%d)", msg.ClientID, s.cfg.NumClients))
@@ -1183,11 +1176,10 @@ func (s *Server) register(conn net.Conn) (*session, error) {
 	}
 	sess := &session{conn: conn, clientID: msg.ClientID, lastRound: msg.LastRound, anchor: msg.LastRound}
 	// Codec negotiation: the intersection of the server's offer and the
-	// client's advertised capabilities. A v2 peer (or a v3 peer pinned to
-	// gob) advertises nothing and the session simply stays gob. The ack is
-	// the session's last gob frame, and it MUST be written before the
+	// client's advertised capabilities. A peer that advertises nothing gets
+	// no ack and a codec-free session. The ack MUST be written before the
 	// session becomes visible to the round loop — a concurrently sampled
-	// cohort could otherwise race a binary Global ahead of the ack.
+	// cohort could otherwise race a coded Global ahead of the ack.
 	if caps := negotiateCaps(s.offerCaps, msg.WireCaps); caps != 0 {
 		ack := &Message{Kind: KindWire, Version: ProtocolVersion, WireCaps: caps,
 			QuantSeed: s.cfg.QuantSeed, TopK: s.cfg.TopK}
@@ -1202,21 +1194,9 @@ func (s *Server) register(conn net.Conn) (*session, error) {
 	if _, dup := s.live[msg.ClientID]; dup {
 		s.mu.Unlock()
 		// Lost the insert race against a concurrent registration for the
-		// same id; the rejection must speak whatever codec was just acked.
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-		_ = WriteMessageWith(conn, &Message{Kind: KindError,
-			Err: fmt.Sprintf("client id %d already registered", msg.ClientID)}, sess.codec)
-		conn.Close()
-		s.mu.Lock()
-		s.rejects++
-		tooMany := s.rejects > s.cfg.MaxRejects
-		s.mu.Unlock()
-		s.tel.RegistrationsRejected.Inc()
-		s.logf(-1, msg.ClientID, "flnet: rejected registrant from %v: duplicate client id %d", conn.RemoteAddr(), msg.ClientID)
-		if tooMany {
-			return nil, fmt.Errorf("%w (%d)", errTooManyRejects, s.cfg.MaxRejects)
-		}
-		return nil, fmt.Errorf("flnet: rejected registrant: duplicate client id %d", msg.ClientID)
+		// same id. An error frame carries no state, so it reads the same
+		// under whatever codec was just acked.
+		return nil, reject(fmt.Sprintf("client id %d already registered", msg.ClientID))
 	}
 	s.live[msg.ClientID] = sess
 	s.tel.LiveClients.Set(int64(len(s.live)))

@@ -13,15 +13,8 @@ import (
 // broadcast preparation.
 
 // wireOffer validates the codec portion of a ServerConfig and computes the
-// capability mask the server offers at negotiation (0 = gob only).
+// capability mask the server offers at negotiation.
 func wireOffer(cfg *ServerConfig, cohortAware fl.CohortAware) (uint32, fl.QuantKind, error) {
-	wire := cfg.Wire
-	if wire == "" {
-		wire = "binary"
-	}
-	if wire != "binary" && wire != "gob" {
-		return 0, 0, fmt.Errorf("flnet: unknown wire format %q (want binary or gob)", cfg.Wire)
-	}
 	quant, err := fl.ParseQuantKind(cfg.Quantize)
 	if err != nil {
 		return 0, 0, err
@@ -31,12 +24,6 @@ func wireOffer(cfg *ServerConfig, cohortAware fl.CohortAware) (uint32, fl.QuantK
 	}
 	if cfg.TopK > 0 && quant == fl.QuantNone {
 		return 0, 0, fmt.Errorf("flnet: TopK sparsification requires quantization (set Quantize)")
-	}
-	if wire == "gob" {
-		if cfg.Compress || quant != fl.QuantNone || cfg.Delta {
-			return 0, 0, fmt.Errorf("flnet: payload codecs (Compress/Quantize/Delta) require the binary wire format")
-		}
-		return 0, fl.QuantNone, nil
 	}
 	if quant != fl.QuantNone && cohortAware != nil {
 		return 0, 0, fmt.Errorf("flnet: defense is cohort-aware (secure aggregation): quantized uploads would corrupt the pairwise mask cancellation; disable Quantize or the masking defense")

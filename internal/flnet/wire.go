@@ -4,15 +4,16 @@
 // cmd/dinar-server / cmd/dinar-client tools deploy it; experiments default to
 // the in-process system for determinism and speed.
 //
-// The wire protocol is length-prefixed gob: every frame is a 4-byte
-// big-endian payload length followed by a gob-encoded Message. The round
-// flow is:
+// The wire protocol has one encoding: every frame is a 4-byte little-endian
+// payload length followed by a fixed-offset binary payload (the layout
+// tables are in wirev3.go). The round flow is:
 //
-//	client -> server  Hello{ClientID, Version, LastRound}
-//	server -> client  Global{Round, State}          (per round)
+//	client -> server  Hello{ClientID, Version, LastRound, Job, WireCaps}
+//	server -> client  Wire{WireCaps, QuantSeed, TopK}  (iff Hello advertised capabilities)
+//	server -> client  Global{Round, State}             (per round)
 //	client -> server  Update{Round, State, NumSamples}
 //	server -> client  Done{State: final global}
-//	server -> client  Drain{RetryAfterMs}           (graceful shutdown / load shed)
+//	server -> client  Drain{RetryAfterMs}              (graceful shutdown / load shed)
 //
 // A client may disconnect and re-register at any time; the Hello frame's
 // LastRound (the last round the client completed, -1 for a fresh client)
@@ -23,8 +24,6 @@ package flnet
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sync"
@@ -43,23 +42,15 @@ var (
 )
 
 // ProtocolVersion is the wire protocol version carried in every Hello
-// frame. Version 2 added the Version and LastRound fields (reconnect
-// support). Version 3 adds the Hello capability bitmask and the binary
-// frame negotiation (see wirev3.go); servers accept Hellos from
-// [MinProtocolVersion, ProtocolVersion], and a v2 Hello — or a v3 Hello
-// advertising no capabilities — simply gets an unchanged gob session, so
-// old peers interoperate without redeploying.
-const (
-	ProtocolVersion    = 3
-	MinProtocolVersion = 2
-)
+// frame; a server turns any other version away with a KindError.
+const ProtocolVersion = 3
 
-// Capability bits a v3 client advertises in Hello.WireCaps and the server
+// Capability bits a client advertises in Hello.WireCaps and the server
 // answers (intersected with its own configuration) in the KindWire ack.
-// Every codec requires CapBinary; a session without it is pure gob.
 const (
-	// CapBinary switches the session to length-prefixed little-endian
-	// binary frames after the gob Hello/ack handshake.
+	// CapBinary asks for the KindWire ack: every payload codec below needs
+	// it, and a Hello without it gets a session of plain frames (raw
+	// float64 states, no ack).
 	CapBinary uint32 = 1 << iota
 	// CapFlate enables per-frame flate compression of state payloads
 	// (skipped frame-by-frame when it does not shrink the payload).
@@ -96,10 +87,10 @@ const (
 	// when Shutdown begins, to registrants arriving during a drain, and to
 	// connections shed by accept-path admission control.
 	KindDrain
-	// KindWire is the server's gob-encoded answer to a capability-bearing
-	// Hello: WireCaps carries the negotiated intersection, QuantSeed and
-	// TopK the quantization parameters. It is the last gob frame of a
-	// binary session; both ends switch codecs immediately after it.
+	// KindWire is the server's answer to a capability-bearing Hello:
+	// WireCaps carries the negotiated intersection, QuantSeed and TopK the
+	// quantization parameters. Both ends apply the negotiated payload
+	// codecs to every frame after it.
 	KindWire
 )
 
@@ -142,25 +133,20 @@ type Message struct {
 	// Err carries a human-readable error for KindError frames.
 	Err string
 	// RetryAfterMs is the suggested client back-off in milliseconds; only
-	// meaningful on KindDrain (0 means the client-side default). Gob omits
-	// zero fields, so pre-drain peers interoperate unchanged.
+	// meaningful on KindDrain (0 means the client-side default).
 	RetryAfterMs int
 	// Cohort lists the round's sampled client ids; only sent on KindGlobal,
 	// and only when the defense is cohort-aware (secure aggregation needs
-	// each client to know its round's mask peers — see fl.CohortAware). Gob
-	// omits empty slices, so cohort-free deployments interoperate
-	// unchanged.
+	// each client to know its round's mask peers — see fl.CohortAware).
 	Cohort []int
 	// Job names the federation job this client wants to join; only
 	// meaningful on Hello, and only when dialing a multi-job service-mode
 	// server, which routes the connection to the named job before the
-	// job's own registration logic ever sees it. Hello frames are always
-	// gob (negotiation happens after them) and gob omits empty strings,
-	// so single-job deployments interoperate unchanged.
+	// job's own registration logic ever sees it. Empty against a
+	// single-federation server.
 	Job string
 	// WireCaps is the capability bitmask: on Hello the sender's supported
-	// codecs, on KindWire the server's negotiated subset. Gob omits zero
-	// fields, so capability-free peers interoperate unchanged.
+	// codecs, on KindWire the server's negotiated subset.
 	WireCaps uint32
 	// QuantSeed and TopK ride the KindWire ack: the stochastic-rounding
 	// seed every quantized payload of the session must use, and the top-k
@@ -169,16 +155,20 @@ type Message struct {
 	TopK      float64
 	// Canon, set by the server on KindGlobal sends when quantized delta
 	// broadcasts are configured, is the round's canonical quantized delta
-	// against the previous round's broadcast. A binary codec ships it to
-	// peers anchored at round-1 instead of State; the gob path and full
-	// resends ignore it, and it is never populated on received messages
-	// (ReadMessage reconstructs State instead).
+	// against the previous round's broadcast. A delta-capable codec ships
+	// it to peers anchored at round-1 instead of State; codec-free sessions
+	// and full resends ignore it, and it is never populated on received
+	// messages (ReadMessage reconstructs State instead).
 	Canon *fl.DeltaPayload
 }
 
 // maxFrameBytes bounds a frame to protect against corrupt length prefixes
 // (128 MiB is far above any scaled model's state vector).
 const maxFrameBytes = 128 << 20
+
+// maxHelloBytes bounds a connection's first frame: nothing is known about
+// the peer yet, and a Hello is a fixed header plus a job name.
+const maxHelloBytes = 64 << 10
 
 // maxPooledBytes caps the capacity a buffer may retire to a pool with: one
 // outlier frame (a giant model, a hostile-but-valid length) must not pin a
@@ -264,76 +254,31 @@ func readPayload(r io.Reader, n int) ([]byte, *[]byte, error) {
 	return payload, bp, nil
 }
 
-// WriteMessage encodes msg as a length-prefixed gob frame. The header and
-// payload go out in a single Write so a frame is never split across
-// syscalls (and fault injectors that act on whole writes see whole
-// frames).
-func WriteMessage(w io.Writer, msg *Message) error {
-	if msg.Canon != nil {
-		// Canon is a binary-codec send hint, never wire data on a gob
-		// session; strip it so gob peers see byte-identical frames.
-		stripped := *msg
-		stripped.Canon = nil
-		msg = &stripped
-	}
-	buf := writeBufPool.Get().(*bytes.Buffer)
-	defer putWriteBuf(buf)
-	buf.Reset()
-	var header [4]byte
-	buf.Write(header[:]) // placeholder, patched below
-	if err := gob.NewEncoder(buf).Encode(msg); err != nil {
-		return fmt.Errorf("flnet: encode %v: %w", msg.Kind, err)
-	}
-	frame := buf.Bytes()
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("flnet: write payload: %w", err)
-	}
-	telTxFrames.Inc()
-	telTxBytes.Add(int64(len(frame)))
-	return nil
-}
+// WriteMessage writes msg as one frame with no payload codec: what both
+// ends speak before (and without) a KindWire negotiation.
+func WriteMessage(w io.Writer, msg *Message) error { return WriteMessageWith(w, msg, nil) }
 
-// ReadMessage decodes one length-prefixed gob frame. The payload buffer is
-// pooled; gob decoding copies all data out of it, so the returned Message
-// never aliases pool memory.
+// ReadMessage reads one frame with no payload codec into a fresh Message.
 func ReadMessage(r io.Reader) (*Message, error) {
 	var msg Message
-	if err := ReadMessageInto(r, &msg); err != nil {
+	if err := ReadMessageWith(r, &msg, nil); err != nil {
 		return nil, err
 	}
 	return &msg, nil
 }
 
-// ReadMessageInto decodes one frame into msg, reusing msg's existing State
-// backing array when its capacity suffices (gob decodes a slice into the
-// destination's backing array if it fits, allocating otherwise). Pair it
-// with GetState/PutState so a server folding thousands of updates per round
-// recycles a handful of state buffers instead of allocating one per update.
-// msg is reset first, so leftover fields from a previous frame never leak
-// through.
-func ReadMessageInto(r io.Reader, msg *Message) error {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return fmt.Errorf("flnet: read header: %w", err)
+// ReadHello reads a connection's first frame, which must be a Hello of at
+// most maxHelloBytes. The server's registration path and the service front
+// door both admit connections through it.
+func ReadHello(r io.Reader) (*Message, error) {
+	var msg Message
+	if err := readFrame(r, &msg, nil, maxHelloBytes); err != nil {
+		return nil, err
 	}
-	n := binary.BigEndian.Uint32(header[:])
-	if n == 0 || n > maxFrameBytes {
-		return fmt.Errorf("flnet: frame length %d out of range", n)
+	if msg.Kind != KindHello {
+		return nil, fmt.Errorf("flnet: want a hello frame, got %v", msg.Kind)
 	}
-	payload, bp, err := readPayload(r, int(n))
-	if err != nil {
-		return fmt.Errorf("flnet: read payload: %w", err)
-	}
-	defer putReadBuf(bp)
-	state := msg.State
-	*msg = Message{State: state[:0]}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(msg); err != nil {
-		return fmt.Errorf("flnet: decode: %w", err)
-	}
-	telRxFrames.Inc()
-	telRxBytes.Add(int64(n) + 4)
-	return nil
+	return &msg, nil
 }
 
 // statePool recycles state-vector buffers between rounds. Updates released

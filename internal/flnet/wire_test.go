@@ -2,22 +2,23 @@ package flnet
 
 import (
 	"bytes"
-	"encoding/binary"
-	"strings"
 	"testing"
 )
 
 // TestMessageRoundTrip encodes and decodes a representative Message for
-// every Kind, covering all fields including the v2 additions (Version,
-// LastRound) and the KindError payload.
+// every Kind through the codec-free WriteMessage/ReadMessage pair, covering
+// the handshake fields (Job, WireCaps, QuantSeed, TopK) and the KindError
+// payload.
 func TestMessageRoundTrip(t *testing.T) {
 	msgs := []Message{
 		{Kind: KindHello, ClientID: 3, Version: ProtocolVersion, LastRound: -1},
-		{Kind: KindHello, ClientID: 0, Version: ProtocolVersion, LastRound: 7},
+		{Kind: KindHello, ClientID: 0, Version: ProtocolVersion, LastRound: 7, Job: "tenant-a", WireCaps: ClientCaps},
+		{Kind: KindWire, Version: ProtocolVersion, WireCaps: CapBinary | CapQuantInt8 | CapTopK, QuantSeed: -5, TopK: 0.25},
 		{Kind: KindGlobal, Round: 4, State: []float64{0.25, -1.5, 3}},
 		{Kind: KindUpdate, ClientID: 1, Round: 4, State: []float64{1, 2}, NumSamples: 128},
 		{Kind: KindDone, State: []float64{0.5}},
 		{Kind: KindError, Err: "flnet: version mismatch"},
+		{Kind: KindDrain, RetryAfterMs: 250},
 	}
 	for _, want := range msgs {
 		t.Run(want.Kind.String(), func(t *testing.T) {
@@ -29,67 +30,7 @@ func TestMessageRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Kind != want.Kind || got.ClientID != want.ClientID ||
-				got.Round != want.Round || got.NumSamples != want.NumSamples ||
-				got.Version != want.Version || got.LastRound != want.LastRound ||
-				got.Err != want.Err {
-				t.Fatalf("round trip mismatch: got %+v want %+v", *got, want)
-			}
-			if len(got.State) != len(want.State) {
-				t.Fatalf("state length %d, want %d", len(got.State), len(want.State))
-			}
-			for i := range want.State {
-				if got.State[i] != want.State[i] {
-					t.Fatalf("state[%d] = %v, want %v", i, got.State[i], want.State[i])
-				}
-			}
-		})
-	}
-}
-
-// frame builds a raw frame with an arbitrary header length and payload,
-// bypassing WriteMessage's consistency.
-func frame(length uint32, payload []byte) []byte {
-	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], length)
-	return append(header[:], payload...)
-}
-
-// TestReadMessageMalformed table-drives the decoder's failure paths:
-// truncated headers and payloads, out-of-range length prefixes, and
-// payloads that are not valid gob.
-func TestReadMessageMalformed(t *testing.T) {
-	valid := func() []byte {
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, &Message{Kind: KindHello, Version: ProtocolVersion, LastRound: -1}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
-
-	cases := []struct {
-		name    string
-		raw     []byte
-		wantErr string
-	}{
-		{"empty", nil, "read header"},
-		{"truncated header", valid[:3], "read header"},
-		{"zero length", frame(0, nil), "length 0 out of range"},
-		{"over max length", frame(maxFrameBytes+1, nil), "out of range"},
-		{"max uint32 length", frame(^uint32(0), nil), "out of range"},
-		{"truncated payload", valid[:len(valid)-1], "read payload"},
-		{"header only", valid[:4], "read payload"},
-		{"garbage payload", frame(4, []byte{0xde, 0xad, 0xbe, 0xef}), "decode"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			msg, err := ReadMessage(bytes.NewReader(tc.raw))
-			if err == nil {
-				t.Fatalf("expected error, got message %+v", *msg)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-			}
+			assertMessageEqual(t, got, &want)
 		})
 	}
 }
@@ -115,41 +56,6 @@ func TestReadMessageTrailingData(t *testing.T) {
 	if _, err := ReadMessage(&buf); err == nil {
 		t.Fatal("expected EOF error after last frame")
 	}
-}
-
-// FuzzReadMessage throws arbitrary bytes at the decoder: it must either
-// return a message or an error, never panic, and never read past one
-// frame's worth of input.
-func FuzzReadMessage(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Message{Kind: KindUpdate, ClientID: 1, Round: 2, State: []float64{1.5}, NumSamples: 10}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add(frame(^uint32(0), []byte("x")))
-	f.Add(frame(8, []byte{1, 2, 3}))
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		r := bytes.NewReader(raw)
-		msg, err := ReadMessage(r)
-		if err != nil {
-			return
-		}
-		// A successfully decoded message must survive a round trip.
-		var out bytes.Buffer
-		if err := WriteMessage(&out, msg); err != nil {
-			t.Fatalf("re-encode of decoded message failed: %v", err)
-		}
-		again, err := ReadMessage(&out)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if again.Kind != msg.Kind || again.ClientID != msg.ClientID || again.Round != msg.Round {
-			t.Fatalf("round trip changed message: %+v vs %+v", *again, *msg)
-		}
-	})
 }
 
 // TestPooledBuffersBigThenSmall round-trips a large frame followed by many

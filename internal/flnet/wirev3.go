@@ -10,21 +10,32 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/binenc"
 	"repro/internal/fl"
 	"repro/internal/telemetry"
 )
 
-// Version 3 frame format. After the gob Hello/KindWire handshake a binary
-// session frames every message as a 4-byte little-endian payload length
-// followed by:
+// Frame format. Every message is a 4-byte little-endian payload length
+// followed by a payload that opens with one fixed header:
 //
 //	off  0  u8    magic (0xD3)
 //	off  1  u8    kind
-//	off  2  u8    flags (state / flate / delta / quant)
+//	off  2  u8    flags (state / flate / delta / quant; 0 on Hello and KindWire)
 //	off  3  u8    reserved (0)
 //	off  4  i64le ClientID     off 12  i64le Round     off 20  i64le NumSamples
 //	off 28  i64le Version      off 36  i64le LastRound off 44  i64le RetryAfterMs
 //	off 52  i64le AnchorRound  (delta base round; -1 when not a delta)
+//
+// The handshake frames — Hello and the server's KindWire ack — continue at
+// fixed offsets and end with the job name:
+//
+//	off 60  u32le WireCaps   (Hello: advertised; KindWire: negotiated)
+//	off 64  i64le QuantSeed  (KindWire)
+//	off 72  f64le TopK       (KindWire)
+//	off 80  u32le jobLen,    jobLen bytes   (Hello)
+//
+// Every other kind continues with three sections:
+//
 //	off 60  u32le errLen,    errLen bytes   (KindError text)
 //	        u32le cohortN,   cohortN × i32le (sampled cohort ids)
 //	        u32le rawLen     (state section length before compression; 0 = no state)
@@ -37,9 +48,11 @@ import (
 //	u8 quantKind  u8 sparse  u32le dim  u32le count  f64le lo  f64le hi
 //	[count × u32le indices when sparse]  count × (u8 | u16le) levels
 //
-// Everything is written and parsed with fixed offsets — no reflection —
-// and the decoder grows its buffer only as bytes actually arrive, so a
-// corrupt length prefix cannot force a giant allocation.
+// Everything is written with the binenc primitives and parsed through one
+// bounds-checked reader (readFrame) — no reflection — and the decoder grows
+// its buffer only as bytes actually arrive, so a corrupt length prefix
+// cannot force a giant allocation. A frame must end exactly where its last
+// field does.
 
 // Codec telemetry: compression and delta-broadcast effectiveness, counted
 // at the codec like the frame/byte counters in wire.go.
@@ -52,9 +65,8 @@ var (
 		"global broadcasts sent in full on a delta-capable session (anchor missing or too old)")
 )
 
-// frameMagic guards binary frames against a peer that fell out of codec
-// sync (e.g. a gob frame read as binary): the first payload byte of every
-// v3 frame.
+// frameMagic guards against a peer that fell out of frame sync (or is not
+// speaking this protocol at all): the first payload byte of every frame.
 const frameMagic = 0xD3
 
 // Frame flags.
@@ -65,16 +77,19 @@ const (
 	flagQuant                  // the state section is an fl.DeltaPayload
 )
 
-// fixedHeaderLen is the byte length of the fixed-offset frame header, and
+// fixedHeaderLen is the byte length of the fixed-offset frame header,
 // minFrameLen the smallest well-formed payload (header plus the four empty
-// section length prefixes).
+// section length prefixes), and handshakeLen a Hello or KindWire payload
+// with an empty job name.
 const (
 	fixedHeaderLen = 60
 	minFrameLen    = fixedHeaderLen + 4 + 4 + 4 + 4
+	handshakeLen   = fixedHeaderLen + 4 + 8 + 8 + 4
 )
 
-// Codec is one session's negotiated wire configuration. A nil Codec (or
-// one without CapBinary) means the unchanged gob protocol. Base, when
+// Codec is one session's negotiated payload codecs. A nil Codec means plain
+// frames — raw float64 states, no compression — which is what both ends
+// speak until (and unless) a KindWire ack says otherwise. Base, when
 // delta or quantized payloads are negotiated, resolves an anchor round to
 // the broadcast state both ends share for it (the server answers from its
 // recent-broadcast ring, the client from its anchor buffers); returning
@@ -108,21 +123,10 @@ func NewCodec(caps uint32, quantSeed int64, topK float64, base func(round int) [
 	return &Codec{caps: caps, quantSeed: quantSeed, topK: topK, base: base}
 }
 
-// Binary reports whether the session speaks binary frames.
-func (c *Codec) Binary() bool { return c != nil && c.caps&CapBinary != 0 }
-
-// Caps returns the negotiated capability bitmask (0 for a gob session).
-func (c *Codec) Caps() uint32 {
-	if c == nil {
-		return 0
-	}
-	return c.caps
-}
-
 func (c *Codec) has(cap uint32) bool { return c != nil && c.caps&cap != 0 }
 
 // QuantKind returns the negotiated upload quantization width (QuantNone on
-// gob or unquantized sessions).
+// unquantized sessions).
 func (c *Codec) QuantKind() fl.QuantKind {
 	switch {
 	case c.has(CapQuantInt16):
@@ -143,11 +147,8 @@ func (c *Codec) lookup(round int) []float64 {
 }
 
 // CapsLabel renders a capability bitmask as the human-readable codec label
-// used on /healthz ("gob", "binary", "binary+flate+int8+topk+delta", ...).
+// used on /healthz ("binary", "binary+flate+int8+topk+delta", ...).
 func CapsLabel(caps uint32) string {
-	if caps&CapBinary == 0 {
-		return "gob"
-	}
 	parts := []string{"binary"}
 	if caps&CapFlate != 0 {
 		parts = append(parts, "flate")
@@ -168,7 +169,7 @@ func CapsLabel(caps uint32) string {
 
 // negotiateCaps intersects the server's offered capabilities with a
 // client's advertised ones. Without CapBinary nothing else can apply (the
-// session stays gob), and top-k is meaningful only with quantization.
+// session stays codec-free), and top-k is meaningful only with quantization.
 func negotiateCaps(offer, advertised uint32) uint32 {
 	caps := offer & advertised
 	if caps&CapBinary == 0 {
@@ -180,24 +181,27 @@ func negotiateCaps(offer, advertised uint32) uint32 {
 	return caps
 }
 
-// WriteMessageWith encodes msg with the session codec: binary frames after
-// a v3 negotiation, the classic gob frames otherwise.
+// WriteMessageWith encodes msg as one frame under the session codec (nil
+// for none) and hands it to w in a single Write, so a frame is never split
+// across syscalls (and fault injectors that act on whole writes see whole
+// frames).
 func WriteMessageWith(w io.Writer, msg *Message, c *Codec) error {
-	if !c.Binary() {
-		return WriteMessage(w, msg)
+	if msg.Kind == KindHello || msg.Kind == KindWire {
+		return writeHandshake(w, msg)
 	}
 	return writeBinary(w, msg, c)
 }
 
 // ReadMessageWith decodes one frame with the session codec into msg,
-// reusing msg's State backing array like ReadMessageInto. Delta and
-// quantized payloads are reconstructed against the codec's anchor states,
-// so msg.State always carries the full absolute vector on return.
+// reusing msg's State backing array when its capacity suffices — pair it
+// with GetState/PutState so a server folding thousands of updates per round
+// recycles a handful of state buffers instead of allocating one per update.
+// msg is reset first, so leftover fields from a previous frame never leak
+// through. Delta and quantized payloads are reconstructed against the
+// codec's anchor states, so msg.State always carries the full absolute
+// vector on return.
 func ReadMessageWith(r io.Reader, msg *Message, c *Codec) error {
-	if !c.Binary() {
-		return ReadMessageInto(r, msg)
-	}
-	return readBinary(r, msg, c)
+	return readFrame(r, msg, c, maxFrameBytes)
 }
 
 // flate writer/reader pools: Reset-able instances so steady-state rounds
@@ -245,10 +249,6 @@ func inflate(stored []byte, rawLen int) ([]byte, *[]byte, error) {
 	return raw, bp, nil
 }
 
-// appendU32 / appendU64 are little-endian fixed-width appends.
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
 // encodeQuantSection serializes a validated fl.DeltaPayload as the frame's
 // state section.
 func encodeQuantSection(sec []byte, p *fl.DeltaPayload) []byte {
@@ -257,12 +257,12 @@ func encodeQuantSection(sec []byte, p *fl.DeltaPayload) []byte {
 		sparse = 1
 	}
 	sec = append(sec, byte(p.Kind), sparse)
-	sec = appendU32(sec, uint32(p.Dim))
-	sec = appendU32(sec, uint32(len(p.Q)))
-	sec = appendU64(sec, math.Float64bits(p.Lo))
-	sec = appendU64(sec, math.Float64bits(p.Hi))
+	sec = binenc.AppendU32(sec, uint32(p.Dim))
+	sec = binenc.AppendU32(sec, uint32(len(p.Q)))
+	sec = binenc.AppendF64(sec, p.Lo)
+	sec = binenc.AppendF64(sec, p.Hi)
 	for _, ix := range p.Indices {
-		sec = appendU32(sec, ix)
+		sec = binenc.AppendU32(sec, ix)
 	}
 	if p.Kind == fl.QuantInt8 {
 		for _, q := range p.Q {
@@ -368,20 +368,55 @@ func encodeStateSection(sec []byte, msg *Message, c *Codec) ([]byte, byte, int, 
 			// squeezes well below the full state.
 			telWireDeltaHits.Inc()
 			for i, v := range msg.State {
-				sec = appendU64(sec, math.Float64bits(v)^math.Float64bits(prev[i]))
+				sec = binenc.AppendU64(sec, math.Float64bits(v)^math.Float64bits(prev[i]))
 			}
 			return sec, flags | flagDelta, msg.Round - 1, nil
 		}
 		telWireDeltaMisses.Inc()
 	}
-	for _, v := range msg.State {
-		sec = appendU64(sec, math.Float64bits(v))
-	}
-	return sec, flags, -1, nil
+	return binenc.AppendRawF64s(sec, msg.State), flags, -1, nil
 }
 
-// writeBinary encodes msg as one v3 binary frame (single Write, like the
-// gob path).
+// appendHeader appends the 4-byte length placeholder (patched by sendFrame)
+// and the fixed frame header.
+func appendHeader(b []byte, msg *Message, flags byte, anchorRound int) []byte {
+	b = append(b, 0, 0, 0, 0)
+	b = append(b, frameMagic, byte(msg.Kind), flags, 0)
+	b = binenc.AppendInt(b, msg.ClientID)
+	b = binenc.AppendInt(b, msg.Round)
+	b = binenc.AppendInt(b, msg.NumSamples)
+	b = binenc.AppendInt(b, msg.Version)
+	b = binenc.AppendInt(b, msg.LastRound)
+	b = binenc.AppendInt(b, msg.RetryAfterMs)
+	return binenc.AppendInt(b, anchorRound)
+}
+
+// sendFrame patches the length prefix of a finished frame and writes it.
+func sendFrame(w io.Writer, kind Kind, b []byte, maxLen int) error {
+	if len(b)-4 > maxLen {
+		return fmt.Errorf("flnet: encode %v: frame length %d exceeds %d", kind, len(b)-4, maxLen)
+	}
+	binary.LittleEndian.PutUint32(b[:4], uint32(len(b)-4))
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("flnet: write payload: %w", err)
+	}
+	telTxFrames.Inc()
+	telTxBytes.Add(int64(len(b)))
+	return nil
+}
+
+// writeHandshake encodes a Hello or KindWire frame.
+func writeHandshake(w io.Writer, msg *Message) error {
+	b := make([]byte, 0, 4+handshakeLen+len(msg.Job))
+	b = appendHeader(b, msg, 0, -1)
+	b = binenc.AppendU32(b, msg.WireCaps)
+	b = binenc.AppendU64(b, uint64(msg.QuantSeed))
+	b = binenc.AppendF64(b, msg.TopK)
+	b = binenc.AppendString(b, msg.Job)
+	return sendFrame(w, msg.Kind, b, maxHelloBytes)
+}
+
+// writeBinary encodes msg as one data frame under the codec.
 func writeBinary(w io.Writer, msg *Message, c *Codec) error {
 	secBP := readBufPool.Get().(*[]byte)
 	defer putReadBuf(secBP)
@@ -407,51 +442,33 @@ func writeBinary(w io.Writer, msg *Message, c *Codec) error {
 	buf.Reset()
 	need := 4 + minFrameLen + len(msg.Err) + 4*len(msg.Cohort) + len(stored)
 	buf.Grow(need)
-	b := buf.Bytes()[:0]
-	b = append(b, 0, 0, 0, 0) // length prefix, patched below
-	b = append(b, frameMagic, byte(msg.Kind), flags, 0)
-	b = appendU64(b, uint64(int64(msg.ClientID)))
-	b = appendU64(b, uint64(int64(msg.Round)))
-	b = appendU64(b, uint64(int64(msg.NumSamples)))
-	b = appendU64(b, uint64(int64(msg.Version)))
-	b = appendU64(b, uint64(int64(msg.LastRound)))
-	b = appendU64(b, uint64(int64(msg.RetryAfterMs)))
-	b = appendU64(b, uint64(int64(anchorRound)))
-	b = appendU32(b, uint32(len(msg.Err)))
-	b = append(b, msg.Err...)
-	b = appendU32(b, uint32(len(msg.Cohort)))
+	b := appendHeader(buf.Bytes()[:0], msg, flags, anchorRound)
+	b = binenc.AppendString(b, msg.Err)
+	b = binenc.AppendU32(b, uint32(len(msg.Cohort)))
 	for _, id := range msg.Cohort {
 		if id < 0 || id > math.MaxInt32 {
 			return fmt.Errorf("flnet: encode %v: cohort id %d does not fit int32", msg.Kind, id)
 		}
-		b = appendU32(b, uint32(id))
+		b = binenc.AppendU32(b, uint32(id))
 	}
-	b = appendU32(b, uint32(rawLen))
-	b = appendU32(b, uint32(len(stored)))
+	b = binenc.AppendU32(b, uint32(rawLen))
+	b = binenc.AppendU32(b, uint32(len(stored)))
 	b = append(b, stored...)
-	if len(b)-4 > maxFrameBytes {
-		return fmt.Errorf("flnet: encode %v: frame length %d exceeds %d", msg.Kind, len(b)-4, maxFrameBytes)
-	}
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(b)-4))
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("flnet: write payload: %w", err)
-	}
-	telTxFrames.Inc()
-	telTxBytes.Add(int64(len(b)))
-	return nil
+	return sendFrame(w, msg.Kind, b, maxFrameBytes)
 }
 
-// readBinary decodes one v3 binary frame into msg, reconstructing delta
-// and quantized payloads against the codec's anchors. Every length is
-// bounds-checked before it is believed, and the payload buffer grows only
-// as bytes arrive (readPayload), so corrupt frames fail cheaply.
-func readBinary(r io.Reader, msg *Message, c *Codec) error {
+// readFrame is the one frame parser: it decodes a frame of at most maxLen
+// payload bytes into msg, reconstructing delta and quantized payloads
+// against the codec's anchors. Every length is checked against the bytes
+// that actually arrived before it is believed, and the payload buffer grows
+// only as bytes arrive (readPayload), so corrupt frames fail cheaply.
+func readFrame(r io.Reader, msg *Message, c *Codec, maxLen uint32) error {
 	var header [4]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		return fmt.Errorf("flnet: read header: %w", err)
 	}
 	n := binary.LittleEndian.Uint32(header[:])
-	if n < minFrameLen || n > maxFrameBytes {
+	if n < minFrameLen || n > maxLen {
 		return fmt.Errorf("flnet: frame length %d out of range", n)
 	}
 	payload, bp, err := readPayload(r, int(n))
@@ -470,77 +487,84 @@ func readBinary(r io.Reader, msg *Message, c *Codec) error {
 
 	state := msg.State
 	*msg = Message{State: state[:0], Kind: kind}
-	msg.ClientID = int(int64(binary.LittleEndian.Uint64(payload[4:])))
-	msg.Round = int(int64(binary.LittleEndian.Uint64(payload[12:])))
-	msg.NumSamples = int(int64(binary.LittleEndian.Uint64(payload[20:])))
-	msg.Version = int(int64(binary.LittleEndian.Uint64(payload[28:])))
-	msg.LastRound = int(int64(binary.LittleEndian.Uint64(payload[36:])))
-	msg.RetryAfterMs = int(int64(binary.LittleEndian.Uint64(payload[44:])))
-	anchorRound := int(int64(binary.LittleEndian.Uint64(payload[52:])))
+	rd := binenc.NewReader(payload[4:])
+	msg.ClientID = rd.Int()
+	msg.Round = rd.Int()
+	msg.NumSamples = rd.Int()
+	msg.Version = rd.Int()
+	msg.LastRound = rd.Int()
+	msg.RetryAfterMs = rd.Int()
+	anchorRound := rd.Int()
 
-	rest := payload[fixedHeaderLen:]
-	errLen := int(binary.LittleEndian.Uint32(rest[:4]))
-	rest = rest[4:]
-	if errLen < 0 || errLen > len(rest) {
-		return fmt.Errorf("flnet: error text length %d out of range", errLen)
-	}
-	if errLen > 0 {
-		msg.Err = string(rest[:errLen])
-		rest = rest[errLen:]
-	}
-	if len(rest) < 4 {
-		return fmt.Errorf("flnet: frame truncated before cohort")
-	}
-	cohortN := int(binary.LittleEndian.Uint32(rest[:4]))
-	rest = rest[4:]
-	if cohortN < 0 || cohortN > len(rest)/4 {
-		return fmt.Errorf("flnet: cohort count %d out of range", cohortN)
-	}
-	if cohortN > 0 {
-		msg.Cohort = make([]int, cohortN)
-		for i := range msg.Cohort {
-			id := binary.LittleEndian.Uint32(rest[4*i:])
-			if id > math.MaxInt32 {
-				return fmt.Errorf("flnet: cohort id %d does not fit int32", id)
-			}
-			msg.Cohort[i] = int(id)
+	if kind == KindHello || kind == KindWire {
+		if n > maxHelloBytes {
+			return fmt.Errorf("flnet: %v frame length %d out of range", kind, n)
 		}
-		rest = rest[4*cohortN:]
+		err = decodeHandshake(msg, rd, flags)
+	} else {
+		err = decodeData(msg, rd, flags, anchorRound, c)
 	}
-	if len(rest) < 8 {
-		return fmt.Errorf("flnet: frame truncated before state section")
-	}
-	rawLen := int(binary.LittleEndian.Uint32(rest[:4]))
-	storedLen := int(binary.LittleEndian.Uint32(rest[4:8]))
-	rest = rest[8:]
-	if storedLen != len(rest) {
-		return fmt.Errorf("flnet: state section has %d stored bytes, frame carries %d", storedLen, len(rest))
-	}
-	if rawLen < 0 || rawLen > maxFrameBytes {
-		return fmt.Errorf("flnet: state section length %d out of range", rawLen)
-	}
-
-	if flags&flagState != 0 {
-		sec := rest
-		if flags&flagFlate != 0 {
-			raw, rbp, err := inflate(rest, rawLen)
-			if err != nil {
-				return fmt.Errorf("flnet: decode %v: %w", kind, err)
-			}
-			defer putReadBuf(rbp)
-			sec = raw
-		} else if rawLen != storedLen {
-			return fmt.Errorf("flnet: uncompressed state section stored %d bytes, declared %d", storedLen, rawLen)
-		}
-		if err := decodeStateSection(msg, sec, flags, anchorRound, c); err != nil {
-			return fmt.Errorf("flnet: decode %v: %w", kind, err)
-		}
-	} else if storedLen != 0 || rawLen != 0 {
-		return fmt.Errorf("flnet: stateless frame carries a %d-byte state section", storedLen)
+	if err != nil {
+		return fmt.Errorf("flnet: decode %v: %w", kind, err)
 	}
 	telRxFrames.Inc()
 	telRxBytes.Add(int64(n) + 4)
 	return nil
+}
+
+// decodeHandshake parses what follows the fixed header of a Hello or
+// KindWire frame.
+func decodeHandshake(msg *Message, rd *binenc.Reader, flags byte) error {
+	if flags != 0 {
+		return fmt.Errorf("handshake frame carries flags %#x", flags)
+	}
+	msg.WireCaps = rd.U32()
+	msg.QuantSeed = int64(rd.U64())
+	msg.TopK = rd.F64()
+	msg.Job = rd.Str()
+	return rd.Done()
+}
+
+// decodeData parses the error, cohort and state sections of every other
+// kind.
+func decodeData(msg *Message, rd *binenc.Reader, flags byte, anchorRound int, c *Codec) error {
+	msg.Err = rd.Str()
+	if cohortN := rd.Count(4); cohortN > 0 {
+		msg.Cohort = make([]int, cohortN)
+		for i := range msg.Cohort {
+			id := rd.U32()
+			if id > math.MaxInt32 {
+				return fmt.Errorf("cohort id %d does not fit int32", id)
+			}
+			msg.Cohort[i] = int(id)
+		}
+	}
+	rawLen := int(rd.U32())
+	stored := rd.Bytes(rd.Count(1))
+	if err := rd.Done(); err != nil {
+		return err
+	}
+	if rawLen > maxFrameBytes {
+		return fmt.Errorf("state section length %d out of range", rawLen)
+	}
+	if flags&flagState == 0 {
+		if len(stored) != 0 || rawLen != 0 {
+			return fmt.Errorf("stateless frame carries a %d-byte state section", len(stored))
+		}
+		return nil
+	}
+	sec := stored
+	if flags&flagFlate != 0 {
+		raw, rbp, err := inflate(stored, rawLen)
+		if err != nil {
+			return err
+		}
+		defer putReadBuf(rbp)
+		sec = raw
+	} else if rawLen != len(stored) {
+		return fmt.Errorf("uncompressed state section stored %d bytes, declared %d", len(stored), rawLen)
+	}
+	return decodeStateSection(msg, sec, flags, anchorRound, c)
 }
 
 // decodeStateSection reconstructs msg.State from a frame's (decompressed)
@@ -576,14 +600,12 @@ func decodeStateSection(msg *Message, sec []byte, flags byte, anchorRound int, c
 		}
 		return nil
 	}
-	for i := range msg.State {
-		msg.State[i] = math.Float64frombits(binary.LittleEndian.Uint64(sec[8*i:]))
-	}
+	binenc.RawF64s(msg.State, sec)
 	return nil
 }
 
 // WireBytesTotals returns the process-lifetime wire byte counters
-// (headers included, both codecs); the wire bench and the byte-drop
+// (headers included); the wire bench and the byte-drop
 // acceptance test difference them around a federation.
 func WireBytesTotals() (tx, rx int64) {
 	return telTxBytes.Value(), telRxBytes.Value()

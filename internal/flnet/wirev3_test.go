@@ -3,6 +3,7 @@ package flnet
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -183,7 +184,9 @@ func assertMessageEqual(t *testing.T, got, want *Message) {
 	if got.Kind != want.Kind || got.ClientID != want.ClientID ||
 		got.Round != want.Round || got.NumSamples != want.NumSamples ||
 		got.Version != want.Version || got.LastRound != want.LastRound ||
-		got.RetryAfterMs != want.RetryAfterMs || got.Err != want.Err {
+		got.RetryAfterMs != want.RetryAfterMs || got.Err != want.Err ||
+		got.Job != want.Job || got.WireCaps != want.WireCaps ||
+		got.QuantSeed != want.QuantSeed || got.TopK != want.TopK {
 		t.Fatalf("round trip mismatch: got %+v want %+v", *got, *want)
 	}
 	if len(got.Cohort) != len(want.Cohort) {
@@ -235,7 +238,7 @@ func TestFlateActuallyCompresses(t *testing.T) {
 	}
 }
 
-// binaryFrame encodes one message as a v3 frame and returns the raw bytes.
+// binaryFrame encodes one message as a frame and returns the raw bytes.
 func binaryFrame(t *testing.T, msg *Message, c *Codec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -245,20 +248,23 @@ func binaryFrame(t *testing.T, msg *Message, c *Codec) []byte {
 	return buf.Bytes()
 }
 
-// TestBinaryFrameMalformed table-drives the binary decoder's failure paths:
-// every length field is lied about in turn, and every lie must produce an
-// error (never a panic, never a giant allocation, never trailing-garbage
-// acceptance).
+// TestBinaryFrameMalformed table-drives the frame parser's failure paths:
+// the framing itself (zero, short, oversized and truncated lengths) and
+// every length field inside a data frame and a handshake frame lied about
+// in turn. Every lie must produce an error — never a panic, never a giant
+// allocation, never trailing-garbage acceptance.
 func TestBinaryFrameMalformed(t *testing.T) {
 	codec := NewCodec(CapBinary, 0, 0, nil)
 	valid := binaryFrame(t, &Message{Kind: KindUpdate, ClientID: 2, Round: 3, State: []float64{1, 2, 3}, NumSamples: 5}, codec)
+	hello := binaryFrame(t, &Message{Kind: KindHello, ClientID: 1, Version: ProtocolVersion, LastRound: -1, Job: "tenant", WireCaps: ClientCaps}, nil)
 
-	mutate := func(mut func(b []byte)) []byte {
-		b := append([]byte(nil), valid...)
+	mutate := func(src []byte, mut func(b []byte)) []byte {
+		b := append([]byte(nil), src...)
 		mut(b)
 		return b
 	}
 	le32 := binary.LittleEndian.PutUint32
+	lenOnly := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
 
 	cases := []struct {
 		name    string
@@ -266,22 +272,26 @@ func TestBinaryFrameMalformed(t *testing.T) {
 		wantErr string
 	}{
 		{"empty", nil, "read header"},
-		{"short length", mutate(func(b []byte) { le32(b, minFrameLen-1) }), "out of range"},
-		{"over max length", mutate(func(b []byte) { le32(b, maxFrameBytes+1) }), "out of range"},
-		{"huge length truncated stream", mutate(func(b []byte) { le32(b, maxFrameBytes) }), "read payload"},
-		{"bad magic", mutate(func(b []byte) { b[4] = 0x99 }), "bad frame magic"},
-		{"gob frame on binary session", func() []byte {
-			var buf bytes.Buffer
-			if err := WriteMessage(&buf, &Message{Kind: KindHello, Version: ProtocolVersion}); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}(), "out of range"}, // big-endian gob length parses as a huge little-endian value
-		{"unknown kind", mutate(func(b []byte) { b[5] = 0xEE }), "unknown frame kind"},
-		{"error text overruns", mutate(func(b []byte) { le32(b[4+fixedHeaderLen:], 1 << 20) }), "out of range"},
-		{"cohort count overruns", mutate(func(b []byte) { le32(b[4+fixedHeaderLen+4:], 1 << 24) }), "cohort count"},
-		{"stored length mismatch", mutate(func(b []byte) { le32(b[len(b)-3*8-4:], 7) }), "stored"},
+		{"truncated header", valid[:3], "read header"},
+		{"zero length", lenOnly(0), "length 0 out of range"},
+		{"short length", mutate(valid, func(b []byte) { le32(b, minFrameLen-1) }), "out of range"},
+		{"over max length", lenOnly(maxFrameBytes + 1), "out of range"},
+		{"max uint32 length", lenOnly(^uint32(0)), "out of range"},
+		{"huge length truncated stream", mutate(valid, func(b []byte) { le32(b, maxFrameBytes) }), "read payload"},
+		{"header only", valid[:4], "read payload"},
 		{"truncated payload", valid[:len(valid)-2], "read payload"},
+		{"bad magic", mutate(valid, func(b []byte) { b[4] = 0x99 }), "bad frame magic"},
+		{"big-endian length", mutate(valid, func(b []byte) { binary.BigEndian.PutUint32(b, uint32(len(b)-4)) }), "out of range"},
+		{"unknown kind", mutate(valid, func(b []byte) { b[5] = 0xEE }), "unknown frame kind"},
+		{"error text overruns", mutate(valid, func(b []byte) { le32(b[4+fixedHeaderLen:], 1<<20) }), "truncated"},
+		{"cohort count overruns", mutate(valid, func(b []byte) { le32(b[4+fixedHeaderLen+4:], 1<<24) }), "truncated"},
+		{"stored length overruns", mutate(valid, func(b []byte) { le32(b[len(b)-3*8-4:], 25) }), "truncated"},
+		{"stored length short", mutate(valid, func(b []byte) { le32(b[len(b)-3*8-4:], 7) }), "trailing"},
+		{"trailing byte", mutate(append(valid[:len(valid):len(valid)], 0), func(b []byte) { le32(b, uint32(len(b)-4)) }), "trailing"},
+		{"hello flags set", mutate(hello, func(b []byte) { b[6] = flagState }), "flags"},
+		{"hello job overruns", mutate(hello, func(b []byte) { le32(b[4+handshakeLen-4:], 1<<16) }), "truncated"},
+		{"hello job short", mutate(hello, func(b []byte) { le32(b[4+handshakeLen-4:], 2) }), "trailing"},
+		{"hello cut before job", mutate(hello[:4+handshakeLen-4], func(b []byte) { le32(b, uint32(len(b)-4)) }), "truncated"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -297,6 +307,45 @@ func TestBinaryFrameMalformed(t *testing.T) {
 	}
 }
 
+// TestReadHello pins what the one Hello parser admits: a Hello within
+// maxHelloBytes, and nothing else as a connection's first frame.
+func TestReadHello(t *testing.T) {
+	want := &Message{Kind: KindHello, ClientID: 4, Version: ProtocolVersion, LastRound: 2, Job: "tenant-b", WireCaps: CapBinary | CapDelta}
+	got, err := ReadHello(bytes.NewReader(binaryFrame(t, want, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMessageEqual(t, got, want)
+
+	if err := WriteMessage(io.Discard, &Message{Kind: KindHello, Job: strings.Repeat("j", maxHelloBytes)}); err == nil {
+		t.Fatal("wrote a hello past maxHelloBytes")
+	}
+	oversized := binaryFrame(t, &Message{Kind: KindGlobal, State: make([]float64, maxHelloBytes/8)}, nil)
+	cases := []struct {
+		name    string
+		raw     []byte
+		wantErr string
+	}{
+		{"not a hello", binaryFrame(t, &Message{Kind: KindDrain}, nil), "want a hello"},
+		{"ack as first frame", binaryFrame(t, &Message{Kind: KindWire, WireCaps: CapBinary}, nil), "want a hello"},
+		{"over the hello cap", oversized, "out of range"},
+		{"job name over the cap", func() []byte {
+			// A length prefix one past the cap, as a hello with a job name
+			// that long would carry: refused before a byte of it is read.
+			b := binaryFrame(t, want, nil)
+			binary.LittleEndian.PutUint32(b, maxHelloBytes+1)
+			return b
+		}(), "out of range"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadHello(bytes.NewReader(tc.raw)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("ReadHello = %v, want an error mentioning %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
 // TestNegotiateCaps pins the capability-intersection rules.
 func TestNegotiateCaps(t *testing.T) {
 	cases := []struct {
@@ -305,8 +354,8 @@ func TestNegotiateCaps(t *testing.T) {
 		want              uint32
 	}{
 		{"full match", ClientCaps, ClientCaps, ClientCaps},
-		{"gob client", ClientCaps, 0, 0},
-		{"gob server", 0, ClientCaps, 0},
+		{"capability-free client", ClientCaps, 0, 0},
+		{"capability-free server", 0, ClientCaps, 0},
 		{"flate only", CapBinary | CapFlate, ClientCaps, CapBinary | CapFlate},
 		{"no binary no extras", CapFlate | CapDelta, ClientCaps, 0},
 		{"topk without quant cleared", CapBinary | CapTopK, ClientCaps, CapBinary},
@@ -326,7 +375,7 @@ func TestCapsLabel(t *testing.T) {
 		caps uint32
 		want string
 	}{
-		{0, "gob"},
+		{0, "binary"},
 		{CapBinary, "binary"},
 		{CapBinary | CapFlate, "binary+flate"},
 		{CapBinary | CapQuantInt8 | CapTopK | CapDelta, "binary+int8+topk+delta"},
@@ -375,6 +424,8 @@ func FuzzFrame(f *testing.F) {
 		{Kind: KindUpdate, ClientID: 1, Round: 2, State: []float64{0.25}, NumSamples: 9},
 		{Kind: KindError, Err: "nope"},
 		{Kind: KindDrain, RetryAfterMs: 10},
+		{Kind: KindHello, ClientID: 1, Version: ProtocolVersion, LastRound: -1, Job: "j", WireCaps: ClientCaps},
+		{Kind: KindWire, WireCaps: CapBinary | CapFlate, QuantSeed: 7, TopK: 0.5},
 	}
 	for _, m := range seedMsgs {
 		var buf bytes.Buffer
@@ -390,6 +441,9 @@ func FuzzFrame(f *testing.F) {
 	}
 	f.Add(zbuf.Bytes())
 	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})
+	f.Add([]byte{8, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{76, 0, 0, 0, frameMagic})
 	f.Add(func() []byte {
 		var b [8]byte
@@ -418,7 +472,8 @@ func FuzzFrame(f *testing.F) {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if again.Kind != msg.Kind || again.ClientID != msg.ClientID || again.Round != msg.Round ||
-			again.NumSamples != msg.NumSamples || again.Err != msg.Err || len(again.State) != len(msg.State) {
+			again.NumSamples != msg.NumSamples || again.Err != msg.Err || len(again.State) != len(msg.State) ||
+			again.Job != msg.Job || again.WireCaps != msg.WireCaps || again.QuantSeed != msg.QuantSeed {
 			t.Fatalf("round trip changed message: %+v vs %+v", again, msg)
 		}
 		for i := range msg.State {
@@ -426,5 +481,53 @@ func FuzzFrame(f *testing.F) {
 				t.Fatalf("state[%d] changed: %v vs %v", i, again.State[i], msg.State[i])
 			}
 		}
+	})
+}
+
+// FuzzHandshake throws arbitrary bytes at the Hello parser every connection
+// is admitted through: it must return a Hello or an error, never panic,
+// never read past maxHelloBytes of payload, and an accepted Hello must
+// re-encode to a frame that parses back to the same fields.
+func FuzzHandshake(f *testing.F) {
+	for _, m := range []*Message{
+		{Kind: KindHello, Version: ProtocolVersion, LastRound: -1},
+		{Kind: KindHello, ClientID: 9, Version: ProtocolVersion, LastRound: 3, Job: "tenant-a", WireCaps: ClientCaps},
+		{Kind: KindWire, WireCaps: CapBinary, QuantSeed: 1, TopK: 0.1},
+		{Kind: KindDrain, RetryAfterMs: 5},
+	} {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte{})
+	f.Add(binary.LittleEndian.AppendUint32(nil, maxHelloBytes+1))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		r := bytes.NewReader(raw)
+		hello, err := ReadHello(r)
+		if consumed := len(raw) - r.Len(); consumed > 4+maxHelloBytes {
+			t.Fatalf("hello parser consumed %d bytes", consumed)
+		}
+		if err != nil {
+			return
+		}
+		if hello.Kind != KindHello {
+			t.Fatalf("ReadHello accepted a %v frame", hello.Kind)
+		}
+		var out bytes.Buffer
+		if err := WriteMessage(&out, hello); err != nil {
+			t.Fatalf("re-encode of accepted hello failed: %v", err)
+		}
+		again, err := ReadHello(&out)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if again.TopK != hello.TopK && !(math.IsNaN(again.TopK) && math.IsNaN(hello.TopK)) {
+			t.Fatalf("TopK changed: %v vs %v", again.TopK, hello.TopK)
+		}
+		again.TopK, hello.TopK = 0, 0
+		assertMessageEqual(t, again, hello)
 	})
 }

@@ -147,7 +147,6 @@ func (j *Job) start() error {
 		SampleSeedDefault: spec.Seed,
 		AsyncStaleness:    spec.AsyncStaleness,
 		Streaming:         spec.Streaming,
-		Wire:              spec.Wire,
 		Compress:          spec.Compress,
 		Quantize:          spec.Quantize,
 		TopK:              spec.TopK,

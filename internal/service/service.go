@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,10 +41,6 @@ var ErrJobNotFound = errors.New("service: job not found")
 
 // ErrJobExists is returned by CreateJob for a duplicate job name.
 var ErrJobExists = errors.New("service: job already exists")
-
-// maxHelloBytes bounds the first frame the front door will buffer while
-// routing. A Hello carries no model state; 64 KiB is generous.
-const maxHelloBytes = 64 << 10
 
 // Options configures a Service.
 type Options struct {
@@ -444,31 +439,6 @@ func (s *Service) acceptLoop() {
 	}
 }
 
-// readHelloFrame buffers the connection's first frame verbatim (the
-// framing is length-prefixed, so exactly 4+N bytes are consumed — no
-// decoder over-read) and decodes it. The raw bytes are replayed to the
-// job so its flnet server sees an untouched stream.
-func readHelloFrame(conn net.Conn) (raw []byte, msg *flnet.Message, err error) {
-	var header [4]byte
-	if _, err := io.ReadFull(conn, header[:]); err != nil {
-		return nil, nil, err
-	}
-	n := binary.BigEndian.Uint32(header[:])
-	if n == 0 || n > maxHelloBytes {
-		return nil, nil, fmt.Errorf("service: hello frame of %d bytes", n)
-	}
-	raw = make([]byte, 4+int(n))
-	copy(raw, header[:])
-	if _, err := io.ReadFull(conn, raw[4:]); err != nil {
-		return nil, nil, err
-	}
-	msg, err = flnet.ReadMessage(bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, err
-	}
-	return raw, msg, nil
-}
-
 // reject answers a connection the service will not route and closes it.
 func (s *Service) reject(conn net.Conn, msg *flnet.Message) {
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
@@ -483,18 +453,16 @@ func (s *Service) reject(conn net.Conn, msg *flnet.Message) {
 func (s *Service) route(conn net.Conn) {
 	defer s.routeWG.Done()
 	conn.SetReadDeadline(time.Now().Add(s.opts.HelloTimeout)) //nolint:errcheck
-	raw, hello, err := readHelloFrame(conn)
+	// The parser consumes exactly one frame, so the tee holds the Hello's
+	// bytes verbatim for the job's own registration to read again.
+	var raw bytes.Buffer
+	hello, err := flnet.ReadHello(io.TeeReader(conn, &raw))
 	if err != nil {
-		telRouteRejected.Inc()
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{}) //nolint:errcheck
-	if hello.Kind != flnet.KindHello {
 		telRouteRejected.Inc()
 		s.reject(conn, &flnet.Message{Kind: flnet.KindError, Err: "service: expected hello"})
 		return
 	}
+	conn.SetReadDeadline(time.Time{}) //nolint:errcheck
 
 	name := hello.Job
 	if name == "" {
@@ -524,7 +492,7 @@ func (s *Service) route(conn net.Conn) {
 		s.reject(conn, &flnet.Message{Kind: flnet.KindError, Err: "service: unknown job " + name})
 		return
 	}
-	err = j.push(&prefixConn{Conn: conn, prefix: raw})
+	err = j.push(&prefixConn{Conn: conn, prefix: raw.Bytes()})
 	switch {
 	case err == nil:
 		telRouted.Inc()

@@ -58,7 +58,6 @@ type JobSpec struct {
 	ClipNorms        bool `json:"clip_norms,omitempty"`
 	QuarantineRounds int  `json:"quarantine_rounds,omitempty"`
 
-	Wire      string  `json:"wire,omitempty"`
 	Compress  bool    `json:"compress,omitempty"`
 	Quantize  string  `json:"quantize,omitempty"`
 	TopK      float64 `json:"topk,omitempty"`
@@ -200,11 +199,6 @@ func (s *JobSpec) Validate() error {
 	if s.AsyncStaleness < 0 {
 		add("async_staleness", "invalid", fmt.Sprintf("async_staleness must be non-negative, got %d", s.AsyncStaleness))
 	}
-	switch s.Wire {
-	case "", "binary", "gob":
-	default:
-		add("wire", "invalid", fmt.Sprintf("wire must be \"binary\" or \"gob\", got %q", s.Wire))
-	}
 	quantized := false
 	switch s.Quantize {
 	case "", "none":
@@ -212,9 +206,6 @@ func (s *JobSpec) Validate() error {
 		quantized = true
 	default:
 		add("quantize", "invalid", fmt.Sprintf("quantize must be \"none\", \"int8\", or \"int16\", got %q", s.Quantize))
-	}
-	if s.Wire == "gob" && (s.Compress || quantized || s.TopK != 0 || s.Delta) {
-		add("wire", "conflict", "gob framing cannot carry the binary codecs (compress/quantize/topk/delta)")
 	}
 	if s.TopK != 0 && (s.TopK < 0 || s.TopK >= 1) {
 		add("topk", "invalid", fmt.Sprintf("topk must be in (0,1), got %g", s.TopK))

@@ -37,8 +37,6 @@ func TestValidateRejections(t *testing.T) {
 		{"min_clients beyond sample_size", func(s *JobSpec) { s.SampleSize = 2; s.MinClients = 3 }, "min_clients", "conflict"},
 		{"negative deadline", func(s *JobSpec) { s.RoundDeadlineMs = -1 }, "round_deadline_ms", "invalid"},
 		{"negative staleness", func(s *JobSpec) { s.AsyncStaleness = -1 }, "async_staleness", "invalid"},
-		{"unknown wire", func(s *JobSpec) { s.Wire = "carrier-pigeon" }, "wire", "invalid"},
-		{"gob with codecs", func(s *JobSpec) { s.Wire = "gob"; s.Compress = true }, "wire", "conflict"},
 		{"unknown quantize", func(s *JobSpec) { s.Quantize = "int4" }, "quantize", "invalid"},
 		{"topk out of range", func(s *JobSpec) { s.Quantize = "int8"; s.TopK = 1.5 }, "topk", "invalid"},
 		{"topk without quantize", func(s *JobSpec) { s.TopK = 0.1 }, "topk", "conflict"},
@@ -112,7 +110,7 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add(`{"name":"../evil","dataset":"d","clients":2,"rounds":1}`)
 	f.Add(`{"name":"a","dataset":"d","clients":4,"rounds":2,"min_clients":3,"sample_size":2}`)
 	f.Add(`{"name":"a","dataset":"d","clients":2,"rounds":1,"quant_seed":7}`)
-	f.Add(`{"name":"a","dataset":"d","clients":2,"rounds":1,"wire":"gob","delta":true}`)
+	f.Add(`{"name":"a","dataset":"d","clients":2,"rounds":1,"topk":0.5,"delta":true}`)
 	f.Add(`{"unknown":"field"}`)
 	f.Add(`not json at all`)
 	f.Add(`{"name":"a"} trailing`)

@@ -31,9 +31,8 @@ type Health struct {
 	// CheckpointRound is the round of the last persisted checkpoint, -1 if
 	// checkpointing is off or nothing has been persisted yet.
 	CheckpointRound int `json:"checkpoint_round"`
-	// Wire is the codec label the server offers at negotiation ("gob",
-	// "binary", "binary+flate+int8+topk+delta", ...); empty on servers
-	// predating the v3 wire protocol.
+	// Wire is the codec label the server offers at negotiation ("binary",
+	// "binary+flate+int8+topk+delta", ...).
 	Wire string `json:"wire,omitempty"`
 }
 

@@ -66,11 +66,7 @@ type ServerOptions struct {
 	// streaming-capable aggregation rule; otherwise the server logs a
 	// warning and materializes).
 	Streaming bool
-	// Wire selects the transport framing: "" or "binary" offers the v3
-	// binary frame format (clients negotiate down to gob transparently),
-	// "gob" pins the legacy encoding and rejects the codec options below.
-	Wire string
-	// Compress offers per-frame flate compression to binary clients.
+	// Compress offers per-frame flate compression to clients.
 	Compress bool
 	// Quantize offers stochastic quantization of client uploads: "",
 	// "none", "int8", or "int16". Incompatible with secure-aggregation
@@ -144,7 +140,6 @@ func NewMiddlewareServer(opts ServerOptions) (*MiddlewareServer, error) {
 		SampleSeedDefault: cfg.Seed,
 		AsyncStaleness:    opts.AsyncStaleness,
 		Streaming:         opts.Streaming,
-		Wire:              opts.Wire,
 		Compress:          opts.Compress,
 		Quantize:          opts.Quantize,
 		TopK:              opts.TopK,
@@ -154,11 +149,11 @@ func NewMiddlewareServer(opts ServerOptions) (*MiddlewareServer, error) {
 		QuantSeed:        opts.QuantSeed,
 		QuantSeedDefault: cfg.Seed,
 		Pipeline:         opts.Pipeline,
-		Defense:           def,
-		InitialState:      m.StateVector(),
-		CheckpointPath:    opts.CheckpointPath,
-		Dataset:           cfg.Dataset,
-		NoScreen:          opts.NoScreen,
+		Defense:          def,
+		InitialState:     m.StateVector(),
+		CheckpointPath:   opts.CheckpointPath,
+		Dataset:          cfg.Dataset,
+		NoScreen:         opts.NoScreen,
 		Screen: fl.ScreenConfig{
 			ClipNorms:        opts.ClipNorms,
 			QuarantineRounds: opts.QuarantineRounds,
@@ -246,10 +241,6 @@ type ClientOptions struct {
 	// consecutive failures double it with jitter. 0 means the default
 	// (100ms).
 	BaseBackoff time.Duration
-	// Wire selects the transport framing: "" or "binary" advertises the
-	// v3 binary codecs in the Hello (the server picks the intersection),
-	// "gob" pins the legacy encoding.
-	Wire string
 	// Job names the federation job this client belongs to when the server
 	// runs in multi-tenant service mode; empty is fine against single-job
 	// servers.
@@ -332,7 +323,6 @@ func RunMiddlewareClient(ctx context.Context, opts ClientOptions) (*ParticipantR
 		Defense:     def,
 		MaxRetries:  opts.MaxRetries,
 		BaseBackoff: opts.BaseBackoff,
-		Wire:        opts.Wire,
 		Job:         opts.Job,
 		Logf:        opts.Logf,
 	}
