@@ -22,9 +22,12 @@
 #                     checkpoint corruption/retention table
 #   make soak       - overload-resilience soak at short scale under -race:
 #                     the in-memory fleet harness, the sampled streaming /
-#                     partitioned-memory / async scale soaks, and the
+#                     partitioned-memory / async scale soaks, the
 #                     sampling crash-resume + quarantine property tests
-#                     (make chaos runs the same soaks at full 10k scale)
+#                     (make chaos runs the same soaks at full 10k scale),
+#                     and the async engine's arithmetic: no stragglers ≡
+#                     sync, and a gated straggler against the
+#                     staleness-weighted FedAvg oracle
 #   make service    - multi-tenant control-plane acceptance under -race:
 #                     the concurrent-job soak (3 named federations in one
 #                     process on fleetsim listeners), rolling restart with
@@ -51,7 +54,10 @@
 #                     cannot see but that compiles against internal APIs
 #   make nogob      - grep gate: encoding/gob is imported nowhere (the wire
 #                     and the checkpoint chain have one serializer, binenc)
-#   make check      - everything above
+#   make loc        - the line counter simplicity PRs quote: per internal/*
+#                     package and in total, the non-blank, non-// lines of
+#                     non-test .go files
+#   make check      - everything above (but loc, which gates nothing)
 #   make fuzz       - short fuzz pass over the frame parser and the Hello
 #                     parser, the top-k delta encoder against
 #                     its sort oracle, the update screen, the /healthz
@@ -69,7 +75,7 @@
 
 GO ?= go
 
-.PHONY: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob check fuzz bench bench-json bench-scaling
+.PHONY: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -82,7 +88,7 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 adversary:
-	$(GO) test -race ./internal/adversary/ ./internal/fl/ -run 'TestScreen|TestServerAggregate|TestKrum|TestMultiKrum|TestNormBounded|TestWithAggregator|TestMedian|TestTrimmedMean|Test.*Adversary|TestWrap|TestSignFlip|TestBoost|TestNoise|TestNaNBomb|TestReplay|TestStopAfter|TestFirstF|TestKinds|TestBenign'
+	$(GO) test -race ./internal/adversary/ ./internal/fl/ -run 'TestScreen|TestStreamingScreen|TestServerAggregate|TestKrum|TestMultiKrum|TestNormBounded|TestWithAggregator|TestMedian|TestTrimmedMean|Test.*Adversary|TestWrap|TestSignFlip|TestBoost|TestNoise|TestNaNBomb|TestReplay|TestStopAfter|TestFirstF|TestKinds|TestBenign'
 	$(GO) test -race ./internal/flnet/ -run TestQuarantineSurvivesReconnect
 
 alloc:
@@ -107,6 +113,7 @@ chaos:
 soak:
 	$(GO) test -race ./internal/fleetsim/
 	$(GO) test -race -short ./internal/chaos/ -run 'TestScaleSoak|TestSampledCohortResumeIdentity|TestQuarantinedClientNeverResampled'
+	$(GO) test -race ./internal/flnet/ -run 'TestAsyncWithoutStragglersMatchesSync|TestAsyncStaleFoldOracle'
 
 service:
 	$(GO) test -race -count=1 ./internal/service/
@@ -130,6 +137,12 @@ benchmark-test:
 
 nogob:
 	@if grep -rn '"encoding/gob"' --include='*.go' .; then echo 'encoding/gob is imported (see above)'; exit 1; fi
+
+loc:
+	@total=0; for d in internal/*/; do \
+		n=$$(cat /dev/null $$(ls $$d*.go | grep -v _test.go) | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'); \
+		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
+	done; printf '%6d  total\n' $$total
 
 check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob
 

@@ -3,16 +3,15 @@ package fl
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
 // The screen is the update validation stage every round passes through
 // before the defense's aggregation rule runs: structurally invalid or
 // non-finite updates are rejected outright, over-norm updates are clipped
-// or rejected against a running median-of-norms bound, and repeat offenders
-// are quarantined — their updates are excluded for a fixed number of rounds
-// even if they reconnect under the fault-tolerance path.
+// or rejected against a median-of-norms bound fixed once per round, and
+// repeat offenders are quarantined — their updates are excluded for a fixed
+// number of rounds even if they reconnect under the fault-tolerance path.
 
 // ScreenConfig configures the update screen. The zero value is a useful
 // default: reject non-finite updates, no norm clipping, quarantine after
@@ -22,8 +21,8 @@ type ScreenConfig struct {
 	// NaN coordinate corrupts FedAvg and misorders sort-based rules.
 	AllowNonFinite bool
 	// ClipNorms enables delta-norm validation: each update's L2 distance to
-	// the round's starting global state is compared against a running
-	// median of recently accepted norms. Off by default because defenses
+	// the round's starting global state is compared against the median of
+	// the norms accepted in earlier rounds. Off by default because defenses
 	// with legitimately outsized uploads (secure aggregation's masked
 	// states) must not be clipped.
 	ClipNorms bool
@@ -34,11 +33,12 @@ type ScreenConfig struct {
 	// RejectMultiple scales the rejection bound (default 10): deltas past
 	// it are dropped and count as an offense.
 	RejectMultiple float64
-	// HistoryWindow is how many recent accepted norms the running median
-	// covers (default 64).
+	// HistoryWindow is how many recent accepted norms the median covers
+	// (default 64).
 	HistoryWindow int
-	// MinHistory is how many accepted norms must be observed before norm
-	// verdicts activate (default 4) — the first rounds calibrate the bound.
+	// MinHistory is how many accepted norms earlier rounds must have left
+	// before norm verdicts activate (default 4) — the first rounds calibrate
+	// the bound.
 	MinHistory int
 	// Strikes is the number of rejected updates before a client is
 	// quarantined (default 1).
@@ -106,15 +106,20 @@ func (r *ScreenReport) RejectedIDs() []int {
 	return ids
 }
 
-// Screen validates updates and tracks per-client reputation. Safe for
-// concurrent use.
+// Screen validates updates and tracks per-client reputation. Its methods
+// are safe for concurrent use; rounds themselves (Apply, or begin…end) run
+// one at a time.
 type Screen struct {
 	cfg ScreenConfig
 	tel *Metrics
 
 	mu sync.Mutex
-	// norms is the ring of recently accepted delta norms.
-	norms []float64
+	// norms is the window of recently accepted delta norms; median is the
+	// open round's calibration, read from it once when the round began
+	// (calibrated is false while the window is still filling).
+	norms      normWindow
+	median     float64
+	calibrated bool
 	// offenses counts rejected updates per client.
 	offenses map[int]int
 	// blockedUntil maps a quarantined client to the last round (inclusive)
@@ -124,9 +129,11 @@ type Screen struct {
 
 // NewScreen builds a screen from cfg (zero value: defaults).
 func NewScreen(cfg ScreenConfig) *Screen {
+	cfg = cfg.withDefaults()
 	return &Screen{
-		cfg:          cfg.withDefaults(),
+		cfg:          cfg,
 		tel:          defaultMetrics,
+		norms:        normWindow{size: cfg.HistoryWindow, minHistory: cfg.MinHistory},
 		offenses:     make(map[int]int),
 		blockedUntil: make(map[int]int),
 	}
@@ -163,29 +170,6 @@ func (s *Screen) Offenses(clientID int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.offenses[clientID]
-}
-
-// medianNorm returns the running median of accepted norms; ok is false
-// until MinHistory norms are recorded. Callers hold s.mu.
-func (s *Screen) medianNorm() (float64, bool) {
-	if len(s.norms) < s.cfg.MinHistory {
-		return 0, false
-	}
-	sorted := append([]float64(nil), s.norms...)
-	sort.Float64s(sorted)
-	med := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		med = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-	return med, med > 0
-}
-
-// recordNorm pushes an accepted norm into the ring. Callers hold s.mu.
-func (s *Screen) recordNorm(norm float64) {
-	s.norms = append(s.norms, norm)
-	if len(s.norms) > s.cfg.HistoryWindow {
-		s.norms = s.norms[len(s.norms)-s.cfg.HistoryWindow:]
-	}
 }
 
 // reject books an offense for clientID at round and starts a quarantine
@@ -225,7 +209,7 @@ func (s *Screen) ExportState() ScreenState {
 	st := ScreenState{
 		Offenses:     make(map[int]int, len(s.offenses)),
 		BlockedUntil: make(map[int]int, len(s.blockedUntil)),
-		Norms:        append([]float64(nil), s.norms...),
+		Norms:        append([]float64(nil), s.norms.history...),
 	}
 	for id, n := range s.offenses {
 		st.Offenses[id] = n
@@ -249,77 +233,39 @@ func (s *Screen) ImportState(st ScreenState) {
 	for id, until := range st.BlockedUntil {
 		s.blockedUntil[id] = until
 	}
-	s.norms = append(s.norms[:0], st.Norms...)
+	s.norms.history = append(s.norms.history[:0], st.Norms...)
 }
 
 // Apply screens one round's updates against prevGlobal (the state the
 // round started from) and returns the survivors plus the verdict report.
 // Input updates are never mutated; clipped updates are copies.
 func (s *Screen) Apply(round int, prevGlobal []float64, updates []*Update) ([]*Update, ScreenReport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	report := ScreenReport{Round: round}
 	kept := make([]*Update, 0, len(updates))
+	s.begin()
 	for _, u := range updates {
-		if su, ok := s.applyOne(&report, round, prevGlobal, u); ok {
+		if su, v := s.one(&report, round, prevGlobal, u); v == OfferAccepted || v == OfferClipped {
 			kept = append(kept, su)
 		}
 	}
-	s.tel.ScreenAccepted.Add(int64(len(report.Accepted)))
-	s.tel.ScreenRejected.Add(int64(len(report.Rejected)))
-	s.tel.ScreenClipped.Add(int64(len(report.Clipped)))
-	s.tel.ScreenQuarantined.Add(int64(len(report.Quarantined)))
-	s.updateOccupancy(round)
+	s.end(round)
 	return kept, report
 }
 
-// ApplyOne screens a single update as it arrives — the streaming
-// aggregation path issues its verdict per arrival, before the update is
-// folded and its buffer released. The verdict is appended to report (the
-// round's running report, owned by the caller); the returned update is the
-// one to fold (a scaled copy when clipped) and ok reports survival.
-// Equivalent to Apply over a one-update batch: folding N arrivals through
-// ApplyOne books the same verdicts, offenses, and telemetry as one Apply
-// over the same N updates.
-func (s *Screen) ApplyOne(report *ScreenReport, round int, prevGlobal []float64, u *Update) (*Update, bool) {
+// begin opens a round: the norm bounds every verdict of the round is issued
+// against are fixed here, from the norms accepted in earlier rounds, so a
+// round's verdicts do not depend on the order its updates arrive in.
+func (s *Screen) begin() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	before := [4]int{len(report.Accepted), len(report.Rejected), len(report.Clipped), len(report.Quarantined)}
-	su, ok := s.applyOne(report, round, prevGlobal, u)
-	s.tel.ScreenAccepted.Add(int64(len(report.Accepted) - before[0]))
-	s.tel.ScreenRejected.Add(int64(len(report.Rejected) - before[1]))
-	s.tel.ScreenClipped.Add(int64(len(report.Clipped) - before[2]))
-	s.tel.ScreenQuarantined.Add(int64(len(report.Quarantined) - before[3]))
-	s.updateOccupancy(round)
-	return su, ok
+	s.median, s.calibrated = s.norms.begin()
 }
 
-// applyOne issues one update's verdict into report and returns the
-// survivor (a clipped copy when norm-bounded). Callers hold s.mu.
-func (s *Screen) applyOne(report *ScreenReport, round int, prevGlobal []float64, u *Update) (*Update, bool) {
-	if s.quarantined(u.ClientID, round) {
-		report.Quarantined = append(report.Quarantined, u.ClientID)
-		return nil, false
-	}
-	if reason := s.validate(prevGlobal, u); reason != "" {
-		report.Rejected = append(report.Rejected, ScreenVerdict{ClientID: u.ClientID, Reason: reason})
-		if s.reject(u.ClientID, round) {
-			report.NewlyQuarantined = append(report.NewlyQuarantined, u.ClientID)
-		}
-		return nil, false
-	}
-	su, clipped := s.clip(prevGlobal, u)
-	if clipped {
-		report.Clipped = append(report.Clipped, su.ClientID)
-	}
-	report.Accepted = append(report.Accepted, su.ClientID)
-	return su, true
-}
-
-// updateOccupancy refreshes the quarantine-occupancy gauge. Callers hold
-// s.mu.
-func (s *Screen) updateOccupancy(round int) {
+// end closes the round begin opened: its accepted norms join the window.
+func (s *Screen) end(round int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.norms.commit()
 	occupancy := 0
 	for _, until := range s.blockedUntil {
 		if round <= until {
@@ -327,6 +273,36 @@ func (s *Screen) updateOccupancy(round int) {
 		}
 	}
 	s.tel.QuarantineOccupancy.Set(int64(occupancy))
+}
+
+// one issues one update's verdict into report between begin and end — per
+// arrival when the round streams, in a loop when Apply has the whole batch.
+// The returned update is the one to aggregate (a scaled copy when clipped).
+func (s *Screen) one(report *ScreenReport, round int, prevGlobal []float64, u *Update) (*Update, OfferVerdict) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.quarantined(u.ClientID, round) {
+		report.Quarantined = append(report.Quarantined, u.ClientID)
+		s.tel.ScreenQuarantined.Inc()
+		return nil, OfferQuarantined
+	}
+	if reason := s.validate(prevGlobal, u); reason != "" {
+		report.Rejected = append(report.Rejected, ScreenVerdict{ClientID: u.ClientID, Reason: reason})
+		if s.reject(u.ClientID, round) {
+			report.NewlyQuarantined = append(report.NewlyQuarantined, u.ClientID)
+		}
+		s.tel.ScreenRejected.Inc()
+		return nil, OfferRejected
+	}
+	report.Accepted = append(report.Accepted, u.ClientID)
+	s.tel.ScreenAccepted.Inc()
+	su := s.clip(prevGlobal, u)
+	if su == u {
+		return u, OfferAccepted
+	}
+	report.Clipped = append(report.Clipped, u.ClientID)
+	s.tel.ScreenClipped.Inc()
+	return su, OfferClipped
 }
 
 // validate returns a rejection reason, or "" for a structurally sound
@@ -345,37 +321,29 @@ func (s *Screen) validate(prevGlobal []float64, u *Update) string {
 			}
 		}
 	}
-	if s.cfg.ClipNorms {
-		if med, ok := s.medianNorm(); ok {
-			if norm := DeltaNorm(prevGlobal, u.State); norm > s.cfg.RejectMultiple*med {
-				return fmt.Sprintf("delta norm %.4g exceeds reject bound %.4g", norm, s.cfg.RejectMultiple*med)
-			}
+	if s.cfg.ClipNorms && s.calibrated {
+		if norm, bound := DeltaNorm(prevGlobal, u.State), s.cfg.RejectMultiple*s.median; norm > bound {
+			return fmt.Sprintf("delta norm %.4g exceeds reject bound %.4g", norm, bound)
 		}
 	}
 	return ""
 }
 
-// clip applies the norm bound to an accepted update, returning a scaled
-// copy when the delta exceeds the bound, and records the accepted norm.
+// clip applies the round's norm bound to an accepted update — u itself
+// within the bound, a scaled copy past it — and records the accepted norm.
 // Callers hold s.mu.
-func (s *Screen) clip(prevGlobal []float64, u *Update) (*Update, bool) {
+func (s *Screen) clip(prevGlobal []float64, u *Update) *Update {
 	if !s.cfg.ClipNorms {
-		return u, false
+		return u
 	}
-	norm := DeltaNorm(prevGlobal, u.State)
-	med, ok := s.medianNorm()
-	if !ok || norm <= s.cfg.NormMultiple*med {
-		s.recordNorm(norm)
-		return u, false
-	}
-	bound := s.cfg.NormMultiple * med
-	scale := bound / norm
-	state := make([]float64, len(u.State))
-	for i := range state {
-		state[i] = prevGlobal[i] + scale*(u.State[i]-prevGlobal[i])
+	norm, bound := DeltaNorm(prevGlobal, u.State), s.cfg.NormMultiple*s.median
+	if !s.calibrated || norm <= bound {
+		s.norms.record(norm)
+		return u
 	}
 	cu := *u
-	cu.State = state
-	s.recordNorm(bound)
-	return &cu, true
+	cu.State = make([]float64, len(u.State))
+	clipDelta(cu.State, prevGlobal, u.State, bound/norm)
+	s.norms.record(bound)
+	return &cu
 }

@@ -1,14 +1,17 @@
 package fl
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
 )
 
 // Server is the FL aggregation server. It owns the global model state vector
-// and applies the defense's server-side aggregation rule each round.
+// and applies the defense's server-side aggregation rule each round, through
+// one round path: BeginRound → Offer* → FinishRound | AbortRound.
 type Server struct {
 	state []float64
 	def   Defense
@@ -19,14 +22,17 @@ type Server struct {
 	screen        *Screen
 	screenReports []ScreenReport
 	lastTiming    AggTiming
+	recycle       func([]float64)
 
-	// Streaming round state (BeginRound/Offer/FinishRound).
-	streaming       bool
-	streamAgg       StreamingAggregator
-	streamReport    ScreenReport
-	streamScreenDur time.Duration
-	streamFoldDur   time.Duration
-	streamCount     int
+	// The open round. agg folds each offer as it arrives; without one the
+	// offers are retained for the defense's batch rule.
+	open      bool
+	agg       StreamingAggregator
+	retained  []*Update
+	report    ScreenReport
+	screenDur time.Duration
+	foldDur   time.Duration
+	count     int
 }
 
 // AggTiming is the phase breakdown of one Aggregate call.
@@ -105,65 +111,46 @@ func (s *Server) LastScreenReport() (ScreenReport, bool) {
 	return s.screenReports[len(s.screenReports)-1], true
 }
 
-// Aggregate folds the round's client updates into a new global state via the
-// defense's aggregation rule and advances the round counter. Every update's
-// state length is validated against the server state before the defense
-// runs: without a screen a mismatch fails the round; with one, mismatched
-// (or poisoned) updates are screened out and only the survivors aggregate.
-func (s *Server) Aggregate(updates []*Update) error {
-	if len(updates) == 0 {
-		return fmt.Errorf("fl: round %d received no updates", s.round)
+// SetRecycler installs the function that takes back an offered update's
+// State buffer once the server is finished with it: right after the fold in
+// a streaming round, after FinishRound's aggregation or AbortRound in a
+// retained one. The flnet server installs its frame-buffer pool here, so
+// pooled buffers are released in this one place. Without a recycler the
+// buffers stay the caller's — fl.System reads its updates after Aggregate.
+func (s *Server) SetRecycler(put func([]float64)) { s.recycle = put }
+
+// release hands every update's State buffer back to the recycler.
+func (s *Server) release(updates ...*Update) {
+	if s.recycle == nil {
+		return
 	}
-	payloadBytes := 0
 	for _, u := range updates {
-		payloadBytes += 8 * len(u.State)
+		s.recycle(u.State)
+		u.State = nil
 	}
-	s.tel.AggUpdateBytesPeak.SetMax(int64(payloadBytes))
-	s.lastTiming = AggTiming{}
-	if s.screen != nil {
-		screenStart := time.Now()
-		kept, report := s.screen.Apply(s.round, s.state, updates)
-		s.lastTiming.Screen = time.Since(screenStart)
-		s.tel.ScreenSeconds.Observe(s.lastTiming.Screen.Seconds())
-		s.screenReports = append(s.screenReports, report)
-		if len(kept) == 0 {
-			return fmt.Errorf("fl: round %d: no updates survived screening (%d rejected, %d quarantined)",
-				s.round, len(report.Rejected), len(report.Quarantined))
-		}
-		updates = kept
-	} else {
-		for _, u := range updates {
-			if len(u.State) != len(s.state) {
-				return fmt.Errorf("fl: round %d update from client %d has %d values, want %d",
-					s.round, u.ClientID, len(u.State), len(s.state))
-			}
-		}
-	}
-	start := time.Now()
-	next, err := s.def.Aggregate(s.round, s.state, updates)
-	if err != nil {
-		return fmt.Errorf("fl: round %d aggregate: %w", s.round, err)
-	}
-	if len(next) != len(s.state) {
-		return fmt.Errorf("fl: defense %q returned %d values, want %d", s.def.Name(), len(next), len(s.state))
-	}
-	s.lastTiming.Aggregate = time.Since(start)
-	s.tel.AggregateSeconds.Observe(s.lastTiming.Aggregate.Seconds())
-	s.tel.RoundsAggregated.Inc()
-	if s.meter != nil {
-		s.meter.AddServerAgg(s.lastTiming.Aggregate)
-		s.meter.SamplePhase(metrics.PhaseAggregate)
-	}
-	s.state = next
-	s.round++
-	return nil
 }
 
-// LastAggTiming returns the phase breakdown of the most recent Aggregate
-// call (screening vs the defense's aggregation rule).
+// Aggregate runs one whole round over a batch of updates in hand: the
+// defense's batch rule over the updates in client-id order.
+func (s *Server) Aggregate(updates []*Update) error {
+	if err := s.BeginRound(nil); err != nil {
+		return err
+	}
+	for _, u := range updates {
+		if _, err := s.Offer(u); err != nil {
+			s.AbortRound()
+			return err
+		}
+	}
+	return s.FinishRound()
+}
+
+// LastAggTiming returns the phase breakdown of the most recently finished
+// round (screening vs the defense's aggregation rule).
 func (s *Server) LastAggTiming() AggTiming { return s.lastTiming }
 
-// OfferVerdict is the per-arrival outcome of a streamed update.
+// OfferVerdict is the screen's verdict on one update: Offer's answer in a
+// streaming round, and how Screen.Apply sorts a batch.
 type OfferVerdict int
 
 // Offer verdicts.
@@ -173,7 +160,7 @@ const (
 	// OfferClipped: folded after the screen norm-clipped its delta.
 	OfferClipped
 	// OfferRejected: the screen rejected the update (not folded); the
-	// caller should evict the sender like the materialized path does.
+	// caller should evict the sender.
 	OfferRejected
 	// OfferQuarantined: dropped because the sender is serving a quarantine
 	// penalty (not folded, sender not evicted).
@@ -196,108 +183,148 @@ func (v OfferVerdict) String() string {
 	}
 }
 
-// BeginRound arms the streaming aggregation path for the current round:
-// updates are then screened and folded one at a time via Offer — their
-// buffers releasable immediately after — and FinishRound finalizes the
-// accumulator into the next global state. Memory stays O(model) instead of
-// O(clients × model). The round counter does not advance until FinishRound.
+// BeginRound opens the current round. With a streaming aggregator each
+// offered update is screened and folded the moment it arrives, so memory
+// stays O(model) instead of O(clients × model); with nil the offers are
+// retained until FinishRound hands them to the defense's batch rule (Krum,
+// Multi-Krum and the like score every update against the whole cohort). The
+// global state and the round counter move only in FinishRound.
 func (s *Server) BeginRound(agg StreamingAggregator) error {
-	if agg == nil {
-		return fmt.Errorf("fl: BeginRound with nil aggregator")
+	if s.open {
+		return fmt.Errorf("fl: BeginRound while round %d is still open", s.round)
 	}
-	if s.streaming {
-		return fmt.Errorf("fl: BeginRound while round %d is still streaming", s.round)
+	s.open = true
+	s.agg = agg
+	s.report = ScreenReport{Round: s.round}
+	s.screenDur, s.foldDur = 0, 0
+	s.count = 0
+	if agg != nil {
+		agg.Begin(s.round, s.state)
+		if s.screen != nil {
+			s.screen.begin()
+		}
 	}
-	s.streaming = true
-	s.streamAgg = agg
-	s.streamReport = ScreenReport{Round: s.round}
-	s.streamScreenDur, s.streamFoldDur = 0, 0
-	s.streamCount = 0
-	agg.Begin(s.round, s.state)
 	return nil
 }
 
-// Offer screens one arriving update and folds it into the streaming round.
-// The verdict mirrors the materialized screen's per-update outcome; the
-// update's State buffer is never retained, so the caller may release it as
-// soon as Offer returns. A non-nil error means the update was structurally
-// incompatible (or the fold itself failed) — the caller decides whether
-// that fails the round or just the sender.
+// Offer hands one update to the open round and with it the update's State
+// buffer, which goes back to the recycler (SetRecycler) when the server is
+// finished with it. A streaming round issues the screen's verdict at once
+// and folds the survivor; a retained round keeps the update — never a copy —
+// and answers OfferAccepted, its verdicts falling due in FinishRound. A
+// non-nil error means the update was structurally incompatible (or the fold
+// itself failed): the caller decides whether that fails the round or just
+// the sender.
 func (s *Server) Offer(u *Update) (OfferVerdict, error) {
-	if !s.streaming {
+	if !s.open {
 		return OfferRejected, fmt.Errorf("fl: Offer without BeginRound")
 	}
 	if u == nil {
 		return OfferRejected, fmt.Errorf("fl: Offer of nil update")
 	}
-	su := u
-	verdict := OfferAccepted
+	if s.agg == nil {
+		s.retained = append(s.retained, u)
+		s.count++
+		return OfferAccepted, nil
+	}
+	defer s.release(u)
+	su, verdict := u, OfferAccepted
 	if s.screen != nil {
 		start := time.Now()
-		quarBefore, clipBefore := len(s.streamReport.Quarantined), len(s.streamReport.Clipped)
-		screened, ok := s.screen.ApplyOne(&s.streamReport, s.round, s.state, u)
-		s.streamScreenDur += time.Since(start)
-		if !ok {
-			if len(s.streamReport.Quarantined) > quarBefore {
-				return OfferQuarantined, nil
-			}
-			return OfferRejected, nil
+		su, verdict = s.screen.one(&s.report, s.round, s.state, u)
+		s.screenDur += time.Since(start)
+		if su == nil {
+			return verdict, nil
 		}
-		if len(s.streamReport.Clipped) > clipBefore {
-			verdict = OfferClipped
-		}
-		su = screened
 	} else if len(u.State) != len(s.state) {
-		return OfferRejected, fmt.Errorf("fl: round %d update from client %d has %d values, want %d",
-			s.round, u.ClientID, len(u.State), len(s.state))
+		return OfferRejected, s.lengthError(u)
 	}
 	peak := 8 * len(su.State)
-	if mb, ok := s.streamAgg.(interface{ MemoryBytes() int }); ok {
+	if mb, ok := s.agg.(interface{ MemoryBytes() int }); ok {
 		peak += mb.MemoryBytes()
 	}
 	s.tel.AggUpdateBytesPeak.SetMax(int64(peak))
 	start := time.Now()
-	err := s.streamAgg.Fold(su)
-	s.streamFoldDur += time.Since(start)
+	err := s.agg.Fold(su)
+	s.foldDur += time.Since(start)
 	if err != nil {
 		return OfferRejected, fmt.Errorf("fl: round %d fold: %w", s.round, err)
 	}
-	s.streamCount++
+	s.count++
 	return verdict, nil
 }
 
-// StreamCount returns how many updates the streaming round has folded.
-func (s *Server) StreamCount() int { return s.streamCount }
+func (s *Server) lengthError(u *Update) error {
+	return fmt.Errorf("fl: round %d update from client %d has %d values, want %d",
+		s.round, u.ClientID, len(u.State), len(s.state))
+}
 
-// FinishRound finalizes the streaming round: the accumulator becomes the
-// next global state and the round counter advances, exactly like a
-// successful materialized Aggregate.
+// StreamCount returns how many updates the open round has folded or
+// retained.
+func (s *Server) StreamCount() int { return s.count }
+
+// FinishRound closes the round: the aggregate of the offered updates becomes
+// the next global state and the round counter advances. A retained round
+// does all of its work here — the updates are sorted by client id (arrival
+// order is not reproducible; this order is, run to run and across a
+// checkpoint resume), screened, and handed to the defense's batch rule.
 func (s *Server) FinishRound() error {
-	if !s.streaming {
+	if !s.open {
 		return fmt.Errorf("fl: FinishRound without BeginRound")
 	}
-	s.streaming = false
-	s.lastTiming = AggTiming{Screen: s.streamScreenDur}
-	if s.screen != nil {
-		s.tel.ScreenSeconds.Observe(s.streamScreenDur.Seconds())
-		s.screenReports = append(s.screenReports, s.streamReport)
+	defer s.AbortRound() // whatever the outcome, the round is over
+	kept := s.retained
+	if s.agg == nil {
+		slices.SortStableFunc(kept, func(a, b *Update) int { return cmp.Compare(a.ClientID, b.ClientID) })
+		payloadBytes := 0
+		for _, u := range kept {
+			payloadBytes += 8 * len(u.State)
+		}
+		s.tel.AggUpdateBytesPeak.SetMax(int64(payloadBytes))
+		if s.screen != nil {
+			start := time.Now()
+			kept, s.report = s.screen.Apply(s.round, s.state, kept)
+			s.screenDur = time.Since(start)
+			s.count = len(kept)
+		} else {
+			for _, u := range kept {
+				if len(u.State) != len(s.state) {
+					return s.lengthError(u)
+				}
+			}
+		}
+	} else if s.screen != nil {
+		s.screen.end(s.round)
 	}
-	if s.streamCount == 0 {
-		if s.screen != nil && len(s.streamReport.Rejected)+len(s.streamReport.Quarantined) > 0 {
+	s.lastTiming = AggTiming{Screen: s.screenDur}
+	if s.screen != nil {
+		s.tel.ScreenSeconds.Observe(s.screenDur.Seconds())
+		s.screenReports = append(s.screenReports, s.report)
+	}
+	if s.count == 0 {
+		if rejected, quarantined := len(s.report.Rejected), len(s.report.Quarantined); rejected+quarantined > 0 {
 			return fmt.Errorf("fl: round %d: no updates survived screening (%d rejected, %d quarantined)",
-				s.round, len(s.streamReport.Rejected), len(s.streamReport.Quarantined))
+				s.round, rejected, quarantined)
 		}
 		return fmt.Errorf("fl: round %d received no updates", s.round)
 	}
 	start := time.Now()
-	next, err := s.streamAgg.Finalize()
+	var (
+		next []float64
+		err  error
+	)
+	if s.agg == nil {
+		next, err = s.def.Aggregate(s.round, s.state, kept)
+	} else {
+		next, err = s.agg.Finalize()
+	}
 	if err != nil {
 		return fmt.Errorf("fl: round %d aggregate: %w", s.round, err)
 	}
 	if len(next) != len(s.state) {
 		return fmt.Errorf("fl: defense %q returned %d values, want %d", s.def.Name(), len(next), len(s.state))
 	}
-	s.lastTiming.Aggregate = s.streamFoldDur + time.Since(start)
+	s.lastTiming.Aggregate = s.foldDur + time.Since(start)
 	s.tel.AggregateSeconds.Observe(s.lastTiming.Aggregate.Seconds())
 	s.tel.RoundsAggregated.Inc()
 	if s.meter != nil {
@@ -309,11 +336,13 @@ func (s *Server) FinishRound() error {
 	return nil
 }
 
-// AbortRound discards an armed streaming round (quorum failure, drain)
-// without touching the global state or round counter. Screen offenses
-// booked during the round stick — an offense is an offense even if the
-// round never finalizes.
+// AbortRound discards the open round (quorum failure, drain) without
+// touching the global state or round counter, and hands the retained
+// updates' buffers back to the recycler. Screen offenses booked during the
+// round stick — an offense is an offense even if the round never finalizes.
 func (s *Server) AbortRound() {
-	s.streaming = false
-	s.streamCount = 0
+	s.open = false
+	s.release(s.retained...)
+	clear(s.retained)
+	s.retained = s.retained[:0]
 }

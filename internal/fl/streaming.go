@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // StreamingAggregator folds one round's updates into a running accumulator
@@ -187,16 +186,13 @@ func (a *StreamingFedAvg) MemoryBytes() int {
 // arrival order. Non-finite updates are dropped, mirroring the materialized
 // rule's finiteness filter.
 type StreamingNormBound struct {
-	inner      *StreamingFedAvg
-	multiple   float64
-	window     int
-	minHistory int
-	prev       []float64
-	bound      float64
-	history    []float64
-	roundNorms []float64
-	scratch    []float64
-	dropped    int
+	inner    *StreamingFedAvg
+	multiple float64
+	norms    normWindow
+	prev     []float64
+	bound    float64
+	scratch  []float64
+	dropped  int
 }
 
 var _ StreamingAggregator = (*StreamingNormBound)(nil)
@@ -208,43 +204,27 @@ func NewStreamingNormBound(multiple float64) *StreamingNormBound {
 		multiple = 1
 	}
 	return &StreamingNormBound{
-		inner:      NewStreamingFedAvg(),
-		multiple:   multiple,
-		window:     64,
-		minHistory: 4,
+		inner:    NewStreamingFedAvg(),
+		multiple: multiple,
+		norms:    normWindow{size: 64, minHistory: 4},
 	}
 }
 
 // Name implements StreamingAggregator.
 func (a *StreamingNormBound) Name() string { return "norm-bound" }
 
-// Begin implements StreamingAggregator. The round's clip bound is fixed
-// here from the trailing norm window, so every fold of the round sees the
-// same bound regardless of arrival order.
+// Begin implements StreamingAggregator. The round's clip bound — multiple ×
+// the window's median, +Inf while the window is still calibrating — is fixed
+// here, so every fold of the round sees the same bound regardless of arrival
+// order.
 func (a *StreamingNormBound) Begin(round int, prevGlobal []float64) {
 	a.inner.Begin(round, prevGlobal)
 	a.prev = prevGlobal
-	a.roundNorms = a.roundNorms[:0]
 	a.dropped = 0
-	a.bound = a.currentBound()
-}
-
-// currentBound returns multiple × median of the trailing accepted norms, or
-// +Inf while the window is still calibrating.
-func (a *StreamingNormBound) currentBound() float64 {
-	if len(a.history) < a.minHistory {
-		return math.Inf(1)
+	a.bound = math.Inf(1)
+	if med, ok := a.norms.begin(); ok {
+		a.bound = a.multiple * med
 	}
-	sorted := append([]float64(nil), a.history...)
-	sort.Float64s(sorted)
-	med := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		med = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-	if med <= 0 {
-		return math.Inf(1)
-	}
-	return a.multiple * med
 }
 
 // Fold implements StreamingAggregator.
@@ -264,57 +244,48 @@ func (a *StreamingNormBound) Fold(u *Update) error {
 		if err := a.inner.Fold(u); err != nil {
 			return err
 		}
-		a.roundNorms = append(a.roundNorms, norm)
+		a.norms.record(norm)
 		return nil
 	}
 	// Clip: keep the delta's direction, cap its magnitude at the bound.
-	scale := a.bound / norm
 	if cap(a.scratch) < len(u.State) {
 		a.scratch = make([]float64, len(u.State))
 	}
 	a.scratch = a.scratch[:len(u.State)]
-	for i := range a.scratch {
-		a.scratch[i] = a.prev[i] + scale*(u.State[i]-a.prev[i])
-	}
+	clipDelta(a.scratch, a.prev, u.State, a.bound/norm)
 	cu := *u
 	cu.State = a.scratch
 	if err := a.inner.Fold(&cu); err != nil {
 		return err
 	}
-	a.roundNorms = append(a.roundNorms, a.bound)
+	a.norms.record(a.bound)
 	return nil
 }
 
-// Finalize implements StreamingAggregator: the round's accepted norms are
-// sorted (so the window's content is independent of arrival order) and
-// appended to the trailing window before the inner average finalizes.
+// Finalize implements StreamingAggregator: the round's accepted norms join
+// the trailing window before the inner average finalizes.
 func (a *StreamingNormBound) Finalize() ([]float64, error) {
 	if a.inner.Count() == 0 && a.dropped > 0 {
 		return nil, fmt.Errorf("fl: norm-bounded FedAvg: every update carries non-finite values")
 	}
-	sort.Float64s(a.roundNorms)
-	a.history = append(a.history, a.roundNorms...)
-	if len(a.history) > a.window {
-		a.history = a.history[len(a.history)-a.window:]
-	}
-	a.roundNorms = a.roundNorms[:0]
+	a.norms.commit()
 	return a.inner.Finalize()
 }
 
 // MemoryBytes reports the accumulator footprint.
 func (a *StreamingNormBound) MemoryBytes() int {
-	return a.inner.MemoryBytes() + (len(a.history)+cap(a.scratch))*8
+	return a.inner.MemoryBytes() + (len(a.norms.history)+cap(a.scratch))*8
 }
 
 // ExportNorms copies the trailing accepted-norm window for checkpointing,
 // so a crash/resume keeps clipping against the same calibration.
 func (a *StreamingNormBound) ExportNorms() []float64 {
-	return append([]float64(nil), a.history...)
+	return append([]float64(nil), a.norms.history...)
 }
 
 // ImportNorms restores a checkpointed norm window.
 func (a *StreamingNormBound) ImportNorms(norms []float64) {
-	a.history = append(a.history[:0], norms...)
+	a.norms.history = append(a.norms.history[:0], norms...)
 }
 
 // NormCarrier is implemented by streaming aggregators with calibration

@@ -3,6 +3,8 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -325,6 +327,56 @@ func TestServerStreamingRound(t *testing.T) {
 	}
 	if err := str.FinishRound(); err == nil {
 		t.Fatal("FinishRound with zero updates should error")
+	}
+}
+
+// TestStreamingScreenClipOrderInvariant: the screen's norm bound is fixed
+// when the round begins, so a streamed round's aggregate, verdicts and the
+// norm window it leaves behind do not depend on arrival order. With history
+// {1,3} and NormMultiple 2 the bound is 4 for the whole round: the norm-7
+// delta is clipped to 4 wherever it arrives and the mean is exactly 4.
+func TestStreamingScreenClipOrderInvariant(t *testing.T) {
+	ups := []*Update{
+		{ClientID: 0, NumSamples: 1, State: []float64{4}},
+		{ClientID: 1, NumSamples: 1, State: []float64{4}},
+		{ClientID: 2, NumSamples: 1, State: []float64{7}},
+	}
+	// The last order runs retained (no aggregator): same bound, same bits.
+	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}, {2, 1, 0}}
+	for i, order := range orders {
+		srv, err := NewServer([]float64{0}, &fedAvgDefense{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := NewScreen(ScreenConfig{ClipNorms: true, MinHistory: 2, NormMultiple: 2, RejectMultiple: 10})
+		sc.ImportState(ScreenState{Norms: []float64{1, 3}})
+		srv.SetScreen(sc)
+		var agg StreamingAggregator
+		if i < len(orders)-1 {
+			agg = NewStreamingFedAvg()
+		}
+		if err := srv.BeginRound(agg); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range order {
+			if _, err := srv.Offer(ups[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := srv.FinishRound(); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.GlobalState()[0]; got != 4 {
+			t.Errorf("order %v: aggregate %v, want 4", order, got)
+		}
+		rep, _ := srv.LastScreenReport()
+		sort.Ints(rep.Accepted)
+		if !slices.Equal(rep.Accepted, []int{0, 1, 2}) || !slices.Equal(rep.Clipped, []int{2}) || len(rep.Rejected) != 0 {
+			t.Errorf("order %v: report %+v, want all accepted and client 2 clipped", order, rep)
+		}
+		if norms := sc.ExportState().Norms; !slices.Equal(norms, []float64{1, 3, 4, 4, 4}) {
+			t.Errorf("order %v: norm window %v, want [1 3 4 4 4]", order, norms)
+		}
 	}
 }
 

@@ -50,8 +50,8 @@ type ClientConfig struct {
 // defaultMaxBackoff caps the exponential backoff between reconnects.
 const defaultMaxBackoff = 10 * time.Second
 
-// defaultDrainRetryAfter is how long a client backs off after a drain
-// frame whose RetryAfterMs is zero.
+// defaultDrainRetryAfter is the back-off the server suggests in its drain
+// frames, and what a client assumes for a frame that suggests none.
 const defaultDrainRetryAfter = time.Second
 
 // backoffFor computes the clamped exponential backoff before retry number

@@ -3,6 +3,7 @@ package flnet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"net"
@@ -661,13 +662,12 @@ func TestMalformedRegistrantGetsErrorFrame(t *testing.T) {
 	srv, _, srvOut := startServer(t, ctx, ServerConfig{
 		NumClients:   1,
 		Rounds:       1,
-		MaxRejects:   2,
 		Defense:      bed.defense("none"),
 		InitialState: bed.initialState(),
 		IOTimeout:    20 * time.Second,
 	}, nil)
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i <= srv.maxRejects(); i++ {
 		conn, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -882,4 +882,43 @@ func TestRegistrationDeadline(t *testing.T) {
 			t.Fatalf("server should fail when no quorum registers, got %v", out.err)
 		}
 	})
+}
+
+// TestRegistrationFailureClosesSessions: when registration fails (here: ctx
+// canceled while the cohort is still forming), Run closes the sessions that
+// did register — their clients see the connection end at once instead of
+// blocking on an open socket until their own IO timeout.
+func TestRegistrationFailureClosesSessions(t *testing.T) {
+	bed := newFedBed(t, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv, _, srvOut := startServer(t, ctx, ServerConfig{
+		NumClients:   2,
+		Rounds:       1,
+		Defense:      bed.defense("none"),
+		InitialState: bed.initialState(),
+		IOTimeout:    30 * time.Second,
+	}, nil)
+
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteMessage(conn, &Message{Kind: KindHello, ClientID: 0, Version: ProtocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	for srv.Health().RegisteredClients == 0 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	if out := <-srvOut; !errors.Is(out.err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", out.err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err = ReadMessage(conn)
+	var ne net.Error
+	if err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("registered client's read = %v, want the connection closed by the server", err)
+	}
 }

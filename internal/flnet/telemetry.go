@@ -72,7 +72,7 @@ func newMetricsIn(r *telemetry.Registry) *Metrics {
 		DrainNotices: r.Counter("dinar_flnet_drain_notices_total",
 			"drain frames sent to clients (shutdown broadcast, draining registrants)"),
 		AdmissionShed: r.Counter("dinar_flnet_admission_shed_total",
-			"registration attempts shed by accept-path admission control (token bucket or in-flight cap)"),
+			"registration attempts shed by accept-path admission control (the cap on registrations in validation at once)"),
 
 		RoundBroadcastSeconds: r.Histogram("dinar_flnet_round_broadcast_seconds",
 			"slowest global-state send of the round (the broadcast critical path)", nil),
@@ -90,7 +90,7 @@ func newMetricsIn(r *telemetry.Registry) *Metrics {
 		AsyncStaleDropped: r.Counter("dinar_flnet_async_stale_dropped_total",
 			"buffered updates dropped for exceeding the async staleness bound"),
 		AsyncBuffered: r.Gauge("dinar_flnet_async_buffered",
-			"late updates currently buffered for a future round's staleness-weighted fold"),
+			"exchanges carried over the last round's close, their updates due a later round's staleness-weighted fold"),
 
 		RoundTailSeconds: r.Histogram("dinar_flnet_round_tail_seconds",
 			"checkpoint encode+fsync duration per round (the round tail the pipeline overlaps)", nil),

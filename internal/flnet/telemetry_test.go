@@ -61,7 +61,6 @@ func TestLogfSerializedUnderRejoinHammer(t *testing.T) {
 		InitialState:  bed.initialState(),
 		IOTimeout:     30 * time.Second,
 		Logf:          logf,
-		EventCapacity: 64,
 	}, schedule)
 
 	var wg sync.WaitGroup
