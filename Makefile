@@ -21,7 +21,9 @@
 #                     lifecycle, the private-store restart test, and the
 #                     checkpoint corruption/retention table
 #   make soak       - overload-resilience soak at short scale under -race:
-#                     the in-memory fleet harness, the sampled streaming /
+#                     the in-memory listener and the fleet harness (real
+#                     flnet.RunClient sessions over synthetic trainers, pinned
+#                     to golden final-state digests), the sampled streaming /
 #                     partitioned-memory / async scale soaks, the
 #                     sampling crash-resume + quarantine property tests
 #                     (make chaos runs the same soaks at full 10k scale),
@@ -30,11 +32,11 @@
 #                     staleness-weighted FedAvg oracle
 #   make service    - multi-tenant control-plane acceptance under -race:
 #                     the concurrent-job soak (3 named federations in one
-#                     process on fleetsim listeners), rolling restart with
+#                     process on in-memory listeners), rolling restart with
 #                     bit-identical resume, the job-churn leak hammer, the
 #                     admin REST validation matrix, front-door rate
-#                     limiting, pause/resume, and the pipelined-vs-
-#                     sequential identity property tests
+#                     limiting and backlog shedding, pause/resume, and the
+#                     pipelined-vs-sequential identity property tests
 #   make quant      - quantized-wire guards under -race: the linear-time
 #                     top-k encoder against its sort oracle and golden
 #                     payload digests, and the quantized federations (each
@@ -54,6 +56,10 @@
 #                     cannot see but that compiles against internal APIs
 #   make nogob      - grep gate: encoding/gob is imported nowhere (the wire
 #                     and the checkpoint chain have one serializer, binenc)
+#   make oneclient  - grep gate: outside internal/flnet no non-test .go file
+#                     handles KindWire or builds a KindHello (the client side
+#                     of the protocol has one speaker, flnet.RunClient; the
+#                     round benchmark's own module is exempt)
 #   make loc        - the line counter simplicity PRs quote: per internal/*
 #                     package and in total, the non-blank, non-// lines of
 #                     non-test .go files
@@ -75,7 +81,7 @@
 
 GO ?= go
 
-.PHONY: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob loc check fuzz bench bench-json bench-scaling
+.PHONY: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -112,6 +118,7 @@ chaos:
 
 soak:
 	$(GO) test -race ./internal/fleetsim/
+	$(GO) test -race -count=10 ./internal/flnet/ -run TestMemListener
 	$(GO) test -race -short ./internal/chaos/ -run 'TestScaleSoak|TestSampledCohortResumeIdentity|TestQuarantinedClientNeverResampled'
 	$(GO) test -race ./internal/flnet/ -run 'TestAsyncWithoutStragglersMatchesSync|TestAsyncStaleFoldOracle'
 
@@ -122,8 +129,8 @@ service:
 quant:
 	$(GO) test -race ./internal/fl/ -run 'TestEncodeDelta|TestDeltaEncoder|TestKthLargestAbsDiff|TestQuantizedStreamingFoldOrderInvariance'
 	$(GO) test -race ./internal/defense/ -run TestGC
-	$(GO) test -race ./internal/flnet/ -run 'TestQuantized|TestBinary'
-	$(GO) test -race ./internal/fleetsim/ -run TestWire
+	$(GO) test -race ./internal/flnet/ -run 'TestQuantized|TestBinary|TestWireNegotiationByHand|TestHelloVersionValidated'
+	$(GO) test -race ./internal/fleetsim/ -run 'TestWire|TestFleetGoldenDigests'
 
 wirebench:
 	$(GO) run ./cmd/dinar-bench -only wire_encode,wire_decode,bytes_per_round,quant_encode_topk,quant_encode_dense -json BENCH_hotpath.json
@@ -138,13 +145,16 @@ benchmark-test:
 nogob:
 	@if grep -rn '"encoding/gob"' --include='*.go' .; then echo 'encoding/gob is imported (see above)'; exit 1; fi
 
+oneclient:
+	@if grep -rnE 'KindWire|KindHello' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/flnet|benchmark|\.bench_build)/'; then echo 'a second client-side protocol speaker (see above): drive flnet.RunClient instead'; exit 1; fi
+
 loc:
 	@total=0; for d in internal/*/; do \
 		n=$$(cat /dev/null $$(ls $$d*.go | grep -v _test.go) | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'); \
 		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%6d  total\n' $$total
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/

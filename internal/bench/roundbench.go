@@ -13,11 +13,12 @@ import (
 
 // benchRoundThroughput times the federation round loop end to end: a
 // sampled, streaming flnet server over the in-memory listener with a
-// synthetic fleetsim fleet answering every broadcast. One benchmark op is
-// one full round (broadcast, cohort uploads, streamed aggregation), so
-// ns/op is the server's round latency and 1e9/ns_per_op its round
-// throughput. The federation runs b.N rounds in one piece; fleet
-// registration happens once per calibration run and is amortized.
+// fleetsim fleet (flnet.RunClient sessions over synthetic trainers)
+// answering every broadcast. One benchmark op is one full round
+// (broadcast, cohort uploads, streamed aggregation), so ns/op is the
+// server's round latency and 1e9/ns_per_op its round throughput. The
+// federation runs b.N rounds in one piece; fleet registration happens once
+// per calibration run and is amortized.
 func benchRoundThroughput(b *testing.B) {
 	const (
 		numClients = 64
@@ -29,7 +30,7 @@ func benchRoundThroughput(b *testing.B) {
 	if err := def.Bind(fl.ModelInfo{NumParams: dim, NumState: dim}); err != nil {
 		b.Fatal(err)
 	}
-	mem := fleetsim.Listen(numClients)
+	mem := flnet.ListenMem(numClients)
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		NumClients:   numClients,
 		MinClients:   minClients,

@@ -106,7 +106,7 @@ func benchBytesPerRound(b *testing.B) {
 	if err := def.Bind(fl.ModelInfo{NumParams: wireDim, NumState: wireDim}); err != nil {
 		b.Fatal(err)
 	}
-	mem := fleetsim.Listen(numClients)
+	mem := flnet.ListenMem(numClients)
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		NumClients:   numClients,
 		MinClients:   minClients,
@@ -130,7 +130,6 @@ func benchBytesPerRound(b *testing.B) {
 	defer cancel()
 	fleet := &fleetsim.Fleet{
 		N: numClients, Dim: wireDim, Seed: 3,
-		Caps: flnet.ClientCaps,
 		Dial: mem.Dial, IOTimeout: 2 * time.Minute,
 	}
 	statsCh := make(chan *fleetsim.Stats, 1)

@@ -18,7 +18,7 @@ import (
 // over a fresh MemListener. run() drives both to completion.
 type sampledBed struct {
 	srv   *flnet.Server
-	mem   *fleetsim.MemListener
+	mem   *flnet.MemListener
 	fleet *fleetsim.Fleet
 }
 
@@ -30,7 +30,7 @@ func newSampledBed(t *testing.T, cfg flnet.ServerConfig, fleet *fleetsim.Fleet) 
 		t.Fatal(err)
 	}
 	cfg.Defense = def
-	mem := fleetsim.Listen(cfg.NumClients)
+	mem := flnet.ListenMem(cfg.NumClients)
 	cfg.Listener = mem
 	srv, err := flnet.NewServer(cfg)
 	if err != nil {

@@ -42,7 +42,7 @@ func runScaleSoak(t *testing.T, p scaleParams) ([]float64, []flnet.RoundReport, 
 	if err := def.Bind(fl.ModelInfo{NumParams: p.dim, NumState: p.dim}); err != nil {
 		t.Fatal(err)
 	}
-	mem := fleetsim.Listen(p.numClients)
+	mem := flnet.ListenMem(p.numClients)
 	var ln net.Listener = mem
 	if p.faultSeed != 0 {
 		// A quarter of the connections become stragglers: every server-side
@@ -242,7 +242,7 @@ func TestScaleSoakAsync(t *testing.T) {
 	if err := def.Bind(fl.ModelInfo{NumParams: p.dim, NumState: p.dim}); err != nil {
 		t.Fatal(err)
 	}
-	mem := fleetsim.Listen(p.numClients)
+	mem := flnet.ListenMem(p.numClients)
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		NumClients:     p.numClients,
 		MinClients:     p.minClients,

@@ -78,6 +78,9 @@ func roundRNG(base int64, round, id int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(z)))
 }
 
+// ClientID returns ID (the accessor flnet's Trainer interface asks for).
+func (c *Client) ClientID() int { return c.ID }
+
 // Install loads the (defense-transformed) global state into the local model.
 func (c *Client) Install(state []float64) error {
 	return c.Model.SetStateVector(state)

@@ -89,9 +89,11 @@ type DeltaPayload struct {
 	Q []uint16
 }
 
-// quantMix is the SplitMix64 finalizer: a counter-mode hash whose stream
-// quality is all stochastic rounding needs, with no RNG state to order.
-func quantMix(z uint64) uint64 {
+// Mix64 is the SplitMix64 finalizer: a counter-mode hash whose stream
+// quality is all stochastic rounding needs, with no RNG state to order. The
+// cohort sampler and the synthetic fleet derive their seeded streams from it
+// too.
+func Mix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -99,12 +101,12 @@ func quantMix(z uint64) uint64 {
 }
 
 // quantStream derives the per-(seed, stream, round) hash base; coordinate i
-// draws quantMix(base + i). stream is the uploading client id, or -1 for
+// draws Mix64(base + i). stream is the uploading client id, or -1 for
 // the server's canonical broadcast delta.
 func quantStream(seed int64, stream, round int) uint64 {
-	h := quantMix(uint64(seed))
-	h = quantMix(h ^ uint64(int64(stream))*0xd1342543de82ef95)
-	return quantMix(h ^ uint64(int64(round))*0xaf251af3b0f025b5)
+	h := Mix64(uint64(seed))
+	h = Mix64(h ^ uint64(int64(stream))*0xd1342543de82ef95)
+	return Mix64(h ^ uint64(int64(round))*0xaf251af3b0f025b5)
 }
 
 // DeltaEncoder is the one delta-payload encoder. It never materializes
@@ -222,7 +224,7 @@ func (e *DeltaEncoder) Encode(p *DeltaPayload, kind QuantKind, seed int64, strea
 		x := (state[coord] - base[coord] - lo) * scale
 		q := math.Floor(x)
 		// Counter-mode draw in [0,1): round up with probability x − q.
-		if u := float64(quantMix(h+uint64(coord))>>11) / float64(1<<53); u < x-q {
+		if u := float64(Mix64(h+uint64(coord))>>11) / float64(1<<53); u < x-q {
 			q++
 		}
 		if q < 0 {

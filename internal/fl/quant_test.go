@@ -276,7 +276,7 @@ func oracleEncodeDelta(kind QuantKind, seed int64, stream, round, baseRound int,
 		x := (value(j) - lo) * scale
 		q := math.Floor(x)
 		frac := x - q
-		u := float64(quantMix(h+uint64(coord))>>11) / float64(1<<53)
+		u := float64(Mix64(h+uint64(coord))>>11) / float64(1<<53)
 		if u < frac {
 			q++
 		}

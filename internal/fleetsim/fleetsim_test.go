@@ -2,8 +2,6 @@ package fleetsim
 
 import (
 	"context"
-	"errors"
-	"net"
 	"testing"
 	"time"
 
@@ -12,82 +10,6 @@ import (
 	"repro/internal/fl"
 	"repro/internal/flnet"
 )
-
-func TestMemListenerDialAccept(t *testing.T) {
-	ln := Listen(4)
-	defer ln.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		conn, err := ln.Dial()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer conn.Close()
-		conn.SetWriteDeadline(time.Now().Add(time.Second))
-		_, err = conn.Write([]byte("hi"))
-		done <- err
-	}()
-
-	conn, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	buf := make([]byte, 2)
-	conn.SetReadDeadline(time.Now().Add(time.Second))
-	if _, err := conn.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "hi" {
-		t.Fatalf("read %q", buf)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMemListenerDeadline(t *testing.T) {
-	ln := Listen(1)
-	defer ln.Close()
-
-	// An already-expired deadline fails immediately with a timeout
-	// net.Error, like a *net.TCPListener.
-	ln.SetDeadline(time.Now().Add(-time.Second))
-	_, err := ln.Accept()
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("want timeout net.Error, got %v", err)
-	}
-
-	// Shortening the deadline must wake a Accept already blocked on the
-	// old (infinite) one — flnet's drain path depends on this.
-	ln.SetDeadline(time.Time{})
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := ln.Accept()
-		errCh <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	ln.SetDeadline(time.Now())
-	select {
-	case err := <-errCh:
-		if !errors.As(err, &ne) || !ne.Timeout() {
-			t.Fatalf("want timeout net.Error, got %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Accept did not wake on SetDeadline")
-	}
-
-	ln.Close()
-	if _, err := ln.Accept(); !errors.Is(err, ErrListenerClosed) {
-		t.Fatalf("want ErrListenerClosed, got %v", err)
-	}
-	if _, err := ln.Dial(); !errors.Is(err, ErrListenerClosed) {
-		t.Fatalf("want ErrListenerClosed after close, got %v", err)
-	}
-}
 
 func TestSynthStateDeterministic(t *testing.T) {
 	a := SynthState(7, 3, 2, 64, nil)
@@ -112,7 +34,7 @@ func TestSynthStateDeterministic(t *testing.T) {
 	}
 }
 
-// TestFleetFederation drives a real flnet server with a simulated fleet
+// TestFleetFederation drives a real flnet server with a fleet of synthetic-trainer clients
 // over the in-memory listener: every client must finish with the final
 // model and every round must aggregate the full cohort.
 func TestFleetFederation(t *testing.T) {
@@ -126,7 +48,7 @@ func TestFleetFederation(t *testing.T) {
 	if err := def.Bind(fl.ModelInfo{NumParams: dim, NumState: dim}); err != nil {
 		t.Fatal(err)
 	}
-	ln := Listen(numClients)
+	ln := flnet.ListenMem(numClients)
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		NumClients:   numClients,
 		Rounds:       rounds,

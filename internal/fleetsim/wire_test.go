@@ -16,7 +16,7 @@ import (
 
 // wireServerConfig builds the standard config the wire tests drive: a
 // streaming sampled-free federation with the codec knobs passed through.
-func wireServerConfig(numClients, rounds, dim int, ln *MemListener) flnet.ServerConfig {
+func wireServerConfig(numClients, rounds, dim int, ln *flnet.MemListener) flnet.ServerConfig {
 	def := defense.NewNone()
 	if err := def.Bind(fl.ModelInfo{NumParams: dim, NumState: dim}); err != nil {
 		panic(err)
@@ -55,108 +55,59 @@ func runWireFederation(t *testing.T, cfg flnet.ServerConfig, fleet *Fleet) ([]fl
 	return final, stats
 }
 
-// TestWireNegotiationMatrix is the capability-intersection acceptance
-// matrix: a server offering the full codec stack must complete federations
-// with full-capability clients, with clients that ask for the ack but no
-// payload codec, and with clients that advertise nothing at all (no ack,
-// raw float64 frames) — and the offered label must show on /healthz.
-func TestWireNegotiationMatrix(t *testing.T) {
+// TestWireFullCodecFederation runs the fleet against a server offering the
+// full codec stack: every client negotiates it (the shipping client
+// advertises everything), every round aggregates the whole fleet, and the
+// offered label shows on /healthz. The capability-subset and wrong-version
+// peers, which no shipping client is, are hand-written Hellos in
+// flnet's TestWireNegotiationByHand and TestHelloVersionValidated.
+func TestWireFullCodecFederation(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
 	const (
 		numClients = 8
 		rounds     = 3
 		dim        = 64
 	)
-	cases := []struct {
-		name      string
-		caps      uint32
-		wantLabel string
-	}{
-		{"full codecs", flnet.ClientCaps, "binary+flate+int8+topk+delta"},
-		{"lossless subset", flnet.CapBinary | flnet.CapFlate | flnet.CapDelta, "binary+flate+int8+topk+delta"},
-		{"binary only", flnet.CapBinary, "binary+flate+int8+topk+delta"},
-		{"no capabilities", 0, "binary+flate+int8+topk+delta"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ln := Listen(numClients)
-			cfg := wireServerConfig(numClients, rounds, dim, ln)
-			cfg.Compress = true
-			cfg.Quantize = "int8"
-			cfg.TopK = 0.5
-			cfg.Delta = true
-			cfg.QuantSeed = 5
-			srv, err := flnet.NewServer(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := srv.Health().Wire; got != tc.wantLabel {
-				t.Fatalf("Health().Wire = %q, want %q", got, tc.wantLabel)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			fleet := &Fleet{
-				N: numClients, Dim: dim, Seed: 21,
-				Caps: tc.caps,
-				Dial: ln.Dial, IOTimeout: 20 * time.Second,
-			}
-			statsCh := make(chan *Stats, 1)
-			go func() { statsCh <- fleet.Run(ctx) }()
-			final, err := srv.Run(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(final) != dim {
-				t.Fatalf("final state has %d values, want %d", len(final), dim)
-			}
-			stats := <-statsCh
-			if got := stats.Done.Load(); got != numClients {
-				t.Fatalf("%d/%d clients received the final model (gave up %d)", got, numClients, stats.GaveUp.Load())
-			}
-			if got := stats.Updates.Load(); got != numClients*rounds {
-				t.Fatalf("fleet wrote %d updates, want %d", got, numClients*rounds)
-			}
-		})
-	}
-}
-
-// TestWireUnsupportedVersionRejected pins the version check: a hello of
-// any other protocol version must be turned away with a version error, not
-// half-served.
-func TestWireUnsupportedVersionRejected(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
-	const numClients = 2
-	ln := Listen(numClients)
-	cfg := wireServerConfig(numClients, 1, 16, ln)
-	cfg.MinClients = numClients
+	ln := flnet.ListenMem(numClients)
+	cfg := wireServerConfig(numClients, rounds, dim, ln)
+	cfg.Compress = true
+	cfg.Quantize = "int8"
+	cfg.TopK = 0.5
+	cfg.Delta = true
+	cfg.QuantSeed = 5
 	srv, err := flnet.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	srvDone := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(ctx)
-		srvDone <- err
-	}()
-
-	for _, version := range []int{flnet.ProtocolVersion - 1, flnet.ProtocolVersion + 1} {
-		old := &Fleet{N: 1, Dim: 16, Seed: 1, Version: version, MaxRetries: 1,
-			Dial: ln.Dial, IOTimeout: 5 * time.Second}
-		stats := old.Run(ctx)
-		if stats.Done.Load() != 0 || stats.GaveUp.Load() != 1 {
-			t.Fatalf("v%d client outcome done=%d gaveUp=%d, want a rejection", version, stats.Done.Load(), stats.GaveUp.Load())
-		}
+	if got, want := srv.Health().Wire, "binary+flate+int8+topk+delta"; got != want {
+		t.Fatalf("Health().Wire = %q, want %q", got, want)
 	}
-	cancel()
-	<-srvDone
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	fleet := &Fleet{N: numClients, Dim: dim, Seed: 21, Dial: ln.Dial, IOTimeout: 20 * time.Second}
+	statsCh := make(chan *Stats, 1)
+	go func() { statsCh <- fleet.Run(ctx) }()
+	final, err := srv.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(final) != dim {
+		t.Fatalf("final state has %d values, want %d", len(final), dim)
+	}
+	stats := <-statsCh
+	if got := stats.Done.Load(); got != numClients {
+		t.Fatalf("%d/%d clients received the final model (gave up %d)", got, numClients, stats.GaveUp.Load())
+	}
+	if got := stats.Updates.Load(); got != numClients*rounds {
+		t.Fatalf("fleet wrote %d updates, want %d", got, numClients*rounds)
+	}
 }
 
 // TestWireBytesReduction is the codec stack's acceptance criterion: with
 // compression, int8 quantization, and delta broadcasts negotiated, the
 // bytes moved per federation round must drop at least 4x against a
-// codec-free session (raw float64 frames) at the same scale.
+// session that negotiated no payload codec (raw float64 frames) at the same
+// scale.
 func TestWireBytesReduction(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
 	const (
@@ -165,7 +116,7 @@ func TestWireBytesReduction(t *testing.T) {
 		dim        = 2048
 	)
 	run := func(coded bool) int64 {
-		ln := Listen(numClients)
+		ln := flnet.ListenMem(numClients)
 		cfg := wireServerConfig(numClients, rounds, dim, ln)
 		fleet := &Fleet{N: numClients, Dim: dim, Seed: 9, Dial: ln.Dial, IOTimeout: 20 * time.Second}
 		if coded {
@@ -173,7 +124,6 @@ func TestWireBytesReduction(t *testing.T) {
 			cfg.Quantize = "int8"
 			cfg.Delta = true
 			cfg.QuantSeed = 3
-			fleet.Caps = flnet.ClientCaps
 		}
 		// Both ends share the in-process counters, so the tx delta alone
 		// counts every frame exactly once.
@@ -205,14 +155,14 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 	)
 	path := filepath.Join(t.TempDir(), "wire.ckpt")
 
-	ln := Listen(numClients)
+	ln := flnet.ListenMem(numClients)
 	cfg := wireServerConfig(numClients, 2, dim, ln)
 	cfg.Compress = true
 	cfg.Quantize = "int8"
 	cfg.Delta = true
 	cfg.QuantSeed = seed
 	cfg.CheckpointPath = path
-	fleet := &Fleet{N: numClients, Dim: dim, Seed: 31, Caps: flnet.ClientCaps, Dial: ln.Dial, IOTimeout: 20 * time.Second}
+	fleet := &Fleet{N: numClients, Dim: dim, Seed: 31, Dial: ln.Dial, IOTimeout: 20 * time.Second}
 	runWireFederation(t, cfg, fleet)
 
 	snap, _, err := checkpoint.LoadLatestValid(path)
@@ -230,7 +180,7 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 	}
 
 	// A conflicting seed must be refused before any client connects.
-	conflict := wireServerConfig(numClients, 4, dim, Listen(numClients))
+	conflict := wireServerConfig(numClients, 4, dim, flnet.ListenMem(numClients))
 	conflict.Quantize = "int8"
 	conflict.QuantSeed = seed + 1
 	conflict.CheckpointPath = path
@@ -240,7 +190,7 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 
 	// Seed left unset: the resumed server adopts the recorded one and the
 	// federation completes its remaining rounds quantized.
-	ln2 := Listen(numClients)
+	ln2 := flnet.ListenMem(numClients)
 	resume := wireServerConfig(numClients, 4, dim, ln2)
 	resume.Compress = true
 	resume.Quantize = "int8"
@@ -256,7 +206,7 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	fleet2 := &Fleet{N: numClients, Dim: dim, Seed: 31, Caps: flnet.ClientCaps, Dial: ln2.Dial, IOTimeout: 20 * time.Second}
+	fleet2 := &Fleet{N: numClients, Dim: dim, Seed: 31, Dial: ln2.Dial, IOTimeout: 20 * time.Second}
 	statsCh := make(chan *Stats, 1)
 	go func() { statsCh <- fleet2.Run(ctx) }()
 	final, err := srv.Run(ctx)

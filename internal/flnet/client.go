@@ -8,20 +8,40 @@ import (
 	"time"
 
 	"repro/internal/fl"
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
+
+// Trainer is the local learner a session drives: exactly what the session
+// loop calls. *fl.Client (model, data shard, optimizer) is the shipping
+// one; fleetsim substitutes a synthetic one so a 10k-client soak runs this
+// same loop.
+type Trainer interface {
+	// ClientID is the id every Hello and Update carries.
+	ClientID() int
+	// RunRound answers one broadcast: personalize and install global
+	// through def, train, protect the upload through def.
+	RunRound(round int, global []float64, def fl.Defense, meter *metrics.CostMeter) (*fl.Update, error)
+	// Install loads the final, defense-transformed model.
+	Install(state []float64) error
+}
 
 // ClientConfig configures a middleware client process.
 type ClientConfig struct {
 	// Addr is the server's TCP address.
 	Addr string
-	// Trainer is the local FL client (model, data shard, optimizer).
-	Trainer *fl.Client
+	// Dial, if non-nil, opens each session's connection in place of a TCP
+	// dial to Addr — the client-side mirror of ServerConfig.Listener
+	// (typically MemListener.Dial). An error is retried like a failed TCP
+	// dial.
+	Dial func(ctx context.Context) (net.Conn, error)
+	// Trainer is the local FL client.
+	Trainer Trainer
 	// Defense is the client-side defense instance (OnGlobalModel and
 	// BeforeUpload hooks run here). It must already be Bound.
 	Defense fl.Defense
-	// DialTimeout bounds the initial connection (default 30s); IOTimeout
-	// bounds each read/write (default 2 minutes).
+	// DialTimeout bounds each TCP dial (default 30s); IOTimeout bounds
+	// each read/write (default 2 minutes).
 	DialTimeout time.Duration
 	IOTimeout   time.Duration
 	// MaxRetries is the number of reconnection attempts after a dial or
@@ -104,6 +124,17 @@ func RunClient(ctx context.Context, cfg ClientConfig) ([]float64, error) {
 	if cfg.BaseBackoff == 0 {
 		cfg.BaseBackoff = 100 * time.Millisecond
 	}
+	if cfg.Dial == nil {
+		dialer := net.Dialer{Timeout: cfg.DialTimeout}
+		cfg.Dial = func(ctx context.Context) (net.Conn, error) {
+			conn, err := dialer.DialContext(ctx, "tcp", cfg.Addr)
+			if err != nil {
+				return nil, fmt.Errorf("flnet: dial %s: %w", cfg.Addr, err)
+			}
+			return conn, nil
+		}
+	}
+	id := cfg.Trainer.ClientID()
 	// Route progress lines through a serialized event log so clients
 	// sharing one process (tests, simulations) never interleave output.
 	logf := cfg.Logf
@@ -114,7 +145,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) ([]float64, error) {
 	events := telemetry.NewEventLog(16, sink)
 	// Deterministic per-client jitter keeps test runs reproducible while
 	// still decorrelating real clients' retry storms.
-	rng := rand.New(rand.NewSource(int64(cfg.Trainer.ID)*2654435761 + 1))
+	rng := rand.New(rand.NewSource(int64(id)*2654435761 + 1))
 
 	lastCompleted := -1
 	// Broadcast anchors survive reconnects: a redialing client still holds
@@ -145,7 +176,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) ([]float64, error) {
 			drainWaits++
 			if drainWaits > maxDrainWaits {
 				return nil, fmt.Errorf("flnet: client %d giving up after %d drain notices: %w",
-					cfg.Trainer.ID, drainWaits, err.err)
+					id, drainWaits, err.err)
 			}
 			retryAfter := err.retryAfter
 			if retryAfter <= 0 {
@@ -153,19 +184,19 @@ func RunClient(ctx context.Context, cfg ClientConfig) ([]float64, error) {
 			}
 			sleep = retryAfter/2 + time.Duration(rng.Int63n(int64(retryAfter)))
 			telClientDrainWaits.Inc()
-			events.Eventf(-1, cfg.Trainer.ID, "flnet: client %d draining server; redialing in %s (notice %d/%d)",
-				cfg.Trainer.ID, sleep, drainWaits, maxDrainWaits)
+			events.Eventf(-1, id, "flnet: client %d draining server; redialing in %s (notice %d/%d)",
+				id, sleep, drainWaits, maxDrainWaits)
 		} else {
 			failures++
 			if failures > cfg.MaxRetries {
 				return nil, fmt.Errorf("flnet: client %d giving up after %d consecutive failures: %w",
-					cfg.Trainer.ID, failures, err.err)
+					id, failures, err.err)
 			}
 			backoff := backoffFor(cfg.BaseBackoff, failures, defaultMaxBackoff)
 			sleep = backoff/2 + time.Duration(rng.Int63n(int64(backoff)))
 			telClientReconnects.Inc()
-			events.Eventf(-1, cfg.Trainer.ID, "flnet: client %d retry %d/%d in %s after: %v",
-				cfg.Trainer.ID, failures, cfg.MaxRetries, sleep, err.err)
+			events.Eventf(-1, id, "flnet: client %d retry %d/%d in %s after: %v",
+				id, failures, cfg.MaxRetries, sleep, err.err)
 		}
 		timer := time.NewTimer(sleep)
 		select {
@@ -243,28 +274,20 @@ func (a *wireAnchors) completed(round int) {
 // received in full, so a later session's Hello tells the server where
 // this client left off.
 func runSession(ctx context.Context, cfg ClientConfig, lastCompleted *int, anchors *wireAnchors) ([]float64, *sessionError) {
-	dialer := net.Dialer{Timeout: cfg.DialTimeout}
-	conn, err := dialer.DialContext(ctx, "tcp", cfg.Addr)
+	conn, err := cfg.Dial(ctx)
 	if err != nil {
-		return nil, retryableErr(fmt.Errorf("flnet: dial %s: %w", cfg.Addr, err))
+		return nil, retryableErr(err)
 	}
 	defer conn.Close()
-
 	// Cancel blocking reads when ctx ends.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
 
+	id := cfg.Trainer.ClientID()
 	conn.SetWriteDeadline(time.Now().Add(cfg.IOTimeout))
 	hello := &Message{
 		Kind:      KindHello,
-		ClientID:  cfg.Trainer.ID,
+		ClientID:  id,
 		Version:   ProtocolVersion,
 		LastRound: *lastCompleted,
 		Job:       cfg.Job,
@@ -331,7 +354,7 @@ func runSession(ctx context.Context, cfg ClientConfig, lastCompleted *int, ancho
 		case KindDone:
 			// Final personalization: install the last global model through
 			// the defense's download path.
-			state := cfg.Defense.OnGlobalModel(cfg.Trainer.ID, msg.Round, msg.State)
+			state := cfg.Defense.OnGlobalModel(id, msg.Round, msg.State)
 			if err := cfg.Trainer.Install(state); err != nil {
 				return nil, permanentErr(err)
 			}

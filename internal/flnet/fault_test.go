@@ -691,8 +691,9 @@ func TestMalformedRegistrantGetsErrorFrame(t *testing.T) {
 	}
 }
 
-// TestHelloVersionValidated covers the protocol version bump: a v1 hello
-// is rejected with an explanatory error frame.
+// TestHelloVersionValidated pins the version check: a hello of any protocol
+// version but the server's — older or newer — is turned away with an
+// explanatory error frame, not half-served.
 func TestHelloVersionValidated(t *testing.T) {
 	bed := newFedBed(t, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -705,21 +706,23 @@ func TestHelloVersionValidated(t *testing.T) {
 		IOTimeout:    20 * time.Second,
 	}, nil)
 
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := WriteMessage(conn, &Message{Kind: KindHello, ClientID: 0, Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	msg, err := ReadMessage(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Kind != KindError || !strings.Contains(msg.Err, "version") {
-		t.Fatalf("want a version-mismatch error frame, got %+v", msg)
+	for _, version := range []int{1, ProtocolVersion - 1, ProtocolVersion + 1} {
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := WriteMessage(conn, &Message{Kind: KindHello, ClientID: 0, Version: version, WireCaps: ClientCaps}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		msg, err := ReadMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.Kind != KindError || !strings.Contains(msg.Err, "version") {
+			t.Fatalf("v%d hello: want a version-mismatch error frame, got %+v", version, msg)
+		}
 	}
 	cancel()
 }

@@ -3,6 +3,8 @@ package flnet
 import (
 	"math/rand"
 	"sort"
+
+	"repro/internal/fl"
 )
 
 // Per-round client sampling. At production scale only a fraction of the
@@ -20,15 +22,6 @@ import (
 // order is a permutation of the whole eligible set, cohort and replacement
 // queue come from one deterministic draw.
 
-// samplerMix is the SplitMix64 finalizer, the same mixing the repo's other
-// seeded components use.
-func samplerMix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // SampleOrder returns the eligible client ids in the deterministic sampling
 // order for (seed, round). The result depends only on seed, round, and the
 // *set* of ids (the input order is normalized away and the input slice is
@@ -39,7 +32,7 @@ func SampleOrder(seed int64, round int, ids []int) []int {
 	sort.Ints(order)
 	// Mix round into the seed so per-round orders are independent draws,
 	// then drive a seeded Fisher-Yates shuffle.
-	mixed := samplerMix(uint64(seed) ^ samplerMix(uint64(round)+0x51a4ed55))
+	mixed := fl.Mix64(uint64(seed) ^ fl.Mix64(uint64(round)+0x51a4ed55))
 	rng := rand.New(rand.NewSource(int64(mixed)))
 	rng.Shuffle(len(order), func(i, j int) {
 		order[i], order[j] = order[j], order[i]

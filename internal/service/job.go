@@ -55,16 +55,15 @@ type JobStatus struct {
 	Spec   JobSpec           `json:"spec"`
 }
 
-// Job supervises one federation: the flnet server, its connListener fed
-// by the front door, its job-labeled telemetry registry, and the
-// lifecycle state machine. All mutable fields are guarded by mu; the run
+// Job supervises one federation: the flnet server, its in-memory
+// listener fed by the front door, its job-labeled telemetry registry, and
+// the lifecycle state machine. All mutable fields are guarded by mu; the run
 // goroutine owns srv.Run and reports back through runExit.
 type Job struct {
 	spec     JobSpec
 	reg      *telemetry.Registry
 	builder  Builder
 	ckptPath string
-	backlog  int
 	logf     func(format string, args ...any)
 	// onChange is called (without mu held) after every state
 	// transition so the service can persist the manifest.
@@ -73,7 +72,7 @@ type Job struct {
 	mu     sync.Mutex
 	state  JobState
 	detail string
-	ln     *connListener
+	ln     *flnet.MemListener
 	srv    *flnet.Server
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the run goroutine exits; nil when idle
@@ -86,7 +85,7 @@ type Job struct {
 	suspending bool
 }
 
-func newJob(spec JobSpec, builder Builder, stateDir string, backlog int, logf func(string, ...any), onChange func()) *Job {
+func newJob(spec JobSpec, builder Builder, stateDir string, logf func(string, ...any), onChange func()) *Job {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -98,7 +97,6 @@ func newJob(spec JobSpec, builder Builder, stateDir string, backlog int, logf fu
 		reg:      telemetry.NewLabeledRegistry("job", spec.Name),
 		builder:  builder,
 		ckptPath: filepath.Join(stateDir, spec.Name+".ckpt"),
-		backlog:  backlog,
 		logf:     logf,
 		onChange: onChange,
 		state:    JobCreated,
@@ -134,7 +132,7 @@ func (j *Job) start() error {
 	if err != nil {
 		return fmt.Errorf("service: job %q: %w", j.spec.Name, err)
 	}
-	ln := newConnListener(spec.Name, j.backlog)
+	ln := flnet.ListenMem(jobBacklog)
 	name := spec.Name
 	logf := j.logf
 	srv, err := flnet.NewServer(flnet.ServerConfig{

@@ -1,164 +1,6 @@
 package service
 
-import (
-	"errors"
-	"net"
-	"sync"
-	"time"
-)
-
-// ErrJobListenerClosed is returned by connListener.Accept and Push after
-// Close.
-var ErrJobListenerClosed = errors.New("service: job listener closed")
-
-// ErrBacklogFull is returned by Push when the job's pending-connection
-// backlog is full — the front door turns this into backpressure (a drain
-// notice telling the client to retry) instead of queueing unboundedly.
-var ErrBacklogFull = errors.New("service: job connection backlog full")
-
-// acceptTimeoutError satisfies net.Error with Timeout() true so flnet's
-// registration loop treats a deadline expiry on a job listener exactly
-// like one on a *net.TCPListener.
-type acceptTimeoutError struct{}
-
-func (acceptTimeoutError) Error() string   { return "service: accept deadline exceeded" }
-func (acceptTimeoutError) Timeout() bool   { return true }
-func (acceptTimeoutError) Temporary() bool { return true }
-
-type jobAddr struct{ job string }
-
-func (jobAddr) Network() string  { return "svc" }
-func (a jobAddr) String() string { return "job:" + a.job }
-
-// connListener is the net.Listener a job's flnet server accepts from.
-// The service front door demultiplexes the shared listener by Hello job
-// name and Pushes each routed connection here; the bounded backlog is the
-// per-job backpressure boundary. Deadline semantics mirror
-// fleetsim.MemListener so flnet's registration/drain wakeups work
-// unchanged.
-type connListener struct {
-	job    string
-	conns  chan net.Conn
-	closed chan struct{}
-	once   sync.Once
-
-	mu       sync.Mutex
-	deadline time.Time
-	dlCh     chan struct{} // closed and replaced on every SetDeadline
-	// pushClosed gates Push under mu: without it a Push racing Close
-	// could enqueue into the buffered channel after Close has drained
-	// it, stranding that client until its IO timeout.
-	pushClosed bool
-}
-
-var _ net.Listener = (*connListener)(nil)
-
-func newConnListener(job string, backlog int) *connListener {
-	if backlog < 1 {
-		backlog = 1
-	}
-	return &connListener{
-		job:    job,
-		conns:  make(chan net.Conn, backlog),
-		closed: make(chan struct{}),
-		dlCh:   make(chan struct{}),
-	}
-}
-
-// Push hands a routed connection to the job without blocking: a full
-// backlog is the caller's signal to shed the client rather than stall the
-// shared accept path behind one slow job.
-func (l *connListener) Push(conn net.Conn) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.pushClosed {
-		return ErrJobListenerClosed
-	}
-	select {
-	case l.conns <- conn:
-		return nil
-	default:
-		return ErrBacklogFull
-	}
-}
-
-// Accept implements net.Listener, honoring the deadline set via
-// SetDeadline (expiry returns a net.Error with Timeout() true).
-func (l *connListener) Accept() (net.Conn, error) {
-	for {
-		select {
-		case <-l.closed:
-			return nil, ErrJobListenerClosed
-		default:
-		}
-		l.mu.Lock()
-		deadline := l.deadline
-		changed := l.dlCh
-		l.mu.Unlock()
-
-		var timeout <-chan time.Time
-		var timer *time.Timer
-		if !deadline.IsZero() {
-			wait := time.Until(deadline)
-			if wait <= 0 {
-				return nil, acceptTimeoutError{}
-			}
-			timer = time.NewTimer(wait)
-			timeout = timer.C
-		}
-		select {
-		case conn := <-l.conns:
-			if timer != nil {
-				timer.Stop()
-			}
-			return conn, nil
-		case <-l.closed:
-			if timer != nil {
-				timer.Stop()
-			}
-			return nil, ErrJobListenerClosed
-		case <-timeout:
-			return nil, acceptTimeoutError{}
-		case <-changed:
-			// Deadline replaced (possibly with "now" to force a wakeup, as
-			// flnet's drain path does); recompute and wait again.
-			if timer != nil {
-				timer.Stop()
-			}
-		}
-	}
-}
-
-// SetDeadline implements the optional listener-deadline interface flnet's
-// registration phase relies on, waking any blocked Accept.
-func (l *connListener) SetDeadline(t time.Time) error {
-	l.mu.Lock()
-	l.deadline = t
-	close(l.dlCh)
-	l.dlCh = make(chan struct{})
-	l.mu.Unlock()
-	return nil
-}
-
-// Close implements net.Listener. Queued-but-unaccepted connections are
-// closed so their clients' reads fail fast instead of timing out.
-func (l *connListener) Close() error {
-	l.mu.Lock()
-	l.pushClosed = true
-	l.mu.Unlock()
-	l.once.Do(func() { close(l.closed) })
-	for {
-		select {
-		case conn := <-l.conns:
-			conn.Close()
-		default:
-			return nil
-		}
-	}
-}
-
-// Addr implements net.Listener.
-func (l *connListener) Addr() net.Addr { return jobAddr{job: l.job} }
+import "net"
 
 // prefixConn replays the bytes the front door already consumed (the
 // client's Hello frame) before reading from the underlying connection, so

@@ -42,6 +42,24 @@ var ErrJobNotFound = errors.New("service: job not found")
 // ErrJobExists is returned by CreateJob for a duplicate job name.
 var ErrJobExists = errors.New("service: job already exists")
 
+// Front-door admission policy.
+const (
+	// jobBacklog bounds each job's pending-connection queue; a full backlog
+	// sheds new clients with a retry notice instead of stalling the shared
+	// accept path.
+	jobBacklog = 16
+	// clientRate is the sustained per-(job, client) hello admission rate
+	// per second and clientBurst the burst allowance: reconnect storms from
+	// one client are absorbed here, before they can occupy a job's backlog.
+	clientRate  = 10
+	clientBurst = 20
+	// helloTimeout bounds how long the front door waits for a connection's
+	// first frame before dropping it.
+	helloTimeout = 5 * time.Second
+	// retryAfter is the back-off suggested to shed clients.
+	retryAfter = 500 * time.Millisecond
+)
+
 // Options configures a Service.
 type Options struct {
 	// Listener is the shared client-facing listener. When nil, Addr is
@@ -54,22 +72,6 @@ type Options struct {
 	StateDir string
 	// Builder constructs each job's defense and initial model state.
 	Builder Builder
-	// Backlog bounds each job's pending-connection queue; a full backlog
-	// sheds new clients with a retry notice instead of stalling the
-	// shared accept path. 0 means 16.
-	Backlog int
-	// ClientRate is the sustained per-(job, client) hello admission rate
-	// per second; ClientBurst is the burst allowance. 0 means 10 and 20.
-	// Reconnect storms from one client are absorbed here, before they
-	// can occupy a job's backlog.
-	ClientRate  float64
-	ClientBurst int
-	// HelloTimeout bounds how long the front door waits for a
-	// connection's first frame before dropping it. 0 means 5s.
-	HelloTimeout time.Duration
-	// RetryAfter is the back-off suggested to shed clients. 0 means
-	// 500ms.
-	RetryAfter time.Duration
 	// Logf receives control-plane progress lines (optional).
 	Logf func(format string, args ...any)
 }
@@ -110,21 +112,6 @@ func New(opts Options) (*Service, error) {
 	if err := os.MkdirAll(opts.StateDir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: state dir: %w", err)
 	}
-	if opts.Backlog <= 0 {
-		opts.Backlog = 16
-	}
-	if opts.ClientRate <= 0 {
-		opts.ClientRate = 10
-	}
-	if opts.ClientBurst <= 0 {
-		opts.ClientBurst = 20
-	}
-	if opts.HelloTimeout <= 0 {
-		opts.HelloTimeout = 5 * time.Second
-	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = 500 * time.Millisecond
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -141,7 +128,7 @@ func New(opts Options) (*Service, error) {
 		opts:       opts,
 		ln:         ln,
 		logf:       logf,
-		limiter:    newRateLimiter(opts.ClientRate, opts.ClientBurst),
+		limiter:    &rateLimiter{buckets: make(map[string]*bucket)},
 		jobs:       make(map[string]*Job),
 		acceptDone: make(chan struct{}),
 	}
@@ -239,7 +226,7 @@ func (s *Service) adoptManifest() error {
 			s.logf("service: manifest: skipping invalid job %q: %v", entry.Spec.Name, err)
 			continue
 		}
-		j := newJob(entry.Spec, s.opts.Builder, s.opts.StateDir, s.opts.Backlog, s.logf, s.persistManifest)
+		j := newJob(entry.Spec, s.opts.Builder, s.opts.StateDir, s.logf, s.persistManifest)
 		s.mu.Lock()
 		s.jobs[j.Name()] = j
 		s.order = append(s.order, j.Name())
@@ -282,7 +269,7 @@ func (s *Service) CreateJob(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
 	}
-	j := newJob(spec, s.opts.Builder, s.opts.StateDir, s.opts.Backlog, s.logf, s.persistManifest)
+	j := newJob(spec, s.opts.Builder, s.opts.StateDir, s.logf, s.persistManifest)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -452,7 +439,7 @@ func (s *Service) reject(conn net.Conn, msg *flnet.Message) {
 // off and redial instead of hammering.
 func (s *Service) route(conn net.Conn) {
 	defer s.routeWG.Done()
-	conn.SetReadDeadline(time.Now().Add(s.opts.HelloTimeout)) //nolint:errcheck
+	conn.SetReadDeadline(time.Now().Add(helloTimeout)) //nolint:errcheck
 	// The parser consumes exactly one frame, so the tee holds the Hello's
 	// bytes verbatim for the job's own registration to read again.
 	var raw bytes.Buffer
@@ -482,7 +469,7 @@ func (s *Service) route(conn net.Conn) {
 
 	if !s.limiter.allow(name+"/"+strconv.Itoa(hello.ClientID), time.Now()) {
 		telRateLimited.Inc()
-		s.reject(conn, &flnet.Message{Kind: flnet.KindDrain, RetryAfterMs: int(s.opts.RetryAfter / time.Millisecond)})
+		s.reject(conn, &flnet.Message{Kind: flnet.KindDrain, RetryAfterMs: int(retryAfter / time.Millisecond)})
 		return
 	}
 
@@ -496,9 +483,9 @@ func (s *Service) route(conn net.Conn) {
 	switch {
 	case err == nil:
 		telRouted.Inc()
-	case errors.Is(err, ErrBacklogFull):
+	case errors.Is(err, flnet.ErrBacklogFull):
 		telRouteShed.Inc()
-		s.reject(conn, &flnet.Message{Kind: flnet.KindDrain, RetryAfterMs: int(s.opts.RetryAfter / time.Millisecond)})
+		s.reject(conn, &flnet.Message{Kind: flnet.KindDrain, RetryAfterMs: int(retryAfter / time.Millisecond)})
 	default:
 		telRouteRejected.Inc()
 		s.reject(conn, &flnet.Message{Kind: flnet.KindError, Err: "service: job " + name + " not accepting clients"})
@@ -621,9 +608,6 @@ func (s *Service) markClosed() {
 // momentary over-admission for a hard memory ceiling under client-ID
 // churn.
 type rateLimiter struct {
-	rate  float64
-	burst float64
-
 	mu      sync.Mutex
 	buckets map[string]*bucket
 }
@@ -635,14 +619,6 @@ type bucket struct {
 
 const maxBuckets = 8192
 
-func newRateLimiter(rate float64, burst int) *rateLimiter {
-	return &rateLimiter{
-		rate:    rate,
-		burst:   float64(burst),
-		buckets: make(map[string]*bucket),
-	}
-}
-
 func (l *rateLimiter) allow(key string, now time.Time) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -651,13 +627,10 @@ func (l *rateLimiter) allow(key string, now time.Time) bool {
 		if len(l.buckets) >= maxBuckets {
 			l.evictStalest(now)
 		}
-		b = &bucket{tokens: l.burst, last: now}
+		b = &bucket{tokens: clientBurst, last: now}
 		l.buckets[key] = b
 	}
-	b.tokens += now.Sub(b.last).Seconds() * l.rate
-	if b.tokens > l.burst {
-		b.tokens = l.burst
-	}
+	b.tokens = min(b.tokens+now.Sub(b.last).Seconds()*clientRate, clientBurst)
 	b.last = now
 	if b.tokens < 1 {
 		return false

@@ -61,7 +61,7 @@ func jobDim(spec JobSpec) int {
 }
 
 // runFleet drives spec.Clients simulated clients for the named job.
-func runFleet(ctx context.Context, spec JobSpec, dial func() (net.Conn, error)) *fleetsim.Stats {
+func runFleet(ctx context.Context, spec JobSpec, dial func(context.Context) (net.Conn, error)) *fleetsim.Stats {
 	fleet := &fleetsim.Fleet{
 		N:    spec.Clients,
 		Dim:  jobDim(spec),
@@ -82,7 +82,7 @@ func referenceFinal(t *testing.T, spec JobSpec) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := fleetsim.Listen(ref.Clients)
+	mem := flnet.ListenMem(ref.Clients)
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		NumClients:        ref.Clients,
 		MinClients:        ref.MinClients,
@@ -164,7 +164,7 @@ func equalVec(a, b []float64) bool {
 // single-tenant run of the same federation.
 func TestServiceConcurrentJobs(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
-	mem := fleetsim.Listen(64)
+	mem := flnet.ListenMem(64)
 	svc := newTestService(t, t.TempDir(), mem)
 	api := httptest.NewServer(svc.AdminMux())
 	defer api.Close()
@@ -247,24 +247,13 @@ func TestServiceRollingRestart(t *testing.T) {
 		{Name: "joby", Dataset: "synth", Clients: 3, Rounds: 8, Seed: 6, Records: 8, Pipeline: true},
 	}
 
-	var front atomic.Pointer[fleetsim.MemListener]
-	front.Store(fleetsim.Listen(32))
-	// dial survives the restart gap: a closed front door is retried until
-	// the next generation's listener is swapped in.
+	var front atomic.Pointer[flnet.MemListener]
+	front.Store(flnet.ListenMem(32))
+	// A closed front door fails the dial; the clients' retry budget rides
+	// out the gap until the next generation's listener is swapped in.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	dial := func() (net.Conn, error) {
-		for {
-			conn, err := front.Load().Dial()
-			if err == nil {
-				return conn, nil
-			}
-			if ctx.Err() != nil {
-				return nil, err
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
+	dial := func(ctx context.Context) (net.Conn, error) { return front.Load().Dial(ctx) }
 
 	svc1 := newTestService(t, stateDir, front.Load())
 	for _, spec := range specs {
@@ -318,7 +307,7 @@ func TestServiceRollingRestart(t *testing.T) {
 	drainCancel()
 
 	// Next process generation: same state dir, fresh front door.
-	front.Store(fleetsim.Listen(32))
+	front.Store(flnet.ListenMem(32))
 	svc2 := newTestService(t, stateDir, front.Load())
 	for _, spec := range specs {
 		st := waitState(t, svc2, spec.Name, JobRunning, 30*time.Second)
@@ -346,7 +335,7 @@ func TestServiceRollingRestart(t *testing.T) {
 // service; the goroutine count must return to baseline.
 func TestJobChurnLeakHammer(t *testing.T) {
 	chaos.GuardTest(t, 10*time.Second)
-	mem := fleetsim.Listen(32)
+	mem := flnet.ListenMem(32)
 	svc := newTestService(t, t.TempDir(), mem)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -393,7 +382,7 @@ func TestJobChurnLeakHammer(t *testing.T) {
 // specs are refused with typed 400 bodies before any job state exists.
 func TestAdminAPIValidation(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
-	mem := fleetsim.Listen(8)
+	mem := flnet.ListenMem(8)
 	svc := newTestService(t, t.TempDir(), mem)
 	api := httptest.NewServer(svc.AdminMux())
 	defer api.Close()
@@ -488,39 +477,38 @@ func TestAdminAPIValidation(t *testing.T) {
 	resp.Body.Close()
 }
 
+// sendHello dials the front door and writes one hand-made Hello; the caller
+// reads (or ignores) what comes back and closes the connection.
+func sendHello(t *testing.T, front *flnet.MemListener, job string, id int, caps uint32) net.Conn {
+	t.Helper()
+	conn, err := front.Dial(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	err = flnet.WriteMessage(conn, &flnet.Message{
+		Kind: flnet.KindHello, ClientID: id, Version: flnet.ProtocolVersion, LastRound: -1, Job: job, WireCaps: caps,
+	})
+	if err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	return conn
+}
+
 // TestFrontDoorRateLimitAndRouting covers the shared accept path:
 // per-client token buckets shed hello storms with drain notices, unknown
 // jobs are refused with typed errors, and a job-unaware client is routed
 // iff exactly one job exists.
 func TestFrontDoorRateLimitAndRouting(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
-	mem := fleetsim.Listen(16)
-	svc, err := New(Options{
-		Listener:    mem,
-		StateDir:    t.TempDir(),
-		Builder:     testBuilder(),
-		ClientRate:  0.001,
-		ClientBurst: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	mem := flnet.ListenMem(16)
+	svc := newTestService(t, t.TempDir(), mem)
 
 	hello := func(job string, id int) *flnet.Message {
 		t.Helper()
-		conn, err := mem.Dial()
-		if err != nil {
-			t.Fatal(err)
-		}
+		conn := sendHello(t, mem, job, id, 0)
 		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(10 * time.Second))
-		err = flnet.WriteMessage(conn, &flnet.Message{
-			Kind: flnet.KindHello, ClientID: id, Version: flnet.ProtocolVersion, LastRound: -1, Job: job,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		reply, err := flnet.ReadMessage(conn)
 		if err != nil {
 			t.Fatal(err)
@@ -528,16 +516,24 @@ func TestFrontDoorRateLimitAndRouting(t *testing.T) {
 		return reply
 	}
 
-	// Burst of 2 admitted (as unknown-job errors), then rate limited.
-	for i := 0; i < 2; i++ {
+	// The whole burst is admitted (as unknown-job errors); the storm past it
+	// is rate limited. The bucket refills at clientRate, so on a host that
+	// takes a tenth of a second per hello the drain may come a few hellos
+	// after the burst — but it must come.
+	for i := 0; i < clientBurst; i++ {
 		if reply := hello("ghost", 7); reply.Kind != flnet.KindError {
 			t.Fatalf("hello %d: got %v frame, want error (unknown job)", i, reply.Kind)
 		}
 	}
-	if reply := hello("ghost", 7); reply.Kind != flnet.KindDrain {
-		t.Fatalf("third hello: got %v frame, want drain (rate limited)", reply.Kind)
-	} else if reply.RetryAfterMs <= 0 {
-		t.Fatalf("rate-limit drain carries no RetryAfterMs")
+	limited := false
+	for i := 0; i <= clientBurst && !limited; i++ {
+		reply := hello("ghost", 7)
+		if limited = reply.Kind == flnet.KindDrain; limited && reply.RetryAfterMs <= 0 {
+			t.Fatalf("rate-limit drain carries no RetryAfterMs")
+		}
+	}
+	if !limited {
+		t.Fatalf("%d hellos past the burst of %d, none rate limited", clientBurst+1, clientBurst)
 	}
 	// A different client id has its own bucket.
 	if reply := hello("ghost", 8); reply.Kind != flnet.KindError {
@@ -564,11 +560,68 @@ func TestFrontDoorRateLimitAndRouting(t *testing.T) {
 	waitState(t, svc, "solo", JobDone, 30*time.Second)
 }
 
+// TestFrontDoorShedsOnFullBacklog covers the per-job backpressure boundary:
+// a job whose server has stopped accepting fills its backlog, the next
+// routed hello is shed with a drain notice (not queued, not dropped), and
+// the shared accept path keeps routing other jobs' clients meanwhile.
+func TestFrontDoorShedsOnFullBacklog(t *testing.T) {
+	chaos.GuardTest(t, 5*time.Second)
+	mem := flnet.ListenMem(64)
+	svc := newTestService(t, t.TempDir(), mem)
+	stuck := JobSpec{Name: "stuck", Dataset: "synth", Clients: 2 * jobBacklog, Rounds: 1, Seed: 1, Records: 4}
+	quick := JobSpec{Name: "quick", Dataset: "synth", Clients: 1, Rounds: 1, Seed: 2, Records: 4}
+	for _, spec := range []JobSpec{stuck, quick} {
+		if _, err := svc.CreateJob(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Registration is synchronous until the cohort forms, and a pipe write
+	// blocks until it is read: a registrant that asks for the codec ack and
+	// reads one byte of it pins the job's accept loop inside that write.
+	staller := sendHello(t, mem, stuck.Name, 0, flnet.ClientCaps)
+	defer staller.Close()
+	if _, err := staller.Read(make([]byte, 1)); err != nil {
+		t.Fatalf("stalling registrant saw no ack: %v", err)
+	}
+
+	routed, shed := telRouted.Value(), telRouteShed.Value()
+	for id := 1; id <= jobBacklog; id++ {
+		defer sendHello(t, mem, stuck.Name, id, 0).Close()
+	}
+	for deadline := time.Now().Add(10 * time.Second); telRouted.Value() < routed+jobBacklog; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d hellos queued in the job's backlog", telRouted.Value()-routed, jobBacklog)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	overflow := sendHello(t, mem, stuck.Name, jobBacklog+1, 0)
+	defer overflow.Close()
+	reply, err := flnet.ReadMessage(overflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Kind != flnet.KindDrain || reply.RetryAfterMs <= 0 {
+		t.Fatalf("hello past a full backlog got %v (retry after %d ms), want a drain notice with a back-off", reply.Kind, reply.RetryAfterMs)
+	}
+	if got := telRouteShed.Value() - shed; got != 1 {
+		t.Fatalf("dinar_service_route_shed_total moved by %d, want 1", got)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if stats := runFleet(ctx, quick, mem.Dial); stats.Done.Load() != 1 {
+		t.Fatalf("second job's client did not finish behind the first job's full backlog")
+	}
+	waitState(t, svc, quick.Name, JobDone, 10*time.Second)
+}
+
 // TestPauseResume exercises the lifecycle detour: a paused job parks
 // with its checkpoints, refuses clients, and resumes bit-identically.
 func TestPauseResume(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
-	mem := fleetsim.Listen(16)
+	mem := flnet.ListenMem(16)
 	svc := newTestService(t, t.TempDir(), mem)
 	spec := JobSpec{Name: "parky", Dataset: "synth", Clients: 3, Rounds: 6, Seed: 9, Records: 8}
 	if _, err := svc.CreateJob(spec); err != nil {

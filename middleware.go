@@ -104,27 +104,41 @@ type MiddlewareServer struct {
 	admin *telemetry.AdminServer
 }
 
+// buildServerSide is the server half of a federation as cfg (defaults
+// applied) describes it: the dataset's model, seeded, and the configured
+// defense, wrapped in the configured aggregation rule and bound to that
+// model. It returns the defense and the initial global state. The
+// single-tenant server and a service-mode job both start from this one
+// construction, which is what keeps them bit-identical.
+func buildServerSide(cfg Config) (fl.Defense, []float64, error) {
+	spec, err := data.Lookup(cfg.Dataset)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := model.Build(spec, rand.New(rand.NewSource(cfg.Seed+2)))
+	if err != nil {
+		return nil, nil, err
+	}
+	def, err := defense.New(cfg.Defense, cfg.Seed+7, cfg.Clients)
+	if err != nil {
+		return nil, nil, err
+	}
+	def, err = fl.WithAggregator(def, cfg.Aggregator, cfg.MaxByzantine)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := def.Bind(fl.InfoOf(m)); err != nil {
+		return nil, nil, err
+	}
+	return def, m.StateVector(), nil
+}
+
 // NewMiddlewareServer builds the initial global model for the configured
 // dataset and starts listening.
 func NewMiddlewareServer(opts ServerOptions) (*MiddlewareServer, error) {
 	cfg := opts.Config.withDefaults()
-	spec, err := data.Lookup(cfg.Dataset)
+	def, initial, err := buildServerSide(cfg)
 	if err != nil {
-		return nil, err
-	}
-	m, err := model.Build(spec, rand.New(rand.NewSource(cfg.Seed+2)))
-	if err != nil {
-		return nil, err
-	}
-	def, err := defense.New(cfg.Defense, cfg.Seed+7, cfg.Clients)
-	if err != nil {
-		return nil, err
-	}
-	def, err = fl.WithAggregator(def, cfg.Aggregator, cfg.MaxByzantine)
-	if err != nil {
-		return nil, err
-	}
-	if err := def.Bind(fl.InfoOf(m)); err != nil {
 		return nil, err
 	}
 	srv, err := flnet.NewServer(flnet.ServerConfig{
@@ -150,7 +164,7 @@ func NewMiddlewareServer(opts ServerOptions) (*MiddlewareServer, error) {
 		QuantSeedDefault: cfg.Seed,
 		Pipeline:         opts.Pipeline,
 		Defense:          def,
-		InitialState:     m.StateVector(),
+		InitialState:     initial,
 		CheckpointPath:   opts.CheckpointPath,
 		Dataset:          cfg.Dataset,
 		NoScreen:         opts.NoScreen,

@@ -1,23 +1,18 @@
 package dinar
 
 import (
-	"math/rand"
-
-	"repro/internal/data"
-	"repro/internal/defense"
 	"repro/internal/fl"
-	"repro/internal/model"
 	"repro/internal/service"
 )
 
 // JobBuilder adapts this package's model/defense construction to the
 // multi-tenant control plane: given a job spec it builds the dataset's
 // model, seeds and binds the configured defense, and returns the initial
-// global state — exactly the construction a single-tenant
-// NewMiddlewareServer performs, so a job's federation is bit-identical
-// to a standalone server with the same configuration. The spec is
-// normalized in place (defense/dataset/aggregator defaults) so the job's
-// flnet server and its clients derive the same configuration.
+// global state — through buildServerSide, the construction a
+// single-tenant NewMiddlewareServer performs, so a job's federation is
+// bit-identical to a standalone server with the same configuration. The
+// spec is normalized in place (defense/dataset/aggregator defaults) so the
+// job's flnet server and its clients derive the same configuration.
 func JobBuilder() service.Builder {
 	return func(spec *service.JobSpec) (fl.Defense, []float64, error) {
 		cfg := Config{
@@ -33,26 +28,6 @@ func JobBuilder() service.Builder {
 		spec.Dataset = cfg.Dataset
 		spec.Defense = cfg.Defense
 		spec.Aggregator = cfg.Aggregator
-
-		dspec, err := data.Lookup(cfg.Dataset)
-		if err != nil {
-			return nil, nil, err
-		}
-		m, err := model.Build(dspec, rand.New(rand.NewSource(cfg.Seed+2)))
-		if err != nil {
-			return nil, nil, err
-		}
-		def, err := defense.New(cfg.Defense, cfg.Seed+7, cfg.Clients)
-		if err != nil {
-			return nil, nil, err
-		}
-		def, err = fl.WithAggregator(def, cfg.Aggregator, cfg.MaxByzantine)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := def.Bind(fl.InfoOf(m)); err != nil {
-			return nil, nil, err
-		}
-		return def, m.StateVector(), nil
+		return buildServerSide(cfg)
 	}
 }
