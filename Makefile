@@ -5,9 +5,9 @@
 #   make race       - full suite under the race detector (slow)
 #   make adversary  - Byzantine defense matrix (screen, aggregators,
 #                     poisoning suite, networked quarantine) under -race
-#   make alloc      - allocation-regression guard: the training hot path
-#                     and the reusable quantized-delta encoder must stay
-#                     zero-allocation in steady state
+#   make alloc      - allocation-regression guard: the training hot path,
+#                     the reusable quantized-delta encoder and the exact
+#                     FedAvg fold must stay zero-allocation in steady state
 #   make parallel   - compute-pool guards: pool invariants plus the
 #                     serial-vs-parallel bit-identity property tests,
 #                     under -race
@@ -66,7 +66,9 @@
 #   make check      - everything above (but loc, which gates nothing)
 #   make fuzz       - short fuzz pass over the frame parser and the Hello
 #                     parser, the top-k delta encoder against
-#                     its sort oracle, the update screen, the /healthz
+#                     its sort oracle, the exact accumulator's bit-extracting
+#                     conversion against its Frexp oracle, the update
+#                     screen, the /healthz
 #                     JSON round trip, the checkpoint envelope (CRC +
 #                     corruption invariants) and payload decoders, the
 #                     blocked-GEMM shape
@@ -100,7 +102,7 @@ adversary:
 alloc:
 	$(GO) test ./internal/nn/ -run 'TestSteadyStateZeroAllocs|TestMatMulSteadyStateZeroAllocs' -v
 	$(GO) test ./internal/tensor/ -run TestWorkspaceSteadyStateAllocs -v
-	$(GO) test ./internal/fl/ -run TestDeltaEncoderSteadyStateAllocs -v
+	$(GO) test ./internal/fl/ -run 'TestDeltaEncoderSteadyStateAllocs|TestStreamingFedAvgSteadyStateAllocs' -v
 
 parallel:
 	$(GO) test -race ./internal/parallel/
@@ -170,6 +172,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzHandshake -fuzztime=30s ./internal/flnet/
 	$(GO) test -run=NONE -fuzz=FuzzScreen -fuzztime=30s ./internal/fl/
 	$(GO) test -run=NONE -fuzz=FuzzEncodeDeltaTopK -fuzztime=30s ./internal/fl/
+	$(GO) test -run=NONE -fuzz=FuzzFixFromFloat -fuzztime=30s ./internal/fl/
 	$(GO) test -run=NONE -fuzz=FuzzHealthJSON -fuzztime=30s ./internal/telemetry/
 	$(GO) test -run=NONE -fuzz=FuzzEnvelope$$ -fuzztime=30s ./internal/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzEnvelopeCorruption -fuzztime=30s ./internal/checkpoint/

@@ -243,6 +243,8 @@ var suite = []suiteEntry{
 	{"bytes_per_round", benchBytesPerRound},
 	{"quant_encode_topk", benchQuantEncode(0.1)},
 	{"quant_encode_dense", benchQuantEncode(0)},
+	{"exact_fold", benchExactFold},
+	{"exact_finalize", benchExactFinalize},
 	{"fig4_per_layer_protection", func(b *testing.B) {
 		o := experiment.QuickOptions()
 		o.UseShadowAttack = false

@@ -90,6 +90,58 @@ func benchQuantEncode(topK float64) func(b *testing.B) {
 	}
 }
 
+// exactUpdates is the cohort the exact-accumulator benches fold: two
+// quantDim-sized clients with unequal sample counts, the shape of every
+// FCNN6 workload of the round benchmark.
+func exactUpdates() []*fl.Update {
+	return []*fl.Update{
+		{ClientID: 0, NumSamples: 300, State: fleetsim.SynthState(17, 0, 1, quantDim, nil)},
+		{ClientID: 1, NumSamples: 200, State: fleetsim.SynthState(17, 1, 1, quantDim, nil)},
+	}
+}
+
+// benchExactFold times the fold half of one FedAvg round on a reused
+// aggregator: Begin (the accumulator reset) and one Fold per update.
+func benchExactFold(b *testing.B) {
+	ups := exactUpdates()
+	agg := fl.NewStreamingFedAvg()
+	fold := func() {
+		agg.Begin(0, ups[0].State)
+		for _, u := range ups {
+			if err := agg.Fold(u); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	fold() // sizes the accumulator
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fold()
+	}
+	b.SetBytes(int64(8 * quantDim * len(ups)))
+}
+
+// benchExactFinalize times the other half: rounding the folded accumulator
+// into the next global state (Finalize leaves the accumulator as it found
+// it, so one folded round serves every iteration).
+func benchExactFinalize(b *testing.B) {
+	agg := fl.NewStreamingFedAvg()
+	for _, u := range exactUpdates() {
+		if err := agg.Fold(u); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := agg.Finalize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(8 * quantDim))
+}
+
 // benchBytesPerRound measures bytes on the wire per federation round with
 // the full codec stack on (flate + int8 quantized uploads + delta
 // broadcasts): the same sampled streaming federation as round_throughput,

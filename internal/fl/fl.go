@@ -18,6 +18,7 @@ package fl
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/nn"
 )
@@ -119,6 +120,12 @@ func DefaultLearningRate(dataset, optimizer string) float64 {
 	return 0.2
 }
 
+// fedAvgPool recycles the batch path's aggregator, so a federation that
+// calls FedAvg every round zeroes one accumulator instead of allocating 17
+// bytes per coordinate afresh. Finalize returns a new slice, so nothing a
+// caller holds aliases a pooled aggregator.
+var fedAvgPool = sync.Pool{New: func() any { return new(StreamingFedAvg) }}
+
 // FedAvg computes the sample-count-weighted average of the updates' state
 // vectors — the classical aggregation rule of McMahan et al. A zero total
 // weight falls back to the unweighted mean; stale updates (Update.Staleness
@@ -133,7 +140,9 @@ func FedAvg(updates []*Update) ([]float64, error) {
 	if len(updates) == 0 {
 		return nil, fmt.Errorf("fl: FedAvg of zero updates")
 	}
-	agg := NewStreamingFedAvg()
+	agg := fedAvgPool.Get().(*StreamingFedAvg)
+	defer fedAvgPool.Put(agg)
+	agg.Begin(0, nil)
 	for _, u := range updates {
 		if err := agg.Fold(u); err != nil {
 			return nil, err

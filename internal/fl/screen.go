@@ -286,7 +286,8 @@ func (s *Screen) one(report *ScreenReport, round int, prevGlobal []float64, u *U
 		s.tel.ScreenQuarantined.Inc()
 		return nil, OfferQuarantined
 	}
-	if reason := s.validate(prevGlobal, u); reason != "" {
+	norm, reason := s.validate(prevGlobal, u)
+	if reason != "" {
 		report.Rejected = append(report.Rejected, ScreenVerdict{ClientID: u.ClientID, Reason: reason})
 		if s.reject(u.ClientID, round) {
 			report.NewlyQuarantined = append(report.NewlyQuarantined, u.ClientID)
@@ -296,7 +297,7 @@ func (s *Screen) one(report *ScreenReport, round int, prevGlobal []float64, u *U
 	}
 	report.Accepted = append(report.Accepted, u.ClientID)
 	s.tel.ScreenAccepted.Inc()
-	su := s.clip(prevGlobal, u)
+	su := s.clip(prevGlobal, u, norm)
 	if su == u {
 		return u, OfferAccepted
 	}
@@ -306,37 +307,40 @@ func (s *Screen) one(report *ScreenReport, round int, prevGlobal []float64, u *U
 }
 
 // validate returns a rejection reason, or "" for a structurally sound
-// update. Callers hold s.mu.
-func (s *Screen) validate(prevGlobal []float64, u *Update) string {
+// update, and with ClipNorms the update's delta norm — computed here once,
+// for the reject bound and for clip. Callers hold s.mu.
+func (s *Screen) validate(prevGlobal []float64, u *Update) (norm float64, reason string) {
 	if len(u.State) != len(prevGlobal) {
-		return fmt.Sprintf("state has %d values, want %d", len(u.State), len(prevGlobal))
+		return 0, fmt.Sprintf("state has %d values, want %d", len(u.State), len(prevGlobal))
 	}
 	if u.NumSamples < 0 {
-		return fmt.Sprintf("negative sample count %d", u.NumSamples)
+		return 0, fmt.Sprintf("negative sample count %d", u.NumSamples)
 	}
 	if !s.cfg.AllowNonFinite {
 		for i, v := range u.State {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Sprintf("non-finite value %g at coordinate %d", v, i)
+				return 0, fmt.Sprintf("non-finite value %g at coordinate %d", v, i)
 			}
 		}
 	}
-	if s.cfg.ClipNorms && s.calibrated {
-		if norm, bound := DeltaNorm(prevGlobal, u.State), s.cfg.RejectMultiple*s.median; norm > bound {
-			return fmt.Sprintf("delta norm %.4g exceeds reject bound %.4g", norm, bound)
-		}
+	if !s.cfg.ClipNorms {
+		return 0, ""
 	}
-	return ""
+	norm = DeltaNorm(prevGlobal, u.State)
+	if bound := s.cfg.RejectMultiple * s.median; s.calibrated && norm > bound {
+		return norm, fmt.Sprintf("delta norm %.4g exceeds reject bound %.4g", norm, bound)
+	}
+	return norm, ""
 }
 
-// clip applies the round's norm bound to an accepted update — u itself
-// within the bound, a scaled copy past it — and records the accepted norm.
-// Callers hold s.mu.
-func (s *Screen) clip(prevGlobal []float64, u *Update) *Update {
+// clip applies the round's norm bound to an accepted update of delta norm
+// norm — u itself within the bound, a scaled copy past it — and records the
+// accepted norm. Callers hold s.mu.
+func (s *Screen) clip(prevGlobal []float64, u *Update, norm float64) *Update {
 	if !s.cfg.ClipNorms {
 		return u
 	}
-	norm, bound := DeltaNorm(prevGlobal, u.State), s.cfg.NormMultiple*s.median
+	bound := s.cfg.NormMultiple * s.median
 	if !s.calibrated || norm <= bound {
 		s.norms.record(norm)
 		return u

@@ -78,14 +78,20 @@ func StalenessWeight(s int) float64 {
 // over the batch, which is why the two paths agree bit for bit.
 //
 // A zero total weight falls back to the (staleness-weighted) mean of the
-// folded states, preserving classic FedAvg's zero-weight behavior.
+// folded states, preserving classic FedAvg's zero-weight behavior. The mean
+// and the weighted sum share one accumulator: while every weight seen so far
+// is zero it holds Σ x·decay, the numerator of the mean; the first non-zero
+// weight discards that sum (the weighted sum of zero-weight updates is zero,
+// bar the poison a non-finite x leaves, which is kept) and from then on it
+// holds Σ x·w. Fold refuses a negative weight and a non-zero one under
+// 2^-60 (a staleness past 2^60 rounds), so the total is zero exactly while
+// every weight is, and the result is the same in any arrival order.
 type StreamingFedAvg struct {
-	dim      int // -1 until the first fold fixes it
-	weighted *exactVec
-	plain    *exactVec
-	wTotal   fixAcc
-	cTotal   fixAcc
-	count    int
+	dim    int // -1 until the first fold fixes it
+	sum    exactVec
+	wTotal fixAcc
+	cTotal fixAcc
+	count  int
 }
 
 var _ StreamingAggregator = (*StreamingFedAvg)(nil)
@@ -115,19 +121,16 @@ func (a *StreamingFedAvg) Begin(_ int, prevGlobal []float64) {
 
 func (a *StreamingFedAvg) setDim(n int) {
 	a.dim = n
-	if a.weighted == nil {
-		a.weighted = newExactVec(n)
-		a.plain = newExactVec(n)
-		return
-	}
-	a.weighted.reset(n)
-	a.plain.reset(n)
+	a.sum.reset(n)
 }
 
 // Fold implements StreamingAggregator.
 func (a *StreamingFedAvg) Fold(u *Update) error {
 	if u == nil {
 		return fmt.Errorf("fl: fold of nil update")
+	}
+	if u.NumSamples < 0 {
+		return fmt.Errorf("fl: update from client %d has negative sample count %d", u.ClientID, u.NumSamples)
 	}
 	if a.dim < 0 {
 		a.setDim(len(u.State))
@@ -137,11 +140,20 @@ func (a *StreamingFedAvg) Fold(u *Update) error {
 	}
 	decay := StalenessWeight(u.Staleness)
 	w := float64(u.NumSamples) * decay
-	if !a.wTotal.addFloat(w) || !a.cTotal.addFloat(decay) {
+	// A non-zero weight under 2^-60 would add nothing to wTotal, and the
+	// switch below reads wTotal to tell whether every weight so far is zero.
+	tooSmall := w != 0 && w < 1.0/(1<<fixFracBits)
+	wasZero := a.wTotal.isZero()
+	if tooSmall || !a.wTotal.addFloat(w) || !a.cTotal.addFloat(decay) {
 		return fmt.Errorf("fl: update from client %d has unrepresentable weight %g", u.ClientID, w)
 	}
-	a.weighted.addScaled(u.State, w)
-	a.plain.addScaled(u.State, decay)
+	scale := w
+	if a.wTotal.isZero() {
+		scale = decay
+	} else if wasZero && a.count > 0 {
+		a.sum.forgetFinite()
+	}
+	a.sum.addScaled(u.State, scale)
 	a.count++
 	return nil
 }
@@ -154,23 +166,18 @@ func (a *StreamingFedAvg) Finalize() ([]float64, error) {
 	if a.count == 0 {
 		return nil, fmt.Errorf("fl: FedAvg of zero updates")
 	}
-	out := make([]float64, a.dim)
+	div := a.wTotal.float()
 	if a.wTotal.isZero() {
-		a.plain.finalize(a.cTotal.float(), out)
-	} else {
-		a.weighted.finalize(a.wTotal.float(), out)
+		div = a.cTotal.float()
 	}
+	out := make([]float64, a.dim)
+	a.sum.finalize(div, out)
 	return out, nil
 }
 
 // MemoryBytes reports the accumulator footprint (the aggregation
 // peak-memory gauge adds it to the in-flight update payload).
-func (a *StreamingFedAvg) MemoryBytes() int {
-	if a.weighted == nil {
-		return 0
-	}
-	return a.weighted.bytes() + a.plain.bytes() + 2*16
-}
+func (a *StreamingFedAvg) MemoryBytes() int { return a.sum.bytes() + 2*16 }
 
 // StreamingNormBound is the streaming form of norm-bounded averaging: each
 // arriving update's delta (state − prevGlobal) is clipped to
