@@ -6,8 +6,10 @@
 #   make adversary  - Byzantine defense matrix (screen, aggregators,
 #                     poisoning suite, networked quarantine) under -race
 #   make alloc      - allocation-regression guard: the training hot path,
-#                     the reusable quantized-delta encoder and the exact
-#                     FedAvg fold must stay zero-allocation in steady state
+#                     the reusable quantized-delta encoder, the exact
+#                     FedAvg fold and the lossless wire's plane-frame encode
+#                     must stay zero-allocation in steady state (the decode
+#                     allocates only what compress/flate does per stream)
 #   make parallel   - compute-pool guards: pool invariants plus the
 #                     serial-vs-parallel bit-identity property tests,
 #                     under -race
@@ -43,9 +45,11 @@
 #                     session and the server's round loop own their encoder
 #                     scratch; the race detector proves none is shared)
 #   make wirebench  - wire-protocol benchmarks (binary frame encode/decode
-#                     throughput, bytes per federation round with the full
-#                     codec stack, int8 upload encode at the FCNN6 state
-#                     size, top-k and dense), merged into BENCH_hotpath.json
+#                     throughput, the lossless flate+delta encode/decode of a
+#                     captured FCNN6 broadcast and upload with their frame
+#                     sizes, bytes per federation round with the full codec
+#                     stack, int8 upload encode at the FCNN6 state size,
+#                     top-k and dense), merged into BENCH_hotpath.json
 #   make bench-check - perf regression gate: rerun the benchmarks recorded
 #                     in BENCH_hotpath.json and fail past +15% ns/op (or if
 #                     a 0-alloc entry starts allocating); failing entries
@@ -103,6 +107,7 @@ alloc:
 	$(GO) test ./internal/nn/ -run 'TestSteadyStateZeroAllocs|TestMatMulSteadyStateZeroAllocs' -v
 	$(GO) test ./internal/tensor/ -run TestWorkspaceSteadyStateAllocs -v
 	$(GO) test ./internal/fl/ -run 'TestDeltaEncoderSteadyStateAllocs|TestStreamingFedAvgSteadyStateAllocs' -v
+	$(GO) test ./internal/flnet/ -run 'TestPlaneFrameSteadyStateAllocs|TestStatePoolRetainsCohort' -v
 
 parallel:
 	$(GO) test -race ./internal/parallel/
@@ -135,7 +140,7 @@ quant:
 	$(GO) test -race ./internal/fleetsim/ -run 'TestWire|TestFleetGoldenDigests'
 
 wirebench:
-	$(GO) run ./cmd/dinar-bench -only wire_encode,wire_decode,bytes_per_round,quant_encode_topk,quant_encode_dense -json BENCH_hotpath.json
+	$(GO) run ./cmd/dinar-bench -only wire_encode,wire_decode,wire_lossless_encode_global,wire_lossless_decode_global,wire_lossless_encode_update,wire_lossless_decode_update,bytes_per_round,quant_encode_topk,quant_encode_dense -json BENCH_hotpath.json
 
 bench-check:
 	$(GO) run ./cmd/dinar-bench -compare -json BENCH_hotpath.json

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/flnet"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -240,6 +241,10 @@ var suite = []suiteEntry{
 	{"round_throughput", benchRoundThroughput},
 	{"wire_encode", benchWireEncode},
 	{"wire_decode", benchWireDecode},
+	{"wire_lossless_encode_global", benchWireLosslessEncode(flnet.KindGlobal)},
+	{"wire_lossless_decode_global", benchWireLosslessDecode(flnet.KindGlobal)},
+	{"wire_lossless_encode_update", benchWireLosslessEncode(flnet.KindUpdate)},
+	{"wire_lossless_decode_update", benchWireLosslessDecode(flnet.KindUpdate)},
 	{"bytes_per_round", benchBytesPerRound},
 	{"quant_encode_topk", benchQuantEncode(0.1)},
 	{"quant_encode_dense", benchQuantEncode(0)},

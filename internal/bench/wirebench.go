@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -207,4 +209,115 @@ func benchBytesPerRound(b *testing.B) {
 	// once (counting rx too would double every frame).
 	txAfter, _ := flnet.WireBytesTotals()
 	b.ReportMetric(float64(txAfter-txBefore)/float64(b.N), "bytes/round")
+}
+
+// losslessFrames are the inputs of the wire_lossless_* benches: the state
+// the round benchmark's FCNN6 rows put on the lossless wire.
+type losslessFrames struct {
+	prev, next []float64  // the broadcasts of rounds 1 and 2
+	upload     *fl.Update // client 0's round-1 upload, trained from prev
+}
+
+// captureLossless runs two seeded fl.System rounds of purchase100/FCNN6 with
+// the round benchmark's load model (800 records, 2 clients, DINAR + Adagrad,
+// one epoch of batch 64), once per process.
+var captureLossless = sync.OnceValues(func() (*losslessFrames, error) {
+	def, err := defense.New("dinar", 7+7, 2)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := fl.NewSystem(fl.Config{
+		Dataset: "purchase100", Records: 800, Clients: 2, Rounds: 2,
+		LocalEpochs: 1, BatchSize: 64, Optimizer: "adagrad",
+		LearningRate: fl.DefaultLearningRate("purchase100", "adagrad"),
+		Seed:         7,
+	}, def)
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	if _, err := sys.RunRound(ctx); err != nil {
+		return nil, err
+	}
+	in := &losslessFrames{prev: sys.Server.GlobalState()}
+	ups, err := sys.RunRound(ctx)
+	if err != nil {
+		return nil, err
+	}
+	in.upload = ups[0]
+	in.next = sys.Server.GlobalState()
+	return in, nil
+})
+
+// losslessFixture returns what one wire_lossless_* bench runs on: a session
+// codec with the caps the round benchmark's lossless row negotiates,
+// anchored on the captured round-1 broadcast as both ends of such a session
+// are after that round's Global frame; the captured message of the given
+// kind (the round-2 broadcast or client 0's round-1 upload); and its frame.
+func losslessFixture(b *testing.B, kind flnet.Kind) (*flnet.Codec, *flnet.Message, []byte) {
+	in, err := captureLossless()
+	if err != nil {
+		b.Fatal(err)
+	}
+	codec := flnet.NewCodec(flnet.CapBinary|flnet.CapFlate|flnet.CapDelta, 0, 0, func(round int) []float64 {
+		if round == 1 {
+			return in.prev
+		}
+		return nil
+	})
+	msg := &flnet.Message{Kind: kind, Round: 2, State: in.next}
+	if u := in.upload; kind == flnet.KindUpdate {
+		msg = &flnet.Message{Kind: kind, ClientID: u.ClientID, Round: u.Round, State: u.State, NumSamples: u.NumSamples}
+	}
+	var frame bytes.Buffer
+	if err := flnet.WriteMessageWith(&frame, msg, codec); err != nil {
+		b.Fatal(err)
+	}
+	return codec, msg, frame.Bytes()
+}
+
+// benchWireLosslessEncode times WriteMessageWith on a captured FCNN6 frame
+// under flate+delta and publishes the frame's size as "bytes/frame".
+func benchWireLosslessEncode(kind flnet.Kind) func(b *testing.B) {
+	return func(b *testing.B) {
+		codec, msg, frame := losslessFixture(b, kind)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := flnet.WriteMessageWith(io.Discard, msg, codec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(8 * len(msg.State)))
+		b.ReportMetric(float64(len(frame)), "bytes/frame")
+	}
+}
+
+// benchWireLosslessDecode times the matching ReadMessageWith into a reused
+// message, checking once that the frame decodes to the bits it encoded.
+func benchWireLosslessDecode(kind flnet.Kind) func(b *testing.B) {
+	return func(b *testing.B) {
+		codec, msg, frame := losslessFixture(b, kind)
+		var got flnet.Message
+		r := bytes.NewReader(frame)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Reset(frame)
+			if err := flnet.ReadMessageWith(r, &got, codec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.SetBytes(int64(8 * len(msg.State)))
+		b.ReportMetric(float64(len(frame)), "bytes/frame")
+		if len(got.State) != len(msg.State) {
+			b.Fatalf("decoded %d values, want %d", len(got.State), len(msg.State))
+		}
+		for i, v := range msg.State {
+			if math.Float64bits(got.State[i]) != math.Float64bits(v) {
+				b.Fatalf("state[%d] decoded to %x, encoded %x", i, math.Float64bits(got.State[i]), math.Float64bits(v))
+			}
+		}
+	}
 }

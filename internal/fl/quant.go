@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// Quantized delta payloads are the lossy half of the v3 wire protocol
+// Quantized delta payloads are the lossy half of the wire protocol
 // (internal/flnet): a client uploads q(update − broadcast) instead of the
 // raw float64 vector, and the server reconstructs broadcast + dq(payload)
 // before screening and folding. Reconstruction is a pure function of the

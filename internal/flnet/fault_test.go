@@ -296,14 +296,12 @@ func TestRoundDeadlineEvictsStraggler(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDroppedClientRejoinsMidRound proves reconnect-and-resync: client 1's
-// first connection dies right after registration, the round blocks below
-// v3HandshakeLen returns the exact byte count a default RunClient
+// handshakeBytes returns the exact byte count a default RunClient
 // registration crosses on the wire — the capability-advertising hello plus
 // the server's KindWire ack (a default server offers CapBinary alone) — so
 // DropAfter plans can kill a connection on the first post-registration
 // byte.
-func v3HandshakeLen(t *testing.T, clientID int) int {
+func handshakeBytes(t *testing.T, clientID int) int {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, &Message{Kind: KindHello, ClientID: clientID, Version: ProtocolVersion, LastRound: -1, WireCaps: ClientCaps}); err != nil {
@@ -315,6 +313,8 @@ func v3HandshakeLen(t *testing.T, clientID int) int {
 	return buf.Len()
 }
 
+// TestDroppedClientRejoinsMidRound proves reconnect-and-resync: client 1's
+// first connection dies right after registration, the round blocks below
 // quorum, and the client's reconnection (with backoff) is resynced into
 // the *current* round, which then completes with the full cohort.
 func TestDroppedClientRejoinsMidRound(t *testing.T) {
@@ -328,7 +328,7 @@ func TestDroppedClientRejoinsMidRound(t *testing.T) {
 
 	// Compute the exact wire size of client 1's registration handshake so
 	// its first connection dies on the very next byte after it.
-	handshake := v3HandshakeLen(t, rejoinID)
+	handshake := handshakeBytes(t, rejoinID)
 	schedule := func(i int) faultnet.Plan {
 		if i == 0 {
 			return faultnet.Plan{Kind: faultnet.DropAfter, Bytes: handshake}
@@ -492,6 +492,136 @@ func TestResetClientReconnectsWithSameResult(t *testing.T) {
 	for id := range wantAccs {
 		if gotAccs[id] != wantAccs[id] {
 			t.Fatalf("client %d personalized accuracy diverged: %g vs %g", id, gotAccs[id], wantAccs[id])
+		}
+	}
+}
+
+// TestLosslessUploadFallsBackWithoutAnchor drives one client of a lossless
+// -compress -delta federation by hand through the one way an upload can
+// lose its anchor: the connection drops mid-round, and the peer that redials
+// no longer resolves the round's broadcast when it encodes its upload. The
+// upload must then go out absolute (the encoder's decision: the server
+// would have resolved the anchor), the server must take it, the next
+// round's exchange must be deltas in both directions again, and the final
+// model must be the codec-free federation's, bit for bit.
+func TestLosslessUploadFallsBackWithoutAnchor(t *testing.T) {
+	const handID, rounds = 1, 2
+	chaos.GuardTest(t, 10*time.Second)
+	bed := newFedBed(t, 2)
+	want := runFedWithWire(t, bed, rounds, nil)
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	srv, _, srvOut := startServer(t, ctx, ServerConfig{
+		NumClients:    2,
+		MinClients:    2, // the round must wait for the redial
+		Rounds:        rounds,
+		RoundDeadline: 30 * time.Second,
+		Defense:       bed.defense("none"),
+		InitialState:  bed.initialState(),
+		IOTimeout:     30 * time.Second,
+		Compress:      true,
+		Delta:         true,
+	}, nil)
+	clientErr := make(chan error, 1)
+	go func() {
+		_, err := RunClient(ctx, ClientConfig{Addr: srv.Addr().String(), Trainer: bed.trainer(0), Defense: bed.defense("none")})
+		clientErr <- err
+	}()
+
+	// The hand-driven peer keeps every broadcast it decodes; forget makes
+	// its codec miss them all.
+	held, forget := map[int][]float64{}, false
+	base := func(round int) []float64 {
+		if forget {
+			return nil
+		}
+		return held[round]
+	}
+	// dial registers (retrying while the server still holds the dropped
+	// connection's session) and returns the connection and its codec.
+	dial := func() (net.Conn, *Codec) {
+		t.Helper()
+		for {
+			conn, err := net.Dial("tcp", srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.SetDeadline(time.Now().Add(30 * time.Second))
+			hello := &Message{Kind: KindHello, ClientID: handID, Version: ProtocolVersion, LastRound: -1, WireCaps: ClientCaps}
+			if err := WriteMessage(conn, hello); err != nil {
+				t.Fatal(err)
+			}
+			ack, err := ReadMessage(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ack.Kind == KindError && strings.Contains(ack.Err, "already registered") {
+				conn.Close()
+				time.Sleep(5 * time.Millisecond)
+				continue
+			}
+			if ack.Kind != KindWire || ack.WireCaps != CapBinary|CapFlate|CapDelta {
+				t.Fatalf("registration answered with %+v", ack)
+			}
+			return conn, NewCodec(ack.WireCaps, ack.QuantSeed, ack.TopK, base)
+		}
+	}
+	readGlobal := func(conn net.Conn, codec *Codec, round int) *Message {
+		t.Helper()
+		msg := &Message{}
+		if err := ReadMessageWith(conn, msg, codec); err != nil {
+			t.Fatal(err)
+		}
+		if msg.Kind != KindGlobal || msg.Round != round {
+			t.Fatalf("got a %v frame for round %d, want the round-%d broadcast", msg.Kind, msg.Round, round)
+		}
+		held[round] = append([]float64(nil), msg.State...)
+		return msg
+	}
+
+	conn, codec := dial()
+	readGlobal(conn, codec, 0)
+	conn.Close() // mid-round: the broadcast arrived, the upload never leaves
+
+	conn, codec = dial()
+	defer conn.Close()
+	trainer, def := bed.trainer(handID), bed.defense("none")
+	for round := 0; round < rounds; round++ {
+		global := readGlobal(conn, codec, round)
+		u, err := trainer.RunRound(round, global.State, def, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forget = round == 0
+		frame := binaryFrame(t, &Message{Kind: KindUpdate, ClientID: handID, Round: round, State: u.State, NumSamples: u.NumSamples}, codec)
+		forget = false
+		wantFlags, wantAnchor := flagState|flagFlate|flagDelta, round
+		if round == 0 {
+			wantFlags, wantAnchor = flagState, -1 // the floats of an SGD step hold no zero bytes to deflate
+		}
+		if flags, anchor, _, _ := stateSection(frame); flags != wantFlags || anchor != wantAnchor {
+			t.Fatalf("round %d upload has flags %#x anchored on %d, want %#x on %d", round, flags, anchor, wantFlags, wantAnchor)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := &Message{}
+	if err := ReadMessageWith(conn, done, codec); err != nil || done.Kind != KindDone {
+		t.Fatalf("after the last round: %v frame, error %v", done.Kind, err)
+	}
+
+	if err := <-clientErr; err != nil {
+		t.Fatal(err)
+	}
+	out := <-srvOut
+	if out.err != nil {
+		t.Fatalf("federation failed: %v", out.err)
+	}
+	for i := range want {
+		if math.Float64bits(out.state[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("state[%d] = %x, the codec-free federation ends on %x", i, math.Float64bits(out.state[i]), math.Float64bits(want[i]))
 		}
 	}
 }
@@ -706,7 +836,9 @@ func TestHelloVersionValidated(t *testing.T) {
 		IOTimeout:    20 * time.Second,
 	}, nil)
 
-	for _, version := range []int{1, ProtocolVersion - 1, ProtocolVersion + 1} {
+	// 3 is the version whose flate-flagged float sections were one
+	// interleaved stream: it would inflate a plane section as garbage.
+	for _, version := range []int{1, 3, ProtocolVersion + 1} {
 		conn, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {
 			t.Fatal(err)

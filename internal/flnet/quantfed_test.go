@@ -98,12 +98,20 @@ func TestQuantizedFederationConverges(t *testing.T) {
 		t.Fatalf("quantized federation drifted %.4f relative L2 from baseline; tolerance is 0.05", rel)
 	}
 
-	// A lossless coded run (flate + XOR deltas, no quantization) must match
-	// the codec-free baseline exactly: those codecs change no bits.
+	// A lossless coded run (byte planes of XOR deltas, no quantization) must
+	// match the codec-free baseline exactly: those codecs change no bits.
+	// Every broadcast after round 0 and every upload is a delta.
+	hits, misses := telWireDeltaHits.Value(), telWireDeltaMisses.Value()
 	lossless := runFedWithWire(t, bed, rounds, func(cfg *ServerConfig) {
 		cfg.Compress = true
 		cfg.Delta = true
 	})
+	if got, want := telWireDeltaHits.Value()-hits, int64(bed.numClients*(rounds-1+rounds)); got != want {
+		t.Errorf("lossless run sent %d delta sections, want %d (broadcasts of rounds 1.. and every upload)", got, want)
+	}
+	if got := telWireDeltaMisses.Value() - misses; got != 0 {
+		t.Errorf("lossless run missed its anchor %d times", got)
+	}
 	for i := range baseline {
 		if lossless[i] != baseline[i] {
 			t.Fatalf("lossless coded state[%d] = %x, codec-free baseline %x; the codecs must be bit-transparent",

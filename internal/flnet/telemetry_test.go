@@ -26,7 +26,7 @@ func TestLogfSerializedUnderRejoinHammer(t *testing.T) {
 	// Drop client 1's first connection right after its registration
 	// handshake so the rejoin acceptor keeps logging while rounds are in
 	// flight.
-	handshake := v3HandshakeLen(t, rejoinID)
+	handshake := handshakeBytes(t, rejoinID)
 	schedule := func(i int) faultnet.Plan {
 		if i == 0 {
 			return faultnet.Plan{Kind: faultnet.DropAfter, Bytes: handshake}

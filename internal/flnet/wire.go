@@ -42,8 +42,10 @@ var (
 )
 
 // ProtocolVersion is the wire protocol version carried in every Hello
-// frame; a server turns any other version away with a KindError.
-const ProtocolVersion = 3
+// frame; a server turns any other version away with a KindError. Version 4
+// writes a flate-flagged float64 state section as byte planes, which a
+// version 3 peer would inflate as one stream and misread.
+const ProtocolVersion = 4
 
 // Capability bits a client advertises in Hello.WireCaps and the server
 // answers (intersected with its own configuration) in the KindWire ack.
@@ -52,8 +54,10 @@ const (
 	// it, and a Hello without it gets a session of plain frames (raw
 	// float64 states, no ack).
 	CapBinary uint32 = 1 << iota
-	// CapFlate enables per-frame flate compression of state payloads
-	// (skipped frame-by-frame when it does not shrink the payload).
+	// CapFlate enables per-frame flate compression of state sections:
+	// float64 states go out as byte planes of which only the compressible
+	// ones are deflated, quantized payloads are deflated whole (and sent as
+	// they are when that does not shrink them).
 	CapFlate
 	// CapQuantInt8 / CapQuantInt16 enable seeded stochastic quantization of
 	// client uploads (the levels' width differs; at most one is negotiated).
@@ -62,8 +66,10 @@ const (
 	// CapTopK additionally sparsifies quantized uploads to the negotiated
 	// top-k fraction of coordinates.
 	CapTopK
-	// CapDelta enables delta-encoded global broadcasts against the
-	// client's last completed round.
+	// CapDelta enables delta-encoded state sections against a broadcast
+	// both ends hold: global broadcasts against the client's last completed
+	// round and, on unquantized sessions with CapFlate, uploads against the
+	// round's own broadcast.
 	CapDelta
 )
 
@@ -180,9 +186,14 @@ const maxPooledBytes = 16 << 20
 // without pooling every round re-allocates them on both ends of every
 // connection. Pooled buffers keep their high-water capacity up to
 // maxPooledBytes, so steady-state rounds reuse the same backing arrays.
+//
+// Byte planes on their way into or out of flate have a pool of their own:
+// a plane is an eighth of its frame, and a pool that hands out both sizes
+// re-grows the small buffers every time one is drawn for a frame.
 var (
 	writeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 	readBufPool  = sync.Pool{New: func() any { return new([]byte) }}
+	planeBufPool = sync.Pool{New: func() any { return new([]byte) }}
 )
 
 // putWriteBuf recycles a frame-encode buffer, dropping oversized ones.
@@ -193,21 +204,23 @@ func putWriteBuf(buf *bytes.Buffer) {
 	writeBufPool.Put(buf)
 }
 
-// putReadBuf recycles a frame-payload buffer, dropping oversized ones.
-func putReadBuf(bp *[]byte) {
+// putBuf recycles a buffer drawn from pool (readBufPool or planeBufPool),
+// dropping oversized ones.
+func putBuf(pool *sync.Pool, bp *[]byte) {
 	if cap(*bp) > maxPooledBytes {
 		return
 	}
-	readBufPool.Put(bp)
+	pool.Put(bp)
 }
 
-// readPayload reads an n-byte frame payload into a pooled buffer with the
-// checkpoint envelope's incremental-read discipline: capacity grows as
-// bytes actually arrive (doubling from a small start), so a corrupt or
-// hostile length prefix on a short stream costs a short read, not an
-// n-byte allocation. Callers must return the pool handle via putReadBuf.
-func readPayload(r io.Reader, n int) ([]byte, *[]byte, error) {
-	bp := readBufPool.Get().(*[]byte)
+// readPayload reads n bytes (a frame payload, or what a deflate stream
+// inflates to) into a buffer drawn from pool with the checkpoint envelope's
+// incremental-read discipline: capacity grows as bytes actually arrive
+// (doubling from a small start), so a corrupt or hostile length prefix on a
+// short stream costs a short read, not an n-byte allocation. Callers must
+// return the pool handle via putBuf.
+func readPayload(pool *sync.Pool, r io.Reader, n int) ([]byte, *[]byte, error) {
+	bp := pool.Get().(*[]byte)
 	if cap(*bp) < n {
 		start := cap(*bp)
 		if start < 64<<10 {
@@ -239,7 +252,7 @@ func readPayload(r io.Reader, n int) ([]byte, *[]byte, error) {
 			buf = buf[:len(buf)+m]
 			if err != nil {
 				*bp = buf
-				putReadBuf(bp)
+				putBuf(pool, bp)
 				return nil, nil, err
 			}
 		}
@@ -248,7 +261,7 @@ func readPayload(r io.Reader, n int) ([]byte, *[]byte, error) {
 	}
 	payload := (*bp)[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		putReadBuf(bp)
+		putBuf(pool, bp)
 		return nil, nil, err
 	}
 	return payload, bp, nil
@@ -283,15 +296,24 @@ func ReadHello(r io.Reader) (*Message, error) {
 
 // statePool recycles state-vector buffers between rounds. Updates released
 // after aggregation return here; the next round's reads decode into them.
-var statePool = sync.Pool{New: func() any { return new([]float64) }}
+// Every holder in it carries a buffer; emptied holders wait in
+// stateHolderPool, so storing a buffer neither allocates a holder nor draws
+// — and overwrites — one that still carries a buffer.
+var (
+	statePool       sync.Pool
+	stateHolderPool = sync.Pool{New: func() any { return new([]float64) }}
+)
 
 // GetState returns a pooled state buffer (length 0, whatever capacity it
-// retired with).
+// retired with), or nil when the pool is empty.
 func GetState() []float64 {
-	sp := statePool.Get().(*[]float64)
+	sp, _ := statePool.Get().(*[]float64)
+	if sp == nil {
+		return nil
+	}
 	s := *sp
 	*sp = nil
-	statePool.Put(sp)
+	stateHolderPool.Put(sp)
 	return s[:0]
 }
 
@@ -302,7 +324,7 @@ func PutState(s []float64) {
 	if cap(s) == 0 || cap(s)*8 > maxPooledBytes {
 		return
 	}
-	sp := statePool.Get().(*[]float64)
+	sp := stateHolderPool.Get().(*[]float64)
 	*sp = s
 	statePool.Put(sp)
 }

@@ -103,3 +103,31 @@ func TestPooledBuffersBigThenSmall(t *testing.T) {
 		}
 	}
 }
+
+// TestStatePoolRetainsCohort pins that the pool keeps every buffer it is
+// given: a materialized round releases its N uploads back to back and the
+// next round draws N. (PutState used to draw its holder from the pool it
+// was filling, so the second Put could overwrite — and lose — the first.)
+// sync.Pool itself may drop a buffer (a GC, a goroutine migrating between
+// Ps, every fourth Put under the race detector), so one clean pass in
+// twenty is the requirement.
+func TestStatePoolRetainsCohort(t *testing.T) {
+	const n, dim = 4, 1000
+	for attempt := 0; attempt < 20; attempt++ {
+		for GetState() != nil {
+		}
+		for i := 0; i < n; i++ {
+			PutState(make([]float64, dim))
+		}
+		kept := 0
+		for i := 0; i < n; i++ {
+			if s := GetState(); cap(s) == dim && len(s) == 0 {
+				kept++
+			}
+		}
+		if kept == n {
+			return
+		}
+	}
+	t.Fatalf("the pool never handed back all %d buffers it was given", n)
+}

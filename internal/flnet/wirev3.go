@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strings"
 	"sync"
 
@@ -39,20 +41,35 @@ import (
 //	off 60  u32le errLen,    errLen bytes   (KindError text)
 //	        u32le cohortN,   cohortN × i32le (sampled cohort ids)
 //	        u32le rawLen     (state section length before compression; 0 = no state)
-//	        u32le storedLen, storedLen bytes (flate-compressed iff flagFlate)
+//	        u32le storedLen, storedLen bytes (the state section as stored)
 //
-// The state section is either rawLen/8 little-endian float64s (absolute
-// values, or deltas against AnchorRound when flagDelta is set) or, with
-// flagQuant, a serialized fl.DeltaPayload:
+// The flags say which of three things the stored state section is; any
+// other combination, an undefined flag bit or a non-zero reserved byte is
+// refused:
 //
-//	u8 quantKind  u8 sparse  u32le dim  u32le count  f64le lo  f64le hi
-//	[count × u32le indices when sparse]  count × (u8 | u16le) levels
+//	state                       rawLen/8 little-endian float64s (storedLen = rawLen)
+//	state|flate [|delta]        the byte planes of those float64s' IEEE bits,
+//	                            XORed with AnchorRound's state when delta is set:
+//	                              u8 mask (bit p: plane p is deflated; never 0)
+//	                              the planes the mask leaves clear, ascending,
+//	                                rawLen/8 bytes each
+//	                              the planes the mask names, ascending, each
+//	                                u32le zLen + a deflate stream of rawLen/8 bytes
+//	                            plane p holds byte p, least significant first,
+//	                            of every coordinate
+//	state|quant|delta [|flate]  a serialized fl.DeltaPayload against AnchorRound,
+//	                            one deflate stream of rawLen bytes when flate is set:
+//	                              u8 quantKind  u8 sparse  u32le dim  u32le count
+//	                              f64le lo  f64le hi
+//	                              [count × u32le indices when sparse]
+//	                              count × (u8 | u16le) levels
 //
-// Everything is written with the binenc primitives and parsed through one
-// bounds-checked reader (readFrame) — no reflection — and the decoder grows
-// its buffer only as bytes actually arrive, so a corrupt length prefix
-// cannot force a giant allocation. A frame must end exactly where its last
-// field does.
+// A deflate stream must end exactly where its declared length does, in
+// both directions. Everything is written with the binenc primitives and
+// parsed through one bounds-checked reader (readFrame) — no reflection —
+// and the decoder grows its buffers only as bytes actually arrive, so a
+// corrupt length prefix cannot force a giant allocation. A frame must end
+// exactly where its last field does.
 
 // Codec telemetry: compression and delta-broadcast effectiveness, counted
 // at the codec like the frame/byte counters in wire.go.
@@ -60,22 +77,34 @@ var (
 	telWireCompressedBytes = telemetry.NewCounter("dinar_wire_compressed_bytes_total",
 		"flate-compressed state-section bytes written (post-compression size)")
 	telWireDeltaHits = telemetry.NewCounter("dinar_wire_delta_hits_total",
-		"global broadcasts sent as deltas against the peer's anchor round")
+		"state sections a delta-capable session sent as deltas against an anchor the peer holds (broadcasts against the previous round, uploads against the round's own broadcast)")
 	telWireDeltaMisses = telemetry.NewCounter("dinar_wire_delta_misses_total",
-		"global broadcasts sent in full on a delta-capable session (anchor missing or too old)")
+		"state sections sent in full on a delta-capable session (anchor missing or too old)")
 )
 
 // frameMagic guards against a peer that fell out of frame sync (or is not
 // speaking this protocol at all): the first payload byte of every frame.
 const frameMagic = 0xD3
 
-// Frame flags.
+// Frame flags. Only the combinations in the table above mean anything;
+// validFlags refuses the rest.
 const (
 	flagState byte = 1 << iota // the state section is present
-	flagFlate                  // the state section is flate-compressed
+	flagFlate                  // float64s: stored as byte planes; quantized: deflated whole
 	flagDelta                  // state values are deltas against AnchorRound
 	flagQuant                  // the state section is an fl.DeltaPayload
 )
+
+// validFlags reports whether a data frame's flags are one of the state
+// section's defined forms.
+func validFlags(flags byte) bool {
+	switch flags {
+	case 0, flagState, flagState | flagFlate, flagState | flagFlate | flagDelta,
+		flagState | flagQuant | flagDelta, flagState | flagQuant | flagDelta | flagFlate:
+		return true
+	}
+	return false
+}
 
 // fixedHeaderLen is the byte length of the fixed-offset frame header,
 // minFrameLen the smallest well-formed payload (header plus the four empty
@@ -205,7 +234,15 @@ func ReadMessageWith(r io.Reader, msg *Message, c *Codec) error {
 }
 
 // flate writer/reader pools: Reset-able instances so steady-state rounds
-// compress without re-allocating the (large) flate state.
+// compress without re-allocating the (large) flate state. An inflater owns
+// the byte reader its flate reader drains, so resetting one allocates
+// neither; tail is where the read that must find the stream's end lands.
+type inflater struct {
+	src  bytes.Reader
+	zr   io.ReadCloser
+	tail [1]byte
+}
+
 var (
 	flateWriterPool = sync.Pool{New: func() any {
 		zw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
@@ -214,39 +251,50 @@ var (
 		}
 		return zw
 	}}
-	flateReaderPool = sync.Pool{New: func() any {
-		return flate.NewReader(bytes.NewReader(nil))
+	inflaterPool = sync.Pool{New: func() any {
+		in := new(inflater)
+		in.zr = flate.NewReader(&in.src)
+		return in
 	}}
 )
 
-// deflate compresses src into dst (reset first), returning dst's bytes.
-func deflate(dst *bytes.Buffer, src []byte) ([]byte, error) {
-	dst.Reset()
+// deflate appends src to dst as one deflate stream.
+func deflate(dst io.Writer, src []byte) error {
 	zw := flateWriterPool.Get().(*flate.Writer)
 	defer flateWriterPool.Put(zw)
 	zw.Reset(dst)
 	if _, err := zw.Write(src); err != nil {
-		return nil, err
+		return err
 	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return dst.Bytes(), nil
+	return zw.Close()
 }
 
-// inflate decompresses exactly rawLen bytes of stored into a pooled buffer;
-// the caller returns the handle via putReadBuf.
-func inflate(stored []byte, rawLen int) ([]byte, *[]byte, error) {
-	zr := flateReaderPool.Get().(io.ReadCloser)
-	defer flateReaderPool.Put(zr)
-	if err := zr.(flate.Resetter).Reset(bytes.NewReader(stored), nil); err != nil {
+// inflate decompresses stored, which must be one deflate stream of exactly
+// n bytes and nothing after it, into a buffer drawn from pool; the caller
+// returns the handle via putBuf.
+func inflate(pool *sync.Pool, stored []byte, n int) ([]byte, *[]byte, error) {
+	in := inflaterPool.Get().(*inflater)
+	defer inflaterPool.Put(in)
+	in.src.Reset(stored)
+	if err := in.zr.(flate.Resetter).Reset(&in.src, nil); err != nil {
 		return nil, nil, err
 	}
-	raw, bp, err := readPayload(zr, rawLen)
+	raw, bp, err := readPayload(pool, in.zr, n)
 	if err != nil {
 		return nil, nil, fmt.Errorf("inflate: %w", err)
 	}
-	return raw, bp, nil
+	// *bytes.Reader is an io.ByteReader, so flate takes from it exactly the
+	// bytes of the stream: what is left over was never part of it.
+	switch m, end := in.zr.Read(in.tail[:]); {
+	case m != 0 || !errors.Is(end, io.EOF):
+		err = fmt.Errorf("inflate: stream does not end after the %d bytes it declares", n)
+	case in.src.Len() != 0:
+		err = fmt.Errorf("inflate: %d bytes after the end of the stream", in.src.Len())
+	default:
+		return raw, bp, nil
+	}
+	putBuf(pool, bp)
+	return nil, nil, err
 }
 
 // encodeQuantSection serializes a validated fl.DeltaPayload as the frame's
@@ -330,51 +378,239 @@ func decodeQuantSection(sec []byte, anchorRound int) (*fl.DeltaPayload, error) {
 	return p, nil
 }
 
-// encodeStateSection chooses the state encoding for msg under the codec and
-// appends it to sec, returning the section, its flags, and the anchor
-// round (-1 when the section is absolute).
-func encodeStateSection(sec []byte, msg *Message, c *Codec) ([]byte, byte, int, error) {
-	if len(msg.State) == 0 {
-		return sec, 0, -1, nil
+// Byte planes. The XOR of two consecutive FCNN6 broadcasts (or of an upload
+// and its broadcast) has 12-13 leading zero bits on average, so its planes
+// are three kinds of data: the sign-and-exponent plane is 96 % zero bytes
+// and deflates to 6 % of its size in 2 ms, the plane below it is 12-16 %
+// zero and deflates to two thirds in 7-10 ms, and the six planes of mantissa
+// below that are noise no coder shrinks. The encoder therefore samples every
+// plane and hands flate only those with enough zero bytes to repay it; a
+// frozen or all-zero stretch of the model raises every plane's share alike.
+// EXPERIMENTS.md "PR 17" has the measurements behind the constants.
+const (
+	// planeSamples is how many coordinates, at one fixed stride, the zero
+	// share of a frame's planes is estimated from: at 1,024 samples FCNN6's
+	// second plane (a 16 % share) sits eight standard deviations under the
+	// threshold.
+	planeSamples = 1024
+	// planeZeroShare: a plane is deflated when at least one in
+	// planeZeroShare of its sampled bytes is zero. At that share and noise
+	// elsewhere the entropy bound is 85 % of the plane.
+	planeZeroShare = 4
+	// planeMinDim is the shortest state written as planes: a plane at the
+	// threshold share saves some 15 % of itself, which under 1 KiB does not
+	// cover its stream's length prefix and Huffman table.
+	planeMinDim = 1024
+)
+
+// planeMask samples the IEEE bits of state, XORed with base's where base
+// has them (it is empty or as long as state), and returns the planes worth
+// deflating as one bit each.
+func planeMask(state, base []float64) byte {
+	if len(state) < planeMinDim {
+		return 0
 	}
-	flags := flagState
+	var zeros [8]int
+	samples, stride := 0, len(state)/planeSamples+1
+	for i := 0; i < len(state); i += stride {
+		x := math.Float64bits(state[i])
+		if i < len(base) {
+			x ^= math.Float64bits(base[i])
+		}
+		for p := range zeros {
+			if byte(x>>(8*p)) == 0 {
+				zeros[p]++
+			}
+		}
+		samples++
+	}
+	var mask byte
+	for p, z := range zeros {
+		if z*planeZeroShare >= samples {
+			mask |= 1 << p
+		}
+	}
+	return mask
+}
+
+// scatterPlanes splits the IEEE bits of state, XORed with base's where base
+// has them, into eight planes of len(state) bytes.
+func scatterPlanes(planes *[8][]byte, state, base []float64) {
+	n := len(state)
+	p0, p1, p2, p3 := planes[0][:n], planes[1][:n], planes[2][:n], planes[3][:n]
+	p4, p5, p6, p7 := planes[4][:n], planes[5][:n], planes[6][:n], planes[7][:n]
+	for i, v := range state {
+		x := math.Float64bits(v)
+		if i < len(base) {
+			x ^= math.Float64bits(base[i])
+		}
+		p0[i], p1[i], p2[i], p3[i] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
+		p4[i], p5[i], p6[i], p7[i] = byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56)
+	}
+}
+
+// gatherPlanes is scatterPlanes backwards: dst from eight planes of
+// len(dst) bytes.
+func gatherPlanes(dst []float64, planes *[8][]byte, base []float64) {
+	n := len(dst)
+	p0, p1, p2, p3 := planes[0][:n], planes[1][:n], planes[2][:n], planes[3][:n]
+	p4, p5, p6, p7 := planes[4][:n], planes[5][:n], planes[6][:n], planes[7][:n]
+	for i := range dst {
+		x := uint64(p0[i]) | uint64(p1[i])<<8 | uint64(p2[i])<<16 | uint64(p3[i])<<24 |
+			uint64(p4[i])<<32 | uint64(p5[i])<<40 | uint64(p6[i])<<48 | uint64(p7[i])<<56
+		if i < len(base) {
+			x ^= math.Float64bits(base[i])
+		}
+		dst[i] = math.Float64frombits(x)
+	}
+}
+
+// appendPlanes appends state's plane section (see the layout table) to the
+// frame in buf: the planes mask leaves clear are scattered straight into
+// the frame, the ones it names into pooled scratch and from there through
+// flate into the frame.
+func appendPlanes(buf *bytes.Buffer, mask byte, state, base []float64) error {
+	dim, deflated := len(state), bits.OnesCount8(mask)
+	bp := planeBufPool.Get().(*[]byte)
+	defer putBuf(&planeBufPool, bp)
+	if cap(*bp) < deflated*dim {
+		*bp = make([]byte, deflated*dim)
+	}
+	scratch := (*bp)[:deflated*dim]
+
+	buf.WriteByte(mask)
+	buf.Grow((8 - deflated) * dim)
+	stored := buf.AvailableBuffer()[:(8-deflated)*dim]
+	var planes [8][]byte
+	rest, zrest := stored, scratch
+	for p := range planes {
+		if mask&(1<<p) != 0 {
+			planes[p], zrest = zrest[:dim], zrest[dim:]
+		} else {
+			planes[p], rest = rest[:dim], rest[dim:]
+		}
+	}
+	scatterPlanes(&planes, state, base)
+	buf.Write(stored) // already in place: this only moves the buffer's length
+	for p, plane := range planes {
+		if mask&(1<<p) == 0 {
+			continue
+		}
+		at := buf.Len()
+		buf.Write([]byte{0, 0, 0, 0})
+		if err := deflate(buf, plane); err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint32(buf.Bytes()[at:], uint32(buf.Len()-at-4))
+	}
+	return nil
+}
+
+// appendQuantSection appends a serialized payload to the frame in buf,
+// deflated whole when compress is set and that shrinks it, and returns
+// flagFlate if so along with the serialized length.
+func appendQuantSection(buf *bytes.Buffer, p *fl.DeltaPayload, compress bool) (byte, int, error) {
+	secBP := readBufPool.Get().(*[]byte)
+	defer putBuf(&readBufPool, secBP)
+	sec := encodeQuantSection((*secBP)[:0], p)
+	*secBP = sec[:0]
+	buf.Grow(len(sec))
+	if compress && len(sec) > 64 {
+		at := buf.Len()
+		if err := deflate(buf, sec); err != nil {
+			return 0, 0, err
+		}
+		if buf.Len()-at < len(sec) {
+			return flagFlate, len(sec), nil
+		}
+		buf.Truncate(at)
+	}
+	buf.Write(sec)
+	return 0, len(sec), nil
+}
+
+// encodeStateSection chooses the state encoding for msg under the codec and
+// appends it to the frame in buf, returning the section's flags, its anchor
+// round (-1 when the section is absolute) and its length before compression.
+func encodeStateSection(buf *bytes.Buffer, msg *Message, c *Codec) (flags byte, anchorRound, rawLen int, err error) {
+	if len(msg.State) == 0 {
+		return 0, -1, 0, nil
+	}
+	start := buf.Len()
+	quantized := c.QuantKind() != fl.QuantNone
+	// The anchor a delta section would be written against: the round's own
+	// broadcast for an upload (the client just decoded it, the server holds
+	// it in its ring), the previous round's for a broadcast.
+	anchorRound = -1
 	switch {
-	case msg.Kind == KindUpdate && c.QuantKind() != fl.QuantNone:
-		// Quantized upload: delta against the round's broadcast, which the
-		// client just decoded and the server holds in its ring. Without a
-		// shared base the upload falls back to raw floats.
-		if base := c.lookup(msg.Round); len(base) == len(msg.State) {
-			err := c.enc.Encode(&c.upload, c.QuantKind(), c.quantSeed, msg.ClientID, msg.Round, msg.Round, base, msg.State, c.topK)
-			if err != nil {
-				return sec, 0, -1, err
+	case msg.Kind == KindUpdate && (quantized || c.has(CapDelta)):
+		anchorRound = msg.Round
+	case msg.Kind == KindGlobal && c.has(CapDelta):
+		anchorRound = msg.Round - 1
+	}
+	base := c.lookup(anchorRound)
+	if len(base) != len(msg.State) {
+		base = nil
+	}
+	missed := anchorRound >= 0 && base == nil
+
+	var quant *fl.DeltaPayload
+	switch {
+	case base == nil:
+	case msg.Kind == KindUpdate && quantized:
+		// Quantized upload; without a shared base it goes out as floats.
+		err := c.enc.Encode(&c.upload, c.QuantKind(), c.quantSeed, msg.ClientID, msg.Round, msg.Round, base, msg.State, c.topK)
+		if err != nil {
+			return 0, -1, 0, err
+		}
+		quant = &c.upload
+	case msg.Kind == KindGlobal && msg.Canon != nil &&
+		msg.Canon.BaseRound == anchorRound && msg.Canon.Dim == len(msg.State):
+		// Quantized delta broadcast: the round's canonical payload, the
+		// same bytes for every anchored peer, so every reconstruction
+		// lands on the identical broadcast state.
+		quant = msg.Canon
+	case quantized || !c.has(CapFlate):
+		// The lossless delta is the XOR of the IEEE bit patterns, not an
+		// arithmetic difference: exactly invertible (prev + (v−prev) loses
+		// the last ulp). It exists only as byte planes — interleaved, an
+		// XOR is as large as the state — and only on unquantized sessions,
+		// whose broadcast chain is the aggregates themselves.
+		base = nil
+	}
+
+	if quant != nil {
+		flags, rawLen, err = appendQuantSection(buf, quant, c.has(CapFlate))
+		flags |= flagState | flagQuant | flagDelta
+	} else {
+		flags, rawLen = flagState, 8*len(msg.State)
+		buf.Grow(rawLen) // room for either form, short of a deflated plane that grew
+		var mask byte
+		if c.has(CapFlate) {
+			mask = planeMask(msg.State, base)
+		}
+		if mask != 0 {
+			flags |= flagFlate
+			if base != nil {
+				flags |= flagDelta
 			}
-			return encodeQuantSection(sec, &c.upload), flags | flagQuant | flagDelta, msg.Round, nil
+			err = appendPlanes(buf, mask, msg.State, base)
+		} else {
+			buf.Write(binenc.AppendRawF64s(buf.AvailableBuffer(), msg.State))
 		}
-	case msg.Kind == KindGlobal && c.has(CapDelta) && msg.Round > 0:
-		prev := c.lookup(msg.Round - 1)
-		if msg.Canon != nil && len(prev) == len(msg.State) &&
-			msg.Canon.BaseRound == msg.Round-1 && msg.Canon.Dim == len(msg.State) {
-			// Quantized delta broadcast: the round's canonical payload, the
-			// same bytes for every anchored peer, so every reconstruction
-			// lands on the identical broadcast state.
-			telWireDeltaHits.Inc()
-			return encodeQuantSection(sec, msg.Canon), flags | flagQuant | flagDelta, msg.Round - 1, nil
-		}
-		if c.QuantKind() == fl.QuantNone && len(prev) == len(msg.State) {
-			// Lossless delta broadcast: XOR of the IEEE bit patterns, not an
-			// arithmetic difference — exactly invertible (prev + (v−prev)
-			// loses the last ulp), and slowly-evolving coordinates share
-			// sign/exponent/mantissa prefixes that XOR to zero runs flate
-			// squeezes well below the full state.
-			telWireDeltaHits.Inc()
-			for i, v := range msg.State {
-				sec = binenc.AppendU64(sec, math.Float64bits(v)^math.Float64bits(prev[i]))
-			}
-			return sec, flags | flagDelta, msg.Round - 1, nil
-		}
+	}
+	if flags&flagDelta == 0 {
+		anchorRound = -1
+	}
+	if flags&flagFlate != 0 {
+		telWireCompressedBytes.Add(int64(buf.Len() - start))
+	}
+	if c.has(CapDelta) && flags&flagDelta != 0 {
+		telWireDeltaHits.Inc()
+	} else if c.has(CapDelta) && missed {
 		telWireDeltaMisses.Inc()
 	}
-	return binenc.AppendRawF64s(sec, msg.State), flags, -1, nil
+	return flags, anchorRound, rawLen, err
 }
 
 // appendHeader appends the 4-byte length placeholder (patched by sendFrame)
@@ -416,45 +652,35 @@ func writeHandshake(w io.Writer, msg *Message) error {
 	return sendFrame(w, msg.Kind, b, maxHelloBytes)
 }
 
-// writeBinary encodes msg as one data frame under the codec.
+// writeBinary encodes msg as one data frame under the codec. The state
+// section is encoded straight into the frame's buffer, behind room for the
+// header that its flags and lengths then complete.
 func writeBinary(w io.Writer, msg *Message, c *Codec) error {
-	secBP := readBufPool.Get().(*[]byte)
-	defer putReadBuf(secBP)
-	sec, flags, anchorRound, err := encodeStateSection((*secBP)[:0], msg, c)
-	*secBP = sec[:0]
-	if err != nil {
-		return fmt.Errorf("flnet: encode %v: %w", msg.Kind, err)
-	}
-	stored := sec
-	rawLen := len(sec)
-	cb := writeBufPool.Get().(*bytes.Buffer)
-	defer putWriteBuf(cb)
-	if c.has(CapFlate) && len(sec) > 64 {
-		if z, err := deflate(cb, sec); err == nil && len(z) < len(sec) {
-			stored = z
-			flags |= flagFlate
-			telWireCompressedBytes.Add(int64(len(z)))
-		}
-	}
-
-	buf := writeBufPool.Get().(*bytes.Buffer)
-	defer putWriteBuf(buf)
-	buf.Reset()
-	need := 4 + minFrameLen + len(msg.Err) + 4*len(msg.Cohort) + len(stored)
-	buf.Grow(need)
-	b := appendHeader(buf.Bytes()[:0], msg, flags, anchorRound)
-	b = binenc.AppendString(b, msg.Err)
-	b = binenc.AppendU32(b, uint32(len(msg.Cohort)))
 	for _, id := range msg.Cohort {
 		if id < 0 || id > math.MaxInt32 {
 			return fmt.Errorf("flnet: encode %v: cohort id %d does not fit int32", msg.Kind, id)
 		}
+	}
+	buf := writeBufPool.Get().(*bytes.Buffer)
+	defer putWriteBuf(buf)
+	buf.Reset()
+	head := 4 + minFrameLen + len(msg.Err) + 4*len(msg.Cohort)
+	buf.Grow(head)
+	buf.Write(buf.AvailableBuffer()[:head])
+	flags, anchorRound, rawLen, err := encodeStateSection(buf, msg, c)
+	if err != nil {
+		return fmt.Errorf("flnet: encode %v: %w", msg.Kind, err)
+	}
+	frame := buf.Bytes()
+	b := appendHeader(frame[:0], msg, flags, anchorRound)
+	b = binenc.AppendString(b, msg.Err)
+	b = binenc.AppendU32(b, uint32(len(msg.Cohort)))
+	for _, id := range msg.Cohort {
 		b = binenc.AppendU32(b, uint32(id))
 	}
 	b = binenc.AppendU32(b, uint32(rawLen))
-	b = binenc.AppendU32(b, uint32(len(stored)))
-	b = append(b, stored...)
-	return sendFrame(w, msg.Kind, b, maxFrameBytes)
+	binenc.AppendU32(b, uint32(len(frame)-head))
+	return sendFrame(w, msg.Kind, frame, maxFrameBytes)
 }
 
 // readFrame is the one frame parser: it decodes a frame of at most maxLen
@@ -471,11 +697,11 @@ func readFrame(r io.Reader, msg *Message, c *Codec, maxLen uint32) error {
 	if n < minFrameLen || n > maxLen {
 		return fmt.Errorf("flnet: frame length %d out of range", n)
 	}
-	payload, bp, err := readPayload(r, int(n))
+	payload, bp, err := readPayload(&readBufPool, r, int(n))
 	if err != nil {
 		return fmt.Errorf("flnet: read payload: %w", err)
 	}
-	defer putReadBuf(bp)
+	defer putBuf(&readBufPool, bp)
 	if payload[0] != frameMagic {
 		return fmt.Errorf("flnet: bad frame magic 0x%02x", payload[0])
 	}
@@ -484,6 +710,9 @@ func readFrame(r io.Reader, msg *Message, c *Codec, maxLen uint32) error {
 		return fmt.Errorf("flnet: unknown frame kind %d", payload[1])
 	}
 	flags := payload[2]
+	if payload[3] != 0 {
+		return fmt.Errorf("flnet: reserved header byte is 0x%02x", payload[3])
+	}
 
 	state := msg.State
 	*msg = Message{State: state[:0], Kind: kind}
@@ -528,6 +757,9 @@ func decodeHandshake(msg *Message, rd *binenc.Reader, flags byte) error {
 // decodeData parses the error, cohort and state sections of every other
 // kind.
 func decodeData(msg *Message, rd *binenc.Reader, flags byte, anchorRound int, c *Codec) error {
+	if !validFlags(flags) {
+		return fmt.Errorf("flags %#x name no state section form", flags)
+	}
 	msg.Err = rd.Str()
 	if cohortN := rd.Count(4); cohortN > 0 {
 		msg.Cohort = make([]int, cohortN)
@@ -547,30 +779,24 @@ func decodeData(msg *Message, rd *binenc.Reader, flags byte, anchorRound int, c 
 	if rawLen > maxFrameBytes {
 		return fmt.Errorf("state section length %d out of range", rawLen)
 	}
-	if flags&flagState == 0 {
+	switch {
+	case flags == 0:
 		if len(stored) != 0 || rawLen != 0 {
 			return fmt.Errorf("stateless frame carries a %d-byte state section", len(stored))
 		}
 		return nil
-	}
-	sec := stored
-	if flags&flagFlate != 0 {
-		raw, rbp, err := inflate(stored, rawLen)
-		if err != nil {
-			return err
+	case flags&flagQuant != 0:
+		sec := stored
+		if flags&flagFlate != 0 {
+			raw, rbp, err := inflate(&readBufPool, stored, rawLen)
+			if err != nil {
+				return err
+			}
+			defer putBuf(&readBufPool, rbp)
+			sec = raw
+		} else if rawLen != len(stored) {
+			return fmt.Errorf("uncompressed state section stored %d bytes, declared %d", len(stored), rawLen)
 		}
-		defer putReadBuf(rbp)
-		sec = raw
-	} else if rawLen != len(stored) {
-		return fmt.Errorf("uncompressed state section stored %d bytes, declared %d", len(stored), rawLen)
-	}
-	return decodeStateSection(msg, sec, flags, anchorRound, c)
-}
-
-// decodeStateSection reconstructs msg.State from a frame's (decompressed)
-// state section.
-func decodeStateSection(msg *Message, sec []byte, flags byte, anchorRound int, c *Codec) error {
-	if flags&flagQuant != 0 {
 		p, err := decodeQuantSection(sec, anchorRound)
 		if err != nil {
 			return err
@@ -581,26 +807,75 @@ func decodeStateSection(msg *Message, sec []byte, flags byte, anchorRound int, c
 		}
 		msg.State, err = p.Apply(base, msg.State)
 		return err
+	case rawLen%8 != 0:
+		return fmt.Errorf("state section length %d is not a float64 multiple", rawLen)
+	case flags&flagFlate != 0:
+		return decodePlanes(msg, stored, rawLen/8, flags&flagDelta != 0, anchorRound, c)
+	case rawLen != len(stored):
+		return fmt.Errorf("uncompressed state section stored %d bytes, declared %d", len(stored), rawLen)
 	}
-	if len(sec)%8 != 0 {
-		return fmt.Errorf("state section length %d is not a float64 multiple", len(sec))
-	}
-	dim := len(sec) / 8
+	binenc.RawF64s(sizeState(msg, rawLen/8), stored)
+	return nil
+}
+
+// sizeState gives msg.State length dim, reusing its backing array when the
+// capacity suffices.
+func sizeState(msg *Message, dim int) []float64 {
 	if cap(msg.State) < dim {
 		msg.State = make([]float64, dim)
 	}
 	msg.State = msg.State[:dim]
-	if flags&flagDelta != 0 {
-		base := c.lookup(anchorRound)
-		if len(base) != dim {
+	return msg.State
+}
+
+// decodePlanes reconstructs msg.State from a plane section of dim
+// coordinates. The planes stored raw are read in place from the frame's
+// payload; only the deflated ones are inflated, into pooled scratch. The
+// state is sized last, once every length in the section has proved true.
+func decodePlanes(msg *Message, sec []byte, dim int, delta bool, anchorRound int, c *Codec) error {
+	rd := binenc.NewReader(sec)
+	mask := rd.U8()
+	if mask == 0 {
+		rd.Failf("plane section deflates no plane")
+	}
+	var planes [8][]byte
+	for p := range planes {
+		if mask&(1<<p) == 0 {
+			planes[p] = rd.Bytes(dim)
+		}
+	}
+	for p := range planes {
+		if mask&(1<<p) != 0 {
+			planes[p] = rd.Bytes(rd.Count(1)) // the deflate stream, until inflated below
+		}
+	}
+	if err := rd.Done(); err != nil {
+		return fmt.Errorf("plane section: %w", err)
+	}
+	var scratch [8]*[]byte
+	defer func() {
+		for _, bp := range scratch {
+			if bp != nil {
+				putBuf(&planeBufPool, bp)
+			}
+		}
+	}()
+	for p := range planes {
+		if mask&(1<<p) == 0 {
+			continue
+		}
+		var err error
+		if planes[p], scratch[p], err = inflate(&planeBufPool, planes[p], dim); err != nil {
+			return fmt.Errorf("plane %d: %w", p, err)
+		}
+	}
+	var base []float64
+	if delta {
+		if base = c.lookup(anchorRound); len(base) != dim {
 			return fmt.Errorf("no shared anchor state for round %d (dimension %d)", anchorRound, dim)
 		}
-		for i := range msg.State {
-			msg.State[i] = math.Float64frombits(math.Float64bits(base[i]) ^ binary.LittleEndian.Uint64(sec[8*i:]))
-		}
-		return nil
 	}
-	binenc.RawF64s(msg.State, sec)
+	gatherPlanes(sizeState(msg, dim), &planes, base)
 	return nil
 }
 

@@ -35,7 +35,7 @@ func ringBase(m map[int][]float64) func(int) []float64 {
 // the exact state fl.EncodeDelta+Apply defines (the decoder runs the same
 // deterministic pipeline, so equality is bitwise, not approximate).
 func TestBinaryRoundTrip(t *testing.T) {
-	const dim = 512
+	const dim = 2048 // above planeMinDim, so flate sessions write planes
 	const seed = 42
 	prev := testState(7, dim)
 	cur := testState(8, dim)
@@ -55,6 +55,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 		{"hello", CapBinary, Message{Kind: KindHello, ClientID: 6, Version: ProtocolVersion, LastRound: -1}},
 		{"global/delta-raw", CapBinary | CapDelta, Message{Kind: KindGlobal, Round: 4, State: cur}},
 		{"global/delta-raw-flate", CapBinary | CapDelta | CapFlate, Message{Kind: KindGlobal, Round: 4, State: cur}},
+		{"update/delta-flate", CapBinary | CapDelta | CapFlate, Message{Kind: KindUpdate, ClientID: 3, Round: 3, State: cur, NumSamples: 128}},
+		{"done/flate", CapBinary | CapDelta | CapFlate, Message{Kind: KindDone, Round: 4, State: cur}},
 	}
 	for _, tc := range lossless {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,9 +165,40 @@ func TestBinaryRoundTrip(t *testing.T) {
 		assertMessageEqual(t, &got, &msg)
 	})
 
+	t.Run("lossless-delta-anchors", func(t *testing.T) {
+		// A lossless delta is the XOR against the previous round's broadcast
+		// for a Global and against the round's own broadcast for an Update;
+		// it needs both CapDelta and CapFlate, and a shared anchor.
+		for _, tc := range []struct {
+			name       string
+			caps       uint32
+			kind       Kind
+			wantFlags  byte
+			wantAnchor int
+		}{
+			{"global", CapBinary | CapFlate | CapDelta, KindGlobal, flagState | flagFlate | flagDelta, 3},
+			{"update", CapBinary | CapFlate | CapDelta, KindUpdate, flagState | flagFlate | flagDelta, 4},
+			{"done", CapBinary | CapFlate | CapDelta, KindDone, flagState | flagFlate, -1},
+			{"update without delta", CapBinary | CapFlate, KindUpdate, flagState | flagFlate, -1},
+			{"update without flate", CapBinary | CapDelta, KindUpdate, flagState, -1},
+			{"global without flate", CapBinary | CapDelta, KindGlobal, flagState, -1},
+		} {
+			c := NewCodec(tc.caps, seed, 0, ringBase(bases))
+			frame := binaryFrame(t, &Message{Kind: tc.kind, Round: 4, State: testState(13, dim)}, c)
+			if flags, anchor, _, _ := stateSection(frame); flags != tc.wantFlags || anchor != tc.wantAnchor {
+				t.Errorf("%s: flags %#x anchored on %d, want %#x on %d", tc.name, flags, anchor, tc.wantFlags, tc.wantAnchor)
+			}
+		}
+		miss := NewCodec(CapBinary|CapFlate|CapDelta, seed, 0, ringBase(map[int][]float64{4: prev[:dim-1]}))
+		frame := binaryFrame(t, &Message{Kind: KindUpdate, Round: 4, State: testState(13, dim)}, miss)
+		if flags, anchor, _, _ := stateSection(frame); flags&flagDelta != 0 || anchor != -1 {
+			t.Errorf("an upload whose anchor has another dimension went out as a delta (flags %#x, anchor %d)", flags, anchor)
+		}
+	})
+
 	t.Run("global/delta-without-anchor-fails-decode", func(t *testing.T) {
-		enc := NewCodec(CapBinary|CapDelta, seed, 0, ringBase(bases))
-		dec := NewCodec(CapBinary|CapDelta, seed, 0, nil) // peer lost its anchor
+		enc := NewCodec(CapBinary|CapFlate|CapDelta, seed, 0, ringBase(bases))
+		dec := NewCodec(CapBinary|CapFlate|CapDelta, seed, 0, nil) // peer lost its anchor
 		var buf bytes.Buffer
 		if err := WriteMessageWith(&buf, &Message{Kind: KindGlobal, Round: 4, State: cur}, enc); err != nil {
 			t.Fatal(err)
@@ -266,6 +299,26 @@ func TestBinaryFrameMalformed(t *testing.T) {
 	le32 := binary.LittleEndian.PutUint32
 	lenOnly := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
 
+	// A plane section: a 64-value state unchanged since round 3, so its XOR
+	// is all zero; the top plane deflated, seven raw. The stream's length
+	// prefix sits right behind the mask and the raw planes.
+	const planeDim, planeFlags = 64, flagState | flagFlate | flagDelta
+	anchored := NewCodec(CapBinary|CapFlate|CapDelta|CapQuantInt8, 0, 0, ringBase(map[int][]float64{3: make([]float64, planeDim)}))
+	unchanged := make([]byte, 8*planeDim)
+	planes := planeSection(t, 0x80, unchanged)
+	const zLenAt = 1 + 7*planeDim
+	if err := ReadMessageWith(bytes.NewReader(handFrame(planeFlags, 3, 8*planeDim, planes)), &Message{}, anchored); err != nil {
+		t.Fatalf("the well-formed plane frame the rows below break: %v", err)
+	}
+	// A deflated quantized section: an upload that moved one coordinate.
+	moved := make([]float64, planeDim)
+	moved[0] = 1
+	quant := binaryFrame(t, &Message{Kind: KindUpdate, Round: 3, State: moved}, anchored)
+	const rawLenAt = 4 + fixedHeaderLen + 4 + 4
+	if quant[4+2] != flagState|flagQuant|flagDelta|flagFlate {
+		t.Fatalf("quantized upload went out with flags %#x, want a deflated section", quant[4+2])
+	}
+
 	cases := []struct {
 		name    string
 		raw     []byte
@@ -292,11 +345,38 @@ func TestBinaryFrameMalformed(t *testing.T) {
 		{"hello job overruns", mutate(hello, func(b []byte) { le32(b[4+handshakeLen-4:], 1<<16) }), "truncated"},
 		{"hello job short", mutate(hello, func(b []byte) { le32(b[4+handshakeLen-4:], 2) }), "trailing"},
 		{"hello cut before job", mutate(hello[:4+handshakeLen-4], func(b []byte) { le32(b, uint32(len(b)-4)) }), "truncated"},
+
+		{"undefined flag bit", mutate(valid, func(b []byte) { b[4+2] |= 0x80 }), "flags"},
+		{"reserved byte set", mutate(valid, func(b []byte) { b[4+3] = 0x55 }), "reserved"},
+		{"hello reserved byte set", mutate(hello, func(b []byte) { b[4+3] = 1 }), "reserved"},
+		{"flate without state", handFrame(flagFlate, -1, 0, nil), "flags"},
+		{"delta without state", handFrame(flagDelta, 3, 0, nil), "flags"},
+		{"quant without state", handFrame(flagQuant, 3, 0, nil), "flags"},
+		{"interleaved delta", handFrame(flagState|flagDelta, 3, 8*planeDim, unchanged), "flags"},
+		{"quant without delta", mutate(quant, func(b []byte) { b[4+2] &^= flagDelta }), "flags"},
+
+		{"plane mask names no plane", handFrame(planeFlags, 3, 8*planeDim, planeSection(t, 0, unchanged)), "deflates no plane"},
+		{"plane mask names a raw plane", handFrame(planeFlags, 3, 8*planeDim, mutate(planes, func(b []byte) { b[0] = 0xC0 })), "plane section"},
+		{"raw planes truncated", handFrame(planeFlags, 3, 8*planeDim, planes[:zLenAt-1]), "truncated"},
+		{"plane stream length overruns", handFrame(planeFlags, 3, 8*planeDim, mutate(planes, func(b []byte) { le32(b[zLenAt:], 1<<20) })), "truncated"},
+		{"plane stream length short", handFrame(planeFlags, 3, 8*planeDim, mutate(planes, func(b []byte) { le32(b[zLenAt:], 2) })), "trailing"},
+		{"plane stream cut", handFrame(planeFlags, 3, 8*planeDim, mutate(planes[:len(planes)-1], func(b []byte) { le32(b[zLenAt:], uint32(len(b)-zLenAt-4)) })), "inflate"},
+		{"byte after a plane's stream", handFrame(planeFlags, 3, 8*planeDim, mutate(append(planes[:len(planes):len(planes)], 0), func(b []byte) { le32(b[zLenAt:], uint32(len(b)-zLenAt-4)) })), "after the end of the stream"},
+		{"plane inflates past its length", handFrame(planeFlags, 3, 8*planeDim, planeSection(t, 0xFF, make([]byte, 8*(planeDim+1)))), "does not end"},
+		{"plane section length not a float64 multiple", handFrame(planeFlags, 3, 8*planeDim-1, planes), "float64 multiple"},
+		{"plane anchor missing", handFrame(planeFlags, 2, 8*planeDim, planes), "no shared anchor"},
+		{"plane anchor of another dimension", handFrame(planeFlags, 3, 4*planeDim, planeSection(t, 0x80, unchanged[:4*planeDim])), "no shared anchor"},
+
+		{"stored section inflates past its length", mutate(quant, func(b []byte) { le32(b[rawLenAt:], binary.LittleEndian.Uint32(b[rawLenAt:])-1) }), "does not end"},
+		{"byte after the stored stream", mutate(append(quant[:len(quant):len(quant)], 0), func(b []byte) {
+			le32(b, uint32(len(b)-4))
+			le32(b[rawLenAt+4:], binary.LittleEndian.Uint32(b[rawLenAt+4:])+1)
+		}), "after the end of the stream"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var msg Message
-			err := ReadMessageWith(bytes.NewReader(tc.raw), &msg, codec)
+			err := ReadMessageWith(bytes.NewReader(tc.raw), &msg, anchored)
 			if err == nil {
 				t.Fatalf("expected error, decoded %+v", msg)
 			}
@@ -394,9 +474,9 @@ func TestCapsLabel(t *testing.T) {
 func TestPoolsDropOversizedBuffers(t *testing.T) {
 	big := make([]byte, maxPooledBytes+1)
 	bp := &big
-	putReadBuf(bp)
+	putBuf(&readBufPool, bp)
 	if got := readBufPool.Get().(*[]byte); cap(*got) > 0 && &(*got)[:1][0] == &big[0] {
-		t.Fatal("putReadBuf pooled a buffer beyond maxPooledBytes")
+		t.Fatal("readBufPool kept a buffer beyond maxPooledBytes")
 	}
 
 	var wb bytes.Buffer
@@ -452,7 +532,35 @@ func FuzzFrame(f *testing.F) {
 		return b[:]
 	}())
 
-	full := NewCodec(ClientCaps, 3, 0.5, nil)
+	// The decoding codec resolves every round to one anchor, so frames that
+	// need one are parsed past the lookup; the seeds cover each form of
+	// state section against it.
+	anchor := testState(5, 256)
+	moved := testState(6, 256)
+	base := func(int) []float64 { return anchor }
+	canon, err := fl.EncodeDelta(fl.QuantInt8, 3, -1, 2, 1, anchor, moved, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []struct {
+		caps uint32
+		msg  *Message
+	}{
+		{CapBinary | CapQuantInt8 | CapTopK | CapFlate, &Message{Kind: KindUpdate, ClientID: 1, Round: 2, State: moved, NumSamples: 4}},
+		{CapBinary | CapQuantInt16, &Message{Kind: KindUpdate, ClientID: 2, Round: 2, State: moved, NumSamples: 4}},
+		{CapBinary | CapQuantInt8 | CapDelta, &Message{Kind: KindGlobal, Round: 2, State: moved, Canon: canon}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteMessageWith(&buf, seed.msg, NewCodec(seed.caps, 3, 0.5, base)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	// Plane sections, hand-built: the encoder writes none this short.
+	f.Add(handFrame(flagState|flagFlate|flagDelta, 1, 8*256, planeSection(f, 0x83, interleavedXOR(moved, anchor))))
+	f.Add(handFrame(flagState|flagFlate, -1, 8*256, planeSection(f, 0xFF, interleavedXOR(moved, nil))))
+
+	full := NewCodec(ClientCaps, 3, 0.5, base)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var msg Message
 		if err := ReadMessageWith(bytes.NewReader(raw), &msg, full); err != nil {
