@@ -1,12 +1,14 @@
 # Tier-1 verification plus the stricter gates (vet, race detector).
 #
 #   make verify     - tier-1: build + full test suite
-#   make vet        - static analysis
+#   make vet        - static analysis, and fmt-check: gofmt -l must list no
+#                     file (the benchmark's build directory aside)
 #   make race       - full suite under the race detector (slow)
 #   make adversary  - Byzantine defense matrix (screen, aggregators,
 #                     poisoning suite, networked quarantine) under -race
 #   make alloc      - allocation-regression guard: the training hot path,
-#                     the reusable quantized-delta encoder, the exact
+#                     every optimizer's per-round Reset and its steps, the
+#                     reusable quantized-delta encoder, the exact
 #                     FedAvg fold and the lossless wire's plane-frame encode
 #                     must stay zero-allocation in steady state (the decode
 #                     allocates only what compress/flate does per stream)
@@ -87,14 +89,17 @@
 
 GO ?= go
 
-.PHONY: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient loc check fuzz bench bench-json bench-scaling
+.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
 	$(GO) test ./...
 
-vet:
+vet: fmt-check
 	$(GO) vet ./...
+
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race -timeout 30m ./...
@@ -106,6 +111,7 @@ adversary:
 alloc:
 	$(GO) test ./internal/nn/ -run 'TestSteadyStateZeroAllocs|TestMatMulSteadyStateZeroAllocs' -v
 	$(GO) test ./internal/tensor/ -run TestWorkspaceSteadyStateAllocs -v
+	$(GO) test ./internal/optim/ -run 'TestResetKeepsStateBuffers|TestResetStepZeroAllocs' -v
 	$(GO) test ./internal/fl/ -run 'TestDeltaEncoderSteadyStateAllocs|TestStreamingFedAvgSteadyStateAllocs' -v
 	$(GO) test ./internal/flnet/ -run 'TestPlaneFrameSteadyStateAllocs|TestStatePoolRetainsCohort' -v
 

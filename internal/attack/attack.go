@@ -313,7 +313,7 @@ func trainModel(m *nn.Model, ds *data.Dataset, epochs, batchSize int, lr float64
 			if lerr != nil {
 				return lerr
 			}
-			m.Backward(res.Grad)
+			m.BackwardParams(res.Grad)
 			for i, p := range params {
 				pd, gd := p.Data(), grads[i].Data()
 				for j := range pd {

@@ -86,7 +86,7 @@ func (a *GradientAttack) gradNorms(m *nn.Model, ds *data.Dataset) ([]float64, er
 			return lerr
 		}
 		m.ZeroGrads()
-		m.Backward(res.Grad)
+		m.BackwardParams(res.Grad)
 		out = append(out, a.normOf(m))
 		return nil
 	})

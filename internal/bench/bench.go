@@ -22,7 +22,9 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/flnet"
+	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/optim"
 	"repro/internal/tensor"
 )
 
@@ -175,6 +177,54 @@ func layerStep(b *testing.B, layer nn.Layer, x *tensor.Tensor) {
 	}
 }
 
+// matMulTransB benchmarks out = a × bᵀ for a m×k and b n×k — a Dense
+// forward's GEMM at batch m.
+func matMulTransB(m, k, n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		rng := rand.New(rand.NewSource(93))
+		a := tensor.Randn(rng, 0, 1, m, k)
+		bt := tensor.Randn(rng, 0, 1, n, k)
+		out := tensor.New(m, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := tensor.MatMulTransBInto(out, a, bt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// trainStep benchmarks one steady-state client training step at batch 64 —
+// forward, loss, the backward pass fl.Client runs, Adagrad update — on a
+// paper model at the round benchmark's input shape. The layers and the
+// optimizer allocate nothing; the allocs/op reported are the LossResult
+// SoftmaxCrossEntropy.Eval returns (and Flatten's reshaped views on VGG11).
+func trainStep(b *testing.B, m *nn.Model, classes int, inputShape ...int) {
+	x := tensor.Randn(rand.New(rand.NewSource(94)), 0, 1, append([]int{64}, inputShape...)...)
+	y := make([]int, x.Dim(0))
+	for i := range y {
+		y[i] = i % classes
+	}
+	var loss nn.SoftmaxCrossEntropy
+	opt := optim.NewAdagrad(0.01)
+	params, grads := m.Params(), m.Grads()
+	step := func() {
+		res, err := loss.Eval(m.Forward(x, true), y)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.BackwardParams(res.Grad)
+		opt.Step(params, grads)
+	}
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // suite lists the tracked benchmarks. Shapes mirror the scaled models' hot
 // layers; fig4_per_layer_protection is the end-to-end acceptance metric (one
 // quick-scale regeneration of the paper's Figure 4).
@@ -212,19 +262,7 @@ var suite = []suiteEntry{
 			}
 		}
 	}},
-	{"matmul_transb", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(93))
-		a := tensor.Randn(rng, 0, 1, 256, 128)
-		bt := tensor.Randn(rng, 0, 1, 64, 128)
-		out := tensor.New(256, 64)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := tensor.MatMulTransBInto(out, a, bt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}},
+	{"matmul_transb", matMulTransB(256, 128, 64)},
 	{"matmul_transa", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(93))
 		at := tensor.Randn(rng, 0, 1, 128, 256)
@@ -237,6 +275,19 @@ var suite = []suiteEntry{
 				b.Fatal(err)
 			}
 		}
+	}},
+	// The three entries below run the shapes the round benchmark's workloads
+	// run: FCNN6's first forward GEMM, and one client step of each model.
+	{"matmul_transb_fcnn6", matMulTransB(64, 600, 512)},
+	{"fcnn6_train_step", func(b *testing.B) {
+		trainStep(b, model.FCNN6(600, 100, rand.New(rand.NewSource(91))), 100, 600)
+	}},
+	{"vgg11_train_step", func(b *testing.B) {
+		m, err := model.VGG11(3, 16, 16, 32, rand.New(rand.NewSource(91)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		trainStep(b, m, 32, 3, 16, 16)
 	}},
 	{"round_throughput", benchRoundThroughput},
 	{"wire_encode", benchWireEncode},

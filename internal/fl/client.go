@@ -103,7 +103,7 @@ func (c *Client) TrainLocal() (float64, error) {
 			if err != nil {
 				return fmt.Errorf("client %d: %w", c.ID, err)
 			}
-			c.Model.Backward(res.Grad)
+			c.Model.BackwardParams(res.Grad)
 			if two, ok := c.Optimizer.(optim.TwoPhase); ok {
 				// Sharpness-aware minimization: re-evaluate the gradient at
 				// the perturbed parameters before the real update.
@@ -113,7 +113,7 @@ func (c *Client) TrainLocal() (float64, error) {
 					if err != nil {
 						return fmt.Errorf("client %d: %w", c.ID, err)
 					}
-					c.Model.Backward(res2.Grad)
+					c.Model.BackwardParams(res2.Grad)
 				}
 				two.SecondStep(params, grads)
 			} else {

@@ -11,7 +11,9 @@ import (
 	"repro/internal/data"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/tensor"
 )
 
 // noneDefense is a local identity defense to avoid importing
@@ -331,5 +333,63 @@ func TestFullParticipationDefault(t *testing.T) {
 	}
 	if got := len(sys.selectClients(0)); got != 3 {
 		t.Fatalf("default participation selected %d of 3", got)
+	}
+}
+
+// TestClientRoundMatchesFullBackward replays one client round by hand through
+// Model.Backward — the input gradient computed and dropped, as TrainLocal did
+// before it switched to Model.BackwardParams — and requires the client's
+// upload to carry the same bits, for a plain and for a two-phase optimizer.
+func TestClientRoundMatchesFullBackward(t *testing.T) {
+	spec, _ := data.Lookup("purchase100")
+	ds, err := data.GenerateN(spec, 80, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := model.FCNN6(spec.Features, spec.Classes, rand.New(rand.NewSource(1)))
+	global := base.StateVector()
+	const batchSize, epochs = 32, 2
+	for _, name := range []string{"adagrad", "sam"} {
+		c, err := NewClient(0, base.Clone(), ds, optim.New(name, 0.05), batchSize, epochs, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := c.RunRound(0, global, &noneDefense{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		ref, opt, rng := base.Clone(), optim.New(name, 0.05), rand.New(rand.NewSource(3))
+		var loss nn.SoftmaxCrossEntropy
+		params, grads := ref.Params(), ref.Grads()
+		grad := func(x *tensor.Tensor, y []int) {
+			res, err := loss.Eval(ref.Forward(x, true), y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Backward(res.Grad)
+		}
+		for e := 0; e < epochs; e++ {
+			if err := ds.Batches(batchSize, rng, func(x *tensor.Tensor, y []int) error {
+				grad(x, y)
+				if two, ok := opt.(optim.TwoPhase); ok {
+					if two.FirstStep(params, grads) {
+						grad(x, y)
+					}
+					two.SecondStep(params, grads)
+				} else {
+					opt.Step(params, grads)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := ref.StateVector()
+		for i, v := range u.State {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: state[%d] = %v through BackwardParams, %v through Backward", name, i, v, want[i])
+			}
+		}
 	}
 }

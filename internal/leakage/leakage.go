@@ -115,7 +115,7 @@ func (a *Analyzer) collect(m *nn.Model, ds *data.Dataset) ([][]float64, error) {
 			return lerr
 		}
 		m.ZeroGrads()
-		m.Backward(res.Grad)
+		m.BackwardParams(res.Grad)
 		for l, g := range m.LayerGradVectors() {
 			rms := rmsOf(g)
 			switch a.Stat {

@@ -1,11 +1,13 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -191,6 +193,61 @@ func TestModelsAreDeterministicPerSeed(t *testing.T) {
 	for i := range av {
 		if av[i] != bv[i] {
 			t.Fatal("same seed should build identical models")
+		}
+	}
+}
+
+// TestBackwardParamsMatchesBackward checks Model.BackwardParams on the four
+// paper models: every gradient tensor is bit-equal to Model.Backward's, and
+// a repeated call runs in the layers' workspaces, allocating no more than
+// Backward does.
+// FCNN6, VGG11 and ResNet20 start with a layer that skips its input
+// gradient; M18 starts with a Conv1D, which cannot (it fuses the weight and
+// input gradients in one loop), so there BackwardParams must fall back to
+// the layer's Backward and still fill its gradients.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	prev := parallel.SetWorkers(1) // the pool's fan-out allocates closures
+	t.Cleanup(func() { parallel.SetWorkers(prev) })
+	for _, name := range []string{"purchase100", "celeba", "cifar10", "speechcommands"} {
+		spec, err := data.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Build(spec, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, conv1d := m.Layers()[0].(*nn.Conv1D); conv1d != (name == "speechcommands") {
+			t.Fatalf("%s: first layer %s", name, m.Layers()[0].Name())
+		}
+		ds, err := data.GenerateN(spec, spec.Classes, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, y := ds.Batch(0, 8)
+		var loss nn.SoftmaxCrossEntropy
+		res, err := loss.Eval(m.Forward(x, true), y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Backward(res.Grad)
+		var want []*tensor.Tensor
+		for _, g := range m.Grads() {
+			want = append(want, g.Clone())
+		}
+		m.ZeroGrads()
+		m.BackwardParams(res.Grad)
+		for i, g := range m.Grads() {
+			for j, v := range g.Data() {
+				if w := want[i].Data()[j]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("%s: grad tensor %d[%d] = %v through BackwardParams, %v through Backward", name, i, j, v, w)
+				}
+			}
+		}
+		// Flatten's reshaped view is all a warmed-up backward pass allocates.
+		full := testing.AllocsPerRun(5, func() { m.Backward(res.Grad) })
+		if allocs := testing.AllocsPerRun(5, func() { m.BackwardParams(res.Grad) }); allocs > full {
+			t.Errorf("%s: a repeated BackwardParams allocates %v times, Backward %v", name, allocs, full)
 		}
 	}
 }

@@ -103,8 +103,9 @@ func (c *Conv2D) useDirect(colWidth int) bool {
 }
 
 var (
-	_ Layer       = (*Conv2D)(nil)
-	_ Initializer = (*Conv2D)(nil)
+	_ Layer          = (*Conv2D)(nil)
+	_ Initializer    = (*Conv2D)(nil)
+	_ paramsBackward = (*Conv2D)(nil)
 )
 
 // NewConv2D returns a 2-D convolution layer with He-initialized weights.
@@ -284,6 +285,15 @@ func (c *Conv2D) forwardDirectRange(xd, od, bd, wtd, wind, pand []float64, b0, b
 // Backward implements Layer. The returned tensor is a workspace buffer valid
 // until the next Backward on this layer.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return c.backward(gradOut, true)
+}
+
+// backwardParams implements paramsBackward.
+func (c *Conv2D) backwardParams(gradOut *tensor.Tensor) { c.backward(gradOut, false) }
+
+// backward stores the parameter gradients and, when needInput is set,
+// computes and returns the input gradient (nil otherwise).
+func (c *Conv2D) backward(gradOut *tensor.Tensor, needInput bool) *tensor.Tensor {
 	if c.lastCol == nil {
 		panic("nn: conv2d Backward before training Forward")
 	}
@@ -312,6 +322,9 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	// gw = g2dᵀ × col => [OutC, InC*KH*KW], without materializing g2dᵀ.
 	if err := tensor.MatMulTransAInto(c.gwMat, g2d, c.lastCol); err != nil {
 		panic(err)
+	}
+	if !needInput {
+		return nil
 	}
 	// gradIn = scatter(g2d × Wmat). For budget-fitting shapes the fused
 	// stage runs the multiply four positions at a time straight out of g2d

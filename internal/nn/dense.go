@@ -66,8 +66,9 @@ const (
 )
 
 var (
-	_ Layer       = (*Dense)(nil)
-	_ Initializer = (*Dense)(nil)
+	_ Layer          = (*Dense)(nil)
+	_ Initializer    = (*Dense)(nil)
+	_ paramsBackward = (*Dense)(nil)
 )
 
 // NewDense returns a dense layer with He-initialized weights and no fused
@@ -203,6 +204,15 @@ func (d *Dense) biasActRange(od, bd []float64, lo, hi int) {
 // Backward implements Layer. The returned tensor is a workspace buffer valid
 // until the next Backward on this layer.
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return d.backward(gradOut, true)
+}
+
+// backwardParams implements paramsBackward.
+func (d *Dense) backwardParams(gradOut *tensor.Tensor) { d.backward(gradOut, false) }
+
+// backward stores the parameter gradients and, when needInput is set,
+// computes and returns the input gradient (nil otherwise).
+func (d *Dense) backward(gradOut *tensor.Tensor, needInput bool) *tensor.Tensor {
 	if d.lastX == nil {
 		panic("nn: dense Backward before Forward")
 	}
@@ -235,6 +245,9 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		for j, v := range row {
 			gbd[j] += v
 		}
+	}
+	if !needInput {
+		return nil
 	}
 	// gradIn = gradOut × W => [B, In]
 	gradIn := d.ws.Get2D(denseSlotGradIn, batch, d.In)

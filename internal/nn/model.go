@@ -170,6 +170,30 @@ func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// paramsBackward is implemented by layers that can store their parameter
+// gradients without computing the gradient with respect to their input.
+type paramsBackward interface {
+	backwardParams(gradOut *tensor.Tensor)
+}
+
+// BackwardParams is Backward for callers that read only the parameter
+// gradients (every training loop): the gradient with respect to the model
+// input is not returned, so a first layer that can skip computing it does.
+// The parameter gradients are bit-identical to Backward's.
+func (m *Model) BackwardParams(grad *tensor.Tensor) {
+	if len(m.layers) == 0 {
+		return
+	}
+	for i := len(m.layers) - 1; i >= 1; i-- {
+		grad = m.layers[i].Backward(grad)
+	}
+	if first, ok := m.layers[0].(paramsBackward); ok {
+		first.backwardParams(grad)
+		return
+	}
+	m.layers[0].Backward(grad)
+}
+
 // Params returns all trainable parameter tensors in span order.
 func (m *Model) Params() []*tensor.Tensor {
 	var ps []*tensor.Tensor

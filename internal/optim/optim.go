@@ -25,7 +25,9 @@ type Optimizer interface {
 	// Reset clears accumulated state (e.g. at the start of a new FL round if
 	// desired; DINAR keeps Adagrad state across local epochs of one round but
 	// resets between rounds, matching Algorithm 1 where G is initialized per
-	// invocation).
+	// invocation). The state vectors are zeroed in place, not dropped: a
+	// client resets every round, and the next Step would otherwise allocate
+	// and zero model-sized buffers again.
 	Reset()
 }
 
@@ -56,7 +58,9 @@ func (s *SGD) Step(params, grads []*tensor.Tensor) {
 		}
 		return
 	}
-	s.ensureState(&s.velocity, params)
+	if !fits(s.velocity, params) {
+		s.velocity = makeState(params)
+	}
 	for i, p := range params {
 		pd, gd, v := p.Data(), grads[i].Data(), s.velocity[i]
 		for j := range pd {
@@ -67,14 +71,7 @@ func (s *SGD) Step(params, grads []*tensor.Tensor) {
 }
 
 // Reset implements Optimizer.
-func (s *SGD) Reset() { s.velocity = nil }
-
-func (s *SGD) ensureState(state *[][]float64, params []*tensor.Tensor) {
-	if len(*state) == len(params) {
-		return
-	}
-	*state = makeState(params)
-}
+func (s *SGD) Reset() { clearState(s.velocity) }
 
 // Adagrad is the adaptive gradient descent of DINAR's Algorithm 1
 // (lines 8–14): it accumulates squared gradients G and scales the step by
@@ -96,7 +93,7 @@ func (a *Adagrad) Name() string { return "adagrad" }
 
 // Step implements Optimizer.
 func (a *Adagrad) Step(params, grads []*tensor.Tensor) {
-	if len(a.accum) != len(params) {
+	if !fits(a.accum, params) {
 		a.accum = makeState(params)
 	}
 	for i, p := range params {
@@ -110,7 +107,7 @@ func (a *Adagrad) Step(params, grads []*tensor.Tensor) {
 }
 
 // Reset implements Optimizer.
-func (a *Adagrad) Reset() { a.accum = nil }
+func (a *Adagrad) Reset() { clearState(a.accum) }
 
 // Adam is the Adam optimizer (Kingma & Ba, 2015).
 type Adam struct {
@@ -132,7 +129,7 @@ func (a *Adam) Name() string { return "adam" }
 
 // Step implements Optimizer.
 func (a *Adam) Step(params, grads []*tensor.Tensor) {
-	if len(a.m) != len(params) {
+	if !fits(a.m, params) {
 		a.m = makeState(params)
 		a.v = makeState(params)
 		a.t = 0
@@ -154,7 +151,11 @@ func (a *Adam) Step(params, grads []*tensor.Tensor) {
 }
 
 // Reset implements Optimizer.
-func (a *Adam) Reset() { a.m, a.v, a.t = nil, nil, 0 }
+func (a *Adam) Reset() {
+	clearState(a.m)
+	clearState(a.v)
+	a.t = 0
+}
 
 // AdaMax is the infinity-norm variant of Adam (Kingma & Ba, 2015).
 type AdaMax struct {
@@ -176,7 +177,7 @@ func (a *AdaMax) Name() string { return "adamax" }
 
 // Step implements Optimizer.
 func (a *AdaMax) Step(params, grads []*tensor.Tensor) {
-	if len(a.m) != len(params) {
+	if !fits(a.m, params) {
 		a.m = makeState(params)
 		a.u = makeState(params)
 		a.t = 0
@@ -195,7 +196,11 @@ func (a *AdaMax) Step(params, grads []*tensor.Tensor) {
 }
 
 // Reset implements Optimizer.
-func (a *AdaMax) Reset() { a.m, a.u, a.t = nil, nil, 0 }
+func (a *AdaMax) Reset() {
+	clearState(a.m)
+	clearState(a.u)
+	a.t = 0
+}
 
 // RMSProp is the RMSProp optimizer (Tieleman & Hinton).
 type RMSProp struct {
@@ -214,7 +219,7 @@ func (r *RMSProp) Name() string { return "rmsprop" }
 
 // Step implements Optimizer.
 func (r *RMSProp) Step(params, grads []*tensor.Tensor) {
-	if len(r.sq) != len(params) {
+	if !fits(r.sq, params) {
 		r.sq = makeState(params)
 	}
 	for i, p := range params {
@@ -228,7 +233,7 @@ func (r *RMSProp) Step(params, grads []*tensor.Tensor) {
 }
 
 // Reset implements Optimizer.
-func (r *RMSProp) Reset() { r.sq = nil }
+func (r *RMSProp) Reset() { clearState(r.sq) }
 
 // ADGD implements Adaptive Gradient Descent Without Descent
 // (Malitsky & Mishchenko, ICML 2020): a parameter-free step size
@@ -255,9 +260,9 @@ func (a *ADGD) Name() string { return "adgd" }
 
 // Step implements Optimizer.
 func (a *ADGD) Step(params, grads []*tensor.Tensor) {
-	if !a.started || len(a.prevParams) != len(params) {
-		a.prevParams = snapshot(params)
-		a.prevGrads = snapshot(grads)
+	if !a.started || !fits(a.prevParams, params) {
+		a.prevParams = snapshot(a.prevParams, params)
+		a.prevGrads = snapshot(a.prevGrads, grads)
 		a.lambda = a.LR0
 		a.theta = math.Inf(1)
 		for i, p := range params {
@@ -295,8 +300,8 @@ func (a *ADGD) Step(params, grads []*tensor.Tensor) {
 	a.theta = lambda / a.lambda
 	a.lambda = lambda
 
-	a.prevParams = snapshot(params)
-	a.prevGrads = snapshot(grads)
+	a.prevParams = snapshot(a.prevParams, params)
+	a.prevGrads = snapshot(a.prevGrads, grads)
 	for i, p := range params {
 		pd, gd := p.Data(), grads[i].Data()
 		for j := range pd {
@@ -307,7 +312,8 @@ func (a *ADGD) Step(params, grads []*tensor.Tensor) {
 
 // Reset implements Optimizer.
 func (a *ADGD) Reset() {
-	a.prevParams, a.prevGrads = nil, nil
+	clearState(a.prevParams)
+	clearState(a.prevGrads)
 	a.started = false
 }
 
@@ -322,12 +328,36 @@ func makeState(params []*tensor.Tensor) [][]float64 {
 	return state
 }
 
-func snapshot(ts []*tensor.Tensor) [][]float64 {
-	out := make([][]float64, len(ts))
-	for i, t := range ts {
-		out[i] = append([]float64(nil), t.Data()...)
+// fits reports whether state holds one vector per tensor, each of the
+// tensor's length — the condition under which Step keeps its buffers.
+func fits(state [][]float64, ts []*tensor.Tensor) bool {
+	if len(state) != len(ts) {
+		return false
 	}
-	return out
+	for i, t := range ts {
+		if len(state[i]) != t.Len() {
+			return false
+		}
+	}
+	return true
+}
+
+func clearState(state [][]float64) {
+	for _, v := range state {
+		clear(v)
+	}
+}
+
+// snapshot copies the tensors' values into dst, which is reused when it fits
+// and re-made when it does not.
+func snapshot(dst [][]float64, ts []*tensor.Tensor) [][]float64 {
+	if !fits(dst, ts) {
+		dst = makeState(ts)
+	}
+	for i, t := range ts {
+		copy(dst[i], t.Data())
+	}
+	return dst
 }
 
 // New constructs an optimizer by name; it is the registry used by the §5.11

@@ -14,6 +14,9 @@ type quadratic struct {
 	c []float64
 	x *tensor.Tensor
 	g *tensor.Tensor
+	// params and grads are {x} and {g}, for callers that must not allocate
+	// the slices per step.
+	params, grads [1]*tensor.Tensor
 }
 
 func newQuadratic(seed int64, n int) *quadratic {
@@ -26,6 +29,7 @@ func newQuadratic(seed int64, n int) *quadratic {
 	for i := range q.c {
 		q.c[i] = 0.5 + rng.Float64()*2
 	}
+	q.params[0], q.grads[0] = q.x, q.g
 	return q
 }
 
@@ -211,5 +215,115 @@ func TestQuickSGDLinearity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// resetCase names one optimizer with the way to reach its state vectors.
+type resetCase struct {
+	name  string
+	mk    func() Optimizer
+	state func(Optimizer) [][][]float64
+}
+
+var resetCases = []resetCase{
+	{"sgd-momentum", func() Optimizer { return NewSGD(0.05, 0.9) },
+		func(o Optimizer) [][][]float64 { return [][][]float64{o.(*SGD).velocity} }},
+	{"adagrad", func() Optimizer { return NewAdagrad(0.5) },
+		func(o Optimizer) [][][]float64 { return [][][]float64{o.(*Adagrad).accum} }},
+	{"adam", func() Optimizer { return NewAdam(0.05) },
+		func(o Optimizer) [][][]float64 { a := o.(*Adam); return [][][]float64{a.m, a.v} }},
+	{"adamax", func() Optimizer { return NewAdaMax(0.05) },
+		func(o Optimizer) [][][]float64 { a := o.(*AdaMax); return [][][]float64{a.m, a.u} }},
+	{"rmsprop", func() Optimizer { return NewRMSProp(0.01) },
+		func(o Optimizer) [][][]float64 { return [][][]float64{o.(*RMSProp).sq} }},
+	{"adgd", func() Optimizer { return NewADGD(0.01) },
+		func(o Optimizer) [][][]float64 { a := o.(*ADGD); return [][][]float64{a.prevParams, a.prevGrads} }},
+	{"sam", func() Optimizer { return NewSAM(0.05, 0.05) },
+		func(o Optimizer) [][][]float64 { return [][][]float64{o.(*SAM).eps} }},
+}
+
+// fullStep is one training-loop step: two-phase for SAM (re-evaluating the
+// quadratic's gradient at the perturbed point; its state exists only on that
+// path), Step for everything else.
+func fullStep(opt Optimizer, q *quadratic) {
+	params, grads := q.params[:], q.grads[:]
+	q.grad()
+	two, ok := opt.(TwoPhase)
+	if !ok {
+		opt.Step(params, grads)
+		return
+	}
+	if two.FirstStep(params, grads) {
+		q.grad()
+	}
+	two.SecondStep(params, grads)
+}
+
+// TestResetKeepsStateBuffers checks the in-place Reset: the state vectors
+// survive it (same backing arrays, all zero), and training on from the reset
+// optimizer is bit-identical to training with a fresh one.
+func TestResetKeepsStateBuffers(t *testing.T) {
+	for _, tc := range resetCases {
+		t.Run(tc.name, func(t *testing.T) {
+			used, q := tc.mk(), newQuadratic(5, 16)
+			for i := 0; i < 3; i++ {
+				fullStep(used, q)
+			}
+			before := tc.state(used)
+			if len(before[0]) != 1 {
+				t.Fatalf("no state after three steps: %v", before)
+			}
+			sameArrays := func(after string) {
+				t.Helper()
+				for s, state := range tc.state(used) {
+					if &state[0][0] != &before[s][0][0] {
+						t.Errorf("state %d: another backing array after %s", s, after)
+					}
+				}
+			}
+			used.Reset()
+			sameArrays("Reset")
+			for s, state := range tc.state(used) {
+				for j, v := range state[0] {
+					if v != 0 {
+						t.Fatalf("state %d[%d] = %v after Reset, want 0", s, j, v)
+					}
+				}
+			}
+
+			fresh, qf := tc.mk(), newQuadratic(7, 16)
+			copy(qf.x.Data(), q.x.Data())
+			copy(qf.c, q.c)
+			for i := 0; i < 3; i++ {
+				fullStep(used, q)
+				fullStep(fresh, qf)
+			}
+			for j, v := range q.x.Data() {
+				if math.Float64bits(v) != math.Float64bits(qf.x.Data()[j]) {
+					t.Fatalf("x[%d] = %v after Reset+3 steps, fresh optimizer %v", j, v, qf.x.Data()[j])
+				}
+			}
+			sameArrays("Reset and three steps")
+		})
+	}
+}
+
+// TestResetStepZeroAllocs is the allocation guard behind `make alloc`: a
+// round's Reset and its steps allocate nothing once the state is sized.
+func TestResetStepZeroAllocs(t *testing.T) {
+	for _, tc := range resetCases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt, q := tc.mk(), newQuadratic(5, 16)
+			fullStep(opt, q)
+			fullStep(opt, q)
+			allocs := testing.AllocsPerRun(10, func() {
+				opt.Reset()
+				fullStep(opt, q)
+				fullStep(opt, q)
+			})
+			if allocs != 0 {
+				t.Errorf("%s: Reset + two steps allocate %v times, want 0", tc.name, allocs)
+			}
+		})
 	}
 }

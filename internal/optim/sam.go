@@ -33,7 +33,8 @@ type SAM struct {
 	LR  float64
 	Rho float64
 
-	eps [][]float64 // the applied perturbation, undone in SecondStep
+	eps       [][]float64 // the applied perturbation, undone in SecondStep
+	perturbed bool        // whether eps is applied and not yet undone
 }
 
 var _ TwoPhase = (*SAM)(nil)
@@ -54,20 +55,21 @@ func (s *SAM) FirstStep(params, grads []*tensor.Tensor) bool {
 	}
 	norm = math.Sqrt(norm)
 	if norm == 0 {
-		s.eps = nil
+		s.perturbed = false
 		return false
 	}
 	scale := s.Rho / norm
-	s.eps = make([][]float64, len(params))
+	if !fits(s.eps, params) {
+		s.eps = makeState(params)
+	}
 	for i, p := range params {
-		pd, gd := p.Data(), grads[i].Data()
-		e := make([]float64, len(pd))
+		pd, gd, e := p.Data(), grads[i].Data(), s.eps[i]
 		for j := range pd {
 			e[j] = scale * gd[j]
 			pd[j] += e[j]
 		}
-		s.eps[i] = e
 	}
+	s.perturbed = true
 	return true
 }
 
@@ -76,7 +78,7 @@ func (s *SAM) FirstStep(params, grads []*tensor.Tensor) bool {
 func (s *SAM) SecondStep(params, grads []*tensor.Tensor) {
 	for i, p := range params {
 		pd, gd := p.Data(), grads[i].Data()
-		if s.eps != nil {
+		if s.perturbed {
 			e := s.eps[i]
 			for j := range pd {
 				pd[j] -= e[j]
@@ -86,7 +88,7 @@ func (s *SAM) SecondStep(params, grads []*tensor.Tensor) {
 			pd[j] -= s.LR * gd[j]
 		}
 	}
-	s.eps = nil
+	s.perturbed = false
 }
 
 // Step implements Optimizer for callers that cannot provide a second pass:
@@ -101,4 +103,7 @@ func (s *SAM) Step(params, grads []*tensor.Tensor) {
 }
 
 // Reset implements Optimizer.
-func (s *SAM) Reset() { s.eps = nil }
+func (s *SAM) Reset() {
+	clearState(s.eps)
+	s.perturbed = false
+}

@@ -21,20 +21,26 @@ import (
 //
 // Layout handling:
 //
-//	NN (MatMul)        B row-major k×n: the kernel streams B rows directly,
-//	                   no packing needed.
-//	TA (MatMulTransA)  A stored transposed (k×m): the four A lanes of a K
-//	                   step sit contiguously, a dedicated kernel reads them
-//	                   in place — again no packing.
-//	TB (MatMulTransB)  B stored transposed (n×k): column lanes would stride
-//	                   by k, so B is packed once per multiply into a pooled
-//	                   row-major k×n buffer (a tiled transpose), shared
-//	                   read-only by all workers, then the NN kernel runs.
+//	layout             A                   B                    kernel
+//	NN (MatMul)        m×k, in place       k×n, in place        gemmNN4x8, ldb = n
+//	TA (MatMulTransA)  k×m (Aᵀ), in place  k×n, in place        gemmTA4x8, ldb = n
+//	TB (MatMulTransB)  m×k, in place       n×k (Bᵀ), packed     gemmNN4x8, ldb = 8
 //
-// KC is pinned to the full inner dimension by the bit-identity contract:
-// splitting K would sum block-partial results and round differently. MC and
-// NC block the output rows and columns so the B panel a row block streams
-// over stays cache-resident; their defaults come from the committed
+// Only a transposed B is ever copied: its column lanes would stride by k, so
+// it is packed once per multiply into ⌈n/8⌉ pooled column panels, each k×8
+// contiguous (panel q holds columns 8q…8q+7, row p at offset 8p) and
+// zero-padded past column n, shared read-only by all workers. The kernel
+// then walks a panel at a 64-byte stride whatever n is, and a ragged last
+// panel still runs through it — into a 4×8 stack tile whose valid columns
+// are copied out — instead of through the scalar edge code. A is read in
+// place in every layout (packing it costs more than it saves at the dense
+// and im2col shapes the models run), and so is a row-major B, whose ragged
+// last columns cannot be over-read and stay on the scalar edge kernel.
+//
+// KC is the full inner dimension: a tile's accumulators live in registers
+// from the first k step to the last and are stored once. MC and NC block
+// the output rows and columns so the B panels a row block streams over stay
+// cache-resident; their values come from the committed
 // BenchmarkGEMMBlockSweep measurements, not guesses (see README
 // "Performance").
 //
@@ -51,42 +57,16 @@ const (
 	gemmNR = 8
 )
 
-// Blocking parameters, read once per multiply. They are plain package
-// variables mutated only by tests and the sweep harness; concurrent mutation
-// with in-flight multiplies is not supported.
+// Blocking parameters and the m*k*n volume below which the matmuls stay on
+// the naive kernels (kernel-call and packing overhead is not worth
+// amortizing), read once per multiply. Only tests and the sweep harness
+// assign them; concurrent mutation with in-flight multiplies is not
+// supported.
 var (
 	gemmMC        = 64
 	gemmNC        = 256
 	gemmMinVolume = 1 << 15
 )
-
-// SetGEMMBlocking overrides the (MC, NC) cache-block sizes and returns the
-// previous values. Both are clamped to at least one register tile. Intended
-// for tests and the block-size sweep.
-func SetGEMMBlocking(mc, nc int) (prevMC, prevNC int) {
-	prevMC, prevNC = gemmMC, gemmNC
-	if mc < gemmMR {
-		mc = gemmMR
-	}
-	if nc < gemmNR {
-		nc = gemmNR
-	}
-	gemmMC, gemmNC = mc, nc
-	return prevMC, prevNC
-}
-
-// SetGEMMMinVolume overrides the m*k*n threshold below which the matmuls
-// stay on the naive kernels (kernel-call and packing overhead is not worth
-// amortizing), and returns the previous value. Tests use 1 to force every
-// shape through the blocked path.
-func SetGEMMMinVolume(v int) (prev int) {
-	prev = gemmMinVolume
-	if v < 1 {
-		v = 1
-	}
-	gemmMinVolume = v
-	return prev
-}
 
 // useBlockedGEMM reports whether a multiply of the given volume dispatches
 // to the blocked SIMD path.
@@ -129,36 +109,75 @@ func gemmBlocked(out, a, b []float64, m, k, n int, aTrans, bTrans bool) {
 		}
 		return
 	}
-	var bt *packBuf
-	if bTrans {
-		bt = getPackBuf(k * n)
-		transposeInto(bt.d, b, n, k)
-		b = bt.d
-	}
 	lda := k
 	if aTrans {
 		lda = m
 	}
 	mc, nc := gemmMC, gemmNC
+	var bp *packBuf
+	if bTrans {
+		bp = getPackBuf(k * roundUpNR(n))
+		packTransB(bp.d, b, n, k)
+		b = bp.d
+		nc = roundUpNR(nc) // column blocks must not cut a panel
+	}
 	g := parallel.Grain(k * n)
 	if parallel.Chunks(m, g) <= 1 {
-		gemmRowsSIMD(out, a, b, 0, m, k, n, lda, aTrans, mc, nc)
+		gemmRowsSIMD(out, a, b, 0, m, k, n, lda, aTrans, bTrans, mc, nc)
 	} else {
 		bd := b
 		parallel.For(m, g, func(lo, hi int) {
-			gemmRowsSIMD(out, a, bd, lo, hi, k, n, lda, aTrans, mc, nc)
+			gemmRowsSIMD(out, a, bd, lo, hi, k, n, lda, aTrans, bTrans, mc, nc)
 		})
 	}
-	if bt != nil {
-		putPackBuf(bt)
+	if bp != nil {
+		putPackBuf(bp)
+	}
+}
+
+func roundUpNR(n int) int { return (n + gemmNR - 1) / gemmNR * gemmNR }
+
+// packTransB packs Bᵀ (n×k row-major: row j is column j of B) into 8-wide
+// column panels: dst[(j/8)·8k + 8p + j%8] = B[p][j], zero past column n.
+// Each panel reads eight source rows front to back and writes its 8k
+// values front to back.
+func packTransB(dst, bt []float64, n, k int) {
+	j := 0
+	for ; j+gemmNR <= n; j += gemmNR {
+		panel := dst[j*k:][:k*gemmNR]
+		r0, r1, r2, r3 := bt[j*k:][:k], bt[(j+1)*k:][:k], bt[(j+2)*k:][:k], bt[(j+3)*k:][:k]
+		r4, r5, r6, r7 := bt[(j+4)*k:][:k], bt[(j+5)*k:][:k], bt[(j+6)*k:][:k], bt[(j+7)*k:][:k]
+		for p := range r0 {
+			d := panel[p*gemmNR:][:gemmNR]
+			d[0], d[1], d[2], d[3] = r0[p], r1[p], r2[p], r3[p]
+			d[4], d[5], d[6], d[7] = r4[p], r5[p], r6[p], r7[p]
+		}
+	}
+	if j == n {
+		return
+	}
+	panel := dst[j*k:][:k*gemmNR]
+	clear(panel)
+	for c := 0; j+c < n; c++ {
+		for p, v := range bt[(j+c)*k:][:k] {
+			panel[p*gemmNR+c] = v
+		}
 	}
 }
 
 // gemmRowsSIMD computes output rows [lo, hi): MC×NC output blocks are walked
-// tile by tile so the NC-wide B panel a row block streams over stays cache-
-// resident across the block's rows; ragged tile borders fall back to the
-// scalar edge kernel (identical per-element operation sequence).
-func gemmRowsSIMD(out, a, b []float64, lo, hi, k, n, lda int, aTrans bool, mc, nc int) {
+// tile by tile so the NC-wide stretch of B a row block streams over stays
+// cache-resident across the block's rows. The B tile for columns [j, j+8) is
+// b[j:] at row stride n in place and panel b[j*k:] at row stride 8 when
+// bPacked. Ragged borders compute the identical per-element operation
+// sequence: a packed B's last panel through the kernel into a stack tile,
+// everything else through the scalar edge kernel.
+func gemmRowsSIMD(out, a, b []float64, lo, hi, k, n, lda int, aTrans, bPacked bool, mc, nc int) {
+	bStep, ldb := 1, n
+	if bPacked {
+		bStep, ldb = k, gemmNR
+	}
+	var edge [gemmMR * gemmNR]float64
 	for ic := lo; ic < hi; ic += mc {
 		ihi := min(ic+mc, hi)
 		for jc := 0; jc < n; jc += nc {
@@ -168,17 +187,28 @@ func gemmRowsSIMD(out, a, b []float64, lo, hi, k, n, lda int, aTrans bool, mc, n
 				j := jc
 				for ; j+gemmNR <= jhi; j += gemmNR {
 					if aTrans {
-						gemmTA4x8(&out[i*n+j], &a[i], &b[j], k, lda, n, n)
+						gemmTA4x8(&out[i*n+j], &a[i], &b[j*bStep], k, lda, ldb, n)
 					} else {
-						gemmNN4x8(&out[i*n+j], &a[i*lda], &b[j], k, lda, n, n)
+						gemmNN4x8(&out[i*n+j], &a[i*lda], &b[j*bStep], k, lda, ldb, n)
 					}
 				}
-				if j < jhi {
-					gemmScalarTile(out, a, b, i, i+gemmMR, j, jhi, k, n, lda, aTrans)
+				if j == jhi {
+					continue
+				}
+				if !bPacked {
+					gemmScalarTile(out, a, b[j:], i, i+gemmMR, j, jhi, k, n, lda, ldb, aTrans)
+					continue
+				}
+				gemmNN4x8(&edge[0], &a[i*lda], &b[j*bStep], k, lda, ldb, gemmNR)
+				for r := 0; r < gemmMR; r++ {
+					copy(out[(i+r)*n+j:(i+r)*n+jhi], edge[r*gemmNR:])
 				}
 			}
-			if i < ihi {
-				gemmScalarTile(out, a, b, i, ihi, jc, jhi, k, n, lda, aTrans)
+			if i == ihi {
+				continue
+			}
+			for j := jc; j < jhi; j += gemmNR {
+				gemmScalarTile(out, a, b[j*bStep:], i, ihi, j, min(j+gemmNR, jhi), k, n, lda, ldb, aTrans)
 			}
 		}
 	}
@@ -187,18 +217,19 @@ func gemmRowsSIMD(out, a, b []float64, lo, hi, k, n, lda int, aTrans bool, mc, n
 // gemmScalarTile computes the ragged border tile [i0,i1)×[j0,j1) with plain
 // scalar code: per element, a k-ascending register accumulation that skips
 // zero A elements — the same sequence as both the naive kernels and the SIMD
-// lanes.
-func gemmScalarTile(out, a, b []float64, i0, i1, j0, j1, k, n, lda int, aTrans bool) {
+// lanes. b starts at the tile's first column and has row stride ldb.
+func gemmScalarTile(out, a, b []float64, i0, i1, j0, j1, k, n, lda, ldb int, aTrans bool) {
 	for i := i0; i < i1; i++ {
 		if aTrans {
 			for j := j0; j < j1; j++ {
+				bCol := b[j-j0:]
 				var acc float64
 				for p := 0; p < k; p++ {
 					av := a[p*lda+i]
 					if av == 0 {
 						continue
 					}
-					acc += av * b[p*n+j]
+					acc += av * bCol[p*ldb]
 				}
 				out[i*n+j] = acc
 			}
@@ -206,32 +237,15 @@ func gemmScalarTile(out, a, b []float64, i0, i1, j0, j1, k, n, lda int, aTrans b
 		}
 		aRow := a[i*lda:][:k]
 		for j := j0; j < j1; j++ {
+			bCol := b[j-j0:]
 			var acc float64
 			for p, av := range aRow {
 				if av == 0 {
 					continue
 				}
-				acc += av * b[p*n+j]
+				acc += av * bCol[p*ldb]
 			}
 			out[i*n+j] = acc
-		}
-	}
-}
-
-// transposeInto writes the transpose of the rows×cols row-major matrix src
-// into dst (cols×rows), in transposeTile×transposeTile blocks so both the
-// reads and the writes stay within cache lines.
-func transposeInto(dst, src []float64, rows, cols int) {
-	for i0 := 0; i0 < rows; i0 += transposeTile {
-		i1 := min(i0+transposeTile, rows)
-		for j0 := 0; j0 < cols; j0 += transposeTile {
-			j1 := min(j0+transposeTile, cols)
-			for i := i0; i < i1; i++ {
-				row := src[i*cols : i*cols+cols]
-				for j := j0; j < j1; j++ {
-					dst[j*rows+i] = row[j]
-				}
-			}
 		}
 	}
 }

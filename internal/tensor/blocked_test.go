@@ -12,12 +12,8 @@ import (
 // restoreGEMM resets the blocked-GEMM tuning knobs mutated by a test.
 func restoreGEMM(t testing.TB) {
 	t.Helper()
-	mc, nc := gemmMC, gemmNC
-	mv := gemmMinVolume
-	t.Cleanup(func() {
-		SetGEMMBlocking(mc, nc)
-		SetGEMMMinVolume(mv)
-	})
+	mc, nc, mv := gemmMC, gemmNC, gemmMinVolume
+	t.Cleanup(func() { gemmMC, gemmNC, gemmMinVolume = mc, nc, mv })
 }
 
 // naiveGEMM computes the reference result with the original row kernels,
@@ -96,7 +92,7 @@ func compareBits(t *testing.T, name string, m, k, n int, got, want []float64) {
 // k-ascending accumulation.
 func TestBlockedGEMMBitIdenticalEdgeShapes(t *testing.T) {
 	restoreGEMM(t)
-	SetGEMMMinVolume(1) // every shape takes the blocked path
+	gemmMinVolume = 1 // every shape takes the blocked path
 	dims := []int{1, gemmMR - 1, gemmMR, gemmMR + 1, 7, 13, 31, 97}
 	rng := rand.New(rand.NewSource(23))
 	for _, m := range dims {
@@ -124,13 +120,13 @@ func TestBlockedGEMMBitIdenticalEdgeShapes(t *testing.T) {
 // multiply, and checks bit-identity against the naive reference.
 func TestBlockedGEMMBitIdenticalBlockParams(t *testing.T) {
 	restoreGEMM(t)
-	SetGEMMMinVolume(1)
+	gemmMinVolume = 1
 	rng := rand.New(rand.NewSource(29))
 	params := []struct{ mc, nc int }{
 		{gemmMR, gemmNR}, // minimum legal blocks: one tile each
 		{8, 12},
 		{16, 64},
-		{1, 1},    // clamped up to one tile
+		{1, 1},     // below one tile: every element takes the edge code
 		{5, 9},     // nc rounded up to a panel multiple
 		{512, 512}, // blocks larger than the matrix
 	}
@@ -140,7 +136,7 @@ func TestBlockedGEMMBitIdenticalBlockParams(t *testing.T) {
 		want := make([]float64, m*n)
 		naiveGEMM(want, a, b, m, k, n, layout)
 		for _, p := range params {
-			SetGEMMBlocking(p.mc, p.nc)
+			gemmMC, gemmNC = p.mc, p.nc
 			got := make([]float64, m*n)
 			runBlocked(got, a, b, m, k, n, layout)
 			compareBits(t, layout, m, k, n, got, want)
@@ -154,7 +150,7 @@ func TestBlockedGEMMBitIdenticalBlockParams(t *testing.T) {
 // not), while Inf/NaN against nonzero elements must propagate identically.
 func TestBlockedGEMMBitIdenticalNonFinite(t *testing.T) {
 	restoreGEMM(t)
-	SetGEMMMinVolume(1)
+	gemmMinVolume = 1
 	rng := rand.New(rand.NewSource(31))
 	const m, k, n = 9, 11, 10
 	for _, layout := range gemmLayouts {
@@ -179,7 +175,7 @@ func TestBlockedGEMMBitIdenticalNonFinite(t *testing.T) {
 func TestBlockedGEMMPoolParallelBitIdentical(t *testing.T) {
 	restoreGEMM(t)
 	restorePool(t)
-	SetGEMMMinVolume(1)
+	gemmMinVolume = 1
 	parallel.SetMinWork(64) // force parallel paths on small shapes
 	shapes := []struct{ m, k, n int }{
 		{3, 200, 1},
@@ -229,6 +225,81 @@ func TestBlockedGEMMDispatchThreshold(t *testing.T) {
 	compareBits(t, "dispatch", m, k, n, out.Data(), want)
 }
 
+// TestPackedTransBBitIdentical pits the panel-packed MatMulTransB path
+// against the naive row kernel at the shapes the models run (dense 600→512,
+// the im2col widths 27 and 36, output widths below, at and past one panel),
+// with signed zeros, NaN and ±Inf planted in A — where a zero must skip its
+// products — and in B, on one worker and on four, under the default blocks
+// and under blocks that are multiples of neither tile dimension.
+func TestPackedTransBBitIdentical(t *testing.T) {
+	restoreGEMM(t)
+	restorePool(t)
+	gemmMinVolume = 1
+	parallel.SetMinWork(64)
+	// The planted NaN is the one the hardware generates for Inf×0 and
+	// Inf−Inf: where two NaNs meet in one sum, which payload survives depends
+	// on the operand order the compiler picked for the reference's add.
+	special := []float64{0, math.Copysign(0, -1), math.Float64frombits(0xfff8 << 48), math.Inf(1), math.Inf(-1)}
+	rng := rand.New(rand.NewSource(59))
+	for _, m := range []int{1, 3, 4, 5, 64} {
+		for _, k := range []int{1, 27, 600} {
+			for _, n := range []int{1, 3, 4, 7, 8, 9, 27, 36, 100, 512} {
+				a, b := gemmOperands(rng, m, k, n, "tb")
+				for i, v := range special {
+					a[(i*7+m)%len(a)] = v
+					b[(i*11+n)%len(b)] = v
+				}
+				want := make([]float64, m*n)
+				matMulTransBRows(want, a, b, 0, m, k, n)
+				for _, blocks := range [][2]int{{64, 256}, {5, 9}} {
+					gemmMC, gemmNC = blocks[0], blocks[1]
+					for _, workers := range []int{1, 4} {
+						parallel.SetWorkers(workers)
+						// Whatever buffer the pool hands out next starts as
+						// garbage, padding included.
+						pb := getPackBuf(k * roundUpNR(n))
+						for i := range pb.d {
+							pb.d[i] = math.NaN()
+						}
+						putPackBuf(pb)
+						got := make([]float64, m*n)
+						gemmBlocked(got, a, b, m, k, n, false, true)
+						compareBits(t, "tb", m, k, n, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPackTransBLayout checks the panel layout itself: element (p, j) of B
+// lands at panel j/8, row p, lane j%8, and a ragged last panel's unused
+// lanes are zeroed whatever the buffer held.
+func TestPackTransBLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, n := range []int{1, 7, 8, 9, 16, 27} {
+		for _, k := range []int{1, 5, 27} {
+			bt := randSlice(rng, n*k)
+			dst := make([]float64, k*roundUpNR(n))
+			for i := range dst {
+				dst[i] = math.NaN()
+			}
+			packTransB(dst, bt, n, k)
+			for j := 0; j < roundUpNR(n); j++ {
+				for p := 0; p < k; p++ {
+					want := 0.0
+					if j < n {
+						want = bt[j*k+p]
+					}
+					if got := dst[j/gemmNR*gemmNR*k+p*gemmNR+j%gemmNR]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d k=%d: packed (%d,%d) = %v, want %v", n, k, p, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBlockedGEMMAllocFree checks the steady-state allocation contract at the
 // tracked bench shapes: pack buffers come from the pool and grow only, so a
 // warmed-up multiply performs zero allocations. GC is disabled around the
@@ -275,13 +346,18 @@ func FuzzBlockedGEMM(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint8(4), uint8(1), int64(2))
 	f.Add(uint8(5), uint8(3), uint8(9), uint8(2), int64(3))
 	f.Add(uint8(47), uint8(31), uint8(33), uint8(0), int64(4))
+	// MatMulTransB with a ragged last panel: n below one panel, one past a
+	// panel, and ragged rows on top.
+	f.Add(uint8(7), uint8(26), uint8(3), uint8(2), int64(5))
+	f.Add(uint8(3), uint8(47), uint8(8), uint8(2), int64(6))
+	f.Add(uint8(6), uint8(0), uint8(35), uint8(2), int64(7))
 	f.Fuzz(func(t *testing.T, mu, ku, nu, lu uint8, seed int64) {
 		m := int(mu)%48 + 1
 		k := int(ku)%48 + 1
 		n := int(nu)%48 + 1
 		layout := gemmLayouts[int(lu)%len(gemmLayouts)]
-		prev := SetGEMMMinVolume(1)
-		defer SetGEMMMinVolume(prev)
+		restoreGEMM(t)
+		gemmMinVolume = 1
 		rng := rand.New(rand.NewSource(seed))
 		a, b := gemmOperands(rng, m, k, n, layout)
 		want := make([]float64, m*n)

@@ -8,15 +8,14 @@ import (
 
 // BenchmarkGEMMBlockSweep is the committed block-size sweep behind the
 // default (MC, NC) choice: it times every candidate pair at the tracked
-// matmul shapes plus the conv2d im2col-GEMM shape, for all three layouts.
-// Run it with
+// matmul shapes, the conv2d im2col-GEMM shape and FCNN6's first forward, over
+// the three layouts. Run it with
 //
 //	go test ./internal/tensor -run xxx -bench GEMMBlockSweep -benchtime 200ms
 //
 // and set the gemmMC/gemmNC defaults in blocked.go to the winner. KC is not
-// swept: it is pinned to the full inner dimension by the bit-identity
-// contract (splitting K would regroup each element's accumulation and move
-// seeded experiment outputs).
+// swept: the kernels keep a tile's accumulators in registers over the full
+// inner dimension (see blocked.go).
 func BenchmarkGEMMBlockSweep(b *testing.B) {
 	restoreGEMM(b)
 	shapes := []struct {
@@ -28,6 +27,7 @@ func BenchmarkGEMMBlockSweep(b *testing.B) {
 		{"transa_256x128x64", 256, 128, 64, "ta"},
 		{"transb_256x128x64", 256, 128, 64, "tb"},
 		{"conv2d_gemm_2048x72x16", 2048, 72, 16, "tb"},
+		{"fcnn6_fwd_64x600x512", 64, 600, 512, "tb"},
 	}
 	mcs := []int{32, 64, 128, 256}
 	ncs := []int{64, 128, 256, 512}
@@ -38,8 +38,8 @@ func BenchmarkGEMMBlockSweep(b *testing.B) {
 		for _, mc := range mcs {
 			for _, nc := range ncs {
 				b.Run(fmt.Sprintf("%s/mc%d_nc%d", s.name, mc, nc), func(b *testing.B) {
-					SetGEMMBlocking(mc, nc)
-					SetGEMMMinVolume(1)
+					gemmMC, gemmNC = mc, nc
+					gemmMinVolume = 1
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						runBlocked(out, a, bb, s.m, s.k, s.n, s.layout)
@@ -75,7 +75,7 @@ func BenchmarkGEMMNaiveVsBlocked(b *testing.B) {
 			}
 		})
 		b.Run(s.name+"/blocked", func(b *testing.B) {
-			SetGEMMMinVolume(1)
+			gemmMinVolume = 1
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				runBlocked(out, a, bb, s.m, s.k, s.n, s.layout)
