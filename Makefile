@@ -66,9 +66,15 @@
 #                     handles KindWire or builds a KindHello (the client side
 #                     of the protocol has one speaker, flnet.RunClient; the
 #                     round benchmark's own module is exempt)
-#   make loc        - the line counter simplicity PRs quote: per internal/*
-#                     package and in total, the non-blank, non-// lines of
-#                     non-test .go files
+#   make oneassembly - grep gate: outside internal/fl and internal/data no
+#                     non-test .go file calls data.NewFLSplit or
+#                     data.PartitionDirichlet (a federation's seeded data,
+#                     models and clients are derived in one place,
+#                     internal/fl/assembly.go; the round benchmark's own
+#                     module keeps its hand copy as the outside check)
+#   make loc        - the line counter simplicity PRs quote: the root package,
+#                     each cmd/* and internal/* package, and in total, the
+#                     non-blank, non-// lines of non-test .go files
 #   make check      - everything above (but loc, which gates nothing)
 #   make fuzz       - short fuzz pass over the frame parser and the Hello
 #                     parser, the top-k delta encoder against
@@ -89,7 +95,7 @@
 
 GO ?= go
 
-.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient loc check fuzz bench bench-json bench-scaling
+.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -161,13 +167,16 @@ nogob:
 oneclient:
 	@if grep -rnE 'KindWire|KindHello' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/flnet|benchmark|\.bench_build)/'; then echo 'a second client-side protocol speaker (see above): drive flnet.RunClient instead'; exit 1; fi
 
+oneassembly:
+	@if grep -rnE 'data\.(NewFLSplit|PartitionDirichlet)\(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/fl|internal/data|benchmark|\.bench_build)/'; then echo 'a second hand-written federation assembly (see above): derive it from fl.Config (internal/fl/assembly.go) instead'; exit 1; fi
+
 loc:
-	@total=0; for d in internal/*/; do \
+	@total=0; for d in ./ cmd/*/ internal/*/; do \
 		n=$$(cat /dev/null $$(ls $$d*.go | grep -v _test.go) | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'); \
 		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%6d  total\n' $$total
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/

@@ -29,7 +29,6 @@ package dinar
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/data"
@@ -69,9 +68,9 @@ type Config struct {
 	// LearningRate is the client learning rate; 0 selects a per-optimizer
 	// default.
 	LearningRate float64
-	// Optimizer overrides the client optimizer ("sgd", "adagrad", "adam",
-	// "adamax", "rmsprop", "adgd"). Empty selects DINAR's Adagrad when
-	// Defense is "dinar" and SGD otherwise.
+	// Optimizer overrides the client optimizer ("sgd", "sam", "adagrad",
+	// "adam", "adamax", "rmsprop", "adgd"). Empty selects the one the
+	// defense trains with: DINAR's Adagrad, DP-FedSAM's SAM, SGD otherwise.
 	Optimizer string
 	// Records overrides the dataset's record count (0 = spec default).
 	Records int
@@ -97,16 +96,15 @@ func Aggregators() []string {
 	return append([]string(nil), fl.AggregatorNames...)
 }
 
+// withDefaults fills what the facade decides itself: the dataset, the defense
+// and, from the defense, the optimizer and its tuned rate. The federation's
+// shape (clients, rounds, epochs, batch size, IID) defaults in fl.Config.
 func (c Config) withDefaults() Config {
 	if c.Defense == "" {
 		c.Defense = "dinar"
 	}
 	if c.Optimizer == "" {
-		if c.Defense == "dinar" {
-			c.Optimizer = "adagrad"
-		} else {
-			c.Optimizer = "sgd"
-		}
+		c.Optimizer = fl.OptimizerFor(c.Defense)
 	}
 	if c.Dataset == "" {
 		c.Dataset = "purchase100"
@@ -114,22 +112,30 @@ func (c Config) withDefaults() Config {
 	if c.LearningRate == 0 {
 		c.LearningRate = fl.DefaultLearningRate(c.Dataset, c.Optimizer)
 	}
-	if c.Clients == 0 {
-		c.Clients = 5
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 10
-	}
-	if c.LocalEpochs == 0 {
-		c.LocalEpochs = 5
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 64
-	}
-	if c.DirichletAlpha == 0 {
-		c.DirichletAlpha = math.Inf(1)
-	}
 	return c
+}
+
+// flConfig is the one conversion from the facade's Config to the assembly's
+// (internal/fl), defaults applied: New, the TCP server, every TCP client, the
+// layer vote and a service-mode job derive their data, models, clients and
+// seed streams from the fl.Config it returns.
+func (c Config) flConfig() fl.Config {
+	c = c.withDefaults()
+	return fl.Config{
+		Dataset:        c.Dataset,
+		Records:        c.Records,
+		Clients:        c.Clients,
+		Rounds:         c.Rounds,
+		LocalEpochs:    c.LocalEpochs,
+		BatchSize:      c.BatchSize,
+		LearningRate:   c.LearningRate,
+		Optimizer:      c.Optimizer,
+		DirichletAlpha: c.DirichletAlpha,
+		Seed:           c.Seed,
+		Parallel:       c.Parallel,
+		Aggregator:     c.Aggregator,
+		MaxByzantine:   c.MaxByzantine,
+	}.WithDefaults()
 }
 
 // DefaultLearningRate returns the tuned learning rate for a (dataset,
@@ -139,9 +145,11 @@ func DefaultLearningRate(dataset, optimizer string) float64 {
 	return fl.DefaultLearningRate(dataset, optimizer)
 }
 
-// System is an assembled federation ready to train.
+// System is an assembled in-process federation ready to train: the
+// reference oracle (fl.System) behind the facade. The TCP deployment
+// (NewMiddlewareServer, RunMiddlewareClient) is held to its final state bit
+// for bit; DESIGN.md, "One assembly", says how.
 type System struct {
-	cfg Config
 	sys *fl.System
 
 	finalUpdates []*fl.Update
@@ -150,30 +158,16 @@ type System struct {
 // New builds a deterministic federated system from cfg.
 func New(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	def, err := defense.New(cfg.Defense, cfg.Seed+7, cfg.Clients)
+	fc := cfg.flConfig()
+	def, err := defense.New(cfg.Defense, fc.DefenseSeed(), fc.Clients)
 	if err != nil {
 		return nil, err
 	}
-	flCfg := fl.Config{
-		Dataset:        cfg.Dataset,
-		Records:        cfg.Records,
-		Clients:        cfg.Clients,
-		Rounds:         cfg.Rounds,
-		LocalEpochs:    cfg.LocalEpochs,
-		BatchSize:      cfg.BatchSize,
-		LearningRate:   cfg.LearningRate,
-		Optimizer:      cfg.Optimizer,
-		DirichletAlpha: cfg.DirichletAlpha,
-		Seed:           cfg.Seed,
-		Parallel:       cfg.Parallel,
-		Aggregator:     cfg.Aggregator,
-		MaxByzantine:   cfg.MaxByzantine,
-	}
-	sys, err := fl.NewSystem(flCfg, def)
+	sys, err := fl.NewSystem(fc, def)
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, sys: sys}, nil
+	return &System{sys: sys}, nil
 }
 
 // Train runs all configured rounds and installs the final (personalized)
@@ -221,8 +215,8 @@ func (s *System) EvaluatePrivacy(ctx context.Context) (*PrivacyReport, error) {
 	}
 	run := &experiment.FLRun{Sys: s.sys, Updates: s.finalUpdates}
 	o := experiment.DefaultOptions()
-	o.Seed = s.cfg.Seed
-	o.BatchSize = s.cfg.BatchSize
+	o.Seed = s.sys.Config.Seed
+	o.BatchSize = s.sys.Config.BatchSize
 	atk, err := o.NewAttacker(run)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package dinar
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,18 @@ func TestConfigDefaults(t *testing.T) {
 	c = Config{Defense: "ldp"}.withDefaults()
 	if c.Optimizer != "sgd" || c.LearningRate != 0.8 {
 		t.Fatalf("ldp defaults: %+v", c)
+	}
+	// Sharpness-aware minimization is part of DP-FedSAM, as Adagrad is of
+	// DINAR: the facade trains it the way every experiment does.
+	c = Config{Defense: "dpfedsam"}.withDefaults()
+	if c.Optimizer != "sam" || c.LearningRate != 0.8 {
+		t.Fatalf("dpfedsam defaults: %+v", c)
+	}
+	// The federation's shape defaults where the assembly lives.
+	fc := Config{}.flConfig()
+	if fc.Dataset != "purchase100" || fc.Optimizer != "adagrad" || fc.LearningRate != 0.01 ||
+		fc.Clients != 5 || fc.Rounds != 10 || fc.LocalEpochs != 5 || fc.BatchSize != 64 || !math.IsInf(fc.DirichletAlpha, 1) {
+		t.Fatalf("assembly defaults: %+v", fc)
 	}
 }
 
@@ -176,34 +189,8 @@ func TestMiddlewareOverTCP(t *testing.T) {
 		BatchSize:   32,
 		Seed:        9,
 	}
-	srv, err := NewMiddlewareServer(ServerOptions{Addr: "127.0.0.1:0", Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	done := make(chan error, 1)
-	go func() {
-		_, err := srv.Serve(ctx)
-		done <- err
-	}()
-	results := make(chan error, cfg.Clients)
-	for i := 0; i < cfg.Clients; i++ {
-		go func(id int) {
-			_, err := RunMiddlewareClient(ctx, ClientOptions{
-				Addr:     srv.Addr(),
-				Config:   cfg,
-				ClientID: id,
-			})
-			results <- err
-		}(i)
-	}
-	for i := 0; i < cfg.Clients; i++ {
-		if err := <-results; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if final := tcpFinalState(t, cfg, false); len(final) == 0 {
+		t.Fatal("empty final state")
 	}
 }
 

@@ -62,7 +62,11 @@ func run() error {
 	fmt.Printf("  agreed private layer: %d\n\n", layer)
 
 	fmt.Println("Step 3 - verify: attack uploads without and with that layer obfuscated")
-	runFL, err := experiment.RunFL(ctx, o, "purchase100", "none")
+	cfg, undefended, err := o.Federation("purchase100", "none")
+	if err != nil {
+		return err
+	}
+	runFL, err := experiment.RunFL(ctx, cfg, undefended)
 	if err != nil {
 		return err
 	}

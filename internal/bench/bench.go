@@ -28,11 +28,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// SchemaVersion is the current BENCH_hotpath.json layout version. Version 1
-// recorded a single top-level gomaxprocs per snapshot; version 2 stamps the
-// CPU count on every result (so a GOMAXPROCS sweep and the single-core
-// baseline coexist) and adds the optional "scaling" section. ReadFile
-// migrates version-1 files in place.
+// SchemaVersion is the BENCH_hotpath.json layout version: the CPU count is
+// stamped on every result (so a GOMAXPROCS sweep and the single-core baseline
+// coexist) and there is an optional "scaling" section. ReadFile refuses a
+// file of any other version.
 const SchemaVersion = 2
 
 // Result is one benchmark measurement.
@@ -41,7 +40,7 @@ type Result struct {
 	BytesPerOp  int64 `json:"bytes_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	Iterations  int   `json:"iterations"`
-	// GOMAXPROCS is the CPU count the measurement ran at (schema v2).
+	// GOMAXPROCS is the CPU count the measurement ran at.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// Extra carries custom metrics published via b.ReportMetric (e.g. the
 	// wire bench's "bytes/round"). Omitted for benchmarks without any.
@@ -53,7 +52,7 @@ type Snapshot struct {
 	Commit string `json:"commit,omitempty"`
 	Note   string `json:"note,omitempty"`
 	// GOMAXPROCS is the setting the whole snapshot ran at; individual
-	// results carry their own copy since schema v2.
+	// results carry their own copy.
 	GOMAXPROCS int               `json:"gomaxprocs"`
 	Results    map[string]Result `json:"results"`
 }
@@ -131,29 +130,6 @@ type File struct {
 	Baseline      *Snapshot      `json:"baseline,omitempty"`
 	Current       Snapshot       `json:"current"`
 	Scaling       *ScalingReport `json:"scaling,omitempty"`
-}
-
-// migrate upgrades a version-1 file in place: the snapshot-level gomaxprocs
-// is stamped onto every result that lacks one, so per-result CPU counts are
-// total after migration.
-func (f *File) migrate() {
-	if f.SchemaVersion >= SchemaVersion {
-		return
-	}
-	stamp := func(s *Snapshot) {
-		if s == nil {
-			return
-		}
-		for name, r := range s.Results {
-			if r.GOMAXPROCS == 0 {
-				r.GOMAXPROCS = s.GOMAXPROCS
-				s.Results[name] = r
-			}
-		}
-	}
-	stamp(f.Baseline)
-	stamp(&f.Current)
-	f.SchemaVersion = SchemaVersion
 }
 
 // suiteEntry names one benchmark of the hot-path suite.
@@ -390,11 +366,14 @@ func ReadFile(path string) (File, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return f, fmt.Errorf("bench: parse %s: %w", path, err)
 	}
-	f.migrate()
+	if f.SchemaVersion != SchemaVersion {
+		return f, fmt.Errorf("bench: %s has schema_version %d, this build reads only version %d: delete the file and record it again (make bench-json)",
+			path, f.SchemaVersion, SchemaVersion)
+	}
 	return f, nil
 }
 
-// UpdateFile reads the file at path (migrating old schemas), applies mutate,
+// UpdateFile reads the file at path, applies mutate,
 // and writes the result back. Sections mutate does not touch — notably the
 // baseline — are preserved.
 func UpdateFile(path string, mutate func(*File)) error {

@@ -9,41 +9,29 @@ import (
 	"repro/internal/parallel"
 )
 
-// TestReadFileMigratesV1 checks that a version-1 file (single snapshot-level
-// gomaxprocs, no schema_version) comes back with the CPU count stamped on
-// every result and the current schema version.
-func TestReadFileMigratesV1(t *testing.T) {
+// TestReadFileRefusesOtherVersions: a file of another layout — version 1
+// carried no schema_version and one snapshot-level gomaxprocs — is refused
+// with an error that names both versions, by ReadFile and by every writer
+// that goes through it, and is left as it was.
+func TestReadFileRefusesOtherVersions(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	v1 := `{
-  "baseline": {
-    "commit": "abc1234",
-    "gomaxprocs": 1,
-    "results": {"matmul": {"ns_per_op": 100, "iterations": 5}}
-  },
-  "current": {
-    "gomaxprocs": 2,
-    "results": {"matmul": {"ns_per_op": 80, "iterations": 7}}
-  }
-}`
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.SchemaVersion != SchemaVersion {
-		t.Fatalf("schema version %d after migration, want %d", f.SchemaVersion, SchemaVersion)
-	}
-	if got := f.Baseline.Results["matmul"].GOMAXPROCS; got != 1 {
-		t.Fatalf("baseline result gomaxprocs %d, want snapshot's 1", got)
-	}
-	if got := f.Current.Results["matmul"].GOMAXPROCS; got != 2 {
-		t.Fatalf("current result gomaxprocs %d, want snapshot's 2", got)
-	}
-	// Migration must not invent measurements.
-	if got := f.Current.Results["matmul"].NsPerOp; got != 80 {
-		t.Fatalf("current ns/op %d, want 80", got)
+	for _, old := range []string{
+		`{"current": {"gomaxprocs": 2, "results": {"matmul": {"ns_per_op": 80, "iterations": 7}}}}`,
+		`{"schema_version": 3, "current": {"gomaxprocs": 2, "results": {}}}`,
+	} {
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadFile(path)
+		if err == nil || !strings.Contains(err.Error(), "schema_version") || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("ReadFile(%s) = %v, want a schema_version error", old, err)
+		}
+		if err := WriteFile(path, Snapshot{GOMAXPROCS: 1}); err == nil {
+			t.Fatalf("WriteFile overwrote %s", old)
+		}
+		if raw, _ := os.ReadFile(path); string(raw) != old {
+			t.Fatalf("refused file changed: %s", raw)
+		}
 	}
 }
 

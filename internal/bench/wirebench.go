@@ -222,16 +222,17 @@ type losslessFrames struct {
 // the round benchmark's load model (800 records, 2 clients, DINAR + Adagrad,
 // one epoch of batch 64), once per process.
 var captureLossless = sync.OnceValues(func() (*losslessFrames, error) {
-	def, err := defense.New("dinar", 7+7, 2)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := fl.NewSystem(fl.Config{
+	cfg := fl.Config{
 		Dataset: "purchase100", Records: 800, Clients: 2, Rounds: 2,
 		LocalEpochs: 1, BatchSize: 64, Optimizer: "adagrad",
 		LearningRate: fl.DefaultLearningRate("purchase100", "adagrad"),
 		Seed:         7,
-	}, def)
+	}
+	def, err := defense.New("dinar", cfg.DefenseSeed(), cfg.Clients)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := fl.NewSystem(cfg, def)
 	if err != nil {
 		return nil, err
 	}

@@ -98,24 +98,12 @@ func AblationRobust(ctx context.Context, o Options, dataset string) (*AblationRe
 	return res, nil
 }
 
-// evaluateWithDefense runs one explicit defense and measures local attack
-// AUC and utility.
+// evaluateWithDefense runs Options' federation under one explicit defense,
+// whose name decides the optimizer, and measures it.
 func evaluateWithDefense(ctx context.Context, o Options, dataset string, def fl.Defense) (*AblationPoint, error) {
-	run, err := RunFLWithDefense(ctx, o, dataset, def)
+	cell, err := evaluate(ctx, o, o.flConfig(dataset, fl.OptimizerFor(def.Name())), def)
 	if err != nil {
 		return nil, err
 	}
-	atk, err := o.NewAttacker(run)
-	if err != nil {
-		return nil, err
-	}
-	auc, err := LocalAUC(run, atk)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := Utility(run)
-	if err != nil {
-		return nil, err
-	}
-	return &AblationPoint{LocalAUC: pct(auc), Accuracy: pct(acc)}, nil
+	return &AblationPoint{LocalAUC: cell.LocalAUC, Accuracy: cell.Accuracy}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/adversary"
-	"repro/internal/defense"
 	"repro/internal/fl"
 	"repro/internal/metrics"
 )
@@ -119,16 +118,14 @@ func Byzantine(ctx context.Context, o Options, dataset string, attacks []adversa
 // clients follow schedule, aggregated by the named rule behind the default
 // update screen, evaluated by the global model's test accuracy.
 func runByzantine(ctx context.Context, o Options, dataset, aggregator string, schedule adversary.Schedule) (*ByzantineCell, error) {
-	def, err := defense.New("none", o.Seed+7, byzantineClients)
+	o.Clients = byzantineClients
+	cfg, def, err := o.Federation(dataset, "none")
 	if err != nil {
 		return nil, err
 	}
-	adv := adversary.Wrap(def, o.Seed+13, schedule)
-	cfg := o.flConfig(dataset, "sgd")
-	cfg.Clients = byzantineClients
 	cfg.Aggregator = aggregator
 	cfg.MaxByzantine = byzantineF
-	run, err := runConfigured(ctx, cfg, adv)
+	run, err := RunFL(ctx, cfg, adversary.Wrap(def, o.Seed+13, schedule))
 	if err != nil {
 		return nil, err
 	}

@@ -269,12 +269,30 @@ func TestRegistryDispatch(t *testing.T) {
 	}
 }
 
+// TestOptimizerFor: the evaluation's federation trains each defense with the
+// optimizer fl.OptimizerFor names, at that optimizer's rate, and builds the
+// defense on the federation's defense stream.
 func TestOptimizerFor(t *testing.T) {
-	if optimizerFor("dinar") != "adagrad" {
-		t.Fatal("DINAR should use adagrad (Algorithm 1)")
+	o := DefaultOptions()
+	for _, row := range []struct {
+		defense, optimizer string
+		lr                 float64
+	}{
+		{"dinar", "adagrad", o.AdaptiveLearningRate},
+		{"dpfedsam", "sam", 0.8},
+		{"ldp", "sgd", 0.8},
+	} {
+		cfg, def, err := o.Federation("purchase100", row.defense)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Optimizer != row.optimizer || cfg.LearningRate != row.lr || def.Name() != row.defense {
+			t.Errorf("%s: optimizer %q at %v under %q, want %q at %v",
+				row.defense, cfg.Optimizer, cfg.LearningRate, def.Name(), row.optimizer, row.lr)
+		}
 	}
-	if optimizerFor("ldp") != "sgd" {
-		t.Fatal("baselines should use sgd")
+	if _, _, err := o.Federation("purchase100", "nope"); err == nil {
+		t.Error("accepted an unknown defense")
 	}
 }
 

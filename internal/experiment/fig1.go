@@ -32,7 +32,11 @@ func Fig1(ctx context.Context, o Options, datasets ...string) (*Fig1Result, erro
 	}
 	res := &Fig1Result{}
 	for _, ds := range datasets {
-		run, err := RunFL(ctx, o, ds, "none")
+		cfg, def, err := o.Federation(ds, "none")
+		if err != nil {
+			return nil, err
+		}
+		run, err := RunFL(ctx, cfg, def)
 		if err != nil {
 			return nil, err
 		}

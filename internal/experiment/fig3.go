@@ -41,7 +41,11 @@ func Fig3(ctx context.Context, o Options, dataset string) (*Fig3Result, error) {
 	}
 	res := &Fig3Result{Dataset: dataset}
 	for _, dname := range Fig3Defenses {
-		run, err := RunFL(ctx, o, dataset, dname)
+		cfg, def, err := o.Federation(dataset, dname)
+		if err != nil {
+			return nil, err
+		}
+		run, err := RunFL(ctx, cfg, def)
 		if err != nil {
 			return nil, err
 		}

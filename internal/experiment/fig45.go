@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/fl"
 	"repro/internal/leakage"
 	"repro/internal/metrics"
 )
@@ -34,7 +35,11 @@ func Fig4(ctx context.Context, o Options, dataset string) (*Fig4Result, error) {
 	if dataset == "" {
 		dataset = "celeba"
 	}
-	run, err := RunFL(ctx, o, dataset, "none")
+	cfg, def, err := o.Federation(dataset, "none")
+	if err != nil {
+		return nil, err
+	}
+	run, err := RunFL(ctx, cfg, def)
 	if err != nil {
 		return nil, err
 	}
@@ -136,35 +141,22 @@ func Fig5(ctx context.Context, o Options, dataset string) (*Fig5Result, error) {
 		dataset = "purchase100"
 	}
 	res := &Fig5Result{Dataset: dataset}
-	// Determine the layer count from a probe model without training.
-	spec, err := lookupSpec(dataset)
+	// The figure's attacker is the loss-threshold one at every scale.
+	o.UseShadowAttack = false
+	cfg := o.flConfig(dataset, fl.OptimizerFor("dinar"))
+	// Determine the layer count from the federation's model without training.
+	m, err := cfg.BuildModel()
 	if err != nil {
 		return nil, err
 	}
-	probeModel, err := buildModel(spec, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	numLayers := probeModel.NumLayers()
-
-	atk := attack.NewLossAttack()
-	for _, set := range fig5LayerSets(numLayers) {
-		def := core.NewWithLayers(o.Seed, set...)
-		run, err := RunFLWithDefense(ctx, o, dataset, def)
-		if err != nil {
-			return nil, err
-		}
-		auc, err := LocalAUC(run, atk)
-		if err != nil {
-			return nil, err
-		}
-		acc, err := Utility(run)
+	for _, set := range fig5LayerSets(m.NumLayers()) {
+		cell, err := evaluate(ctx, o, cfg, core.NewWithLayers(o.Seed, set...))
 		if err != nil {
 			return nil, err
 		}
 		res.Sets = append(res.Sets, setLabel(set))
-		res.AUC = append(res.AUC, pct(auc))
-		res.Accuracy = append(res.Accuracy, pct(acc))
+		res.AUC = append(res.AUC, cell.LocalAUC)
+		res.Accuracy = append(res.Accuracy, cell.Accuracy)
 	}
 	return res, nil
 }

@@ -70,32 +70,11 @@ func Fig6(ctx context.Context, o Options, datasets []string, defenses []string) 
 // evaluateDefense runs one (dataset, defense) configuration and measures
 // global AUC, local AUC, and utility.
 func evaluateDefense(ctx context.Context, o Options, dataset, defenseName string) (*PrivacyCell, error) {
-	run, err := RunFL(ctx, o, dataset, defenseName)
+	cfg, def, err := o.Federation(dataset, defenseName)
 	if err != nil {
 		return nil, err
 	}
-	atk, err := o.NewAttacker(run)
-	if err != nil {
-		return nil, err
-	}
-	global, err := GlobalAUC(run, atk)
-	if err != nil {
-		return nil, err
-	}
-	local, err := LocalAUC(run, atk)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := Utility(run)
-	if err != nil {
-		return nil, err
-	}
-	return &PrivacyCell{
-		Defense:   defenseName,
-		GlobalAUC: pct(global),
-		LocalAUC:  pct(local),
-		Accuracy:  pct(acc),
-	}, nil
+	return evaluate(ctx, o, cfg, def)
 }
 
 // Table renders the privacy matrix (Fig. 6's bar heights).

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 
 	"repro/internal/attack"
@@ -83,15 +82,11 @@ func QuickOptions() Options {
 	}
 }
 
-// adaptiveOptimizers are the optimizers that use AdaptiveLearningRate.
-var adaptiveOptimizers = map[string]bool{
-	"adagrad": true, "adam": true, "adamax": true, "rmsprop": true, "adgd": true,
-}
-
-// flConfig converts Options to an fl.Config for the given dataset.
+// flConfig converts Options to an fl.Config for the given dataset and client
+// optimizer.
 func (o Options) flConfig(dataset, optimizer string) fl.Config {
 	lr := fl.DefaultLearningRate(dataset, optimizer)
-	if adaptiveOptimizers[optimizer] {
+	if fl.AdaptiveOptimizer(optimizer) {
 		if o.AdaptiveLearningRate > 0 {
 			lr = o.AdaptiveLearningRate
 		}
@@ -112,18 +107,14 @@ func (o Options) flConfig(dataset, optimizer string) fl.Config {
 	}
 }
 
-// optimizerFor returns the client optimizer a defense runs with: DINAR uses
-// its adaptive gradient descent (Algorithm 1), baselines use SGD.
-func optimizerFor(defenseName string) string {
-	switch {
-	case strings.HasPrefix(defenseName, "dinar"):
-		// Includes robust-wrapped variants ("dinar+robust").
-		return "adagrad"
-	case strings.HasPrefix(defenseName, "dpfedsam"):
-		return "sam" // sharpness-aware minimization is part of the method
-	default:
-		return "sgd"
-	}
+// Federation is how the evaluation reruns one federation under each defense
+// (§5): the configuration for dataset with the optimizer the named defense
+// trains with, and that defense from the registry on the federation's
+// defense stream.
+func (o Options) Federation(dataset, defenseName string) (fl.Config, fl.Defense, error) {
+	cfg := o.flConfig(dataset, fl.OptimizerFor(defenseName))
+	def, err := defense.New(defenseName, cfg.DefenseSeed(), cfg.Clients)
+	return cfg, def, err
 }
 
 // FLRun bundles everything an experiment needs after federated training.
@@ -132,51 +123,9 @@ type FLRun struct {
 	Updates []*fl.Update // final-round post-defense uploads
 }
 
-// RunFL builds the system for (dataset, defenseName), trains it to
+// RunFL assembles the federation cfg describes around def, trains it to
 // completion, and finalizes clients (personalized models installed).
-func RunFL(ctx context.Context, o Options, dataset, defenseName string) (*FLRun, error) {
-	def, err := defense.New(defenseName, o.Seed+7, o.Clients)
-	if err != nil {
-		return nil, err
-	}
-	cfg := o.flConfig(dataset, optimizerFor(defenseName))
-	sys, err := fl.NewSystem(cfg, def)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s/%s: %w", dataset, defenseName, err)
-	}
-	updates, err := sys.Run(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s/%s run: %w", dataset, defenseName, err)
-	}
-	if err := sys.FinalizeClients(); err != nil {
-		return nil, err
-	}
-	return &FLRun{Sys: sys, Updates: updates}, nil
-}
-
-// RunFLWithDefense is RunFL with an explicitly constructed defense (used by
-// sweeps that need non-registry configurations, e.g. DINAR with custom layer
-// sets or LDP with custom budgets).
-func RunFLWithDefense(ctx context.Context, o Options, dataset string, def fl.Defense) (*FLRun, error) {
-	cfg := o.flConfig(dataset, optimizerFor(def.Name()))
-	sys, err := fl.NewSystem(cfg, def)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s/%s: %w", dataset, def.Name(), err)
-	}
-	updates, err := sys.Run(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s/%s run: %w", dataset, def.Name(), err)
-	}
-	if err := sys.FinalizeClients(); err != nil {
-		return nil, err
-	}
-	return &FLRun{Sys: sys, Updates: updates}, nil
-}
-
-// runConfigured runs an explicit fl.Config with an explicit defense — the
-// lowest-level runner, used by sweeps that tweak config fields directly
-// (non-IID alpha, optimizer override).
-func runConfigured(ctx context.Context, cfg fl.Config, def fl.Defense) (*FLRun, error) {
+func RunFL(ctx context.Context, cfg fl.Config, def fl.Defense) (*FLRun, error) {
 	sys, err := fl.NewSystem(cfg, def)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %s/%s: %w", cfg.Dataset, def.Name(), err)
@@ -302,13 +251,43 @@ func Utility(run *FLRun) (float64, error) {
 	return run.Sys.MeanClientAccuracy(run.Sys.Split.Test)
 }
 
+// measure reads a finished run the way every privacy/utility figure does:
+// the configured attack's AUC against the final global model and against the
+// uploaded local models, and the mean personalized accuracy, all in percent.
+func (o Options) measure(run *FLRun) (*PrivacyCell, error) {
+	atk, err := o.NewAttacker(run)
+	if err != nil {
+		return nil, err
+	}
+	global, err := GlobalAUC(run, atk)
+	if err != nil {
+		return nil, err
+	}
+	local, err := LocalAUC(run, atk)
+	if err != nil {
+		return nil, err
+	}
+	acc, err := Utility(run)
+	if err != nil {
+		return nil, err
+	}
+	return &PrivacyCell{
+		Defense:   run.Sys.Defense.Name(),
+		GlobalAUC: pct(global),
+		LocalAUC:  pct(local),
+		Accuracy:  pct(acc),
+	}, nil
+}
+
+// evaluate runs one explicit configuration under one explicit defense and
+// measures it.
+func evaluate(ctx context.Context, o Options, cfg fl.Config, def fl.Defense) (*PrivacyCell, error) {
+	run, err := RunFL(ctx, cfg, def)
+	if err != nil {
+		return nil, err
+	}
+	return o.measure(run)
+}
+
 // pct renders a fraction as a percentage value (e.g. 0.5 -> 50.0).
 func pct(v float64) float64 { return v * 100 }
-
-// lookupSpec resolves a dataset name to its spec.
-func lookupSpec(dataset string) (data.Spec, error) { return data.Lookup(dataset) }
-
-// buildModel constructs the dataset's model architecture with a seeded RNG.
-func buildModel(spec data.Spec, seed int64) (*nn.Model, error) {
-	return model.Build(spec, rand.New(rand.NewSource(seed)))
-}

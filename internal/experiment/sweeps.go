@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/defense"
+	"repro/internal/fl"
 	"repro/internal/metrics"
 )
 
@@ -44,35 +45,21 @@ func Fig8(ctx context.Context, o Options, dataset string, alphas []float64, defe
 	}
 	res := &Fig8Result{Dataset: dataset}
 	for _, alpha := range alphas {
-		oa := o
 		for _, dname := range defenses {
-			def, err := defense.New(dname, o.Seed+7, o.Clients)
+			cfg, def, err := o.Federation(dataset, dname)
 			if err != nil {
 				return nil, err
 			}
-			cfg := oa.flConfig(dataset, optimizerFor(dname))
 			cfg.DirichletAlpha = alpha
-			run, err := runConfigured(ctx, cfg, def)
-			if err != nil {
-				return nil, err
-			}
-			atk, err := oa.NewAttacker(run)
-			if err != nil {
-				return nil, err
-			}
-			auc, err := LocalAUC(run, atk)
-			if err != nil {
-				return nil, err
-			}
-			acc, err := Utility(run)
+			cell, err := evaluate(ctx, o, cfg, def)
 			if err != nil {
 				return nil, err
 			}
 			res.Points = append(res.Points, Fig8Point{
 				Alpha:    alpha,
 				Defense:  dname,
-				LocalAUC: pct(auc),
-				Accuracy: pct(acc),
+				LocalAUC: cell.LocalAUC,
+				Accuracy: cell.Accuracy,
 			})
 		}
 	}
@@ -178,45 +165,32 @@ func Fig10(ctx context.Context, o Options, dataset string, budgets []float64) (*
 	}
 	res := &Fig10Result{Dataset: dataset}
 
-	record := func(label string, run *FLRun) error {
-		atk, err := o.NewAttacker(run)
+	record := func(label string, cfg fl.Config, def fl.Defense) error {
+		cell, err := evaluate(ctx, o, cfg, def)
 		if err != nil {
 			return err
 		}
-		auc, err := LocalAUC(run, atk)
-		if err != nil {
-			return err
-		}
-		acc, err := Utility(run)
-		if err != nil {
-			return err
-		}
-		res.Points = append(res.Points, Fig10Point{Label: label, LocalAUC: pct(auc), Accuracy: pct(acc)})
+		res.Points = append(res.Points, Fig10Point{Label: label, LocalAUC: cell.LocalAUC, Accuracy: cell.Accuracy})
 		return nil
 	}
 
-	run, err := RunFL(ctx, o, dataset, "none")
+	cfg, def, err := o.Federation(dataset, "none")
 	if err != nil {
 		return nil, err
 	}
-	if err := record("no defense", run); err != nil {
+	if err := record("no defense", cfg, def); err != nil {
 		return nil, err
 	}
+	cfg = o.flConfig(dataset, fl.OptimizerFor("ldp"))
 	for _, eps := range budgets {
-		def := defense.NewLDPWithBudget(o.Seed+7, eps)
-		run, err := RunFLWithDefense(ctx, o, dataset, def)
-		if err != nil {
-			return nil, err
-		}
-		if err := record(fmt.Sprintf("ldp eps=%v", eps), run); err != nil {
+		if err := record(fmt.Sprintf("ldp eps=%v", eps), cfg, defense.NewLDPWithBudget(cfg.DefenseSeed(), eps)); err != nil {
 			return nil, err
 		}
 	}
-	run, err = RunFL(ctx, o, dataset, "dinar")
-	if err != nil {
+	if cfg, def, err = o.Federation(dataset, "dinar"); err != nil {
 		return nil, err
 	}
-	if err := record("dinar", run); err != nil {
+	if err := record("dinar", cfg, def); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -259,28 +233,15 @@ func Fig11(ctx context.Context, o Options, dataset string, optimizers []string) 
 	}
 	res := &Fig11Result{Dataset: dataset}
 	for _, opt := range optimizers {
-		def, err := defense.New("dinar", o.Seed+7, o.Clients)
+		_, def, err := o.Federation(dataset, "dinar")
 		if err != nil {
 			return nil, err
 		}
-		cfg := o.flConfig(dataset, opt)
-		run, err := runConfigured(ctx, cfg, def)
+		cell, err := evaluate(ctx, o, o.flConfig(dataset, opt), def)
 		if err != nil {
 			return nil, err
 		}
-		acc, err := Utility(run)
-		if err != nil {
-			return nil, err
-		}
-		atk, err := o.NewAttacker(run)
-		if err != nil {
-			return nil, err
-		}
-		auc, err := LocalAUC(run, atk)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, Fig11Point{Optimizer: opt, Accuracy: pct(acc), LocalAUC: pct(auc)})
+		res.Points = append(res.Points, Fig11Point{Optimizer: opt, Accuracy: cell.Accuracy, LocalAUC: cell.LocalAUC})
 	}
 	return res, nil
 }

@@ -51,7 +51,11 @@ func Table3(ctx context.Context, o Options, dataset string, defenses []string) (
 	res := &Table3Result{Dataset: dataset}
 	var baseTrain, baseAgg time.Duration
 	for _, dname := range defenses {
-		run, err := RunFL(ctx, o, dataset, dname)
+		cfg, def, err := o.Federation(dataset, dname)
+		if err != nil {
+			return nil, err
+		}
+		run, err := RunFL(ctx, cfg, def)
 		if err != nil {
 			return nil, err
 		}

@@ -18,6 +18,7 @@ package fl
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/nn"
@@ -90,9 +91,30 @@ type Defense interface {
 }
 
 // adaptiveOptimizers are the optimizers whose effective first-step magnitude
-// is roughly the raw learning rate per coordinate.
+// is roughly the raw learning rate per coordinate, so they take a rate of
+// their own, far below SGD's.
 var adaptiveOptimizers = map[string]bool{
 	"adagrad": true, "adam": true, "adamax": true, "rmsprop": true, "adgd": true,
+}
+
+// AdaptiveOptimizer reports whether the named optimizer is one of those.
+func AdaptiveOptimizer(name string) bool { return adaptiveOptimizers[name] }
+
+// OptimizerFor names the optimizer the clients of a federation under the
+// named defense train with, unless its configuration says otherwise. The
+// optimizer is part of two of the methods: DINAR trains with its adaptive
+// gradient descent (Algorithm 1; the prefix match takes robust-wrapped
+// variants, "dinar+robust", too) and DP-FedSAM with sharpness-aware
+// minimization. Every baseline trains with SGD.
+func OptimizerFor(defenseName string) string {
+	switch {
+	case strings.HasPrefix(defenseName, "dinar"):
+		return "adagrad"
+	case strings.HasPrefix(defenseName, "dpfedsam"):
+		return "sam"
+	default:
+		return "sgd"
+	}
 }
 
 // sgdRates are tuned per-dataset SGD learning rates for the scaled models

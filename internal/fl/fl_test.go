@@ -78,3 +78,19 @@ func TestMaskedSumErrors(t *testing.T) {
 		t.Fatal("MaskedSum accepted mismatched updates")
 	}
 }
+
+// TestOptimizerFor: the optimizer is part of DINAR (Algorithm 1's adaptive
+// gradient descent) and of DP-FedSAM; every baseline trains with SGD.
+func TestOptimizerFor(t *testing.T) {
+	for name, want := range map[string]string{
+		"dinar": "adagrad", "dinar+robust": "adagrad", "dpfedsam": "sam",
+		"none": "sgd", "ldp": "sgd", "cdp": "sgd", "wdp": "sgd", "gc": "sgd", "sa": "sgd",
+	} {
+		if got := OptimizerFor(name); got != want {
+			t.Errorf("OptimizerFor(%q) = %q, want %q", name, got, want)
+		}
+	}
+	if !AdaptiveOptimizer(OptimizerFor("dinar")) || AdaptiveOptimizer("sam") || AdaptiveOptimizer("sgd") {
+		t.Error("adagrad takes the adaptive learning rate; sam and sgd take SGD's")
+	}
+}

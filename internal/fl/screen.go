@@ -17,9 +17,6 @@ import (
 // default: reject non-finite updates, no norm clipping, quarantine after
 // the first offense for three rounds.
 type ScreenConfig struct {
-	// AllowNonFinite disables the NaN/Inf rejection. Leave false: a single
-	// NaN coordinate corrupts FedAvg and misorders sort-based rules.
-	AllowNonFinite bool
 	// ClipNorms enables delta-norm validation: each update's L2 distance to
 	// the round's starting global state is compared against the median of
 	// the norms accepted in earlier rounds. Off by default because defenses
@@ -316,11 +313,10 @@ func (s *Screen) validate(prevGlobal []float64, u *Update) (norm float64, reason
 	if u.NumSamples < 0 {
 		return 0, fmt.Sprintf("negative sample count %d", u.NumSamples)
 	}
-	if !s.cfg.AllowNonFinite {
-		for i, v := range u.State {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, fmt.Sprintf("non-finite value %g at coordinate %d", v, i)
-			}
+	// A single NaN coordinate corrupts FedAvg and misorders sort-based rules.
+	for i, v := range u.State {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Sprintf("non-finite value %g at coordinate %d", v, i)
 		}
 	}
 	if !s.cfg.ClipNorms {

@@ -53,16 +53,6 @@ func TestScreenRejectsStructuralFaults(t *testing.T) {
 	}
 }
 
-func TestScreenAllowNonFinite(t *testing.T) {
-	sc := NewScreen(ScreenConfig{AllowNonFinite: true})
-	kept, rep := sc.Apply(0, []float64{0}, []*Update{
-		{ClientID: 0, State: []float64{math.NaN()}, NumSamples: 1},
-	})
-	if len(kept) != 1 || len(rep.Rejected) != 0 {
-		t.Fatalf("AllowNonFinite should keep the update: %+v", rep)
-	}
-}
-
 func TestScreenQuarantineLifecycle(t *testing.T) {
 	sc := NewScreen(ScreenConfig{QuarantineRounds: 2})
 	prev := []float64{0}

@@ -3,97 +3,20 @@ package fl
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
 
 	"repro/internal/data"
 	"repro/internal/metrics"
-	"repro/internal/model"
-	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/parallel"
 )
 
-// Config describes a complete in-process FL experiment.
-type Config struct {
-	// Dataset names a registered dataset spec (internal/data.Registry).
-	Dataset string
-	// Records overrides the spec's default record count when > 0.
-	Records int
-	// Clients is the number of FL participants (paper: 5, or 10 for
-	// Purchase100).
-	Clients int
-	// Rounds is the number of FL rounds.
-	Rounds int
-	// LocalEpochs is the number of local epochs per round (paper: 5, or 10
-	// for Purchase100).
-	LocalEpochs int
-	// BatchSize is the local mini-batch size (paper: 64).
-	BatchSize int
-	// LearningRate is the client learning rate (paper: 1e-3; our scaled
-	// models use larger rates, set per experiment).
-	LearningRate float64
-	// Optimizer names the client optimizer: sgd, adagrad, adam, adamax,
-	// rmsprop, adgd. DINAR uses adagrad.
-	Optimizer string
-	// DirichletAlpha controls the non-IID partition; +Inf (or 0, the zero
-	// value, treated as +Inf) means IID.
-	DirichletAlpha float64
-	// Participation is the fraction of clients selected each round in
-	// (0, 1]; 0 (the zero value) means full participation, the paper's
-	// setting.
-	Participation float64
-	// Seed makes the whole experiment deterministic.
-	Seed int64
-	// Parallel trains clients concurrently when true.
-	Parallel bool
-	// Aggregator selects the server-side aggregation rule ("fedavg",
-	// "median", "trimmed-mean", "krum", "multi-krum", "norm-bound"); empty
-	// means the defense's own rule (FedAvg for most defenses).
-	Aggregator string
-	// MaxByzantine is the assumed number of malicious clients f the robust
-	// aggregator must tolerate (Krum family tolerance, trimmed-mean trim).
-	MaxByzantine int
-	// NoScreen disables the server's update screen. By default every
-	// round's updates are validated (shape, NaN/Inf) and offenders are
-	// quarantined before the defense aggregates.
-	NoScreen bool
-	// ClipNorms additionally enables the screen's delta-norm clipping
-	// against a running median-of-norms bound.
-	ClipNorms bool
-}
-
-// withDefaults fills unset fields with the paper's §5.3 defaults, scaled.
-func (c Config) withDefaults() Config {
-	if c.Clients == 0 {
-		c.Clients = 5
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 10
-	}
-	if c.LocalEpochs == 0 {
-		c.LocalEpochs = 5
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 64
-	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 0.01
-	}
-	if c.Optimizer == "" {
-		c.Optimizer = "sgd"
-	}
-	if c.DirichletAlpha == 0 {
-		c.DirichletAlpha = math.Inf(1)
-	}
-	if c.Participation == 0 {
-		c.Participation = 1
-	}
-	return c
-}
-
-// System is an assembled in-process federation: one server, N clients, the
-// shared defense, and the data splits needed for evaluation and attacks.
+// System is an in-process federation — one server, N clients and the shared
+// defense calling each other directly — and the reference oracle the
+// networked path is held to: for equal configurations it must end on the
+// final state dinar.NewMiddlewareServer and dinar.RunMiddlewareClient end
+// on, bit for bit (TestSystemMatchesTCP), with no socket, codec or
+// checkpoint in between. Every figure and table experiment runs through it.
+// It trains every client in every round: it samples nothing until it can
+// sample the way the engine does (flnet.SampleOrder).
 type System struct {
 	Config  Config
 	Server  *Server
@@ -109,10 +32,11 @@ type System struct {
 	spec data.Spec
 }
 
-// NewSystem generates data, partitions it, builds per-client models, and
-// wires the defense. The same Seed yields a bit-identical system.
+// NewSystem assembles cfg's federation around def: the data and its
+// partition, one model per client, and the server behind the update screen.
+// The same Seed yields a bit-identical system.
 func NewSystem(cfg Config, def Defense) (*System, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if def == nil {
 		return nil, fmt.Errorf("fl: nil defense (use defense.None for the baseline)")
 	}
@@ -120,67 +44,38 @@ func NewSystem(cfg Config, def Defense) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := data.Lookup(cfg.Dataset)
+	spec, err := cfg.Spec()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Records > 0 {
-		spec.Records = cfg.Records
-	}
-	ds, err := data.Generate(spec, cfg.Seed)
+	split, shards, err := cfg.Partition()
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	split := data.NewFLSplit(ds, rng)
-
-	var shards []*data.Dataset
-	if math.IsInf(cfg.DirichletAlpha, 1) {
-		shards, err = data.PartitionIID(split.Train, cfg.Clients, rng)
-	} else {
-		shards, err = data.PartitionDirichlet(split.Train, cfg.Clients, cfg.DirichletAlpha, rng)
-	}
+	// Every client starts from the same initial model, so build it once and
+	// deep-clone for the rest: bit-identical parameters, unshared layer
+	// workspaces.
+	base, err := cfg.BuildModel()
 	if err != nil {
-		return nil, fmt.Errorf("fl: partition: %w", err)
+		return nil, err
 	}
-
-	meter := metrics.NewCostMeter()
+	initState := base.StateVector()
 	clients := make([]*Client, cfg.Clients)
-	var info ModelInfo
-	var initState []float64
-	var base *nn.Model
 	for i := range clients {
-		// Every client starts from the same initial model (identical seed),
-		// so build it once and deep-clone for the rest: bit-identical
-		// parameters, unshared layer workspaces.
-		var m *nn.Model
-		if i == 0 {
-			m, err = model.Build(spec, rand.New(rand.NewSource(cfg.Seed+2)))
-			if err != nil {
-				return nil, fmt.Errorf("fl: build model: %w", err)
-			}
-			base = m
-			info = InfoOf(m)
-			initState = m.StateVector()
-		} else {
+		m := base
+		if i > 0 {
 			m = base.Clone()
 		}
-		opt := optim.New(cfg.Optimizer, cfg.LearningRate)
-		if opt == nil {
-			return nil, fmt.Errorf("fl: unknown optimizer %q", cfg.Optimizer)
-		}
-		c, err := NewClient(i, m, shards[i], opt, cfg.BatchSize, cfg.LocalEpochs,
-			rand.New(rand.NewSource(cfg.Seed+100+int64(i))))
-		if err != nil {
+		if clients[i], err = cfg.BuildClient(i, m, shards[i]); err != nil {
 			return nil, err
 		}
-		clients[i] = c
 	}
-	if err := def.Bind(info); err != nil {
+	if err := def.Bind(InfoOf(base)); err != nil {
 		return nil, fmt.Errorf("fl: bind defense %q: %w", def.Name(), err)
 	}
 	// Wire the cost meter into defenses that account extra buffer memory
 	// (Table 3's third metric).
+	meter := metrics.NewCostMeter()
 	if metered, ok := def.(interface{ SetMeter(*metrics.CostMeter) }); ok {
 		metered.SetMeter(meter)
 	}
@@ -207,35 +102,13 @@ func NewSystem(cfg Config, def Defense) (*System, error) {
 // override).
 func (s *System) Spec() data.Spec { return s.spec }
 
-// selectClients returns the round's participating clients: all of them at
-// full participation, otherwise a deterministic per-round sample of
-// ceil(Participation·N) clients.
-func (s *System) selectClients(round int) []*Client {
-	n := len(s.Clients)
-	if s.Config.Participation >= 1 {
-		return s.Clients
-	}
-	k := int(math.Ceil(s.Config.Participation * float64(n)))
-	if k < 1 {
-		k = 1
-	}
-	rng := rand.New(rand.NewSource(s.Config.Seed ^ int64(round+1)<<16 ^ 0x5e1ec7))
-	perm := rng.Perm(n)
-	selected := make([]*Client, k)
-	for i := 0; i < k; i++ {
-		selected[i] = s.Clients[perm[i]]
-	}
-	return selected
-}
-
-// RunRound executes one FL round across the round's selected clients and
-// aggregates. It returns the round's client updates (post-defense, i.e.
-// exactly what a server-side attacker observes).
+// RunRound executes one FL round across every client and aggregates. It
+// returns the round's client updates (post-defense, i.e. exactly what a
+// server-side attacker observes).
 func (s *System) RunRound(ctx context.Context) ([]*Update, error) {
 	round := s.Server.Round()
 	global := s.Server.GlobalState()
-	participants := s.selectClients(round)
-	updates := make([]*Update, len(participants))
+	updates := make([]*Update, len(s.Clients))
 
 	if s.Config.Parallel {
 		// Clients train concurrently on the shared compute pool: the pool
@@ -244,21 +117,21 @@ func (s *System) RunRound(ctx context.Context) ([]*Update, error) {
 		// bucket, so a 50-client round no longer schedules
 		// 50×GOMAXPROCS compute goroutines. Errors land in an indexed
 		// slice and the lowest-index one wins, deterministically.
-		errs := make([]error, len(participants))
-		parallel.For(len(participants), 1, func(lo, hi int) {
+		errs := make([]error, len(s.Clients))
+		parallel.For(len(s.Clients), 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 					continue
 				}
-				updates[i], errs[i] = participants[i].RunRound(round, global, s.Defense, s.Meter)
+				updates[i], errs[i] = s.Clients[i].RunRound(round, global, s.Defense, s.Meter)
 			}
 		})
 		if err := firstError(errs); err != nil {
 			return nil, err
 		}
 	} else {
-		for i, c := range participants {
+		for i, c := range s.Clients {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}

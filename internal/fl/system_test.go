@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -299,40 +300,26 @@ func TestEvaluateModel(t *testing.T) {
 	}
 }
 
-func TestPartialParticipation(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Participation = 0.34 // ceil(0.34*3) = 2 of 3 clients per round
-	sys, err := NewSystem(cfg, &noneDefense{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	updates, err := sys.RunRound(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(updates) != 2 {
-		t.Fatalf("participants = %d, want 2", len(updates))
-	}
-	// Selection must vary across rounds (deterministically per seed).
-	seen := make(map[int]bool)
-	for r := 0; r < 6; r++ {
-		for _, c := range sys.selectClients(r) {
-			seen[c.ID] = true
-		}
-	}
-	if len(seen) < 3 {
-		t.Fatalf("rotation covered only %d clients", len(seen))
-	}
-}
-
+// TestFullParticipationDefault: the oracle samples nothing — every round
+// trains every client, in client order.
 func TestFullParticipationDefault(t *testing.T) {
-	cfg := smallConfig()
-	sys, err := NewSystem(cfg, &noneDefense{})
+	sys, err := NewSystem(smallConfig(), &noneDefense{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sys.selectClients(0)); got != 3 {
-		t.Fatalf("default participation selected %d of 3", got)
+	for r := 0; r < 2; r++ {
+		updates, err := sys.RunRound(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(updates) != 3 {
+			t.Fatalf("round %d trained %d of 3 clients", r, len(updates))
+		}
+		for i, u := range updates {
+			if u.ClientID != i || u.Round != r {
+				t.Fatalf("round %d update %d is client %d's for round %d", r, i, u.ClientID, u.Round)
+			}
+		}
 	}
 }
 
@@ -390,6 +377,82 @@ func TestClientRoundMatchesFullBackward(t *testing.T) {
 			if math.Float64bits(v) != math.Float64bits(want[i]) {
 				t.Fatalf("%s: state[%d] = %v through BackwardParams, %v through Backward", name, i, v, want[i])
 			}
+		}
+	}
+}
+
+// TestAssemblySeedStreams derives a federation by hand from the documented
+// seed streams (DESIGN.md, "Seed streams") and requires the assembly to yield
+// the same shards, the same initial model and a client that trains to the
+// same bits, for an IID and a Dirichlet partition. Every golden digest and
+// benchmark hash in the repository depends on these offsets staying put.
+func TestAssemblySeedStreams(t *testing.T) {
+	for _, alpha := range []float64{math.Inf(1), 0.8} {
+		cfg := smallConfig()
+		cfg.DirichletAlpha = alpha
+		cfg = cfg.WithDefaults()
+
+		spec, _ := data.Lookup(cfg.Dataset)
+		spec.Records = cfg.Records
+		ds, err := data.Generate(spec, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(cfg.Seed + 1))
+		wantSplit := data.NewFLSplit(ds, rng)
+		var wantShards []*data.Dataset
+		if math.IsInf(alpha, 1) {
+			wantShards, err = data.PartitionIID(wantSplit.Train, cfg.Clients, rng)
+		} else {
+			wantShards, err = data.PartitionDirichlet(wantSplit.Train, cfg.Clients, alpha, rng)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		split, shards, err := cfg.Partition()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(split.Test.Y, wantSplit.Test.Y) || !reflect.DeepEqual(split.Attacker.Y, wantSplit.Attacker.Y) {
+			t.Fatalf("alpha %v: split differs from the hand derivation", alpha)
+		}
+		const id = 1
+		if !reflect.DeepEqual(shards[id].Y, wantShards[id].Y) || !reflect.DeepEqual(shards[id].X.Data(), wantShards[id].X.Data()) {
+			t.Fatalf("alpha %v: client %d's shard differs from the hand derivation", alpha, id)
+		}
+
+		wantModel, err := model.Build(spec, rand.New(rand.NewSource(cfg.Seed+2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := cfg.BuildModel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m.StateVector(), wantModel.StateVector()) {
+			t.Fatalf("alpha %v: initial model differs from the hand derivation", alpha)
+		}
+
+		want, err := NewClient(id, wantModel, wantShards[id], optim.New(cfg.Optimizer, cfg.LearningRate),
+			cfg.BatchSize, cfg.LocalEpochs, rand.New(rand.NewSource(cfg.Seed+100+id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cfg.BuildClient(id, m, shards[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Client{want, got} {
+			if _, err := c.TrainLocal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(got.Model.StateVector(), want.Model.StateVector()) {
+			t.Fatalf("alpha %v: client %d trains to other bits than the hand derivation", alpha, id)
+		}
+		if cfg.DefenseSeed() != cfg.Seed+7 {
+			t.Fatalf("defense stream at %d, want Seed+7", cfg.DefenseSeed())
 		}
 	}
 }

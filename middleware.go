@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"os"
 	"time"
 
@@ -16,7 +14,6 @@ import (
 	"repro/internal/fl"
 	"repro/internal/flnet"
 	"repro/internal/leakage"
-	"repro/internal/model"
 	"repro/internal/optim"
 	"repro/internal/telemetry"
 )
@@ -104,26 +101,21 @@ type MiddlewareServer struct {
 	admin *telemetry.AdminServer
 }
 
-// buildServerSide is the server half of a federation as cfg (defaults
-// applied) describes it: the dataset's model, seeded, and the configured
-// defense, wrapped in the configured aggregation rule and bound to that
-// model. It returns the defense and the initial global state. The
-// single-tenant server and a service-mode job both start from this one
-// construction, which is what keeps them bit-identical.
-func buildServerSide(cfg Config) (fl.Defense, []float64, error) {
-	spec, err := data.Lookup(cfg.Dataset)
+// buildServerSide is the server half of the federation fc describes: the
+// assembly's initial model and the named defense, wrapped in the configured
+// aggregation rule and bound to that model. It returns the defense and the
+// initial global state. The single-tenant server and a service-mode job both
+// start from this one construction, which is what keeps them bit-identical.
+func buildServerSide(fc fl.Config, defenseName string) (fl.Defense, []float64, error) {
+	m, err := fc.BuildModel()
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := model.Build(spec, rand.New(rand.NewSource(cfg.Seed+2)))
+	def, err := defense.New(defenseName, fc.DefenseSeed(), fc.Clients)
 	if err != nil {
 		return nil, nil, err
 	}
-	def, err := defense.New(cfg.Defense, cfg.Seed+7, cfg.Clients)
-	if err != nil {
-		return nil, nil, err
-	}
-	def, err = fl.WithAggregator(def, cfg.Aggregator, cfg.MaxByzantine)
+	def, err = fl.WithAggregator(def, fc.Aggregator, fc.MaxByzantine)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,21 +129,22 @@ func buildServerSide(cfg Config) (fl.Defense, []float64, error) {
 // dataset and starts listening.
 func NewMiddlewareServer(opts ServerOptions) (*MiddlewareServer, error) {
 	cfg := opts.Config.withDefaults()
-	def, initial, err := buildServerSide(cfg)
+	fc := cfg.flConfig()
+	def, initial, err := buildServerSide(fc, cfg.Defense)
 	if err != nil {
 		return nil, err
 	}
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		Addr:          opts.Addr,
-		NumClients:    cfg.Clients,
+		NumClients:    fc.Clients,
 		MinClients:    opts.MinClients,
-		Rounds:        cfg.Rounds,
+		Rounds:        fc.Rounds,
 		RoundDeadline: opts.RoundDeadline,
 		SampleSize:    opts.SampleSize,
 		// Passed through verbatim: 0 must reach flnet so a resumed
 		// federation adopts the checkpoint's recorded draw seed.
 		SampleSeed:        opts.SampleSeed,
-		SampleSeedDefault: cfg.Seed,
+		SampleSeedDefault: fc.Seed,
 		AsyncStaleness:    opts.AsyncStaleness,
 		Streaming:         opts.Streaming,
 		Compress:          opts.Compress,
@@ -161,12 +154,12 @@ func NewMiddlewareServer(opts ServerOptions) (*MiddlewareServer, error) {
 		// Same pass-through contract as SampleSeed: 0 must reach flnet so
 		// a resumed federation adopts the checkpoint's quantizer seed.
 		QuantSeed:        opts.QuantSeed,
-		QuantSeedDefault: cfg.Seed,
+		QuantSeedDefault: fc.Seed,
 		Pipeline:         opts.Pipeline,
 		Defense:          def,
 		InitialState:     initial,
 		CheckpointPath:   opts.CheckpointPath,
-		Dataset:          cfg.Dataset,
+		Dataset:          fc.Dataset,
 		NoScreen:         opts.NoScreen,
 		Screen: fl.ScreenConfig{
 			ClipNorms:        opts.ClipNorms,
@@ -284,46 +277,23 @@ type ParticipantResult struct {
 // then participates in the federation until the server finishes.
 func RunMiddlewareClient(ctx context.Context, opts ClientOptions) (*ParticipantResult, error) {
 	cfg := opts.Config.withDefaults()
-	if opts.ClientID < 0 || opts.ClientID >= cfg.Clients {
-		return nil, fmt.Errorf("dinar: client id %d out of range [0,%d)", opts.ClientID, cfg.Clients)
+	fc := cfg.flConfig()
+	if opts.ClientID < 0 || opts.ClientID >= fc.Clients {
+		return nil, fmt.Errorf("dinar: client id %d out of range [0,%d)", opts.ClientID, fc.Clients)
 	}
-	spec, err := data.Lookup(cfg.Dataset)
+	split, shards, err := fc.Partition()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Records > 0 {
-		spec.Records = cfg.Records
-	}
-	ds, err := data.Generate(spec, cfg.Seed)
+	m, err := fc.BuildModel()
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	split := data.NewFLSplit(ds, rng)
-	var shards []*data.Dataset
-	if math.IsInf(cfg.DirichletAlpha, 1) {
-		shards, err = data.PartitionIID(split.Train, cfg.Clients, rng)
-	} else {
-		shards, err = data.PartitionDirichlet(split.Train, cfg.Clients, cfg.DirichletAlpha, rng)
-	}
+	trainer, err := fc.BuildClient(opts.ClientID, m, shards[opts.ClientID])
 	if err != nil {
 		return nil, err
 	}
-
-	m, err := model.Build(spec, rand.New(rand.NewSource(cfg.Seed+2)))
-	if err != nil {
-		return nil, err
-	}
-	opt := optim.New(cfg.Optimizer, cfg.LearningRate)
-	if opt == nil {
-		return nil, fmt.Errorf("dinar: unknown optimizer %q", cfg.Optimizer)
-	}
-	trainer, err := fl.NewClient(opts.ClientID, m, shards[opts.ClientID], opt,
-		cfg.BatchSize, cfg.LocalEpochs, rand.New(rand.NewSource(cfg.Seed+100+int64(opts.ClientID))))
-	if err != nil {
-		return nil, err
-	}
-	def, err := defense.New(cfg.Defense, cfg.Seed+7, cfg.Clients)
+	def, err := defense.New(cfg.Defense, fc.DefenseSeed(), fc.Clients)
 	if err != nil {
 		return nil, err
 	}
@@ -416,81 +386,77 @@ func wirePrivateCheckpoints(cfg *flnet.ClientConfig, def fl.Defense, opts Client
 //
 // byzantine, if non-empty, marks client indices that vote arbitrarily.
 func ChoosePrivateLayer(ctx context.Context, cfg Config, byzantine []int) (int, error) {
-	cfg = cfg.withDefaults()
-	spec, err := data.Lookup(cfg.Dataset)
+	fc := cfg.flConfig()
+	probes, nonMembers, err := voteProbes(fc)
 	if err != nil {
 		return -1, err
 	}
-	if cfg.Records > 0 {
-		spec.Records = cfg.Records
-	}
-	ds, err := data.Generate(spec, cfg.Seed)
-	if err != nil {
-		return -1, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	split := data.NewFLSplit(ds, rng)
-	shards, err := data.PartitionIID(split.Train, cfg.Clients, rng)
-	if err != nil {
-		return -1, err
-	}
-
 	byz := make(map[int]bool, len(byzantine))
 	for _, id := range byzantine {
 		byz[id] = true
 	}
 
 	analyzer := leakage.NewAnalyzer()
-	nodes := make([]consensus.Node, cfg.Clients)
-	numLayers := 0
-	for i := 0; i < cfg.Clients; i++ {
+	nodes := make([]consensus.Node, len(probes))
+	for i, probe := range probes {
 		if err := ctx.Err(); err != nil {
 			return -1, err
 		}
-		m, err := model.Build(spec, rand.New(rand.NewSource(cfg.Seed+2)))
-		if err != nil {
-			return -1, err
-		}
-		numLayers = m.NumLayers()
 		if byz[i] {
 			nodes[i] = consensus.Node{ID: i, Byzantine: true}
 			continue
 		}
-		// Local probe training on the client's own members (Dᵢᵐ). The probe
-		// uses moderate SGD for a handful of epochs: enough overfitting to
-		// develop the member/non-member gradient gap, not so much that the
-		// leakage measurement degenerates — probed so every honest client's
-		// vote lands on the same layer.
-		// Probe hyper-parameters are fixed (not taken from cfg): the vote's
-		// stability was validated at this exact configuration, and the probe
-		// model is discarded afterwards.
-		const (
-			probeEpochs = 8
-			probeBatch  = 32
-		)
-		probeLR := fl.DefaultLearningRate(cfg.Dataset, "sgd")
-		if probeLR > 0.2 {
-			probeLR = 0.2
-		}
-		opt := optim.New("sgd", probeLR)
-		trainer, err := fl.NewClient(i, m, shards[i], opt, probeBatch, probeEpochs,
-			rand.New(rand.NewSource(cfg.Seed+200+int64(i))))
-		if err != nil {
-			return -1, err
-		}
-		if _, err := trainer.TrainLocal(); err != nil {
+		if _, err := probe.TrainLocal(); err != nil {
 			return -1, err
 		}
 		// Divergence between the client's members Dᵢᵐ and non-members Dᵢⁿ.
-		div, err := analyzer.LayerDivergence(m, shards[i], split.Test)
+		div, err := analyzer.LayerDivergence(probe.Model, probe.Data, nonMembers)
 		if err != nil {
 			return -1, err
 		}
 		nodes[i] = consensus.Node{ID: i, Vote: leakage.MostSensitiveLayer(div)}
 	}
-	res, err := consensus.Run(ctx, nodes, numLayers, rand.New(rand.NewSource(cfg.Seed+300)))
+	res, err := consensus.Run(ctx, nodes, probes[0].Model.NumLayers(), fc.VoteRand())
 	if err != nil {
 		return -1, err
 	}
 	return res.Value, nil
+}
+
+// voteProbes builds the vote's probe clients — client i's copy of the
+// federation's initial model on the shard client i trains on in the
+// federation itself, IID or Dirichlet as fc says — and returns them with the
+// non-member pool their leakage is measured against.
+//
+// The probe uses moderate SGD for a handful of epochs: enough overfitting to
+// develop the member/non-member gradient gap, not so much that the leakage
+// measurement degenerates — probed so every honest client's vote lands on
+// the same layer. Its hyper-parameters are fixed (not taken from fc): the
+// vote's stability was validated at this exact configuration, and the probe
+// models are discarded afterwards.
+func voteProbes(fc fl.Config) ([]*fl.Client, *data.Dataset, error) {
+	const (
+		probeEpochs = 8
+		probeBatch  = 32
+	)
+	probeLR := fl.DefaultLearningRate(fc.Dataset, "sgd")
+	if probeLR > 0.2 {
+		probeLR = 0.2
+	}
+	split, shards, err := fc.Partition()
+	if err != nil {
+		return nil, nil, err
+	}
+	base, err := fc.BuildModel()
+	if err != nil {
+		return nil, nil, err
+	}
+	probes := make([]*fl.Client, len(shards))
+	for i, shard := range shards {
+		probes[i], err = fl.NewClient(i, base.Clone(), shard, optim.New("sgd", probeLR), probeBatch, probeEpochs, fc.ProbeRand(i))
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return probes, split.Test, nil
 }

@@ -28,6 +28,6 @@ func JobBuilder() service.Builder {
 		spec.Dataset = cfg.Dataset
 		spec.Defense = cfg.Defense
 		spec.Aggregator = cfg.Aggregator
-		return buildServerSide(cfg)
+		return buildServerSide(cfg.flConfig(), cfg.Defense)
 	}
 }
