@@ -18,7 +18,10 @@
 #   make telemetry  - observability guards: registry/event-log/admin tests
 #                     under -race (including the rejoin log-serialization
 #                     hammer), the /metrics golden test, the instrument
-#                     zero-alloc guard, and the /healthz e2e
+#                     zero-alloc guard, the /healthz e2e, and the two ownership
+#                     tests: two servers in one process report their own
+#                     rounds, and a service exposes a federation's series only
+#                     under its job's label
 #   make chaos      - crash-safe lifecycle acceptance under -race: the
 #                     seeded chaos soak (server crash/resume, checkpoint
 #                     corruption, client restarts, partitions), the drain
@@ -72,6 +75,12 @@
 #                     models and clients are derived in one place,
 #                     internal/fl/assembly.go; the round benchmark's own
 #                     module keeps its hand copy as the outside check)
+#   make ownregistry - grep gate: no non-test .go file names defaultMetrics, and
+#                     outside internal/telemetry telemetry.Default() is named
+#                     only where an exposition is assembled (middleware.go,
+#                     internal/service/service.go): a federation's series live
+#                     in the registry its server was handed, never in a
+#                     process-global bundle
 #   make loc        - the line counter simplicity PRs quote: the root package,
 #                     each cmd/* and internal/* package, and in total, the
 #                     non-blank, non-// lines of non-test .go files
@@ -95,7 +104,7 @@
 
 GO ?= go
 
-.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly loc check fuzz bench bench-json bench-scaling
+.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -129,7 +138,8 @@ telemetry:
 	$(GO) test -race ./internal/telemetry/
 	$(GO) test -race ./internal/flnet/ -run 'TestLogfSerializedUnderRejoinHammer|TestServerHealthSnapshot'
 	$(GO) test ./internal/telemetry/ -run TestHotPathAllocFree -v
-	$(GO) test . -run TestObservabilityEndToEnd -v
+	$(GO) test . -run 'TestObservabilityEndToEnd|TestTwoServersOwnTheirMetrics' -v
+	$(GO) test ./internal/service/ -run TestMetricsFederationSeriesCarryJobLabel -v
 
 chaos:
 	$(GO) test -race -timeout 15m ./internal/chaos/
@@ -170,13 +180,16 @@ oneclient:
 oneassembly:
 	@if grep -rnE 'data\.(NewFLSplit|PartitionDirichlet)\(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/fl|internal/data|benchmark|\.bench_build)/'; then echo 'a second hand-written federation assembly (see above): derive it from fl.Config (internal/fl/assembly.go) instead'; exit 1; fi
 
+ownregistry:
+	@if grep -rnE 'defaultMetrics|telemetry\.Default\(\)' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/telemetry|\.bench_build)/' | grep -vE '^\./(middleware\.go|internal/service/service\.go):[0-9]+:.*telemetry\.Default\(\)'; then echo 'a process-global metric bundle, or telemetry.Default() outside an exposition (see above): count into the registry the server was handed'; exit 1; fi
+
 loc:
 	@total=0; for d in ./ cmd/*/ internal/*/; do \
 		n=$$(cat /dev/null $$(ls $$d*.go | grep -v _test.go) | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'); \
 		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%6d  total\n' $$total
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/

@@ -301,13 +301,6 @@ func Names() []string {
 	return names
 }
 
-// RunHotPath executes the suite and returns the snapshot. logf, when
-// non-nil, receives one progress line per entry.
-func RunHotPath(logf func(format string, args ...any)) Snapshot {
-	snap, _ := RunOnly(nil, logf)
-	return snap
-}
-
 // RunOnly executes the named subset of the suite (nil or empty means the
 // whole suite) and returns the snapshot; an unknown name is an error before
 // anything runs, so a typo doesn't cost a full measurement pass.

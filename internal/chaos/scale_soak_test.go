@@ -31,6 +31,8 @@ type scaleParams struct {
 	// of answering that round's global broadcast.
 	partition func(id, round int) bool
 	deadline  time.Duration
+	// reg, when non-nil, is the registry the server counts into.
+	reg *telemetry.Registry
 }
 
 // runScaleSoak runs one full federation of simulated clients over the
@@ -64,6 +66,7 @@ func runScaleSoak(t *testing.T, p scaleParams) ([]float64, []flnet.RoundReport, 
 		InitialState:  make([]float64, p.dim),
 		Listener:      ln,
 		IOTimeout:     2 * time.Minute,
+		Registry:      p.reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +144,9 @@ func TestScaleSoakStreamingIdentity(t *testing.T) {
 
 // TestScaleSoakPartitionedMemory is the overload soak: a sampled,
 // streaming federation at two fleet sizes an order of magnitude apart,
-// with ~30%% of every cohort dropping the connection mid-round. It
-// asserts, via the /metrics endpoint, that
+// with ~30%% of every cohort dropping the connection mid-round. Each
+// federation counts into a registry of its own, from which the test
+// asserts that
 //
 //   - every round still completes (the quorum fallback resamples
 //     replacements for partitioned cohort members),
@@ -168,26 +172,17 @@ func TestScaleSoakPartitionedMemory(t *testing.T) {
 		return mix64(uint64(id)<<17^uint64(round)+0x51a4ed55)%10 < 3
 	}
 
-	admin, err := telemetry.ServeAdmin("127.0.0.1:0", nil, telemetry.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
-	adminURL := "http://" + admin.Addr().String()
-
-	peaks := make(map[int]float64)
+	peaks := make(map[int]int64)
 	for _, n := range []int{small, large} {
 		p.numClients = n
-		fl.ResetAggPeakBytes()
-		before := fetchMetrics(t, adminURL)
+		p.reg = telemetry.NewRegistry()
 
 		_, reports, stats := runScaleSoak(t, p)
 
-		after := fetchMetrics(t, adminURL)
 		if stats.Partitions.Load() == 0 {
 			t.Fatalf("N=%d: no partitions fired; the soak tested nothing", n)
 		}
-		replacements := after["dinar_flnet_sample_replacements_total"] - before["dinar_flnet_sample_replacements_total"]
+		replacements := flnet.NewMetrics(p.reg).SampleReplacements.Value()
 		if replacements <= 0 {
 			t.Fatalf("N=%d: no replacement draws despite %d partitions", n, stats.Partitions.Load())
 		}
@@ -195,11 +190,9 @@ func TestScaleSoakPartitionedMemory(t *testing.T) {
 		for _, r := range reports {
 			sampled += len(r.Sampled)
 		}
+		peak := fl.NewMetrics(p.reg).AggUpdateBytesPeak.Value()
 		t.Logf("N=%d: %d rounds, %d sampled (incl. %v replacements), %d partitions, %d rejoins, peak agg bytes %v",
-			n, len(reports), sampled, replacements, stats.Partitions.Load(), stats.Rejoins.Load(),
-			after["dinar_fl_agg_update_bytes_peak"])
-
-		peak := after["dinar_fl_agg_update_bytes_peak"]
+			n, len(reports), sampled, replacements, stats.Partitions.Load(), stats.Rejoins.Load(), peak)
 		if peak <= 0 {
 			t.Fatalf("N=%d: aggregation peak gauge never moved", n)
 		}
@@ -213,7 +206,7 @@ func TestScaleSoakPartitionedMemory(t *testing.T) {
 		t.Fatalf("aggregation peak grew with fleet size: %v bytes at N=%d vs %v at N=%d",
 			peaks[large], large, peaks[small], small)
 	}
-	materializedFloor := float64(p.sampleSize * p.dim * 8)
+	materializedFloor := int64(p.sampleSize * p.dim * 8)
 	if peaks[large] >= materializedFloor/2 {
 		t.Fatalf("streaming peak %v bytes is not O(model); materialized cohort floor is %v",
 			peaks[large], materializedFloor)

@@ -496,6 +496,7 @@ func TestDrainLifecycle(t *testing.T) {
 		}
 		return faultnet.Plan{}
 	})
+	reg := telemetry.NewRegistry()
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		NumClients:     numClients,
 		Rounds:         rounds,
@@ -505,10 +506,13 @@ func TestDrainLifecycle(t *testing.T) {
 		CheckpointPath: ckpt,
 		Dataset:        "purchase100",
 		Listener:       ln,
+		Registry:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The admin port serves /healthz and the process-scoped series (the
+	// clients' drain waits); the server's own series are read from reg.
 	admin, err := telemetry.ServeAdmin("127.0.0.1:0", srv.Health, telemetry.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -582,16 +586,15 @@ func TestDrainLifecycle(t *testing.T) {
 
 	// Telemetry consistency after the storm: drain notices were sent,
 	// every live client is gone, and round accounting never went negative.
-	metrics := fetchMetrics(t, adminURL)
-	if metrics["dinar_flnet_drain_notices_total"] < 1 {
-		t.Fatalf("drain notices counter should be positive: %v", metrics["dinar_flnet_drain_notices_total"])
+	tel := flnet.NewMetrics(reg)
+	if n := tel.DrainNotices.Value(); n < 1 {
+		t.Fatalf("drain notices counter should be positive: %v", n)
 	}
-	if metrics["dinar_flnet_live_clients"] != 0 {
-		t.Fatalf("live clients gauge should be 0 after the drain, got %v", metrics["dinar_flnet_live_clients"])
+	if n := tel.LiveClients.Value(); n != 0 {
+		t.Fatalf("live clients gauge should be 0 after the drain, got %v", n)
 	}
-	if metrics["dinar_flnet_rounds_started_total"] < metrics["dinar_flnet_rounds_completed_total"] {
-		t.Fatalf("rounds started (%v) < completed (%v)",
-			metrics["dinar_flnet_rounds_started_total"], metrics["dinar_flnet_rounds_completed_total"])
+	if started, completed := tel.RoundsStarted.Value(), tel.RoundsCompleted.Value(); started < completed {
+		t.Fatalf("rounds started (%v) < completed (%v)", started, completed)
 	}
 
 	// The drained checkpoint resumes: a fresh server picks up at the

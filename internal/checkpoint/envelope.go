@@ -165,10 +165,16 @@ func syncDir(dir string) error {
 	return err
 }
 
-// writeDurable writes data to path atomically (temp + rename) and durably
+// tmpSuffix names the temp file a durable write of path goes through.
+const tmpSuffix = ".tmp"
+
+// WriteDurable writes data to path atomically (temp + rename) and durably
 // (fsync on the temp file, then on the parent directory after the rename).
-func writeDurable(path string, data []byte) error {
-	tmp := path + ".tmp"
+// The chain's own writes go through it, and so does any small file that
+// must not be lost while the chains beside it survive (the service's job
+// manifest).
+func WriteDurable(path string, data []byte) error {
+	tmp := path + tmpSuffix
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -255,6 +261,20 @@ func siblingGenerations(path string) []uint64 {
 	return gens
 }
 
+// RemoveChain deletes every file of the chain at path — the head, the
+// retained generations and the temp file of an interrupted write — and
+// nothing else: a neighbouring chain whose name merely starts with path is
+// not part of it. A chain that does not exist is not an error.
+func RemoveChain(path string) error {
+	var errs []error
+	for _, name := range append(chainCandidates(path), path+tmpSuffix) {
+		if err := os.Remove(name); err != nil && !errors.Is(err, os.ErrNotExist) {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // nextGeneration picks the generation for the next save: one past the
 // newest generation visible anywhere in the chain (head or siblings).
 func nextGeneration(path string, kind byte) uint64 {
@@ -290,7 +310,7 @@ func saveChain(path string, kind byte, retain int, encode func(gen uint64) ([]by
 			return fmt.Errorf("checkpoint: rotate: %w", err)
 		}
 	}
-	if err := writeDurable(path, img); err != nil {
+	if err := WriteDurable(path, img); err != nil {
 		return err
 	}
 	pruneGenerations(path, retain)

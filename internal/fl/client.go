@@ -29,6 +29,10 @@ type Client struct {
 
 	loss nn.SoftmaxCrossEntropy
 	rng  *rand.Rand
+	// meter is the federation's cost meter: fl.NewSystem hands it to each
+	// of its clients once. nil everywhere else (a networked client's
+	// process has no Table 3 to fill).
+	meter *metrics.CostMeter
 	// replayBase, when non-zero, reseeds the batch-shuffle rng at the
 	// start of every round (see EnableRoundReplay).
 	replayBase int64
@@ -134,9 +138,8 @@ func (c *Client) TrainLocal() (float64, error) {
 }
 
 // RunRound executes one full client round against the defense pipeline:
-// personalize/install, train, protect, and return the upload. meter may be
-// nil.
-func (c *Client) RunRound(round int, globalState []float64, def Defense, meter *metrics.CostMeter) (*Update, error) {
+// personalize/install, train, protect, and return the upload.
+func (c *Client) RunRound(round int, globalState []float64, def Defense) (*Update, error) {
 	state := def.OnGlobalModel(c.ID, round, globalState)
 	if err := c.Install(state); err != nil {
 		return nil, fmt.Errorf("client %d install: %w", c.ID, err)
@@ -157,9 +160,9 @@ func (c *Client) RunRound(round int, globalState []float64, def Defense, meter *
 	def.BeforeUpload(round, globalState, u)
 	elapsed := time.Since(start)
 	telClientTrainSeconds.Observe(elapsed.Seconds())
-	if meter != nil {
-		meter.AddClientTrain(elapsed)
-		meter.SamplePhase(metrics.PhaseTrain)
+	if c.meter != nil {
+		c.meter.AddClientTrain(elapsed)
+		c.meter.SamplePhase(metrics.PhaseTrain)
 	}
 	return u, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/telemetry"
 )
 
 // The screen is the update validation stage every round passes through
@@ -129,19 +131,16 @@ func NewScreen(cfg ScreenConfig) *Screen {
 	cfg = cfg.withDefaults()
 	return &Screen{
 		cfg:          cfg,
-		tel:          defaultMetrics,
+		tel:          NewMetrics(telemetry.NewRegistry()),
 		norms:        normWindow{size: cfg.HistoryWindow, minHistory: cfg.MinHistory},
 		offenses:     make(map[int]int),
 		blockedUntil: make(map[int]int),
 	}
 }
 
-// SetMetrics points the screen's verdict counters at m — per-job bundles
-// in service mode, see Server.SetMetrics. nil restores the default.
+// SetMetrics points the screen's verdict counters at m (see
+// Server.SetMetrics).
 func (s *Screen) SetMetrics(m *Metrics) {
-	if m == nil {
-		m = defaultMetrics
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tel = m

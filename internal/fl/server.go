@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
 // Server is the FL aggregation server. It owns the global model state vector
@@ -56,19 +57,14 @@ func NewServer(initial []float64, def Defense, meter *metrics.CostMeter) (*Serve
 		state: append([]float64(nil), initial...),
 		def:   def,
 		meter: meter,
-		tel:   defaultMetrics,
+		tel:   NewMetrics(telemetry.NewRegistry()),
 	}, nil
 }
 
-// SetMetrics points the server's instruments at m — service mode gives
-// each federation job its own bundle so concurrent jobs never merge
-// counters. nil restores the process-wide default bundle.
-func (s *Server) SetMetrics(m *Metrics) {
-	if m == nil {
-		m = defaultMetrics
-	}
-	s.tel = m
-}
+// SetMetrics points the server's instruments at m, the bundle in its
+// federation's registry (flnet.NewServer shares one between the core, the
+// screen and its own network-layer bundle).
+func (s *Server) SetMetrics(m *Metrics) { s.tel = m }
 
 // GlobalState returns a copy of the current global model state.
 func (s *Server) GlobalState() []float64 {

@@ -60,6 +60,10 @@ func NewSystem(cfg Config, def Defense) (*System, error) {
 		return nil, err
 	}
 	initState := base.StateVector()
+	// One cost meter per system: its clients, its server and a defense that
+	// accounts extra buffer memory (Table 3's third metric) all count into
+	// it.
+	meter := metrics.NewCostMeter()
 	clients := make([]*Client, cfg.Clients)
 	for i := range clients {
 		m := base
@@ -69,13 +73,11 @@ func NewSystem(cfg Config, def Defense) (*System, error) {
 		if clients[i], err = cfg.BuildClient(i, m, shards[i]); err != nil {
 			return nil, err
 		}
+		clients[i].meter = meter
 	}
 	if err := def.Bind(InfoOf(base)); err != nil {
 		return nil, fmt.Errorf("fl: bind defense %q: %w", def.Name(), err)
 	}
-	// Wire the cost meter into defenses that account extra buffer memory
-	// (Table 3's third metric).
-	meter := metrics.NewCostMeter()
 	if metered, ok := def.(interface{ SetMeter(*metrics.CostMeter) }); ok {
 		metered.SetMeter(meter)
 	}
@@ -124,7 +126,7 @@ func (s *System) RunRound(ctx context.Context) ([]*Update, error) {
 					errs[i] = err
 					continue
 				}
-				updates[i], errs[i] = s.Clients[i].RunRound(round, global, s.Defense, s.Meter)
+				updates[i], errs[i] = s.Clients[i].RunRound(round, global, s.Defense)
 			}
 		})
 		if err := firstError(errs); err != nil {
@@ -135,7 +137,7 @@ func (s *System) RunRound(ctx context.Context) ([]*Update, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			u, err := c.RunRound(round, global, s.Defense, s.Meter)
+			u, err := c.RunRound(round, global, s.Defense)
 			if err != nil {
 				return nil, err
 			}

@@ -341,7 +341,7 @@ func TestClientRoundMatchesFullBackward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, err := c.RunRound(0, global, &noneDefense{}, nil)
+		u, err := c.RunRound(0, global, &noneDefense{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,11 +5,10 @@ import (
 )
 
 // Metrics bundles the FL-core server-side instruments: screen verdicts,
-// quarantine occupancy, and screen/aggregate phase timings. Each
-// federation registers one bundle into its own telemetry registry so two
-// servers in one process (service mode) never merge their counters — the
-// process-global defaultMetrics bundle serves single-federation binaries
-// and every Server/Screen that was not given an explicit bundle.
+// quarantine occupancy, and screen/aggregate phase timings. A bundle
+// belongs to one federation: it lives in the registry that federation's
+// server was handed, so two servers in one process never merge their
+// counters.
 type Metrics struct {
 	ScreenSeconds       *telemetry.Histogram
 	AggregateSeconds    *telemetry.Histogram
@@ -23,16 +22,10 @@ type Metrics struct {
 }
 
 // NewMetrics registers (or, when a resumed job reuses its registry,
-// re-looks-up) the FL-core instrument bundle in r. nil r means the
-// process-wide default bundle.
+// re-looks-up) the FL-core instrument bundle in r, the federation's
+// registry. A Server or Screen starts on a registry of its own, which nobody
+// else can reach, until SetMetrics hands it its federation's bundle.
 func NewMetrics(r *telemetry.Registry) *Metrics {
-	if r == nil {
-		return defaultMetrics
-	}
-	return newMetricsIn(r)
-}
-
-func newMetricsIn(r *telemetry.Registry) *Metrics {
 	return &Metrics{
 		ScreenSeconds: r.Histogram("dinar_fl_screen_seconds",
 			"per-round update-screen duration on the server", nil),
@@ -55,19 +48,8 @@ func newMetricsIn(r *telemetry.Registry) *Metrics {
 	}
 }
 
-// defaultMetrics is the process-wide bundle in telemetry.Default(), the
-// home of every instrument before service mode introduced per-job
-// registries. NewMetrics(nil) returns it, so existing single-federation
-// call paths keep their metric names and accumulation behavior.
-var defaultMetrics = newMetricsIn(telemetry.Default())
-
-// telClientTrainSeconds stays process-global: it is recorded on the
-// client side of the wire, where there is no job-scoped registry (a
-// client process trains for exactly one federation).
+// telClientTrainSeconds is process-scoped: it is recorded on the client
+// side of the wire, where there is no federation-scoped registry (a client
+// process trains for exactly one federation).
 var telClientTrainSeconds = telemetry.NewHistogram("dinar_fl_client_train_seconds",
 	"one client's local-training duration for one round", nil)
-
-// ResetAggPeakBytes zeroes the default bundle's aggregation peak-memory
-// gauge. The gauge is monotone within a federation (SetMax); scale tests
-// comparing runs of different cohort sizes reset it between runs.
-func ResetAggPeakBytes() { defaultMetrics.AggUpdateBytesPeak.Set(0) }

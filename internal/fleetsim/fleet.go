@@ -15,7 +15,6 @@ import (
 	"repro/internal/defense"
 	"repro/internal/fl"
 	"repro/internal/flnet"
-	"repro/internal/metrics"
 )
 
 // SynthState fills dst with the deterministic synthetic update a simulated
@@ -172,7 +171,7 @@ func (t *trainer) dial(ctx context.Context) (net.Conn, error) {
 // RunRound answers one broadcast with the (id, round) synthetic state. There
 // is no model to install the personalized global into, so only the upload
 // half of the defense runs.
-func (t *trainer) RunRound(round int, global []float64, def fl.Defense, _ *metrics.CostMeter) (*fl.Update, error) {
+func (t *trainer) RunRound(round int, global []float64, def fl.Defense) (*fl.Update, error) {
 	f, id := t.fleet, t.update.ClientID
 	if f.Partition != nil && f.Partition(id, round) {
 		t.stats.Partitions.Add(1)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/fl"
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -21,7 +20,7 @@ type Trainer interface {
 	ClientID() int
 	// RunRound answers one broadcast: personalize and install global
 	// through def, train, protect the upload through def.
-	RunRound(round int, global []float64, def fl.Defense, meter *metrics.CostMeter) (*fl.Update, error)
+	RunRound(round int, global []float64, def fl.Defense) (*fl.Update, error)
 	// Install loads the final, defense-transformed model.
 	Install(state []float64) error
 }
@@ -329,7 +328,7 @@ func runSession(ctx context.Context, cfg ClientConfig, lastCompleted *int, ancho
 			if ca, ok := cfg.Defense.(fl.CohortAware); ok && len(msg.Cohort) > 0 {
 				ca.SetRoundCohort(msg.Round, msg.Cohort)
 			}
-			u, err := cfg.Trainer.RunRound(msg.Round, msg.State, cfg.Defense, nil)
+			u, err := cfg.Trainer.RunRound(msg.Round, msg.State, cfg.Defense)
 			if err != nil {
 				conn.SetWriteDeadline(time.Now().Add(cfg.IOTimeout))
 				_ = WriteMessageWith(conn, &Message{Kind: KindError, Err: err.Error()}, codec)

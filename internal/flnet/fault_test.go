@@ -589,7 +589,7 @@ func TestLosslessUploadFallsBackWithoutAnchor(t *testing.T) {
 	trainer, def := bed.trainer(handID), bed.defense("none")
 	for round := 0; round < rounds; round++ {
 		global := readGlobal(conn, codec, round)
-		u, err := trainer.RunRound(round, global.State, def, nil)
+		u, err := trainer.RunRound(round, global.State, def)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/fl"
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -109,13 +108,10 @@ type ServerConfig struct {
 	// Listener, if non-nil, is used instead of listening on Addr — tests
 	// inject faultnet wrappers here. It should support SetDeadline.
 	Listener net.Listener
-	// Meter records aggregation costs (optional).
-	Meter *metrics.CostMeter
 	// Registry is the telemetry registry the server's instruments (and
-	// its fl core's) register into. nil means the process-wide default
-	// registry — fine for single-federation binaries, but two servers in
-	// one process would merge their counters indistinguishably, so
-	// service mode gives every job its own labeled registry.
+	// its fl core's and screen's) register into; whoever serves /metrics
+	// merges it with the process-scoped one. nil means a fresh registry of
+	// the server's own that nothing exposes.
 	Registry *telemetry.Registry
 	// Logf receives progress lines (optional). Every call site is routed
 	// through one serialized event log, so Logf is never invoked
@@ -334,9 +330,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	events := telemetry.NewEventLog(eventCapacity, sink)
 
-	// One instrument bundle per registry: single-federation binaries keep
-	// the process-wide default; service-mode jobs each bring their own
-	// labeled registry so concurrent federations never merge counters.
+	// One registry per server, shared by its fl core and screen.
+	if cfg.Registry == nil {
+		cfg.Registry = telemetry.NewRegistry()
+	}
 	tel := NewMetrics(cfg.Registry)
 	flTel := fl.NewMetrics(cfg.Registry)
 
@@ -373,7 +370,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 	}
 
-	core, err := fl.NewServer(state, cfg.Defense, cfg.Meter)
+	core, err := fl.NewServer(state, cfg.Defense, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -6,12 +6,12 @@ import (
 
 // Metrics bundles the network-layer server instruments: round lifecycle
 // counters, per-phase round timing, registration/rejoin accounting, and
-// the pipelined-checkpoint overlap histograms. Each federation registers
-// one bundle into its own registry — service mode labels each job's
-// registry with job="name" — so two servers in one process never merge
-// counters. The wire byte/frame counters (wire.go) and the client-side
-// counters below stay process-global: they are per-process I/O totals,
-// not per-federation state.
+// the pipelined-checkpoint overlap histograms. A bundle belongs to one
+// federation: it lives in the registry that federation's server was handed
+// (service mode labels each job's with job="name"), so two servers in one
+// process never merge counters. The wire byte/frame counters (wire.go) and
+// the client-side counters below are process-scoped: they are per-process
+// I/O totals, not per-federation state.
 type Metrics struct {
 	RoundsStarted         *telemetry.Counter
 	RoundsCompleted       *telemetry.Counter
@@ -44,16 +44,9 @@ type Metrics struct {
 }
 
 // NewMetrics registers (or, when a resumed job reuses its registry,
-// re-looks-up) the network-layer instrument bundle in r. nil r means the
-// process-wide default bundle.
+// re-looks-up) the network-layer instrument bundle in r, the federation's
+// registry (ServerConfig.Registry).
 func NewMetrics(r *telemetry.Registry) *Metrics {
-	if r == nil {
-		return defaultMetrics
-	}
-	return newMetricsIn(r)
-}
-
-func newMetricsIn(r *telemetry.Registry) *Metrics {
 	return &Metrics{
 		RoundsStarted: r.Counter("dinar_flnet_rounds_started_total",
 			"FL rounds the server began orchestrating"),
@@ -101,13 +94,8 @@ func newMetricsIn(r *telemetry.Registry) *Metrics {
 	}
 }
 
-// defaultMetrics is the process-wide bundle in telemetry.Default():
-// single-federation binaries and servers constructed without an explicit
-// Registry keep their original metric names and accumulation behavior.
-var defaultMetrics = newMetricsIn(telemetry.Default())
-
-// Client-side counters stay process-global: a client process dials
-// exactly one federation and has no job-scoped registry.
+// Client-side counters are process-scoped: a client process dials exactly
+// one federation and has no federation-scoped registry.
 var (
 	telClientReconnects = telemetry.NewCounter("dinar_flnet_client_reconnects_total",
 		"reconnection attempts made by flnet clients in this process")

@@ -109,10 +109,6 @@ func (c *CostMeter) SamplePhase(p Phase) {
 	}
 }
 
-// SampleMemory records a train-phase sample. Kept for callers that predate
-// per-phase attribution; new call sites should use SamplePhase.
-func (c *CostMeter) SampleMemory() { c.SamplePhase(PhaseTrain) }
-
 // CostReport is an immutable snapshot of a CostMeter.
 type CostReport struct {
 	// MeanClientTrain is the mean per-round client training duration.

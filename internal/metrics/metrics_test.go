@@ -272,7 +272,7 @@ func TestCostMeter(t *testing.T) {
 	m.AddClientTrain(200 * time.Millisecond)
 	m.AddServerAgg(10 * time.Millisecond)
 	m.AddDefenseBytes(1024)
-	m.SampleMemory()
+	m.SamplePhase(PhaseTrain)
 	r := m.Report()
 	if r.MeanClientTrain != 150*time.Millisecond {
 		t.Fatalf("MeanClientTrain = %v", r.MeanClientTrain)

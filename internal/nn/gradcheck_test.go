@@ -216,12 +216,6 @@ func TestGlobalAvgPool1DGradients(t *testing.T) {
 	checkLayerGradients(t, NewGlobalAvgPool(), x, 1e-6)
 }
 
-func TestAvgPool2DGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	x := tensor.Randn(rng, 0, 1, 2, 2, 6, 6)
-	checkLayerGradients(t, NewAvgPool2D(2), x, 1e-6)
-}
-
 func TestResidualIdentityGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	layer := NewResidual(3, 3, 1, rng)

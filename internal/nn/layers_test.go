@@ -109,7 +109,6 @@ func TestLayerNames(t *testing.T) {
 		NewFlatten(),
 		NewMaxPool2D(2),
 		NewMaxPool1D(2),
-		NewAvgPool2D(2),
 		NewGlobalAvgPool(),
 		NewResidual(2, 2, 1, rng),
 	}

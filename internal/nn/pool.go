@@ -321,107 +321,3 @@ func (p *GlobalAvgPool) Params() []*tensor.Tensor { return nil }
 
 // Grads implements Layer.
 func (p *GlobalAvgPool) Grads() []*tensor.Tensor { return nil }
-
-// AvgPool2D is a 2-D average pooling layer with window k and stride k, used by
-// ResNet20's downsampling shortcut-free variant when needed.
-type AvgPool2D struct {
-	K int
-
-	lastShape []int
-	ws        tensor.Workspace
-}
-
-var _ Layer = (*AvgPool2D)(nil)
-
-// NewAvgPool2D returns an average pooling layer with window k and stride k.
-func NewAvgPool2D(k int) *AvgPool2D { return &AvgPool2D{K: k} }
-
-// Name implements Layer.
-func (p *AvgPool2D) Name() string { return fmt.Sprintf("avgpool2d(%d)", p.K) }
-
-// cloneLayer implements layer cloning with an unshared workspace.
-func (p *AvgPool2D) cloneLayer() Layer { return &AvgPool2D{K: p.K} }
-
-// Forward implements Layer.
-func (p *AvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	if x.Dims() != 4 {
-		panic(fmt.Sprintf("nn: %s got input %v", p.Name(), x.Shape()))
-	}
-	batch, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh, ow := h/p.K, w/p.K
-	p.lastShape = recordShape(p.lastShape, x)
-	out := p.ws.Get4D(poolSlotOut, batch, ch, oh, ow)
-	xd, od := x.Data(), out.Data()
-	nbc := batch * ch
-	g := parallel.Grain(oh * ow * p.K * p.K)
-	if parallel.Chunks(nbc, g) <= 1 {
-		p.forwardRange(od, xd, 0, nbc, h, w, oh, ow)
-		return out
-	}
-	parallel.For(nbc, g, func(lo, hi int) {
-		p.forwardRange(od, xd, lo, hi, h, w, oh, ow)
-	})
-	return out
-}
-
-// forwardRange pools planes [bc0,bc1).
-func (p *AvgPool2D) forwardRange(od, xd []float64, bc0, bc1, h, w, oh, ow int) {
-	inv := 1.0 / float64(p.K*p.K)
-	for bc := bc0; bc < bc1; bc++ {
-		src := xd[bc*h*w : (bc+1)*h*w]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				s := 0.0
-				for ky := 0; ky < p.K; ky++ {
-					for kx := 0; kx < p.K; kx++ {
-						s += src[(oy*p.K+ky)*w+ox*p.K+kx]
-					}
-				}
-				od[(bc*oh+oy)*ow+ox] = s * inv
-			}
-		}
-	}
-}
-
-// Backward implements Layer.
-func (p *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := p.ws.Get(poolSlotGradIn, p.lastShape...)
-	gradIn.Zero() // the window scatter below accumulates
-	batch, ch, h, w := p.lastShape[0], p.lastShape[1], p.lastShape[2], p.lastShape[3]
-	oh, ow := h/p.K, w/p.K
-	gid, god := gradIn.Data(), gradOut.Data()
-	nbc := batch * ch
-	g := parallel.Grain(h * w)
-	if parallel.Chunks(nbc, g) <= 1 {
-		p.backwardRange(gid, god, 0, nbc, h, w, oh, ow)
-		return gradIn
-	}
-	parallel.For(nbc, g, func(lo, hi int) {
-		p.backwardRange(gid, god, lo, hi, h, w, oh, ow)
-	})
-	return gradIn
-}
-
-// backwardRange scatters gradients into planes [bc0,bc1).
-func (p *AvgPool2D) backwardRange(gid, god []float64, bc0, bc1, h, w, oh, ow int) {
-	inv := 1.0 / float64(p.K*p.K)
-	for bc := bc0; bc < bc1; bc++ {
-		dst := gid[bc*h*w : (bc+1)*h*w]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				g := god[(bc*oh+oy)*ow+ox] * inv
-				for ky := 0; ky < p.K; ky++ {
-					for kx := 0; kx < p.K; kx++ {
-						dst[(oy*p.K+ky)*w+ox*p.K+kx] += g
-					}
-				}
-			}
-		}
-	}
-}
-
-// Params implements Layer.
-func (p *AvgPool2D) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (p *AvgPool2D) Grads() []*tensor.Tensor { return nil }

@@ -31,7 +31,6 @@ var reuseCases = []reuseCase{
 	{"maxpool2d", func(r *rand.Rand) Layer { return NewMaxPool2D(2) }, []int{2, 6, 6}},
 	{"maxpool1d", func(r *rand.Rand) Layer { return NewMaxPool1D(2) }, []int{3, 8}},
 	{"globalavgpool", func(r *rand.Rand) Layer { return NewGlobalAvgPool() }, []int{3, 4, 4}},
-	{"avgpool2d", func(r *rand.Rand) Layer { return NewAvgPool2D(2) }, []int{2, 6, 6}},
 	{"residual-identity", func(r *rand.Rand) Layer { return NewResidual(3, 3, 1, r) }, []int{3, 5, 5}},
 	{"residual-projection", func(r *rand.Rand) Layer { return NewResidual(2, 4, 2, r) }, []int{2, 6, 6}},
 }

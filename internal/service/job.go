@@ -36,9 +36,6 @@ const (
 	JobFailed   JobState = "failed"
 )
 
-// terminal reports whether the state admits no further transitions.
-func (s JobState) terminal() bool { return s == JobDone || s == JobFailed }
-
 // JobStatus is the admin API's view of one job.
 type JobStatus struct {
 	Name  string   `json:"name"`

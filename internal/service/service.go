@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/flnet"
 	"repro/internal/telemetry"
 )
@@ -162,9 +163,11 @@ func (s *Service) manifestPath() string {
 	return filepath.Join(s.opts.StateDir, "manifest.json")
 }
 
-// persistManifest writes the current job registry atomically
-// (temp + rename), so a crash mid-write leaves the previous manifest
-// intact.
+// persistManifest writes the current job registry the way the jobs'
+// checkpoint chains are written (checkpoint.WriteDurable: temp, fsync,
+// rename, directory fsync), so a crash mid-write leaves the previous
+// manifest intact and an acknowledged job outlives a power loss as surely
+// as its chain does.
 func (s *Service) persistManifest() {
 	s.manifestMu.Lock()
 	defer s.manifestMu.Unlock()
@@ -184,21 +187,7 @@ func (s *Service) persistManifest() {
 		s.logf("service: manifest encode: %v", err)
 		return
 	}
-	tmp, err := os.CreateTemp(s.opts.StateDir, ".manifest-*")
-	if err != nil {
-		s.logf("service: manifest write: %v", err)
-		return
-	}
-	_, werr := tmp.Write(data)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		s.logf("service: manifest write: %v", errors.Join(werr, serr, cerr))
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.manifestPath()); err != nil {
-		os.Remove(tmp.Name())
+	if err := checkpoint.WriteDurable(s.manifestPath(), data); err != nil {
 		s.logf("service: manifest write: %v", err)
 	}
 }
@@ -392,12 +381,9 @@ func (s *Service) DeleteJob(name string) error {
 	j.stop()
 	s.unregister(name)
 	s.persistManifest()
-	// The checkpoint chain keeps multiple generations under the same
-	// stem; remove them all so a recreated job starts fresh.
-	if matches, err := filepath.Glob(j.ckptPath + "*"); err == nil {
-		for _, path := range matches {
-			os.Remove(path)
-		}
+	// Every generation goes, so a recreated job starts fresh.
+	if err := checkpoint.RemoveChain(j.ckptPath); err != nil {
+		s.logf("service: delete job %q: %v", name, err)
 	}
 	return nil
 }

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -681,5 +683,96 @@ func TestPauseResume(t *testing.T) {
 	}
 	if want := referenceFinal(t, spec); !equalVec(j.FinalState(), want) {
 		t.Error("pause/resume final state differs from uninterrupted run")
+	}
+}
+
+// finishJobs creates each spec's job and drives its fleet to completion.
+func finishJobs(t *testing.T, svc *Service, mem *flnet.MemListener, specs ...JobSpec) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for _, spec := range specs {
+		if _, err := svc.CreateJob(spec); err != nil {
+			t.Fatal(err)
+		}
+		stats := runFleet(ctx, spec, mem.Dial)
+		if got := stats.Done.Load(); got != int64(spec.Clients) {
+			t.Fatalf("job %s: %d/%d clients finished", spec.Name, got, spec.Clients)
+		}
+		waitState(t, svc, spec.Name, JobDone, 30*time.Second)
+	}
+}
+
+// TestMetricsFederationSeriesCarryJobLabel: a federation's series exist only
+// in its job's registry. With no job and with two finished ones, every
+// dinar_fl_* / dinar_flnet_* sample on the service's /metrics names its job;
+// the client-side series, which belong to the process, are the exception.
+func TestMetricsFederationSeriesCarryJobLabel(t *testing.T) {
+	chaos.GuardTest(t, 5*time.Second)
+	mem := flnet.ListenMem(16)
+	svc := newTestService(t, t.TempDir(), mem)
+
+	check := func(when string, wantLabeled bool) {
+		t.Helper()
+		var sb strings.Builder
+		if err := svc.WriteMetrics(&sb); err != nil {
+			t.Fatal(err)
+		}
+		labeled, processScoped := 0, 0
+		for _, line := range strings.Split(sb.String(), "\n") {
+			switch {
+			case !strings.HasPrefix(line, "dinar_fl_") && !strings.HasPrefix(line, "dinar_flnet_"):
+			case strings.HasPrefix(line, "dinar_fl_client_") || strings.HasPrefix(line, "dinar_flnet_client_"):
+				processScoped++
+			case strings.Contains(line, `job="`):
+				labeled++
+			default:
+				t.Errorf("%s: federation sample without a job label: %s", when, line)
+			}
+		}
+		if processScoped == 0 {
+			t.Errorf("%s: the process-scoped client series are missing", when)
+		}
+		if (labeled > 0) != wantLabeled {
+			t.Errorf("%s: %d job-labeled federation samples", when, labeled)
+		}
+	}
+
+	check("zero jobs", false)
+	finishJobs(t, svc, mem,
+		JobSpec{Name: "one", Dataset: "synth", Clients: 2, Rounds: 2, Seed: 5, Records: 4},
+		JobSpec{Name: "two", Dataset: "synth", Clients: 3, Rounds: 2, Seed: 6, Records: 4})
+	check("two finished jobs", true)
+}
+
+// TestDeleteJobSparesNeighbourChain: job names may contain '.' and '-', so
+// one job's checkpoint path can be a prefix of another's. Deleting "a"
+// removes a.ckpt and its generations and no file of "a.ckpt-b".
+func TestDeleteJobSparesNeighbourChain(t *testing.T) {
+	chaos.GuardTest(t, 5*time.Second)
+	stateDir := t.TempDir()
+	mem := flnet.ListenMem(16)
+	svc := newTestService(t, stateDir, mem)
+	finishJobs(t, svc, mem,
+		JobSpec{Name: "a", Dataset: "synth", Clients: 2, Rounds: 3, Seed: 7, Records: 4},
+		JobSpec{Name: "a.ckpt-b", Dataset: "synth", Clients: 2, Rounds: 3, Seed: 8, Records: 4})
+
+	chain := func(job string) []string {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(stateDir, job+".ckpt*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	neighbour := chain("a.ckpt-b")
+	if len(neighbour) < 2 || len(chain("a")) <= len(neighbour) {
+		t.Fatalf("want two multi-generation chains, got a.ckpt* = %v", chain("a"))
+	}
+	if err := svc.DeleteJob("a"); err != nil {
+		t.Fatal(err)
+	}
+	if left := chain("a"); !slices.Equal(left, neighbour) {
+		t.Errorf("after deleting job a, a.ckpt* = %v, want exactly the neighbour's chain %v", left, neighbour)
 	}
 }

@@ -20,15 +20,11 @@ type AdminServer struct {
 }
 
 // AdminMux builds the standard admin route set on a fresh mux: /metrics
-// from writeMetrics (nil means the Default registry), /healthz from
-// health (nil serves a zero Health), and net/http/pprof under
-// /debug/pprof/. Callers that need extra routes — service mode mounts its
-// /jobs API here — add them to the returned mux before serving it with
-// ServeHandler.
+// from writeMetrics, /healthz from health (nil serves a zero Health), and
+// net/http/pprof under /debug/pprof/. Callers that need extra routes —
+// service mode mounts its /jobs API here — add them to the returned mux
+// before serving it with ServeHandler.
 func AdminMux(health func() Health, writeMetrics func(io.Writer) error) *http.ServeMux {
-	if writeMetrics == nil {
-		writeMetrics = Default().WritePrometheus
-	}
 	if health == nil {
 		health = func() Health { return Health{} }
 	}
@@ -74,14 +70,12 @@ func ServeHandler(addr string, handler http.Handler) (*AdminServer, error) {
 
 // ServeAdmin starts an admin server on addr (":0" for an ephemeral port).
 // health supplies the /healthz snapshot (nil serves a zero Health);
-// reg supplies /metrics (nil means the Default registry). The server runs
-// until Close.
-func ServeAdmin(addr string, health func() Health, reg *Registry) (*AdminServer, error) {
-	var writeMetrics func(io.Writer) error
-	if reg != nil {
-		writeMetrics = reg.WritePrometheus
-	}
-	return ServeHandler(addr, AdminMux(health, writeMetrics))
+// /metrics is the merged exposition of regs and of nothing else. The
+// server runs until Close.
+func ServeAdmin(addr string, health func() Health, regs ...*Registry) (*AdminServer, error) {
+	return ServeHandler(addr, AdminMux(health, func(w io.Writer) error {
+		return WritePrometheusMerged(w, regs...)
+	}))
 }
 
 // Addr returns the bound admin address.

@@ -79,22 +79,34 @@ func TestServeAdmin(t *testing.T) {
 	}
 }
 
-// TestServeAdminNilDefaults: nil health and registry fall back to a zero
-// snapshot and the Default registry instead of crashing.
+// TestServeAdminNilDefaults: nil health serves a zero snapshot, and an
+// admin port handed no registry serves an empty /metrics — it finds no
+// process-global one on its own.
 func TestServeAdminNilDefaults(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
-	a, err := ServeAdmin("127.0.0.1:0", nil, nil)
+	Default().Counter("admin_test_process_scoped_total", "t").Inc()
+	a, err := ServeAdmin("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	resp, err := testClient.Get(fmt.Sprintf("http://%s/healthz", a.Addr()))
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := testClient.Get(fmt.Sprintf("http://%s%s", a.Addr(), path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if _, err := DecodeHealth(body); err != nil {
+	if _, err := DecodeHealth(get("/healthz")); err != nil {
 		t.Fatalf("zero health does not decode: %v", err)
+	}
+	if body := get("/metrics"); len(body) != 0 {
+		t.Fatalf("/metrics of an admin port with no registry:\n%s", body)
 	}
 }

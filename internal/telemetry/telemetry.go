@@ -1,13 +1,15 @@
-// Package telemetry is the process-wide runtime observability layer of the
-// DINAR middleware: a metrics registry whose instruments (atomic counters,
+// Package telemetry is the runtime observability layer of the DINAR
+// middleware: metrics registries whose instruments (atomic counters,
 // gauges, fixed-bucket histograms) are allocation-free on the hot path, a
 // serialized structured event log that replaces ad-hoc Logf fan-in, a
 // /healthz snapshot type, and an admin HTTP server exposing it all
 // (Prometheus text format on /metrics, JSON on /healthz, net/http/pprof
 // under /debug/).
 //
-// Instruments are registered once at package init time (registration may
-// allocate); Observe/Add/Set/Inc never do, so the training hot path — which
+// Instruments are registered once — a federation's when its server is
+// built, in the registry that server was handed; the per-process ones at
+// package init, in Default() — and registration may allocate;
+// Observe/Add/Set/Inc never do, so the training hot path — which
 // the repository guards at 0 allocs/op in steady state — can be
 // instrumented without losing that property. Every instrument is safe for
 // concurrent use.
@@ -157,11 +159,15 @@ func NewLabeledRegistry(key, value string) *Registry {
 	return r
 }
 
-// defaultRegistry is the process-wide registry every package-level
-// instrument registers into; the admin server serves it on /metrics.
+// defaultRegistry holds the instruments that are per process by nature —
+// wire I/O, the compute pool, the heap, the client side of the protocol,
+// the service front door — registered by the package-level constructors
+// below. A federation's own series never land here: every server counts
+// into the registry it was handed, and whoever assembles an exposition
+// merges that registry with this one.
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry.
+// Default returns the process-scoped registry.
 func Default() *Registry { return defaultRegistry }
 
 func (r *Registry) register(e *entry) {
@@ -332,26 +338,17 @@ func (k kind) typeName() string {
 // WritePrometheus renders every registered instrument in Prometheus text
 // exposition format, sorted by metric name so output is deterministic. A
 // labeled registry's samples carry its constant label.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	for _, s := range r.snapshot() {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", s.e.name, s.e.help, s.e.name, s.e.k.typeName()); err != nil {
-			return err
-		}
-		if err := writeSample(w, s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (r *Registry) WritePrometheus(w io.Writer) error { return WritePrometheusMerged(w, r) }
 
 // WritePrometheusMerged renders the union of several registries as one
 // valid Prometheus exposition: samples sharing a metric name are grouped
 // under a single HELP/TYPE header (Prometheus rejects repeated headers),
-// distinguished by each registry's constant label. This is how service
-// mode serves one /metrics page covering the process-wide Default
-// registry plus every job's labeled registry. Registries listed earlier
-// win HELP-text conflicts; two unlabeled registries sharing a name would
-// emit duplicate series, so callers label all but one.
+// distinguished by each registry's constant label. This is how an admin
+// port serves one /metrics page covering the process-scoped Default
+// registry plus its server's registry (service mode: every job's labeled
+// one). Registries listed earlier win HELP-text conflicts; two unlabeled
+// registries sharing a name would emit duplicate series, so callers label
+// all but one.
 func WritePrometheusMerged(w io.Writer, regs ...*Registry) error {
 	byName := make(map[string][]sample)
 	names := make([]string, 0, 64)

@@ -184,15 +184,6 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// CopyFrom copies o's data into t. The tensors must have equal length.
-func (t *Tensor) CopyFrom(o *Tensor) error {
-	if len(t.data) != len(o.data) {
-		return fmt.Errorf("%w: copy %v <- %v", ErrShapeMismatch, t.shape, o.shape)
-	}
-	copy(t.data, o.data)
-	return nil
-}
-
 // AddInPlace adds o to t element-wise, in place.
 func (t *Tensor) AddInPlace(o *Tensor) error {
 	if len(t.data) != len(o.data) {

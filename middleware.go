@@ -134,6 +134,9 @@ func NewMiddlewareServer(opts ServerOptions) (*MiddlewareServer, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The federation's series live in a registry of this server's own; the
+	// admin port serves it beside the process-scoped one.
+	reg := telemetry.NewRegistry()
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		Addr:          opts.Addr,
 		NumClients:    fc.Clients,
@@ -165,14 +168,15 @@ func NewMiddlewareServer(opts ServerOptions) (*MiddlewareServer, error) {
 			ClipNorms:        opts.ClipNorms,
 			QuarantineRounds: opts.QuarantineRounds,
 		},
-		Logf: opts.Logf,
+		Registry: reg,
+		Logf:     opts.Logf,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s := &MiddlewareServer{inner: srv}
 	if opts.AdminAddr != "" {
-		s.admin, err = telemetry.ServeAdmin(opts.AdminAddr, srv.Health, nil)
+		s.admin, err = telemetry.ServeAdmin(opts.AdminAddr, srv.Health, telemetry.Default(), reg)
 		if err != nil {
 			srv.Close()
 			return nil, err

@@ -116,19 +116,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// /metrics carries the federation's counters in Prometheus text format.
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	metricsOut := string(body)
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("/metrics content type %q", ct)
-	}
+	metricsOut := scrapeMetrics(t, base)
 	for _, name := range []string{
 		"dinar_flnet_rounds_started_total",
 		"dinar_flnet_rounds_completed_total",
@@ -142,20 +130,14 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			t.Errorf("/metrics missing %s", name)
 		}
 	}
-	// This process ran at least cfg.Rounds full rounds (other tests in the
-	// binary may add more — counters are process-global).
-	var started int64
-	for _, line := range strings.Split(metricsOut, "\n") {
-		if strings.HasPrefix(line, "dinar_flnet_rounds_started_total ") {
-			fmt.Sscanf(line, "dinar_flnet_rounds_started_total %d", &started)
-		}
-	}
-	if started < int64(cfg.Rounds) {
-		t.Errorf("rounds_started_total = %d, want >= %d", started, cfg.Rounds)
+	// The server counts into its own registry: exactly this federation's
+	// rounds, whatever else the test binary ran.
+	if want := fmt.Sprintf("dinar_flnet_rounds_started_total %d\n", cfg.Rounds); !strings.Contains(metricsOut, want) {
+		t.Errorf("/metrics lacks %q:\n%s", want, metricsOut)
 	}
 
 	// pprof answers under /debug/.
-	resp, err = http.Get(base + "/debug/pprof/")
+	resp, err := http.Get(base + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +158,84 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		if rep.Timing.Wait < rep.Timing.Broadcast {
 			t.Errorf("round %d: wait %s < broadcast %s (wait spans the whole collection)",
 				rep.Round, rep.Timing.Wait, rep.Timing.Broadcast)
+		}
+	}
+}
+
+// scrapeMetrics GETs base's /metrics and returns the exposition text.
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("/metrics content type %q", ct)
+	}
+	return string(body)
+}
+
+// TestTwoServersOwnTheirMetrics: two middleware servers in one process, a
+// federation on the first only. Each admin port reports its own server's
+// rounds — the idle one reads zero — beside the process-scoped series.
+func TestTwoServersOwnTheirMetrics(t *testing.T) {
+	cfg := Config{
+		Dataset:     "purchase100",
+		Defense:     "none",
+		Clients:     2,
+		Rounds:      2,
+		LocalEpochs: 1,
+		Records:     300,
+		BatchSize:   32,
+		Seed:        23,
+	}
+	var servers [2]*MiddlewareServer
+	for i := range servers {
+		srv, err := NewMiddlewareServer(ServerOptions{Addr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0", Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		servers[i] = srv
+	}
+	busy, idle := servers[0], servers[1]
+
+	ctx := context.Background()
+	results := make(chan error, cfg.Clients)
+	for i := 0; i < cfg.Clients; i++ {
+		go func(id int) {
+			_, err := RunMiddlewareClient(ctx, ClientOptions{Addr: busy.Addr(), Config: cfg, ClientID: id})
+			results <- err
+		}(i)
+	}
+	if _, err := busy.Serve(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cfg.Clients; i++ {
+		if err := <-results; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		srv    *MiddlewareServer
+		rounds int
+	}{{"busy", busy, cfg.Rounds}, {"idle", idle, 0}} {
+		out := scrapeMetrics(t, "http://"+tc.srv.AdminAddr())
+		for _, want := range []string{
+			fmt.Sprintf("dinar_flnet_rounds_started_total %d\n", tc.rounds),
+			fmt.Sprintf("dinar_fl_rounds_aggregated_total %d\n", tc.rounds),
+			"dinar_wire_tx_bytes_total ", // process-scoped: on every admin port
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s server's /metrics lacks %q", tc.name, want)
+			}
 		}
 	}
 }
