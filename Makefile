@@ -81,6 +81,11 @@
 #                     internal/service/service.go): a federation's series live
 #                     in the registry its server was handed, never in a
 #                     process-global bundle
+#   make exptables  - byte-identity of the evaluation: rerun dinar-bench -exp all
+#                     -quick (seed 1, about two minutes) and diff every table
+#                     against internal/experiment/testdata/quick_seed1.golden;
+#                     the "[… completed in …]" lines and Table 3 (wall clock,
+#                     heap) are left out of both sides
 #   make loc        - the line counter simplicity PRs quote: the root package,
 #                     each cmd/* and internal/* package, and in total, the
 #                     non-blank, non-// lines of non-test .go files
@@ -104,7 +109,7 @@
 
 GO ?= go
 
-.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry loc check fuzz bench bench-json bench-scaling
+.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry exptables loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -183,13 +188,19 @@ oneassembly:
 ownregistry:
 	@if grep -rnE 'defaultMetrics|telemetry\.Default\(\)' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/telemetry|\.bench_build)/' | grep -vE '^\./(middleware\.go|internal/service/service\.go):[0-9]+:.*telemetry\.Default\(\)'; then echo 'a process-global metric bundle, or telemetry.Default() outside an exposition (see above): count into the registry the server was handed'; exit 1; fi
 
+exptables:
+	@$(GO) run ./cmd/dinar-bench -exp all -quick \
+		| sed -e '/^Table 3:/,/^\[table3 completed/d' -e '/^\[.* completed in .*\]$$/d' \
+		| diff internal/experiment/testdata/quick_seed1.golden - \
+		|| { echo 'a printed table moved (see above); if it was meant to, regenerate the golden with the same pipeline'; exit 1; }
+
 loc:
 	@total=0; for d in ./ cmd/*/ internal/*/; do \
 		n=$$(cat /dev/null $$(ls $$d*.go | grep -v _test.go) | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'); \
 		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%6d  total\n' $$total
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry exptables
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/

@@ -103,7 +103,7 @@ func BenchmarkFig5MultiLayer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig5(ctx, o, "purchase100"); err != nil {
+		if _, err := experiment.RunSweep(ctx, "fig5", o, experiment.Axes{Dataset: "purchase100"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func BenchmarkFig6Privacy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig6(ctx, o, []string{"purchase100"}, nil); err != nil {
+		if _, err := experiment.RunSweep(ctx, "fig6", o, experiment.Axes{Datasets: []string{"purchase100"}, Defenses: Defenses()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,11 +131,11 @@ func BenchmarkFig7Tradeoff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.Fig6(ctx, o, []string{"purchase100"}, []string{"none", "ldp", "dinar"})
+		res, err := experiment.RunSweep(ctx, "fig7", o, experiment.Axes{Datasets: []string{"purchase100"}, Defenses: []string{"none", "ldp", "dinar"}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Fig7Table().NumRows() == 0 {
+		if res.Table().NumRows() == 0 {
 			b.Fatal("no scatter points")
 		}
 	}
@@ -164,7 +164,7 @@ func BenchmarkFig8NonIID(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig8(ctx, o, "purchase100", []float64{0.8, 5}, []string{"none", "dinar"}); err != nil {
+		if _, err := experiment.RunSweep(ctx, "fig8", o, experiment.Axes{Dataset: "purchase100", Alphas: []float64{0.8, 5}, Defenses: []string{"none", "dinar"}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func BenchmarkFig9Clients(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig9(ctx, o, "purchase100", []int{3, 5}); err != nil {
+		if _, err := experiment.RunSweep(ctx, "fig9", o, experiment.Axes{Dataset: "purchase100", Clients: []int{3, 5}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func BenchmarkFig10Budgets(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig10(ctx, o, "purchase100", []float64{0.2, 2.2}); err != nil {
+		if _, err := experiment.RunSweep(ctx, "fig10", o, experiment.Axes{Dataset: "purchase100", Budgets: []float64{0.2, 2.2}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func BenchmarkFig11Ablation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig11(ctx, o, "purchase100", []string{"adagrad", "adam"}); err != nil {
+		if _, err := experiment.RunSweep(ctx, "fig11", o, experiment.Axes{Dataset: "purchase100", Optimizers: []string{"adagrad", "adam"}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -216,20 +216,12 @@ func (s *System) EvaluatePrivacy(ctx context.Context) (*PrivacyReport, error) {
 	run := &experiment.FLRun{Sys: s.sys, Updates: s.finalUpdates}
 	o := experiment.DefaultOptions()
 	o.Seed = s.sys.Config.Seed
-	o.BatchSize = s.sys.Config.BatchSize
-	atk, err := o.NewAttacker(run)
+	cell, err := o.Measure(run)
 	if err != nil {
 		return nil, err
 	}
-	global, err := experiment.GlobalAUC(run, atk)
-	if err != nil {
-		return nil, err
-	}
-	local, err := experiment.LocalAUC(run, atk)
-	if err != nil {
-		return nil, err
-	}
-	return &PrivacyReport{GlobalAUC: global, LocalAUC: local}, nil
+	// The evaluation reads in percent; this report is in fractions.
+	return &PrivacyReport{GlobalAUC: cell.GlobalAUC / 100, LocalAUC: cell.LocalAUC / 100}, nil
 }
 
 // CostReport summarizes measured costs (Table 3's metrics). The heap peaks
@@ -258,10 +250,9 @@ func (s *System) Costs() CostReport {
 	}
 }
 
-// RunExperiment regenerates one paper artifact ("table1", "fig1", "fig3",
-// "fig4", "fig5", "fig6", "fig7", "table3", "fig8", "fig9", "fig10",
-// "fig11") and returns its rendered table. quick selects a reduced
-// smoke-scale configuration.
+// RunExperiment regenerates one paper artifact (any ID of Experiments) and
+// returns its rendered table. quick selects a reduced smoke-scale
+// configuration.
 func RunExperiment(ctx context.Context, id string, quick bool) (string, error) {
 	o := experiment.DefaultOptions()
 	if quick {

@@ -260,8 +260,8 @@ func negate(xs []float64) {
 // training or "members have lower loss") and cannot calibrate the sign
 // against ground-truth membership of the target. An attack that performs
 // below chance is therefore no better than random — 50%. (A hypothetical
-// calibrated attacker corresponds to metrics.AttackAUC, which folds instead
-// of flooring.)
+// calibrated attacker would fold an AUC below 0.5 to its mirror instead of
+// flooring it.)
 func scoreAUC(memberScores, nonMemberScores []float64) (float64, error) {
 	scores := make([]float64, 0, len(memberScores)+len(nonMemberScores))
 	labels := make([]bool, 0, cap(scores))

@@ -91,8 +91,9 @@ type Plan struct {
 	Partitions int
 }
 
-// mix64 is the SplitMix64 finalizer, the same mixing the repo's other
-// seeded components use.
+// mix64 is fl.Mix64, copied: this package cannot import fl, because fl's and
+// telemetry's in-package tests import it for GuardTest ("import cycle not
+// allowed in test").
 func mix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/adversary"
 	"repro/internal/fl"
@@ -130,22 +131,13 @@ func runByzantine(ctx context.Context, o Options, dataset, aggregator string, sc
 		return nil, err
 	}
 	state := run.Sys.Server.GlobalState()
-	cell := &ByzantineCell{FiniteGlobal: true}
-	for _, v := range state {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			cell.FiniteGlobal = false
-			break
-		}
-	}
+	nonFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	cell := &ByzantineCell{FiniteGlobal: !slices.ContainsFunc(state, nonFinite)}
 	m, err := ModelFromState(run.Sys.Spec(), state, 997)
 	if err != nil {
 		return nil, err
 	}
-	bs := o.BatchSize
-	if bs == 0 {
-		bs = 64
-	}
-	acc, _, err := fl.EvaluateModel(m, run.Sys.Split.Test, bs)
+	acc, _, err := fl.EvaluateModel(m, run.Sys.Split.Test, run.Sys.Config.BatchSize)
 	if err != nil {
 		return nil, err
 	}

@@ -128,33 +128,34 @@ func TestFig5Quick(t *testing.T) {
 	o := quick()
 	o.Records = 400
 	o.Rounds = 2
-	res, err := Fig5(context.Background(), o, "purchase100")
+	res, err := RunSweep(context.Background(), "fig5", o, Axes{Dataset: "purchase100"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Sets) != 6 {
-		t.Fatalf("sets = %d", len(res.Sets))
+	if len(res.Rows) != 6 {
+		t.Fatalf("sets = %d", len(res.Rows))
 	}
-	for i := range res.Sets {
-		if res.AUC[i] < 50-1e-9 {
-			t.Fatalf("set %s AUC %v below 50", res.Sets[i], res.AUC[i])
+	for _, r := range res.Rows {
+		if r.LocalAUC < 50-1e-9 {
+			t.Fatalf("set %s AUC %v below 50", r.Labels[0], r.LocalAUC)
 		}
-		if res.Accuracy[i] < 0 || res.Accuracy[i] > 100 {
-			t.Fatalf("set %s accuracy %v", res.Sets[i], res.Accuracy[i])
+		if r.Accuracy < 0 || r.Accuracy > 100 {
+			t.Fatalf("set %s accuracy %v", r.Labels[0], r.Accuracy)
 		}
 	}
 }
 
 func TestFig6QuickSubset(t *testing.T) {
 	o := quick()
-	res, err := Fig6(context.Background(), o, []string{"purchase100"}, []string{"none", "dinar"})
+	ax := Axes{Datasets: []string{"purchase100"}, Defenses: []string{"none", "dinar"}}
+	res, err := RunSweep(context.Background(), "fig6", o, ax)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || len(res.Rows[0].Cells) != 2 {
+	if len(res.Rows) != 2 {
 		t.Fatalf("unexpected shape: %+v", res)
 	}
-	none, dinarCell := res.Rows[0].Cells[0], res.Rows[0].Cells[1]
+	none, dinarCell := res.Rows[0], res.Rows[1]
 	if none.Defense != "none" || dinarCell.Defense != "dinar" {
 		t.Fatal("cell order wrong")
 	}
@@ -163,7 +164,16 @@ func TestFig6QuickSubset(t *testing.T) {
 	if none.LocalAUC <= dinarCell.LocalAUC {
 		t.Fatalf("none localAUC %v should exceed dinar %v", none.LocalAUC, dinarCell.LocalAUC)
 	}
-	if res.Table().NumRows() != 2 || res.Fig7Table().NumRows() != 2 {
+	// Figure 7 is another reading of the same federations: its rows are
+	// Figure 6's, not a second run's.
+	fig7, err := RunSweep(context.Background(), "fig7", o, ax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig7.Rows) != 2 || &fig7.Rows[0] != &res.Rows[0] {
+		t.Fatal("fig7 did not reuse fig6's rows")
+	}
+	if res.Table().NumRows() != 2 || fig7.Table().NumRows() != 2 {
 		t.Fatal("table rows mismatch")
 	}
 }
@@ -194,12 +204,12 @@ func TestTable3Quick(t *testing.T) {
 func TestFig8Quick(t *testing.T) {
 	o := quick()
 	o.Records = 600
-	res, err := Fig8(context.Background(), o, "purchase100", []float64{2}, []string{"none", "dinar"})
+	res, err := RunSweep(context.Background(), "fig8", o, Axes{Dataset: "purchase100", Alphas: []float64{2}, Defenses: []string{"none", "dinar"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
+	if len(res.Rows) != 2 {
+		t.Fatalf("points = %d", len(res.Rows))
 	}
 	if res.Table().NumRows() != 2 {
 		t.Fatal("table rows mismatch")
@@ -208,12 +218,12 @@ func TestFig8Quick(t *testing.T) {
 
 func TestFig9Quick(t *testing.T) {
 	o := quick()
-	res, err := Fig9(context.Background(), o, "purchase100", []int{3})
+	res, err := RunSweep(context.Background(), "fig9", o, Axes{Dataset: "purchase100", Clients: []int{3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 { // none + dinar
-		t.Fatalf("points = %d", len(res.Points))
+	if len(res.Rows) != 2 { // none + dinar
+		t.Fatalf("points = %d", len(res.Rows))
 	}
 	if res.Table().NumRows() != 2 {
 		t.Fatal("table rows mismatch")
@@ -222,16 +232,16 @@ func TestFig9Quick(t *testing.T) {
 
 func TestFig10Quick(t *testing.T) {
 	o := quick()
-	res, err := Fig10(context.Background(), o, "purchase100", []float64{0.2})
+	res, err := RunSweep(context.Background(), "fig10", o, Axes{Dataset: "purchase100", Budgets: []float64{0.2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// no defense + 1 budget + dinar.
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d", len(res.Points))
+	if len(res.Rows) != 3 {
+		t.Fatalf("points = %d", len(res.Rows))
 	}
-	if !strings.Contains(res.Points[1].Label, "eps=0.2") {
-		t.Fatalf("label = %q", res.Points[1].Label)
+	if !strings.Contains(res.Rows[1].Labels[0], "eps=0.2") {
+		t.Fatalf("label = %q", res.Rows[1].Labels[0])
 	}
 	if res.Table().NumRows() != 3 {
 		t.Fatal("table rows mismatch")
@@ -240,15 +250,52 @@ func TestFig10Quick(t *testing.T) {
 
 func TestFig11Quick(t *testing.T) {
 	o := quick()
-	res, err := Fig11(context.Background(), o, "purchase100", []string{"adagrad", "adam"})
+	res, err := RunSweep(context.Background(), "fig11", o, Axes{Dataset: "purchase100", Optimizers: []string{"adagrad", "adam"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
+	if len(res.Rows) != 2 {
+		t.Fatalf("points = %d", len(res.Rows))
 	}
 	if res.Table().NumRows() != 2 {
 		t.Fatal("table rows mismatch")
+	}
+}
+
+// TestSweepShape: at the paper's axes every registered sweep builds cases
+// whose label tuples are unique and as wide as its label headers, so its
+// rendered table has len(headers) cells in every row. Nothing trains.
+func TestSweepShape(t *testing.T) {
+	for i := range Sweeps {
+		s := &Sweeps[i]
+		cases, err := s.Cases(quick(), s.Paper)
+		if err != nil {
+			t.Fatalf("%s: %v", s.ID, err)
+		}
+		if len(cases) == 0 || len(s.Columns) == 0 {
+			t.Fatalf("%s: %d cases, %d columns", s.ID, len(cases), len(s.Columns))
+		}
+		res := &SweepResult{Sweep: s, Axes: s.Paper}
+		seen := map[string]bool{}
+		for _, c := range cases {
+			key := strings.Join(c.Labels, "|")
+			if len(c.Labels) != len(s.Labels) || seen[key] {
+				t.Errorf("%s: labels %q: want %d of them, unique", s.ID, c.Labels, len(s.Labels))
+			}
+			seen[key] = true
+			res.Rows = append(res.Rows, Row{Labels: c.Labels})
+		}
+		// Title, headers, rule, rows; cells are padded, so equal line lengths
+		// are equal cell counts.
+		lines := strings.Split(strings.TrimSuffix(res.Table().String(), "\n"), "\n")
+		if len(lines) != 3+len(cases) || strings.Contains(lines[0], "{dataset}") {
+			t.Fatalf("%s: rendered %d lines for %d cases under %q", s.ID, len(lines), len(cases), lines[0])
+		}
+		for _, l := range lines[2:] {
+			if len(l) != len(lines[1]) {
+				t.Errorf("%s: row %q is not as wide as the headers", s.ID, l)
+			}
+		}
 	}
 }
 
@@ -316,16 +363,16 @@ func TestFlConfigLearningRates(t *testing.T) {
 func TestAblationObfuscationQuick(t *testing.T) {
 	o := quick()
 	o.Records = 400
-	res, err := AblationObfuscation(context.Background(), o, "purchase100")
+	res, err := RunSweep(context.Background(), "ablation-obf", o, Axes{Dataset: "purchase100"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
+	if len(res.Rows) != 2 {
+		t.Fatalf("points = %d", len(res.Rows))
 	}
-	for _, p := range res.Points {
+	for _, p := range res.Rows {
 		if p.LocalAUC < 50-1e-9 {
-			t.Fatalf("%s AUC %v", p.Label, p.LocalAUC)
+			t.Fatalf("%s AUC %v", p.Labels[0], p.LocalAUC)
 		}
 	}
 	if res.Table().NumRows() != 2 {
@@ -336,14 +383,14 @@ func TestAblationObfuscationQuick(t *testing.T) {
 func TestAblationRobustQuick(t *testing.T) {
 	o := quick()
 	o.Records = 400
-	res, err := AblationRobust(context.Background(), o, "purchase100")
+	res, err := RunSweep(context.Background(), "ablation-robust", o, Axes{Dataset: "purchase100"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d", len(res.Points))
+	if len(res.Rows) != 3 {
+		t.Fatalf("points = %d", len(res.Rows))
 	}
-	if res.Points[1].Label != "median" {
-		t.Fatalf("labels: %+v", res.Points)
+	if res.Rows[1].Labels[0] != "median" {
+		t.Fatalf("labels: %+v", res.Rows)
 	}
 }

@@ -32,11 +32,7 @@ func Fig1(ctx context.Context, o Options, datasets ...string) (*Fig1Result, erro
 	}
 	res := &Fig1Result{}
 	for _, ds := range datasets {
-		cfg, def, err := o.Federation(ds, "none")
-		if err != nil {
-			return nil, err
-		}
-		run, err := RunFL(ctx, cfg, def)
+		run, err := o.RunNamed(ctx, ds, "none")
 		if err != nil {
 			return nil, err
 		}

@@ -41,11 +41,7 @@ func Fig3(ctx context.Context, o Options, dataset string) (*Fig3Result, error) {
 	}
 	res := &Fig3Result{Dataset: dataset}
 	for _, dname := range Fig3Defenses {
-		cfg, def, err := o.Federation(dataset, dname)
-		if err != nil {
-			return nil, err
-		}
-		run, err := RunFL(ctx, cfg, def)
+		run, err := o.RunNamed(ctx, dataset, dname)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/fl"
 	"repro/internal/leakage"
 	"repro/internal/metrics"
 )
@@ -35,11 +34,7 @@ func Fig4(ctx context.Context, o Options, dataset string) (*Fig4Result, error) {
 	if dataset == "" {
 		dataset = "celeba"
 	}
-	cfg, def, err := o.Federation(dataset, "none")
-	if err != nil {
-		return nil, err
-	}
-	run, err := RunFL(ctx, cfg, def)
+	run, err := o.RunNamed(ctx, dataset, "none")
 	if err != nil {
 		return nil, err
 	}
@@ -98,86 +93,6 @@ func (r *Fig4Result) Table() *metrics.Table {
 		"Layer", "(a) JS divergence", "(b) attack AUC if obfuscated (%)")
 	for l := range r.Divergences {
 		t.AddRow(l, r.Divergences[l], r.PerLayerAUC[l])
-	}
-	return t
-}
-
-// Fig5Result reproduces Figure 5 (Purchase100, 6-layer FCNN): obfuscating
-// more layers does not improve privacy beyond the single most sensitive
-// layer, but costs utility.
-type Fig5Result struct {
-	Dataset string
-	// Sets names the obfuscated layer sets, paper-style ("5", "4-5", ...).
-	Sets []string
-	// AUC is the local-model attack AUC (%) per set.
-	AUC []float64
-	// Accuracy is the mean personalized-model accuracy (%) per set.
-	Accuracy []float64
-}
-
-// fig5LayerSets returns the paper's nested layer sets for an n-layer model:
-// {n-1}, {n-2, n-1}, ..., {1..n} in 1-based labels — the penultimate layer
-// first, growing toward the full model.
-func fig5LayerSets(n int) [][]int {
-	var sets [][]int
-	for size := 1; size <= n; size++ {
-		var set []int
-		start := n - 1 - size // 0-based first layer of the set
-		if size == n {
-			start = 0
-		}
-		for l := start; l < start+size && l < n; l++ {
-			set = append(set, l)
-		}
-		sets = append(sets, set)
-	}
-	return sets
-}
-
-// Fig5 runs DINAR with growing obfuscation sets and reports privacy and
-// utility per set.
-func Fig5(ctx context.Context, o Options, dataset string) (*Fig5Result, error) {
-	if dataset == "" {
-		dataset = "purchase100"
-	}
-	res := &Fig5Result{Dataset: dataset}
-	// The figure's attacker is the loss-threshold one at every scale.
-	o.UseShadowAttack = false
-	cfg := o.flConfig(dataset, fl.OptimizerFor("dinar"))
-	// Determine the layer count from the federation's model without training.
-	m, err := cfg.BuildModel()
-	if err != nil {
-		return nil, err
-	}
-	for _, set := range fig5LayerSets(m.NumLayers()) {
-		cell, err := evaluate(ctx, o, cfg, core.NewWithLayers(o.Seed, set...))
-		if err != nil {
-			return nil, err
-		}
-		res.Sets = append(res.Sets, setLabel(set))
-		res.AUC = append(res.AUC, cell.LocalAUC)
-		res.Accuracy = append(res.Accuracy, cell.Accuracy)
-	}
-	return res, nil
-}
-
-func setLabel(set []int) string {
-	s := ""
-	for i, l := range set {
-		if i > 0 {
-			s += "-"
-		}
-		s += fmt.Sprintf("%d", l+1) // 1-based labels as in the paper
-	}
-	return s
-}
-
-// Table renders the privacy/utility rows per obfuscation set.
-func (r *Fig5Result) Table() *metrics.Table {
-	t := metrics.NewTable("Figure 5: obfuscating more layers — "+r.Dataset,
-		"Obfuscated layers", "Attack AUC (%)", "Model accuracy (%)")
-	for i := range r.Sets {
-		t.AddRow(r.Sets[i], r.AUC[i], r.Accuracy[i])
 	}
 	return t
 }

@@ -1,9 +1,11 @@
-// Package experiment implements one runner per table and figure of the
-// paper's evaluation (§5). Each runner assembles the FL system, defenses,
-// attacks and metrics needed for that experiment, executes it at a
-// CPU-scaled configuration, and returns both structured results (for tests
-// and benchmarks) and a printable table with the same rows/series the paper
-// reports.
+// Package experiment regenerates the tables and figures of the paper's
+// evaluation (§5) at a CPU-scaled configuration. Figures 5–11 and the two
+// ablations are one reading (Options.Measure) of one federation (RunFL)
+// re-run along a different axis: entries of Sweeps, run by RunSweep. Fig 1,
+// 3, 4, Table 1, Table 3 and the Byzantine matrix measure other things and
+// have a runner and a result type each. Every artifact returns structured
+// results (for tests and benchmarks) and a printable table with the rows the
+// paper reports; Registry lists them by ID.
 package experiment
 
 import (
@@ -115,6 +117,15 @@ func (o Options) Federation(dataset, defenseName string) (fl.Config, fl.Defense,
 	cfg := o.flConfig(dataset, fl.OptimizerFor(defenseName))
 	def, err := defense.New(defenseName, cfg.DefenseSeed(), cfg.Clients)
 	return cfg, def, err
+}
+
+// RunNamed is RunFL of that federation.
+func (o Options) RunNamed(ctx context.Context, dataset, defenseName string) (*FLRun, error) {
+	cfg, def, err := o.Federation(dataset, defenseName)
+	if err != nil {
+		return nil, err
+	}
+	return RunFL(ctx, cfg, def)
 }
 
 // FLRun bundles everything an experiment needs after federated training.
@@ -245,16 +256,10 @@ func LocalAUC(run *FLRun, atk Attacker) (float64, error) {
 	return sum / float64(len(run.Updates)), nil
 }
 
-// Utility returns the paper's overall model utility metric: the mean
-// accuracy of the clients' (personalized) models on the test pool.
-func Utility(run *FLRun) (float64, error) {
-	return run.Sys.MeanClientAccuracy(run.Sys.Split.Test)
-}
-
-// measure reads a finished run the way every privacy/utility figure does:
+// Measure reads a finished run the way every privacy/utility figure does:
 // the configured attack's AUC against the final global model and against the
 // uploaded local models, and the mean personalized accuracy, all in percent.
-func (o Options) measure(run *FLRun) (*PrivacyCell, error) {
+func (o Options) Measure(run *FLRun) (*PrivacyCell, error) {
 	atk, err := o.NewAttacker(run)
 	if err != nil {
 		return nil, err
@@ -267,7 +272,7 @@ func (o Options) measure(run *FLRun) (*PrivacyCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	acc, err := Utility(run)
+	acc, err := run.Sys.MeanClientAccuracy(run.Sys.Split.Test)
 	if err != nil {
 		return nil, err
 	}
@@ -277,16 +282,6 @@ func (o Options) measure(run *FLRun) (*PrivacyCell, error) {
 		LocalAUC:  pct(local),
 		Accuracy:  pct(acc),
 	}, nil
-}
-
-// evaluate runs one explicit configuration under one explicit defense and
-// measures it.
-func evaluate(ctx context.Context, o Options, cfg fl.Config, def fl.Defense) (*PrivacyCell, error) {
-	run, err := RunFL(ctx, cfg, def)
-	if err != nil {
-		return nil, err
-	}
-	return o.measure(run)
 }
 
 // pct renders a fraction as a percentage value (e.g. 0.5 -> 50.0).

@@ -11,131 +11,62 @@ import (
 // Runner regenerates one paper artifact and returns its printable table.
 type Runner func(ctx context.Context, o Options) (*metrics.Table, error)
 
-// Registry maps experiment IDs (table/figure numbers) to runners. Every row
-// of DESIGN.md's per-experiment index appears here.
-var Registry = map[string]Runner{
-	"table1": func(_ context.Context, _ Options) (*metrics.Table, error) {
-		return Table1Table(), nil
-	},
-	"fig1": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Fig1(ctx, o)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	"fig3": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Fig3(ctx, o, "")
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	"fig4": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Fig4(ctx, o, "")
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	"fig5": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Fig5(ctx, o, "")
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	"fig6": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Fig6(ctx, o, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	"fig7": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Fig6(ctx, o, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Fig7Table(), nil
-	},
-	"table3": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Table3(ctx, o, "", nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	"fig8": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Fig8(ctx, o, "", nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	"fig9": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Fig9(ctx, o, "", nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	"fig10": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Fig10(ctx, o, "", nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	"fig11": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Fig11(ctx, o, "", nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	// Extensions beyond the paper's artifacts: ablations of design choices
-	// DESIGN.md calls out.
-	"ablation-obf": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := AblationObfuscation(ctx, o, "")
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	"ablation-robust": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := AblationRobust(ctx, o, "")
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
-	// Byzantine-client robustness matrix: every seeded poisoning strategy
-	// against every aggregation rule, behind the default update screen.
-	"byzantine": func(ctx context.Context, o Options) (*metrics.Table, error) {
-		r, err := Byzantine(ctx, o, "", nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	},
+// Artifact is one registered experiment: a table/figure number and what
+// regenerates it.
+type Artifact struct {
+	ID  string
+	Run Runner
 }
+
+// tabled adapts what an experiment returns — something with a Table method,
+// or an error — to what a Runner does.
+func tabled(r interface{ Table() *metrics.Table }, err error) (*metrics.Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r.Table(), nil
+}
+
+// Registry lists every experiment — each row of DESIGN.md's per-experiment
+// index: the artifacts that measure something of their own, then every
+// entry of Sweeps along the paper's axes.
+var Registry = func() []Artifact {
+	reg := []Artifact{
+		{"table1", func(context.Context, Options) (*metrics.Table, error) { return Table1Table(), nil }},
+		{"fig1", func(ctx context.Context, o Options) (*metrics.Table, error) { return tabled(Fig1(ctx, o)) }},
+		{"fig3", func(ctx context.Context, o Options) (*metrics.Table, error) { return tabled(Fig3(ctx, o, "")) }},
+		{"fig4", func(ctx context.Context, o Options) (*metrics.Table, error) { return tabled(Fig4(ctx, o, "")) }},
+		{"table3", func(ctx context.Context, o Options) (*metrics.Table, error) { return tabled(Table3(ctx, o, "", nil)) }},
+		// Beyond the paper: every seeded poisoning strategy against every
+		// aggregation rule, behind the default update screen.
+		{"byzantine", func(ctx context.Context, o Options) (*metrics.Table, error) {
+			return tabled(Byzantine(ctx, o, "", nil, nil))
+		}},
+	}
+	for _, s := range Sweeps {
+		reg = append(reg, Artifact{s.ID, func(ctx context.Context, o Options) (*metrics.Table, error) {
+			return tabled(RunSweep(ctx, s.ID, o, s.Paper))
+		}})
+	}
+	sort.Slice(reg, func(i, j int) bool { return reg[i].ID < reg[j].ID })
+	return reg
+}()
 
 // IDs returns the registered experiment IDs in sorted order.
 func IDs() []string {
-	ids := make([]string, 0, len(Registry))
-	for id := range Registry {
-		ids = append(ids, id)
+	ids := make([]string, len(Registry))
+	for i, a := range Registry {
+		ids[i] = a.ID
 	}
-	sort.Strings(ids)
 	return ids
 }
 
 // Run executes the experiment with the given ID.
 func Run(ctx context.Context, id string, o Options) (*metrics.Table, error) {
-	r, ok := Registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown id %q (have %v)", id, IDs())
+	for _, a := range Registry {
+		if a.ID == id {
+			return a.Run(ctx, o)
+		}
 	}
-	return r(ctx, o)
+	return nil, fmt.Errorf("experiment: unknown id %q (have %v)", id, IDs())
 }

@@ -51,11 +51,7 @@ func Table3(ctx context.Context, o Options, dataset string, defenses []string) (
 	res := &Table3Result{Dataset: dataset}
 	var baseTrain, baseAgg time.Duration
 	for _, dname := range defenses {
-		cfg, def, err := o.Federation(dataset, dname)
-		if err != nil {
-			return nil, err
-		}
-		run, err := RunFL(ctx, cfg, def)
+		run, err := o.RunNamed(ctx, dataset, dname)
 		if err != nil {
 			return nil, err
 		}

@@ -161,11 +161,3 @@ func Overhead(got, baseline time.Duration) float64 {
 	}
 	return (float64(got)/float64(baseline) - 1) * 100
 }
-
-// OverheadBytes is Overhead for byte counts.
-func OverheadBytes(got, baseline uint64) float64 {
-	if baseline == 0 {
-		return 0
-	}
-	return (float64(got)/float64(baseline) - 1) * 100
-}

@@ -62,20 +62,6 @@ func AUC(scores []float64, positives []bool) (float64, error) {
 	return u / (float64(nPos) * float64(nNeg)), nil
 }
 
-// AttackAUC folds an AUC below 0.5 to its mirror above 0.5, matching the
-// paper's convention that attack AUC lives in [50%, 100%]: an attacker can
-// always invert a classifier that is reliably wrong.
-func AttackAUC(scores []float64, positives []bool) (float64, error) {
-	auc, err := AUC(scores, positives)
-	if err != nil {
-		return 0, err
-	}
-	if auc < 0.5 {
-		auc = 1 - auc
-	}
-	return auc, nil
-}
-
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -200,56 +186,4 @@ func JSDivergenceSamples(a, b []float64, bins int) (float64, error) {
 		return 0, err
 	}
 	return JSDivergence(pa, pb)
-}
-
-// ROCPoint is one (false-positive rate, true-positive rate) point.
-type ROCPoint struct {
-	FPR, TPR float64
-}
-
-// ROC computes the full ROC curve for binary classification, one point per
-// distinct threshold, ordered from (0,0) to (1,1). Plotting front-ends use
-// it to render the attack curves whose area is AUC.
-func ROC(scores []float64, positives []bool) ([]ROCPoint, error) {
-	if len(scores) != len(positives) {
-		return nil, fmt.Errorf("%w: %d scores for %d labels", ErrBadInput, len(scores), len(positives))
-	}
-	type item struct {
-		score float64
-		pos   bool
-	}
-	items := make([]item, len(scores))
-	nPos, nNeg := 0, 0
-	for i, s := range scores {
-		items[i] = item{score: s, pos: positives[i]}
-		if positives[i] {
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	if nPos == 0 || nNeg == 0 {
-		return nil, fmt.Errorf("%w: need both classes (pos=%d neg=%d)", ErrBadInput, nPos, nNeg)
-	}
-	// Descending by score: thresholds sweep from strictest to loosest.
-	sort.Slice(items, func(i, j int) bool { return items[i].score > items[j].score })
-	curve := []ROCPoint{{FPR: 0, TPR: 0}}
-	tp, fp := 0, 0
-	for i := 0; i < len(items); {
-		j := i
-		for j < len(items) && items[j].score == items[i].score {
-			if items[j].pos {
-				tp++
-			} else {
-				fp++
-			}
-			j++
-		}
-		curve = append(curve, ROCPoint{
-			FPR: float64(fp) / float64(nNeg),
-			TPR: float64(tp) / float64(nPos),
-		})
-		i = j
-	}
-	return curve, nil
 }

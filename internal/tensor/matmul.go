@@ -281,53 +281,3 @@ func Transpose2D(t *Tensor) (*Tensor, error) {
 	}
 	return out, nil
 }
-
-// MatVec returns a × v for a 2-D tensor a (m×k) and 1-D tensor v (k).
-func MatVec(a, v *Tensor) (*Tensor, error) {
-	if a.Dims() != 2 || v.Dims() != 1 || a.shape[1] != v.shape[0] {
-		return nil, fmt.Errorf("%w: matvec %v x %v", ErrShapeMismatch, a.shape, v.shape)
-	}
-	m, k := a.shape[0], a.shape[1]
-	out := New(m)
-	for i := 0; i < m; i++ {
-		s := 0.0
-		row := a.data[i*k : (i+1)*k]
-		for j, av := range row {
-			s += av * v.data[j]
-		}
-		out.data[i] = s
-	}
-	return out, nil
-}
-
-// Outer returns the outer product u vᵀ of two 1-D tensors.
-func Outer(u, v *Tensor) (*Tensor, error) {
-	if u.Dims() != 1 || v.Dims() != 1 {
-		return nil, fmt.Errorf("%w: outer %v x %v", ErrShapeMismatch, u.shape, v.shape)
-	}
-	m, n := u.shape[0], v.shape[0]
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		ui := u.data[i]
-		if ui == 0 {
-			continue
-		}
-		row := out.data[i*n : (i+1)*n]
-		for j, vj := range v.data {
-			row[j] = ui * vj
-		}
-	}
-	return out, nil
-}
-
-// Dot returns the dot product of two tensors viewed as flat vectors.
-func Dot(a, b *Tensor) (float64, error) {
-	if len(a.data) != len(b.data) {
-		return 0, fmt.Errorf("%w: dot %v . %v", ErrShapeMismatch, a.shape, b.shape)
-	}
-	s := 0.0
-	for i, v := range a.data {
-		s += v * b.data[i]
-	}
-	return s, nil
-}

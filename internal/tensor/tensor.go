@@ -82,16 +82,6 @@ func Randn(rng *rand.Rand, mean, std float64, shape ...int) *Tensor {
 	return t
 }
 
-// RandUniform returns a tensor with the given shape filled with samples drawn
-// uniformly from [lo, hi).
-func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return t
-}
-
 // Shape returns a copy of the tensor's shape.
 func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
 

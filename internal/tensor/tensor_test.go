@@ -293,36 +293,6 @@ func TestTranspose2D(t *testing.T) {
 	}
 }
 
-func TestMatVecOuterDot(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	v := MustFromSlice([]float64{5, 6}, 2)
-	mv, err := MatVec(a, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mv.At(0) != 17 || mv.At(1) != 39 {
-		t.Fatalf("MatVec = %v", mv.Data())
-	}
-	u := MustFromSlice([]float64{1, 2}, 2)
-	o, err := Outer(u, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.At(1, 1) != 12 || o.At(0, 0) != 5 {
-		t.Fatalf("Outer = %v", o.Data())
-	}
-	d, err := Dot(u, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 17 {
-		t.Fatalf("Dot = %v", d)
-	}
-	if _, err := Dot(u, New(3)); !errors.Is(err, ErrShapeMismatch) {
-		t.Fatalf("Dot err = %v", err)
-	}
-}
-
 func TestRandnStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tt := Randn(rng, 2, 3, 10000)
@@ -331,19 +301,6 @@ func TestRandnStats(t *testing.T) {
 	}
 	if v := tt.Variance(); math.Abs(v-9) > 0.5 {
 		t.Fatalf("Randn variance = %v, want ~9", v)
-	}
-}
-
-func TestRandUniformRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	tt := RandUniform(rng, -1, 1, 1000)
-	for _, v := range tt.Data() {
-		if v < -1 || v >= 1 {
-			t.Fatalf("uniform sample %v out of [-1,1)", v)
-		}
-	}
-	if m := tt.Mean(); math.Abs(m) > 0.1 {
-		t.Fatalf("uniform mean = %v, want ~0", m)
 	}
 }
 
