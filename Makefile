@@ -11,7 +11,13 @@
 #                     reusable quantized-delta encoder, the exact
 #                     FedAvg fold and the lossless wire's plane-frame encode
 #                     must stay zero-allocation in steady state (the decode
-#                     allocates only what compress/flate does per stream)
+#                     allocates only what compress/flate does per stream);
+#                     and a round makes no state-sized garbage: a steady-state
+#                     round of an fl.System and of a two-client in-memory
+#                     federation (lossless wire, sequential checkpoints, dinar)
+#                     allocates at most two states' worth of bytes plus 1 MiB,
+#                     an epoch of Batches one batch tensor (plus a ragged one),
+#                     a DINAR personalization nothing
 #   make parallel   - compute-pool guards: pool invariants plus the
 #                     serial-vs-parallel bit-identity property tests,
 #                     under -race
@@ -42,8 +48,11 @@
 #                     process on in-memory listeners), rolling restart with
 #                     bit-identical resume, the job-churn leak hammer, the
 #                     admin REST validation matrix, front-door rate
-#                     limiting and backlog shedding, pause/resume, and the
-#                     pipelined-vs-sequential identity property tests
+#                     limiting and backlog shedding, pause/resume, the
+#                     pipelined-vs-sequential identity property tests, and the
+#                     published-state oracle (no state the server has exposed
+#                     is ever written again, while a background checkpoint
+#                     reads what the next round shares)
 #   make quant      - quantized-wire guards under -race: the linear-time
 #                     top-k encoder against its sort oracle and golden
 #                     payload digests, and the quantized federations (each
@@ -133,7 +142,9 @@ alloc:
 	$(GO) test ./internal/tensor/ -run TestWorkspaceSteadyStateAllocs -v
 	$(GO) test ./internal/optim/ -run 'TestResetKeepsStateBuffers|TestResetStepZeroAllocs' -v
 	$(GO) test ./internal/fl/ -run 'TestDeltaEncoderSteadyStateAllocs|TestStreamingFedAvgSteadyStateAllocs' -v
-	$(GO) test ./internal/flnet/ -run 'TestPlaneFrameSteadyStateAllocs|TestStatePoolRetainsCohort' -v
+	$(GO) test ./internal/flnet/ -run 'TestPlaneFrameSteadyStateAllocs|TestStatePoolRetainsCohort|TestRoundByteBudget' -v
+	$(GO) test ./internal/data/ -run TestBatchesBytesPerEpoch -v
+	$(GO) test ./internal/core/ -run TestPersonalizedStateIsTheClientsOwn -v
 
 parallel:
 	$(GO) test -race ./internal/parallel/
@@ -159,6 +170,7 @@ soak:
 service:
 	$(GO) test -race -count=1 ./internal/service/
 	$(GO) test -race ./internal/chaos/ -run 'TestPipelinedMatchesSequential|TestPipelinedDrainResumeIdentity'
+	$(GO) test -race ./internal/flnet/ -run TestPublishedStateIsNeverWritten
 
 quant:
 	$(GO) test -race ./internal/fl/ -run 'TestEncodeDelta|TestDeltaEncoder|TestKthLargestAbsDiff|TestQuantizedStreamingFoldOrderInvariance'

@@ -12,6 +12,7 @@ package bench
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -33,6 +34,13 @@ import (
 // coexist) and there is an optional "scaling" section. ReadFile refuses a
 // file of any other version.
 const SchemaVersion = 2
+
+// MinIterations is the fewest iterations a recorded result may rest on: a
+// single run of an entry slower than testing.Benchmark's one-second budget is
+// an anecdote (fig4_per_layer_protection was gated from one for twelve PRs).
+// RunOnly re-measures such an entry at exactly this count, and the writers
+// refuse a result with fewer.
+const MinIterations = 3
 
 // Result is one benchmark measurement.
 type Result struct {
@@ -266,6 +274,8 @@ var suite = []suiteEntry{
 		trainStep(b, m, 32, 3, 16, 16)
 	}},
 	{"round_throughput", benchRoundThroughput},
+	{"fcnn6_client_round", benchClientRound},
+	{"checkpoint_save_fcnn6", benchCheckpointSave},
 	{"wire_encode", benchWireEncode},
 	{"wire_decode", benchWireDecode},
 	{"wire_lossless_encode_global", benchWireLosslessEncode(flnet.KindGlobal)},
@@ -324,6 +334,9 @@ func RunOnly(only []string, logf func(format string, args ...any)) (Snapshot, er
 	results := make(map[string]Result, len(entries))
 	for _, e := range entries {
 		r := testing.Benchmark(e.fn)
+		if r.N < MinIterations {
+			r = benchmarkFixed(e.fn, MinIterations)
+		}
 		res := Result{
 			NsPerOp:     r.NsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
@@ -344,6 +357,27 @@ func RunOnly(only []string, logf func(format string, args ...any)) (Snapshot, er
 		}
 	}
 	return Snapshot{GOMAXPROCS: procs, Results: results}, nil
+}
+
+// benchmarkFixed measures fn over exactly n iterations, the way
+// `go test -benchtime <n>x` does.
+func benchmarkFixed(fn func(b *testing.B), n int) testing.BenchmarkResult {
+	testing.Init() // registers test.benchtime; no effect inside a test binary
+	prev := flag.Lookup("test.benchtime").Value.String()
+	flag.Set("test.benchtime", fmt.Sprintf("%dx", n)) //nolint:errcheck // a well-formed count
+	defer flag.Set("test.benchtime", prev)            //nolint:errcheck // the value it had
+	return testing.Benchmark(fn)
+}
+
+// measuredEnough refuses a snapshot holding a result that rests on fewer
+// than MinIterations iterations.
+func measuredEnough(s Snapshot) error {
+	for name, r := range s.Results {
+		if r.Iterations < MinIterations {
+			return fmt.Errorf("bench: %s was measured over %d iteration(s), a recorded entry needs at least %d", name, r.Iterations, MinIterations)
+		}
+	}
+	return nil
 }
 
 // ReadFile loads a benchmark file; a missing file returns an empty File.
@@ -389,6 +423,9 @@ func UpdateFile(path string, mutate func(*File)) error {
 // WriteFile records cur as the file's current snapshot, preserving the
 // baseline and scaling sections already recorded at path (if any).
 func WriteFile(path string, cur Snapshot) error {
+	if err := measuredEnough(cur); err != nil {
+		return err
+	}
 	return UpdateFile(path, func(f *File) { f.Current = cur })
 }
 
@@ -397,6 +434,9 @@ func WriteFile(path string, cur Snapshot) error {
 // everything else — including results the partial run did not measure — is
 // preserved.
 func MergeResults(path string, partial Snapshot) error {
+	if err := measuredEnough(partial); err != nil {
+		return err
+	}
 	return UpdateFile(path, func(f *File) {
 		if f.Current.Results == nil {
 			f.Current.Results = make(map[string]Result, len(partial.Results))

@@ -63,9 +63,17 @@ func TestUpdateFilePreservesSections(t *testing.T) {
 	}
 	if err := WriteFile(path, Snapshot{
 		GOMAXPROCS: 1,
-		Results:    map[string]Result{"matmul": {NsPerOp: 95, GOMAXPROCS: 1}},
+		Results:    map[string]Result{"matmul": {NsPerOp: 95, GOMAXPROCS: 1, Iterations: MinIterations}},
 	}); err != nil {
 		t.Fatal(err)
+	}
+	// A result resting on fewer iterations is an anecdote: neither writer
+	// records it.
+	thin := Snapshot{GOMAXPROCS: 1, Results: map[string]Result{"matmul": {NsPerOp: 1, Iterations: MinIterations - 1}}}
+	for name, write := range map[string]func(string, Snapshot) error{"WriteFile": WriteFile, "MergeResults": MergeResults} {
+		if err := write(path, thin); err == nil || !strings.Contains(err.Error(), "at least 3") {
+			t.Fatalf("%s recorded a %d-iteration result: %v", name, MinIterations-1, err)
+		}
 	}
 	f, err := ReadFile(path)
 	if err != nil {

@@ -11,6 +11,12 @@ import (
 // before `dinar-bench -compare` fails.
 const DefaultCompareThreshold = 0.15
 
+// bytesSlack is what an entry's B/op may grow by, on top of the threshold,
+// before the gate calls it a regression: pooled buffers refilled after a GC
+// cycle move the small entries by tens of kilobytes, while the growth the
+// gate is for — a state-sized buffer made per op again — is megabytes.
+const bytesSlack = 64 << 10
+
 // compareRetries is how many fresh measurements a failing entry gets before
 // the regression is believed. Single benchmark runs on a loaded host
 // routinely overshoot by far more than the threshold; the minimum of several
@@ -28,7 +34,10 @@ type CompareEntry struct {
 	// AllocsGrew flags an entry recorded at 0 allocs/op that now allocates —
 	// a regression regardless of timing.
 	AllocsGrew bool
-	Regressed  bool
+	// BytesGrew flags an entry whose B/op exceeds the record by more than
+	// the threshold plus bytesSlack.
+	BytesGrew bool
+	Regressed bool
 	// Skipped carries the reason an entry was not comparable (unknown to the
 	// current suite, or recorded at a different GOMAXPROCS).
 	Skipped string
@@ -41,8 +50,11 @@ func (e CompareEntry) String() string {
 	verdict := "ok"
 	if e.Regressed {
 		verdict = "REGRESSED"
-		if e.AllocsGrew {
+		switch {
+		case e.AllocsGrew:
 			verdict = "REGRESSED (allocates)"
+		case e.BytesGrew:
+			verdict = "REGRESSED (B/op)"
 		}
 	}
 	return fmt.Sprintf("%-28s %12d -> %12d ns/op  (%+.1f%%)  %s",
@@ -51,7 +63,8 @@ func (e CompareEntry) String() string {
 
 // compareResults applies the regression rule to a recorded and a measured
 // result set: an entry regresses when its measured ns/op exceeds the record
-// by more than threshold, or when it allocates where the record says zero.
+// by more than threshold, when its B/op does by more than threshold plus
+// bytesSlack, or when it allocates where the record says zero.
 // Entries the measured set lacks are skipped (with the given reason map),
 // never silently dropped. Results are sorted by name for stable output.
 func compareResults(rec, cur map[string]Result, threshold float64, skip map[string]string) []CompareEntry {
@@ -80,7 +93,8 @@ func compareResults(rec, cur map[string]Result, threshold float64, skip map[stri
 			e.Ratio = float64(c.NsPerOp) / float64(r.NsPerOp)
 		}
 		e.AllocsGrew = r.AllocsPerOp == 0 && c.AllocsPerOp > 0
-		e.Regressed = e.AllocsGrew || (r.NsPerOp > 0 && e.Ratio > 1+threshold)
+		e.BytesGrew = float64(c.BytesPerOp) > float64(r.BytesPerOp)*(1+threshold)+bytesSlack
+		e.Regressed = e.AllocsGrew || e.BytesGrew || (r.NsPerOp > 0 && e.Ratio > 1+threshold)
 		entries = append(entries, e)
 	}
 	return entries

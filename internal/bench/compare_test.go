@@ -13,13 +13,17 @@ func TestCompareResultsThreshold(t *testing.T) {
 		"allocs":  {NsPerOp: 1000, AllocsPerOp: 0},
 		"hadheap": {NsPerOp: 1000, AllocsPerOp: 5},
 		"missing": {NsPerOp: 1000},
+		"pooled":  {NsPerOp: 1000, AllocsPerOp: 40, BytesPerOp: 9_000},
+		"copies":  {NsPerOp: 1000, AllocsPerOp: 76, BytesPerOp: 760_000},
 	}
 	cur := map[string]Result{
 		"fast":    {NsPerOp: 900, AllocsPerOp: 0},
-		"edge":    {NsPerOp: 1150, AllocsPerOp: 0}, // exactly +15%: within budget
-		"slow":    {NsPerOp: 1151, AllocsPerOp: 0}, // past the budget
-		"allocs":  {NsPerOp: 800, AllocsPerOp: 1},  // faster but newly allocating
-		"hadheap": {NsPerOp: 1100, AllocsPerOp: 9}, // alloc growth only gates 0-alloc entries
+		"edge":    {NsPerOp: 1150, AllocsPerOp: 0},                        // exactly +15%: within budget
+		"slow":    {NsPerOp: 1151, AllocsPerOp: 0},                        // past the budget
+		"allocs":  {NsPerOp: 800, AllocsPerOp: 1},                         // faster but newly allocating
+		"hadheap": {NsPerOp: 1100, AllocsPerOp: 9},                        // alloc growth only gates 0-alloc entries
+		"pooled":  {NsPerOp: 1000, AllocsPerOp: 41, BytesPerOp: 60_000},   // a pool refill: inside the slack
+		"copies":  {NsPerOp: 900, AllocsPerOp: 77, BytesPerOp: 4_650_000}, // faster, but a state-sized copy per op is back
 	}
 	entries := compareResults(rec, cur, 0.15, nil)
 	verdict := make(map[string]CompareEntry, len(entries))
@@ -27,14 +31,14 @@ func TestCompareResultsThreshold(t *testing.T) {
 		verdict[e.Name] = e
 	}
 	for name, wantRegressed := range map[string]bool{
-		"fast": false, "edge": false, "slow": true, "allocs": true, "hadheap": false,
+		"fast": false, "edge": false, "slow": true, "allocs": true, "hadheap": false, "pooled": false, "copies": true,
 	} {
 		if verdict[name].Regressed != wantRegressed {
 			t.Errorf("%s: regressed = %v, want %v", name, verdict[name].Regressed, wantRegressed)
 		}
 	}
-	if !verdict["allocs"].AllocsGrew {
-		t.Error("allocs: AllocsGrew not flagged")
+	if !verdict["allocs"].AllocsGrew || !verdict["copies"].BytesGrew {
+		t.Error("allocs: AllocsGrew, or copies: BytesGrew, not flagged")
 	}
 	if verdict["missing"].Skipped != "not measured" {
 		t.Errorf("missing: skipped = %q", verdict["missing"].Skipped)

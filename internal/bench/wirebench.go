@@ -7,7 +7,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/defense"
 	"repro/internal/fl"
@@ -15,8 +14,8 @@ import (
 	"repro/internal/flnet"
 )
 
-// wireDim is the state-vector length the wire benches measure at, matching
-// round_throughput's default model.
+// wireDim is the state-vector length the wire benches and round_throughput
+// measure at.
 const wireDim = 4096
 
 // wireGlobal builds a deterministic dim-sized Global message.
@@ -151,59 +150,8 @@ func benchExactFinalize(b *testing.B) {
 // the "bytes/round" extra metric — the number EXPERIMENTS.md tracks
 // against a codec-free session.
 func benchBytesPerRound(b *testing.B) {
-	const (
-		numClients = 64
-		sampleSize = 16
-		minClients = 8
-	)
-	def := defense.NewNone()
-	if err := def.Bind(fl.ModelInfo{NumParams: wireDim, NumState: wireDim}); err != nil {
-		b.Fatal(err)
-	}
-	mem := flnet.ListenMem(numClients)
-	srv, err := flnet.NewServer(flnet.ServerConfig{
-		NumClients:   numClients,
-		MinClients:   minClients,
-		SampleSize:   sampleSize,
-		SampleSeed:   11,
-		Streaming:    true,
-		Rounds:       b.N,
-		Defense:      def,
-		InitialState: make([]float64, wireDim),
-		Listener:     mem,
-		IOTimeout:    2 * time.Minute,
-		Compress:     true,
-		Quantize:     "int8",
-		Delta:        true,
-		QuantSeed:    7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	fleet := &fleetsim.Fleet{
-		N: numClients, Dim: wireDim, Seed: 3,
-		Dial: mem.Dial, IOTimeout: 2 * time.Minute,
-	}
-	statsCh := make(chan *fleetsim.Stats, 1)
 	txBefore, _ := flnet.WireBytesTotals()
-	go func() { statsCh <- fleet.Run(ctx) }()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	final, err := srv.Run(ctx)
-	b.StopTimer()
-	stats := <-statsCh
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(final) != wireDim {
-		b.Fatalf("final state has %d values, want %d", len(final), wireDim)
-	}
-	if got := int(stats.Updates.Load()); got < b.N*minClients {
-		b.Fatalf("fleet wrote %d updates over %d rounds, want at least %d", got, b.N, b.N*minClients)
-	}
+	sampledFederation(b, flnet.ServerConfig{Compress: true, Quantize: "int8", Delta: true, QuantSeed: 7})
 	// Both ends run in-process, so the tx counter movement alone is the
 	// server's tx+rx: every frame either side writes is counted exactly
 	// once (counting rx too would double every frame).
@@ -218,10 +166,10 @@ type losslessFrames struct {
 	upload     *fl.Update // client 0's round-1 upload, trained from prev
 }
 
-// captureLossless runs two seeded fl.System rounds of purchase100/FCNN6 with
-// the round benchmark's load model (800 records, 2 clients, DINAR + Adagrad,
-// one epoch of batch 64), once per process.
-var captureLossless = sync.OnceValues(func() (*losslessFrames, error) {
+// fcnn6System assembles the round benchmark's FCNN6 rows as an fl.System:
+// purchase100, 800 records, 2 clients, DINAR + Adagrad, one epoch of batch
+// 64.
+func fcnn6System() (*fl.System, error) {
 	cfg := fl.Config{
 		Dataset: "purchase100", Records: 800, Clients: 2, Rounds: 2,
 		LocalEpochs: 1, BatchSize: 64, Optimizer: "adagrad",
@@ -232,7 +180,12 @@ var captureLossless = sync.OnceValues(func() (*losslessFrames, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := fl.NewSystem(cfg, def)
+	return fl.NewSystem(cfg, def)
+}
+
+// captureLossless runs two seeded rounds of fcnn6System, once per process.
+var captureLossless = sync.OnceValues(func() (*losslessFrames, error) {
+	sys, err := fcnn6System()
 	if err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@ package checkpoint
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/binenc"
@@ -129,7 +130,7 @@ const (
 // and the state's count.
 const asyncFixedBytes = 3*8 + 4
 
-// snapshotSize is the exact payload length encodeSnapshot produces.
+// snapshotSize is the exact payload length snapshotPayload streams.
 func snapshotSize(s *Snapshot) int {
 	n := 1 + 3*8 + 4 + len(s.Dataset) + 4 + 8*len(s.State) + 4 + 8*len(s.StreamNorms) + 4
 	for i := range s.Async {
@@ -154,17 +155,17 @@ func sortedKeys[V any](m map[int]V) []int {
 	return keys
 }
 
-// appendIntMap appends a u32 count and the (key, value) i64 pairs of m in
-// ascending key order.
-func appendIntMap(b []byte, m map[int]int) []byte {
-	b = binenc.AppendU32(b, uint32(len(m)))
+// intMap writes a u32 count and the (key, value) i64 pairs of m in ascending
+// key order.
+func (st *stream) intMap(m map[int]int) {
+	st.u32(uint32(len(m)))
 	for _, k := range sortedKeys(m) {
-		b = binenc.AppendInt(binenc.AppendInt(b, k), m[k])
+		st.int(k)
+		st.int(m[k])
 	}
-	return b
 }
 
-// readIntMap reads what appendIntMap wrote. Keys must ascend strictly, so a
+// readIntMap reads what intMap wrote. Keys must ascend strictly, so a
 // payload has one valid encoding and a duplicate key cannot drop an entry.
 func readIntMap(rd *binenc.Reader) map[int]int {
 	n := rd.Count(16)
@@ -183,56 +184,58 @@ func readIntMap(rd *binenc.Reader) map[int]int {
 	return m
 }
 
-// encodeSnapshot builds the complete file image of s at generation gen:
-// one exact-size allocation holding the envelope header and the payload,
-// written once and sealed in place.
-func encodeSnapshot(s *Snapshot, gen uint64) ([]byte, error) {
+// snapshotPayload describes the envelope of s: the fields go out in the
+// layout's order straight from where they lie, the state-sized sections
+// (State, Async, Wire.Bcast) included, so s must hold still until the write
+// is done.
+func snapshotPayload(s *Snapshot) (payload, error) {
 	if s == nil || len(s.State) == 0 {
-		return nil, fmt.Errorf("checkpoint: empty snapshot")
+		return payload{}, fmt.Errorf("checkpoint: empty snapshot")
 	}
-	var flags byte
-	if s.Quarantine != nil {
-		flags |= snapQuarantine
-	}
-	if s.Wire != nil {
-		flags |= snapWire
-	}
-	b := append(newImage(snapshotSize(s)), flags)
-	b = binenc.AppendInt(b, s.Round)
-	b = binenc.AppendU64(b, uint64(s.SampleSeed))
-	b = binenc.AppendInt(b, s.SampleSize)
-	b = binenc.AppendString(b, s.Dataset)
-	b = binenc.AppendF64s(b, s.State)
-	b = binenc.AppendF64s(b, s.StreamNorms)
-	b = binenc.AppendU32(b, uint32(len(s.Async)))
-	for i := range s.Async {
-		au := &s.Async[i]
-		b = binenc.AppendInt(b, au.ClientID)
-		b = binenc.AppendInt(b, au.Round)
-		b = binenc.AppendInt(b, au.NumSamples)
-		b = binenc.AppendF64s(b, au.State)
-	}
-	if q := s.Quarantine; q != nil {
-		b = appendIntMap(b, q.Offenses)
-		b = appendIntMap(b, q.BlockedUntil)
-		b = binenc.AppendF64s(b, q.Norms)
-	}
-	if ws := s.Wire; ws != nil {
-		var bits byte
-		if ws.Compress {
-			bits |= wireCompress
+	return newPayload(kindSnapshot, snapshotSize(s), func(st *stream) {
+		var flags byte
+		if s.Quarantine != nil {
+			flags |= snapQuarantine
 		}
-		if ws.Delta {
-			bits |= wireDelta
+		if s.Wire != nil {
+			flags |= snapWire
 		}
-		b = append(b, bits)
-		b = binenc.AppendString(b, ws.Quantize)
-		b = binenc.AppendF64(b, ws.TopK)
-		b = binenc.AppendU64(b, uint64(ws.QuantSeed))
-		b = binenc.AppendInt(b, ws.BcastRound)
-		b = binenc.AppendF64s(b, ws.Bcast)
-	}
-	return seal(b, kindSnapshot, gen)
+		st.u8(flags)
+		st.int(s.Round)
+		st.u64(uint64(s.SampleSeed))
+		st.int(s.SampleSize)
+		st.str(s.Dataset)
+		st.f64s(s.State)
+		st.f64s(s.StreamNorms)
+		st.u32(uint32(len(s.Async)))
+		for i := range s.Async {
+			au := &s.Async[i]
+			st.int(au.ClientID)
+			st.int(au.Round)
+			st.int(au.NumSamples)
+			st.f64s(au.State)
+		}
+		if q := s.Quarantine; q != nil {
+			st.intMap(q.Offenses)
+			st.intMap(q.BlockedUntil)
+			st.f64s(q.Norms)
+		}
+		if ws := s.Wire; ws != nil {
+			var bits byte
+			if ws.Compress {
+				bits |= wireCompress
+			}
+			if ws.Delta {
+				bits |= wireDelta
+			}
+			st.u8(bits)
+			st.str(ws.Quantize)
+			st.u64(math.Float64bits(ws.TopK))
+			st.u64(uint64(ws.QuantSeed))
+			st.int(ws.BcastRound)
+			st.f64s(ws.Bcast)
+		}
+	})
 }
 
 // decodeSnapshot parses a CRC-verified snapshot payload. The CRC only
@@ -297,15 +300,11 @@ func decodeSnapshot(payload []byte, gen uint64) (*Snapshot, error) {
 // Save writes the snapshot to w as one envelope, at generation
 // s.Generation.
 func Save(w io.Writer, s *Snapshot) error {
-	var gen uint64
-	if s != nil {
-		gen = s.Generation
-	}
-	img, err := encodeSnapshot(s, gen)
+	p, err := snapshotPayload(s)
 	if err != nil {
 		return err
 	}
-	return writeImage(w, img)
+	return p.writeTo(w, s.Generation)
 }
 
 // Load reads one CRC-verified snapshot envelope from r.
@@ -316,15 +315,11 @@ func Load(r io.Reader) (*Snapshot, error) { return load(r, kindSnapshot, decodeS
 // previous newest generation into a ".g<gen>" sibling and retaining the
 // last DefaultRetain generations.
 func SaveFile(path string, s *Snapshot) error {
-	return SaveFileRetain(path, s, DefaultRetain)
-}
-
-// SaveFileRetain is SaveFile with an explicit generation-retention count
-// (minimum 1: only the head file is kept).
-func SaveFileRetain(path string, s *Snapshot, retain int) error {
-	return saveChain(path, kindSnapshot, retain, func(gen uint64) ([]byte, error) {
-		return encodeSnapshot(s, gen)
-	})
+	p, err := snapshotPayload(s)
+	if err != nil {
+		return err
+	}
+	return saveChain(path, p)
 }
 
 // LoadFile reads the snapshot at path.
@@ -361,23 +356,25 @@ type PrivateLayers struct {
 // the parameters' count.
 const layerFixedBytes = 8 + 4
 
-// encodePrivate builds the complete file image of p at generation gen, like
-// encodeSnapshot; layers go out in ascending index order.
-func encodePrivate(p *PrivateLayers, gen uint64) ([]byte, error) {
+// privatePayload describes the envelope of p, like snapshotPayload; layers
+// go out in ascending index order.
+func privatePayload(p *PrivateLayers) (payload, error) {
 	if p == nil || len(p.Layers) == 0 {
-		return nil, fmt.Errorf("checkpoint: empty private store")
+		return payload{}, fmt.Errorf("checkpoint: empty private store")
 	}
 	size := 2*8 + 4
 	for _, params := range p.Layers {
 		size += layerFixedBytes + 8*len(params)
 	}
-	b := binenc.AppendInt(newImage(size), p.ClientID)
-	b = binenc.AppendInt(b, p.Round)
-	b = binenc.AppendU32(b, uint32(len(p.Layers)))
-	for _, layer := range sortedKeys(p.Layers) {
-		b = binenc.AppendF64s(binenc.AppendInt(b, layer), p.Layers[layer])
-	}
-	return seal(b, kindPrivate, gen)
+	return newPayload(kindPrivate, size, func(st *stream) {
+		st.int(p.ClientID)
+		st.int(p.Round)
+		st.u32(uint32(len(p.Layers)))
+		for _, layer := range sortedKeys(p.Layers) {
+			st.int(layer)
+			st.f64s(p.Layers[layer])
+		}
+	})
 }
 
 // decodePrivate parses a CRC-verified private-store payload with the same
@@ -409,15 +406,11 @@ func decodePrivate(payload []byte, gen uint64) (*PrivateLayers, error) {
 // SavePrivate writes a private-layer store to w as one envelope, at
 // generation p.Generation.
 func SavePrivate(w io.Writer, p *PrivateLayers) error {
-	var gen uint64
-	if p != nil {
-		gen = p.Generation
-	}
-	img, err := encodePrivate(p, gen)
+	pl, err := privatePayload(p)
 	if err != nil {
 		return err
 	}
-	return writeImage(w, img)
+	return pl.writeTo(w, p.Generation)
 }
 
 // LoadPrivate reads one CRC-verified private-layer store envelope from r.
@@ -426,14 +419,11 @@ func LoadPrivate(r io.Reader) (*PrivateLayers, error) { return load(r, kindPriva
 // SavePrivateFile writes a private-layer store durably at the head of the
 // chain at path, like SaveFile.
 func SavePrivateFile(path string, p *PrivateLayers) error {
-	return SavePrivateFileRetain(path, p, DefaultRetain)
-}
-
-// SavePrivateFileRetain is SavePrivateFile with an explicit retention count.
-func SavePrivateFileRetain(path string, p *PrivateLayers, retain int) error {
-	return saveChain(path, kindPrivate, retain, func(gen uint64) ([]byte, error) {
-		return encodePrivate(p, gen)
-	})
+	pl, err := privatePayload(p)
+	if err != nil {
+		return err
+	}
+	return saveChain(path, pl)
 }
 
 // LoadPrivateFile reads the private-layer store at path.

@@ -3,8 +3,11 @@ package checkpoint
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -49,12 +52,70 @@ func fullPrivate() *PrivateLayers {
 	}
 }
 
+// ramp is n deterministic values; the big fixtures use it for sections that
+// span several of the writer's chunks and straddle their boundaries.
+func ramp(n int, scale float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Sin(float64(i)) * scale
+	}
+	return out
+}
+
+// bigSnapshot's State, async update and Bcast each cross chunk boundaries
+// mid-value (State starts at payload offset 45), and the fifth boundary falls
+// inside the wire section's "int8", which therefore opens a fresh chunk.
+func bigSnapshot() *Snapshot {
+	s := fullSnapshot()
+	s.Dataset = "purchase100x"
+	s.State = ramp(90001, 3)
+	s.Async[0].State = ramp(41036, -1.5)
+	s.Wire.Bcast = ramp(50000, 0.125)
+	return s
+}
+
+func bigPrivate() *PrivateLayers {
+	p := fullPrivate()
+	p.Layers[4] = ramp(70003, 2)
+	return p
+}
+
+// snapshotImage and privateImage encode a whole envelope at generation gen
+// through the plain-stream writer.
+func snapshotImage(t testing.TB, s *Snapshot, gen uint64) []byte {
+	t.Helper()
+	p, err := snapshotPayload(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return envelopeImage(t, p, gen)
+}
+
+func privateImage(t testing.TB, pl *PrivateLayers, gen uint64) []byte {
+	t.Helper()
+	p, err := privatePayload(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return envelopeImage(t, p, gen)
+}
+
+func envelopeImage(t testing.TB, p payload, gen uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.writeTo(&buf, gen); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestSnapshotFullRoundTrip round-trips every field, optional sections
 // present and absent.
 func TestSnapshotFullRoundTrip(t *testing.T) {
 	for name, s := range map[string]*Snapshot{
 		"full":    fullSnapshot(),
 		"minimal": {Dataset: "d", State: []float64{1}},
+		"big":     bigSnapshot(),
 	} {
 		var buf bytes.Buffer
 		if err := Save(&buf, s); err != nil {
@@ -86,22 +147,23 @@ func TestSnapshotFullRoundTrip(t *testing.T) {
 	}
 }
 
-// TestImageExactSize pins the single-allocation contract: the file image is
-// allocated once at exactly its final size.
+// TestImageExactSize pins the length contract: the header promises the
+// payload's length before a byte of it is encoded, so a saved file is exactly
+// the header plus the computed size, and a body that encodes to any other
+// length fails the save.
 func TestImageExactSize(t *testing.T) {
-	img, err := encodeSnapshot(fullSnapshot(), 1)
+	for name, s := range map[string]*Snapshot{"full": fullSnapshot(), "big": bigSnapshot()} {
+		if img := snapshotImage(t, s, 1); len(img) != envHeaderSize+snapshotSize(s) {
+			t.Fatalf("%s snapshot image is %d bytes, sized for %d", name, len(img), envHeaderSize+snapshotSize(s))
+		}
+	}
+	p, err := snapshotPayload(fullSnapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(img) != cap(img) || len(img) != envHeaderSize+snapshotSize(fullSnapshot()) {
-		t.Fatalf("snapshot image len %d cap %d, sized for %d", len(img), cap(img), envHeaderSize+snapshotSize(fullSnapshot()))
-	}
-	img, err = encodePrivate(fullPrivate(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(img) != cap(img) {
-		t.Fatalf("private image len %d cap %d", len(img), cap(img))
+	p.size++
+	if err := p.writeTo(io.Discard, 1); err == nil || !strings.Contains(err.Error(), "sized at") {
+		t.Fatalf("a payload one byte short of its declared size saved: %v", err)
 	}
 }
 
@@ -124,35 +186,66 @@ func savedBytes(t *testing.T, save func(path string) error) (first, second []byt
 }
 
 // TestSnapshotBytesDeterministic saves equal state twice: the files must be
-// byte-identical (maps are written in ascending key order).
+// byte-identical (maps are written in ascending key order) — and identical to
+// the image the one-allocation encoder before PR 24 wrote, small and across
+// chunk boundaries: streaming the file changed how its bytes are produced,
+// not one of them.
 func TestSnapshotBytesDeterministic(t *testing.T) {
-	// Fresh maps per save: Go randomizes iteration order per map value.
-	first, second := savedBytes(t, func(path string) error { return SaveFile(path, fullSnapshot()) })
-	if !bytes.Equal(first, second) {
-		t.Fatal("two saves of equal snapshots differ on disk")
+	for _, tc := range []struct {
+		name string
+		snap func() *Snapshot // fresh maps per save: Go randomizes iteration order per map value
+		size int
+		want string
+	}{
+		{"full", fullSnapshot, 427, "da7b64e30cb6f3413e8a9bb5a65be5c12c6204839308f609dd59e4ef1abf4a01"},
+		{"big", bigSnapshot, 1448628, "e3dfe630f5509ab9d7fe89dfc1f66191ae31a9d52bc007810a466ab28b2238d9"},
+	} {
+		first, second := savedBytes(t, func(path string) error { return SaveFile(path, tc.snap()) })
+		if !bytes.Equal(first, second) {
+			t.Fatalf("%s: two saves of equal snapshots differ on disk", tc.name)
+		}
+		checkFileDigest(t, tc.name, first, tc.size, tc.want)
+		if !bytes.Equal(first, snapshotImage(t, tc.snap(), 1)) {
+			t.Fatalf("%s: the file and the stream writer disagree", tc.name)
+		}
 	}
 }
 
 // TestPrivateLayersBytesDeterministic is the same property for the client's
 // private-layer store.
 func TestPrivateLayersBytesDeterministic(t *testing.T) {
-	first, second := savedBytes(t, func(path string) error { return SavePrivateFile(path, fullPrivate()) })
-	if !bytes.Equal(first, second) {
-		t.Fatal("two saves of equal private stores differ on disk")
+	for _, tc := range []struct {
+		name  string
+		store func() *PrivateLayers
+		size  int
+		want  string
+	}{
+		{"full", fullPrivate, 138, "53eda226ac723ef13a17e14b57ecdca798361775323fa77dd0046b785122ea1b"},
+		{"big", bigPrivate, 560138, "d4ee218cb5c27ac99c3443fb151f54e01511c4cb01718b50e98806692373312f"},
+	} {
+		first, second := savedBytes(t, func(path string) error { return SavePrivateFile(path, tc.store()) })
+		if !bytes.Equal(first, second) {
+			t.Fatalf("%s: two saves of equal private stores differ on disk", tc.name)
+		}
+		checkFileDigest(t, tc.name, first, tc.size, tc.want)
+		if !bytes.Equal(first, privateImage(t, tc.store(), 1)) {
+			t.Fatalf("%s: the file and the stream writer disagree", tc.name)
+		}
+	}
+}
+
+func checkFileDigest(t *testing.T, name string, file []byte, size int, want string) {
+	t.Helper()
+	sum := sha256.Sum256(file)
+	if got := hex.EncodeToString(sum[:]); len(file) != size || got != want {
+		t.Fatalf("%s: saved file is %d bytes with digest %s, want %d and %s", name, len(file), got, size, want)
 	}
 }
 
 // TestGoldenFileDigests pins the on-disk format: a change to either layout
 // must change FormatVersion and these digests together, never silently.
 func TestGoldenFileDigests(t *testing.T) {
-	snap, err := encodeSnapshot(fullSnapshot(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	priv, err := encodePrivate(fullPrivate(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap, priv := snapshotImage(t, fullSnapshot(), 4), privateImage(t, fullPrivate(), 4)
 	for _, tc := range []struct {
 		name string
 		img  []byte
@@ -173,23 +266,15 @@ const (
 	goldenPrivateSHA256  = "437eda90ef7df22e6e0127311e30fe0cad9aea9cb5b1909d052052fb9919a4db"
 )
 
-// snapshotPayload and privatePayload encode just the payload bytes.
-func snapshotPayload(t testing.TB, s *Snapshot) []byte {
+// snapshotBytes and privateBytes encode just the payload bytes.
+func snapshotBytes(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
-	img, err := encodeSnapshot(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return img[envHeaderSize:]
+	return snapshotImage(t, s, 1)[envHeaderSize:]
 }
 
-func privatePayload(t testing.TB, p *PrivateLayers) []byte {
+func privateBytes(t testing.TB, p *PrivateLayers) []byte {
 	t.Helper()
-	img, err := encodePrivate(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return img[envHeaderSize:]
+	return privateImage(t, p, 1)[envHeaderSize:]
 }
 
 // TestHostilePayloads feeds the payload decoders bytes a CRC would happily
@@ -198,8 +283,8 @@ func privatePayload(t testing.TB, p *PrivateLayers) []byte {
 // bits, unknown flag bits, non-ascending map keys and trailing bytes. Each
 // must fail with ErrCorrupt before allocating what the lie asks for.
 func TestHostilePayloads(t *testing.T) {
-	snap := snapshotPayload(t, fullSnapshot())
-	priv := privatePayload(t, fullPrivate())
+	snap := snapshotBytes(t, fullSnapshot())
+	priv := privateBytes(t, fullPrivate())
 	decodeSnap := func(b []byte) error { _, err := decodeSnapshot(b, 1); return err }
 	decodePriv := func(b []byte) error { _, err := decodePrivate(b, 1); return err }
 
@@ -254,14 +339,9 @@ func TestHostilePayloads(t *testing.T) {
 	// A lie behind a valid CRC: Load must refuse it too, and a duplicated
 	// quarantine key must not silently drop an entry.
 	dup := &Snapshot{State: []float64{1}, Quarantine: &QuarantineState{Offenses: map[int]int{1: 1, 2: 2}}}
-	img, err := encodeSnapshot(dup, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := snapshotImage(t, dup, 1)
 	img[len(img)-4-4-16] = 1 // second Offenses key 2 → 1 (BlockedUntil and Norms counts follow)
-	if _, err := seal(img, kindSnapshot, 1); err != nil {
-		t.Fatal(err)
-	}
+	binary.BigEndian.PutUint32(img[envCRCOffset:], crc32.ChecksumIEEE(img[envHeaderSize:]))
 	if _, err := Load(bytes.NewReader(img)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "must ascend") {
 		t.Fatalf("Load of a CRC-valid duplicate-key snapshot = %v, want ErrCorrupt", err)
 	}
@@ -273,28 +353,20 @@ func TestHostilePayloads(t *testing.T) {
 // accept must re-encode to exactly the bytes it was decoded from — the
 // format has one encoding per value.
 func FuzzSnapshotPayload(f *testing.F) {
-	f.Add(snapshotPayload(f, fullSnapshot()))
-	f.Add(snapshotPayload(f, &Snapshot{Dataset: "d", State: []float64{1}}))
-	f.Add(privatePayload(f, fullPrivate()))
+	f.Add(snapshotBytes(f, fullSnapshot()))
+	f.Add(snapshotBytes(f, &Snapshot{Dataset: "d", State: []float64{1}}))
+	f.Add(privateBytes(f, fullPrivate()))
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if s, err := decodeSnapshot(payload, 0); err == nil {
-			img, err := encodeSnapshot(s, 0)
-			if err != nil {
-				t.Fatalf("re-encode of an accepted snapshot failed: %v", err)
-			}
-			if !bytes.Equal(img[envHeaderSize:], payload) {
+			if !bytes.Equal(snapshotBytes(t, s), payload) {
 				t.Fatalf("accepted snapshot payload is not canonical")
 			}
 		}
 		if p, err := decodePrivate(payload, 0); err == nil {
-			img, err := encodePrivate(p, 0)
-			if err != nil {
-				t.Fatalf("re-encode of an accepted private store failed: %v", err)
-			}
-			if !bytes.Equal(img[envHeaderSize:], payload) {
+			if !bytes.Equal(privateBytes(t, p), payload) {
 				t.Fatalf("accepted private payload is not canonical")
 			}
 		}

@@ -57,9 +57,17 @@ type DINAR struct {
 
 	mu     sync.Mutex
 	info   fl.ModelInfo
-	layers []int // resolved, sorted span indices
-	store  map[int]map[int][]float64
-	bound  bool
+	layers []int                // resolved, sorted span indices
+	store  map[int]*clientStore // nil until Bind
+}
+
+// clientStore is what DINAR keeps for one client between rounds.
+type clientStore struct {
+	// private holds θᵖ* per protected layer index.
+	private map[int][]float64
+	// personalized is the state OnGlobalModel returns, rebuilt in place every
+	// round; only its owner's hooks touch it.
+	personalized []float64
 }
 
 var _ fl.Defense = (*DINAR)(nil)
@@ -120,8 +128,7 @@ func (d *DINAR) Bind(info fl.ModelInfo) error {
 	}
 	d.info = info
 	d.layers = resolved
-	d.store = make(map[int]map[int][]float64)
-	d.bound = true
+	d.store = make(map[int]*clientStore)
 	return nil
 }
 
@@ -136,25 +143,28 @@ func (d *DINAR) PrivateLayers() []int {
 // OnGlobalModel implements fl.Defense: model personalization (Algorithm 1,
 // lines 1–6). For each protected layer the client's stored private
 // parameters replace the (obfuscated) global values. On the first round no
-// private copy exists yet and the global values pass through unchanged.
+// private copy exists yet and the global state itself is returned; afterwards
+// the result is the client's personalized buffer, overwritten by its next
+// OnGlobalModel.
 func (d *DINAR) OnGlobalModel(clientID, round int, state []float64) []float64 {
-	out := append([]float64(nil), state...)
+	d.mu.Lock()
+	cs := d.store[clientID]
+	d.mu.Unlock()
+	if cs == nil {
+		return state
+	}
+	// Only this client's hooks touch its buffer, so the state-sized copy runs
+	// outside the lock parallel clients share.
+	cs.personalized = append(cs.personalized[:0], state...)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.bound {
-		return out
-	}
-	saved := d.store[clientID]
-	if saved == nil {
-		return out
-	}
 	for _, li := range d.layers {
 		sp := d.info.Spans[li]
-		if priv, ok := saved[li]; ok {
-			copy(out[sp.Offset:sp.Offset+sp.Len], priv)
+		if priv, ok := cs.private[li]; ok {
+			copy(cs.personalized[sp.Offset:sp.Offset+sp.Len], priv)
 		}
 	}
-	return out
+	return cs.personalized
 }
 
 // BeforeUpload implements fl.Defense: model obfuscation (Algorithm 1, lines
@@ -163,19 +173,19 @@ func (d *DINAR) OnGlobalModel(clientID, round int, state []float64) []float64 {
 func (d *DINAR) BeforeUpload(round int, _ []float64, u *fl.Update) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.bound {
+	if d.store == nil {
 		return
 	}
-	saved := d.store[u.ClientID]
-	if saved == nil {
-		saved = make(map[int][]float64, len(d.layers))
-		d.store[u.ClientID] = saved
+	cs := d.store[u.ClientID]
+	if cs == nil {
+		cs = &clientStore{private: make(map[int][]float64, len(d.layers))}
+		d.store[u.ClientID] = cs
 	}
 	rng := rand.New(rand.NewSource(d.Seed ^ int64(round)<<20 ^ int64(u.ClientID)<<4 ^ 0x1d))
 	for _, li := range d.layers {
 		sp := d.info.Spans[li]
 		segment := u.State[sp.Offset : sp.Offset+sp.Len]
-		saved[li] = append(saved[li][:0], segment...)
+		cs.private[li] = append(cs.private[li][:0], segment...)
 		fillRandom(segment, sp, d.Mode, rng)
 	}
 }
@@ -198,15 +208,11 @@ func (d *DINAR) StreamingAggregator() fl.StreamingAggregator { return fl.NewStre
 func (d *DINAR) StoredPrivate(clientID, layer int) []float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	saved := d.store[clientID]
-	if saved == nil {
+	cs := d.store[clientID]
+	if cs == nil || cs.private[layer] == nil {
 		return nil
 	}
-	priv, ok := saved[layer]
-	if !ok {
-		return nil
-	}
-	return append([]float64(nil), priv...)
+	return append([]float64(nil), cs.private[layer]...)
 }
 
 // ExportStore returns a deep copy of a client's full private-layer store
@@ -215,12 +221,12 @@ func (d *DINAR) StoredPrivate(clientID, layer int) []float64 {
 func (d *DINAR) ExportStore(clientID int) map[int][]float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	saved := d.store[clientID]
-	if len(saved) == 0 {
+	cs := d.store[clientID]
+	if cs == nil || len(cs.private) == 0 {
 		return nil
 	}
-	out := make(map[int][]float64, len(saved))
-	for li, vals := range saved {
+	out := make(map[int][]float64, len(cs.private))
+	for li, vals := range cs.private {
 		out[li] = append([]float64(nil), vals...)
 	}
 	return out
@@ -232,7 +238,7 @@ func (d *DINAR) ExportStore(clientID int) map[int][]float64 {
 func (d *DINAR) ImportStore(clientID int, layers map[int][]float64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.bound {
+	if d.store == nil {
 		return fmt.Errorf("core: ImportStore before Bind")
 	}
 	saved := make(map[int][]float64, len(layers))
@@ -245,7 +251,7 @@ func (d *DINAR) ImportStore(clientID int, layers map[int][]float64) error {
 		}
 		saved[li] = append([]float64(nil), vals...)
 	}
-	d.store[clientID] = saved
+	d.store[clientID] = &clientStore{private: saved}
 	return nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -232,6 +234,72 @@ func TestBatchesCoverAll(t *testing.T) {
 	err = ds.Batches(8, nil, func(_ *tensor.Tensor, _ []int) error { return wantErr })
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("Batches should propagate fn error, got %v", err)
+	}
+}
+
+// TestBatchesMatchesShuffled holds the gather to its reference: for equal
+// seeds Batches yields exactly the (x, y) sequence of Shuffled(rng) cut by
+// Batch, bit for bit, the ragged last batch included — and, unshuffled, of
+// the dataset itself.
+func TestBatchesMatchesShuffled(t *testing.T) {
+	spec, _ := Lookup("purchase100")
+	ds, err := GenerateN(spec, 53, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batchSize := range []int{8, 53, 64} {
+		for _, seeded := range []bool{true, false} {
+			ref, rng := ds, (*rand.Rand)(nil)
+			if seeded {
+				ref, rng = ds.Shuffled(rand.New(rand.NewSource(9))), rand.New(rand.NewSource(9))
+			}
+			lo := 0
+			err := ds.Batches(batchSize, rng, func(x *tensor.Tensor, y []int) error {
+				wantX, wantY := ref.Batch(lo, min(lo+batchSize, ref.Len()))
+				lo += len(y)
+				if !slices.Equal(x.Shape(), wantX.Shape()) || !slices.Equal(y, wantY) {
+					t.Fatalf("batch %d seeded=%v: shape %v labels %v, want %v %v", batchSize, seeded, x.Shape(), y, wantX.Shape(), wantY)
+				}
+				for i, v := range x.Data() {
+					if math.Float64bits(v) != math.Float64bits(wantX.Data()[i]) {
+						t.Fatalf("batch %d seeded=%v: value %d of the batch ending at %d differs", batchSize, seeded, i, lo)
+					}
+				}
+				return nil
+			})
+			if err != nil || lo != ds.Len() {
+				t.Fatalf("batch %d seeded=%v: covered %d of %d samples, err %v", batchSize, seeded, lo, ds.Len(), err)
+			}
+		}
+	}
+}
+
+// TestBatchesBytesPerEpoch pins what an epoch may allocate: one batch tensor
+// per Batches call (plus one for a ragged last batch), not a shuffled copy of
+// the shard and a tensor per batch.
+func TestBatchesBytesPerEpoch(t *testing.T) {
+	spec, _ := Lookup("purchase100")
+	ds, err := GenerateN(spec, 200, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampleBytes := 8 * ds.X.Len() / ds.Len()
+	rng := rand.New(rand.NewSource(1))
+	epoch := func(batchSize int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := ds.Batches(batchSize, rng, func(*tensor.Tensor, []int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const slack = 32 << 10 // the permutation, the labels, size-class rounding of two tensors
+	for _, tc := range []struct{ batchSize, tensors int }{{50, 50}, {64, 64 + 200%64}} {
+		if got, want := epoch(tc.batchSize), uint64(tc.tensors*sampleBytes+slack); got > want {
+			t.Errorf("an epoch of %d-sample batches over 200 samples allocated %d bytes, want at most %d (the shard is %d)",
+				tc.batchSize, got, want, 200*sampleBytes)
+		}
 	}
 }
 

@@ -79,21 +79,37 @@ func (d *Dataset) Batch(lo, hi int) (*tensor.Tensor, []int) {
 }
 
 // Batches invokes fn for every mini-batch of size batchSize (the final batch
-// may be smaller). If rng is non-nil the sample order is shuffled first.
+// may be smaller), in rng's shuffled order when rng is non-nil: the (x, y)
+// sequence of Shuffled(rng) cut by Batch. Each batch is gathered straight
+// from d into one tensor and one label slice that every call of fn shares (a
+// ragged final batch gets a tensor of its own shape), so fn must not keep x
+// or y past its return.
 func (d *Dataset) Batches(batchSize int, rng *rand.Rand, fn func(x *tensor.Tensor, y []int) error) error {
 	if batchSize <= 0 {
 		return fmt.Errorf("data: batch size %d", batchSize)
 	}
-	ds := d
+	var perm []int
 	if rng != nil {
-		ds = d.Shuffled(rng)
+		perm = rng.Perm(d.Len())
 	}
-	for lo := 0; lo < ds.Len(); lo += batchSize {
-		hi := lo + batchSize
-		if hi > ds.Len() {
-			hi = ds.Len()
+	n, src := d.sampleLen(), d.X.Data()
+	var x *tensor.Tensor
+	y := make([]int, 0, min(batchSize, d.Len()))
+	for lo := 0; lo < d.Len(); lo += batchSize {
+		hi := min(lo+batchSize, d.Len())
+		if x == nil || x.Dim(0) != hi-lo {
+			x = tensor.New(append([]int{hi - lo}, d.Spec.InputShape()...)...)
 		}
-		x, y := ds.Batch(lo, hi)
+		xd := x.Data()
+		y = y[:0]
+		for i := lo; i < hi; i++ {
+			idx := i
+			if perm != nil {
+				idx = perm[i]
+			}
+			copy(xd[(i-lo)*n:], src[idx*n:(idx+1)*n])
+			y = append(y, d.Y[idx])
+		}
 		if err := fn(x, y); err != nil {
 			return err
 		}

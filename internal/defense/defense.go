@@ -43,10 +43,9 @@ func (b *Base) addBytes(n int) {
 	}
 }
 
-// OnGlobalModel implements fl.Defense (identity).
-func (b *Base) OnGlobalModel(_, _ int, global []float64) []float64 {
-	return append([]float64(nil), global...)
-}
+// OnGlobalModel implements fl.Defense (identity: global itself, which the
+// caller only installs).
+func (b *Base) OnGlobalModel(_, _ int, global []float64) []float64 { return global }
 
 // BeforeUpload implements fl.Defense (identity).
 func (b *Base) BeforeUpload(_ int, _ []float64, _ *fl.Update) {}

@@ -36,6 +36,9 @@ type Client struct {
 	// replayBase, when non-zero, reseeds the batch-shuffle rng at the
 	// start of every round (see EnableRoundReplay).
 	replayBase int64
+	// upload is the buffer every round's Update.State is built in, sized
+	// once to the model's state.
+	upload []float64
 }
 
 // NewClient builds a client. The rng seeds batch shuffling and must be unique
@@ -58,6 +61,7 @@ func NewClient(id int, m *nn.Model, ds *data.Dataset, opt optim.Optimizer, batch
 		BatchSize:   batchSize,
 		LocalEpochs: localEpochs,
 		rng:         rng,
+		upload:      make([]float64, 0, m.NumState()),
 	}, nil
 }
 
@@ -138,7 +142,9 @@ func (c *Client) TrainLocal() (float64, error) {
 }
 
 // RunRound executes one full client round against the defense pipeline:
-// personalize/install, train, protect, and return the upload.
+// personalize/install, train, protect, and return the upload. The update's
+// State is the client's own buffer (unless the defense replaced it): valid
+// until this client's next RunRound, which overwrites it.
 func (c *Client) RunRound(round int, globalState []float64, def Defense) (*Update, error) {
 	state := def.OnGlobalModel(c.ID, round, globalState)
 	if err := c.Install(state); err != nil {
@@ -154,7 +160,7 @@ func (c *Client) RunRound(round int, globalState []float64, def Defense) (*Updat
 	u := &Update{
 		ClientID:   c.ID,
 		Round:      round,
-		State:      c.Model.StateVector(),
+		State:      c.Model.AppendStateVector(c.upload[:0]),
 		NumSamples: c.Data.Len(),
 	}
 	def.BeforeUpload(round, globalState, u)

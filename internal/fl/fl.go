@@ -32,7 +32,8 @@ type Update struct {
 	Round int
 	// State is the client's full model state vector (parameters followed by
 	// normalization statistics), already passed through the client-side
-	// defense.
+	// defense. One returned by Client.RunRound or System.RunRound is the
+	// client's buffer, valid until that client's next RunRound.
 	State []float64
 	// NumSamples is the client's local training set size; FedAvg weighs
 	// updates by it.
@@ -68,15 +69,19 @@ func InfoOf(m *nn.Model) ModelInfo {
 // safe for concurrent use by multiple clients: OnGlobalModel and BeforeUpload
 // are invoked from per-client goroutines when parallel training is enabled.
 //
-// All hooks receive and return full state vectors; implementations must not
-// retain the input slice after returning (copy if needed).
+// All hooks receive and return full state vectors. global and prevGlobal are
+// published states, shared by everyone who reads them: implementations must
+// neither write into them nor retain them after returning (copy if needed).
 type Defense interface {
 	// Name returns the defense identifier used in reports, e.g. "dinar".
 	Name() string
 	// Bind is called once with the model layout before the first round.
 	Bind(info ModelInfo) error
 	// OnGlobalModel transforms the broadcast global state on the client side
-	// before the client installs it. round is 0-based.
+	// before the client installs it. round is 0-based. The result is
+	// read-only: it may be global itself or the defense's own scratch, and it
+	// is dead after the defense's next call for that client — callers
+	// install it and let go.
 	OnGlobalModel(clientID, round int, global []float64) []float64
 	// BeforeUpload transforms the client's trained state before upload. The
 	// update's State field is the post-training state; implementations mutate
@@ -86,7 +91,9 @@ type Defense interface {
 	BeforeUpload(round int, global []float64, u *Update)
 	// Aggregate combines the round's updates into the next global state on
 	// the server side; prevGlobal is the state the round started from. Most
-	// defenses delegate to FedAvg.
+	// defenses delegate to FedAvg. The result must be memory of its own,
+	// overlapping neither prevGlobal nor any update's State: the server
+	// publishes it uncopied while the updates' buffers are recycled.
 	Aggregate(round int, prevGlobal []float64, updates []*Update) ([]float64, error)
 }
 

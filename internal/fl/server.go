@@ -66,10 +66,12 @@ func NewServer(initial []float64, def Defense, meter *metrics.CostMeter) (*Serve
 // screen and its own network-layer bundle).
 func (s *Server) SetMetrics(m *Metrics) { s.tel = m }
 
-// GlobalState returns a copy of the current global model state.
-func (s *Server) GlobalState() []float64 {
-	return append([]float64(nil), s.state...)
-}
+// GlobalState returns the current global model state, read-only. A published
+// state is immutable and shared: the server never writes into it (FinishRound
+// replaces it with the aggregation rule's fresh memory) and never recycles
+// it, so broadcasts, the anchor ring and a checkpoint being written in the
+// background all read the one slice.
+func (s *Server) GlobalState() []float64 { return s.state }
 
 // Round returns the number of completed aggregation rounds.
 func (s *Server) Round() int { return s.round }

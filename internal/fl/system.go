@@ -106,7 +106,8 @@ func (s *System) Spec() data.Spec { return s.spec }
 
 // RunRound executes one FL round across every client and aggregates. It
 // returns the round's client updates (post-defense, i.e. exactly what a
-// server-side attacker observes).
+// server-side attacker observes); each State is its client's buffer, valid
+// until the next RunRound.
 func (s *System) RunRound(ctx context.Context) ([]*Update, error) {
 	round := s.Server.Round()
 	global := s.Server.GlobalState()

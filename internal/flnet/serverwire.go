@@ -49,8 +49,9 @@ func wireOffer(cfg *ServerConfig, cohortAware fl.CohortAware) (uint32, fl.QuantK
 
 // bcastRing holds the last few rounds' canonical broadcast states so
 // per-session codecs can anchor deltas and quantized uploads against them.
-// Entries older than size rounds behind the newest are evicted; get returns
-// a read-only slice (sessions only ever read it).
+// Entries are published states — immutable, shared with whoever else reads
+// them (the server core, a checkpoint being written), never pooled — and
+// those older than size rounds behind the newest are evicted.
 type bcastRing struct {
 	mu      sync.Mutex
 	size    int
@@ -65,12 +66,12 @@ func newBcastRing(size int) *bcastRing {
 	return &bcastRing{size: size, entries: make(map[int][]float64, size), newest: -1}
 }
 
-// put stores a copy of state as round's canonical broadcast and evicts
-// entries that fell out of the window.
+// put stores state itself as round's canonical broadcast — the caller gives
+// up writing to it — and evicts entries that fell out of the window.
 func (r *bcastRing) put(round int, state []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.entries[round] = append([]float64(nil), state...)
+	r.entries[round] = state
 	if round > r.newest {
 		r.newest = round
 	}

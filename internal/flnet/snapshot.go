@@ -74,10 +74,12 @@ func (s *Server) saveCheckpoint() error {
 	return s.writeSnapshot(s.buildSnapshot())
 }
 
-// buildSnapshot deep-copies the federation's persistent state into a
-// checkpoint snapshot. Every buffer the snapshot references is owned by
-// the snapshot alone, because pipelined mode encodes it concurrently with
-// the next round — which recycles the restored updates' buffers as it folds
+// buildSnapshot gathers the federation's persistent state into a checkpoint
+// snapshot. Pipelined mode encodes it concurrently with the next round, so
+// everything it references must hold still until the write is done: the
+// global state and the canonical broadcast are published states, immutable
+// and never pooled, and are shared as they are; only the restored updates
+// are copied, because the next round recycles their buffers as it folds
 // them.
 func (s *Server) buildSnapshot() *checkpoint.Snapshot {
 	snap := &checkpoint.Snapshot{
@@ -124,7 +126,7 @@ func (s *Server) buildSnapshot() *checkpoint.Snapshot {
 		if s.ring != nil {
 			if round, bcast := s.ring.latest(); bcast != nil {
 				ws.BcastRound = round
-				ws.Bcast = append([]float64(nil), bcast...)
+				ws.Bcast = bcast
 			}
 		}
 		snap.Wire = ws

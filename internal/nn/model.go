@@ -261,14 +261,20 @@ func (m *Model) GradVector() []float64 {
 // normalization running statistics. This is what FL clients exchange with the
 // server, so that evaluation-mode behaviour transfers too.
 func (m *Model) StateVector() []float64 {
-	out := make([]float64, 0, m.numState)
+	return m.AppendStateVector(make([]float64, 0, m.numState))
+}
+
+// AppendStateVector appends the full model state to dst and returns the
+// extended slice: a caller that uploads every round passes the same buffer,
+// cut to length 0, and allocates nothing once its capacity is NumState.
+func (m *Model) AppendStateVector(dst []float64) []float64 {
 	for _, p := range m.Params() {
-		out = append(out, p.Data()...)
+		dst = append(dst, p.Data()...)
 	}
 	for _, b := range m.buffers() {
-		out = append(out, b.Data()...)
+		dst = append(dst, b.Data()...)
 	}
-	return out
+	return dst
 }
 
 // SetStateVector loads the full model state from a flat vector produced by

@@ -187,7 +187,8 @@ func (s *Service) persistManifest() {
 		s.logf("service: manifest encode: %v", err)
 		return
 	}
-	if err := checkpoint.WriteDurable(s.manifestPath(), data); err != nil {
+	write := func(f *os.File) error { _, err := f.Write(data); return err }
+	if err := checkpoint.WriteDurable(s.manifestPath(), write); err != nil {
 		s.logf("service: manifest write: %v", err)
 	}
 }
