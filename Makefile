@@ -17,7 +17,11 @@
 #                     federation (lossless wire, sequential checkpoints, dinar)
 #                     allocates at most two states' worth of bytes plus 1 MiB,
 #                     an epoch of Batches one batch tensor (plus a ragged one),
-#                     a DINAR personalization nothing
+#                     a DINAR personalization and a reused loss result nothing;
+#                     and a federation keeps only what a peer can claim: at the
+#                     end of a two-client dinar federation's last round (both
+#                     wire setups) the live heap is at most its budget in
+#                     states, nine below PR 24's
 #   make parallel   - compute-pool guards: pool invariants plus the
 #                     serial-vs-parallel bit-identity property tests,
 #                     under -race
@@ -57,7 +61,10 @@
 #                     top-k encoder against its sort oracle and golden
 #                     payload digests, and the quantized federations (each
 #                     session and the server's round loop own their encoder
-#                     scratch; the race detector proves none is shared)
+#                     scratch; the race detector proves none is shared); the
+#                     synchronous anchor ring holds two broadcasts, a peer back
+#                     after a gap gets a full state, and a client decodes
+#                     into two rotating anchor buffers
 #   make wirebench  - wire-protocol benchmarks (binary frame encode/decode
 #                     throughput, the lossless flate+delta encode/decode of a
 #                     captured FCNN6 broadcast and upload with their frame
@@ -142,7 +149,7 @@ alloc:
 	$(GO) test ./internal/tensor/ -run TestWorkspaceSteadyStateAllocs -v
 	$(GO) test ./internal/optim/ -run 'TestResetKeepsStateBuffers|TestResetStepZeroAllocs' -v
 	$(GO) test ./internal/fl/ -run 'TestDeltaEncoderSteadyStateAllocs|TestStreamingFedAvgSteadyStateAllocs' -v
-	$(GO) test ./internal/flnet/ -run 'TestPlaneFrameSteadyStateAllocs|TestStatePoolRetainsCohort|TestRoundByteBudget' -v
+	$(GO) test ./internal/flnet/ -run 'TestPlaneFrameSteadyStateAllocs|TestStatePoolRetainsCohort|TestRoundByteBudget|TestFederationLiveStates' -v
 	$(GO) test ./internal/data/ -run TestBatchesBytesPerEpoch -v
 	$(GO) test ./internal/core/ -run TestPersonalizedStateIsTheClientsOwn -v
 
@@ -175,7 +182,7 @@ service:
 quant:
 	$(GO) test -race ./internal/fl/ -run 'TestEncodeDelta|TestDeltaEncoder|TestKthLargestAbsDiff|TestQuantizedStreamingFoldOrderInvariance'
 	$(GO) test -race ./internal/defense/ -run TestGC
-	$(GO) test -race ./internal/flnet/ -run 'TestQuantized|TestBinary|TestWireNegotiationByHand|TestHelloVersionValidated'
+	$(GO) test -race ./internal/flnet/ -run 'TestQuantized|TestBinary|TestWireNegotiationByHand|TestHelloVersionValidated|TestBroadcastRingRetainsClaimableRounds|TestClientHoldsTwoAnchorBuffers'
 	$(GO) test -race ./internal/fleetsim/ -run 'TestWire|TestFleetGoldenDigests'
 
 wirebench:

@@ -181,9 +181,9 @@ func matMulTransB(m, k, n int) func(b *testing.B) {
 
 // trainStep benchmarks one steady-state client training step at batch 64 —
 // forward, loss, the backward pass fl.Client runs, Adagrad update — on a
-// paper model at the round benchmark's input shape. The layers and the
-// optimizer allocate nothing; the allocs/op reported are the LossResult
-// SoftmaxCrossEntropy.Eval returns (and Flatten's reshaped views on VGG11).
+// paper model at the round benchmark's input shape. The layers, the loss
+// (one result evaluated into, as fl.Client does) and the optimizer allocate
+// nothing; the allocs/op reported on VGG11 are Flatten's reshaped views.
 func trainStep(b *testing.B, m *nn.Model, classes int, inputShape ...int) {
 	x := tensor.Randn(rand.New(rand.NewSource(94)), 0, 1, append([]int{64}, inputShape...)...)
 	y := make([]int, x.Dim(0))
@@ -191,11 +191,11 @@ func trainStep(b *testing.B, m *nn.Model, classes int, inputShape ...int) {
 		y[i] = i % classes
 	}
 	var loss nn.SoftmaxCrossEntropy
+	var res nn.LossResult
 	opt := optim.NewAdagrad(0.01)
 	params, grads := m.Params(), m.Grads()
 	step := func() {
-		res, err := loss.Eval(m.Forward(x, true), y)
-		if err != nil {
+		if err := loss.EvalInto(&res, m.Forward(x, true), y); err != nil {
 			b.Fatal(err)
 		}
 		m.BackwardParams(res.Grad)

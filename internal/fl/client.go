@@ -28,7 +28,9 @@ type Client struct {
 	LocalEpochs int
 
 	loss nn.SoftmaxCrossEntropy
-	rng  *rand.Rand
+	// lossRes is the one loss result every training step evaluates into.
+	lossRes nn.LossResult
+	rng     *rand.Rand
 	// meter is the federation's cost meter: fl.NewSystem hands it to each
 	// of its clients once. nil everywhere else (a networked client's
 	// process has no Table 3 to fill).
@@ -107,27 +109,26 @@ func (c *Client) TrainLocal() (float64, error) {
 		var batches int
 		err := c.Data.Batches(c.BatchSize, c.rng, func(x *tensor.Tensor, y []int) error {
 			out := c.Model.Forward(x, true)
-			res, err := c.loss.Eval(out, y)
-			if err != nil {
+			res := &c.lossRes
+			if err := c.loss.EvalInto(res, out, y); err != nil {
 				return fmt.Errorf("client %d: %w", c.ID, err)
 			}
+			sum += res.Mean
 			c.Model.BackwardParams(res.Grad)
 			if two, ok := c.Optimizer.(optim.TwoPhase); ok {
 				// Sharpness-aware minimization: re-evaluate the gradient at
 				// the perturbed parameters before the real update.
 				if two.FirstStep(params, grads) {
 					out = c.Model.Forward(x, true)
-					res2, err := c.loss.Eval(out, y)
-					if err != nil {
+					if err := c.loss.EvalInto(res, out, y); err != nil {
 						return fmt.Errorf("client %d: %w", c.ID, err)
 					}
-					c.Model.BackwardParams(res2.Grad)
+					c.Model.BackwardParams(res.Grad)
 				}
 				two.SecondStep(params, grads)
 			} else {
 				c.Optimizer.Step(params, grads)
 			}
-			sum += res.Mean
 			batches++
 			return nil
 		})
@@ -183,12 +184,12 @@ func (c *Client) Evaluate(ds *data.Dataset) (accuracy, meanLoss float64, err err
 // evaluation mode.
 func EvaluateModel(m *nn.Model, ds *data.Dataset, batchSize int) (accuracy, meanLoss float64, err error) {
 	var loss nn.SoftmaxCrossEntropy
+	var res nn.LossResult
 	var correct, total int
 	var lossSum float64
 	err = ds.Batches(batchSize, nil, func(x *tensor.Tensor, y []int) error {
 		out := m.Forward(x, false)
-		res, lerr := loss.Eval(out, y)
-		if lerr != nil {
+		if lerr := loss.EvalInto(&res, out, y); lerr != nil {
 			return lerr
 		}
 		correct += int(nn.Accuracy(out, y)*float64(len(y)) + 0.5)
@@ -208,11 +209,11 @@ func EvaluateModel(m *nn.Model, ds *data.Dataset, batchSize int) (accuracy, mean
 // ds — the attacker-observable signal behind loss-based MIAs and Fig. 3.
 func PerSampleLosses(m *nn.Model, ds *data.Dataset, batchSize int) ([]float64, error) {
 	var loss nn.SoftmaxCrossEntropy
+	var res nn.LossResult
 	out := make([]float64, 0, ds.Len())
 	err := ds.Batches(batchSize, nil, func(x *tensor.Tensor, y []int) error {
 		logits := m.Forward(x, false)
-		res, lerr := loss.Eval(logits, y)
-		if lerr != nil {
+		if lerr := loss.EvalInto(&res, logits, y); lerr != nil {
 			return lerr
 		}
 		out = append(out, res.PerSample...)

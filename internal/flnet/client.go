@@ -232,6 +232,11 @@ func drainErr(err error, retryAfter time.Duration) *sessionError {
 // the broadcast most recently received but not yet answered. The anchor
 // only advances when an upload has been written in full — a crash mid-round
 // can therefore never desync the client from what its next Hello claims.
+//
+// The two are the client's only state buffers, and they rotate: every frame
+// decodes into the one that is not the completed anchor (spare), a
+// broadcast stays there as the pending anchor, and completing it swaps the
+// roles.
 type wireAnchors struct {
 	round     int
 	state     []float64
@@ -250,10 +255,17 @@ func (a *wireAnchors) base(round int) []float64 {
 	return nil
 }
 
-// received records a freshly decoded broadcast as the pending anchor.
+// spare gives up the pending anchor and returns its buffer for the next
+// frame to decode into — so no frame can decode into its own base.
+func (a *wireAnchors) spare() []float64 {
+	a.pendRound = -1
+	return a.pendState
+}
+
+// received records a broadcast just decoded into the spare buffer as the
+// pending anchor.
 func (a *wireAnchors) received(round int, state []float64) {
-	a.pendRound = round
-	a.pendState = append(a.pendState[:0], state...)
+	a.pendRound, a.pendState = round, state
 }
 
 // completed promotes the pending anchor after the round's upload was
@@ -301,6 +313,9 @@ func runSession(ctx context.Context, cfg ClientConfig, lastCompleted *int, ancho
 	var codec *Codec
 	msg := &Message{}
 	for {
+		if codec != nil {
+			msg.State = anchors.spare()
+		}
 		conn.SetReadDeadline(time.Now().Add(cfg.IOTimeout))
 		if err := ReadMessageWith(conn, msg, codec); err != nil {
 			if ctx.Err() != nil {
@@ -317,7 +332,7 @@ func runSession(ctx context.Context, cfg ClientConfig, lastCompleted *int, ancho
 			codec = NewCodec(caps, msg.QuantSeed, msg.TopK, anchors.base)
 		case KindGlobal:
 			if codec != nil {
-				// Remember the broadcast just decoded: the upload diffs
+				// Keep the broadcast where it was decoded: the upload diffs
 				// against it, and the next delta broadcast may anchor on it.
 				anchors.received(msg.Round, msg.State)
 			}

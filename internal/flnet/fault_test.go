@@ -43,7 +43,13 @@ type fedBed struct {
 
 func newFedBed(t *testing.T, numClients int) *fedBed {
 	t.Helper()
-	spec, err := data.Lookup("purchase100")
+	return newFedBedOn(t, "purchase100", numClients)
+}
+
+// newFedBedOn is newFedBed on the named tabular dataset.
+func newFedBedOn(t *testing.T, dataset string, numClients int) *fedBed {
+	t.Helper()
+	spec, err := data.Lookup(dataset)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,6 +80,7 @@ func TestWireNegotiationByHand(t *testing.T) {
 				for round := 0; ; round++ {
 					// Without an ack the very first frame must already be the
 					// round-0 broadcast, readable with no codec at all.
+					msg.State = anchors.spare()
 					if err := ReadMessageWith(conn, msg, codec); err != nil {
 						return err
 					}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"testing"
 	"time"
 
@@ -38,28 +37,9 @@ func newMemServer(t *testing.T, bed *fedBed, cfg ServerConfig) (*Server, *MemLis
 // returns the final state.
 func runMemFederation(t *testing.T, bed *fedBed, srv *Server, ln *MemListener, clientDefense func(id int) fl.Defense) []float64 {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	errs := make([]error, bed.numClients)
-	for id := 0; id < bed.numClients; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			_, errs[id] = RunClient(ctx, ClientConfig{Dial: ln.Dial, Trainer: bed.trainer(id), Defense: clientDefense(id)})
-		}(id)
-	}
-	final, err := srv.Run(ctx)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", id, err)
-		}
-	}
-	return final
+	return runMemFleet(t, srv, bed.numClients, func(id int) ClientConfig {
+		return ClientConfig{Dial: ln.Dial, Trainer: bed.trainer(id), Defense: clientDefense(id)}
+	})
 }
 
 // dinarFleet gives client 0 the hooked defense and every other client a

@@ -270,7 +270,7 @@ type Server struct {
 	// Wire-codec state: offerCaps is the capability mask offered at
 	// negotiation, quantKind the configured upload
 	// quantization, wireLabel the /healthz codec label, and ring the
-	// recent canonical broadcasts that delta/quantized payloads anchor
+	// canonical broadcasts that delta/quantized payloads can still anchor
 	// against (nil unless quantization or delta broadcasts are offered).
 	// canonEnc is the round loop's encoder for the canonical broadcast
 	// delta (prepareBroadcast); only that goroutine touches it.
@@ -374,6 +374,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The core holds its own copy; the caller's initial state is not kept
+	// alive for the server's lifetime.
+	cfg.InitialState = nil
 	core.SetMetrics(flTel)
 	core.SetRound(startRound)
 	// Update payloads are read into pooled buffers (exchange); the core
@@ -434,10 +437,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		busy:    make(map[int]*session, cfg.NumClients),
 	}
 	if offerCaps&(CapQuantInt8|CapQuantInt16|CapDelta) != 0 {
-		// The ring must cover every round a live anchor can lag behind:
-		// synchronous sessions lag at most a round or two, async exchanges
-		// up to AsyncStaleness rounds.
-		srv.ring = newBcastRing(max(8, cfg.AsyncStaleness+2))
+		// A synchronous round's exchanges end with the round, so a session
+		// anchors on the newest broadcast or the one before it; a peer whose
+		// anchor is older gets a full state. An async exchange's
+		// upload may be read rounds after its broadcast (and only then
+		// dropped as too stale), so async keeps a window of eight.
+		size := 2
+		if cfg.AsyncStaleness > 0 {
+			size = max(8, cfg.AsyncStaleness+2)
+		}
+		srv.ring = newBcastRing(size)
 		if w := snap.Wire; w != nil && len(w.Bcast) == len(state) && w.BcastRound >= 0 {
 			// Resume the canonical broadcast chain from the recorded anchor:
 			// reconnecting clients whose LastRound matches get deltas against

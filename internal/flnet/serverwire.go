@@ -47,11 +47,13 @@ func wireOffer(cfg *ServerConfig, cohortAware fl.CohortAware) (uint32, fl.QuantK
 	return caps, quant, nil
 }
 
-// bcastRing holds the last few rounds' canonical broadcast states so
-// per-session codecs can anchor deltas and quantized uploads against them.
-// Entries are published states — immutable, shared with whoever else reads
-// them (the server core, a checkpoint being written), never pooled — and
-// those older than size rounds behind the newest are evicted.
+// bcastRing holds the canonical broadcast states a session can still anchor
+// on, so per-session codecs can anchor deltas and quantized uploads against
+// them: a Global deltas against the previous round's entry, an upload
+// against its own round's. Entries are published states — immutable, shared
+// with whoever else reads them (the server core, a checkpoint being
+// written), never pooled — and those size or more rounds behind the newest
+// are evicted (NewServer sizes the ring).
 type bcastRing struct {
 	mu      sync.Mutex
 	size    int

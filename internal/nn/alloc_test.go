@@ -50,6 +50,35 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	// The loss a training step evaluates into its one result, ragged last
+	// batch included.
+	t.Run("loss", func(t *testing.T) {
+		var loss SoftmaxCrossEntropy
+		var res LossResult
+		full, ragged := batchInput(rand.New(rand.NewSource(65)), 4, []int{5}), batchInput(rand.New(rand.NewSource(66)), 3, []int{5})
+		labels := []int{4, 0, 2, 1}
+		step := func() {
+			for _, x := range []*tensor.Tensor{full, ragged} {
+				if err := loss.EvalInto(&res, x, labels[:x.Dim(0)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		step()
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			t.Errorf("steady-state EvalInto allocates %v times per step, want 0", allocs)
+		}
+		// A reused result reads what a fresh Eval returns.
+		want, err := loss.Eval(ragged, labels[:3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareBitwise(t, "reused probs", res.Probs, want.Probs)
+		compareBitwise(t, "reused grad", res.Grad, want.Grad)
+		if res.Mean != want.Mean || len(res.PerSample) != 3 {
+			t.Errorf("reused result: mean %v over %d samples, want %v over 3", res.Mean, len(res.PerSample), want.Mean)
+		}
+	})
 }
 
 // TestMatMulSteadyStateZeroAllocs guards the Into-variant matmul kernels on

@@ -23,29 +23,46 @@ type LossResult struct {
 	// Grad is the gradient of the mean loss with respect to the logits,
 	// shape [B, C].
 	Grad *tensor.Tensor
+
+	// ws backs Probs and Grad across EvalInto calls.
+	ws tensor.Workspace
 }
 
 // Eval computes softmax probabilities, per-sample cross-entropy losses, the
 // batch-mean loss, and the gradient with respect to the logits. labels[i] is
 // the class index of sample i.
-func (SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) (*LossResult, error) {
+func (l SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) (*LossResult, error) {
+	res := new(LossResult)
+	if err := l.EvalInto(res, logits, labels); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// EvalInto is Eval into res, reusing the buffers of res's previous
+// evaluation: a training loop keeps one result and allocates nothing per
+// step. Everything res held before is overwritten.
+func (SoftmaxCrossEntropy) EvalInto(res *LossResult, logits *tensor.Tensor, labels []int) error {
 	if logits.Dims() != 2 {
-		return nil, fmt.Errorf("nn: loss expects [B, C] logits, got %v", logits.Shape())
+		return fmt.Errorf("nn: loss expects [B, C] logits, got %v", logits.Shape())
 	}
 	batch, classes := logits.Dim(0), logits.Dim(1)
 	if len(labels) != batch {
-		return nil, fmt.Errorf("nn: %d labels for batch of %d", len(labels), batch)
+		return fmt.Errorf("nn: %d labels for batch of %d", len(labels), batch)
 	}
-	probs := tensor.New(batch, classes)
-	grad := tensor.New(batch, classes)
-	perSample := make([]float64, batch)
+	probs := res.ws.Get2D(0, batch, classes)
+	grad := res.ws.Get2D(1, batch, classes)
+	if cap(res.PerSample) < batch {
+		res.PerSample = make([]float64, batch)
+	}
+	perSample := res.PerSample[:batch]
 	ld, pd, gd := logits.Data(), probs.Data(), grad.Data()
 	mean := 0.0
 	invB := 1.0 / float64(batch)
 	for i := 0; i < batch; i++ {
 		y := labels[i]
 		if y < 0 || y >= classes {
-			return nil, fmt.Errorf("nn: label %d out of range [0,%d)", y, classes)
+			return fmt.Errorf("nn: label %d out of range [0,%d)", y, classes)
 		}
 		row := ld[i*classes : (i+1)*classes]
 		maxv := row[0]
@@ -78,12 +95,8 @@ func (SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) (*LossResul
 		}
 		gRow[y] -= invB
 	}
-	return &LossResult{
-		Mean:      mean * invB,
-		PerSample: perSample,
-		Probs:     probs,
-		Grad:      grad,
-	}, nil
+	res.Mean, res.PerSample, res.Probs, res.Grad = mean*invB, perSample, probs, grad
+	return nil
 }
 
 // Softmax returns row-wise softmax probabilities for [B, C] logits.
