@@ -97,6 +97,12 @@
 #                     internal/service/service.go): a federation's series live
 #                     in the registry its server was handed, never in a
 #                     process-global bundle
+#   make exports    - parse gate: every exported top-level func, type, var and
+#                     const under internal/ is referenced by some non-test .go
+#                     file of the module (benchmark/ and examples/ included);
+#                     chaos, faultnet and leakcheck serve tests and are exempt,
+#                     and each other test-only export is listed with its reason
+#                     in exports_test.go
 #   make exptables  - byte-identity of the evaluation: rerun dinar-bench -exp all
 #                     -quick (seed 1, about two minutes) and diff every table
 #                     against internal/experiment/testdata/quick_seed1.golden;
@@ -125,7 +131,7 @@
 
 GO ?= go
 
-.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry exptables loc check fuzz bench bench-json bench-scaling
+.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry exports exptables loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -207,6 +213,9 @@ oneassembly:
 ownregistry:
 	@if grep -rnE 'defaultMetrics|telemetry\.Default\(\)' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/telemetry|\.bench_build)/' | grep -vE '^\./(middleware\.go|internal/service/service\.go):[0-9]+:.*telemetry\.Default\(\)'; then echo 'a process-global metric bundle, or telemetry.Default() outside an exposition (see above): count into the registry the server was handed'; exit 1; fi
 
+exports:
+	$(GO) test . -run TestEveryExportHasACaller
+
 exptables:
 	@$(GO) run ./cmd/dinar-bench -exp all -quick \
 		| sed -e '/^Table 3:/,/^\[table3 completed/d' -e '/^\[.* completed in .*\]$$/d' \
@@ -219,7 +228,7 @@ loc:
 		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%6d  total\n' $$total
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry exptables
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry exports exptables
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/

@@ -65,8 +65,7 @@ func run(args []string) error {
 		t.AddRow(l, d, mark)
 	}
 	fmt.Println(t.String())
-	fmt.Println(plot.Series("leakage profile (low..high per layer):",
-		map[string][]float64{*dataset: s.Divergences}))
+	fmt.Println(plot.Series("leakage profile (low..high per layer):", *dataset, s.Divergences))
 	fmt.Printf("recommendation: run DINAR with private layer %d (of %d layers)\n",
 		s.MostSensitive, len(s.Divergences))
 	return nil

@@ -43,9 +43,7 @@ func run() error {
 		return err
 	}
 	series := fig1.Series[0]
-	fmt.Print(plot.Series("  per-layer JS divergence:", map[string][]float64{
-		"purchase100": series.Divergences,
-	}))
+	fmt.Print(plot.Series("  per-layer JS divergence:", "purchase100", series.Divergences))
 	fmt.Println()
 
 	fmt.Println("Step 2 - clients vote; Byzantine-tolerant consensus (§4.1)")

@@ -39,11 +39,6 @@ func AppendRawF64s(b []byte, vs []float64) []byte {
 	return b
 }
 
-// AppendF64s appends a u32 count and the values.
-func AppendF64s(b []byte, vs []float64) []byte {
-	return AppendRawF64s(AppendU32(b, uint32(len(vs))), vs)
-}
-
 // AppendString appends a u32 length and the bytes of s.
 func AppendString(b []byte, s string) []byte {
 	return append(AppendU32(b, uint32(len(s))), s...)

@@ -16,8 +16,8 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendInt(b, -42)
 	b = AppendF64(b, math.Pi)
 	b = AppendString(b, "dataset")
-	b = AppendF64s(b, vs)
-	b = AppendF64s(b, nil)
+	b = AppendRawF64s(AppendU32(b, uint32(len(vs))), vs)
+	b = AppendU32(b, 0)
 
 	r := NewReader(b)
 	if got := r.U8(); got != 0xAB {

@@ -1,8 +1,8 @@
 // Package chaos is the middleware's seeded fault-injection harness: a
 // deterministic failure scheduler (server crashes, checkpoint corruption,
-// client restarts, network partitions), file-corruption and metric-parsing
-// helpers, and a goroutine leak guard. The chaos soak test drives a real
-// multi-client federation through the schedule and asserts the crash-safe
+// client restarts, network partitions) plus file-corruption and
+// metric-parsing helpers. The chaos soak test drives a real multi-client
+// federation through the schedule and asserts the crash-safe
 // lifecycle invariants: a faulted run converges to the same global model
 // bit-for-bit as an unfaulted run of the same seed, quarantine penalties
 // survive restarts, and every drain leaves zero goroutines behind.
@@ -18,6 +18,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/fl"
 )
 
 // EventKind enumerates the fault classes the scheduler can emit.
@@ -91,22 +93,12 @@ type Plan struct {
 	Partitions int
 }
 
-// mix64 is fl.Mix64, copied: this package cannot import fl, because fl's and
-// telemetry's in-package tests import it for GuardTest ("import cycle not
-// allowed in test").
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Schedule derives a deterministic fault schedule from seed: same seed
 // and plan, same events, in firing order. Crash rounds are distinct so
 // every crash observes fresh progress; corruptions ride on the first
 // crashes of the schedule.
 func Schedule(seed int64, p Plan) []Event {
-	rng := rand.New(rand.NewSource(int64(mix64(uint64(seed)))))
+	rng := rand.New(rand.NewSource(int64(fl.Mix64(uint64(seed)))))
 	minRound := p.CrashMinRound
 	if minRound < 2 {
 		minRound = 2
@@ -158,7 +150,7 @@ func CorruptFile(path string, seed int64) error {
 	if len(data) == 0 {
 		return fmt.Errorf("chaos: corrupt %s: file is empty", path)
 	}
-	off := int(mix64(uint64(seed)) % uint64(len(data)))
+	off := int(fl.Mix64(uint64(seed)) % uint64(len(data)))
 	data[off] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("chaos: corrupt %s: %w", path, err)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/fleetsim"
 	"repro/internal/flnet"
+	"repro/internal/leakcheck"
 	"repro/internal/telemetry"
 )
 
@@ -128,7 +129,7 @@ func equalStates(a, b []float64) bool {
 // be bit-identical to the sequential server — and the overlap histograms
 // must prove the pipeline actually ran.
 func TestPipelinedMatchesSequential(t *testing.T) {
-	GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	const (
 		numClients = 16
 		rounds     = 6
@@ -193,7 +194,7 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 // must reproduce the uninterrupted sequential run bit-for-bit, round
 // reports included.
 func TestPipelinedDrainResumeIdentity(t *testing.T) {
-	GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	const (
 		numClients = 12
 		rounds     = 8

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fl"
 	"repro/internal/fleetsim"
 	"repro/internal/flnet"
+	"repro/internal/leakcheck"
 )
 
 // sampledBed is one sampled in-memory federation: server + synthetic fleet
@@ -60,7 +61,7 @@ func (b *sampledBed) start(ctx context.Context) (<-chan *fleetsim.Stats, <-chan 
 // seed adoption — must draw bit-identical cohorts round for round with an
 // uninterrupted federation at the same seed.
 func TestSampledCohortResumeIdentity(t *testing.T) {
-	GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	const (
 		numClients = 24
 		sampleSize = 8
@@ -169,7 +170,7 @@ func TestSampledCohortResumeIdentity(t *testing.T) {
 // exactly once — the round that earns its strike — and the federation
 // still completes every round on the quorum fallback.
 func TestQuarantinedClientNeverResampled(t *testing.T) {
-	GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	const (
 		numClients = 12
 		sampleSize = 8

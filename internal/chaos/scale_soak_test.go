@@ -11,6 +11,7 @@ import (
 	"repro/internal/fl"
 	"repro/internal/fleetsim"
 	"repro/internal/flnet"
+	"repro/internal/leakcheck"
 	"repro/internal/telemetry"
 )
 
@@ -113,7 +114,7 @@ func runScaleSoak(t *testing.T, p scaleParams) ([]float64, []flnet.RoundReport, 
 // accumulator makes the fold order-invariant, so arrival order (which the
 // jitter deliberately scrambles) cannot leak into the result.
 func TestScaleSoakStreamingIdentity(t *testing.T) {
-	GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	p := scaleParams{
 		numClients: 400, sampleSize: 32, minClients: 32,
 		rounds: 5, dim: 256,
@@ -155,7 +156,7 @@ func TestScaleSoakStreamingIdentity(t *testing.T) {
 //     small fleet to the 10x fleet, and far below the materialized
 //     cohort cost of sampleSize x dim payloads.
 func TestScaleSoakPartitionedMemory(t *testing.T) {
-	GuardTest(t, 15*time.Second)
+	leakcheck.GuardTest(t, 15*time.Second)
 	small, large := 1000, 10000
 	p := scaleParams{
 		sampleSize: 64, minClients: 48, rounds: 4, dim: 512,
@@ -169,7 +170,7 @@ func TestScaleSoakPartitionedMemory(t *testing.T) {
 	// A deterministic ~30% of (client, round) pairs are partitioned: the
 	// client hangs up on receiving the global instead of replying.
 	p.partition = func(id, round int) bool {
-		return mix64(uint64(id)<<17^uint64(round)+0x51a4ed55)%10 < 3
+		return fl.Mix64(uint64(id)<<17^uint64(round)+0x51a4ed55)%10 < 3
 	}
 
 	peaks := make(map[int]int64)
@@ -218,7 +219,7 @@ func TestScaleSoakPartitionedMemory(t *testing.T) {
 // land as buffered late updates, and the federation still completes every
 // round with a quorum.
 func TestScaleSoakAsync(t *testing.T) {
-	GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	p := scaleParams{
 		numClients: 500, sampleSize: 48, minClients: 32,
 		rounds: 5, dim: 128,
@@ -229,7 +230,7 @@ func TestScaleSoakAsync(t *testing.T) {
 		p.numClients, p.sampleSize, p.minClients, p.rounds, p.dim = 120, 24, 16, 3, 64
 	}
 	p.partition = func(id, round int) bool {
-		return mix64(uint64(id)<<9^uint64(round)+0x2545f491)%10 < 2
+		return fl.Mix64(uint64(id)<<9^uint64(round)+0x2545f491)%10 < 2
 	}
 	def := defense.NewNone()
 	if err := def.Bind(fl.ModelInfo{NumParams: p.dim, NumState: p.dim}); err != nil {

@@ -23,6 +23,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/fl"
 	"repro/internal/flnet"
+	"repro/internal/leakcheck"
 	"repro/internal/model"
 	"repro/internal/optim"
 	"repro/internal/telemetry"
@@ -282,7 +283,7 @@ func TestChaosSoakAcceptance(t *testing.T) {
 		rounds     = 6
 		poisonerID = 2
 	)
-	guard := NewLeakGuard()
+	guard := leakcheck.New()
 	bed := newSoakBed(t, numClients)
 
 	wantState, wantAccs, wantReports := referenceRun(t, bed, rounds, poisonerID)
@@ -480,7 +481,7 @@ func TestDrainLifecycle(t *testing.T) {
 		numClients = 2
 		rounds     = 8
 	)
-	guard := NewLeakGuard()
+	guard := leakcheck.New()
 	bed := newSoakBed(t, numClients)
 	ckpt := filepath.Join(t.TempDir(), "global.ckpt")
 
@@ -696,7 +697,7 @@ func TestPrivateStoreSurvivesClientRestart(t *testing.T) {
 		rounds     = 3
 		trackedID  = 1
 	)
-	guard := NewLeakGuard()
+	guard := leakcheck.New()
 	bed := newSoakBed(t, numClients)
 	priv := filepath.Join(t.TempDir(), "private.ckpt")
 

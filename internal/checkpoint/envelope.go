@@ -180,8 +180,8 @@ func (st *stream) int(v int)    { st.u64(uint64(int64(v))) }
 // the chunk grows it).
 func (st *stream) str(s string) { st.room(4 + len(s)); st.b = binenc.AppendString(st.b, s) }
 
-// f64s writes a u32 count and the values, like binenc.AppendF64s, reading
-// vs where it lies a chunk at a time.
+// f64s writes a u32 count and the values, reading vs where it lies a chunk
+// at a time.
 func (st *stream) f64s(vs []float64) {
 	st.u32(uint32(len(vs)))
 	for len(vs) > 0 {

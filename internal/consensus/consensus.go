@@ -159,19 +159,3 @@ func Run(ctx context.Context, nodes []Node, numChoices int, rng *rand.Rand) (*Re
 	}
 	return &Result{Value: agreed, Decisions: decisions, Tally: tally}, nil
 }
-
-// AgreeOnLayer is the DINAR-facing wrapper: given each client's locally
-// measured most-sensitive layer index (votes) and the model's layer count,
-// it runs the broadcast vote with no Byzantine nodes and returns the layer
-// to obfuscate.
-func AgreeOnLayer(ctx context.Context, votes []int, numLayers int, rng *rand.Rand) (int, error) {
-	nodes := make([]Node, len(votes))
-	for i, v := range votes {
-		nodes[i] = Node{ID: i, Vote: v}
-	}
-	res, err := Run(ctx, nodes, numLayers, rng)
-	if err != nil {
-		return -1, err
-	}
-	return res.Value, nil
-}

@@ -115,19 +115,6 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-func TestAgreeOnLayer(t *testing.T) {
-	layer, err := AgreeOnLayer(context.Background(), []int{4, 4, 4, 2, 4}, 6, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layer != 4 {
-		t.Fatalf("layer = %d, want 4", layer)
-	}
-	if _, err := AgreeOnLayer(context.Background(), []int{0, 1}, 2, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("tie should fail")
-	}
-}
-
 // Property: with an honest absolute majority voting v, the protocol returns v
 // regardless of the minority's behaviour.
 func TestQuickHonestMajorityWins(t *testing.T) {

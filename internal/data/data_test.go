@@ -333,29 +333,6 @@ func TestFLSplitProtocol(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	spec, _ := Lookup("purchase100")
-	a, _ := GenerateN(spec, 30, 8)
-	b, _ := GenerateN(spec, 20, 9)
-	all, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.Len() != 50 {
-		t.Fatalf("concat len = %d", all.Len())
-	}
-	if all.Y[30] != b.Y[0] {
-		t.Fatal("concat label misaligned")
-	}
-	other, _ := GenerateN(Registry["cifar10"], 10, 1)
-	if _, err := Concat(a, other); err == nil {
-		t.Fatal("concat should reject mixed specs")
-	}
-	if _, err := Concat(); err == nil {
-		t.Fatal("concat should reject empty input")
-	}
-}
-
 func TestPartitionIID(t *testing.T) {
 	spec, _ := Lookup("cifar10")
 	ds, _ := GenerateN(spec, 100, 10)

@@ -128,31 +128,6 @@ func (d *Dataset) ClassCounts() []int {
 	return counts
 }
 
-// Concat returns a dataset containing all samples of the arguments, which
-// must share a spec.
-func Concat(parts ...*Dataset) (*Dataset, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("data: concat of zero datasets")
-	}
-	total := 0
-	for _, p := range parts {
-		if p.Spec.Name != parts[0].Spec.Name {
-			return nil, fmt.Errorf("data: concat mixes %q and %q", parts[0].Spec.Name, p.Spec.Name)
-		}
-		total += p.Len()
-	}
-	shape := append([]int{total}, parts[0].Spec.InputShape()...)
-	x := tensor.New(shape...)
-	y := make([]int, 0, total)
-	off := 0
-	for _, p := range parts {
-		copy(x.Data()[off:], p.X.Data())
-		off += p.X.Len()
-		y = append(y, p.Y...)
-	}
-	return &Dataset{Spec: parts[0].Spec, X: x, Y: y}, nil
-}
-
 // FLSplit is the paper's data layout (§5.1): half of all records form the
 // attacker's prior knowledge; the remaining half is divided into train (80%)
 // and test (20%).

@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/data"
+	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
@@ -134,7 +134,7 @@ func TestSystemDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestSystemParallelMatchesSequentialAggregate(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	cfgSeq := smallConfig()
 	cfgPar := smallConfig()
 	cfgPar.Parallel = true
@@ -158,7 +158,7 @@ func TestSystemParallelMatchesSequentialAggregate(t *testing.T) {
 }
 
 func TestSystemCancellation(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	sys, err := NewSystem(smallConfig(), &noneDefense{})
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/defense"
 	"repro/internal/fl"
 	"repro/internal/flnet"
+	"repro/internal/leakcheck"
 )
 
 func TestSynthStateDeterministic(t *testing.T) {
@@ -38,7 +38,7 @@ func TestSynthStateDeterministic(t *testing.T) {
 // over the in-memory listener: every client must finish with the final
 // model and every round must aggregate the full cohort.
 func TestFleetFederation(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	const (
 		numClients = 16
 		rounds     = 3

@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/flnet"
+	"repro/internal/leakcheck"
 )
 
 // stateDigest is the SHA-256 of the state's little-endian float64 bits.
@@ -31,7 +31,7 @@ func stateDigest(state []float64) string {
 // streaming fold, and through the lossy codec stack (the per-client
 // quantizer streams and the canonical broadcast chain are seeded).
 func TestFleetGoldenDigests(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	cases := []struct {
 		name               string
 		numClients, rounds int

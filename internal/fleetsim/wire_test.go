@@ -7,11 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/checkpoint"
 	"repro/internal/defense"
 	"repro/internal/fl"
 	"repro/internal/flnet"
+	"repro/internal/leakcheck"
 )
 
 // wireServerConfig builds the standard config the wire tests drive: a
@@ -62,7 +62,7 @@ func runWireFederation(t *testing.T, cfg flnet.ServerConfig, fleet *Fleet) ([]fl
 // peers, which no shipping client is, are hand-written Hellos in
 // flnet's TestWireNegotiationByHand and TestHelloVersionValidated.
 func TestWireFullCodecFederation(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	const (
 		numClients = 8
 		rounds     = 3
@@ -109,7 +109,7 @@ func TestWireFullCodecFederation(t *testing.T) {
 // session that negotiated no payload codec (raw float64 frames) at the same
 // scale.
 func TestWireBytesReduction(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	const (
 		numClients = 16
 		rounds     = 8
@@ -147,7 +147,7 @@ func TestWireBytesReduction(t *testing.T) {
 // config leaves it unset, must refuse a conflicting one, and must finish
 // the remaining rounds with codecs on.
 func TestWireQuantSeedCheckpointResume(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	const (
 		numClients = 6
 		dim        = 48

@@ -14,11 +14,11 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/chaos"
 	"repro/internal/data"
 	"repro/internal/defense"
 	"repro/internal/faultnet"
 	"repro/internal/fl"
+	"repro/internal/leakcheck"
 	"repro/internal/model"
 	"repro/internal/optim"
 )
@@ -327,7 +327,7 @@ func TestDroppedClientRejoinsMidRound(t *testing.T) {
 	const rejoinID = 1
 	// The rejoin machinery spawns acceptor and registration goroutines;
 	// the guard proves the run winds all of them down.
-	chaos.GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	bed := newFedBed(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -512,7 +512,7 @@ func TestResetClientReconnectsWithSameResult(t *testing.T) {
 // model must be the codec-free federation's, bit for bit.
 func TestLosslessUploadFallsBackWithoutAnchor(t *testing.T) {
 	const handID, rounds = 1, 2
-	chaos.GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	bed := newFedBed(t, 2)
 	want := runFedWithWire(t, bed, rounds, nil)
 
@@ -877,7 +877,7 @@ func TestQuarantineSurvivesReconnect(t *testing.T) {
 		rounds     = 4
 		poisonerID = 2
 	)
-	chaos.GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	bed := newFedBed(t, numClients)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

@@ -10,11 +10,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/defense"
 	"repro/internal/fl"
+	"repro/internal/leakcheck"
 	"repro/internal/model"
 	"repro/internal/optim"
 )
@@ -78,7 +78,7 @@ func TestKindString(t *testing.T) {
 // federation spins up a real TCP server plus numClients goroutine clients
 // and runs the complete protocol.
 func federation(t *testing.T, defenseName string, numClients, rounds int) ([]float64, []*fl.Client) {
-	chaos.GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	t.Helper()
 	const seed = 5
 	spec, err := data.Lookup("purchase100")
@@ -271,7 +271,7 @@ func TestClientDialFailure(t *testing.T) {
 }
 
 func TestServerRejectsDuplicateClientIDs(t *testing.T) {
-	chaos.GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	m0, _ := model.Build(data.Registry["purchase100"], rand.New(rand.NewSource(1)))
 	def := defense.NewNone()
 	if err := def.Bind(fl.InfoOf(m0)); err != nil {
@@ -318,7 +318,7 @@ func TestServerRejectsDuplicateClientIDs(t *testing.T) {
 }
 
 func TestServerSurfacesClientFailureMidRound(t *testing.T) {
-	chaos.GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	m0, _ := model.Build(data.Registry["purchase100"], rand.New(rand.NewSource(1)))
 	def := defense.NewNone()
 	if err := def.Bind(fl.InfoOf(m0)); err != nil {
@@ -360,7 +360,7 @@ func TestServerSurfacesClientFailureMidRound(t *testing.T) {
 }
 
 func TestServerSurfacesClientErrorFrame(t *testing.T) {
-	chaos.GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	m0, _ := model.Build(data.Registry["purchase100"], rand.New(rand.NewSource(1)))
 	def := defense.NewNone()
 	if err := def.Bind(fl.InfoOf(m0)); err != nil {

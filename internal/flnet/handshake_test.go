@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
+	"repro/internal/leakcheck"
 )
 
 // TestWireNegotiationByHand is the capability-intersection acceptance
@@ -15,7 +15,7 @@ import (
 // peer advertising nothing gets no ack and raw float64 frames) and then
 // served a whole federation under the codec that intersection selects.
 func TestWireNegotiationByHand(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	const (
 		rounds = 3
 		dim    = 64

@@ -74,20 +74,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Histogram bins samples into n equal-width bins over [lo, hi], returning
 // normalized frequencies (a probability vector). Samples outside the range
 // are clamped into the boundary bins.

@@ -84,17 +84,9 @@ const convPanelRows = 4
 // stream the whole weight panel once per four output positions, so it must
 // stay cache-resident; past roughly L2 size the im2col + blocked-GEMM path
 // wins because it tiles the weight matrix. Default picked from
-// BenchmarkConv2DDirectVsIm2col.
+// BenchmarkConv2DDirectVsIm2col; tests move it through setConv2DDirectBudget
+// (export_test.go) to force either path at small shapes.
 var conv2dDirectBudget = 64 << 10
-
-// SetConv2DDirectBudget overrides the direct-path dispatch budget in bytes
-// and returns the previous value. Values < 0 disable the direct and fused
-// paths. Intended for tests and benchmarks.
-func SetConv2DDirectBudget(b int) (prev int) {
-	prev = conv2dDirectBudget
-	conv2dDirectBudget = b
-	return prev
-}
 
 // useDirect reports whether this layer's shape dispatches to the direct
 // convolution paths (inference forward and fused input-gradient stage).

@@ -30,7 +30,7 @@ func BenchmarkConv2DDirectVsIm2col(b *testing.B) {
 	}
 	for _, sh := range shapes {
 		for _, mode := range modes {
-			prev := SetConv2DDirectBudget(mode.budget)
+			prev := setConv2DDirectBudget(mode.budget)
 			rng := rand.New(rand.NewSource(91))
 			layer := NewConv2D(sh.inC, sh.outC, sh.k, sh.stride, sh.pad, rng)
 			x := tensor.Randn(rng, 0, 1, sh.batch, sh.inC, sh.h, sh.w)
@@ -51,7 +51,7 @@ func BenchmarkConv2DDirectVsIm2col(b *testing.B) {
 					layer.Backward(g)
 				}
 			})
-			SetConv2DDirectBudget(prev)
+			setConv2DDirectBudget(prev)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 func restoreConvDispatch(t testing.TB) {
 	t.Helper()
 	prev := conv2dDirectBudget
-	t.Cleanup(func() { SetConv2DDirectBudget(prev) })
+	t.Cleanup(func() { setConv2DDirectBudget(prev) })
 }
 
 // conv2dCase is one geometry of the direct-vs-im2col property tests.
@@ -88,9 +88,9 @@ func convTrainStep(tc conv2dCase, steps int) (out, gin *tensor.Tensor, grads []*
 func TestConv2DDirectBitIdenticalIm2col(t *testing.T) {
 	restoreConvDispatch(t)
 	for _, tc := range conv2dCases {
-		SetConv2DDirectBudget(-1) // force im2col
+		setConv2DDirectBudget(-1) // force im2col
 		want := convInfer(tc, 1)
-		SetConv2DDirectBudget(1 << 30) // force direct
+		setConv2DDirectBudget(1 << 30) // force direct
 		for _, steps := range []int{1, 2} {
 			got := convInfer(tc, steps)
 			if !equalData(got.Data(), want.Data()) {
@@ -107,9 +107,9 @@ func TestConv2DDirectBitIdenticalIm2col(t *testing.T) {
 func TestConv2DFusedBackwardBitIdentical(t *testing.T) {
 	restoreConvDispatch(t)
 	for _, tc := range conv2dCases {
-		SetConv2DDirectBudget(-1) // force materialized gradCol + col2im
+		setConv2DDirectBudget(-1) // force materialized gradCol + col2im
 		wantOut, wantGin, wantGrads := convTrainStep(tc, 1)
-		SetConv2DDirectBudget(1 << 30) // force fused gradIn
+		setConv2DDirectBudget(1 << 30) // force fused gradIn
 		for _, steps := range []int{1, 2} {
 			gotOut, gotGin, gotGrads := convTrainStep(tc, steps)
 			if !equalData(gotOut.Data(), wantOut.Data()) {
@@ -133,7 +133,7 @@ func TestConv2DFusedBackwardBitIdentical(t *testing.T) {
 func TestConv2DDirectPoolParallelBitIdentical(t *testing.T) {
 	restoreConvDispatch(t)
 	restorePool(t)
-	SetConv2DDirectBudget(1 << 30)
+	setConv2DDirectBudget(1 << 30)
 	parallel.SetMinWork(32)
 	tc := conv2dCase{"parallel", 3, 16, 3, 1, 1, 5, 12, 10}
 
@@ -172,7 +172,7 @@ func TestConv2DDirectDispatch(t *testing.T) {
 	x := tensor.Randn(rng, 0, 1, 1, 3, 6, 6)
 	xl := tensor.Randn(rng, 0, 1, 1, 64, 6, 6)
 
-	SetConv2DDirectBudget(64 << 10)
+	setConv2DDirectBudget(64 << 10)
 	small.Forward(x, false)
 	if !small.lastDirect {
 		t.Errorf("small layer under budget did not take the direct path")
@@ -185,7 +185,7 @@ func TestConv2DDirectDispatch(t *testing.T) {
 	if large.lastDirect {
 		t.Errorf("large layer over budget took the direct path")
 	}
-	SetConv2DDirectBudget(-1)
+	setConv2DDirectBudget(-1)
 	small.Forward(x, false)
 	if small.lastDirect {
 		t.Errorf("direct path dispatched with a negative budget")
@@ -197,7 +197,7 @@ func TestConv2DDirectDispatch(t *testing.T) {
 // must panic instead of silently using stale columns.
 func TestConv2DBackwardAfterInferencePanics(t *testing.T) {
 	restoreConvDispatch(t)
-	SetConv2DDirectBudget(1 << 30)
+	setConv2DDirectBudget(1 << 30)
 	layer := NewConv2D(2, 4, 3, 1, 1, rand.New(rand.NewSource(3)))
 	x := tensor.Randn(rand.New(rand.NewSource(4)), 0, 1, 1, 2, 5, 5)
 	out := layer.Forward(x, false)
@@ -218,7 +218,7 @@ func TestConv2DDirectAllocFree(t *testing.T) {
 	restoreConvDispatch(t)
 	prev := parallel.SetWorkers(1)
 	t.Cleanup(func() { parallel.SetWorkers(prev) })
-	SetConv2DDirectBudget(1 << 30)
+	setConv2DDirectBudget(1 << 30)
 	layer := NewConv2D(3, 16, 3, 1, 1, rand.New(rand.NewSource(9)))
 	x := tensor.Randn(rand.New(rand.NewSource(10)), 0, 1, 4, 3, 12, 12)
 	layer.Forward(x, false)

@@ -1,7 +1,6 @@
-// Package plot renders terminal charts for the experiment harness: the
-// paper's figures are bar charts (Fig. 6), line series (Fig. 1), and
-// scatters (Fig. 7); dinar-bench renders the same shapes as ASCII so a
-// reproduction run reads like the paper's artifact.
+// Package plot renders terminal sparklines: dinar-audit and the audit example
+// print a model's per-layer leakage profile (the paper's Fig. 1 curve) as one
+// row of block characters.
 package plot
 
 import (
@@ -10,169 +9,32 @@ import (
 	"strings"
 )
 
-// Bar is one labeled bar.
-type Bar struct {
-	Label string
-	Value float64
-}
-
-// BarChart renders a horizontal bar chart. lo and hi set the value range
-// (e.g. 50–100 for attack AUC, mirroring the paper's axes); width is the bar
-// area in characters.
-func BarChart(title string, bars []Bar, lo, hi float64, width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	labelWidth := 0
-	for _, b := range bars {
-		if len(b.Label) > labelWidth {
-			labelWidth = len(b.Label)
-		}
-	}
-	var sb strings.Builder
-	if title != "" {
-		sb.WriteString(title)
-		sb.WriteByte('\n')
-	}
-	for _, b := range bars {
-		v := b.Value
-		if v < lo {
-			v = lo
-		}
-		if v > hi {
-			v = hi
-		}
-		n := int((v - lo) / (hi - lo) * float64(width))
-		sb.WriteString(fmt.Sprintf("%-*s |%s%s %.1f\n",
-			labelWidth, b.Label,
-			strings.Repeat("█", n), strings.Repeat(" ", width-n), b.Value))
-	}
-	sb.WriteString(fmt.Sprintf("%-*s  %-*.0f%*.0f\n", labelWidth, "", width-3, lo, 3, hi))
-	return sb.String()
-}
-
-// Point is one scatter point.
-type Point struct {
-	X, Y  float64
-	Label string
-}
-
-// Scatter renders an ASCII scatter plot of the points, with each point drawn
-// as the first rune of its label. Axis ranges are derived from the data with
-// a small margin.
-func Scatter(title string, points []Point, width, height int) string {
-	if width <= 0 {
-		width = 60
-	}
-	if height <= 0 {
-		height = 16
-	}
-	if len(points) == 0 {
-		return title + "\n(no points)\n"
-	}
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, p := range points {
-		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
-		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
-	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	if maxY == minY {
-		maxY = minY + 1
-	}
-	padX := (maxX - minX) * 0.05
-	padY := (maxY - minY) * 0.05
-	minX, maxX = minX-padX, maxX+padX
-	minY, maxY = minY-padY, maxY+padY
-
-	grid := make([][]rune, height)
-	for y := range grid {
-		grid[y] = make([]rune, width)
-		for x := range grid[y] {
-			grid[y][x] = ' '
-		}
-	}
-	for _, p := range points {
-		x := int((p.X - minX) / (maxX - minX) * float64(width-1))
-		y := int((p.Y - minY) / (maxY - minY) * float64(height-1))
-		mark := '*'
-		for _, r := range p.Label {
-			mark = r
-			break
-		}
-		grid[height-1-y][x] = mark
-	}
-	var sb strings.Builder
-	if title != "" {
-		sb.WriteString(title)
-		sb.WriteByte('\n')
-	}
-	sb.WriteString(fmt.Sprintf("y: %.1f..%.1f\n", minY, maxY))
-	for _, row := range grid {
-		sb.WriteString("|")
-		sb.WriteString(string(row))
-		sb.WriteString("|\n")
-	}
-	sb.WriteString(fmt.Sprintf("x: %.1f..%.1f\n", minX, maxX))
-	// Legend: label -> first rune.
-	seen := make(map[string]bool)
-	var legend []string
-	for _, p := range points {
-		if p.Label != "" && !seen[p.Label] {
-			seen[p.Label] = true
-			legend = append(legend, fmt.Sprintf("%c=%s", firstRune(p.Label), p.Label))
-		}
-	}
-	if len(legend) > 0 {
-		sb.WriteString("legend: " + strings.Join(legend, " ") + "\n")
-	}
-	return sb.String()
-}
-
-// Series renders one or more labeled line series as sparkline rows (used for
-// per-layer divergence curves).
-func Series(title string, series map[string][]float64) string {
+// Series renders values as one labeled sparkline row under title, scaled
+// from the lowest value to the highest. An empty series renders the title
+// alone.
+func Series(title, label string, values []float64) string {
 	levels := []rune("▁▂▃▄▅▆▇█")
 	var sb strings.Builder
 	if title != "" {
 		sb.WriteString(title)
 		sb.WriteByte('\n')
 	}
-	labelWidth := 0
-	for label := range series {
-		if len(label) > labelWidth {
-			labelWidth = len(label)
-		}
+	if len(values) == 0 {
+		return sb.String()
 	}
-	for label, values := range series {
-		if len(values) == 0 {
-			continue
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range values {
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-		}
-		sb.WriteString(fmt.Sprintf("%-*s ", labelWidth, label))
-		for _, v := range values {
-			idx := 0
-			if hi > lo {
-				idx = int((v - lo) / (hi - lo) * float64(len(levels)-1))
-			}
-			sb.WriteRune(levels[idx])
-		}
-		sb.WriteString(fmt.Sprintf("  [%.3g..%.3g]\n", lo, hi))
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range values {
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
 	}
+	sb.WriteString(label)
+	sb.WriteByte(' ')
+	for _, v := range values {
+		idx := 0
+		if hi > lo {
+			idx = int((v - lo) / (hi - lo) * float64(len(levels)-1))
+		}
+		sb.WriteRune(levels[idx])
+	}
+	sb.WriteString(fmt.Sprintf("  [%.3g..%.3g]\n", lo, hi))
 	return sb.String()
-}
-
-func firstRune(s string) rune {
-	for _, r := range s {
-		return r
-	}
-	return '*'
 }

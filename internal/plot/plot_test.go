@@ -5,70 +5,8 @@ import (
 	"testing"
 )
 
-func TestBarChart(t *testing.T) {
-	out := BarChart("AUC", []Bar{
-		{Label: "none", Value: 76},
-		{Label: "dinar", Value: 50},
-	}, 50, 100, 20)
-	if !strings.Contains(out, "AUC") || !strings.Contains(out, "none") || !strings.Contains(out, "dinar") {
-		t.Fatalf("missing content:\n%s", out)
-	}
-	// none (76) must have a longer bar than dinar (50).
-	lines := strings.Split(out, "\n")
-	noneBar := strings.Count(lines[1], "█")
-	dinarBar := strings.Count(lines[2], "█")
-	if noneBar <= dinarBar {
-		t.Fatalf("bar lengths: none=%d dinar=%d\n%s", noneBar, dinarBar, out)
-	}
-	if dinarBar != 0 {
-		t.Fatalf("value at axis minimum should render empty, got %d", dinarBar)
-	}
-}
-
-func TestBarChartClampsAndDefaults(t *testing.T) {
-	out := BarChart("", []Bar{{Label: "x", Value: 999}}, 0, 100, 0)
-	if !strings.Contains(out, "999.0") {
-		t.Fatalf("original value not printed:\n%s", out)
-	}
-	// Degenerate range must not panic.
-	_ = BarChart("", []Bar{{Label: "x", Value: 1}}, 5, 5, 10)
-}
-
-func TestScatter(t *testing.T) {
-	out := Scatter("tradeoff", []Point{
-		{X: 60, Y: 50, Label: "dinar"},
-		{X: 30, Y: 75, Label: "none"},
-	}, 30, 10)
-	if !strings.Contains(out, "tradeoff") {
-		t.Fatal("missing title")
-	}
-	if !strings.Contains(out, "d") || !strings.Contains(out, "n") {
-		t.Fatalf("missing point marks:\n%s", out)
-	}
-	if !strings.Contains(out, "legend: d=dinar n=none") {
-		t.Fatalf("missing legend:\n%s", out)
-	}
-}
-
-func TestScatterEmpty(t *testing.T) {
-	out := Scatter("t", nil, 10, 5)
-	if !strings.Contains(out, "no points") {
-		t.Fatalf("empty scatter: %q", out)
-	}
-}
-
-func TestScatterDegenerateRanges(t *testing.T) {
-	// Identical coordinates must not divide by zero.
-	out := Scatter("t", []Point{{X: 1, Y: 1, Label: "a"}, {X: 1, Y: 1, Label: "b"}}, 10, 5)
-	if out == "" {
-		t.Fatal("empty output")
-	}
-}
-
 func TestSeries(t *testing.T) {
-	out := Series("divergence", map[string][]float64{
-		"purchase100": {0.1, 0.2, 0.3, 0.9},
-	})
+	out := Series("divergence", "purchase100", []float64{0.1, 0.2, 0.3, 0.9})
 	if !strings.Contains(out, "purchase100") {
 		t.Fatalf("missing label:\n%s", out)
 	}
@@ -76,13 +14,12 @@ func TestSeries(t *testing.T) {
 		t.Fatalf("sparkline levels missing:\n%s", out)
 	}
 	// Constant series must not panic and renders the lowest level.
-	out = Series("", map[string][]float64{"c": {1, 1, 1}})
+	out = Series("", "c", []float64{1, 1, 1})
 	if !strings.Contains(out, "▁▁▁") {
 		t.Fatalf("constant series:\n%s", out)
 	}
-	// Empty series are skipped.
-	out = Series("", map[string][]float64{"e": {}})
-	if strings.Contains(out, "e ") {
+	// An empty series renders no row.
+	if out = Series("t", "e", nil); out != "t\n" {
 		t.Fatalf("empty series rendered:\n%s", out)
 	}
 }

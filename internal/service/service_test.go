@@ -17,11 +17,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/defense"
 	"repro/internal/fl"
 	"repro/internal/fleetsim"
 	"repro/internal/flnet"
+	"repro/internal/leakcheck"
 )
 
 // testBuilder is the control-plane seam without the full dinar model
@@ -165,7 +165,7 @@ func equalVec(a, b []float64) bool {
 // finish and its final global model must be bit-identical to a
 // single-tenant run of the same federation.
 func TestServiceConcurrentJobs(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	mem := flnet.ListenMem(64)
 	svc := newTestService(t, t.TempDir(), mem)
 	api := httptest.NewServer(svc.AdminMux())
@@ -242,7 +242,7 @@ func TestServiceConcurrentJobs(t *testing.T) {
 // and the final models are still bit-identical to uninterrupted
 // single-tenant runs.
 func TestServiceRollingRestart(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	stateDir := t.TempDir()
 	specs := []JobSpec{
 		{Name: "jobx", Dataset: "synth", Clients: 4, Rounds: 8, Seed: 5, Records: 8},
@@ -336,7 +336,7 @@ func TestServiceRollingRestart(t *testing.T) {
 // delete (some deleted mid-run, hard-cancelled) many times over one
 // service; the goroutine count must return to baseline.
 func TestJobChurnLeakHammer(t *testing.T) {
-	chaos.GuardTest(t, 10*time.Second)
+	leakcheck.GuardTest(t, 10*time.Second)
 	mem := flnet.ListenMem(32)
 	svc := newTestService(t, t.TempDir(), mem)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -383,7 +383,7 @@ func TestJobChurnLeakHammer(t *testing.T) {
 // TestAdminAPIValidation is the satellite input-validation check: bad
 // specs are refused with typed 400 bodies before any job state exists.
 func TestAdminAPIValidation(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	mem := flnet.ListenMem(8)
 	svc := newTestService(t, t.TempDir(), mem)
 	api := httptest.NewServer(svc.AdminMux())
@@ -503,7 +503,7 @@ func sendHello(t *testing.T, front *flnet.MemListener, job string, id int, caps 
 // jobs are refused with typed errors, and a job-unaware client is routed
 // iff exactly one job exists.
 func TestFrontDoorRateLimitAndRouting(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	mem := flnet.ListenMem(16)
 	svc := newTestService(t, t.TempDir(), mem)
 
@@ -567,7 +567,7 @@ func TestFrontDoorRateLimitAndRouting(t *testing.T) {
 // routed hello is shed with a drain notice (not queued, not dropped), and
 // the shared accept path keeps routing other jobs' clients meanwhile.
 func TestFrontDoorShedsOnFullBacklog(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	mem := flnet.ListenMem(64)
 	svc := newTestService(t, t.TempDir(), mem)
 	stuck := JobSpec{Name: "stuck", Dataset: "synth", Clients: 2 * jobBacklog, Rounds: 1, Seed: 1, Records: 4}
@@ -622,7 +622,7 @@ func TestFrontDoorShedsOnFullBacklog(t *testing.T) {
 // TestPauseResume exercises the lifecycle detour: a paused job parks
 // with its checkpoints, refuses clients, and resumes bit-identically.
 func TestPauseResume(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	mem := flnet.ListenMem(16)
 	svc := newTestService(t, t.TempDir(), mem)
 	spec := JobSpec{Name: "parky", Dataset: "synth", Clients: 3, Rounds: 6, Seed: 9, Records: 8}
@@ -708,7 +708,7 @@ func finishJobs(t *testing.T, svc *Service, mem *flnet.MemListener, specs ...Job
 // dinar_fl_* / dinar_flnet_* sample on the service's /metrics names its job;
 // the client-side series, which belong to the process, are the exception.
 func TestMetricsFederationSeriesCarryJobLabel(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	mem := flnet.ListenMem(16)
 	svc := newTestService(t, t.TempDir(), mem)
 
@@ -749,7 +749,7 @@ func TestMetricsFederationSeriesCarryJobLabel(t *testing.T) {
 // one job's checkpoint path can be a prefix of another's. Deleting "a"
 // removes a.ckpt and its generations and no file of "a.ckpt-b".
 func TestDeleteJobSparesNeighbourChain(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	stateDir := t.TempDir()
 	mem := flnet.ListenMem(16)
 	svc := newTestService(t, stateDir, mem)

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
+	"repro/internal/leakcheck"
 )
 
 // testClient disables keep-alives so idle-connection goroutines don't
@@ -18,7 +18,7 @@ var testClient = &http.Client{Transport: &http.Transport{DisableKeepAlives: true
 // TestServeAdmin spins up an admin server on an ephemeral port and checks
 // all three endpoint families.
 func TestServeAdmin(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	reg := NewRegistry()
 	c := reg.NewCounter("admin_test_total", "t")
 	c.Add(5)
@@ -83,7 +83,7 @@ func TestServeAdmin(t *testing.T) {
 // admin port handed no registry serves an empty /metrics — it finds no
 // process-global one on its own.
 func TestServeAdminNilDefaults(t *testing.T) {
-	chaos.GuardTest(t, 5*time.Second)
+	leakcheck.GuardTest(t, 5*time.Second)
 	Default().Counter("admin_test_process_scoped_total", "t").Inc()
 	a, err := ServeAdmin("127.0.0.1:0", nil)
 	if err != nil {

@@ -293,23 +293,3 @@ func gemmScalarPanel(c []float64, ldc int, a []float64, lda int, b []float64, ld
 		}
 	}
 }
-
-// AxpyInto accumulates dst[i] += alpha·x[i] over len(x) elements. Each
-// element is an independent lane (one mul rounding, one add rounding), so
-// the SIMD version is bit-identical to the scalar loop; rank-1 gradient
-// updates in the direct convolution path use it without changing results.
-func AxpyInto(dst, x []float64, alpha float64) {
-	if len(dst) < len(x) {
-		panic("tensor: AxpyInto dst shorter than x")
-	}
-	if len(x) == 0 {
-		return
-	}
-	if haveAVX2 {
-		daxpyAVX(&dst[0], &x[0], len(x), alpha)
-		return
-	}
-	for i, v := range x {
-		dst[i] += alpha * v
-	}
-}

@@ -33,6 +33,3 @@ func detectAVX2() bool {
 	_, b7, _, _ := cpuid(7, 0)
 	return b7&(1<<5) != 0 // AVX2
 }
-
-//go:noescape
-func daxpyAVX(dst, x *float64, n int, alpha float64)

@@ -208,41 +208,3 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
-
-// func daxpyAVX(dst, x *float64, n int, alpha float64)
-//
-// dst[i] += alpha·x[i] for i < n. Lanes are independent elements with the
-// same mul-then-add rounding as the scalar loop, so results are bit-identical
-// to pure Go for any n.
-TEXT ·daxpyAVX(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD alpha+24(FP), Y0
-axloop:
-	CMPQ CX, $4
-	JLT  axtail
-	VMOVUPD (SI), Y1
-	VMULPD Y1, Y0, Y1
-	VMOVUPD (DI), Y2
-	VADDPD Y1, Y2, Y2
-	VMOVUPD Y2, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $4, CX
-	JMP  axloop
-axtail:
-	TESTQ CX, CX
-	JZ   axdone
-	MOVSD (SI), X1
-	MULSD X0, X1
-	MOVSD (DI), X2
-	ADDSD X1, X2
-	MOVSD X2, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JMP  axtail
-axdone:
-	VZEROUPPER
-	RET

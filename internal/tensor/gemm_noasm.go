@@ -13,7 +13,3 @@ func gemmNN4x8(c, a, b *float64, k, lda, ldb, ldc int) {
 func gemmTA4x8(c, a, b *float64, k, lda, ldb, ldc int) {
 	panic("tensor: gemmTA4x8 without AVX2")
 }
-
-func daxpyAVX(dst, x *float64, n int, alpha float64) {
-	panic("tensor: daxpyAVX without AVX2")
-}

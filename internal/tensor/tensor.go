@@ -232,24 +232,6 @@ func (t *Tensor) Apply(f func(float64) float64) {
 	}
 }
 
-// Add returns t + o as a new tensor.
-func Add(t, o *Tensor) (*Tensor, error) {
-	r := t.Clone()
-	if err := r.AddInPlace(o); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// Sub returns t - o as a new tensor.
-func Sub(t, o *Tensor) (*Tensor, error) {
-	r := t.Clone()
-	if err := r.SubInPlace(o); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	s := 0.0

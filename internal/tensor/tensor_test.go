@@ -338,10 +338,8 @@ func TestQuickAddAssociative(t *testing.T) {
 		c := a.Clone()
 		c.Scale(-0.25)
 
-		ab, _ := Add(a, b)
-		left, _ := Add(ab, c)
-		bc, _ := Add(b, c)
-		right, _ := Add(a, bc)
+		left := plus(plus(a, b), c)
+		right := plus(a, plus(b, c))
 		for i := range left.Data() {
 			if math.Abs(left.Data()[i]-right.Data()[i]) > 1e-6 {
 				return false
@@ -354,6 +352,15 @@ func TestQuickAddAssociative(t *testing.T) {
 	}
 }
 
+// plus returns a + b as a new tensor; the shapes must match.
+func plus(a, b *Tensor) *Tensor {
+	r := a.Clone()
+	if err := r.AddInPlace(b); err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // Property: matmul distributes over addition: A(B+C) == AB + AC.
 func TestQuickMatMulDistributive(t *testing.T) {
 	f := func(seed int64) bool {
@@ -362,11 +369,10 @@ func TestQuickMatMulDistributive(t *testing.T) {
 		a := Randn(rng, 0, 1, m, k)
 		b := Randn(rng, 0, 1, k, n)
 		c := Randn(rng, 0, 1, k, n)
-		bc, _ := Add(b, c)
-		left, _ := MatMul(a, bc)
+		left, _ := MatMul(a, plus(b, c))
 		ab, _ := MatMul(a, b)
 		ac, _ := MatMul(a, c)
-		right, _ := Add(ab, ac)
+		right := plus(ab, ac)
 		for i := range left.Data() {
 			if math.Abs(left.Data()[i]-right.Data()[i]) > 1e-9 {
 				return false
