@@ -97,6 +97,11 @@
 #                     internal/service/service.go): a federation's series live
 #                     in the registry its server was handed, never in a
 #                     process-global bundle
+#   make onesweep   - grep gate: in internal/experiment no type but
+#                     SweepResult has a Table method, and metrics.NewTable is
+#                     called only in its renderer and in the static Table 1
+#                     (every other artifact is an entry of experiment.Sweeps:
+#                     one runner, one row type, one renderer)
 #   make exports    - parse gate: every exported top-level func, type, var and
 #                     const under internal/ is referenced by some non-test .go
 #                     file of the module (benchmark/ and examples/ included);
@@ -131,7 +136,7 @@
 
 GO ?= go
 
-.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry exports exptables loc check fuzz bench bench-json bench-scaling
+.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry onesweep exports exptables loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -213,6 +218,13 @@ oneassembly:
 ownregistry:
 	@if grep -rnE 'defaultMetrics|telemetry\.Default\(\)' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/telemetry|\.bench_build)/' | grep -vE '^\./(middleware\.go|internal/service/service\.go):[0-9]+:.*telemetry\.Default\(\)'; then echo 'a process-global metric bundle, or telemetry.Default() outside an exposition (see above): count into the registry the server was handed'; exit 1; fi
 
+onesweep:
+	@awk '/^[a-z]/ { fn = $$0 } \
+		/^func \([^)]*\) Table\(\)/ && !/^func \(r \*SweepResult\) Table\(\)/ { print FILENAME ":" FNR ": " $$0; bad = 1 } \
+		/metrics\.NewTable\(/ && fn !~ /^func (\(r \*SweepResult\) Table|Table1Table)\(\)/ { print FILENAME ":" FNR ": " $$0; bad = 1 } \
+		END { if (bad) { print "a second renderer in internal/experiment (see above): make the artifact an entry of experiment.Sweeps"; exit 1 } }' \
+		$$(ls internal/experiment/*.go | grep -v _test.go)
+
 exports:
 	$(GO) test . -run TestEveryExportHasACaller
 
@@ -228,7 +240,7 @@ loc:
 		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%6d  total\n' $$total
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry exports exptables
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneassembly ownregistry onesweep exports exptables
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/

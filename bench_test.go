@@ -26,6 +26,18 @@ func benchOptions() experiment.Options {
 	return o
 }
 
+// paperAxes returns the axes the paper ran for the sweep id, on dataset.
+func paperAxes(id, dataset string) experiment.Axes {
+	for _, s := range experiment.Sweeps {
+		if s.ID == id {
+			ax := s.Paper
+			ax.Dataset = dataset
+			return ax
+		}
+	}
+	panic("no sweep " + id)
+}
+
 func benchmarkExperiment(b *testing.B, id string) {
 	b.Helper()
 	o := benchOptions()
@@ -54,11 +66,11 @@ func BenchmarkFig1LayerDivergence(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.Fig1(ctx, o, "purchase100", "gtsrb")
+		res, err := experiment.RunSweep(ctx, "fig1", o, experiment.Axes{Datasets: []string{"purchase100", "gtsrb"}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Series) != 2 {
+		if last := res.Rows[len(res.Rows)-1]; last.Labels[0] != "gtsrb" {
 			b.Fatal("missing series")
 		}
 	}
@@ -72,7 +84,7 @@ func BenchmarkFig3LossDistribution(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig3(ctx, o, "purchase100"); err != nil {
+		if _, err := experiment.RunSweep(ctx, "fig3", o, paperAxes("fig3", "purchase100")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +99,7 @@ func BenchmarkFig4PerLayerProtection(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig4(ctx, o, "purchase100"); err != nil {
+		if _, err := experiment.RunSweep(ctx, "fig4", o, experiment.Axes{Dataset: "purchase100"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,7 +162,7 @@ func BenchmarkTable3Cost(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Table3(ctx, o, "purchase100", nil); err != nil {
+		if _, err := experiment.RunSweep(ctx, "table3", o, paperAxes("table3", "purchase100")); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 
 	"repro/internal/experiment"
 	"repro/internal/metrics"
@@ -51,22 +52,23 @@ func run(args []string) error {
 	o.Rounds = *rounds
 
 	fmt.Printf("dinar-audit: training undefended FL model on %q and measuring per-layer leakage...\n", *dataset)
-	res, err := experiment.Fig1(ctx, o, *dataset)
+	res, err := experiment.RunSweep(ctx, "fig1", o, experiment.Axes{Datasets: []string{*dataset}})
 	if err != nil {
 		return err
 	}
-	s := res.Series[0]
+	divergences := res.Series(experiment.MetricJS)
+	most := slices.Index(res.Series(experiment.MetricMostSensitive), 1)
 	t := metrics.NewTable("Layer-leakage audit — "+*dataset, "Layer", "JS divergence", "")
-	for l, d := range s.Divergences {
+	for l, d := range divergences {
 		mark := ""
-		if l == s.MostSensitive {
+		if l == most {
 			mark = "<== most privacy-sensitive: obfuscate this layer"
 		}
 		t.AddRow(l, d, mark)
 	}
 	fmt.Println(t.String())
-	fmt.Println(plot.Series("leakage profile (low..high per layer):", *dataset, s.Divergences))
+	fmt.Println(plot.Series("leakage profile (low..high per layer):", *dataset, divergences))
 	fmt.Printf("recommendation: run DINAR with private layer %d (of %d layers)\n",
-		s.MostSensitive, len(s.Divergences))
+		most, len(divergences))
 	return nil
 }

@@ -216,12 +216,12 @@ func (s *System) EvaluatePrivacy(ctx context.Context) (*PrivacyReport, error) {
 	run := &experiment.FLRun{Sys: s.sys, Updates: s.finalUpdates}
 	o := experiment.DefaultOptions()
 	o.Seed = s.sys.Config.Seed
-	cell, err := o.Measure(run)
+	v, err := o.Measure(run)
 	if err != nil {
 		return nil, err
 	}
 	// The evaluation reads in percent; this report is in fractions.
-	return &PrivacyReport{GlobalAUC: cell.GlobalAUC / 100, LocalAUC: cell.LocalAUC / 100}, nil
+	return &PrivacyReport{GlobalAUC: v[experiment.MetricGlobalAUC] / 100, LocalAUC: v[experiment.MetricLocalAUC] / 100}, nil
 }
 
 // CostReport summarizes measured costs (Table 3's metrics). The heap peaks

@@ -15,11 +15,9 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
 
 	dinar "repro"
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/plot"
 )
@@ -38,12 +36,11 @@ func run() error {
 	o.Seed = 5
 
 	fmt.Println("Step 1 - layer-leakage analysis (§3) on an undefended federation")
-	fig1, err := experiment.Fig1(ctx, o, "purchase100")
+	fig1, err := experiment.RunSweep(ctx, "fig1", o, experiment.Axes{Datasets: []string{"purchase100"}})
 	if err != nil {
 		return err
 	}
-	series := fig1.Series[0]
-	fmt.Print(plot.Series("  per-layer JS divergence:", "purchase100", series.Divergences))
+	fmt.Print(plot.Series("  per-layer JS divergence:", "purchase100", fig1.Series(experiment.MetricJS)))
 	fmt.Println()
 
 	fmt.Println("Step 2 - clients vote; Byzantine-tolerant consensus (§4.1)")
@@ -74,29 +71,10 @@ func run() error {
 		return err
 	}
 	// Obfuscate exactly the agreed layer in every final upload and re-attack.
-	spec := runFL.Sys.Spec()
-	sum := 0.0
-	for _, u := range runFL.Updates {
-		state := append([]float64(nil), u.State...)
-		m, err := experiment.ModelFromState(spec, state, 42)
-		if err != nil {
-			return err
-		}
-		sp := m.Spans()[layer]
-		if err := core.Obfuscate(state, sp, core.ObfuscateGaussian, rand.New(rand.NewSource(int64(u.ClientID)))); err != nil {
-			return err
-		}
-		m2, err := experiment.ModelFromState(spec, state, 43)
-		if err != nil {
-			return err
-		}
-		auc, err := atk.AUC(m2, runFL.Sys.Shards[u.ClientID], runFL.Sys.Split.Test)
-		if err != nil {
-			return err
-		}
-		sum += auc
+	after, err := experiment.ObfuscatedLocalAUC(runFL, atk, layer, o.Seed)
+	if err != nil {
+		return err
 	}
-	after := sum / float64(len(runFL.Updates))
 	fmt.Printf("  attack AUC on raw uploads:        %.1f%%\n", before*100)
 	fmt.Printf("  attack AUC with layer %d obfuscated: %.1f%% (optimal: 50%%)\n", layer, after*100)
 	return nil

@@ -295,7 +295,7 @@ var suite = []suiteEntry{
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := experiment.Fig4(ctx, o, "purchase100"); err != nil {
+			if _, err := experiment.RunSweep(ctx, "fig4", o, experiment.Axes{Dataset: "purchase100"}); err != nil {
 				b.Fatal(err)
 			}
 		}

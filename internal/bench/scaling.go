@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -128,12 +129,13 @@ func quickFig4() (string, error) {
 	o := experiment.QuickOptions()
 	o.UseShadowAttack = false
 	o.Records = 400
-	res, err := experiment.Fig4(context.Background(), o, "purchase100")
+	res, err := experiment.RunSweep(context.Background(), "fig4", o, experiment.Axes{Dataset: "purchase100"})
 	if err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("divergences=%v perLayerAUC=%v baselineAUC=%v mostSensitive=%d",
-		res.Divergences, res.PerLayerAUC, res.BaselineAUC, res.MostSensitive), nil
+		res.Series(experiment.MetricJS), res.Series(experiment.MetricObfuscatedAUC),
+		res.Rows[0].Values[experiment.MetricLocalAUC], slices.Index(res.Series(experiment.MetricMostSensitive), 1)), nil
 }
 
 // CheckParallelDeterminism recomputes seeded kernel and layer outputs with

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,21 +25,35 @@ func TestByzantineMatrix(t *testing.T) {
 	o.Records = 1200
 	o.Rounds = 5
 	o.LocalEpochs = 3
-	res, err := Byzantine(context.Background(), o, "",
-		[]adversary.Kind{adversary.Boost, adversary.NaNBomb}, nil)
+	ax := Axes{Dataset: "purchase100", Attacks: []adversary.Kind{adversary.Boost, adversary.NaNBomb},
+		Aggregators: paper("byzantine").Aggregators}
+	cases, err := byzantineCases(o, ax)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Clients != 10 || res.F != 3 {
-		t.Fatalf("cohort geometry = %d/%d, want 10/3", res.Clients, res.F)
+	for _, c := range cases {
+		if c.Cfg.Clients != 10 || c.Cfg.MaxByzantine != 3 {
+			t.Fatalf("%v: cohort geometry = %d/%d, want 10/3", c.Labels, c.Cfg.Clients, c.Cfg.MaxByzantine)
+		}
 	}
-	if len(res.Attacks) != 3 || res.Attacks[0] != "benign" {
-		t.Fatalf("attacks = %v", res.Attacks)
+	res, err := RunSweep(context.Background(), "byzantine", o, ax)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var attacks []string
+	for _, r := range res.Rows {
+		if !slices.Contains(attacks, r.Labels[0]) {
+			attacks = append(attacks, r.Labels[0])
+		}
+	}
+	if len(attacks) != 3 || attacks[0] != "benign" {
+		t.Fatalf("attacks = %v", attacks)
+	}
+	cell := func(attack, agg string) map[Metric]float64 { return row(t, res, attack, agg).Values }
 
 	// Plain FedAvg is hijacked by the boosted minority.
-	fedavgClean := res.Baseline("fedavg")
-	fedavgBoost := res.Cells["boost"]["fedavg"].GlobalAccuracy
+	fedavgClean := cell("benign", "fedavg")[MetricGlobalAccuracy]
+	fedavgBoost := cell("boost", "fedavg")[MetricGlobalAccuracy]
 	if fedavgClean-fedavgBoost <= 2 {
 		t.Fatalf("fedavg should degrade under boost: clean %.2f%%, boosted %.2f%%",
 			fedavgClean, fedavgBoost)
@@ -48,8 +63,8 @@ func TestByzantineMatrix(t *testing.T) {
 	// (one-sided: an attack can only hurt; chance improvements from the
 	// changed selection are fine).
 	for _, agg := range []string{"krum", "multi-krum", "norm-bound"} {
-		clean := res.Baseline(agg)
-		boost := res.Cells["boost"][agg].GlobalAccuracy
+		clean := cell("benign", agg)[MetricGlobalAccuracy]
+		boost := cell("boost", agg)[MetricGlobalAccuracy]
 		if diff := clean - boost; diff > 2 {
 			t.Fatalf("%s degraded %.2f points under boost (clean %.2f%%, boosted %.2f%%)",
 				agg, diff, clean, boost)
@@ -59,21 +74,21 @@ func TestByzantineMatrix(t *testing.T) {
 	// NaN bombs are screened out before aggregation for every rule: the
 	// global state stays finite and the three poisoners are rejected and
 	// quarantined.
-	for _, agg := range res.Aggregators {
-		cell := res.Cells["nan-bomb"][agg]
-		if !cell.FiniteGlobal {
+	for _, agg := range ax.Aggregators {
+		v := cell("nan-bomb", agg)
+		if v[MetricFinite] != 1 {
 			t.Fatalf("%s: NaN reached the global state", agg)
 		}
-		if cell.Rejected < res.F {
-			t.Fatalf("%s: only %d rejections for %d poisoners", agg, cell.Rejected, res.F)
+		if v[MetricRejected] < byzantineF {
+			t.Fatalf("%s: only %v rejections for %d poisoners", agg, v[MetricRejected], byzantineF)
 		}
-		if cell.Quarantined == 0 {
+		if v[MetricQuarantined] == 0 {
 			t.Fatalf("%s: poisoners were never quarantined", agg)
 		}
 	}
-	for _, agg := range res.Aggregators {
-		if cell := res.Cells["benign"][agg]; cell.Rejected != 0 || cell.Quarantined != 0 {
-			t.Fatalf("%s: benign run produced verdicts: %+v", agg, cell)
+	for _, agg := range ax.Aggregators {
+		if v := cell("benign", agg); v[MetricRejected] != 0 || v[MetricQuarantined] != 0 {
+			t.Fatalf("%s: benign run produced verdicts: %v", agg, v)
 		}
 	}
 

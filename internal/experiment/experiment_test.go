@@ -2,8 +2,14 @@ package experiment
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/metrics"
 )
 
 // quick returns fast smoke options using the loss attack.
@@ -13,24 +19,41 @@ func quick() Options {
 	return o
 }
 
+// paper returns the axes the paper ran for the sweep with the given ID.
+func paper(id string) Axes {
+	return Sweeps[slices.IndexFunc(Sweeps, func(s Sweep) bool { return s.ID == id })].Paper
+}
+
+// row returns the row of res with the given labels.
+func row(t *testing.T, res *SweepResult, labels ...string) Row {
+	t.Helper()
+	i := slices.IndexFunc(res.Rows, func(r Row) bool { return slices.Equal(r.Labels, labels) })
+	if i < 0 {
+		t.Fatalf("%s: no row %q", res.Sweep.ID, labels)
+	}
+	return res.Rows[i]
+}
+
 func TestFig1QuickSingleDataset(t *testing.T) {
-	res, err := Fig1(context.Background(), quick(), "purchase100")
+	res, err := RunSweep(context.Background(), "fig1", quick(), Axes{Datasets: []string{"purchase100"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) != 1 {
-		t.Fatalf("series = %d", len(res.Series))
+	if len(res.Rows) != 6 {
+		t.Fatalf("purchase100 FCNN should have 6 layers, got %d", len(res.Rows))
 	}
-	s := res.Series[0]
-	if len(s.Divergences) != 6 {
-		t.Fatalf("purchase100 FCNN should have 6 layers, got %d", len(s.Divergences))
+	for l, r := range res.Rows {
+		if !slices.Equal(r.Labels, []string{"purchase100", strconv.Itoa(l)}) {
+			t.Fatalf("row %d labels = %q", l, r.Labels)
+		}
 	}
-	if s.MostSensitive < 0 || s.MostSensitive >= 6 {
-		t.Fatalf("most sensitive = %d", s.MostSensitive)
+	most := res.Series(MetricMostSensitive)
+	if marked := slices.DeleteFunc(slices.Clone(most), func(v float64) bool { return v == 0 }); !slices.Equal(marked, []float64{1}) {
+		t.Fatalf("most sensitive marks = %v, want exactly one", most)
 	}
 	tbl := res.Table()
-	if tbl.NumRows() != 6 {
-		t.Fatalf("table rows = %d", tbl.NumRows())
+	if tbl.NumRows() != 6 || strings.Count(tbl.String(), "<== obfuscation target") != 1 {
+		t.Fatalf("table rows = %d:\n%s", tbl.NumRows(), tbl)
 	}
 }
 
@@ -59,43 +82,61 @@ func TestTable1Static(t *testing.T) {
 
 func TestFig3Quick(t *testing.T) {
 	o := quick()
-	res, err := Fig3(context.Background(), o, "purchase100")
+	defenses := paper("fig3").Defenses
+	res, err := RunSweep(context.Background(), "fig3", o, Axes{Dataset: "purchase100", Defenses: defenses})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) != len(Fig3Defenses) {
-		t.Fatalf("series = %d, want %d", len(res.Series), len(Fig3Defenses))
+	if len(res.Rows) != len(defenses) {
+		t.Fatalf("series = %d, want %d", len(res.Rows), len(defenses))
 	}
-	for _, s := range res.Series {
-		if len(s.MemberLosses) == 0 || len(s.NonMemberLosses) == 0 {
-			t.Fatalf("%s: empty loss sets", s.Defense)
+	for _, r := range res.Rows {
+		// A cross-entropy mean is positive only over a non-empty loss set.
+		if !(r.Values[MetricMemberLoss] > 0) || !(r.Values[MetricNonMemberLoss] > 0) {
+			t.Fatalf("%s: empty loss sets: %v", r.Labels[0], r.Values)
 		}
-		if s.JS < 0 {
-			t.Fatalf("%s: negative JS", s.Defense)
+		if r.Values[MetricJS] < 0 {
+			t.Fatalf("%s: negative JS", r.Labels[0])
 		}
 	}
-	if res.Table().NumRows() != len(Fig3Defenses) {
+	if res.Table().NumRows() != len(defenses) {
 		t.Fatal("table rows mismatch")
+	}
+}
+
+// TestFig3DefaultBatchSize: a zero Options.BatchSize falls back to the
+// federation's default, in the loss reading too.
+func TestFig3DefaultBatchSize(t *testing.T) {
+	o := quick()
+	o.Records, o.Rounds, o.LocalEpochs, o.BatchSize = 300, 1, 1, 0
+	res, err := RunSweep(context.Background(), "fig3", o, Axes{Dataset: "purchase100", Defenses: []string{"none"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := res.Rows[0].Values; !(v[MetricMemberLoss] > 0) {
+		t.Fatalf("no member losses: %v", v)
 	}
 }
 
 func TestFig4Quick(t *testing.T) {
 	o := quick()
 	o.Records = 400
-	res, err := Fig4(context.Background(), o, "purchase100")
+	res, err := RunSweep(context.Background(), "fig4", o, Axes{Dataset: "purchase100"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Divergences) != 6 || len(res.PerLayerAUC) != 6 {
-		t.Fatalf("lengths: %d/%d", len(res.Divergences), len(res.PerLayerAUC))
+	if len(res.Rows) != 6 {
+		t.Fatalf("layers = %d", len(res.Rows))
 	}
-	for l, auc := range res.PerLayerAUC {
+	for l, auc := range res.Series(MetricObfuscatedAUC) {
 		if auc < 50-1e-9 || auc > 100+1e-9 {
 			t.Fatalf("layer %d AUC %v out of range", l, auc)
 		}
 	}
-	if res.Table().NumRows() != 6 {
-		t.Fatal("table rows mismatch")
+	tbl := res.Table()
+	baseline := fmt.Sprintf("(no-defense local AUC %.1f%%)", res.Rows[0].Values[MetricLocalAUC])
+	if tbl.NumRows() != 6 || !strings.Contains(tbl.String(), baseline) {
+		t.Fatalf("table lacks %d rows or %q:\n%s", 6, baseline, tbl)
 	}
 }
 
@@ -136,11 +177,11 @@ func TestFig5Quick(t *testing.T) {
 		t.Fatalf("sets = %d", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		if r.LocalAUC < 50-1e-9 {
-			t.Fatalf("set %s AUC %v below 50", r.Labels[0], r.LocalAUC)
+		if auc := r.Values[MetricLocalAUC]; auc < 50-1e-9 {
+			t.Fatalf("set %s AUC %v below 50", r.Labels[0], auc)
 		}
-		if r.Accuracy < 0 || r.Accuracy > 100 {
-			t.Fatalf("set %s accuracy %v", r.Labels[0], r.Accuracy)
+		if acc := r.Values[MetricAccuracy]; acc < 0 || acc > 100 {
+			t.Fatalf("set %s accuracy %v", r.Labels[0], acc)
 		}
 	}
 }
@@ -156,13 +197,13 @@ func TestFig6QuickSubset(t *testing.T) {
 		t.Fatalf("unexpected shape: %+v", res)
 	}
 	none, dinarCell := res.Rows[0], res.Rows[1]
-	if none.Defense != "none" || dinarCell.Defense != "dinar" {
+	if none.Labels[1] != "none" || dinarCell.Labels[1] != "dinar" {
 		t.Fatal("cell order wrong")
 	}
 	// Even at quick scale, the undefended system must leak more than DINAR's
 	// uploads.
-	if none.LocalAUC <= dinarCell.LocalAUC {
-		t.Fatalf("none localAUC %v should exceed dinar %v", none.LocalAUC, dinarCell.LocalAUC)
+	if n, d := none.Values[MetricLocalAUC], dinarCell.Values[MetricLocalAUC]; n <= d {
+		t.Fatalf("none localAUC %v should exceed dinar %v", n, d)
 	}
 	// Figure 7 is another reading of the same federations: its rows are
 	// Figure 6's, not a second run's.
@@ -181,23 +222,48 @@ func TestFig6QuickSubset(t *testing.T) {
 func TestTable3Quick(t *testing.T) {
 	o := quick()
 	o.Records = 400
-	res, err := Table3(context.Background(), o, "purchase100", []string{"none", "dinar", "ldp"})
+	res, err := RunSweep(context.Background(), "table3", o, Axes{Dataset: "purchase100", Defenses: []string{"none", "dinar", "ldp"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if res.Rows[0].Defense != "none" || res.Rows[0].TrainOverheadPct != 0 {
+	trainOverhead := res.Sweep.Columns[1]
+	if res.Rows[0].Labels[0] != "none" || res.cell(res.Rows[0], trainOverhead) != 0.0 {
 		t.Fatalf("baseline row wrong: %+v", res.Rows[0])
 	}
 	for _, r := range res.Rows {
-		if r.ClientTrain <= 0 || r.ServerAgg <= 0 {
-			t.Fatalf("%s: zero cost measurements", r.Defense)
+		if r.Values[MetricClientTrain] <= 0 || r.Values[MetricServerAgg] <= 0 {
+			t.Fatalf("%s: zero cost measurements", r.Labels[0])
 		}
 	}
 	if res.Table().NumRows() != 3 {
 		t.Fatal("table rows mismatch")
+	}
+}
+
+// TestTable3OverheadIsOverNone: a row's overhead is over the "none" row
+// wherever that row sits, not over rows read before it.
+func TestTable3OverheadIsOverNone(t *testing.T) {
+	o := quick()
+	o.Records, o.Rounds, o.LocalEpochs = 300, 1, 1
+	res, err := RunSweep(context.Background(), "table3", o, Axes{Dataset: "purchase100", Defenses: []string{"dinar", "none"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dinar, none := res.Rows[0].Values, res.Rows[1].Values
+	for _, c := range res.Sweep.Columns {
+		if !c.Overhead {
+			continue
+		}
+		want := metrics.Overhead(time.Duration(dinar[c.Metric]), time.Duration(none[c.Metric]))
+		if got := res.cell(res.Rows[0], c); got != want || want == 0 {
+			t.Errorf("%s of dinar = %v, want %v over none", c.Header, got, want)
+		}
+		if got := res.cell(res.Rows[1], c); got != 0.0 {
+			t.Errorf("%s of none = %v, want 0", c.Header, got)
+		}
 	}
 }
 
@@ -263,8 +329,10 @@ func TestFig11Quick(t *testing.T) {
 }
 
 // TestSweepShape: at the paper's axes every registered sweep builds cases
-// whose label tuples are unique and as wide as its label headers, so its
-// rendered table has len(headers) cells in every row. Nothing trains.
+// whose label tuples are unique and no wider than its label headers, and its
+// rendered table — label cells padded to full width as a multi-row reading
+// fills them, pivoted where the sweep pivots — has as many cells in every row
+// as headers, under a title with no placeholder left. Nothing trains.
 func TestSweepShape(t *testing.T) {
 	for i := range Sweeps {
 		s := &Sweeps[i]
@@ -279,20 +347,28 @@ func TestSweepShape(t *testing.T) {
 		seen := map[string]bool{}
 		for _, c := range cases {
 			key := strings.Join(c.Labels, "|")
-			if len(c.Labels) != len(s.Labels) || seen[key] {
-				t.Errorf("%s: labels %q: want %d of them, unique", s.ID, c.Labels, len(s.Labels))
+			if len(c.Labels) > len(s.Labels) || seen[key] {
+				t.Errorf("%s: labels %q: want at most %d of them, unique", s.ID, c.Labels, len(s.Labels))
 			}
 			seen[key] = true
-			res.Rows = append(res.Rows, Row{Labels: c.Labels})
+			labels := slices.Clone(c.Labels)
+			for len(labels) < len(s.Labels) {
+				labels = append(labels, "0")
+			}
+			res.Rows = append(res.Rows, Row{Labels: labels})
+		}
+		lines := len(cases)
+		if s.Pivot {
+			lines /= len(s.Paper.Aggregators)
 		}
 		// Title, headers, rule, rows; cells are padded, so equal line lengths
 		// are equal cell counts.
-		lines := strings.Split(strings.TrimSuffix(res.Table().String(), "\n"), "\n")
-		if len(lines) != 3+len(cases) || strings.Contains(lines[0], "{dataset}") {
-			t.Fatalf("%s: rendered %d lines for %d cases under %q", s.ID, len(lines), len(cases), lines[0])
+		out := strings.Split(strings.TrimSuffix(res.Table().String(), "\n"), "\n")
+		if len(out) != 3+lines || strings.ContainsAny(out[0], "{}") {
+			t.Fatalf("%s: rendered %d lines for %d rows under %q", s.ID, len(out), lines, out[0])
 		}
-		for _, l := range lines[2:] {
-			if len(l) != len(lines[1]) {
+		for _, l := range out[2:] {
+			if len(l) != len(out[1]) {
 				t.Errorf("%s: row %q is not as wide as the headers", s.ID, l)
 			}
 		}
@@ -371,8 +447,8 @@ func TestAblationObfuscationQuick(t *testing.T) {
 		t.Fatalf("points = %d", len(res.Rows))
 	}
 	for _, p := range res.Rows {
-		if p.LocalAUC < 50-1e-9 {
-			t.Fatalf("%s AUC %v", p.Labels[0], p.LocalAUC)
+		if auc := p.Values[MetricLocalAUC]; auc < 50-1e-9 {
+			t.Fatalf("%s AUC %v", p.Labels[0], auc)
 		}
 	}
 	if res.Table().NumRows() != 2 {

@@ -1,11 +1,10 @@
 // Package experiment regenerates the tables and figures of the paper's
-// evaluation (§5) at a CPU-scaled configuration. Figures 5–11 and the two
-// ablations are one reading (Options.Measure) of one federation (RunFL)
-// re-run along a different axis: entries of Sweeps, run by RunSweep. Fig 1,
-// 3, 4, Table 1, Table 3 and the Byzantine matrix measure other things and
-// have a runner and a result type each. Every artifact returns structured
-// results (for tests and benchmarks) and a printable table with the rows the
-// paper reports; Registry lists them by ID.
+// evaluation (§5) at a CPU-scaled configuration. Every artifact but the
+// static Table 1 is one reading of one federation (RunFL) re-run along the
+// artifact's axes: an entry of Sweeps, run by RunSweep into rows and
+// rendered by SweepResult.Table. Figures 5–11 and the ablations read
+// Options.Measure; Fig 1, 3, 4, Table 3 and the Byzantine matrix name a
+// reading of their own. Registry lists them by ID.
 package experiment
 
 import (
@@ -117,15 +116,6 @@ func (o Options) Federation(dataset, defenseName string) (fl.Config, fl.Defense,
 	cfg := o.flConfig(dataset, fl.OptimizerFor(defenseName))
 	def, err := defense.New(defenseName, cfg.DefenseSeed(), cfg.Clients)
 	return cfg, def, err
-}
-
-// RunNamed is RunFL of that federation.
-func (o Options) RunNamed(ctx context.Context, dataset, defenseName string) (*FLRun, error) {
-	cfg, def, err := o.Federation(dataset, defenseName)
-	if err != nil {
-		return nil, err
-	}
-	return RunFL(ctx, cfg, def)
 }
 
 // FLRun bundles everything an experiment needs after federated training.
@@ -259,7 +249,7 @@ func LocalAUC(run *FLRun, atk Attacker) (float64, error) {
 // Measure reads a finished run the way every privacy/utility figure does:
 // the configured attack's AUC against the final global model and against the
 // uploaded local models, and the mean personalized accuracy, all in percent.
-func (o Options) Measure(run *FLRun) (*PrivacyCell, error) {
+func (o Options) Measure(run *FLRun) (map[Metric]float64, error) {
 	atk, err := o.NewAttacker(run)
 	if err != nil {
 		return nil, err
@@ -276,11 +266,10 @@ func (o Options) Measure(run *FLRun) (*PrivacyCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PrivacyCell{
-		Defense:   run.Sys.Defense.Name(),
-		GlobalAUC: pct(global),
-		LocalAUC:  pct(local),
-		Accuracy:  pct(acc),
+	return map[Metric]float64{
+		MetricGlobalAUC: pct(global),
+		MetricLocalAUC:  pct(local),
+		MetricAccuracy:  pct(acc),
 	}, nil
 }
 

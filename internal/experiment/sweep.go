@@ -8,59 +8,92 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/defense"
 	"repro/internal/fl"
 	"repro/internal/metrics"
 )
 
-// PrivacyCell is the paper's one reading of a finished federation (§5,
-// Appendix A), in percent.
-type PrivacyCell struct {
-	Defense string
-	// GlobalAUC and LocalAUC are attack AUCs against the global model and
-	// the clients' uploaded models.
-	GlobalAUC, LocalAUC float64
-	// Accuracy is the mean personalized-model test accuracy.
-	Accuracy float64
-}
-
-// Metric names one number of a PrivacyCell.
+// Metric names one number a reading measures.
 type Metric int
 
 const (
+	// MetricGlobalAUC and MetricLocalAUC are attack AUCs (%) against the
+	// global model and the clients' uploaded models (§5, Appendix A).
 	MetricGlobalAUC Metric = iota
 	MetricLocalAUC
+	// MetricAccuracy is the mean personalized-model test accuracy (%).
 	MetricAccuracy
+	// MetricJS is a Jensen–Shannon divergence between members and
+	// non-members: of one layer's gradients (Fig 1, Fig 4a) or of the losses
+	// (Fig 3).
+	MetricJS
+	// MetricMostSensitive is 1 on the layer of largest divergence, the one
+	// each client votes for (§4.1).
+	MetricMostSensitive
+	// MetricObfuscatedAUC is the local attack AUC (%) with this layer alone
+	// obfuscated (Fig 4b).
+	MetricObfuscatedAUC
+	// MetricMemberLoss and MetricNonMemberLoss are mean per-sample losses of
+	// the broadcast model (Fig 3).
+	MetricMemberLoss
+	MetricNonMemberLoss
+	// MetricClientTrain and MetricServerAgg are mean per-round durations in
+	// nanoseconds, printed as durations (Table 3).
+	MetricClientTrain
+	MetricServerAgg
+	// MetricDefenseKiB is the defense-attributed buffer memory;
+	// MetricPeakTrainMiB and MetricPeakAggMiB the heap-in-use peaks sampled
+	// during client training and server aggregation. The peaks are
+	// process-global (see metrics.CostMeter): upper bounds per phase, not
+	// per-client figures (Table 3).
+	MetricDefenseKiB
+	MetricPeakTrainMiB
+	MetricPeakAggMiB
+	// MetricGlobalAccuracy is the final global model's test accuracy (%).
+	MetricGlobalAccuracy
+	// MetricRejected, MetricQuarantined and MetricClipped total the update
+	// screen's verdicts across all rounds.
+	MetricRejected
+	MetricQuarantined
+	MetricClipped
+	// MetricFinite is 1 when every coordinate of the final global state is
+	// finite: no NaN or Inf reached aggregation.
+	MetricFinite
 )
-
-// Metric returns the named number.
-func (c PrivacyCell) Metric(m Metric) float64 {
-	return [...]float64{c.GlobalAUC, c.LocalAUC, c.Accuracy}[m]
-}
 
 // Column is one printed metric column of a sweep.
 type Column struct {
 	Header string
 	Metric Metric
+	// Mark, when set, is printed where the metric is nonzero, and nothing
+	// elsewhere.
+	Mark string
+	// Overhead prints the metric as its overhead (%) over the row labelled
+	// "none", the undefended baseline.
+	Overhead bool
 }
 
 var (
-	attackAUC = Column{"Attack AUC (%)", MetricLocalAUC}
-	accuracy  = Column{"Model accuracy (%)", MetricAccuracy}
+	attackAUC = Column{Header: "Attack AUC (%)", Metric: MetricLocalAUC}
+	accuracy  = Column{Header: "Model accuracy (%)", Metric: MetricAccuracy}
 )
 
 // Axes are the values a sweep runs along; a sweep reads only the fields it
 // varies, and Sweep.Paper holds the paper's.
 type Axes struct {
-	Dataset    string    // every sweep but Fig 6/7
-	Datasets   []string  // Fig 6/7
-	Defenses   []string  // Fig 6/7, Fig 8
-	Alphas     []float64 // Fig 8: Dirichlet concentrations, +Inf = IID
-	Clients    []int     // Fig 9
-	Budgets    []float64 // Fig 10: LDP ε
-	Optimizers []string  // Fig 11
+	Dataset     string           // every sweep but Fig 1, Fig 6/7
+	Datasets    []string         // Fig 1, Fig 6/7
+	Defenses    []string         // Fig 3, Fig 6/7, Table 3, Fig 8
+	Alphas      []float64        // Fig 8: Dirichlet concentrations, +Inf = IID
+	Clients     []int            // Fig 9
+	Budgets     []float64        // Fig 10: LDP ε
+	Optimizers  []string         // Fig 11
+	Attacks     []adversary.Kind // byzantine, after the benign baseline
+	Aggregators []string         // byzantine
 }
 
 // Case is one federation of a sweep: what its row is called, and what runs.
@@ -70,26 +103,35 @@ type Case struct {
 	Def    fl.Defense
 }
 
-// Row is one measured case.
+// Row is one printed line: its label cells, and what the reading measured,
+// of which the sweep's columns print some.
 type Row struct {
 	Labels []string
-	PrivacyCell
+	Values map[Metric]float64
 }
 
-// Sweep is one privacy/utility artifact of §5 as data: the same reading of
-// one federation re-run along the artifact's axes.
+// Sweep is one artifact of the evaluation as data: a reading of one
+// federation re-run along the artifact's axes.
 type Sweep struct {
 	ID string
-	// Title heads the table; "{dataset}" stands for Axes.Dataset.
-	Title string
+	// Title heads the table; "{dataset}" stands for Axes.Dataset and
+	// "{value}" for the first row's TitleValue, to one decimal.
+	Title      string
+	TitleValue Metric
 	// Labels are the headers of the label columns, Columns the metrics
 	// printed after them.
 	Labels  []string
 	Columns []Column
+	// Pivot spreads the last label into columns: one copy of Columns per
+	// value of it, each header prefixed by the value.
+	Pivot bool
 	// Paper is the axes the paper ran, and the registry runs.
 	Paper Axes
 	// Cases lists the federations in row order.
 	Cases func(o Options, ax Axes) ([]Case, error)
+	// Read measures one finished case into rows of len(Labels) labels; nil
+	// reads Options.Measure into one row under the case's labels.
+	Read func(o Options, c Case, run *FLRun) ([]Row, error)
 	// LossAttack pins the loss-threshold attacker at every scale.
 	LossAttack bool
 	// Memo, when set, keeps the measured rows under this name: sweeps that
@@ -98,8 +140,38 @@ type Sweep struct {
 	Memo string
 }
 
-// Sweeps are Figures 5–11 and the two ablations.
+// Sweeps are Figures 1 and 3–11, Table 3, the two ablations and the
+// Byzantine matrix.
 var Sweeps = []Sweep{{
+	ID:     "fig1",
+	Title:  "Figure 1: per-layer JS divergence, member vs non-member gradients (no defense)",
+	Labels: []string{"Dataset", "Layer"},
+	Columns: []Column{{Header: "JS divergence", Metric: MetricJS},
+		{Header: "Most sensitive", Metric: MetricMostSensitive, Mark: "<== obfuscation target"}},
+	Paper: Axes{Datasets: []string{"gtsrb", "celeba", "texas100", "purchase100"}},
+	Cases: fig1Cases,
+	Read:  readLeakage,
+}, {
+	ID:     "fig3",
+	Title:  "Figure 3: member vs non-member loss distributions — {dataset}",
+	Labels: []string{"Defense"},
+	Columns: []Column{{Header: "Mean loss (members)", Metric: MetricMemberLoss},
+		{Header: "Mean loss (non-members)", Metric: MetricNonMemberLoss},
+		{Header: "JS(member‖non-member)", Metric: MetricJS}},
+	Paper: Axes{Dataset: "cifar10", Defenses: []string{"none", "ldp", "cdp", "wdp", "dinar"}},
+	Cases: defenseCases,
+	Read:  readLosses,
+}, {
+	ID:         "fig4",
+	Title:      "Figure 4: per-layer analysis — {dataset} (no-defense local AUC {value}%)",
+	TitleValue: MetricLocalAUC,
+	Labels:     []string{"Layer"},
+	Columns: []Column{{Header: "(a) JS divergence", Metric: MetricJS},
+		{Header: "(b) attack AUC if obfuscated (%)", Metric: MetricObfuscatedAUC}},
+	Paper: Axes{Dataset: "celeba"},
+	Cases: fig4Cases,
+	Read:  readLayerProtection,
+}, {
 	ID:         "fig5",
 	Title:      "Figure 5: obfuscating more layers — {dataset}",
 	Labels:     []string{"Obfuscated layers"},
@@ -108,13 +180,14 @@ var Sweeps = []Sweep{{
 	Cases:      fig5Cases,
 	LossAttack: true,
 }, {
-	ID:      "fig6",
-	Title:   "Figure 6: attack AUC (%) per dataset and defense — optimum is 50%",
-	Labels:  []string{"Dataset", "Defense"},
-	Columns: []Column{{"Global model AUC", MetricGlobalAUC}, {"Local models AUC", MetricLocalAUC}},
-	Paper:   fig6Axes,
-	Cases:   fig6Cases,
-	Memo:    "fig6",
+	ID:     "fig6",
+	Title:  "Figure 6: attack AUC (%) per dataset and defense — optimum is 50%",
+	Labels: []string{"Dataset", "Defense"},
+	Columns: []Column{{Header: "Global model AUC", Metric: MetricGlobalAUC},
+		{Header: "Local models AUC", Metric: MetricLocalAUC}},
+	Paper: fig6Axes,
+	Cases: fig6Cases,
+	Memo:  "fig6",
 }, {
 	ID:      "fig7",
 	Title:   "Figure 7: privacy vs utility trade-off (local models) — best is bottom-right",
@@ -123,6 +196,20 @@ var Sweeps = []Sweep{{
 	Paper:   fig6Axes,
 	Cases:   fig6Cases,
 	Memo:    "fig6",
+}, {
+	ID:     "table3",
+	Title:  "Table 3: overhead of FL defense mechanisms vs baseline — {dataset}",
+	Labels: []string{"Defense"},
+	Columns: []Column{{Header: "Client train/round", Metric: MetricClientTrain},
+		{Header: "Train overhead (%)", Metric: MetricClientTrain, Overhead: true},
+		{Header: "Server agg", Metric: MetricServerAgg},
+		{Header: "Agg overhead (%)", Metric: MetricServerAgg, Overhead: true},
+		{Header: "Defense buffers (KiB)", Metric: MetricDefenseKiB},
+		{Header: "Peak train heap (MiB)", Metric: MetricPeakTrainMiB},
+		{Header: "Peak agg heap (MiB)", Metric: MetricPeakAggMiB}},
+	Paper: Axes{Dataset: "gtsrb", Defenses: []string{"none", "wdp", "ldp", "cdp", "gc", "sa", "dinar"}},
+	Cases: defenseCases,
+	Read:  readCosts,
 }, {
 	ID:      "fig8",
 	Title:   "Figure 8: privacy vs utility under non-IID settings — {dataset}",
@@ -166,6 +253,18 @@ var Sweeps = []Sweep{{
 	Columns: []Column{attackAUC, accuracy},
 	Paper:   Axes{Dataset: "purchase100"},
 	Cases:   robustCases,
+}, {
+	// Beyond the paper: every seeded poisoning strategy against every
+	// aggregation rule, behind the default update screen.
+	ID:      "byzantine",
+	Title:   "Byzantine robustness — {dataset}",
+	Labels:  []string{"Attack (f=3 of 10)", "Aggregator"},
+	Columns: []Column{{Header: "acc (%)", Metric: MetricGlobalAccuracy}},
+	Pivot:   true,
+	Paper: Axes{Dataset: "purchase100", Attacks: adversary.Kinds(),
+		Aggregators: []string{"fedavg", "krum", "multi-krum", "norm-bound"}},
+	Cases: byzantineCases,
+	Read:  readByzantine,
 }}
 
 // fig6Axes are the six datasets of the paper's Figure 6, in its order, under
@@ -182,6 +281,15 @@ type SweepResult struct {
 	Rows  []Row
 }
 
+// Series is the metric of every row, in row order.
+func (r *SweepResult) Series(m Metric) []float64 {
+	vs := make([]float64, len(r.Rows))
+	for i, row := range r.Rows {
+		vs[i] = row.Values[m]
+	}
+	return vs
+}
+
 // sweepMemo holds the rows of sweeps that name a Memo.
 var sweepMemo sync.Map // sweepKey -> []Row
 
@@ -191,8 +299,8 @@ type sweepKey struct {
 	axes string // fmt.Sprint of the Axes
 }
 
-// RunSweep trains and measures, in order, every case the sweep with the
-// given ID has along ax.
+// RunSweep trains and reads, in order, every case the sweep with the given
+// ID has along ax.
 func RunSweep(ctx context.Context, id string, o Options, ax Axes) (*SweepResult, error) {
 	i := slices.IndexFunc(Sweeps, func(s Sweep) bool { return s.ID == id })
 	if i < 0 {
@@ -215,16 +323,26 @@ func RunSweep(ctx context.Context, id string, o Options, ax Axes) (*SweepResult,
 	if len(cases) == 0 {
 		return nil, fmt.Errorf("experiment: %s has no case along %+v", id, ax)
 	}
-	for _, c := range cases {
+	read := s.Read
+	if read == nil {
+		read = measured
+	}
+	for i, c := range cases {
+		cases[i] = Case{} // a finished case's bound defense is garbage
 		run, err := RunFL(ctx, c.Cfg, c.Def)
 		if err != nil {
 			return nil, err
 		}
-		cell, err := o.Measure(run)
+		rows, err := read(o, c, run)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiment: %s %s: %w", id, strings.Join(c.Labels, "/"), err)
 		}
-		res.Rows = append(res.Rows, Row{Labels: c.Labels, PrivacyCell: *cell})
+		for _, row := range rows {
+			if len(row.Labels) != len(s.Labels) {
+				return nil, fmt.Errorf("experiment: %s read labels %q under headers %q", id, row.Labels, s.Labels)
+			}
+		}
+		res.Rows = append(res.Rows, rows...)
 	}
 	if s.Memo != "" {
 		sweepMemo.Store(key, res.Rows)
@@ -232,24 +350,90 @@ func RunSweep(ctx context.Context, id string, o Options, ax Axes) (*SweepResult,
 	return res, nil
 }
 
-// Table renders the rows: the label cells, then the sweep's metric columns.
+// measured is the reading of every privacy/utility figure: Options.Measure.
+func measured(o Options, c Case, run *FLRun) ([]Row, error) {
+	v, err := o.Measure(run)
+	return []Row{{Labels: c.Labels, Values: v}}, err
+}
+
+// Table renders the rows: the label cells, then the sweep's metric columns —
+// once per value of the last label when the sweep pivots.
 func (r *SweepResult) Table() *metrics.Table {
-	headers := append([]string(nil), r.Sweep.Labels...)
-	for _, c := range r.Sweep.Columns {
-		headers = append(headers, c.Header)
+	s := r.Sweep
+	labels, pivots := s.Labels, []string{""}
+	if s.Pivot {
+		labels, pivots = labels[:len(labels)-1], nil
+		for _, row := range r.Rows {
+			if p := row.Labels[len(labels)]; !slices.Contains(pivots, p) {
+				pivots = append(pivots, p)
+			}
+		}
 	}
-	t := metrics.NewTable(strings.ReplaceAll(r.Sweep.Title, "{dataset}", r.Axes.Dataset), headers...)
+	headers := slices.Clone(labels)
+	for _, p := range pivots {
+		for _, c := range s.Columns {
+			headers = append(headers, strings.TrimSpace(p+" "+c.Header))
+		}
+	}
+	var first Row
+	if len(r.Rows) > 0 {
+		first = r.Rows[0]
+	}
+	title := strings.NewReplacer("{dataset}", r.Axes.Dataset,
+		"{value}", fmt.Sprintf("%.1f", first.Values[s.TitleValue])).Replace(s.Title)
+	t := metrics.NewTable(title, headers...)
+
+	var lines [][]interface{}
+	line := map[string]int{} // pivot: the label cells -> index into lines
 	for _, row := range r.Rows {
-		cells := make([]interface{}, 0, len(headers))
-		for _, l := range row.Labels {
-			cells = append(cells, l)
+		at, col := len(lines), len(labels)
+		if s.Pivot {
+			key := strings.Join(row.Labels[:len(labels)], "\x00")
+			if i, ok := line[key]; ok {
+				at = i
+			}
+			line[key] = at
+			col += slices.Index(pivots, row.Labels[len(labels)]) * len(s.Columns)
 		}
-		for _, c := range r.Sweep.Columns {
-			cells = append(cells, row.Metric(c.Metric))
+		if at == len(lines) {
+			cells := make([]interface{}, len(headers))
+			for i := range cells {
+				cells[i] = ""
+			}
+			for i, l := range row.Labels[:len(labels)] {
+				cells[i] = l
+			}
+			lines = append(lines, cells)
 		}
+		for j, c := range s.Columns {
+			lines[at][col+j] = r.cell(row, c)
+		}
+	}
+	for _, cells := range lines {
 		t.AddRow(cells...)
 	}
 	return t
+}
+
+// cell is what column c prints for row.
+func (r *SweepResult) cell(row Row, c Column) interface{} {
+	v := row.Values[c.Metric]
+	switch {
+	case c.Mark != "":
+		if v == 0 {
+			return ""
+		}
+		return c.Mark
+	case c.Overhead:
+		i := slices.IndexFunc(r.Rows, func(b Row) bool { return b.Labels[0] == "none" })
+		if i < 0 {
+			return 0.0
+		}
+		return metrics.Overhead(time.Duration(v), time.Duration(r.Rows[i].Values[c.Metric]))
+	case c.Metric == MetricClientTrain || c.Metric == MetricServerAgg:
+		return time.Duration(v).Round(time.Microsecond)
+	}
+	return v
 }
 
 // named is the case every registry defense contributes: the federation
