@@ -50,6 +50,8 @@ type Result struct {
 	Iterations  int   `json:"iterations"`
 	// GOMAXPROCS is the CPU count the measurement ran at.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// ISA is the kernel tier the measurement ran at (tensor.KernelISA).
+	ISA string `json:"isa,omitempty"`
 	// Extra carries custom metrics published via b.ReportMetric (e.g. the
 	// wire bench's "bytes/round"). Omitted for benchmarks without any.
 	Extra map[string]float64 `json:"extra,omitempty"`
@@ -260,11 +262,29 @@ var suite = []suiteEntry{
 			}
 		}
 	}},
-	// The three entries below run the shapes the round benchmark's workloads
-	// run: FCNN6's first forward GEMM, and one client step of each model.
+	// The four entries below run the shapes the round benchmark's workloads
+	// run: FCNN6's first forward GEMM, one client step of each model, and
+	// the optimizer step inside FCNN6's.
 	{"matmul_transb_fcnn6", matMulTransB(64, 600, 512)},
 	{"fcnn6_train_step", func(b *testing.B) {
 		trainStep(b, model.FCNN6(600, 100, rand.New(rand.NewSource(91))), 100, 600)
+	}},
+	{"adagrad_step_fcnn6", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(95))
+		m := model.FCNN6(600, 100, rng)
+		for _, g := range m.Grads() {
+			for i, d := 0, g.Data(); i < len(d); i++ {
+				d[i] = rng.NormFloat64()
+			}
+		}
+		opt := optim.NewAdagrad(0.01)
+		params, grads := m.Params(), m.Grads()
+		opt.Step(params, grads)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			opt.Step(params, grads)
+		}
 	}},
 	{"vgg11_train_step", func(b *testing.B) {
 		m, err := model.VGG11(3, 16, 16, 32, rand.New(rand.NewSource(91)))
@@ -330,7 +350,7 @@ func RunOnly(only []string, logf func(format string, args ...any)) (Snapshot, er
 			entries = append(entries, e)
 		}
 	}
-	procs := runtime.GOMAXPROCS(0)
+	procs, isa := runtime.GOMAXPROCS(0), tensor.KernelISA()
 	results := make(map[string]Result, len(entries))
 	for _, e := range entries {
 		r := testing.Benchmark(e.fn)
@@ -343,6 +363,7 @@ func RunOnly(only []string, logf func(format string, args ...any)) (Snapshot, er
 			AllocsPerOp: r.AllocsPerOp(),
 			Iterations:  r.N,
 			GOMAXPROCS:  procs,
+			ISA:         isa,
 		}
 		if len(r.Extra) > 0 {
 			res.Extra = make(map[string]float64, len(r.Extra))

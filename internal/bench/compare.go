@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+
+	"repro/internal/tensor"
 )
 
 // DefaultCompareThreshold is the ns/op regression budget of the perf gate:
@@ -39,7 +41,7 @@ type CompareEntry struct {
 	BytesGrew bool
 	Regressed bool
 	// Skipped carries the reason an entry was not comparable (unknown to the
-	// current suite, or recorded at a different GOMAXPROCS).
+	// current suite, or recorded at a different GOMAXPROCS or kernel tier).
 	Skipped string
 }
 
@@ -148,7 +150,7 @@ func RunCompare(path string, threshold float64, logf func(format string, args ..
 	for _, e := range suite {
 		known[e.name] = true
 	}
-	procs := runtime.GOMAXPROCS(0)
+	procs, isa := runtime.GOMAXPROCS(0), tensor.KernelISA()
 	skip := make(map[string]string)
 	var names []string
 	for name, r := range f.Current.Results {
@@ -157,11 +159,17 @@ func RunCompare(path string, threshold float64, logf func(format string, args ..
 			skip[name] = "recorded benchmark unknown to this suite"
 		case r.GOMAXPROCS != 0 && r.GOMAXPROCS != procs:
 			skip[name] = fmt.Sprintf("recorded at GOMAXPROCS=%d, running at %d", r.GOMAXPROCS, procs)
+		case r.ISA != "" && r.ISA != isa:
+			skip[name] = fmt.Sprintf("recorded at kernel tier %s, running at %s", r.ISA, isa)
 		default:
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
+	if len(names) == 0 {
+		// RunOnly reads no names as the whole suite: measure nothing instead.
+		return compareResults(f.Current.Results, nil, threshold, skip), true, nil
+	}
 
 	snap, err := RunOnly(names, logf)
 	if err != nil {

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 func TestCompareResultsThreshold(t *testing.T) {
@@ -131,5 +133,27 @@ func TestRunCompareDoctoredBaseline(t *testing.T) {
 	}
 	if len(entries) != 1 || !entries[0].Regressed {
 		t.Fatalf("entries = %+v", entries)
+	}
+}
+
+// TestRunCompareSkipsOtherTier checks that an entry recorded at another
+// kernel tier is skipped, not gated, and that a file with nothing left to
+// compare measures nothing (RunOnly would read no names as the whole suite).
+func TestRunCompareSkipsOtherTier(t *testing.T) {
+	path := t.TempDir() + "/bench.json"
+	err := UpdateFile(path, func(f *File) {
+		f.Current = Snapshot{Results: map[string]Result{
+			"matmul": {NsPerOp: 1, ISA: "not-" + tensor.KernelISA(), Iterations: MinIterations},
+		}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, ok, err := RunCompare(path, 0.15, func(string, ...any) { t.Error("a benchmark ran") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok || len(entries) != 1 || !strings.Contains(entries[0].Skipped, "kernel tier") {
+		t.Fatalf("ok = %v, entries = %+v; want the one entry skipped for its tier", ok, entries)
 	}
 }

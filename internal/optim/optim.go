@@ -97,12 +97,9 @@ func (a *Adagrad) Step(params, grads []*tensor.Tensor) {
 		a.accum = makeState(params)
 	}
 	for i, p := range params {
-		pd, gd, acc := p.Data(), grads[i].Data(), a.accum[i]
-		for j := range pd {
-			g := gd[j]
-			acc[j] += g * g // G <- G + grad²  (Algorithm 1, line 13)
-			pd[j] -= a.LR * g / math.Sqrt(acc[j]+a.Eps)
-		}
+		// G <- G + grad² (Algorithm 1, line 13), then the scaled step, at
+		// the host's vector width.
+		tensor.AdagradStep(p.Data(), grads[i].Data(), a.accum[i], a.LR, a.Eps)
 	}
 }
 

@@ -9,17 +9,19 @@ import (
 // Cache-blocked SIMD GEMM.
 //
 // The three matmul entry points (MatMul, MatMulTransA, MatMulTransB) share
-// one blocked driver over the AVX2 micro kernels in gemm_amd64.s. The
-// vectorization axis is the output column dimension: a 4×8 register tile
-// holds one accumulator lane per output element and walks the full inner
-// dimension before a single store, so each element sees exactly the scalar
-// kernels' operation sequence — k-ascending accumulate, one mul rounding and
-// one add rounding per step, rows skipped when the A element is exactly zero.
-// That makes the SIMD results bit-identical to the naive kernels (property-
-// tested and fuzzed in blocked_test.go), which keeps every seeded experiment
-// output unchanged.
+// one blocked driver over the micro kernels of the host's widest tier (see
+// isa.go): 4×8 AVX2 tiles (gemm_amd64.s) or 8×8 AVX-512 tiles
+// (gemm512_amd64.s). The vectorization axis is the output column dimension:
+// a register tile holds one accumulator lane per output element and walks
+// the full inner dimension before a single store, so each element sees
+// exactly the scalar kernels' operation sequence — k-ascending accumulate,
+// one mul rounding and one add rounding per step, rows skipped when the A
+// element is exactly zero. That makes every tier's results bit-identical to
+// the naive kernels (property-tested and fuzzed per tier in blocked_test.go),
+// which keeps every seeded experiment output unchanged.
 //
-// Layout handling:
+// Layout handling (AVX2 kernel names; the AVX-512 tier has the same two,
+// gemmNN8x8z and gemmTA8x8z, plus 4-row variants for a leftover strip):
 //
 //	layout             A                   B                    kernel
 //	NN (MatMul)        m×k, in place       k×n, in place        gemmNN4x8, ldb = n
@@ -30,12 +32,13 @@ import (
 // it is packed once per multiply into ⌈n/8⌉ pooled column panels, each k×8
 // contiguous (panel q holds columns 8q…8q+7, row p at offset 8p) and
 // zero-padded past column n, shared read-only by all workers. The kernel
-// then walks a panel at a 64-byte stride whatever n is, and a ragged last
-// panel still runs through it — into a 4×8 stack tile whose valid columns
-// are copied out — instead of through the scalar edge code. A is read in
-// place in every layout (packing it costs more than it saves at the dense
-// and im2col shapes the models run), and so is a row-major B, whose ragged
-// last columns cannot be over-read and stay on the scalar edge kernel.
+// then walks a panel at a 64-byte stride whatever n is. A ragged last column
+// block runs through the kernel as well: on AVX-512 under a lane mask, in
+// place or packed; on AVX2 only when packed, into a 4×8 stack tile whose
+// valid columns are copied out, while an in-place B's ragged columns, which
+// cannot be over-read, take the scalar edge kernel. A is read in place in
+// every layout (packing it costs more than it saves at the dense and im2col
+// shapes the models run).
 //
 // KC is the full inner dimension: a tile's accumulators live in registers
 // from the first k step to the last and are stored once. MC and NC block
@@ -44,15 +47,16 @@ import (
 // BenchmarkGEMMBlockSweep measurements, not guesses (see README
 // "Performance").
 //
-// Work splits across the compute pool by output rows with the same
+// Work splits across the compute pool by 4-row strips with the same
 // deterministic grain as the naive kernels, and every output element is
 // computed wholly inside one chunk, so worker count cannot move results.
 
 const (
-	// gemmMR × gemmNR is the register tile: 4 rows × 8 columns uses eight
-	// YMM accumulators, two B-row vectors, one broadcast and two product
-	// temporaries — 13 of the 16 YMM registers, leaving the runtime's
-	// reserved registers untouched.
+	// gemmMR × gemmNR is the AVX2 register tile: 4 rows × 8 columns uses
+	// eight YMM accumulators, two B-row vectors, one broadcast and two
+	// product temporaries — 13 of the 16 YMM registers, leaving the runtime's
+	// reserved registers untouched. The AVX-512 tile is 2·gemmMR rows of one
+	// ZMM each.
 	gemmMR = 4
 	gemmNR = 8
 )
@@ -71,7 +75,7 @@ var (
 // useBlockedGEMM reports whether a multiply of the given volume dispatches
 // to the blocked SIMD path.
 func useBlockedGEMM(m, k, n int) bool {
-	return haveAVX2 && m*k*n >= gemmMinVolume
+	return kernelISA >= isaAVX2 && m*k*n >= gemmMinVolume
 }
 
 // packBuf is a grow-only packing buffer recycled through a sync.Pool, so
@@ -96,7 +100,7 @@ func putPackBuf(pb *packBuf) { packBufPool.Put(pb) }
 // case); bTrans marks b as storing Bᵀ row-major (n×k, the MatMulTransB
 // case).
 func gemmBlocked(out, a, b []float64, m, k, n int, aTrans, bTrans bool) {
-	if !haveAVX2 {
+	if kernelISA < isaAVX2 {
 		// Test-only path on machines without the micro kernels: fall back to
 		// the serial naive kernels (production dispatch never gets here).
 		switch {
@@ -121,13 +125,16 @@ func gemmBlocked(out, a, b []float64, m, k, n int, aTrans, bTrans bool) {
 		b = bp.d
 		nc = roundUpNR(nc) // column blocks must not cut a panel
 	}
-	g := parallel.Grain(k * n)
-	if parallel.Chunks(m, g) <= 1 {
+	// The pool splits whole 4-row strips, so no chunk boundary sends rows
+	// to the scalar edge kernel.
+	strips := (m + gemmMR - 1) / gemmMR
+	g := parallel.Grain(gemmMR * k * n)
+	if parallel.Chunks(strips, g) <= 1 {
 		gemmRowsSIMD(out, a, b, 0, m, k, n, lda, aTrans, bTrans, mc, nc)
 	} else {
 		bd := b
-		parallel.For(m, g, func(lo, hi int) {
-			gemmRowsSIMD(out, a, bd, lo, hi, k, n, lda, aTrans, bTrans, mc, nc)
+		parallel.For(strips, g, func(lo, hi int) {
+			gemmRowsSIMD(out, a, bd, lo*gemmMR, min(hi*gemmMR, m), k, n, lda, aTrans, bTrans, mc, nc)
 		})
 	}
 	if bp != nil {
@@ -170,8 +177,10 @@ func packTransB(dst, bt []float64, n, k int) {
 // cache-resident across the block's rows. The B tile for columns [j, j+8) is
 // b[j:] at row stride n in place and panel b[j*k:] at row stride 8 when
 // bPacked. Ragged borders compute the identical per-element operation
-// sequence: a packed B's last panel through the kernel into a stack tile,
-// everything else through the scalar edge kernel.
+// sequence: on AVX-512 every column through a masked kernel, on AVX2 a
+// packed B's last panel through the kernel into a stack tile; the rows
+// neither tier's tiles cover, and on AVX2 an in-place B's ragged columns,
+// through the scalar edge kernel.
 func gemmRowsSIMD(out, a, b []float64, lo, hi, k, n, lda int, aTrans, bPacked bool, mc, nc int) {
 	bStep, ldb := 1, n
 	if bPacked {
@@ -183,6 +192,9 @@ func gemmRowsSIMD(out, a, b []float64, lo, hi, k, n, lda int, aTrans, bPacked bo
 		for jc := 0; jc < n; jc += nc {
 			jhi := min(jc+nc, n)
 			i := ic
+			if kernelISA >= isaAVX512 {
+				i = gemmRows512(out, n, a, lda, aTrans, b, ldb, bStep, ic, ihi, jc, jhi, k)
+			}
 			for ; i+gemmMR <= ihi; i += gemmMR {
 				j := jc
 				for ; j+gemmNR <= jhi; j += gemmNR {
@@ -212,6 +224,41 @@ func gemmRowsSIMD(out, a, b []float64, lo, hi, k, n, lda int, aTrans, bPacked bo
 			}
 		}
 	}
+}
+
+// gemmRows512 computes output rows [i0, i1) × columns [j0, j1) on the
+// AVX-512 kernels, 8×8 tiles and then one 4×8 tile, and returns the first
+// row it left (fewer than four remain). Each tile's column mask covers
+// min(8, j1−j) columns, so a ragged column block needs no edge code. c is
+// the output at row stride ldc; a and b are laid out as in gemmRowsSIMD,
+// with B's column j at b[j*bStep].
+func gemmRows512(c []float64, ldc int, a []float64, lda int, aTrans bool, b []float64, ldb, bStep, i0, i1, j0, j1, k int) int {
+	i := i0
+	for i+gemmMR <= i1 {
+		rows, ai := gemmMR, i*lda
+		if i+2*gemmMR <= i1 {
+			rows = 2 * gemmMR
+		}
+		if aTrans {
+			ai = i
+		}
+		for j := j0; j < j1; j += gemmNR {
+			ct, at, bt := &c[i*ldc+j], &a[ai], &b[j*bStep]
+			mask := uint64(1)<<min(j1-j, gemmNR) - 1
+			switch {
+			case aTrans && rows == gemmMR:
+				gemmTA4x8z(ct, at, bt, k, lda, ldb, ldc, mask)
+			case aTrans:
+				gemmTA8x8z(ct, at, bt, k, lda, ldb, ldc, mask)
+			case rows == gemmMR:
+				gemmNN4x8z(ct, at, bt, k, lda, ldb, ldc, mask)
+			default:
+				gemmNN8x8z(ct, at, bt, k, lda, ldb, ldc, mask)
+			}
+		}
+		i += rows
+	}
+	return i
 }
 
 // gemmScalarTile computes the ragged border tile [i0,i1)×[j0,j1) with plain
@@ -257,11 +304,14 @@ func gemmScalarTile(out, a, b []float64, i0, i1, j0, j1, k, n, lda, ldb int, aTr
 // direct convolution path uses it to multiply gathered window panels against
 // packed weights without materializing an im2col matrix.
 func GEMMPanel(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, k, n int) {
-	if !haveAVX2 {
+	if kernelISA < isaAVX2 {
 		gemmScalarPanel(c, ldc, a, lda, b, ldb, 0, m, 0, n, k)
 		return
 	}
 	i := 0
+	if kernelISA >= isaAVX512 {
+		i = gemmRows512(c, ldc, a, lda, false, b, ldb, 1, 0, m, 0, n, k)
+	}
 	for ; i+gemmMR <= m; i += gemmMR {
 		j := 0
 		for ; j+gemmNR <= n; j += gemmNR {

@@ -16,6 +16,33 @@ func restoreGEMM(t testing.TB) {
 	t.Cleanup(func() { gemmMC, gemmNC, gemmMinVolume = mc, nc, mv })
 }
 
+// restoreISA resets the kernel tier after a test that lowers it.
+func restoreISA(t testing.TB) {
+	t.Helper()
+	prev := kernelISA
+	t.Cleanup(func() { kernelISA = prev })
+}
+
+// hostTiers lists every kernel tier this host can run, scalar first.
+func hostTiers() []isa {
+	var tiers []isa
+	for tier := isaScalar; tier <= hostISA; tier++ {
+		tiers = append(tiers, tier)
+	}
+	return tiers
+}
+
+// forEachTier runs f once per tier the host can run, with the kernels
+// dispatching to that tier, so each SIMD tier is held to the scalar code.
+func forEachTier(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	restoreISA(t)
+	for _, tier := range hostTiers() {
+		kernelISA = tier
+		t.Run(isaNames[tier], f)
+	}
+}
+
 // naiveGEMM computes the reference result with the original row kernels,
 // serially, for the given layout ("nn", "ta", "tb").
 func naiveGEMM(out, a, b []float64, m, k, n int, layout string) {
@@ -61,6 +88,18 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 
 var gemmLayouts = []string{"nn", "ta", "tb"}
 
+// matMulLayout runs the production dispatch for a layout.
+func matMulLayout(out, a, b []float64, m, k, n int, layout string) {
+	switch layout {
+	case "nn":
+		matMulInto(out, a, b, m, k, n)
+	case "ta":
+		matMulTransAInto(out, a, b, m, k, n)
+	case "tb":
+		matMulTransBInto(out, a, b, m, k, n)
+	}
+}
+
 func runBlocked(out, a, b []float64, m, k, n int, layout string) {
 	switch layout {
 	case "nn":
@@ -87,13 +126,18 @@ func compareBits(t *testing.T, name string, m, k, n int, got, want []float64) {
 // TestBlockedGEMMBitIdenticalEdgeShapes pits the blocked kernels against the
 // naive reference on every combination of the register-tile edge sizes
 // (1, MR−1, MR, MR+1) and primes that leave ragged panels at every blocking
-// level, for all three layouts. Results must be bit-identical: the blocked
-// path reorders loops and packs panels but never regroups an element's
-// k-ascending accumulation.
+// level, for all three layouts and every kernel tier (the AVX-512 tile is
+// 2·MR rows, so 7, 9 and 13 leave it ragged too). Results must be
+// bit-identical: the blocked path reorders loops and packs panels but never
+// regroups an element's k-ascending accumulation.
 func TestBlockedGEMMBitIdenticalEdgeShapes(t *testing.T) {
 	restoreGEMM(t)
 	gemmMinVolume = 1 // every shape takes the blocked path
-	dims := []int{1, gemmMR - 1, gemmMR, gemmMR + 1, 7, 13, 31, 97}
+	forEachTier(t, testBlockedGEMMEdgeShapes)
+}
+
+func testBlockedGEMMEdgeShapes(t *testing.T) {
+	dims := []int{1, gemmMR - 1, gemmMR, gemmMR + 1, 7, 9, 13, 31, 97}
 	rng := rand.New(rand.NewSource(23))
 	for _, m := range dims {
 		for _, k := range dims {
@@ -121,6 +165,10 @@ func TestBlockedGEMMBitIdenticalEdgeShapes(t *testing.T) {
 func TestBlockedGEMMBitIdenticalBlockParams(t *testing.T) {
 	restoreGEMM(t)
 	gemmMinVolume = 1
+	forEachTier(t, testBlockedGEMMBlockParams)
+}
+
+func testBlockedGEMMBlockParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	params := []struct{ mc, nc int }{
 		{gemmMR, gemmNR}, // minimum legal blocks: one tile each
@@ -151,6 +199,10 @@ func TestBlockedGEMMBitIdenticalBlockParams(t *testing.T) {
 func TestBlockedGEMMBitIdenticalNonFinite(t *testing.T) {
 	restoreGEMM(t)
 	gemmMinVolume = 1
+	forEachTier(t, testBlockedGEMMNonFinite)
+}
+
+func testBlockedGEMMNonFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const m, k, n = 9, 11, 10
 	for _, layout := range gemmLayouts {
@@ -168,6 +220,57 @@ func TestBlockedGEMMBitIdenticalNonFinite(t *testing.T) {
 	}
 }
 
+// TestBlockedGEMMSignedZeros pins the argument the AVX-512 kernels rest on:
+// with B finite they add the products of ±0 A elements instead of skipping
+// them, which is invisible only because an accumulator never holds −0. A is
+// all ±0 except one column whose products cancel exactly, and B is finite
+// with both signs, so every output is a sum that is zero; each must come out
+// +0, as the naive kernels' skipping gives it.
+func TestBlockedGEMMSignedZeros(t *testing.T) {
+	restoreGEMM(t)
+	gemmMinVolume = 1
+	forEachTier(t, func(t *testing.T) {
+		const m, k, n = 13, 6, 11
+		for _, layout := range gemmLayouts {
+			a, b := gemmOperands(rand.New(rand.NewSource(71)), m, k, n, layout)
+			for i := range a {
+				a[i] = math.Copysign(0, float64(i%2)-0.5)
+			}
+			for i := range b {
+				b[i] = -math.Abs(b[i]) - 1
+			}
+			// A[r][0] = A[r][1] = 1 and B[1][j] = −B[0][j]: an exact
+			// cancellation first, then only ±0 products.
+			for r := 0; r < m; r++ {
+				for p := 0; p < 2; p++ {
+					if layout == "ta" {
+						a[p*m+r] = 1
+					} else {
+						a[r*k+p] = 1
+					}
+				}
+			}
+			for j := 0; j < n; j++ {
+				if layout == "tb" {
+					b[j*k+1] = -b[j*k]
+				} else {
+					b[n+j] = -b[j]
+				}
+			}
+			want := make([]float64, m*n)
+			naiveGEMM(want, a, b, m, k, n, layout)
+			got := make([]float64, m*n)
+			runBlocked(got, a, b, m, k, n, layout)
+			compareBits(t, layout, m, k, n, got, want)
+			for i, v := range got {
+				if math.Float64bits(v) != 0 {
+					t.Fatalf("%s: out[%d] = %v, want +0", layout, i, v)
+				}
+			}
+		}
+	})
+}
+
 // TestBlockedGEMMPoolParallelBitIdentical checks that the blocked path, like
 // the naive kernels, is bit-identical between a serial pool and any worker
 // count: chunk boundaries are deterministic and every output element is
@@ -177,6 +280,10 @@ func TestBlockedGEMMPoolParallelBitIdentical(t *testing.T) {
 	restorePool(t)
 	gemmMinVolume = 1
 	parallel.SetMinWork(64) // force parallel paths on small shapes
+	forEachTier(t, testBlockedGEMMPoolParallel)
+}
+
+func testBlockedGEMMPoolParallel(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{3, 200, 1},
 		{7, 11, 13},
@@ -236,6 +343,10 @@ func TestPackedTransBBitIdentical(t *testing.T) {
 	restorePool(t)
 	gemmMinVolume = 1
 	parallel.SetMinWork(64)
+	forEachTier(t, testPackedTransB)
+}
+
+func testPackedTransB(t *testing.T) {
 	// The planted NaN is the one the hardware generates for Inf×0 and
 	// Inf−Inf: where two NaNs meet in one sum, which payload survives depends
 	// on the operand order the compiler picked for the reference's add.
@@ -329,18 +440,20 @@ func TestBlockedGEMMAllocFree(t *testing.T) {
 		{"tb", func() { gemmBlocked(out, a, bt, m, k, n, false, true) }},
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, r := range runs {
-		r.f() // warm the pack-buffer pool
-		if avg := testing.AllocsPerRun(20, r.f); avg != 0 {
-			t.Errorf("%s: %v allocs/op in steady state, want 0", r.name, avg)
+	forEachTier(t, func(t *testing.T) {
+		for _, r := range runs {
+			r.f() // warm the pack-buffer pool
+			if avg := testing.AllocsPerRun(20, r.f); avg != 0 {
+				t.Errorf("%s: %v allocs/op in steady state, want 0", r.name, avg)
+			}
 		}
-	}
+	})
 }
 
 // FuzzBlockedGEMM fuzzes the shape dispatch: arbitrary (m, k, n, layout,
-// seed) must produce bit-identical results between the blocked path and the
-// naive reference, including shapes that straddle the volume threshold and
-// leave ragged panels everywhere.
+// seed) must produce bit-identical results between the blocked path, on
+// every tier the host runs, and the naive reference, including shapes that
+// straddle the volume threshold and leave ragged panels everywhere.
 func FuzzBlockedGEMM(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(1))
 	f.Add(uint8(4), uint8(4), uint8(4), uint8(1), int64(2))
@@ -362,12 +475,62 @@ func FuzzBlockedGEMM(f *testing.F) {
 		a, b := gemmOperands(rng, m, k, n, layout)
 		want := make([]float64, m*n)
 		naiveGEMM(want, a, b, m, k, n, layout)
-		got := make([]float64, m*n)
-		runBlocked(got, a, b, m, k, n, layout)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s %dx%dx%d seed %d: out[%d] = %v, naive %v",
-					layout, m, k, n, seed, i, got[i], want[i])
+		restoreISA(t)
+		for _, tier := range hostTiers() {
+			kernelISA = tier
+			got := make([]float64, m*n)
+			runBlocked(got, a, b, m, k, n, layout)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %s %dx%dx%d seed %d: out[%d] = %v, naive %v",
+						isaNames[tier], layout, m, k, n, seed, i, got[i], want[i])
+				}
+			}
+		}
+	})
+}
+
+// TestGEMMPanelBitIdentical holds GEMMPanel, on every tier, to the naive
+// kernel at explicit strides wider than the panel (the direct convolution's
+// window panels), with ragged rows and columns for both tile heights and a
+// zero, NaN and ±Inf planted in each operand.
+func TestGEMMPanelBitIdentical(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(67))
+		for _, m := range []int{1, 3, 4, 7, 8, 12, 13} {
+			for _, k := range []int{1, 9, 27} {
+				for _, n := range []int{1, 5, 8, 11, 16, 27} {
+					lda, ldb, ldc := k+3, n+2, n+5
+					a, b := randSlice(rng, m*lda), randSlice(rng, k*ldb)
+					// The hardware's own NaN, as in TestPackedTransBBitIdentical.
+					for i, v := range []float64{0, math.Float64frombits(0xfff8 << 48), math.Inf(1), math.Inf(-1)} {
+						a[(i*5+m)%len(a)] = v
+						b[(i*3+n)%len(b)] = v
+					}
+					// The reference: the naive kernel on dense copies.
+					ad, bd := make([]float64, m*k), make([]float64, k*n)
+					for i := 0; i < m; i++ {
+						copy(ad[i*k:(i+1)*k], a[i*lda:])
+					}
+					for p := 0; p < k; p++ {
+						copy(bd[p*n:(p+1)*n], b[p*ldb:])
+					}
+					want := make([]float64, m*n)
+					matMulRows(want, ad, bd, 0, m, k, n)
+					c := make([]float64, m*ldc)
+					for i := range c {
+						c[i] = 99
+					}
+					GEMMPanel(c, ldc, a, lda, b, ldb, m, k, n)
+					for i := 0; i < m; i++ {
+						compareBits(t, "panel", m, k, n, c[i*ldc:i*ldc+n], want[i*n:(i+1)*n])
+						for j := n; j < ldc; j++ {
+							if c[i*ldc+j] != 99 {
+								t.Fatalf("panel %dx%dx%d: wrote c[%d][%d] past the panel", m, k, n, i, j)
+							}
+						}
+					}
+				}
 			}
 		}
 	})

@@ -50,10 +50,16 @@ func BenchmarkGEMMBlockSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMMNaiveVsBlocked reports the naive row kernels next to the
-// blocked path at the tracked shapes, for the README speedup table.
-func BenchmarkGEMMNaiveVsBlocked(b *testing.B) {
+// BenchmarkGEMMTiers times every kernel tier the host runs (scalar is the
+// naive row kernels) at the tracked shapes and at the products one training
+// step of each model spends its GEMM time in: FCNN6's first forward, its
+// largest weight gradient and input gradient, and VGG11's first conv weight
+// gradient, whose 4 output rows and 27 columns are all border. Run it with
+//
+//	go test ./internal/tensor -run xxx -bench GEMMTiers -cpu 1
+func BenchmarkGEMMTiers(b *testing.B) {
 	restoreGEMM(b)
+	restoreISA(b)
 	shapes := []struct {
 		name    string
 		m, k, n int
@@ -63,23 +69,23 @@ func BenchmarkGEMMNaiveVsBlocked(b *testing.B) {
 		{"transa_256x128x64", 256, 128, 64, "ta"},
 		{"transb_256x128x64", 256, 128, 64, "tb"},
 		{"conv2d_gemm_2048x72x16", 2048, 72, 16, "tb"},
+		{"fcnn6_fwd_64x600x512", 64, 600, 512, "tb"},
+		{"fcnn6_gw_512x64x600", 512, 64, 600, "ta"},
+		{"fcnn6_gradin_64x512x256", 64, 512, 256, "nn"},
+		{"vgg11_conv1_gw_4x16384x27", 4, 16384, 27, "ta"},
 	}
 	rng := rand.New(rand.NewSource(53))
 	for _, s := range shapes {
 		a, bb := gemmOperands(rng, s.m, s.k, s.n, s.layout)
 		out := make([]float64, s.m*s.n)
-		b.Run(s.name+"/naive", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				naiveGEMM(out, a, bb, s.m, s.k, s.n, s.layout)
-			}
-		})
-		b.Run(s.name+"/blocked", func(b *testing.B) {
-			gemmMinVolume = 1
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runBlocked(out, a, bb, s.m, s.k, s.n, s.layout)
-			}
-		})
+		for _, tier := range hostTiers() {
+			b.Run(s.name+"/"+isaNames[tier], func(b *testing.B) {
+				kernelISA, gemmMinVolume = tier, 1
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					matMulLayout(out, a, bb, s.m, s.k, s.n, s.layout)
+				}
+			})
+		}
 	}
 }

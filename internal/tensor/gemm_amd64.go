@@ -1,7 +1,8 @@
 package tensor
 
-// AVX2 micro-kernel bindings. See gemm_amd64.s for the bit-identity
-// contract; blocked.go drives these per 4×8 output tile.
+// Micro-kernel bindings: the AVX2 tier in gemm_amd64.s, the AVX-512 tier in
+// gemm512_amd64.s and the Adagrad steps in adagrad_amd64.s. Each file states
+// its bit-identity contract; blocked.go and adagrad.go drive them.
 
 //go:noescape
 func gemmNN4x8(c, a, b *float64, k, lda, ldb, ldc int)
@@ -9,27 +10,52 @@ func gemmNN4x8(c, a, b *float64, k, lda, ldb, ldc int)
 //go:noescape
 func gemmTA4x8(c, a, b *float64, k, lda, ldb, ldc int)
 
+//go:noescape
+func gemmNN8x8z(c, a, b *float64, k, lda, ldb, ldc int, mask uint64)
+
+//go:noescape
+func gemmNN4x8z(c, a, b *float64, k, lda, ldb, ldc int, mask uint64)
+
+//go:noescape
+func gemmTA8x8z(c, a, b *float64, k, lda, ldb, ldc int, mask uint64)
+
+//go:noescape
+func gemmTA4x8z(c, a, b *float64, k, lda, ldb, ldc int, mask uint64)
+
+//go:noescape
+func adagradAVX512(p, grad, acc *float64, n int, lr, eps float64)
+
+//go:noescape
+func adagradAVX2(p, grad, acc *float64, n int, lr, eps float64)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// haveAVX2 gates the blocked-GEMM fast path: the micro kernels need AVX2 and
-// an OS that saves YMM state across context switches.
-var haveAVX2 = detectAVX2()
+var hostISA = detectISA()
 
-func detectAVX2() bool {
+// detectISA returns the widest tier the CPU and the OS both support: AVX2
+// needs the YMM state saved across context switches, AVX-512 (foundation
+// and DQ, for VFPCLASSPD) the opmask and both halves of the ZMM state as
+// well.
+func detectISA() isa {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false
+		return isaScalar
 	}
 	_, _, c1, _ := cpuid(1, 0)
 	const osxsaveAndAVX = 1<<27 | 1<<28
 	if c1&osxsaveAndAVX != osxsaveAndAVX {
-		return false
+		return isaScalar
 	}
-	if eax, _ := xgetbv(); eax&6 != 6 { // XMM and YMM state enabled in XCR0
-		return false
-	}
+	xcr0, _ := xgetbv()
 	_, b7, _, _ := cpuid(7, 0)
-	return b7&(1<<5) != 0 // AVX2
+	const xmmYMM, opmaskZMM = 1<<1 | 1<<2, 1<<5 | 1<<6 | 1<<7
+	switch {
+	case xcr0&xmmYMM != xmmYMM || b7&(1<<5) == 0: // AVX2
+		return isaScalar
+	case xcr0&opmaskZMM != opmaskZMM || b7&(1<<16|1<<17) != 1<<16|1<<17: // AVX512F, AVX512DQ
+		return isaAVX2
+	}
+	return isaAVX512
 }
