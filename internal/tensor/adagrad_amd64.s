@@ -1,4 +1,4 @@
-// Vector Adagrad steps (see AdagradStep in adagrad.go).
+// Vector Adagrad step (see AdagradStep in adagrad.go).
 //
 // Bit-identity contract: each element is one lane and goes through the
 // scalar loop's operations in its order, each rounded once — G = g·g + G,
@@ -6,44 +6,13 @@
 // compiler emits for the scalar loop (the first source of each add and
 // multiply is the one the scalar code keeps in its register), so even a
 // NaN's payload comes out the same. VSQRTPD and VDIVPD are correctly
-// rounded like SQRTSD and DIVSD. The kernels cover n elements, a multiple
-// of the vector width; the caller runs the tail.
+// rounded like SQRTSD and DIVSD. The kernel covers n elements, a multiple
+// of 4; the caller runs the tail. It stays in YMM on AVX-512 hosts too: the
+// step is bound by VSQRTPD/VDIVPD throughput, which ZMM lanes do not raise.
 //
-// Registers: Z0/Y0 g, Z1/Y1 G, Z2/Y2 √(G + eps), Z3/Y3 the step, Z4/Y4 p,
-// Z6/Y6 lr, Z7/Y7 eps.
+// Registers: Y0 g, Y1 G, Y2 √(G + eps), Y3 the step, Y4 p, Y6 lr, Y7 eps.
 
 #include "textflag.h"
-
-// func adagradAVX512(p, grad, acc *float64, n int, lr, eps float64)
-TEXT ·adagradAVX512(SB), NOSPLIT, $0-48
-	MOVQ p+0(FP), DI
-	MOVQ grad+8(FP), SI
-	MOVQ acc+16(FP), DX
-	MOVQ n+24(FP), CX
-	VBROADCASTSD lr+32(FP), Z6
-	VBROADCASTSD eps+40(FP), Z7
-	SHRQ $3, CX
-	JZ   z512done
-z512loop:
-	VMOVUPD (SI), Z0
-	VMULPD  Z0, Z0, Z1
-	VADDPD  (DX), Z1, Z1
-	VMOVUPD Z1, (DX)
-	VADDPD  Z7, Z1, Z2
-	VSQRTPD Z2, Z2
-	VMULPD  Z0, Z6, Z3
-	VDIVPD  Z2, Z3, Z3
-	VMOVUPD (DI), Z4
-	VSUBPD  Z3, Z4, Z4
-	VMOVUPD Z4, (DI)
-	ADDQ $64, SI
-	ADDQ $64, DX
-	ADDQ $64, DI
-	DECQ CX
-	JNZ  z512loop
-z512done:
-	VZEROUPPER
-	RET
 
 // func adagradAVX2(p, grad, acc *float64, n int, lr, eps float64)
 TEXT ·adagradAVX2(SB), NOSPLIT, $0-48

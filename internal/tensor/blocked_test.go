@@ -218,6 +218,32 @@ func testBlockedGEMMNonFinite(t *testing.T) {
 		runBlocked(got, a, b, m, k, n, layout)
 		compareBits(t, layout, m, k, n, got, want)
 	}
+	// Two NaNs with different payloads meet in one product: math.NaN() in
+	// A, the hardware's NaN in B. x86 returns the first source's NaN, so
+	// every tier must take B first, as the compiled scalar av*bv does, in a
+	// kernel tile (row 0) and in the edge rows (row m−1) alike.
+	hwNaN := math.Float64frombits(0xfff8 << 48)
+	for _, layout := range gemmLayouts {
+		a, b := gemmOperands(rng, m, k, n, layout)
+		const p, j = 2, 3
+		for _, r := range []int{0, m - 1} {
+			if layout == "ta" {
+				a[p*m+r] = math.NaN()
+			} else {
+				a[r*k+p] = math.NaN()
+			}
+		}
+		if layout == "tb" {
+			b[j*k+p] = hwNaN
+		} else {
+			b[p*n+j] = hwNaN
+		}
+		want := make([]float64, m*n)
+		naiveGEMM(want, a, b, m, k, n, layout)
+		got := make([]float64, m*n)
+		runBlocked(got, a, b, m, k, n, layout)
+		compareBits(t, layout+" two NaNs", m, k, n, got, want)
+	}
 }
 
 // TestBlockedGEMMSignedZeros pins the argument the AVX-512 kernels rest on:

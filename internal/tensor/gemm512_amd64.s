@@ -36,7 +36,9 @@
 	KORTESTW K2, K2; \
 	JNZ  slow
 
-// FAST adds the B row times the A element at mem into acc.
+// FAST adds the B row times the A element at mem into acc. The B row is
+// the multiply's first source, as in gemm_amd64.s, so a product of two
+// NaNs carries B's payload like the scalar code's.
 #define FAST(mem, acc) \
 	VMULPD.BCST mem, Z8, Z9; \
 	VADDPD Z9, acc, acc

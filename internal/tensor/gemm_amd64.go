@@ -23,9 +23,6 @@ func gemmTA8x8z(c, a, b *float64, k, lda, ldb, ldc int, mask uint64)
 func gemmTA4x8z(c, a, b *float64, k, lda, ldb, ldc int, mask uint64)
 
 //go:noescape
-func adagradAVX512(p, grad, acc *float64, n int, lr, eps float64)
-
-//go:noescape
 func adagradAVX2(p, grad, acc *float64, n int, lr, eps float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -7,7 +7,10 @@
 // intermediate rounding and move seeded experiment outputs). Rows whose A
 // element is exactly ±0 are skipped via an integer bit test (bits<<1 == 0
 // matches +0 and -0 and never matches NaN), preserving the scalar kernels'
-// zero-skip convention for non-finite inputs.
+// zero-skip convention for non-finite inputs. The B row is each multiply's
+// first source: of two NaNs x86 returns the first source's, and the compiled
+// scalar av*bv multiplies into bv's register (av stays live across the
+// loop), so a NaN in A meeting a NaN in B keeps B's payload everywhere.
 //
 // Register budget (16 YMM, X15 and R14 left untouched for the Go runtime):
 // Y0-Y7 hold the 4×8 accumulator tile, Y8/Y9 the current B row pair, Y10 the
@@ -52,8 +55,8 @@ nnloop:
 	SHLQ $1, DX
 	JZ   nnskip0
 	VBROADCASTSD (R8), Y10
-	VMULPD Y8, Y10, Y12
-	VMULPD Y9, Y10, Y13
+	VMULPD Y10, Y8, Y12
+	VMULPD Y10, Y9, Y13
 	VADDPD Y12, Y0, Y0
 	VADDPD Y13, Y1, Y1
 nnskip0:
@@ -61,8 +64,8 @@ nnskip0:
 	SHLQ $1, DX
 	JZ   nnskip1
 	VBROADCASTSD (R9), Y10
-	VMULPD Y8, Y10, Y12
-	VMULPD Y9, Y10, Y13
+	VMULPD Y10, Y8, Y12
+	VMULPD Y10, Y9, Y13
 	VADDPD Y12, Y2, Y2
 	VADDPD Y13, Y3, Y3
 nnskip1:
@@ -70,8 +73,8 @@ nnskip1:
 	SHLQ $1, DX
 	JZ   nnskip2
 	VBROADCASTSD (R10), Y10
-	VMULPD Y8, Y10, Y12
-	VMULPD Y9, Y10, Y13
+	VMULPD Y10, Y8, Y12
+	VMULPD Y10, Y9, Y13
 	VADDPD Y12, Y4, Y4
 	VADDPD Y13, Y5, Y5
 nnskip2:
@@ -79,8 +82,8 @@ nnskip2:
 	SHLQ $1, DX
 	JZ   nnskip3
 	VBROADCASTSD (R11), Y10
-	VMULPD Y8, Y10, Y12
-	VMULPD Y9, Y10, Y13
+	VMULPD Y10, Y8, Y12
+	VMULPD Y10, Y9, Y13
 	VADDPD Y12, Y6, Y6
 	VADDPD Y13, Y7, Y7
 nnskip3:
@@ -139,8 +142,8 @@ taloop:
 	SHLQ $1, DX
 	JZ   taskip0
 	VBROADCASTSD (R8), Y10
-	VMULPD Y8, Y10, Y12
-	VMULPD Y9, Y10, Y13
+	VMULPD Y10, Y8, Y12
+	VMULPD Y10, Y9, Y13
 	VADDPD Y12, Y0, Y0
 	VADDPD Y13, Y1, Y1
 taskip0:
@@ -148,8 +151,8 @@ taskip0:
 	SHLQ $1, DX
 	JZ   taskip1
 	VBROADCASTSD 8(R8), Y10
-	VMULPD Y8, Y10, Y12
-	VMULPD Y9, Y10, Y13
+	VMULPD Y10, Y8, Y12
+	VMULPD Y10, Y9, Y13
 	VADDPD Y12, Y2, Y2
 	VADDPD Y13, Y3, Y3
 taskip1:
@@ -157,8 +160,8 @@ taskip1:
 	SHLQ $1, DX
 	JZ   taskip2
 	VBROADCASTSD 16(R8), Y10
-	VMULPD Y8, Y10, Y12
-	VMULPD Y9, Y10, Y13
+	VMULPD Y10, Y8, Y12
+	VMULPD Y10, Y9, Y13
 	VADDPD Y12, Y4, Y4
 	VADDPD Y13, Y5, Y5
 taskip2:
@@ -166,8 +169,8 @@ taskip2:
 	SHLQ $1, DX
 	JZ   taskip3
 	VBROADCASTSD 24(R8), Y10
-	VMULPD Y8, Y10, Y12
-	VMULPD Y9, Y10, Y13
+	VMULPD Y10, Y8, Y12
+	VMULPD Y10, Y9, Y13
 	VADDPD Y12, Y6, Y6
 	VADDPD Y13, Y7, Y7
 taskip3:

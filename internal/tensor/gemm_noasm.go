@@ -19,6 +19,4 @@ func gemmTA8x8z(c, a, b *float64, k, lda, ldb, ldc int, mask uint64) { panic("te
 
 func gemmTA4x8z(c, a, b *float64, k, lda, ldb, ldc int, mask uint64) { panic("tensor: no AVX-512") }
 
-func adagradAVX512(p, grad, acc *float64, n int, lr, eps float64) { panic("tensor: no AVX-512") }
-
 func adagradAVX2(p, grad, acc *float64, n int, lr, eps float64) { panic("tensor: no AVX2") }
