@@ -1,8 +1,10 @@
 # Tier-1 verification plus the stricter gates (vet, race detector).
 #
 #   make verify     - tier-1: build + full test suite
-#   make vet        - static analysis, and fmt-check: gofmt -l must list no
-#                     file (the benchmark's build directory aside)
+#   make vet        - static analysis, also with GOARCH=arm64 (so the
+#                     non-amd64 stubs of every kernel keep compiling), and
+#                     fmt-check: gofmt -l must list no file (the benchmark's
+#                     build directory aside)
 #   make race       - full suite under the race detector (slow)
 #   make adversary  - Byzantine defense matrix (screen, aggregators,
 #                     poisoning suite, networked quarantine) under -race
@@ -23,8 +25,9 @@
 #                     wire setups) the live heap is at most its budget in
 #                     states, nine below PR 24's
 #   make parallel   - compute-pool guards: pool invariants plus the
-#                     serial-vs-parallel bit-identity property tests,
-#                     under -race
+#                     serial-vs-parallel and every-kernel-tier bit-identity
+#                     property tests (tensor, nn, fl, flnet, bench), under
+#                     -race
 #   make telemetry  - observability guards: registry/event-log/admin tests
 #                     under -race (including the rejoin log-serialization
 #                     hammer), the /metrics golden test, the instrument
@@ -120,7 +123,8 @@
 #   make fuzz       - short fuzz pass over the frame parser and the Hello
 #                     parser, the top-k delta encoder against
 #                     its sort oracle, the exact accumulator's bit-extracting
-#                     conversion against its Frexp oracle, the update
+#                     conversion against its Frexp oracle (cell and vector,
+#                     on every kernel tier), the update
 #                     screen, the /healthz
 #                     JSON round trip, the checkpoint envelope (CRC +
 #                     corruption invariants) and payload decoders, the
@@ -144,6 +148,7 @@ verify:
 
 vet: fmt-check
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 fmt-check:
 	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
@@ -166,7 +171,7 @@ alloc:
 
 parallel:
 	$(GO) test -race ./internal/parallel/
-	$(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/fl/ ./internal/bench/ -run 'BitIdentical|TestFinalizeClientsFirstErrorWins|TestCheckParallelDeterminism'
+	$(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/fl/ ./internal/flnet/ ./internal/bench/ -run 'BitIdentical|TestFinalizeClientsFirstErrorWins|TestCheckParallelDeterminism'
 
 telemetry:
 	$(GO) test -race ./internal/telemetry/

@@ -36,6 +36,7 @@ var testOnlyExports = map[string]string{
 	"repro/internal/tensor.MatMulTransB":           "naive reference the blocked GEMM is checked against",
 	"repro/internal/tensor.Transpose2D":            "builds the transposed operands of the GEMM references",
 	"repro/internal/tensor.MustFromSlice":          "tensor fixture constructor",
+	"repro/internal/tensor.ForEachKernelISA":       "holds every kernel tier to the scalar loops of fl's and flnet's tier tests",
 	"repro/internal/data.SkewMetric":               "reference of the Dirichlet partition test",
 	"repro/internal/defense.ExtendedNames":         "row set of TestSystemMatchesTCP",
 	"repro/internal/adversary.Mark":                "schedule of the chaos soak",

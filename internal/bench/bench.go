@@ -307,6 +307,7 @@ var suite = []suiteEntry{
 	{"quant_encode_dense", benchQuantEncode(0)},
 	{"exact_fold", benchExactFold},
 	{"exact_finalize", benchExactFinalize},
+	{"fedavg_fcnn6", benchFedAvg},
 	{"fig4_per_layer_protection", func(b *testing.B) {
 		o := experiment.QuickOptions()
 		o.UseShadowAttack = false

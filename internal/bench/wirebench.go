@@ -143,6 +143,21 @@ func benchExactFinalize(b *testing.B) {
 	b.SetBytes(int64(8 * quantDim))
 }
 
+// benchFedAvg times the materialized FedAvg over the same cohort, the call
+// DINAR's Aggregate makes every round on the lossless and in-process rows,
+// the returned state's allocation included.
+func benchFedAvg(b *testing.B) {
+	ups := exactUpdates()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fl.FedAvg(ups); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(8 * quantDim * len(ups)))
+}
+
 // benchBytesPerRound measures bytes on the wire per federation round with
 // the full codec stack on (flate + int8 quantized uploads + delta
 // broadcasts): the same sampled streaming federation as round_throughput,

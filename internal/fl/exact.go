@@ -3,6 +3,8 @@ package fl
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/tensor"
 )
 
 // Exact fixed-point accumulation.
@@ -47,7 +49,18 @@ import (
 // One aggregation round keeps one exactVec: 16 bytes of accumulator and one
 // byte of poison marks per coordinate, 17 in all, independent of how many
 // updates fold into it (see StreamingFedAvg for how the zero-weight mean
-// shares it).
+// shares it). The materialized FedAvg keeps only one cache-sized tile of
+// it at a time.
+//
+// On an AVX-512 host the fold and the finalize run in the kernels of
+// internal/tensor (FixedFold, FixedFinalize: eight coordinates a ZMM
+// register, limb shifts with VPSRLVQ/VPSLLVQ, carries with VPCMPUQ, the
+// finalize through VCVTUQQ2PD and VDIVPD). They compute these loops' bits:
+// the limb arithmetic is exact integer addition, and each conversion and
+// the division round once, to nearest, as the scalar code's do. A block of
+// eight holding a term the format cannot take, or a poisoned coordinate,
+// is left to the scalar loops below, which also run the tail and every
+// other host.
 
 const (
 	// fixFracBits is the number of fractional bits in the fixed-point
@@ -58,6 +71,9 @@ const (
 	// fixMinShift is r at e = 1023+40−1, the largest exponent below 2^40: a
 	// smaller shift poisons, and one of 128 or more contributes nothing.
 	fixMinShift = fixShiftBase - (1023 + 40 - 1)
+	// fixBlock is the kernels' block: when one stops, the scalar loops take
+	// the next fixBlock coordinates and hand the rest back.
+	fixBlock = 8
 )
 
 // fixAcc is one exact accumulator cell: a two's-complement 128-bit integer
@@ -131,75 +147,92 @@ const (
 	poisonNonFinite                   // a NaN or ±Inf contribution
 )
 
-// exactVec is an exact accumulator over a state vector: one fixAcc per
-// coordinate plus sticky poison marks for unrepresentable contributions.
+// exactVec is an exact accumulator over a state vector: one cell per
+// coordinate, its limbs in two parallel arrays (hi[i], lo[i]) so a vector
+// kernel loads eight of either at once, plus sticky poison marks for
+// unrepresentable contributions.
 type exactVec struct {
-	acc []fixAcc
-	bad []uint8
+	hi, lo []uint64
+	bad    []uint8
 }
 
 // reset zeroes the accumulator for n-coordinate states, reusing its memory
 // when it is large enough.
 func (v *exactVec) reset(n int) {
-	if cap(v.acc) < n {
-		v.acc = make([]fixAcc, n)
-		v.bad = make([]uint8, n)
+	if cap(v.hi) < n {
+		v.hi, v.lo, v.bad = make([]uint64, n), make([]uint64, n), make([]uint8, n)
 		return
 	}
-	v.acc = v.acc[:n]
-	v.bad = v.bad[:n]
-	clear(v.acc)
+	v.hi, v.lo, v.bad = v.hi[:n], v.lo[:n], v.bad[:n]
+	clear(v.hi)
+	clear(v.lo)
 	clear(v.bad)
 }
 
 // forgetFinite zeroes the cells and drops the range marks, leaving the
 // accumulator as if every state folded so far had been scaled by zero.
 func (v *exactVec) forgetFinite() {
-	clear(v.acc)
+	clear(v.hi)
+	clear(v.lo)
 	for i, b := range v.bad {
 		v.bad[i] = b & poisonNonFinite
 	}
 }
 
 // addScaled folds state[i]·scale into every coordinate. len(state) must
-// equal the accumulator length (callers validate). The loop is addFloat
-// spelled out per coordinate (addFloat is past the inliner's budget, and
-// the call costs the pass 40 % more), plus the poison mark addFloat's false
-// does not tell apart.
+// equal the accumulator length (callers validate). The AVX-512 kernel
+// (tensor.FixedFold) folds whole blocks of eight until it meets a block
+// with a term the format cannot take; the loop below takes that block, the
+// tail, and everything on a host without the kernel. It is addFloat spelled
+// out per coordinate (addFloat is past the inliner's budget, and the call
+// costs the pass 40 % more), plus the poison mark addFloat's false does not
+// tell apart.
 func (v *exactVec) addScaled(state []float64, scale float64) {
-	acc, bad := v.acc[:len(state)], v.bad[:len(state)]
-	for i, x := range state {
-		c := x * scale
-		b := math.Float64bits(c)
-		r := fixShift(b)
-		if !fixContributes(r) {
-			switch {
-			case r >= 128: // |c| < 2^-60
-			case c-c == 0: // finite
-				bad[i] |= poisonRange
-			default:
-				bad[i] |= poisonNonFinite
+	n := len(state)
+	hi, lo, bad := v.hi[:n], v.lo[:n], v.bad[:n]
+	for i := 0; i < n; {
+		i += tensor.FixedFold(hi[i:], lo[i:], state[i:], scale)
+		for end := min(i+fixBlock, n); i < end; i++ {
+			c := state[i] * scale
+			b := math.Float64bits(c)
+			r := fixShift(b)
+			if !fixContributes(r) {
+				switch {
+				case r >= 128: // |c| < 2^-60
+				case c-c == 0: // finite
+					bad[i] |= poisonRange
+				default:
+					bad[i] |= poisonNonFinite
+				}
+				continue
 			}
-			continue
+			mhi, mlo := fixLimbs(b, r)
+			cell := fixAcc{hi[i], lo[i]}
+			cell.addSigned(mhi, mlo, uint64(int64(b)>>63))
+			hi[i], lo[i] = cell.hi, cell.lo
 		}
-		hi, lo := fixLimbs(b, r)
-		acc[i].addSigned(hi, lo, uint64(int64(b)>>63))
 	}
 }
 
 // finalize writes the accumulated values divided by div into out (out must
-// have the accumulator length). Poisoned coordinates finalize to NaN.
+// have the accumulator length). Poisoned coordinates finalize to NaN. The
+// kernel (tensor.FixedFinalize) runs first, as in addScaled, and stops at a
+// block with a poisoned coordinate.
 func (v *exactVec) finalize(div float64, out []float64) {
-	acc, bad := v.acc[:len(out)], v.bad[:len(out)]
-	for i := range out {
-		if bad[i] != 0 {
-			out[i] = math.NaN()
-			continue
+	n := len(out)
+	hi, lo, bad := v.hi[:n], v.lo[:n], v.bad[:n]
+	for i := 0; i < n; {
+		i += tensor.FixedFinalize(out[i:], hi[i:], lo[i:], bad[i:], div)
+		for end := min(i+fixBlock, n); i < end; i++ {
+			if bad[i] != 0 {
+				out[i] = math.NaN()
+				continue
+			}
+			out[i] = fixAcc{hi[i], lo[i]}.float() / div
 		}
-		out[i] = acc[i].float() / div
 	}
 }
 
 // bytes reports the accumulator's memory footprint, for the aggregation
 // peak-memory gauge.
-func (v *exactVec) bytes() int { return len(v.acc)*16 + len(v.bad) }
+func (v *exactVec) bytes() int { return len(v.hi)*16 + len(v.bad) }

@@ -1,10 +1,13 @@
 package fl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // checkTerm folds c into a cell seeded with (hi, lo) through the production
@@ -87,14 +90,174 @@ func TestFixFloatMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzFixFromFloat runs the same comparison on raw bit patterns × scale.
+// FuzzFixFromFloat runs the same comparison on raw bit patterns × scale,
+// once through the cell and once through a vector on every kernel tier: x
+// at every third coordinate, so in several lanes of each block and in the
+// scalar tail, among ordinary terms.
 func FuzzFixFromFloat(f *testing.F) {
 	for _, x := range fixEdges() {
 		f.Add(math.Float64bits(x), math.Float64bits(300), uint64(0), uint64(0))
 	}
 	f.Add(math.Float64bits(-0.25), math.Float64bits(1.0/3), ^uint64(0), ^uint64(0))
 	f.Fuzz(func(t *testing.T, xBits, scaleBits, hi, lo uint64) {
-		checkTerm(t, hi, lo, math.Float64frombits(xBits)*math.Float64frombits(scaleBits))
+		x, scale := math.Float64frombits(xBits), math.Float64frombits(scaleBits)
+		checkTerm(t, hi, lo, x*scale)
+		state := make([]float64, 21)
+		for i := range state {
+			state[i] = float64(i) - 9.75
+			if i%3 == 0 {
+				state[i] = x
+			}
+		}
+		tensor.ForEachKernelISA(func(isa string) {
+			checkVec(t, isa, hi, lo, state, scale)
+		})
+	})
+}
+
+// checkVec folds state·scale into an exactVec whose every cell starts at
+// (hi, lo) and into the reference, and requires the same cells, the same
+// poison marks (by cause) and the same finalized bits.
+func checkVec(t *testing.T, isa string, hi, lo uint64, state []float64, scale float64) {
+	t.Helper()
+	n := len(state)
+	var v exactVec
+	v.reset(n)
+	ref := newRefVec(n)
+	for i := range state {
+		v.hi[i], v.lo[i] = hi, lo
+		ref.acc[i] = refAcc{hi, lo}
+	}
+	v.addScaled(state, scale)
+	ref.addScaled(state, scale)
+	for i, x := range state {
+		c := x * scale
+		var mark uint8
+		switch {
+		case math.IsNaN(c) || math.IsInf(c, 0):
+			mark = poisonNonFinite
+		case math.Abs(c) >= 1<<40:
+			mark = poisonRange
+		}
+		if v.bad[i] != mark || v.hi[i] != ref.acc[i].hi || v.lo[i] != ref.acc[i].lo {
+			t.Fatalf("%s: %g·%g at %d into %#x:%#x: cell %#x:%#x mark %d; reference %#x:%#x mark %d",
+				isa, x, scale, i, hi, lo, v.hi[i], v.lo[i], v.bad[i], ref.acc[i].hi, ref.acc[i].lo, mark)
+		}
+	}
+	for _, div := range []float64{1, 3, 0.7, 1e-300} {
+		got, want := make([]float64, n), make([]float64, n)
+		v.finalize(div, got)
+		ref.finalize(div, want)
+		if i := sameBits(got, want); i >= 0 {
+			t.Fatalf("%s: finalize /%g at %d: %#x, reference %#x", isa, div, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestExactKernelBitIdentical holds the fold and finalize, on every kernel
+// tier the host runs, to the reference: each edge term — ±0, a subnormal,
+// the 2^-60 and 2^40 edges with their neighbours, ±Inf, NaN payloads — at
+// every lane of a block and in the tail, among ordinary terms, under
+// weights that keep, shrink, grow and zero it, into empty cells, cells one
+// carry from rippling, negative ones and the most negative one.
+func TestExactKernelBitIdentical(t *testing.T) {
+	pow := func(e int) float64 { return math.Ldexp(1, e) }
+	edges := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef),
+	}
+	for _, e := range []int{-61, -60, 39, 40} {
+		p := pow(e)
+		edges = append(edges, math.Nextafter(p, 0), p, math.Nextafter(p, math.Inf(1)), -p)
+	}
+	cells := [][2]uint64{{0, 0}, {^uint64(0), ^uint64(0)}, {0x0123456789abcdef, 1 << 63}, {1<<63 | 0xfedcba9876543210, 5}, {1 << 63, 0}}
+	rng := rand.New(rand.NewSource(41))
+	const n = 3*8 + 5 // three blocks and a tail
+	tensor.ForEachKernelISA(func(isa string) {
+		for _, x := range edges {
+			for lane := 0; lane < n; lane++ {
+				state := make([]float64, n)
+				for i := range state {
+					state[i] = rng.NormFloat64() * 100
+				}
+				state[lane] = x
+				for _, scale := range []float64{1, 300, 1.0 / 3, 0} {
+					for _, c := range cells {
+						checkVec(t, isa, c[0], c[1], state, scale)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestFedAvgTiledBitIdentical holds the tiled FedAvg, on every kernel tier
+// the host runs, to StreamingFedAvg folded in the same order: random
+// cohorts with zero and mixed weights, staleness, both poisons and terms
+// under 2^-60, at lengths on both sides of a tile and of a kernel block, and
+// the same error, from the same update, for a cohort with a bad one.
+func TestFedAvgTiledBitIdentical(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(-1), math.Ldexp(1, 41), -1e300, math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.Ldexp(1, -61)}
+	lengths := []int{0, 1, 7, 8, 9, 100, fedAvgTile - 1, fedAvgTile, fedAvgTile + 1, 2*fedAvgTile + 13}
+	tensor.ForEachKernelISA(func(isa string) {
+		rng := rand.New(rand.NewSource(43))
+		for trial := 0; trial < 60; trial++ {
+			dim := lengths[trial%len(lengths)]
+			ups := make([]*Update, 1+rng.Intn(4))
+			for i := range ups {
+				u := &Update{ClientID: i, State: make([]float64, dim)}
+				switch trial % 3 { // all zero, all non-zero, mixed
+				case 1:
+					u.NumSamples = 1 + rng.Intn(500)
+				case 2:
+					u.NumSamples = rng.Intn(2) * (1 + rng.Intn(500))
+				}
+				if rng.Intn(3) == 0 {
+					u.Staleness = 1 + rng.Intn(6)
+				}
+				for j := range u.State {
+					u.State[j] = rng.NormFloat64()
+					if rng.Intn(50) == 0 {
+						u.State[j] = specials[rng.Intn(len(specials))]
+					}
+				}
+				ups[i] = u
+			}
+			if trial%10 == 9 { // one update the fold refuses
+				bad := *ups[len(ups)-1]
+				switch trial / 10 % 4 {
+				case 0:
+					bad.NumSamples = -1
+				case 1:
+					bad.State = bad.State[:0:0]
+				case 2:
+					bad.Staleness = 1 << 61
+				default:
+					ups[len(ups)-1] = nil
+				}
+				if ups[len(ups)-1] != nil {
+					ups[len(ups)-1] = &bad
+				}
+			}
+			got, gotErr := FedAvg(ups)
+			agg := NewStreamingFedAvg()
+			var wantErr error
+			for _, u := range ups {
+				if wantErr = agg.Fold(u); wantErr != nil {
+					break
+				}
+			}
+			var want []float64
+			if wantErr == nil {
+				want, wantErr = agg.Finalize()
+			}
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s trial %d: error %v, streaming %v", isa, trial, gotErr, wantErr)
+			}
+			if i := sameBits(got, want); wantErr == nil && i >= 0 {
+				t.Fatalf("%s trial %d (dim %d): coordinate %d is %#x, streaming %#x", isa, trial, dim, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
 	})
 }
 
@@ -290,8 +453,8 @@ func exactCohort(dim int) []*Update {
 }
 
 // TestStreamingFedAvgSteadyStateAllocs: a reused aggregator folds a round
-// without allocating, Finalize allocates the state it returns and nothing
-// else, and the batch path pays at most that plus the pool's bookkeeping.
+// without allocating, and Finalize and the tiled batch path each allocate
+// the state they return and nothing else.
 func TestStreamingFedAvgSteadyStateAllocs(t *testing.T) {
 	const dim = 20000
 	ups := exactCohort(dim)
@@ -320,10 +483,40 @@ func TestStreamingFedAvgSteadyStateAllocs(t *testing.T) {
 		if _, err := FedAvg(ups); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 2 {
-		t.Errorf("steady-state FedAvg allocates %v times per call, want at most 2", allocs)
+	}); allocs != 1 {
+		t.Errorf("steady-state FedAvg allocates %v times per call, want 1 (the returned state)", allocs)
 	}
 	if got, want := agg.MemoryBytes(), 17*dim+32; got != want {
 		t.Errorf("MemoryBytes %d, want %d (17 bytes per coordinate and the two totals)", got, want)
 	}
+}
+
+// BenchmarkExactTiers times, on every kernel tier the host runs, one fold of
+// an FCNN6-sized update into a resident accumulator, one finalize of it, and
+// the tiled FedAvg of a two-client cohort.
+func BenchmarkExactTiers(b *testing.B) {
+	const dim = 485_572
+	ups := synthUpdates(rand.New(rand.NewSource(7)), 2, dim)
+	out := make([]float64, dim)
+	var v exactVec
+	v.reset(dim)
+	tensor.ForEachKernelISA(func(isa string) {
+		b.Run("fold/"+isa, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				v.addScaled(ups[0].State, 300)
+			}
+		})
+		b.Run("finalize/"+isa, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				v.finalize(500, out)
+			}
+		})
+		b.Run("fedavg/"+isa, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := FedAvg(ups); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
 }

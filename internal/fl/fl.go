@@ -19,7 +19,6 @@ package fl
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/nn"
 )
@@ -149,11 +148,10 @@ func DefaultLearningRate(dataset, optimizer string) float64 {
 	return 0.2
 }
 
-// fedAvgPool recycles the batch path's aggregator, so a federation that
-// calls FedAvg every round zeroes one accumulator instead of allocating 17
-// bytes per coordinate afresh. Finalize returns a new slice, so nothing a
-// caller holds aliases a pooled aggregator.
-var fedAvgPool = sync.Pool{New: func() any { return new(StreamingFedAvg) }}
+// fedAvgTile is how many coordinates FedAvg folds at a time: the tile's
+// accumulator (17 bytes a coordinate, 34 KiB) stays in the L1/L2 caches
+// while every update's slice of it streams past once.
+const fedAvgTile = 2048
 
 // FedAvg computes the sample-count-weighted average of the updates' state
 // vectors — the classical aggregation rule of McMahan et al. A zero total
@@ -164,20 +162,53 @@ var fedAvgPool = sync.Pool{New: func() any { return new(StreamingFedAvg) }}
 // accumulate in exact fixed point (see exact.go), so the result is
 // identical no matter how the batch is ordered or split — the streaming
 // arrival-order path, the materialized sorted path, and an async
-// crash/resume all agree bit for bit.
+// crash/resume all agree bit for bit. With the whole batch in hand it checks
+// every update first, in order and with Fold's errors, which also fixes the
+// total weight; each update's scale is then known (its weight, or its decay
+// when every weight is zero — StreamingFedAvg's rule, which ends at the
+// same sums), so the cohort folds one tile of coordinates at a time and
+// each tile finalizes straight into the result.
 func FedAvg(updates []*Update) ([]float64, error) {
 	if len(updates) == 0 {
 		return nil, fmt.Errorf("fl: FedAvg of zero updates")
 	}
-	agg := fedAvgPool.Get().(*StreamingFedAvg)
-	defer fedAvgPool.Put(agg)
-	agg.Begin(0, nil)
+	var wTotal, cTotal fixAcc
+	dim := -1
 	for _, u := range updates {
-		if err := agg.Fold(u); err != nil {
+		if err := admit(u, dim); err != nil {
+			return nil, err
+		}
+		dim = len(u.State)
+		if _, _, err := weigh(u, &wTotal, &cTotal); err != nil {
 			return nil, err
 		}
 	}
-	return agg.Finalize()
+	weighted := !wTotal.isZero()
+	div := cTotal.float()
+	if weighted {
+		div = wTotal.float()
+	}
+	out := make([]float64, dim)
+	var tile struct {
+		hi, lo [fedAvgTile]uint64
+		bad    [fedAvgTile]uint8
+	}
+	for at := 0; at < dim; at += fedAvgTile {
+		end := min(at+fedAvgTile, dim)
+		acc := exactVec{hi: tile.hi[:end-at], lo: tile.lo[:end-at], bad: tile.bad[:end-at]}
+		clear(acc.hi)
+		clear(acc.lo)
+		clear(acc.bad)
+		for _, u := range updates {
+			scale := StalenessWeight(u.Staleness)
+			if weighted {
+				scale = float64(u.NumSamples) * scale
+			}
+			acc.addScaled(u.State[at:end], scale)
+		}
+		acc.finalize(div, out[at:end])
+	}
+	return out, nil
 }
 
 // MaskedSum computes the plain unweighted sum of the updates divided by the

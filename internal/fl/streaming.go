@@ -126,26 +126,16 @@ func (a *StreamingFedAvg) setDim(n int) {
 
 // Fold implements StreamingAggregator.
 func (a *StreamingFedAvg) Fold(u *Update) error {
-	if u == nil {
-		return fmt.Errorf("fl: fold of nil update")
-	}
-	if u.NumSamples < 0 {
-		return fmt.Errorf("fl: update from client %d has negative sample count %d", u.ClientID, u.NumSamples)
+	if err := admit(u, a.dim); err != nil {
+		return err
 	}
 	if a.dim < 0 {
 		a.setDim(len(u.State))
 	}
-	if len(u.State) != a.dim {
-		return fmt.Errorf("fl: update from client %d has %d values, want %d", u.ClientID, len(u.State), a.dim)
-	}
-	decay := StalenessWeight(u.Staleness)
-	w := float64(u.NumSamples) * decay
-	// A non-zero weight under 2^-60 would add nothing to wTotal, and the
-	// switch below reads wTotal to tell whether every weight so far is zero.
-	tooSmall := w != 0 && w < 1.0/(1<<fixFracBits)
 	wasZero := a.wTotal.isZero()
-	if tooSmall || !a.wTotal.addFloat(w) || !a.cTotal.addFloat(decay) {
-		return fmt.Errorf("fl: update from client %d has unrepresentable weight %g", u.ClientID, w)
+	w, decay, err := weigh(u, &a.wTotal, &a.cTotal)
+	if err != nil {
+		return err
 	}
 	scale := w
 	if a.wTotal.isZero() {
@@ -156,6 +146,34 @@ func (a *StreamingFedAvg) Fold(u *Update) error {
 	a.sum.addScaled(u.State, scale)
 	a.count++
 	return nil
+}
+
+// admit refuses an update no fold can take: nil, with a negative sample
+// count, or with other than dim values (any length while dim is negative).
+func admit(u *Update, dim int) error {
+	switch {
+	case u == nil:
+		return fmt.Errorf("fl: fold of nil update")
+	case u.NumSamples < 0:
+		return fmt.Errorf("fl: update from client %d has negative sample count %d", u.ClientID, u.NumSamples)
+	case dim >= 0 && len(u.State) != dim:
+		return fmt.Errorf("fl: update from client %d has %d values, want %d", u.ClientID, len(u.State), dim)
+	}
+	return nil
+}
+
+// weigh adds u's weight (sample count × staleness decay) and its decay to
+// the totals and returns both, or refuses a weight the totals cannot take.
+// A non-zero weight under 2^-60 would add nothing to wTotal, and Fold reads
+// wTotal to tell whether every weight so far is zero, so it is refused too.
+func weigh(u *Update, wTotal, cTotal *fixAcc) (w, decay float64, err error) {
+	decay = StalenessWeight(u.Staleness)
+	w = float64(u.NumSamples) * decay
+	tooSmall := w != 0 && w < 1.0/(1<<fixFracBits)
+	if tooSmall || !wTotal.addFloat(w) || !cTotal.addFloat(decay) {
+		return 0, 0, fmt.Errorf("fl: update from client %d has unrepresentable weight %g", u.ClientID, w)
+	}
+	return w, decay, nil
 }
 
 // Count returns how many updates have been folded since Begin.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/binenc"
+	"repro/internal/tensor"
 )
 
 // interleavedXOR is the lossless delta encoding the plane section replaced,
@@ -315,4 +316,100 @@ func TestPlaneFrameSteadyStateAllocs(t *testing.T) {
 	}); n > 4 {
 		t.Errorf("decoding a plane frame allocates %.0f times, want 1 (4 allowed; the interleaved section it replaced cost 18)", n)
 	}
+}
+
+// TestPlaneTransposeBitIdentical holds the plane scatter and gather, on every
+// kernel tier the host runs, to a byte-by-byte oracle: at every length up to
+// two and a half kernel steps and at FCNN6's size, with no anchor and with
+// one as long as the state. The state is built so that after the XOR each
+// plane runs through all 256 byte values (at the FCNN6 size), and a few
+// coordinates carry NaN payloads, a signalling NaN among them, that a float
+// operation would rewrite.
+func TestPlaneTransposeBitIdentical(t *testing.T) {
+	lengths := []int{485572}
+	for n := 0; n <= 80; n++ {
+		lengths = append(lengths, n)
+	}
+	nans := []uint64{0x7ff0000000000001, 0xfff8dead0000beef, 0x7ff8000000000001, 0xffffffffffffffff}
+	tensor.ForEachKernelISA(func(isa string) {
+		t.Run(isa, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(61))
+			for _, n := range lengths {
+				for _, anchored := range []bool{false, true} {
+					var base []float64
+					if anchored {
+						base = make([]float64, n)
+						for i := range base {
+							base[i] = math.Float64frombits(rng.Uint64())
+						}
+					}
+					// want[i]'s byte p is what plane p must hold at i.
+					want := make([]uint64, n)
+					for i := range want {
+						for p := 0; p < 8; p++ {
+							want[i] |= uint64(byte(i+37*p)^byte(rng.Intn(2))) << (8 * p)
+						}
+						if i%11 == 3 {
+							want[i] = rng.Uint64()
+						}
+					}
+					state := make([]float64, n)
+					for i := range state {
+						x := want[i]
+						if i%13 == 5 {
+							x = nans[i%len(nans)]
+						}
+						want[i] = x
+						if anchored {
+							x ^= math.Float64bits(base[i])
+						}
+						state[i] = math.Float64frombits(x)
+					}
+					var planes [8][]byte
+					for p := range planes {
+						planes[p] = make([]byte, n)
+					}
+					scatterPlanes(&planes, state, base)
+					for i, x := range want {
+						for p := range planes {
+							if planes[p][i] != byte(x>>(8*p)) {
+								t.Fatalf("n=%d anchored=%v: plane %d byte %d = %#02x, want %#02x", n, anchored, p, i, planes[p][i], byte(x>>(8*p)))
+							}
+						}
+					}
+					got := make([]float64, n)
+					gatherPlanes(got, &planes, base)
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(state[i]) {
+							t.Fatalf("n=%d anchored=%v: gathered %#x at %d, want %#x", n, anchored, math.Float64bits(got[i]), i, math.Float64bits(state[i]))
+						}
+					}
+				}
+			}
+		})
+	})
+}
+
+// BenchmarkPlaneTranspose times the scatter and the gather of an
+// FCNN6-sized state against an anchor on every kernel tier the host runs.
+func BenchmarkPlaneTranspose(b *testing.B) {
+	base, states := oracleStates(485572)
+	state := states["trained"]
+	var planes [8][]byte
+	for p := range planes {
+		planes[p] = make([]byte, len(state))
+	}
+	dst := make([]float64, len(state))
+	tensor.ForEachKernelISA(func(isa string) {
+		b.Run("scatter/"+isa, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				scatterPlanes(&planes, state, base)
+			}
+		})
+		b.Run("gather/"+isa, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				gatherPlanes(dst, &planes, base)
+			}
+		})
+	})
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/binenc"
 	"repro/internal/fl"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // Frame format. Every message is a 4-byte little-endian payload length
@@ -387,6 +388,10 @@ func decodeQuantSection(sec []byte, anchorRound int) (*fl.DeltaPayload, error) {
 // plane and hands flate only those with enough zero bytes to repay it; a
 // frozen or all-zero stretch of the model raises every plane's share alike.
 // EXPERIMENTS.md "PR 17" has the measurements behind the constants.
+// The transpose itself, with the XOR against the anchor, runs in the
+// byte-plane kernels of internal/tensor (ScatterPlanes, GatherPlanes) on
+// AVX2 and AVX-512 hosts; they only move bytes, so they write the scalar
+// loops' bits.
 const (
 	// planeSamples is how many coordinates, at one fixed stride, the zero
 	// share of a frame's planes is estimated from: at 1,024 samples FCNN6's
@@ -434,13 +439,16 @@ func planeMask(state, base []float64) byte {
 }
 
 // scatterPlanes splits the IEEE bits of state, XORed with base's where base
-// has them, into eight planes of len(state) bytes.
+// has them, into eight planes of len(state) bytes. The byte-plane transpose
+// kernel (tensor.ScatterPlanes, a VPSHUFB and unpack ladder over 32
+// coordinates at a time, on both vector tiers) does all it can; this loop,
+// the reference the kernel is tested against, does the rest.
 func scatterPlanes(planes *[8][]byte, state, base []float64) {
 	n := len(state)
 	p0, p1, p2, p3 := planes[0][:n], planes[1][:n], planes[2][:n], planes[3][:n]
 	p4, p5, p6, p7 := planes[4][:n], planes[5][:n], planes[6][:n], planes[7][:n]
-	for i, v := range state {
-		x := math.Float64bits(v)
+	for i := tensor.ScatterPlanes(planes, state, base); i < n; i++ {
+		x := math.Float64bits(state[i])
 		if i < len(base) {
 			x ^= math.Float64bits(base[i])
 		}
@@ -450,12 +458,12 @@ func scatterPlanes(planes *[8][]byte, state, base []float64) {
 }
 
 // gatherPlanes is scatterPlanes backwards: dst from eight planes of
-// len(dst) bytes.
+// len(dst) bytes, the kernel (tensor.GatherPlanes) first.
 func gatherPlanes(dst []float64, planes *[8][]byte, base []float64) {
 	n := len(dst)
 	p0, p1, p2, p3 := planes[0][:n], planes[1][:n], planes[2][:n], planes[3][:n]
 	p4, p5, p6, p7 := planes[4][:n], planes[5][:n], planes[6][:n], planes[7][:n]
-	for i := range dst {
+	for i := tensor.GatherPlanes(dst, planes, base); i < n; i++ {
 		x := uint64(p0[i]) | uint64(p1[i])<<8 | uint64(p2[i])<<16 | uint64(p3[i])<<24 |
 			uint64(p4[i])<<32 | uint64(p5[i])<<40 | uint64(p6[i])<<48 | uint64(p7[i])<<56
 		if i < len(base) {

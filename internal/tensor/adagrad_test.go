@@ -51,16 +51,14 @@ func TestAdagradStepBitIdentical(t *testing.T) {
 // BenchmarkAdagradStep times one step over FCNN6's parameter count (the
 // client's optimizer runs it once a batch) on every tier the host runs.
 func BenchmarkAdagradStep(b *testing.B) {
-	restoreISA(b)
 	const n = 485_572
 	rng := rand.New(rand.NewSource(79))
 	p, g, acc := randSlice(rng, n), randSlice(rng, n), make([]float64, n)
-	for _, tier := range hostTiers() {
-		b.Run(isaNames[tier], func(b *testing.B) {
-			kernelISA = tier
+	ForEachKernelISA(func(name string) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				AdagradStep(p, g, acc, 1e-9, 1e-5)
 			}
 		})
-	}
+	})
 }

@@ -16,31 +16,11 @@ func restoreGEMM(t testing.TB) {
 	t.Cleanup(func() { gemmMC, gemmNC, gemmMinVolume = mc, nc, mv })
 }
 
-// restoreISA resets the kernel tier after a test that lowers it.
-func restoreISA(t testing.TB) {
-	t.Helper()
-	prev := kernelISA
-	t.Cleanup(func() { kernelISA = prev })
-}
-
-// hostTiers lists every kernel tier this host can run, scalar first.
-func hostTiers() []isa {
-	var tiers []isa
-	for tier := isaScalar; tier <= hostISA; tier++ {
-		tiers = append(tiers, tier)
-	}
-	return tiers
-}
-
 // forEachTier runs f once per tier the host can run, with the kernels
 // dispatching to that tier, so each SIMD tier is held to the scalar code.
 func forEachTier(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	restoreISA(t)
-	for _, tier := range hostTiers() {
-		kernelISA = tier
-		t.Run(isaNames[tier], f)
-	}
+	ForEachKernelISA(func(name string) { t.Run(name, f) })
 }
 
 // naiveGEMM computes the reference result with the original row kernels,
@@ -501,18 +481,16 @@ func FuzzBlockedGEMM(f *testing.F) {
 		a, b := gemmOperands(rng, m, k, n, layout)
 		want := make([]float64, m*n)
 		naiveGEMM(want, a, b, m, k, n, layout)
-		restoreISA(t)
-		for _, tier := range hostTiers() {
-			kernelISA = tier
+		ForEachKernelISA(func(name string) {
 			got := make([]float64, m*n)
 			runBlocked(got, a, b, m, k, n, layout)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%s %s %dx%dx%d seed %d: out[%d] = %v, naive %v",
-						isaNames[tier], layout, m, k, n, seed, i, got[i], want[i])
+						name, layout, m, k, n, seed, i, got[i], want[i])
 				}
 			}
-		}
+		})
 	})
 }
 

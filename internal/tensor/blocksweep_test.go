@@ -59,7 +59,6 @@ func BenchmarkGEMMBlockSweep(b *testing.B) {
 //	go test ./internal/tensor -run xxx -bench GEMMTiers -cpu 1
 func BenchmarkGEMMTiers(b *testing.B) {
 	restoreGEMM(b)
-	restoreISA(b)
 	shapes := []struct {
 		name    string
 		m, k, n int
@@ -78,14 +77,14 @@ func BenchmarkGEMMTiers(b *testing.B) {
 	for _, s := range shapes {
 		a, bb := gemmOperands(rng, s.m, s.k, s.n, s.layout)
 		out := make([]float64, s.m*s.n)
-		for _, tier := range hostTiers() {
-			b.Run(s.name+"/"+isaNames[tier], func(b *testing.B) {
-				kernelISA, gemmMinVolume = tier, 1
+		ForEachKernelISA(func(name string) {
+			b.Run(s.name+"/"+name, func(b *testing.B) {
+				gemmMinVolume = 1
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					matMulLayout(out, a, bb, s.m, s.k, s.n, s.layout)
 				}
 			})
-		}
+		})
 	}
 }

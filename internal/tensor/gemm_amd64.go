@@ -1,8 +1,10 @@
 package tensor
 
 // Micro-kernel bindings: the AVX2 tier in gemm_amd64.s, the AVX-512 tier in
-// gemm512_amd64.s and the Adagrad steps in adagrad_amd64.s. Each file states
-// its bit-identity contract; blocked.go and adagrad.go drive them.
+// gemm512_amd64.s, the Adagrad steps in adagrad_amd64.s, the byte-plane
+// transposes in planes_amd64.s and the fixed-point fold and finalize in
+// fixed_amd64.s. Each file states its bit-identity contract; blocked.go,
+// adagrad.go, planes.go and fixed.go drive them.
 
 //go:noescape
 func gemmNN4x8(c, a, b *float64, k, lda, ldb, ldc int)
@@ -24,6 +26,18 @@ func gemmTA4x8z(c, a, b *float64, k, lda, ldb, ldc int, mask uint64)
 
 //go:noescape
 func adagradAVX2(p, grad, acc *float64, n int, lr, eps float64)
+
+//go:noescape
+func scatterPlanesAVX2(planes *[8][]byte, state, base *float64, n int)
+
+//go:noescape
+func gatherPlanesAVX2(dst *float64, planes *[8][]byte, base *float64, n int)
+
+//go:noescape
+func fixedFoldAVX512(hi, lo *uint64, state *float64, n int, scale float64) int
+
+//go:noescape
+func fixedFinalizeAVX512(out *float64, hi, lo *uint64, bad *uint8, n int, div float64) int
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

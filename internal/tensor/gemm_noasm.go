@@ -2,9 +2,9 @@
 
 package tensor
 
-// Non-amd64 builds have no SIMD micro kernels: every matmul and Adagrad
-// step stays on the scalar code, which checks the tier before reaching these
-// stubs.
+// Non-amd64 builds have no SIMD micro kernels: every matmul, Adagrad step,
+// plane transpose and fixed-point fold stays on the scalar code, which checks
+// the tier before reaching these stubs.
 const hostISA = isaScalar
 
 func gemmNN4x8(c, a, b *float64, k, lda, ldb, ldc int) { panic("tensor: no AVX2") }
@@ -20,3 +20,17 @@ func gemmTA8x8z(c, a, b *float64, k, lda, ldb, ldc int, mask uint64) { panic("te
 func gemmTA4x8z(c, a, b *float64, k, lda, ldb, ldc int, mask uint64) { panic("tensor: no AVX-512") }
 
 func adagradAVX2(p, grad, acc *float64, n int, lr, eps float64) { panic("tensor: no AVX2") }
+
+func scatterPlanesAVX2(planes *[8][]byte, state, base *float64, n int) { panic("tensor: no AVX2") }
+
+func gatherPlanesAVX2(dst *float64, planes *[8][]byte, base *float64, n int) {
+	panic("tensor: no AVX2")
+}
+
+func fixedFoldAVX512(hi, lo *uint64, state *float64, n int, scale float64) int {
+	panic("tensor: no AVX-512")
+}
+
+func fixedFinalizeAVX512(out *float64, hi, lo *uint64, bad *uint8, n int, div float64) int {
+	panic("tensor: no AVX-512")
+}

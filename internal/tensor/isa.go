@@ -12,11 +12,26 @@ const (
 
 var isaNames = [...]string{isaScalar: "scalar", isaAVX2: "avx2", isaAVX512: "avx512"}
 
-// kernelISA is the tier the matmuls and AdagradStep dispatch to: the host's
-// widest. Only tests lower it, to hold every tier the host can run to the
-// scalar code; concurrent mutation with in-flight kernels is not supported.
+// kernelISA is the tier the matmuls, AdagradStep, the plane transposes and
+// the fixed-point kernels dispatch to: the host's widest. Only tests lower
+// it, to hold every tier the host can run to the scalar code; concurrent
+// mutation with in-flight kernels is not supported.
 var kernelISA = hostISA
 
 // KernelISA names the tier the kernels run at ("avx512", "avx2" or
 // "scalar"). Timings taken at different tiers are not comparable.
 func KernelISA() string { return isaNames[kernelISA] }
+
+// ForEachKernelISA calls f once per tier the host can run, scalar first,
+// with every kernel dispatching to that tier, and then restores the host's
+// tier. It lets the packages that drive the plane and fixed-point kernels
+// hold each tier to their scalar loops; like the tier switch itself, it
+// must not run beside in-flight kernels.
+func ForEachKernelISA(f func(name string)) {
+	prev := kernelISA
+	defer func() { kernelISA = prev }()
+	for tier := isaScalar; tier <= hostISA; tier++ {
+		kernelISA = tier
+		f(isaNames[tier])
+	}
+}
