@@ -105,12 +105,19 @@
 #                     called only in its renderer and in the static Table 1
 #                     (every other artifact is an entry of experiment.Sweeps:
 #                     one runner, one row type, one renderer)
-#   make exports    - parse gate: every exported top-level func, type, var and
-#                     const under internal/ is referenced by some non-test .go
-#                     file of the module (benchmark/ and examples/ included);
-#                     chaos, faultnet and leakcheck serve tests and are exempt,
-#                     and each other test-only export is listed with its reason
-#                     in exports_test.go
+#   make exports    - type-checked gate: every exported top-level name,
+#                     exported method and exported struct field under
+#                     internal/ is used by some non-test .go file of the
+#                     module or of benchmark/ (examples/ included). A method
+#                     also counts when it makes its type satisfy an interface
+#                     that non-test code names (a type assertion's anonymous
+#                     interface included), as do String() string and
+#                     Error() string; a tagged field counts, since a codec
+#                     reads it. chaos, faultnet and leakcheck serve tests and
+#                     are exempt, and each other test-only name is listed with
+#                     its reason in exports_test.go (a type's entry covers its
+#                     methods and fields). Also runs the gate over the planted
+#                     tree in testdata/exportgate
 #   make exptables  - byte-identity of the evaluation: rerun dinar-bench -exp all
 #                     -quick (seed 1, about two minutes) and diff every table
 #                     against internal/experiment/testdata/quick_seed1.golden;
@@ -231,7 +238,7 @@ onesweep:
 		$$(ls internal/experiment/*.go | grep -v _test.go)
 
 exports:
-	$(GO) test . -run TestEveryExportHasACaller
+	$(GO) test . -run 'TestEveryExportHasACaller|TestExportGateFixture'
 
 exptables:
 	@$(GO) run ./cmd/dinar-bench -exp all -quick \

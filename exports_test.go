@@ -1,14 +1,21 @@
 package dinar
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"path"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,7 +29,7 @@ var exportGateExempt = map[string]bool{
 }
 
 // testOnlyExports are the internal exports that only tests call, each with
-// why it stays.
+// why it stays. An entry for a type covers its methods and fields.
 var testOnlyExports = map[string]string{
 	"repro/internal/checkpoint.Save":               "in-memory seam the checkpoint fuzzers drive",
 	"repro/internal/checkpoint.Load":               "in-memory seam the checkpoint fuzzers drive",
@@ -47,131 +54,289 @@ var testOnlyExports = map[string]string{
 	"repro/internal/attack.NewInverter":            "test-only attack; ROADMAP item 7 decides whether it joins Fig 6",
 	"repro/internal/attack.ReconstructionScore":    "test-only attack; ROADMAP item 7 decides whether it joins Fig 6",
 	"repro/internal/attack.PropertyAttack":         "test-only attack; ROADMAP item 7 decides whether it joins Fig 6",
+	"repro/internal/attack.Inverter":               "test-only attack; ROADMAP item 7 decides whether it joins Fig 6",
+	"repro/internal/data.Dataset.Batch":            "reference the shuffled batches of TestBatchesMatchesShuffled are checked against",
+	"repro/internal/fl.Client.EnableRoundReplay":   "seam the chaos soak turns on to replay a restarted client's round",
+	"repro/internal/service.Job.FinalState":        "oracle of the resume-identity tests",
+	"repro/internal/flnet.Server.Events":           "event ring the chaos soak reads",
 }
 
-// TestEveryExportHasACaller fails for an exported top-level func, type, var
-// or const under internal/ that no non-test file of the module references,
-// the round benchmark and the examples included. Only this module can import
-// an internal package, so such a symbol is code no program runs.
+// TestEveryExportHasACaller fails for an exported top-level name, exported
+// method or exported struct field under internal/ that no non-test file of
+// the module or of the round benchmark's module uses, the examples included.
+// Only these two modules can import an internal package, so such a name is
+// code no program runs.
 func TestEveryExportHasACaller(t *testing.T) {
-	const module = "repro"
-	fset := token.NewFileSet()
-	type file struct {
-		pkg string // import path of the file's package
-		f   *ast.File
+	dead, stale, err := deadExports(".", exportGateExempt, testOnlyExports)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var files []file
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, 0)
-		if err != nil {
-			return err
-		}
-		files = append(files, file{path.Join(module, filepath.ToSlash(filepath.Dir(p))), f})
-		return nil
+	for _, d := range dead {
+		t.Errorf("%s has no non-test caller: delete it, or list it in testOnlyExports with the reason it stays", d)
+	}
+	for _, s := range stale {
+		t.Error(s)
+	}
+}
+
+// TestExportGateFixture runs the gate over a planted module tree and holds it
+// to exactly the dead method and the dead field planted there.
+func TestExportGateFixture(t *testing.T) {
+	dead, stale, err := deadExports(filepath.Join("testdata", "exportgate"), nil, map[string]string{
+		"fixture/internal/lib.Seam": "test seam: covers its method and field",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var got []string
+	for _, d := range dead {
+		got = append(got, d[strings.LastIndex(d, " ")+1:])
+	}
+	sort.Strings(got)
+	want := []string{"fixture/internal/lib.Widget.Dead", "fixture/internal/lib.Widget.Unused"}
+	if !reflect.DeepEqual(got, want) || len(stale) != 0 {
+		t.Errorf("dead = %q, stale = %q; want dead %q and nothing stale", dead, stale, want)
+	}
+}
 
-	declared := map[string]token.Position{} // "importpath.Name" -> declaration
-	declIdents := map[*ast.Ident]bool{}
-	for _, fl := range files {
-		if !strings.HasPrefix(fl.pkg, module+"/internal/") || exportGateExempt[fl.pkg] {
+// deadExports type-checks the module at root and, if there is one, the module
+// in root/benchmark, and returns, as "position: symbol", every exported
+// top-level name, exported method and exported struct field of the root
+// module's internal packages that no non-test file uses. Symbols read
+// "path.Name" or "path.Type.Name"; embedded fields are not gated. A name
+// counts as used when some file refers to it (types.Info.Uses, which also
+// records a method or field selected through embedding), when it is a
+// method that makes its type (or a type it is promoted into) satisfy an
+// interface that some file names, when it is String() string or Error()
+// string, or when it is a tagged field, which a codec reads by reflection.
+// Generic types are not checked against interfaces. Packages in exempt are
+// not gated; allow lists the test-only names that stay, and an entry for a
+// type covers its methods and fields. stale reports allow entries that are
+// not gated names or that keep nothing unused.
+func deadExports(root string, exempt map[string]bool, allow map[string]string) (dead, stale []string, err error) {
+	l := &gateLoader{
+		fset:   token.NewFileSet(),
+		std:    importer.Default(),
+		listed: map[string]listedPkg{},
+		pkgs:   map[string]*types.Package{},
+		info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
+		},
+	}
+	var order []string
+	module := ""
+	for _, dir := range []string{root, filepath.Join(root, "benchmark")} {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
 			continue
 		}
-		declare := func(id *ast.Ident) {
-			if id.IsExported() {
-				declared[fl.pkg+"."+id.Name] = fset.Position(id.Pos())
-				declIdents[id] = true
-			}
+		pkgs, err := goList(dir)
+		if err != nil {
+			return nil, nil, err
 		}
-		for _, d := range fl.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					declare(d.Name)
-					continue
-				}
-				// A method's receiver is part of its type's declaration,
-				// not a use of the type.
-				ast.Inspect(d.Recv, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						declIdents[id] = true
-					}
-					return true
-				})
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						declare(s.Name)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							declare(id)
-						}
+		for _, p := range pkgs {
+			if module == "" {
+				module = p.Module.Path
+			}
+			l.listed[p.ImportPath] = p
+			order = append(order, p.ImportPath)
+		}
+	}
+	for _, path := range order {
+		if _, err := l.Import(path); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	used := map[types.Object]bool{}
+	for _, obj := range l.info.Uses {
+		used[obj] = true
+	}
+	byMethod := map[string][]*types.Interface{} // method name -> interfaces that have it
+	seen := map[*types.Interface]bool{}
+	for _, tv := range l.info.Types {
+		it, ok := tv.Type.Underlying().(*types.Interface)
+		if !ok || seen[it] {
+			continue
+		}
+		seen[it] = true
+		for i := 0; i < it.NumMethods(); i++ {
+			byMethod[it.Method(i).Name()] = append(byMethod[it.Method(i).Name()], it)
+		}
+	}
+
+	// A method is used when it makes a type satisfy an interface some file
+	// names, and a method promoted into that type counts as well.
+	for _, pkg := range l.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) || tn.Type().(*types.Named).TypeParams().Len() > 0 {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			mset := types.NewMethodSet(ptr)
+			for i := 0; i < mset.Len(); i++ {
+				m := mset.At(i).Obj()
+				for _, it := range byMethod[m.Name()] {
+					if types.Implements(ptr, it) {
+						used[m] = true
+						break
 					}
 				}
 			}
 		}
 	}
 
-	used := map[string]bool{}
-	for _, fl := range files {
-		imports := map[string]string{} // local name -> import path
-		for _, is := range fl.f.Imports {
-			p, _ := strconv.Unquote(is.Path.Value)
-			name := path.Base(p)
-			if is.Name != nil {
-				name = is.Name.Name
-			}
-			imports[name] = p
+	declared := map[string]bool{}
+	needed := map[string]bool{} // allowlist entries that keep an unused name
+	var deadObjs []types.Object
+	var deadSyms []string
+	// gate records sym, declared by obj; owner is the symbol of the type
+	// that declares a method or field, or "" for a top-level name.
+	gate := func(sym, owner string, obj types.Object, isUsed bool) {
+		declared[sym] = true
+		if isUsed || used[obj] {
+			return
 		}
-		selectors := map[*ast.Ident]bool{}
-		ast.Inspect(fl.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				selectors[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil {
-					if p, ok := imports[x.Name]; ok {
-						used[p+"."+n.Sel.Name] = true
+		if _, ok := allow[sym]; ok {
+			needed[sym] = true
+			return
+		}
+		if _, ok := allow[owner]; ok {
+			needed[owner] = true
+			return
+		}
+		deadObjs = append(deadObjs, obj)
+		deadSyms = append(deadSyms, sym)
+	}
+	for _, path := range order {
+		pkg := l.pkgs[path]
+		if !strings.HasPrefix(path, module+"/internal/") || exempt[path] {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				gate(path+"."+name, "", obj, false)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() {
+					gate(path+"."+name+"."+m.Name(), path+"."+name, m, alwaysUsed(m))
+				}
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						gate(path+"."+name+"."+f.Name(), path+"."+name, f, st.Tag(i) != "")
 					}
 				}
-			case *ast.Ident:
-				if !selectors[n] && !declIdents[n] {
-					used[fl.pkg+"."+n.Name] = true
-				}
 			}
-			return true
-		})
-	}
-
-	var dead []string
-	for sym, pos := range declared {
-		if !used[sym] && testOnlyExports[sym] == "" {
-			dead = append(dead, pos.String()+": "+sym)
 		}
+	}
+	absRoot, err := filepath.Abs(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, obj := range deadObjs {
+		pos := l.fset.Position(obj.Pos())
+		if rel, err := filepath.Rel(absRoot, pos.Filename); err == nil {
+			pos.Filename = rel
+		}
+		dead = append(dead, pos.String()+": "+deadSyms[i])
 	}
 	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s has no non-test caller: delete it, or list it in testOnlyExports with the reason it stays", d)
-	}
-	for sym := range testOnlyExports {
-		if _, ok := declared[sym]; !ok {
-			t.Errorf("testOnlyExports lists %s, which is not an export of a gated package", sym)
-		} else if used[sym] {
-			t.Errorf("testOnlyExports lists %s, which has a non-test caller: drop the entry", sym)
+	for sym := range allow {
+		if !declared[sym] {
+			stale = append(stale, fmt.Sprintf("the allowlist names %s, which is not an export of a gated package", sym))
+		} else if !needed[sym] {
+			stale = append(stale, fmt.Sprintf("the allowlist names %s, which has a non-test caller, as does all it covers: drop the entry", sym))
 		}
 	}
+	sort.Strings(stale)
+	return dead, stale, nil
+}
+
+// alwaysUsed reports whether m is String() string or Error() string, which
+// the fmt verbs and the error interface call on any value.
+func alwaysUsed(m *types.Func) bool {
+	sig := m.Type().(*types.Signature)
+	if (m.Name() != "String" && m.Name() != "Error") || sig.Params().Len() != 0 || sig.Results().Len() != 1 {
+		return false
+	}
+	b, ok := sig.Results().At(0).Type().(*types.Basic)
+	return ok && b.Kind() == types.String
+}
+
+// listedPkg is the part of `go list -json` the gate reads.
+type listedPkg struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Module     struct{ Path string }
+}
+
+// goList lists the packages of the module in dir, with the non-test files the
+// host's build constraints select.
+func goList(dir string) ([]listedPkg, error) {
+	cmd := exec.Command("go", "list", "-json=ImportPath,Dir,GoFiles,Module", "./...")
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list in %s: %w", dir, err)
+	}
+	var pkgs []listedPkg
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p listedPkg
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("go list in %s: %w", dir, err)
+		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+// gateLoader type-checks module packages from source, each once and into one
+// shared types.Info, and serves every other import from the standard
+// library's export data. Sharing the objects lets a method of one package
+// satisfy an interface of another.
+type gateLoader struct {
+	fset   *token.FileSet
+	std    types.Importer
+	listed map[string]listedPkg
+	pkgs   map[string]*types.Package
+	info   *types.Info
+}
+
+func (l *gateLoader) Import(path string) (*types.Package, error) {
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
+	}
+	lp, ok := l.listed[path]
+	if !ok {
+		return l.std.Import(path)
+	}
+	var files []*ast.File
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", path, err)
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
 }

@@ -8,6 +8,8 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -134,11 +136,10 @@ func TestDINARPrivateStoreSurvivesCheckpoint(t *testing.T) {
 	// Personalization must restore the recovered layer.
 	global := make([]float64, m.NumState())
 	personalized := fresh.OnGlobalModel(2, 1, global)
-	p := fresh.PrivateLayers()[0]
-	sp := m.Spans()[p]
-	for i := 0; i < sp.Len; i++ {
-		if personalized[sp.Offset+i] != exported[p][i] {
-			t.Fatal("recovered private layer not restored")
+	for p, layer := range exported {
+		sp := m.Spans()[p]
+		if !slices.Equal(personalized[sp.Offset:sp.Offset+sp.Len], layer) {
+			t.Fatalf("recovered private layer %d not restored", p)
 		}
 	}
 }
@@ -159,12 +160,11 @@ func TestDINARPersonalizationAcrossParticipationGaps(t *testing.T) {
 	if err := d.Bind(fl.InfoOf(m)); err != nil {
 		t.Fatal(err)
 	}
-	p := d.PrivateLayers()[0]
 
 	// Round 0: client 0 participates.
 	u0 := &fl.Update{ClientID: 0, State: m.StateVector(), NumSamples: 10}
 	d.BeforeUpload(0, nil, u0)
-	saved := d.StoredPrivate(0, p)
+	saved := d.ExportStore(0)
 
 	// Rounds 1..3: only client 1 participates.
 	for r := 1; r <= 3; r++ {
@@ -173,17 +173,14 @@ func TestDINARPersonalizationAcrossParticipationGaps(t *testing.T) {
 	}
 
 	// Round 4: client 0 returns — its stored layer is untouched.
-	after := d.StoredPrivate(0, p)
-	for i := range saved {
-		if saved[i] != after[i] {
-			t.Fatal("private layer changed while the client was absent")
-		}
+	if after := d.ExportStore(0); len(saved) == 0 || !reflect.DeepEqual(saved, after) {
+		t.Fatal("private layer changed while the client was absent")
 	}
 	global := make([]float64, m.NumState())
 	personalized := d.OnGlobalModel(0, 4, global)
-	sp := m.Spans()[p]
-	for i := 0; i < sp.Len; i++ {
-		if personalized[sp.Offset+i] != saved[i] {
+	for p, layer := range saved {
+		sp := m.Spans()[p]
+		if !slices.Equal(personalized[sp.Offset:sp.Offset+sp.Len], layer) {
 			t.Fatal("personalization after a gap did not restore the stored layer")
 		}
 	}

@@ -182,9 +182,6 @@ func (a *ShadowAttack) Fit(pool *data.Dataset, build func(rng *rand.Rand) (*nn.M
 	return nil
 }
 
-// Fitted reports whether Fit has run.
-func (a *ShadowAttack) Fitted() bool { return a.clf != nil }
-
 // Scores returns per-sample membership scores (higher = more likely member)
 // for ds under the target model m.
 func (a *ShadowAttack) Scores(m *nn.Model, ds *data.Dataset) ([]float64, error) {

@@ -65,8 +65,8 @@ func TestShadowAttackOnOverfitModel(t *testing.T) {
 	if err := atk.Fit(split.Attacker, build); err != nil {
 		t.Fatal(err)
 	}
-	if !atk.Fitted() {
-		t.Fatal("Fitted() false after Fit")
+	if atk.clf == nil {
+		t.Fatal("no classifier after Fit")
 	}
 	auc, err := atk.AUC(m, split.Train, split.Test)
 	if err != nil {

@@ -159,7 +159,7 @@ func CorruptFile(path string, seed int64) error {
 }
 
 // ParseMetrics parses the Prometheus text exposition format (the subset
-// telemetry.Registry.WritePrometheus emits) into metric name -> value.
+// telemetry.WritePrometheusMerged emits) into metric name -> value.
 // Labeled series (histogram buckets) are skipped; counters, gauges, and
 // histogram _count/_sum series are returned.
 func ParseMetrics(text string) map[string]float64 {

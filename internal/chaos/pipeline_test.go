@@ -155,10 +155,10 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 	}
 
 	var seqText, pipText strings.Builder
-	if err := seqReg.WritePrometheus(&seqText); err != nil {
+	if err := telemetry.WritePrometheusMerged(&seqText, seqReg); err != nil {
 		t.Fatal(err)
 	}
-	if err := pipReg.WritePrometheus(&pipText); err != nil {
+	if err := telemetry.WritePrometheusMerged(&pipText, pipReg); err != nil {
 		t.Fatal(err)
 	}
 	// Both modes time the checkpoint write itself.

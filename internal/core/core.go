@@ -132,14 +132,6 @@ func (d *DINAR) Bind(info fl.ModelInfo) error {
 	return nil
 }
 
-// PrivateLayers returns the resolved obfuscated layer indices (valid after
-// Bind).
-func (d *DINAR) PrivateLayers() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]int(nil), d.layers...)
-}
-
 // OnGlobalModel implements fl.Defense: model personalization (Algorithm 1,
 // lines 1–6). For each protected layer the client's stored private
 // parameters replace the (obfuscated) global values. On the first round no
@@ -201,19 +193,6 @@ func (d *DINAR) Aggregate(_ int, _ []float64, updates []*fl.Update) ([]float64, 
 // Sampled-out clients keep obfuscating with a stale private layer until the
 // next broadcast they see re-personalizes it (OnGlobalModel).
 func (d *DINAR) StreamingAggregator() fl.StreamingAggregator { return fl.NewStreamingFedAvg() }
-
-// StoredPrivate returns a copy of the stored private parameters of the given
-// client and logical layer, or nil if none exist. Intended for tests and the
-// middleware's crash-recovery path.
-func (d *DINAR) StoredPrivate(clientID, layer int) []float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cs := d.store[clientID]
-	if cs == nil || cs.private[layer] == nil {
-		return nil
-	}
-	return append([]float64(nil), cs.private[layer]...)
-}
 
 // ExportStore returns a deep copy of a client's full private-layer store
 // (layer index → parameters), for checkpointing. Nil when the client has no

@@ -26,7 +26,7 @@ func TestBindDefaultsToPenultimate(t *testing.T) {
 	if err := d.Bind(info); err != nil {
 		t.Fatal(err)
 	}
-	layers := d.PrivateLayers()
+	layers := d.layers
 	if len(layers) != 1 || layers[0] != len(info.Spans)-2 {
 		t.Fatalf("private layers = %v, want [%d]", layers, len(info.Spans)-2)
 	}
@@ -38,7 +38,7 @@ func TestBindExplicitAndNegativeLayers(t *testing.T) {
 	if err := d.Bind(info); err != nil {
 		t.Fatal(err)
 	}
-	layers := d.PrivateLayers()
+	layers := d.layers
 	if len(layers) != 2 || layers[0] != 1 || layers[1] != len(info.Spans)-1 {
 		t.Fatalf("private layers = %v", layers)
 	}
@@ -180,13 +180,13 @@ func TestStoredPrivate(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := len(info.Spans) - 2
-	if d.StoredPrivate(0, p) != nil {
+	if d.ExportStore(0)[p] != nil {
 		t.Fatal("store should start empty")
 	}
 	m := testModel()
 	u := &fl.Update{ClientID: 3, State: m.StateVector(), NumSamples: 1}
 	d.BeforeUpload(0, nil, u)
-	priv := d.StoredPrivate(3, p)
+	priv := d.ExportStore(3)[p]
 	if priv == nil {
 		t.Fatal("private layer not stored")
 	}
@@ -194,7 +194,7 @@ func TestStoredPrivate(t *testing.T) {
 	if len(priv) != sp.Len {
 		t.Fatalf("stored %d values, want %d", len(priv), sp.Len)
 	}
-	if d.StoredPrivate(3, 0) != nil {
+	if d.ExportStore(3)[0] != nil {
 		t.Fatal("unprotected layer should not be stored")
 	}
 }
@@ -379,7 +379,7 @@ func TestBindSkipsBypassablePenultimate(t *testing.T) {
 	if err := d.Bind(info); err != nil {
 		t.Fatal(err)
 	}
-	layers := d.PrivateLayers()
+	layers := d.layers
 	if len(layers) != 1 || layers[0] != len(info.Spans)-1 {
 		t.Fatalf("private layers = %v, want classifier %d", layers, len(info.Spans)-1)
 	}

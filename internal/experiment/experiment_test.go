@@ -52,8 +52,8 @@ func TestFig1QuickSingleDataset(t *testing.T) {
 		t.Fatalf("most sensitive marks = %v, want exactly one", most)
 	}
 	tbl := res.Table()
-	if tbl.NumRows() != 6 || strings.Count(tbl.String(), "<== obfuscation target") != 1 {
-		t.Fatalf("table rows = %d:\n%s", tbl.NumRows(), tbl)
+	if tableRows(tbl) != 6 || strings.Count(tbl.String(), "<== obfuscation target") != 1 {
+		t.Fatalf("table rows = %d:\n%s", tableRows(tbl), tbl)
 	}
 }
 
@@ -75,7 +75,7 @@ func TestTable1Static(t *testing.T) {
 	if runnable != 6 { // SA, CDP, LDP, WDP, GC, DINAR
 		t.Fatalf("runnable methods = %d, want 6", runnable)
 	}
-	if Table1Table().NumRows() != 17 {
+	if tableRows(Table1Table()) != 17 {
 		t.Fatal("rendered table row mismatch")
 	}
 }
@@ -99,7 +99,7 @@ func TestFig3Quick(t *testing.T) {
 			t.Fatalf("%s: negative JS", r.Labels[0])
 		}
 	}
-	if res.Table().NumRows() != len(defenses) {
+	if tableRows(res.Table()) != len(defenses) {
 		t.Fatal("table rows mismatch")
 	}
 }
@@ -135,7 +135,7 @@ func TestFig4Quick(t *testing.T) {
 	}
 	tbl := res.Table()
 	baseline := fmt.Sprintf("(no-defense local AUC %.1f%%)", res.Rows[0].Values[MetricLocalAUC])
-	if tbl.NumRows() != 6 || !strings.Contains(tbl.String(), baseline) {
+	if tableRows(tbl) != 6 || !strings.Contains(tbl.String(), baseline) {
 		t.Fatalf("table lacks %d rows or %q:\n%s", 6, baseline, tbl)
 	}
 }
@@ -214,7 +214,7 @@ func TestFig6QuickSubset(t *testing.T) {
 	if len(fig7.Rows) != 2 || &fig7.Rows[0] != &res.Rows[0] {
 		t.Fatal("fig7 did not reuse fig6's rows")
 	}
-	if res.Table().NumRows() != 2 || fig7.Table().NumRows() != 2 {
+	if tableRows(res.Table()) != 2 || tableRows(fig7.Table()) != 2 {
 		t.Fatal("table rows mismatch")
 	}
 }
@@ -238,7 +238,7 @@ func TestTable3Quick(t *testing.T) {
 			t.Fatalf("%s: zero cost measurements", r.Labels[0])
 		}
 	}
-	if res.Table().NumRows() != 3 {
+	if tableRows(res.Table()) != 3 {
 		t.Fatal("table rows mismatch")
 	}
 }
@@ -277,7 +277,7 @@ func TestFig8Quick(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("points = %d", len(res.Rows))
 	}
-	if res.Table().NumRows() != 2 {
+	if tableRows(res.Table()) != 2 {
 		t.Fatal("table rows mismatch")
 	}
 }
@@ -291,7 +291,7 @@ func TestFig9Quick(t *testing.T) {
 	if len(res.Rows) != 2 { // none + dinar
 		t.Fatalf("points = %d", len(res.Rows))
 	}
-	if res.Table().NumRows() != 2 {
+	if tableRows(res.Table()) != 2 {
 		t.Fatal("table rows mismatch")
 	}
 }
@@ -309,7 +309,7 @@ func TestFig10Quick(t *testing.T) {
 	if !strings.Contains(res.Rows[1].Labels[0], "eps=0.2") {
 		t.Fatalf("label = %q", res.Rows[1].Labels[0])
 	}
-	if res.Table().NumRows() != 3 {
+	if tableRows(res.Table()) != 3 {
 		t.Fatal("table rows mismatch")
 	}
 }
@@ -323,7 +323,7 @@ func TestFig11Quick(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("points = %d", len(res.Rows))
 	}
-	if res.Table().NumRows() != 2 {
+	if tableRows(res.Table()) != 2 {
 		t.Fatal("table rows mismatch")
 	}
 }
@@ -401,7 +401,7 @@ func TestOptimizerFor(t *testing.T) {
 		defense, optimizer string
 		lr                 float64
 	}{
-		{"dinar", "adagrad", o.AdaptiveLearningRate},
+		{"dinar", "adagrad", 0.01},
 		{"dpfedsam", "sam", 0.8},
 		{"ldp", "sgd", 0.8},
 	} {
@@ -429,11 +429,6 @@ func TestFlConfigLearningRates(t *testing.T) {
 	if cfg.LearningRate != 0.01 {
 		t.Fatalf("adagrad lr = %v", cfg.LearningRate)
 	}
-	o.LearningRate = 0.3
-	cfg = o.flConfig("cifar10", "sgd")
-	if cfg.LearningRate != 0.3 {
-		t.Fatalf("explicit sgd lr = %v", cfg.LearningRate)
-	}
 }
 
 func TestAblationObfuscationQuick(t *testing.T) {
@@ -451,7 +446,7 @@ func TestAblationObfuscationQuick(t *testing.T) {
 			t.Fatalf("%s AUC %v", p.Labels[0], auc)
 		}
 	}
-	if res.Table().NumRows() != 2 {
+	if tableRows(res.Table()) != 2 {
 		t.Fatal("table rows mismatch")
 	}
 }
@@ -469,4 +464,15 @@ func TestAblationRobustQuick(t *testing.T) {
 	if res.Rows[1].Labels[0] != "median" {
 		t.Fatalf("labels: %+v", res.Rows)
 	}
+}
+
+// tableRows counts the rows a rendered table prints below its header rule.
+func tableRows(tbl fmt.Stringer) int {
+	lines := strings.Split(strings.TrimRight(tbl.String(), "\n"), "\n")
+	for i, l := range lines {
+		if strings.Trim(l, "- ") == "" {
+			return len(lines) - i - 1
+		}
+	}
+	return 0
 }

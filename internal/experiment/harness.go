@@ -29,71 +29,52 @@ type Options struct {
 	Seed int64
 	// Records overrides each dataset's record count (0 = spec default).
 	Records int
-	// Clients, Rounds, LocalEpochs, BatchSize, LearningRate configure the FL
-	// system (zero values fall back to fl.Config defaults).
-	Clients      int
-	Rounds       int
-	LocalEpochs  int
-	BatchSize    int
-	LearningRate float64
-	// AdaptiveLearningRate is the learning rate used with adaptive
-	// optimizers (Adagrad and the §5.11 ablation variants), whose effective
-	// per-coordinate step starts near the raw rate and therefore needs a
-	// smaller value than SGD.
-	AdaptiveLearningRate float64
+	// Clients, Rounds, LocalEpochs and BatchSize configure the FL system
+	// (zero values fall back to fl.Config defaults). Clients train in
+	// parallel at fl.DefaultLearningRate: SGD's per-dataset tuned rate, or
+	// the adaptive optimizers' own (Adagrad and the §5.11 ablation
+	// variants).
+	Clients     int
+	Rounds      int
+	LocalEpochs int
+	BatchSize   int
 	// UseShadowAttack selects the Shokri shadow-model MIA; false selects the
 	// cheaper loss-threshold MIA.
 	UseShadowAttack bool
 	// ShadowEpochs configures shadow-model training when UseShadowAttack.
 	ShadowEpochs int
-	// Parallel trains FL clients concurrently.
-	Parallel bool
 }
 
 // DefaultOptions returns the standard scaled experiment configuration.
 func DefaultOptions() Options {
 	return Options{
-		Seed:                 1,
-		Records:              1200,
-		Clients:              5,
-		Rounds:               8,
-		LocalEpochs:          4,
-		BatchSize:            32,
-		LearningRate:         0, // per-dataset tuned SGD rate
-		AdaptiveLearningRate: 0.01,
-		UseShadowAttack:      true,
-		ShadowEpochs:         20,
-		Parallel:             true,
+		Seed:            1,
+		Records:         1200,
+		Clients:         5,
+		Rounds:          8,
+		LocalEpochs:     4,
+		BatchSize:       32,
+		UseShadowAttack: true,
+		ShadowEpochs:    20,
 	}
 }
 
 // QuickOptions returns a reduced configuration for tests and smoke runs.
 func QuickOptions() Options {
 	return Options{
-		Seed:                 1,
-		Records:              500,
-		Clients:              3,
-		Rounds:               3,
-		LocalEpochs:          2,
-		BatchSize:            32,
-		LearningRate:         0, // per-dataset tuned SGD rate
-		AdaptiveLearningRate: 0.01,
-		ShadowEpochs:         8,
-		Parallel:             true,
+		Seed:         1,
+		Records:      500,
+		Clients:      3,
+		Rounds:       3,
+		LocalEpochs:  2,
+		BatchSize:    32,
+		ShadowEpochs: 8,
 	}
 }
 
 // flConfig converts Options to an fl.Config for the given dataset and client
 // optimizer.
 func (o Options) flConfig(dataset, optimizer string) fl.Config {
-	lr := fl.DefaultLearningRate(dataset, optimizer)
-	if fl.AdaptiveOptimizer(optimizer) {
-		if o.AdaptiveLearningRate > 0 {
-			lr = o.AdaptiveLearningRate
-		}
-	} else if o.LearningRate > 0 {
-		lr = o.LearningRate
-	}
 	return fl.Config{
 		Dataset:      dataset,
 		Records:      o.Records,
@@ -101,10 +82,10 @@ func (o Options) flConfig(dataset, optimizer string) fl.Config {
 		Rounds:       o.Rounds,
 		LocalEpochs:  o.LocalEpochs,
 		BatchSize:    o.BatchSize,
-		LearningRate: lr,
+		LearningRate: fl.DefaultLearningRate(dataset, optimizer),
 		Optimizer:    optimizer,
 		Seed:         o.Seed,
-		Parallel:     o.Parallel,
+		Parallel:     true,
 	}
 }
 

@@ -91,7 +91,7 @@ func layerRows(c Case, run *FLRun, seed int64) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	div, err := leakage.NewAnalyzer().LayerDivergence(m, run.Sys.Split.Train, run.Sys.Split.Test)
+	div, err := leakage.LayerDivergence(m, run.Sys.Split.Train, run.Sys.Split.Test)
 	if err != nil {
 		return nil, err
 	}

@@ -54,9 +54,6 @@ type Config struct {
 	// round's updates are validated (shape, NaN/Inf) and offenders are
 	// quarantined before the defense aggregates.
 	NoScreen bool
-	// ClipNorms additionally enables the screen's delta-norm clipping
-	// against a running median-of-norms bound.
-	ClipNorms bool
 }
 
 // The assembly: everything Config.Seed decides about a federation before its

@@ -103,9 +103,6 @@ var adaptiveOptimizers = map[string]bool{
 	"adagrad": true, "adam": true, "adamax": true, "rmsprop": true, "adgd": true,
 }
 
-// AdaptiveOptimizer reports whether the named optimizer is one of those.
-func AdaptiveOptimizer(name string) bool { return adaptiveOptimizers[name] }
-
 // OptimizerFor names the optimizer the clients of a federation under the
 // named defense train with, unless its configuration says otherwise. The
 // optimizer is part of two of the methods: DINAR trains with its adaptive

@@ -90,7 +90,7 @@ func TestOptimizerFor(t *testing.T) {
 			t.Errorf("OptimizerFor(%q) = %q, want %q", name, got, want)
 		}
 	}
-	if !AdaptiveOptimizer(OptimizerFor("dinar")) || AdaptiveOptimizer("sam") || AdaptiveOptimizer("sgd") {
+	if DefaultLearningRate("purchase100", OptimizerFor("dinar")) != 0.01 || DefaultLearningRate("purchase100", "sam") == 0.01 || DefaultLearningRate("purchase100", "sgd") == 0.01 {
 		t.Error("adagrad takes the adaptive learning rate; sam and sgd take SGD's")
 	}
 }

@@ -9,18 +9,24 @@ import "sort"
 // of a round nor the window it leaves behind depend on the order in which the
 // round's updates arrived.
 type normWindow struct {
-	size       int // how many recent norms the window keeps
-	minHistory int // norms needed before median reports a value
-	history    []float64
-	round      []float64 // the open round's accepted norms, not yet committed
+	history []float64
+	round   []float64 // the open round's accepted norms, not yet committed
 }
+
+// The window keeps the normWindowSize most recent norms, and begin reports
+// no median until it holds normMinHistory: the first rounds calibrate the
+// bound.
+const (
+	normWindowSize = 64
+	normMinHistory = 4
+)
 
 // begin opens a round: norms recorded by a round that never committed are
 // discarded. It returns the median the round calibrates against; ok is false
 // while the window is still filling (or its median is not positive).
 func (w *normWindow) begin() (median float64, ok bool) {
 	w.round = w.round[:0]
-	if len(w.history) < w.minHistory {
+	if len(w.history) < normMinHistory {
 		return 0, false
 	}
 	sorted := append([]float64(nil), w.history...)
@@ -39,8 +45,8 @@ func (w *normWindow) record(norm float64) { w.round = append(w.round, norm) }
 func (w *normWindow) commit() {
 	sort.Float64s(w.round)
 	w.history = append(w.history, w.round...)
-	if len(w.history) > w.size {
-		w.history = w.history[len(w.history)-w.size:]
+	if len(w.history) > normWindowSize {
+		w.history = w.history[len(w.history)-normWindowSize:]
 	}
 	w.round = w.round[:0]
 }

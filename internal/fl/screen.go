@@ -15,9 +15,18 @@ import (
 // repeat offenders are quarantined — their updates are excluded for a fixed
 // number of rounds even if they reconnect under the fault-tolerance path.
 
-// ScreenConfig configures the update screen. The zero value is a useful
-// default: reject non-finite updates, no norm clipping, quarantine after
-// the first offense for three rounds.
+// The delta-norm bounds, as multiples of the median of the norm window:
+// deltas with norm in (clipMultiple×median, rejectMultiple×median] are
+// scaled down to the clip bound, and deltas past the reject bound are
+// dropped and count as an offense.
+const (
+	clipMultiple   = 3
+	rejectMultiple = 10
+)
+
+// ScreenConfig configures the update screen. The zero value rejects
+// non-finite updates, clips no norms, and quarantines a client for three
+// rounds from its first offense.
 type ScreenConfig struct {
 	// ClipNorms enables delta-norm validation: each update's L2 distance to
 	// the round's starting global state is compared against the median of
@@ -25,51 +34,9 @@ type ScreenConfig struct {
 	// with legitimately outsized uploads (secure aggregation's masked
 	// states) must not be clipped.
 	ClipNorms bool
-	// NormMultiple scales the clip bound (default 3): deltas with norm in
-	// (NormMultiple×median, RejectMultiple×median] are scaled down to the
-	// bound.
-	NormMultiple float64
-	// RejectMultiple scales the rejection bound (default 10): deltas past
-	// it are dropped and count as an offense.
-	RejectMultiple float64
-	// HistoryWindow is how many recent accepted norms the median covers
-	// (default 64).
-	HistoryWindow int
-	// MinHistory is how many accepted norms earlier rounds must have left
-	// before norm verdicts activate (default 4) — the first rounds calibrate
-	// the bound.
-	MinHistory int
-	// Strikes is the number of rejected updates before a client is
-	// quarantined (default 1).
-	Strikes int
 	// QuarantineRounds is how many rounds a quarantined client's updates
 	// are excluded for (default 3). Negative disables quarantine.
 	QuarantineRounds int
-}
-
-func (c ScreenConfig) withDefaults() ScreenConfig {
-	if c.NormMultiple <= 0 {
-		c.NormMultiple = 3
-	}
-	if c.RejectMultiple <= 0 {
-		c.RejectMultiple = 10
-	}
-	if c.RejectMultiple < c.NormMultiple {
-		c.RejectMultiple = c.NormMultiple
-	}
-	if c.HistoryWindow <= 0 {
-		c.HistoryWindow = 64
-	}
-	if c.MinHistory <= 0 {
-		c.MinHistory = 4
-	}
-	if c.Strikes <= 0 {
-		c.Strikes = 1
-	}
-	if c.QuarantineRounds == 0 {
-		c.QuarantineRounds = 3
-	}
-	return c
 }
 
 // ScreenVerdict records why one update was rejected.
@@ -126,13 +93,14 @@ type Screen struct {
 	blockedUntil map[int]int
 }
 
-// NewScreen builds a screen from cfg (zero value: defaults).
+// NewScreen builds a screen from cfg.
 func NewScreen(cfg ScreenConfig) *Screen {
-	cfg = cfg.withDefaults()
+	if cfg.QuarantineRounds == 0 {
+		cfg.QuarantineRounds = 3
+	}
 	return &Screen{
 		cfg:          cfg,
 		tel:          NewMetrics(telemetry.NewRegistry()),
-		norms:        normWindow{size: cfg.HistoryWindow, minHistory: cfg.MinHistory},
 		offenses:     make(map[int]int),
 		blockedUntil: make(map[int]int),
 	}
@@ -161,19 +129,12 @@ func (s *Screen) quarantined(clientID, round int) bool {
 	return ok && round <= until
 }
 
-// Offenses returns how many of clientID's updates have been rejected.
-func (s *Screen) Offenses(clientID int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.offenses[clientID]
-}
-
 // reject books an offense for clientID at round and starts a quarantine
-// penalty when the strike budget is exhausted. Callers hold s.mu. Returns
-// whether the client was newly quarantined.
+// penalty. Callers hold s.mu. Returns whether the client was newly
+// quarantined.
 func (s *Screen) reject(clientID, round int) bool {
 	s.offenses[clientID]++
-	if s.cfg.QuarantineRounds < 0 || s.offenses[clientID] < s.cfg.Strikes {
+	if s.cfg.QuarantineRounds < 0 {
 		return false
 	}
 	until := round + s.cfg.QuarantineRounds
@@ -322,7 +283,7 @@ func (s *Screen) validate(prevGlobal []float64, u *Update) (norm float64, reason
 		return 0, ""
 	}
 	norm = DeltaNorm(prevGlobal, u.State)
-	if bound := s.cfg.RejectMultiple * s.median; s.calibrated && norm > bound {
+	if bound := rejectMultiple * s.median; s.calibrated && norm > bound {
 		return norm, fmt.Sprintf("delta norm %.4g exceeds reject bound %.4g", norm, bound)
 	}
 	return norm, ""
@@ -335,7 +296,7 @@ func (s *Screen) clip(prevGlobal []float64, u *Update, norm float64) *Update {
 	if !s.cfg.ClipNorms {
 		return u
 	}
-	bound := s.cfg.NormMultiple * s.median
+	bound := clipMultiple * s.median
 	if !s.calibrated || norm <= bound {
 		s.norms.record(norm)
 		return u

@@ -68,13 +68,13 @@ func TestScreenQuarantineLifecycle(t *testing.T) {
 		})
 	}
 
-	// Round 0: first offense quarantines immediately (Strikes defaults to 1).
+	// Round 0: the first offense quarantines immediately.
 	rep := poison(0)
 	if len(rep.NewlyQuarantined) != 1 || rep.NewlyQuarantined[0] != 7 {
 		t.Fatalf("round 0: %+v", rep)
 	}
-	if sc.Offenses(7) != 1 {
-		t.Fatalf("offenses = %d", sc.Offenses(7))
+	if n := sc.ExportState().Offenses[7]; n != 1 {
+		t.Fatalf("offenses = %d", n)
 	}
 
 	// Rounds 1-2: even clean updates are excluded while the penalty lasts.
@@ -101,21 +101,6 @@ func TestScreenQuarantineLifecycle(t *testing.T) {
 	}
 }
 
-func TestScreenStrikesBudget(t *testing.T) {
-	sc := NewScreen(ScreenConfig{Strikes: 2, QuarantineRounds: 1})
-	prev := []float64{0}
-	bad := []*Update{{ClientID: 3, State: []float64{math.Inf(1)}, NumSamples: 1}}
-
-	_, rep := sc.Apply(0, prev, bad)
-	if len(rep.NewlyQuarantined) != 0 {
-		t.Fatalf("first strike should not quarantine: %+v", rep)
-	}
-	_, rep = sc.Apply(1, prev, bad)
-	if len(rep.NewlyQuarantined) != 1 {
-		t.Fatalf("second strike should quarantine: %+v", rep)
-	}
-}
-
 func TestScreenQuarantineDisabled(t *testing.T) {
 	sc := NewScreen(ScreenConfig{QuarantineRounds: -1})
 	prev := []float64{0}
@@ -130,35 +115,36 @@ func TestScreenQuarantineDisabled(t *testing.T) {
 }
 
 func TestScreenClipNorms(t *testing.T) {
-	sc := NewScreen(ScreenConfig{ClipNorms: true, MinHistory: 2, NormMultiple: 2, RejectMultiple: 4})
+	sc := NewScreen(ScreenConfig{ClipNorms: true})
 	prev := []float64{0, 0}
 
-	// Calibration round: three accepted norm-1 deltas build the history.
+	// Calibration round: four accepted norm-1 deltas fill the warm-up.
 	kept, rep := sc.Apply(0, prev, mkUpdates(
 		[]float64{1, 0},
 		[]float64{0, 1},
 		[]float64{1, 0},
+		[]float64{0, 1},
 	))
-	if len(kept) != 3 || len(rep.Clipped) != 0 {
+	if len(kept) != 4 || len(rep.Clipped) != 0 {
 		t.Fatalf("calibration round: %+v", rep)
 	}
 
-	// Norm 3 exceeds the clip bound (2x median 1) but not the reject bound
-	// (4x): the update survives, scaled down to the bound.
-	in := &Update{ClientID: 9, State: []float64{3, 0}, NumSamples: 1}
+	// Norm 5 exceeds the clip bound (3x median 1) but not the reject bound
+	// (10x): the update survives, scaled down to the bound.
+	in := &Update{ClientID: 9, State: []float64{5, 0}, NumSamples: 1}
 	kept, rep = sc.Apply(1, prev, []*Update{in})
 	if len(kept) != 1 || len(rep.Clipped) != 1 {
 		t.Fatalf("clip round: %+v", rep)
 	}
-	if norm := DeltaNorm(prev, kept[0].State); math.Abs(norm-2) > 1e-9 {
-		t.Fatalf("clipped norm = %g, want 2", norm)
+	if norm := DeltaNorm(prev, kept[0].State); math.Abs(norm-3) > 1e-9 {
+		t.Fatalf("clipped norm = %g, want 3", norm)
 	}
-	if in.State[0] != 3 {
+	if in.State[0] != 5 {
 		t.Fatal("input update must not be mutated")
 	}
 
-	// Norm 10 exceeds the reject bound: dropped as an offense.
-	kept, rep = sc.Apply(2, prev, []*Update{{ClientID: 8, State: []float64{10, 0}, NumSamples: 1}})
+	// Norm 20 exceeds the reject bound: dropped as an offense.
+	kept, rep = sc.Apply(2, prev, []*Update{{ClientID: 8, State: []float64{20, 0}, NumSamples: 1}})
 	if len(kept) != 0 || len(rep.Rejected) != 1 {
 		t.Fatalf("reject round: %+v", rep)
 	}

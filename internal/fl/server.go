@@ -92,9 +92,6 @@ func (s *Server) SetRound(r int) {
 // A nil screen disables screening.
 func (s *Server) SetScreen(sc *Screen) { s.screen = sc }
 
-// Screen returns the installed update screen (nil when screening is off).
-func (s *Server) Screen() *Screen { return s.screen }
-
 // ScreenReports returns a copy of the per-round screening reports recorded
 // so far (empty without a screen).
 func (s *Server) ScreenReports() []ScreenReport {
@@ -256,10 +253,6 @@ func (s *Server) lengthError(u *Update) error {
 	return fmt.Errorf("fl: round %d update from client %d has %d values, want %d",
 		s.round, u.ClientID, len(u.State), len(s.state))
 }
-
-// StreamCount returns how many updates the open round has folded or
-// retained.
-func (s *Server) StreamCount() int { return s.count }
 
 // FinishRound closes the round: the aggregate of the offered updates becomes
 // the next global state and the round counter advances. A retained round

@@ -206,7 +206,7 @@ func (a *StreamingFedAvg) MemoryBytes() int { return a.sum.bytes() + 2*16 }
 // rule clips against the median of the *current* round (it has every update
 // in hand), which a per-arrival fold cannot know. The streaming rule
 // calibrates on completed rounds instead — the first rounds pass unclipped
-// while the window fills (like the screen's MinHistory warmup), and within
+// while the window fills (the same warm-up as the screen's), and within
 // a round the bound is fixed at Begin, so verdicts are independent of
 // arrival order. Non-finite updates are dropped, mirroring the materialized
 // rule's finiteness filter.
@@ -231,7 +231,6 @@ func NewStreamingNormBound(multiple float64) *StreamingNormBound {
 	return &StreamingNormBound{
 		inner:    NewStreamingFedAvg(),
 		multiple: multiple,
-		norms:    normWindow{size: 64, minHistory: 4},
 	}
 }
 

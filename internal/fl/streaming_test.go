@@ -284,8 +284,8 @@ func TestServerStreamingRound(t *testing.T) {
 	if v, err := str.Offer(&Update{ClientID: 98, NumSamples: 1, State: nanState(dim)}); err != nil || v != OfferRejected {
 		t.Fatalf("NaN offer: verdict %v err %v, want rejected/nil", v, err)
 	}
-	if got := str.StreamCount(); got != len(ups) {
-		t.Fatalf("StreamCount %d, want %d", got, len(ups))
+	if got := str.count; got != len(ups) {
+		t.Fatalf("stream count %d, want %d", got, len(ups))
 	}
 	if err := str.FinishRound(); err != nil {
 		t.Fatal(err)
@@ -333,13 +333,14 @@ func TestServerStreamingRound(t *testing.T) {
 // TestStreamingScreenClipOrderInvariant: the screen's norm bound is fixed
 // when the round begins, so a streamed round's aggregate, verdicts and the
 // norm window it leaves behind do not depend on arrival order. With history
-// {1,3} and NormMultiple 2 the bound is 4 for the whole round: the norm-7
-// delta is clipped to 4 wherever it arrives and the mean is exactly 4.
+// {1,2,2,3} (median 2) and the clip multiple 3 the bound is 6 for the whole
+// round: the norm-9 delta is clipped to 6 wherever it arrives and the mean is
+// exactly 6.
 func TestStreamingScreenClipOrderInvariant(t *testing.T) {
 	ups := []*Update{
-		{ClientID: 0, NumSamples: 1, State: []float64{4}},
-		{ClientID: 1, NumSamples: 1, State: []float64{4}},
-		{ClientID: 2, NumSamples: 1, State: []float64{7}},
+		{ClientID: 0, NumSamples: 1, State: []float64{6}},
+		{ClientID: 1, NumSamples: 1, State: []float64{6}},
+		{ClientID: 2, NumSamples: 1, State: []float64{9}},
 	}
 	// The last order runs retained (no aggregator): same bound, same bits.
 	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}, {2, 1, 0}}
@@ -348,8 +349,8 @@ func TestStreamingScreenClipOrderInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := NewScreen(ScreenConfig{ClipNorms: true, MinHistory: 2, NormMultiple: 2, RejectMultiple: 10})
-		sc.ImportState(ScreenState{Norms: []float64{1, 3}})
+		sc := NewScreen(ScreenConfig{ClipNorms: true})
+		sc.ImportState(ScreenState{Norms: []float64{1, 2, 2, 3}})
 		srv.SetScreen(sc)
 		var agg StreamingAggregator
 		if i < len(orders)-1 {
@@ -366,16 +367,16 @@ func TestStreamingScreenClipOrderInvariant(t *testing.T) {
 		if err := srv.FinishRound(); err != nil {
 			t.Fatal(err)
 		}
-		if got := srv.GlobalState()[0]; got != 4 {
-			t.Errorf("order %v: aggregate %v, want 4", order, got)
+		if got := srv.GlobalState()[0]; got != 6 {
+			t.Errorf("order %v: aggregate %v, want 6", order, got)
 		}
 		rep, _ := srv.LastScreenReport()
 		sort.Ints(rep.Accepted)
 		if !slices.Equal(rep.Accepted, []int{0, 1, 2}) || !slices.Equal(rep.Clipped, []int{2}) || len(rep.Rejected) != 0 {
 			t.Errorf("order %v: report %+v, want all accepted and client 2 clipped", order, rep)
 		}
-		if norms := sc.ExportState().Norms; !slices.Equal(norms, []float64{1, 3, 4, 4, 4}) {
-			t.Errorf("order %v: norm window %v, want [1 3 4 4 4]", order, norms)
+		if norms := sc.ExportState().Norms; !slices.Equal(norms, []float64{1, 2, 2, 3, 6, 6, 6}) {
+			t.Errorf("order %v: norm window %v, want [1 2 2 3 6 6 6]", order, norms)
 		}
 	}
 }

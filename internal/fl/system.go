@@ -86,7 +86,7 @@ func NewSystem(cfg Config, def Defense) (*System, error) {
 		return nil, err
 	}
 	if !cfg.NoScreen {
-		server.SetScreen(NewScreen(ScreenConfig{ClipNorms: cfg.ClipNorms}))
+		server.SetScreen(NewScreen(ScreenConfig{}))
 	}
 	return &System{
 		Config:  cfg,

@@ -39,10 +39,9 @@ type ClientConfig struct {
 	// Defense is the client-side defense instance (OnGlobalModel and
 	// BeforeUpload hooks run here). It must already be Bound.
 	Defense fl.Defense
-	// DialTimeout bounds each TCP dial (default 30s); IOTimeout bounds
-	// each read/write (default 2 minutes).
-	DialTimeout time.Duration
-	IOTimeout   time.Duration
+	// IOTimeout bounds each read/write (default 2 minutes). Each TCP dial
+	// is bounded by dialTimeout.
+	IOTimeout time.Duration
 	// MaxRetries is the number of reconnection attempts after a dial or
 	// per-round I/O failure. Each successfully completed round resets the
 	// consecutive-failure count. 0 means the default (5); negative
@@ -65,6 +64,9 @@ type ClientConfig struct {
 	// job. Empty is fine against a single-federation server.
 	Job string
 }
+
+// dialTimeout bounds each TCP dial to Addr.
+const dialTimeout = 30 * time.Second
 
 // defaultMaxBackoff caps the exponential backoff between reconnects.
 const defaultMaxBackoff = 10 * time.Second
@@ -108,9 +110,6 @@ func RunClient(ctx context.Context, cfg ClientConfig) ([]float64, error) {
 	if cfg.Trainer == nil || cfg.Defense == nil {
 		return nil, fmt.Errorf("flnet: client needs Trainer and Defense")
 	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 30 * time.Second
-	}
 	if cfg.IOTimeout == 0 {
 		cfg.IOTimeout = 2 * time.Minute
 	}
@@ -124,7 +123,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) ([]float64, error) {
 		cfg.BaseBackoff = 100 * time.Millisecond
 	}
 	if cfg.Dial == nil {
-		dialer := net.Dialer{Timeout: cfg.DialTimeout}
+		dialer := net.Dialer{Timeout: dialTimeout}
 		cfg.Dial = func(ctx context.Context) (net.Conn, error) {
 			conn, err := dialer.DialContext(ctx, "tcp", cfg.Addr)
 			if err != nil {

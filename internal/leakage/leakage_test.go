@@ -61,8 +61,7 @@ func overfitSetup(t *testing.T) (*nn.Model, *data.Dataset, *data.Dataset) {
 
 func TestLayerDivergenceShape(t *testing.T) {
 	m, members, nonMembers := overfitSetup(t)
-	a := NewAnalyzer()
-	div, err := a.LayerDivergence(m, members, nonMembers)
+	div, err := LayerDivergence(m, members, nonMembers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +77,12 @@ func TestLayerDivergenceShape(t *testing.T) {
 
 func TestTrainedModelLeaksMoreThanFresh(t *testing.T) {
 	m, members, nonMembers := overfitSetup(t)
-	a := NewAnalyzer()
-	trainedDiv, err := a.LayerDivergence(m, members, nonMembers)
+	trainedDiv, err := LayerDivergence(m, members, nonMembers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := model.FCNN6(members.Spec.Features, members.Spec.Classes, rand.New(rand.NewSource(9)))
-	freshDiv, err := a.LayerDivergence(fresh, members, nonMembers)
+	freshDiv, err := LayerDivergence(fresh, members, nonMembers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +97,7 @@ func TestMostSensitiveLayerIsLate(t *testing.T) {
 	// most sensitive layer of an overfit classifier must sit in the deeper
 	// half of the network.
 	m, members, nonMembers := overfitSetup(t)
-	a := NewAnalyzer()
-	div, err := a.LayerDivergence(m, members, nonMembers)
+	div, err := LayerDivergence(m, members, nonMembers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +123,11 @@ func TestLayerDivergenceErrors(t *testing.T) {
 	spec, _ := data.Lookup("purchase100")
 	ds, _ := data.GenerateN(spec, 20, 1)
 	m := model.FCNN6(spec.Features, spec.Classes, rand.New(rand.NewSource(1)))
-	a := NewAnalyzer()
 	empty := ds.Subset(nil)
-	if _, err := a.LayerDivergence(m, empty, ds); err == nil {
+	if _, err := LayerDivergence(m, empty, ds); err == nil {
 		t.Fatal("accepted empty members")
 	}
-	if _, err := a.LayerDivergence(m, ds, empty); err == nil {
+	if _, err := LayerDivergence(m, ds, empty); err == nil {
 		t.Fatal("accepted empty non-members")
 	}
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -189,7 +190,7 @@ func TestResNet20ForwardShapes(t *testing.T) {
 func TestModelsAreDeterministicPerSeed(t *testing.T) {
 	a := FCNN6(32, 5, rand.New(rand.NewSource(9)))
 	b := FCNN6(32, 5, rand.New(rand.NewSource(9)))
-	av, bv := a.ParamVector(), b.ParamVector()
+	av, bv := a.StateVector(), b.StateVector()
 	for i := range av {
 		if av[i] != bv[i] {
 			t.Fatal("same seed should build identical models")
@@ -217,8 +218,8 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, conv1d := m.Layers()[0].(*nn.Conv1D); conv1d != (name == "speechcommands") {
-			t.Fatalf("%s: first layer %s", name, m.Layers()[0].Name())
+		if first := m.Spans()[0].Name; strings.HasPrefix(first, "conv1d(") != (name == "speechcommands") {
+			t.Fatalf("%s: first layer %s", name, first)
 		}
 		ds, err := data.GenerateN(spec, spec.Classes, 1)
 		if err != nil {

@@ -163,12 +163,11 @@ func TestReLUGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := tensor.Randn(rng, 0, 1, 3, 6)
 	// Keep values away from the kink at zero for finite differences.
-	x.Apply(func(v float64) float64 {
+	for i, v := range x.Data() {
 		if math.Abs(v) < 0.05 {
-			return v + 0.1
+			x.Data()[i] = v + 0.1
 		}
-		return v
-	})
+	}
 	checkLayerGradients(t, NewReLU(), x, 1e-6)
 }
 
@@ -262,22 +261,23 @@ func TestModelEndToEndGradient(t *testing.T) {
 	m.Backward(res.Grad)
 	analytic := m.GradVector()
 
-	vec := m.ParamVector()
+	// The state vector starts with the parameters, in gradient order.
+	vec := m.StateVector()
 	const eps = 1e-5
-	for _, i := range sampleIndices(rng, len(vec), 25) {
+	for _, i := range sampleIndices(rng, len(analytic), 25) {
 		orig := vec[i]
 		vec[i] = orig + eps
-		if err := m.SetParamVector(vec); err != nil {
+		if err := m.SetStateVector(vec); err != nil {
 			t.Fatal(err)
 		}
 		plus := forwardLoss()
 		vec[i] = orig - eps
-		if err := m.SetParamVector(vec); err != nil {
+		if err := m.SetStateVector(vec); err != nil {
 			t.Fatal(err)
 		}
 		minus := forwardLoss()
 		vec[i] = orig
-		if err := m.SetParamVector(vec); err != nil {
+		if err := m.SetStateVector(vec); err != nil {
 			t.Fatal(err)
 		}
 		num := (plus - minus) / (2 * eps)

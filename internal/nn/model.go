@@ -136,9 +136,6 @@ func (m *Model) Clone() *Model {
 	return NewModel(layers...)
 }
 
-// Layers returns the model's top-level layers.
-func (m *Model) Layers() []Layer { return m.layers }
-
 // Spans returns the model's logical layer spans (one per weight-bearing
 // layer). The returned slice is shared; callers must not modify it.
 func (m *Model) Spans() []Span { return m.spans }
@@ -224,31 +221,8 @@ func (m *Model) buffers() []*tensor.Tensor {
 	return bs
 }
 
-// ParamVector returns a copy of all trainable parameters as a flat vector in
-// span order.
-func (m *Model) ParamVector() []float64 {
-	out := make([]float64, 0, m.numParams)
-	for _, p := range m.Params() {
-		out = append(out, p.Data()...)
-	}
-	return out
-}
-
-// SetParamVector loads trainable parameters from a flat vector.
-func (m *Model) SetParamVector(vec []float64) error {
-	if len(vec) != m.numParams {
-		return fmt.Errorf("nn: param vector length %d, model has %d", len(vec), m.numParams)
-	}
-	off := 0
-	for _, p := range m.Params() {
-		copy(p.Data(), vec[off:off+p.Len()])
-		off += p.Len()
-	}
-	return nil
-}
-
 // GradVector returns a copy of all parameter gradients as a flat vector
-// aligned with ParamVector.
+// aligned with the parameters that head StateVector.
 func (m *Model) GradVector() []float64 {
 	out := make([]float64, 0, m.numParams)
 	for _, g := range m.Grads() {
@@ -312,13 +286,4 @@ func (m *Model) ZeroGrads() {
 	for _, g := range m.Grads() {
 		g.Zero()
 	}
-}
-
-// Describe returns a one-line-per-layer architecture summary.
-func (m *Model) Describe() string {
-	s := ""
-	for i, sp := range m.spans {
-		s += fmt.Sprintf("layer %d: %s (%d params at %d)\n", i, sp.Name, sp.Len, sp.Offset)
-	}
-	return s + fmt.Sprintf("total: %d params, %d state", m.numParams, m.numState)
 }

@@ -50,26 +50,6 @@ func TestModelSpansMergeBatchNorm(t *testing.T) {
 	}
 }
 
-func TestModelParamVectorRoundTrip(t *testing.T) {
-	m := buildTinyCNN(2)
-	vec := m.ParamVector()
-	for i := range vec {
-		vec[i] = float64(i) * 0.001
-	}
-	if err := m.SetParamVector(vec); err != nil {
-		t.Fatal(err)
-	}
-	got := m.ParamVector()
-	for i := range vec {
-		if got[i] != vec[i] {
-			t.Fatalf("round trip mismatch at %d: %v != %v", i, got[i], vec[i])
-		}
-	}
-	if err := m.SetParamVector(vec[:10]); err == nil {
-		t.Fatal("SetParamVector accepted a short vector")
-	}
-}
-
 func TestModelStateVectorIncludesRunningStats(t *testing.T) {
 	m := buildTinyCNN(3)
 	if m.NumState() <= m.NumParams() {
@@ -137,14 +117,6 @@ func TestModelZeroGrads(t *testing.T) {
 		if g != 0 {
 			t.Fatal("ZeroGrads left nonzero gradient")
 		}
-	}
-}
-
-func TestModelDescribe(t *testing.T) {
-	m := buildTinyCNN(6)
-	d := m.Describe()
-	if d == "" {
-		t.Fatal("empty Describe")
 	}
 }
 

@@ -314,9 +314,6 @@ func (a *ADGD) Reset() {
 	a.started = false
 }
 
-// Lambda returns the current adaptive step size (for tests and diagnostics).
-func (a *ADGD) Lambda() float64 { return a.lambda }
-
 func makeState(params []*tensor.Tensor) [][]float64 {
 	state := make([][]float64, len(params))
 	for i, p := range params {

@@ -92,15 +92,15 @@ func TestAdagradMatchesAlgorithmOne(t *testing.T) {
 	opt := NewAdagrad(0.1)
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
 	want := 1 - 0.1*2/math.Sqrt(4+1e-5)
-	if math.Abs(p.At(0)-want) > 1e-12 {
-		t.Fatalf("step 1: x = %v, want %v", p.At(0), want)
+	if math.Abs(p.Data()[0]-want) > 1e-12 {
+		t.Fatalf("step 1: x = %v, want %v", p.Data()[0], want)
 	}
 	// Step 2 with g=1: G=5.
-	g.Set(1, 0)
+	g.Data()[0] = 1
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
 	want -= 0.1 * 1 / math.Sqrt(5+1e-5)
-	if math.Abs(p.At(0)-want) > 1e-12 {
-		t.Fatalf("step 2: x = %v, want %v", p.At(0), want)
+	if math.Abs(p.Data()[0]-want) > 1e-12 {
+		t.Fatalf("step 2: x = %v, want %v", p.Data()[0], want)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestSGDKnownStep(t *testing.T) {
 	p := tensor.MustFromSlice([]float64{1, 2}, 2)
 	g := tensor.MustFromSlice([]float64{0.5, -0.5}, 2)
 	NewSGD(0.1, 0).Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
-	if math.Abs(p.At(0)-0.95) > 1e-12 || math.Abs(p.At(1)-2.05) > 1e-12 {
+	if math.Abs(p.Data()[0]-0.95) > 1e-12 || math.Abs(p.Data()[1]-2.05) > 1e-12 {
 		t.Fatalf("sgd step: %v", p.Data())
 	}
 }
@@ -121,8 +121,8 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	// v=1, x=-1
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
 	// v=1.5, x=-2.5
-	if math.Abs(p.At(0)+2.5) > 1e-12 {
-		t.Fatalf("momentum: x = %v, want -2.5", p.At(0))
+	if math.Abs(p.Data()[0]+2.5) > 1e-12 {
+		t.Fatalf("momentum: x = %v, want -2.5", p.Data()[0])
 	}
 }
 
@@ -132,11 +132,11 @@ func TestResetClearsState(t *testing.T) {
 	opt := NewAdagrad(0.1)
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
 	opt.Reset()
-	p.Set(1, 0)
+	p.Data()[0] = 1
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
 	want := 1 - 0.1*1/math.Sqrt(1+1e-5)
-	if math.Abs(p.At(0)-want) > 1e-12 {
-		t.Fatalf("after reset: x = %v, want %v (fresh accumulator)", p.At(0), want)
+	if math.Abs(p.Data()[0]-want) > 1e-12 {
+		t.Fatalf("after reset: x = %v, want %v (fresh accumulator)", p.Data()[0], want)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestADGDLambdaStaysFinite(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		q.grad()
 		opt.Step(params, grads)
-		if l := opt.Lambda(); math.IsNaN(l) || math.IsInf(l, 0) || l <= 0 {
+		if l := opt.lambda; math.IsNaN(l) || math.IsInf(l, 0) || l <= 0 {
 			t.Fatalf("step %d: lambda = %v", i, l)
 		}
 	}

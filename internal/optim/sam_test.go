@@ -33,13 +33,13 @@ func TestSAMFirstStepPerturbsByRho(t *testing.T) {
 		t.Fatal("FirstStep should request a second pass")
 	}
 	// Perturbation = rho * g/||g|| = 0.5*[0.6, 0.8].
-	if math.Abs(p.At(0)-1.3) > 1e-12 || math.Abs(p.At(1)-1.4) > 1e-12 {
+	if math.Abs(p.Data()[0]-1.3) > 1e-12 || math.Abs(p.Data()[1]-1.4) > 1e-12 {
 		t.Fatalf("perturbed params = %v", p.Data())
 	}
 	// SecondStep restores and applies -lr*g'.
 	g2 := tensor.MustFromSlice([]float64{1, 0}, 2)
 	opt.SecondStep([]*tensor.Tensor{p}, []*tensor.Tensor{g2})
-	if math.Abs(p.At(0)-0.9) > 1e-12 || math.Abs(p.At(1)-1.0) > 1e-12 {
+	if math.Abs(p.Data()[0]-0.9) > 1e-12 || math.Abs(p.Data()[1]-1.0) > 1e-12 {
 		t.Fatalf("restored+updated params = %v", p.Data())
 	}
 }
@@ -51,11 +51,11 @@ func TestSAMZeroGradientSkipsSecondPass(t *testing.T) {
 	if opt.FirstStep([]*tensor.Tensor{p}, []*tensor.Tensor{g}) {
 		t.Fatal("zero gradient should not request a second pass")
 	}
-	if p.At(0) != 1 {
+	if p.Data()[0] != 1 {
 		t.Fatal("zero gradient perturbed params")
 	}
 	opt.SecondStep([]*tensor.Tensor{p}, []*tensor.Tensor{g})
-	if p.At(0) != 1 {
+	if p.Data()[0] != 1 {
 		t.Fatal("zero gradient changed params")
 	}
 }
@@ -65,8 +65,8 @@ func TestSAMPlainStepFallback(t *testing.T) {
 	g := tensor.MustFromSlice([]float64{2}, 1)
 	opt := NewSAM(0.1, 0.5)
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
-	if math.Abs(p.At(0)-0.8) > 1e-12 {
-		t.Fatalf("fallback step = %v", p.At(0))
+	if math.Abs(p.Data()[0]-0.8) > 1e-12 {
+		t.Fatalf("fallback step = %v", p.Data()[0])
 	}
 }
 

@@ -330,14 +330,3 @@ func (j *Job) FinalState() []float64 {
 	defer j.mu.Unlock()
 	return j.final
 }
-
-// Reports returns the live server's per-round reports (nil when idle).
-func (j *Job) Reports() []flnet.RoundReport {
-	j.mu.Lock()
-	srv := j.srv
-	j.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	return srv.Reports()
-}

@@ -16,8 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
+
+	"repro/internal/fl"
 )
 
 // JobSpec is the wire form of one federation job's configuration — the
@@ -198,6 +201,12 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.AsyncStaleness < 0 {
 		add("async_staleness", "invalid", fmt.Sprintf("async_staleness must be non-negative, got %d", s.AsyncStaleness))
+	}
+	if s.Aggregator != "" && !slices.Contains(fl.AggregatorNames, s.Aggregator) {
+		add("aggregator", "invalid", fmt.Sprintf("aggregator must be one of %v, got %q", fl.AggregatorNames, s.Aggregator))
+	}
+	if s.MaxByzantine < 0 {
+		add("max_byzantine", "invalid", fmt.Sprintf("max_byzantine must be non-negative, got %d", s.MaxByzantine))
 	}
 	quantized := false
 	switch s.Quantize {

@@ -37,6 +37,8 @@ func TestValidateRejections(t *testing.T) {
 		{"min_clients beyond sample_size", func(s *JobSpec) { s.SampleSize = 2; s.MinClients = 3 }, "min_clients", "conflict"},
 		{"negative deadline", func(s *JobSpec) { s.RoundDeadlineMs = -1 }, "round_deadline_ms", "invalid"},
 		{"negative staleness", func(s *JobSpec) { s.AsyncStaleness = -1 }, "async_staleness", "invalid"},
+		{"unknown aggregator", func(s *JobSpec) { s.Aggregator = "bogus" }, "aggregator", "invalid"},
+		{"negative byzantine", func(s *JobSpec) { s.Aggregator = "krum"; s.MaxByzantine = -1 }, "max_byzantine", "invalid"},
 		{"unknown quantize", func(s *JobSpec) { s.Quantize = "int4" }, "quantize", "invalid"},
 		{"topk out of range", func(s *JobSpec) { s.Quantize = "int8"; s.TopK = 1.5 }, "topk", "invalid"},
 		{"topk without quantize", func(s *JobSpec) { s.TopK = 0.1 }, "topk", "conflict"},

@@ -30,7 +30,6 @@ type EventLog struct {
 	ring []Event
 	next int // ring write cursor
 	n    int // events stored (≤ len(ring))
-	seq  uint64
 }
 
 // NewEventLog returns a log keeping the most recent capacity events
@@ -42,9 +41,6 @@ func NewEventLog(capacity int, sink func(line string)) *EventLog {
 	return &EventLog{ring: make([]Event, capacity), sink: sink}
 }
 
-// Logf records an event with no round/client attribution.
-func (l *EventLog) Logf(format string, args ...any) { l.Eventf(-1, -1, format, args...) }
-
 // Eventf records one structured event. The message is formatted and the
 // sink invoked under the log's mutex, so concurrent callers emit whole,
 // non-interleaved lines in a single total order.
@@ -52,7 +48,6 @@ func (l *EventLog) Eventf(round, client int, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.seq++
 	l.ring[l.next] = Event{Time: time.Now(), Round: round, Client: client, Msg: msg}
 	l.next = (l.next + 1) % len(l.ring)
 	if l.n < len(l.ring) {
@@ -76,12 +71,4 @@ func (l *EventLog) Events() []Event {
 		out = append(out, l.ring[(start+i)%len(l.ring)])
 	}
 	return out
-}
-
-// Seq returns how many events have ever been recorded (including ones the
-// ring has since evicted).
-func (l *EventLog) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
 }

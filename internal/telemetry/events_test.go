@@ -44,9 +44,6 @@ func TestEventLogSerializesSink(t *testing.T) {
 			t.Fatalf("interleaved or malformed line %q: %v", line, err)
 		}
 	}
-	if got := l.Seq(); got != goroutines*perG {
-		t.Fatalf("Seq = %d, want %d", got, goroutines*perG)
-	}
 }
 
 // TestEventLogRing checks the bounded ring keeps the newest events in
@@ -69,21 +66,18 @@ func TestEventLogRing(t *testing.T) {
 			t.Fatalf("ring[%d].Client = %d, want -1", i, ev.Client)
 		}
 	}
-	if l.Seq() != 10 {
-		t.Fatalf("Seq = %d, want 10", l.Seq())
-	}
 }
 
 // TestEventLogNilSinkAndMinCapacity: a nil sink only records, and
 // capacity is clamped to at least 1.
 func TestEventLogNilSinkAndMinCapacity(t *testing.T) {
 	l := NewEventLog(0, nil)
-	l.Logf("only %s", "line")
+	l.Eventf(-1, -1, "only %s", "line")
 	evs := l.Events()
 	if len(evs) != 1 || !strings.Contains(evs[0].Msg, "only line") {
 		t.Fatalf("events = %+v, want one 'only line'", evs)
 	}
 	if evs[0].Round != -1 || evs[0].Client != -1 {
-		t.Fatalf("Logf should record round=-1 client=-1, got %d/%d", evs[0].Round, evs[0].Client)
+		t.Fatalf("want round=-1 client=-1, got %d/%d", evs[0].Round, evs[0].Client)
 	}
 }

@@ -12,7 +12,7 @@ func TestLabeledRegistryRendersJobLabel(t *testing.T) {
 	r.Histogram("test_lat_seconds", "latency", []float64{0.1, 1}).Observe(0.05)
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := WritePrometheusMerged(&sb, r); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -335,11 +335,6 @@ func (k kind) typeName() string {
 	}
 }
 
-// WritePrometheus renders every registered instrument in Prometheus text
-// exposition format, sorted by metric name so output is deterministic. A
-// labeled registry's samples carry its constant label.
-func (r *Registry) WritePrometheus(w io.Writer) error { return WritePrometheusMerged(w, r) }
-
 // WritePrometheusMerged renders the union of several registries as one
 // valid Prometheus exposition: samples sharing a metric name are grouped
 // under a single HELP/TYPE header (Prometheus rejects repeated headers),

@@ -87,7 +87,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("sum = %g, want %g", got, want)
 	}
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := WritePrometheusMerged(&sb, r); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -162,7 +162,7 @@ m_latency_seconds_count 3
 z_requests_total 7
 `
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := WritePrometheusMerged(&sb, r); err != nil {
 		t.Fatal(err)
 	}
 	if got := sb.String(); got != want {

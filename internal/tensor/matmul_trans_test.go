@@ -189,8 +189,8 @@ func TestTranspose2DTiledOddShapes(t *testing.T) {
 		}
 		for i := 0; i < s[0]; i++ {
 			for j := 0; j < s[1]; j++ {
-				if at.At(j, i) != a.At(i, j) {
-					t.Fatalf("%v: at(%d,%d) = %v, want %v", s, j, i, at.At(j, i), a.At(i, j))
+				if got, want := at.Data()[j*s[0]+i], a.Data()[i*s[1]+j]; got != want {
+					t.Fatalf("%v: at(%d,%d) = %v, want %v", s, j, i, got, want)
 				}
 			}
 		}

@@ -57,7 +57,9 @@ func TestMatMulKernelsPoolParallelBitIdentical(t *testing.T) {
 			for _, workers := range []int{2, 4, 7} {
 				parallel.SetWorkers(workers)
 				got := New(s.m, s.n)
-				got.Fill(99) // stale contents must be fully overwritten
+				for i := range got.Data() {
+					got.Data()[i] = 99 // stale contents must be fully overwritten
+				}
 				if err := kn.run(got); err != nil {
 					t.Fatalf("%s %dx%dx%d workers=%d: %v", kn.name, s.m, s.k, s.n, workers, err)
 				}

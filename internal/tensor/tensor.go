@@ -9,7 +9,6 @@ package tensor
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -127,50 +126,10 @@ func (t *Tensor) MustReshape(shape ...int) *Tensor {
 	return r
 }
 
-// At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
-
-// Set assigns v to the element at the given multi-dimensional index.
-func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d for shape %v", len(idx), t.shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
-// SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.shape) != len(o.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != o.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Zero sets all elements to zero in place.
 func (t *Tensor) Zero() {
 	for i := range t.data {
 		t.data[i] = 0
-	}
-}
-
-// Fill sets all elements to v in place.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
 	}
 }
 
@@ -185,35 +144,6 @@ func (t *Tensor) AddInPlace(o *Tensor) error {
 	return nil
 }
 
-// SubInPlace subtracts o from t element-wise, in place.
-func (t *Tensor) SubInPlace(o *Tensor) error {
-	if len(t.data) != len(o.data) {
-		return fmt.Errorf("%w: sub %v - %v", ErrShapeMismatch, t.shape, o.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-	return nil
-}
-
-// MulInPlace multiplies t by o element-wise, in place.
-func (t *Tensor) MulInPlace(o *Tensor) error {
-	if len(t.data) != len(o.data) {
-		return fmt.Errorf("%w: mul %v * %v", ErrShapeMismatch, t.shape, o.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return nil
-}
-
-// Scale multiplies every element by s, in place.
-func (t *Tensor) Scale(s float64) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
-
 // AXPY computes t += alpha*o element-wise, in place.
 func (t *Tensor) AXPY(alpha float64, o *Tensor) error {
 	if len(t.data) != len(o.data) {
@@ -225,79 +155,6 @@ func (t *Tensor) AXPY(alpha float64, o *Tensor) error {
 	return nil
 }
 
-// Apply replaces every element x with f(x), in place.
-func (t *Tensor) Apply(f func(float64) float64) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
-}
-
-// Variance returns the population variance of all elements.
-func (t *Tensor) Variance() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	m := t.Mean()
-	s := 0.0
-	for _, v := range t.data {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(t.data))
-}
-
-// Norm returns the L2 norm of the tensor viewed as a flat vector.
-func (t *Tensor) Norm() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the maximum absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// ArgMax returns the index of the maximum element of a 1-D tensor view. For
-// multi-dimensional tensors it operates on the flattened data.
-func (t *Tensor) ArgMax() int {
-	if len(t.data) == 0 {
-		return -1
-	}
-	best, bestIdx := t.data[0], 0
-	for i, v := range t.data[1:] {
-		if v > best {
-			best, bestIdx = v, i+1
-		}
-	}
-	return bestIdx
-}
-
 // Row returns a copy of row i of a 2-D tensor.
 func (t *Tensor) Row(i int) ([]float64, error) {
 	if len(t.shape) != 2 {
@@ -307,15 +164,6 @@ func (t *Tensor) Row(i int) ([]float64, error) {
 	out := make([]float64, cols)
 	copy(out, t.data[i*cols:(i+1)*cols])
 	return out, nil
-}
-
-// SetRow copies values into row i of a 2-D tensor.
-func (t *Tensor) SetRow(i int, values []float64) error {
-	if len(t.shape) != 2 || len(values) != t.shape[1] {
-		return fmt.Errorf("%w: SetRow(%d values) on %v", ErrShapeMismatch, len(values), t.shape)
-	}
-	copy(t.data[i*t.shape[1]:(i+1)*t.shape[1]], values)
-	return nil
 }
 
 // String renders a compact description, e.g. "Tensor(2x3)[...]".

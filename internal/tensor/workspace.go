@@ -34,13 +34,6 @@ func (w *Workspace) Get(slot int, shape ...int) *Tensor {
 	return t
 }
 
-// Get1D returns the slot's scratch tensor shaped to [n].
-func (w *Workspace) Get1D(slot, n int) *Tensor {
-	t := w.slot(slot)
-	w.reshape1(t, n, n)
-	return t
-}
-
 // Get2D returns the slot's scratch tensor shaped to [d0, d1].
 func (w *Workspace) Get2D(slot, d0, d1 int) *Tensor {
 	t := w.slot(slot)

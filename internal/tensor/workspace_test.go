@@ -29,7 +29,7 @@ func TestWorkspaceReusesStorage(t *testing.T) {
 	}
 
 	// Distinct slots are distinct tensors.
-	d := ws.Get1D(1, 5)
+	d := ws.Get2D(1, 1, 5)
 	if d == a {
 		t.Fatal("distinct slots share a tensor")
 	}

@@ -400,7 +400,6 @@ func ChoosePrivateLayer(ctx context.Context, cfg Config, byzantine []int) (int, 
 		byz[id] = true
 	}
 
-	analyzer := leakage.NewAnalyzer()
 	nodes := make([]consensus.Node, len(probes))
 	for i, probe := range probes {
 		if err := ctx.Err(); err != nil {
@@ -414,7 +413,7 @@ func ChoosePrivateLayer(ctx context.Context, cfg Config, byzantine []int) (int, 
 			return -1, err
 		}
 		// Divergence between the client's members Dᵢᵐ and non-members Dᵢⁿ.
-		div, err := analyzer.LayerDivergence(probe.Model, probe.Data, nonMembers)
+		div, err := leakage.LayerDivergence(probe.Model, probe.Data, nonMembers)
 		if err != nil {
 			return -1, err
 		}
