@@ -86,12 +86,27 @@ func TestArithmeticInPlace(t *testing.T) {
 			t.Fatalf("add[%d] = %v, want %v", i, a.Data()[i], w)
 		}
 	}
+}
+
+// TestScaleAXPYApply keeps its name from when Tensor also had Scale and
+// Apply; AXPY is the one of the three that remains.
+func TestScaleAXPYApply(t *testing.T) {
+	a := MustFromSlice([]float64{2, -4, 6}, 3)
+	b := MustFromSlice([]float64{1, 1, 1}, 3)
 	if err := a.AXPY(0.5, b); err != nil {
 		t.Fatal(err)
 	}
-	for i, w := range []float64{16, 32, 48} {
+	for i, w := range []float64{2.5, -3.5, 6.5} {
 		if a.Data()[i] != w {
 			t.Fatalf("axpy[%d] = %v, want %v", i, a.Data()[i], w)
+		}
+	}
+	if err := a.AXPY(-2, b); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range []float64{0.5, -5.5, 4.5} {
+		if a.Data()[i] != w {
+			t.Fatalf("axpy(-2)[%d] = %v, want %v", i, a.Data()[i], w)
 		}
 	}
 }
