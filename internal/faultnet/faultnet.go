@@ -139,15 +139,6 @@ func (l *Listener) Close() error { return l.inner.Close() }
 // Addr returns the inner listener's address.
 func (l *Listener) Addr() net.Addr { return l.inner.Addr() }
 
-// SetDeadline forwards to the inner listener when it supports deadlines
-// (net.TCPListener does); flnet's accept loop relies on this.
-func (l *Listener) SetDeadline(t time.Time) error {
-	if d, ok := l.inner.(interface{ SetDeadline(time.Time) error }); ok {
-		return d.SetDeadline(t)
-	}
-	return fmt.Errorf("faultnet: inner listener %T has no deadline support", l.inner)
-}
-
 // Conn applies one Plan to a wrapped connection. Safe for one concurrent
 // reader plus one concurrent writer, like net.Conn itself.
 type Conn struct {

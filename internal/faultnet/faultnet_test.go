@@ -152,9 +152,6 @@ func TestListenerAppliesScheduleInAcceptOrder(t *testing.T) {
 		return Plan{}
 	})
 	defer ln.Close()
-	if err := ln.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
 
 	for i := 0; i < 2; i++ {
 		cli, err := net.Dial("tcp", ln.Addr().String())

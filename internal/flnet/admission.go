@@ -9,50 +9,48 @@ import (
 	"time"
 )
 
-// acceptCohort waits for NumClients hello frames, bounded by an overall
-// RegisterTimeout deadline: once the deadline passes, a quorum of
-// MinClients suffices to start the federation.
-func (s *Server) acceptCohort(ctx context.Context) error {
-	type deadliner interface{ SetDeadline(time.Time) error }
-	if d, ok := s.ln.(deadliner); ok {
-		d.SetDeadline(time.Now().Add(s.cfg.RegisterTimeout)) //nolint:errcheck // best effort
-		defer d.SetDeadline(time.Time{})                     //nolint:errcheck
-	}
+// awaitCohort is the registration phase. It waits on the acceptor's
+// deliveries until NumClients are live; once IOTimeout has passed, a quorum
+// of MinClients suffices.
+func (s *Server) awaitCohort(ctx context.Context) error {
+	timer := time.NewTimer(s.cfg.IOTimeout)
+	defer timer.Stop()
 	for {
-		if s.draining() {
-			return ErrDraining
-		}
-		s.mu.Lock()
-		registered := len(s.live)
-		s.mu.Unlock()
-		if registered >= s.cfg.NumClients {
+		if _, ok := s.formCohort(s.cfg.NumClients); ok {
 			return nil
 		}
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if s.draining() {
-				return ErrDraining
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				if registered >= s.cfg.MinClients {
-					s.logf(-1, -1, "flnet: registration deadline passed; starting with %d/%d clients", registered, s.cfg.NumClients)
-					return nil
-				}
+		select {
+		case <-s.joinCh:
+			// Already live: the count above sees it.
+		case <-timer.C:
+			n, ok := s.formCohort(s.cfg.MinClients)
+			if !ok {
 				return fmt.Errorf("flnet: only %d/%d clients registered within %s (quorum %d)",
-					registered, s.cfg.NumClients, s.cfg.RegisterTimeout, s.cfg.MinClients)
+					n, s.cfg.NumClients, s.cfg.IOTimeout, s.cfg.MinClients)
 			}
-			return fmt.Errorf("flnet: accept: %w", err)
-		}
-		if _, err := s.register(conn); err != nil {
-			if errors.Is(err, errTooManyRejects) {
-				return err
-			}
+			s.logf(-1, -1, "flnet: registration deadline passed; starting with %d/%d clients", n, s.cfg.NumClients)
+			return nil
+		case <-s.drainCh:
+			return ErrDraining
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-s.tooMany:
+			return fmt.Errorf("%w (%d)", errTooManyRejects, s.maxRejects())
 		}
 	}
+}
+
+// formCohort returns how many clients are live and whether that is at least
+// want. If it is, the cohort is formed: registrations from then on count as
+// rejoins.
+func (s *Server) formCohort(want int) (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.live)
+	if n >= want {
+		s.formed = true
+	}
+	return n, n >= want
 }
 
 // errTooManyRejects aborts registration once maxRejects attempts failed.
@@ -60,7 +58,7 @@ var errTooManyRejects = errors.New("flnet: too many rejected registration attemp
 
 // maxRejects caps rejected registration attempts (malformed hellos, protocol
 // version mismatches, duplicate ids) so a misbehaving peer cannot keep the
-// accept loop spinning forever. Connections shed by admission control or
+// acceptor spinning forever. Connections shed by admission control or
 // turned away during a drain do not count.
 func (s *Server) maxRejects() int { return 2*s.cfg.NumClients + 8 }
 
@@ -72,40 +70,39 @@ func drainNotice() *Message {
 }
 
 // register reads and validates one Hello frame. On success the session is
-// added to the live set; on failure the registrant gets a KindError frame,
-// the connection is closed, and the reject counter advances.
-func (s *Server) register(conn net.Conn) (*session, error) {
-	reject := func(reason string) error {
+// added to the live set; on failure (nil) the registrant gets a KindError
+// frame, the connection is closed, and the reject counter advances.
+func (s *Server) register(conn net.Conn) *session {
+	reject := func(reason string) *session {
 		s.sendError(conn, reason)
 		conn.Close()
 		s.mu.Lock()
 		s.rejects++
-		tooMany := s.rejects > s.maxRejects()
+		if s.rejects == s.maxRejects()+1 {
+			close(s.tooMany) // stops the acceptor and the registration wait
+		}
 		s.mu.Unlock()
 		s.tel.RegistrationsRejected.Inc()
 		s.logf(-1, -1, "flnet: rejected registrant from %v: %s", conn.RemoteAddr(), reason)
-		if tooMany {
-			return fmt.Errorf("%w (%d)", errTooManyRejects, s.maxRejects())
-		}
-		return fmt.Errorf("flnet: rejected registrant: %s", reason)
+		return nil
 	}
 
 	conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
 	msg, err := ReadHello(conn)
 	if err != nil {
-		return nil, reject("malformed registration: want a hello frame")
+		return reject("malformed registration: want a hello frame")
 	}
 	if msg.Version != ProtocolVersion {
-		return nil, reject(fmt.Sprintf("protocol version %d not supported, server speaks %d", msg.Version, ProtocolVersion))
+		return reject(fmt.Sprintf("protocol version %d not supported, server speaks %d", msg.Version, ProtocolVersion))
 	}
 	if msg.ClientID < 0 || msg.ClientID >= s.cfg.NumClients {
-		return nil, reject(fmt.Sprintf("client id %d outside [0,%d)", msg.ClientID, s.cfg.NumClients))
+		return reject(fmt.Sprintf("client id %d outside [0,%d)", msg.ClientID, s.cfg.NumClients))
 	}
 	s.mu.Lock()
 	_, dup := s.live[msg.ClientID]
 	s.mu.Unlock()
 	if dup {
-		return nil, reject(fmt.Sprintf("client id %d already registered", msg.ClientID))
+		return reject(fmt.Sprintf("client id %d already registered", msg.ClientID))
 	}
 	sess := &session{conn: conn, clientID: msg.ClientID, lastRound: msg.LastRound, anchor: msg.LastRound}
 	// Codec negotiation: the intersection of the server's offer and the
@@ -119,7 +116,7 @@ func (s *Server) register(conn net.Conn) (*session, error) {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
 		if err := WriteMessage(conn, ack); err != nil {
 			conn.Close()
-			return nil, fmt.Errorf("flnet: wire ack to client %d: %w", msg.ClientID, err)
+			return nil
 		}
 		sess.codec = NewCodec(caps, s.cfg.QuantSeed, s.cfg.TopK, s.sessionBase(sess))
 	}
@@ -129,36 +126,41 @@ func (s *Server) register(conn net.Conn) (*session, error) {
 		// Lost the insert race against a concurrent registration for the
 		// same id. An error frame carries no state, so it reads the same
 		// under whatever codec was just acked.
-		return nil, reject(fmt.Sprintf("client id %d already registered", msg.ClientID))
+		return reject(fmt.Sprintf("client id %d already registered", msg.ClientID))
 	}
 	s.live[msg.ClientID] = sess
 	s.tel.LiveClients.Set(int64(len(s.live)))
+	rejoin := s.formed
 	s.mu.Unlock()
-	return sess, nil
+	if rejoin {
+		s.tel.Rejoins.Inc()
+		s.logf(-1, sess.clientID, "flnet: client %d rejoined (last completed round %d)", sess.clientID, sess.lastRound)
+	}
+	return sess
 }
 
-// acceptRejoins keeps registering clients after the initial cohort formed,
-// so an evicted client can reconnect and be resynced into the current
-// round. Registrations are validated concurrently so one stalled hello
-// cannot head-of-line-block every other reconnect, and bounded by regSem:
-// a connection past the bound is shed with a drain frame instead of queueing
-// behind a storm of half-open registrants. It stops when the listener closes
-// or the reject cap is hit.
-func (s *Server) acceptRejoins(ctx context.Context, quit <-chan struct{}) {
+// accept is the server's one acceptor: it runs for the whole of Run and
+// hands every registered session to the round loop on joinCh, the cohort's
+// as well as evicted clients' rejoins. Registrations are validated
+// concurrently so one stalled hello cannot head-of-line-block the others,
+// and bounded by regSem: a connection past the bound is shed with a drain
+// frame instead of queueing behind a storm of half-open registrants, as is
+// every connection to a draining server. It stops when Run closes the
+// listener or the reject cap is hit.
+func (s *Server) accept(quit <-chan struct{}) {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			return // listener closed (run finished or ctx canceled)
+			return // listener closed: Run is returning
 		}
-		s.mu.Lock()
-		tooMany := s.rejects > s.maxRejects()
-		s.mu.Unlock()
-		if tooMany {
+		select {
+		case <-s.tooMany:
 			conn.Close()
-			s.logf(-1, -1, "flnet: rejoin acceptor stopping: %v", errTooManyRejects)
+			s.logf(-1, -1, "flnet: acceptor stopping: %v", errTooManyRejects)
 			return
+		default:
 		}
 		if s.draining() {
 			// Shed politely: the registrant should come back after the
@@ -172,9 +174,9 @@ func (s *Server) acceptRejoins(ctx context.Context, quit <-chan struct{}) {
 		default:
 			// Validation capacity exhausted (a storm of half-open
 			// registrants); shed instead of queueing behind them.
+			s.tel.AdmissionShed.Inc()
 			s.sendDrain(conn)
 			conn.Close()
-			s.tel.AdmissionShed.Inc()
 			continue
 		}
 		wg.Add(1)
@@ -193,17 +195,13 @@ func (s *Server) acceptRejoins(ctx context.Context, quit <-chan struct{}) {
 				case <-regDone:
 				}
 			}()
-			sess, err := s.register(conn)
-			if err != nil {
+			sess := s.register(conn)
+			if sess == nil {
 				return
 			}
-			s.tel.Rejoins.Inc()
-			s.logf(-1, sess.clientID, "flnet: client %d rejoined (last completed round %d)", sess.clientID, sess.lastRound)
 			select {
 			case s.joinCh <- sess:
 			case <-quit:
-				sess.conn.Close()
-			case <-ctx.Done():
 				sess.conn.Close()
 			}
 		}(conn)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -402,6 +403,10 @@ func TestDroppedClientRejoinsMidRound(t *testing.T) {
 	}
 	if len(reports[1].Dropped) != 0 {
 		t.Fatalf("round 1 should be clean: %+v", reports[1])
+	}
+	// The cohort's own registrations are not rejoins; the reconnect is.
+	if got := srv.tel.Rejoins.Value(); got != 1 {
+		t.Fatalf("dinar_flnet_rejoins_total = %d, want 1", got)
 	}
 }
 
@@ -973,10 +978,9 @@ func TestQuarantineSurvivesReconnect(t *testing.T) {
 	}
 }
 
-// TestRegistrationDeadline covers the bounded accept loop: with a short
-// RegisterTimeout the server starts once the quorum registered (instead
-// of waiting forever for the full cohort), and fails cleanly below
-// quorum.
+// TestRegistrationDeadline covers the bounded registration phase: with a
+// short IOTimeout the server starts once the quorum registered (instead of
+// waiting forever for the full cohort), and fails cleanly below quorum.
 func TestRegistrationDeadline(t *testing.T) {
 	bed := newFedBed(t, 2)
 
@@ -984,13 +988,12 @@ func TestRegistrationDeadline(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		srv, _, srvOut := startServer(t, ctx, ServerConfig{
-			NumClients:      2,
-			MinClients:      1,
-			Rounds:          1,
-			Defense:         bed.defense("none"),
-			InitialState:    bed.initialState(),
-			IOTimeout:       30 * time.Second,
-			RegisterTimeout: 700 * time.Millisecond,
+			NumClients:   2,
+			MinClients:   1,
+			Rounds:       1,
+			Defense:      bed.defense("none"),
+			InitialState: bed.initialState(),
+			IOTimeout:    700 * time.Millisecond,
 		}, nil)
 		// Only client 0 ever shows up.
 		if _, err := RunClient(ctx, ClientConfig{
@@ -1011,12 +1014,11 @@ func TestRegistrationDeadline(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		_, _, srvOut := startServer(t, ctx, ServerConfig{
-			NumClients:      2,
-			Rounds:          1,
-			Defense:         bed.defense("none"),
-			InitialState:    bed.initialState(),
-			IOTimeout:       30 * time.Second,
-			RegisterTimeout: 500 * time.Millisecond,
+			NumClients:   2,
+			Rounds:       1,
+			Defense:      bed.defense("none"),
+			InitialState: bed.initialState(),
+			IOTimeout:    500 * time.Millisecond,
 		}, nil)
 		out := <-srvOut
 		if out.err == nil || !strings.Contains(out.err.Error(), "registered") {
@@ -1025,41 +1027,111 @@ func TestRegistrationDeadline(t *testing.T) {
 	})
 }
 
-// TestRegistrationFailureClosesSessions: when registration fails (here: ctx
-// canceled while the cohort is still forming), Run closes the sessions that
-// did register — their clients see the connection end at once instead of
-// blocking on an open socket until their own IO timeout.
+// TestRegistrationFailureClosesSessions: when registration fails while the
+// cohort is still forming, Run tells the sessions that did register. Canceled,
+// it closes them — their clients see the connection end at once instead of
+// blocking on an open socket until their own IO timeout. Drained, it returns
+// ErrDraining and sends them a drain frame first.
 func TestRegistrationFailureClosesSessions(t *testing.T) {
 	bed := newFedBed(t, 2)
-	ctx, cancel := context.WithCancel(context.Background())
+	for _, tc := range []struct {
+		name string
+		stop func(context.CancelFunc, *Server)
+		want error
+	}{
+		{"canceled", func(cancel context.CancelFunc, _ *Server) { cancel() }, context.Canceled},
+		{"drained", func(_ context.CancelFunc, srv *Server) {
+			go srv.Shutdown(context.Background()) //nolint:errcheck // Run reports the outcome
+		}, ErrDraining},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			srv, _, srvOut := startServer(t, ctx, ServerConfig{
+				NumClients:   2,
+				Rounds:       1,
+				Defense:      bed.defense("none"),
+				InitialState: bed.initialState(),
+				IOTimeout:    30 * time.Second,
+			}, nil)
+
+			conn, err := net.Dial("tcp", srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := WriteMessage(conn, &Message{Kind: KindHello, ClientID: 0, Version: ProtocolVersion}); err != nil {
+				t.Fatal(err)
+			}
+			for srv.Health().RegisteredClients == 0 {
+				time.Sleep(5 * time.Millisecond)
+			}
+			tc.stop(cancel, srv)
+			if out := <-srvOut; !errors.Is(out.err, tc.want) {
+				t.Fatalf("Run = %v, want %v", out.err, tc.want)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			msg, err := ReadMessage(conn)
+			if tc.want == ErrDraining {
+				if err != nil || msg.Kind != KindDrain {
+					t.Fatalf("registered client read %v, %v; want a drain frame", msg, err)
+				}
+				_, err = ReadMessage(conn)
+			}
+			var ne net.Error
+			if err == nil || errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("registered client's read = %v, want the connection closed by the server", err)
+			}
+		})
+	}
+}
+
+// TestSilentRegistrantDoesNotStallRegistration: a connection that never
+// sends its hello holds only its own registration. The cohort behind it
+// registers and the federation runs, long before the silent one's IOTimeout.
+func TestSilentRegistrantDoesNotStallRegistration(t *testing.T) {
+	bed := newFedBed(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	srv, _, srvOut := startServer(t, ctx, ServerConfig{
+	srv, ln, srvOut := startServer(t, ctx, ServerConfig{
 		NumClients:   2,
 		Rounds:       1,
 		Defense:      bed.defense("none"),
 		InitialState: bed.initialState(),
-		IOTimeout:    30 * time.Second,
+		IOTimeout:    3 * time.Second,
 	}, nil)
 
-	conn, err := net.Dial("tcp", srv.Addr().String())
+	silent, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := WriteMessage(conn, &Message{Kind: KindHello, ClientID: 0, Version: ProtocolVersion}); err != nil {
-		t.Fatal(err)
-	}
-	for srv.Health().RegisteredClients == 0 {
+	defer silent.Close()
+	for ln.Accepted() == 0 {
 		time.Sleep(5 * time.Millisecond)
 	}
-	cancel()
-	if out := <-srvOut; !errors.Is(out.err, context.Canceled) {
-		t.Fatalf("Run = %v, want context.Canceled", out.err)
+	var wg sync.WaitGroup
+	errCh := make(chan error, 2)
+	for id := 0; id < 2; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			if _, err := RunClient(ctx, ClientConfig{
+				Addr:       srv.Addr().String(),
+				Trainer:    bed.trainer(id),
+				Defense:    bed.defense("none"),
+				IOTimeout:  20 * time.Second,
+				MaxRetries: -1,
+			}); err != nil {
+				errCh <- fmt.Errorf("client %d: %w", id, err)
+			}
+		}(id)
 	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	_, err = ReadMessage(conn)
-	var ne net.Error
-	if err == nil || errors.As(err, &ne) && ne.Timeout() {
-		t.Fatalf("registered client's read = %v, want the connection closed by the server", err)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if out := <-srvOut; out.err != nil {
+		t.Fatalf("federation behind a silent registrant failed: %v", out.err)
 	}
 }

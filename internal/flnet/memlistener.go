@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"time"
 )
 
 // ErrListenerClosed is returned by a MemListener's Accept, Dial and Push
@@ -16,15 +15,6 @@ var ErrListenerClosed = errors.New("flnet: in-memory listener closed")
 // is full — the caller's signal to shed the client (a drain notice telling
 // it to retry) instead of queueing unboundedly.
 var ErrBacklogFull = errors.New("flnet: in-memory listener backlog full")
-
-// acceptTimeoutError satisfies net.Error with Timeout() true, which the
-// registration loop uses to tell a deadline expiry from a fatal accept
-// failure, exactly as on a *net.TCPListener.
-type acceptTimeoutError struct{}
-
-func (acceptTimeoutError) Error() string   { return "flnet: accept deadline exceeded" }
-func (acceptTimeoutError) Timeout() bool   { return true }
-func (acceptTimeoutError) Temporary() bool { return true }
 
 type memAddr struct{}
 
@@ -50,10 +40,6 @@ type MemListener struct {
 	// until its IO timeout.
 	gate sync.RWMutex
 	shut bool
-
-	mu       sync.Mutex
-	deadline time.Time
-	dlCh     chan struct{} // closed and replaced on every SetDeadline
 }
 
 var _ net.Listener = (*MemListener)(nil)
@@ -67,7 +53,6 @@ func ListenMem(backlog int) *MemListener {
 	return &MemListener{
 		conns:  make(chan net.Conn, backlog),
 		closed: make(chan struct{}),
-		dlCh:   make(chan struct{}),
 	}
 }
 
@@ -108,67 +93,21 @@ func (l *MemListener) Push(conn net.Conn) error {
 	}
 }
 
-// Accept implements net.Listener, honoring the deadline set via
-// SetDeadline (expiry returns a net.Error with Timeout() true, like a
-// *net.TCPListener).
+// Accept implements net.Listener.
 func (l *MemListener) Accept() (net.Conn, error) {
-	for {
-		// A closed listener wins over an expired deadline, matching the
-		// error a *net.TCPListener reports after Close.
-		select {
-		case <-l.closed:
-			return nil, ErrListenerClosed
-		default:
-		}
-		l.mu.Lock()
-		deadline := l.deadline
-		changed := l.dlCh
-		l.mu.Unlock()
-
-		var timeout <-chan time.Time
-		var timer *time.Timer
-		if !deadline.IsZero() {
-			wait := time.Until(deadline)
-			if wait <= 0 {
-				return nil, acceptTimeoutError{}
-			}
-			timer = time.NewTimer(wait)
-			timeout = timer.C
-		}
-		select {
-		case conn := <-l.conns:
-			if timer != nil {
-				timer.Stop()
-			}
-			return conn, nil
-		case <-l.closed:
-			if timer != nil {
-				timer.Stop()
-			}
-			return nil, ErrListenerClosed
-		case <-timeout:
-			return nil, acceptTimeoutError{}
-		case <-changed:
-			// Deadline replaced (possibly with "now" to force a wakeup, as
-			// the drain path does on TCP listeners); recompute and wait
-			// again.
-			if timer != nil {
-				timer.Stop()
-			}
-		}
+	// A closed listener wins over a queued connection, matching the error a
+	// *net.TCPListener reports after Close.
+	select {
+	case <-l.closed:
+		return nil, ErrListenerClosed
+	default:
 	}
-}
-
-// SetDeadline implements the optional listener-deadline interface the
-// registration phase relies on. It wakes any blocked Accept so a shortened
-// deadline takes effect immediately.
-func (l *MemListener) SetDeadline(t time.Time) error {
-	l.mu.Lock()
-	l.deadline = t
-	close(l.dlCh)
-	l.dlCh = make(chan struct{})
-	l.mu.Unlock()
-	return nil
+	select {
+	case conn := <-l.conns:
+		return conn, nil
+	case <-l.closed:
+		return nil, ErrListenerClosed
+	}
 }
 
 // Close implements net.Listener. Queued-but-unaccepted connections are

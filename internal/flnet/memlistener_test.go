@@ -45,39 +45,26 @@ func TestMemListenerDialAccept(t *testing.T) {
 	}
 }
 
+// TestMemListenerDeadline pins how a blocked Accept ends: Close wakes it with
+// ErrListenerClosed, and every call after Close fails the same way.
 func TestMemListenerDeadline(t *testing.T) {
 	ln := ListenMem(1)
-	defer ln.Close()
-
-	// An already-expired deadline fails immediately with a timeout
-	// net.Error, like a *net.TCPListener.
-	ln.SetDeadline(time.Now().Add(-time.Second))
-	_, err := ln.Accept()
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("want timeout net.Error, got %v", err)
-	}
-
-	// Shortening the deadline must wake a Accept already blocked on the
-	// old (infinite) one — the drain path depends on this.
-	ln.SetDeadline(time.Time{})
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := ln.Accept()
 		errCh <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
-	ln.SetDeadline(time.Now())
+	time.Sleep(20 * time.Millisecond) // let the Accept block
+	ln.Close()
 	select {
 	case err := <-errCh:
-		if !errors.As(err, &ne) || !ne.Timeout() {
-			t.Fatalf("want timeout net.Error, got %v", err)
+		if !errors.Is(err, ErrListenerClosed) {
+			t.Fatalf("blocked Accept woken by Close: want ErrListenerClosed, got %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Accept did not wake on SetDeadline")
+		t.Fatal("Accept did not wake on Close")
 	}
 
-	ln.Close()
 	if _, err := ln.Accept(); !errors.Is(err, ErrListenerClosed) {
 		t.Fatalf("want ErrListenerClosed, got %v", err)
 	}

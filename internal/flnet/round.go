@@ -290,10 +290,16 @@ func (r *round) restartDeadline() {
 	}
 }
 
-// evict drops sess from the live set and closes its connection; the client
-// may rejoin later.
+// evict evicts sess and records why in the round's errors.
 func (r *round) evict(sess *session, err error) {
-	s := r.s
+	r.s.evict(sess, &r.report)
+	r.errs = append(r.errs, fmt.Errorf("client %d: %w", sess.clientID, err))
+}
+
+// evict drops sess from the live set (unless a newer session has replaced
+// it), closes its connection, and records the client in report.Dropped; the
+// client may rejoin later.
+func (s *Server) evict(sess *session, report *RoundReport) {
 	s.mu.Lock()
 	if s.live[sess.clientID] == sess {
 		delete(s.live, sess.clientID)
@@ -302,8 +308,7 @@ func (r *round) evict(sess *session, err error) {
 	s.mu.Unlock()
 	sess.conn.Close()
 	s.tel.ClientsEvicted.Inc()
-	r.report.Dropped = append(r.report.Dropped, sess.clientID)
-	r.errs = append(r.errs, fmt.Errorf("client %d: %w", sess.clientID, err))
+	report.Dropped = append(report.Dropped, sess.clientID)
 }
 
 // fail evicts sess and draws a replacement for it.
@@ -407,15 +412,9 @@ func (s *Server) applyScreenOutcome(round int, report *RoundReport) {
 	for _, v := range rep.Rejected {
 		s.mu.Lock()
 		sess := s.live[v.ClientID]
-		if sess != nil {
-			delete(s.live, v.ClientID)
-			s.tel.LiveClients.Set(int64(len(s.live)))
-		}
 		s.mu.Unlock()
 		if sess != nil {
-			sess.conn.Close()
-			s.tel.ClientsEvicted.Inc()
-			report.Dropped = append(report.Dropped, v.ClientID)
+			s.evict(sess, report)
 			s.logf(round, v.ClientID, "flnet: round %d: evicted client %d: %s", round, v.ClientID, v.Reason)
 		}
 	}

@@ -75,13 +75,11 @@ type ServerConfig struct {
 	Defense fl.Defense
 	// InitialState is the initial global model state vector.
 	InitialState []float64
-	// IOTimeout bounds individual reads/writes per connection (default 2
-	// minutes).
+	// IOTimeout bounds individual reads/writes per connection and the
+	// registration phase: once it has passed, the federation starts with
+	// whatever quorum has registered (or fails below MinClients). Default 2
+	// minutes.
 	IOTimeout time.Duration
-	// RegisterTimeout bounds the whole registration phase: once it
-	// expires the federation starts with whatever quorum has registered
-	// (or fails below MinClients). 0 means IOTimeout.
-	RegisterTimeout time.Duration
 	// CheckpointPath, if non-empty, persists a global-model snapshot after
 	// every aggregated round; if the file already exists at startup the
 	// federation resumes from the snapshot's round instead of round 0.
@@ -106,7 +104,7 @@ type ServerConfig struct {
 	// zero value selects the fl.ScreenConfig defaults.
 	Screen fl.ScreenConfig
 	// Listener, if non-nil, is used instead of listening on Addr — tests
-	// inject faultnet wrappers here. It should support SetDeadline.
+	// inject faultnet wrappers here.
 	Listener net.Listener
 	// Registry is the telemetry registry the server's instruments (and
 	// its fl core's and screen's) register into; whoever serves /metrics
@@ -116,8 +114,8 @@ type ServerConfig struct {
 	// Logf receives progress lines (optional). Every call site is routed
 	// through one serialized event log, so Logf is never invoked
 	// concurrently and always receives one whole line per call — the
-	// rejoin acceptor, per-client round goroutines, and the round loop
-	// can no longer interleave output mid-line.
+	// acceptor's registrations, per-client round goroutines, and the round
+	// loop can no longer interleave output mid-line.
 	Logf func(format string, args ...any)
 	// Compress offers flate compression of frame payloads; each frame
 	// stores whichever encoding is smaller.
@@ -219,6 +217,9 @@ type Server struct {
 	mu      sync.Mutex
 	live    map[int]*session
 	rejects int
+	// formed is set once the registration phase has its cohort; a
+	// registration after that counts as a rejoin.
+	formed  bool
 	reports []RoundReport
 	// curRound is the round currently being orchestrated; ckptRound the
 	// last persisted checkpoint (-1 before the first); status the
@@ -228,10 +229,12 @@ type Server struct {
 	ckptRound int
 	status    string
 
-	// joinCh delivers sessions registered by the background acceptor to
-	// the round loop; runDone unblocks the acceptor when Run returns.
+	// joinCh delivers sessions registered by the acceptor to the round
+	// loop; runDone closes when Run returns; tooMany closes when the reject
+	// cap is hit.
 	joinCh  chan *session
 	runDone chan struct{}
+	tooMany chan struct{}
 
 	// ckptPending is the in-flight background checkpoint write in
 	// pipelined mode (nil when none). Owned by the round-loop goroutine:
@@ -247,7 +250,7 @@ type Server struct {
 	drainOnce sync.Once
 	killOnce  sync.Once
 
-	// regSem bounds the rejoin registrations mid-validation at once.
+	// regSem bounds the registrations mid-validation at once.
 	regSem chan struct{}
 
 	// streamAgg is the defense's streaming aggregator (nil: the core
@@ -317,9 +320,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.IOTimeout == 0 {
 		cfg.IOTimeout = 2 * time.Minute
-	}
-	if cfg.RegisterTimeout == 0 {
-		cfg.RegisterTimeout = cfg.IOTimeout
 	}
 	// Every log line funnels through one serialized event log; the
 	// user-supplied sink (if any) is invoked under its mutex and always
@@ -422,6 +422,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		status:      "waiting",
 		joinCh:      make(chan *session, cfg.NumClients),
 		runDone:     make(chan struct{}),
+		tooMany:     make(chan struct{}),
 		drainCh:     make(chan struct{}),
 		drainKill:   make(chan struct{}),
 		regSem:      make(chan struct{}, 4*cfg.NumClients+16),
@@ -479,23 +480,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
-		wasWaiting := s.status == "waiting"
-		if wasWaiting || s.status == "running" {
+		if s.status == "waiting" || s.status == "running" {
 			s.status = "draining"
 		}
 		s.mu.Unlock()
 		s.logf(-1, -1, "flnet: drain requested")
+		// The registration wait and the round loop both watch drainCh; the
+		// acceptor sheds registrants with drain frames until Run returns.
 		close(s.drainCh)
-		// Unblock a registration-phase Accept so a server draining before
-		// its cohort formed exits promptly. Mid-run the rejoin acceptor
-		// keeps running (it sheds registrants with drain frames) until
-		// Run's deferred listener close stops it.
-		if wasWaiting {
-			type deadliner interface{ SetDeadline(time.Time) error }
-			if d, ok := s.ln.(deadliner); ok {
-				d.SetDeadline(time.Now()) //nolint:errcheck // best effort
-			}
-		}
 	})
 	select {
 	case <-s.runDone:
@@ -582,29 +574,35 @@ type session struct {
 	anchor int
 }
 
-// Run accepts registrations, orchestrates all rounds (tolerating client
+// Run admits registrations, orchestrates all rounds (tolerating client
 // failure per MinClients/RoundDeadline), sends the final model, and
 // returns the final global state.
 func (s *Server) Run(ctx context.Context) ([]float64, error) {
-	defer s.ln.Close()
 	// Exchange goroutines stop trying to deliver once runDone closes, and
 	// whatever the exit, no registered client is left blocked on an open
 	// socket the server will never write to again.
 	defer close(s.runDone)
 	defer s.closeLive()
 
-	// Cancel blocking Accept/Read calls when ctx ends.
-	stop := make(chan struct{})
-	defer close(stop)
+	// One acceptor admits clients for the whole run: the cohort, then
+	// evicted clients rejoining to resync. Run joins it before returning
+	// (and so before closeLive): a registration still holding an accepted
+	// socket after Run returns would keep the port busy and break an
+	// immediate same-address restart (Linux only rebinds over TIME_WAIT,
+	// not ESTABLISHED).
+	quit := make(chan struct{})
+	acceptDone := make(chan struct{})
 	go func() {
-		select {
-		case <-ctx.Done():
-			s.ln.Close()
-		case <-stop:
-		}
+		defer close(acceptDone)
+		s.accept(quit)
+	}()
+	defer func() {
+		s.ln.Close() // unblock Accept
+		close(quit)  // abort in-flight registrations
+		<-acceptDone
 	}()
 
-	if err := s.acceptCohort(ctx); err != nil {
+	if err := s.awaitCohort(ctx); err != nil {
 		if errors.Is(err, ErrDraining) {
 			// Drained while waiting for the cohort: no round ran, so the
 			// resumed (or initial) state is already the latest checkpoint.
@@ -612,23 +610,6 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 		}
 		return nil, err
 	}
-
-	// Keep accepting for the rest of the run so evicted clients can
-	// rejoin and resync. Run joins the acceptor before returning: a
-	// registration still holding an accepted socket after Run returns
-	// would keep the port busy and break an immediate same-address
-	// restart (Linux only rebinds over TIME_WAIT, not ESTABLISHED).
-	quit := make(chan struct{})
-	rejoinDone := make(chan struct{})
-	go func() {
-		defer close(rejoinDone)
-		s.acceptRejoins(ctx, quit)
-	}()
-	defer func() {
-		s.ln.Close() // unblock Accept; Run's outer defer close is then a no-op
-		close(quit)  // abort in-flight registrations
-		<-rejoinDone
-	}()
 	// Backstop for error exits: never leave a background checkpoint write
 	// running past Run (the success and drain paths join explicitly and
 	// surface the write's error; this re-join is then a no-op).

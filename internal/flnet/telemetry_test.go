@@ -13,8 +13,9 @@ import (
 )
 
 // TestLogfSerializedUnderRejoinHammer reproduces the unsynchronized-Logf
-// bug: the rejoin acceptor, per-client round goroutines, and the round
-// loop all log during an active round with clients dropping and rejoining.
+// bug: the acceptor's registrations, per-client round goroutines, and the
+// round loop all log during an active round with clients dropping and
+// rejoining.
 // Run under -race (`make telemetry`), the test asserts every Logf call is
 // serialized — no two invocations overlap — and every line arrives whole.
 func TestLogfSerializedUnderRejoinHammer(t *testing.T) {
@@ -24,7 +25,7 @@ func TestLogfSerializedUnderRejoinHammer(t *testing.T) {
 	defer cancel()
 
 	// Drop client 1's first connection right after its registration
-	// handshake so the rejoin acceptor keeps logging while rounds are in
+	// handshake so the acceptor keeps logging rejoins while rounds are in
 	// flight.
 	handshake := handshakeBytes(t, rejoinID)
 	schedule := func(i int) faultnet.Plan {

@@ -199,7 +199,7 @@ func (j *Job) start() error {
 
 // run is the job's supervision goroutine: it owns srv.Run and translates
 // its outcome into the lifecycle state. Everything the server holds —
-// listener, rejoin acceptor, per-connection goroutines — is torn down
+// listener, acceptor, per-connection goroutines — is torn down
 // before done closes, so a waiter observes a LeakGuard-clean job.
 func (j *Job) run(ctx context.Context, srv *flnet.Server, done chan struct{}) {
 	final, err := srv.Run(ctx)

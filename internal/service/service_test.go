@@ -563,58 +563,55 @@ func TestFrontDoorRateLimitAndRouting(t *testing.T) {
 }
 
 // TestFrontDoorShedsOnFullBacklog covers the per-job backpressure boundary:
-// a job whose server has stopped accepting fills its backlog, the next
-// routed hello is shed with a drain notice (not queued, not dropped), and
-// the shared accept path keeps routing other jobs' clients meanwhile.
+// a job whose server holds as many registrations as it will validate at once
+// sheds the next routed hello with a drain notice (not queued, not dropped),
+// and the shared accept path keeps routing other jobs' clients meanwhile.
 func TestFrontDoorShedsOnFullBacklog(t *testing.T) {
 	leakcheck.GuardTest(t, 5*time.Second)
 	mem := flnet.ListenMem(64)
 	svc := newTestService(t, t.TempDir(), mem)
-	stuck := JobSpec{Name: "stuck", Dataset: "synth", Clients: 2 * jobBacklog, Rounds: 1, Seed: 1, Records: 4}
+	stuck := JobSpec{Name: "stuck", Dataset: "synth", Clients: 2, Rounds: 1, Seed: 1, Records: 4}
 	quick := JobSpec{Name: "quick", Dataset: "synth", Clients: 1, Rounds: 1, Seed: 2, Records: 4}
 	for _, spec := range []JobSpec{stuck, quick} {
 		if _, err := svc.CreateJob(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	// Registration is synchronous until the cohort forms, and a pipe write
-	// blocks until it is read: a registrant that asks for the codec ack and
-	// reads one byte of it pins the job's accept loop inside that write.
-	staller := sendHello(t, mem, stuck.Name, 0, flnet.ClientCaps)
-	defer staller.Close()
-	if _, err := staller.Read(make([]byte, 1)); err != nil {
-		t.Fatalf("stalling registrant saw no ack: %v", err)
+	j, err := svc.job(stuck.Name)
+	if err != nil {
+		t.Fatal(err)
 	}
+	shed := j.Registry().Counter("dinar_flnet_admission_shed_total", "")
 
-	routed, shed := telRouted.Value(), telRouteShed.Value()
-	for id := 1; id <= jobBacklog; id++ {
-		defer sendHello(t, mem, stuck.Name, id, 0).Close()
-	}
-	for deadline := time.Now().Add(10 * time.Second); telRouted.Value() < routed+jobBacklog; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d hellos queued in the job's backlog", telRouted.Value()-routed, jobBacklog)
+	// A pipe write blocks until it is read: a registrant that asks for the
+	// codec ack and reads one byte of it holds one of the job's registration
+	// slots (4·clients + 16) inside that write.
+	for i := 0; i < 4*stuck.Clients+16; i++ {
+		staller := sendHello(t, mem, stuck.Name, i%stuck.Clients, flnet.ClientCaps)
+		defer staller.Close()
+		if _, err := staller.Read(make([]byte, 1)); err != nil {
+			t.Fatalf("stalling registrant %d saw no ack: %v", i, err)
 		}
-		time.Sleep(time.Millisecond)
 	}
 
-	overflow := sendHello(t, mem, stuck.Name, jobBacklog+1, 0)
+	before := shed.Value()
+	overflow := sendHello(t, mem, stuck.Name, 0, 0)
 	defer overflow.Close()
 	reply, err := flnet.ReadMessage(overflow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.Kind != flnet.KindDrain || reply.RetryAfterMs <= 0 {
-		t.Fatalf("hello past a full backlog got %v (retry after %d ms), want a drain notice with a back-off", reply.Kind, reply.RetryAfterMs)
+		t.Fatalf("hello past the registration bound got %v (retry after %d ms), want a drain notice with a back-off", reply.Kind, reply.RetryAfterMs)
 	}
-	if got := telRouteShed.Value() - shed; got != 1 {
-		t.Fatalf("dinar_service_route_shed_total moved by %d, want 1", got)
+	if got := shed.Value() - before; got != 1 {
+		t.Fatalf("job's dinar_flnet_admission_shed_total moved by %d, want 1", got)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if stats := runFleet(ctx, quick, mem.Dial); stats.Done.Load() != 1 {
-		t.Fatalf("second job's client did not finish behind the first job's full backlog")
+		t.Fatalf("second job's client did not finish behind the first job's full registration bound")
 	}
 	waitState(t, svc, quick.Name, JobDone, 10*time.Second)
 }
