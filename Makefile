@@ -93,6 +93,12 @@
 #                     rejoin for the whole run) and no non-test .go file
 #                     under internal/ calls SetDeadline( (registration is
 #                     bounded by a timer, never by a listener deadline)
+#   make oneserverconfig - grep gate: outside middleware.go, internal/flnet
+#                     and internal/bench no non-test .go file writes a
+#                     ServerConfig{ literal (a standalone server and a
+#                     service job are both configured by
+#                     ServerOptions.serverConfig; the round benchmark's own
+#                     module is exempt)
 #   make oneassembly - grep gate: outside internal/fl and internal/data no
 #                     non-test .go file calls data.NewFLSplit or
 #                     data.PartitionDirichlet (a federation's seeded data,
@@ -152,7 +158,7 @@
 
 GO ?= go
 
-.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneacceptor oneassembly ownregistry onesweep exports exptables loc check fuzz bench bench-json bench-scaling
+.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneacceptor oneserverconfig oneassembly ownregistry onesweep exports exptables loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -233,6 +239,9 @@ oneacceptor:
 	@hits=$$(grep -n 's\.ln\.Accept()' internal/flnet/*.go | grep -v '_test\.go:'); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo 'want exactly one s.ln.Accept() in internal/flnet (see above): admit every client through the one acceptor'; exit 1; fi
 	@if grep -rn 'SetDeadline(' --include='*.go' internal | grep -v '_test\.go:'; then echo 'a listener or connection deadline set under internal/ (see above): bound registration with the server timer, IO with SetRead/WriteDeadline'; exit 1; fi
 
+oneserverconfig:
+	@if grep -rn 'ServerConfig{' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(middleware\.go|internal/flnet/|internal/bench/|benchmark/|\.bench_build/)'; then echo 'a second flnet.ServerConfig construction (see above): map the settings onto dinar.ServerOptions and call serverConfig'; exit 1; fi
+
 oneassembly:
 	@if grep -rnE 'data\.(NewFLSplit|PartitionDirichlet)\(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/fl|internal/data|benchmark|\.bench_build)/'; then echo 'a second hand-written federation assembly (see above): derive it from fl.Config (internal/fl/assembly.go) instead'; exit 1; fi
 
@@ -261,7 +270,7 @@ loc:
 		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%6d  total\n' $$total
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneacceptor oneassembly ownregistry onesweep exports exptables
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneacceptor oneserverconfig oneassembly ownregistry onesweep exports exptables
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/

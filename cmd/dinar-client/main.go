@@ -25,53 +25,37 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// flags declares dinar-client's flags on a new set, bound into o.
+func flags(o *dinar.ClientOptions) *flag.FlagSet {
 	fs := flag.NewFlagSet("dinar-client", flag.ContinueOnError)
-	var (
-		addr    = fs.String("addr", "127.0.0.1:7070", "server TCP address")
-		id      = fs.Int("id", 0, "client id in [0, clients)")
-		dataset = fs.String("dataset", "purchase100", "dataset name")
-		def     = fs.String("defense", "dinar", "defense name")
-		clients = fs.Int("clients", 3, "number of FL clients")
-		rounds  = fs.Int("rounds", 5, "number of FL rounds")
-		seed    = fs.Int64("seed", 1, "federation seed (must match server)")
-		records = fs.Int("records", 1000, "dataset record count")
+	fs.StringVar(&o.Addr, "addr", "127.0.0.1:7070", "server TCP address")
+	fs.IntVar(&o.ClientID, "id", 0, "client id in [0, clients)")
+	o.Config.BindFlags(fs)
 
-		maxRetries = fs.Int("max-retries", 0, "reconnection attempts after a network fault (0 = default 5, negative disables)")
-		backoff    = fs.Duration("base-backoff", 0, "first reconnection delay, doubled per failure with jitter (0 = default 100ms)")
-		job        = fs.String("job", "", "federation job name when the server runs in multi-tenant service mode (empty is fine against single-job servers)")
-		privCkpt   = fs.String("private-checkpoint", "", "file persisting the DINAR private-layer store after every round; restarting with the same path restores the personalization state")
-	)
-	if err := fs.Parse(args); err != nil {
+	fs.IntVar(&o.MaxRetries, "max-retries", 0, "reconnection attempts after a network fault (0 = default 5, negative disables)")
+	fs.DurationVar(&o.BaseBackoff, "base-backoff", 0, "first reconnection delay, doubled per failure with jitter (0 = default 100ms)")
+	fs.StringVar(&o.Job, "job", "", "federation job name when the server runs in multi-tenant service mode (empty is fine against single-job servers)")
+	fs.StringVar(&o.PrivateCheckpointPath, "private-checkpoint", "", "file persisting the DINAR private-layer store after every round; restarting with the same path restores the personalization state")
+	return fs
+}
+
+func run(args []string) error {
+	var opts dinar.ClientOptions
+	if err := flags(&opts).Parse(args); err != nil {
 		return err
+	}
+	opts.Logf = func(format string, args ...any) {
+		fmt.Printf(format+"\n", args...)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	fmt.Printf("dinar-client %d: joining %s\n", *id, *addr)
-	res, err := dinar.RunMiddlewareClient(ctx, dinar.ClientOptions{
-		Addr:     *addr,
-		ClientID: *id,
-		Config: dinar.Config{
-			Dataset: *dataset,
-			Defense: *def,
-			Clients: *clients,
-			Rounds:  *rounds,
-			Seed:    *seed,
-			Records: *records,
-		},
-		MaxRetries:            *maxRetries,
-		BaseBackoff:           *backoff,
-		Job:                   *job,
-		PrivateCheckpointPath: *privCkpt,
-		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
-	})
+	fmt.Printf("dinar-client %d: joining %s\n", opts.ClientID, opts.Addr)
+	res, err := dinar.RunMiddlewareClient(ctx, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dinar-client %d: done; personalized model accuracy %.1f%%\n", *id, res.Accuracy*100)
+	fmt.Printf("dinar-client %d: done; personalized model accuracy %.1f%%\n", opts.ClientID, res.Accuracy*100)
 	return nil
 }

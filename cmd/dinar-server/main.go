@@ -8,7 +8,9 @@
 //	dinar-server -addr :7070 -dataset purchase100 -defense dinar -clients 3 -rounds 5
 //
 // Pair with cmd/dinar-client processes sharing the same -dataset, -defense,
-// -clients, -rounds, and -seed flags.
+// -clients, -rounds, -seed and -records flags (both binaries declare them
+// with dinar.Config.BindFlags). The federation flags bind straight into
+// dinar.ServerOptions, the settings a service-mode job maps its spec onto.
 //
 // Byzantine robustness: -aggregator selects a poisoning-tolerant aggregation
 // rule (krum, multi-krum, norm-bound, median, trimmed-mean) with -max-byzantine
@@ -38,93 +40,72 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// settings is everything dinar-server's flags set: the federation's server
+// options and the service-mode switches.
+type settings struct {
+	opts         dinar.ServerOptions
+	service      bool
+	stateDir     string
+	drainTimeout time.Duration
+}
+
+// flags declares dinar-server's flags on a new set, bound into s.
+func flags(s *settings) *flag.FlagSet {
 	fs := flag.NewFlagSet("dinar-server", flag.ContinueOnError)
-	var (
-		addr    = fs.String("addr", "127.0.0.1:7070", "TCP listen address")
-		dataset = fs.String("dataset", "purchase100", "dataset name")
-		def     = fs.String("defense", "dinar", "defense name")
-		clients = fs.Int("clients", 3, "number of FL clients")
-		rounds  = fs.Int("rounds", 5, "number of FL rounds")
-		seed    = fs.Int64("seed", 1, "federation seed (must match clients)")
-		records = fs.Int("records", 1000, "dataset record count")
+	o := &s.opts
+	fs.StringVar(&o.Addr, "addr", "127.0.0.1:7070", "TCP listen address")
+	o.Config.BindFlags(fs)
 
-		minClients = fs.Int("min-clients", 0, "round quorum; after -round-deadline a round aggregates with this many updates (0 = full cohort)")
-		deadline   = fs.Duration("round-deadline", 0, "per-round collection deadline; stragglers past it are evicted (0 = wait forever)")
-		ckpt       = fs.String("checkpoint", "", "snapshot file persisted every round; restarting with the same path resumes the federation")
+	fs.IntVar(&o.MinClients, "min-clients", 0, "round quorum; after -round-deadline a round aggregates with this many updates (0 = full cohort)")
+	fs.DurationVar(&o.RoundDeadline, "round-deadline", 0, "per-round collection deadline; stragglers past it are evicted (0 = wait forever)")
+	fs.StringVar(&o.CheckpointPath, "checkpoint", "", "snapshot file persisted every round; restarting with the same path resumes the federation")
 
-		sampleSize = fs.Int("sample-size", 0, "clients sampled into each round's cohort, deterministic per (seed, round); failed members are replaced from the same draw (0 = every client)")
-		sampleSeed = fs.Int64("sample-seed", 0, "cohort-draw seed (0 = checkpoint's seed when resuming, else -seed)")
-		asyncStale = fs.Int("async-staleness", 0, "buffer stragglers' updates and fold them into later rounds weighted by age, up to this many rounds old; rounds then never block on stragglers (0 = synchronous)")
-		streaming  = fs.Bool("streaming", false, "fold each arriving update into an O(model) accumulator instead of materializing the whole cohort (falls back with a warning when the aggregation rule cannot stream)")
+	fs.IntVar(&o.SampleSize, "sample-size", 0, "clients sampled into each round's cohort, deterministic per (seed, round); failed members are replaced from the same draw (0 = every client)")
+	fs.Int64Var(&o.SampleSeed, "sample-seed", 0, "cohort-draw seed (0 = checkpoint's seed when resuming, else -seed)")
+	fs.IntVar(&o.AsyncStaleness, "async-staleness", 0, "buffer stragglers' updates and fold them into later rounds weighted by age, up to this many rounds old; rounds then never block on stragglers (0 = synchronous)")
+	fs.BoolVar(&o.Streaming, "streaming", false, "fold each arriving update into an O(model) accumulator instead of materializing the whole cohort (falls back with a warning when the aggregation rule cannot stream)")
 
-		aggregator = fs.String("aggregator", "fedavg", "aggregation rule: fedavg, median, trimmed-mean, krum, multi-krum, norm-bound")
-		maxByz     = fs.Int("max-byzantine", 0, "assumed number of malicious clients the robust aggregator tolerates")
-		noScreen   = fs.Bool("no-screen", false, "disable the Byzantine update screen (shape/NaN validation, rejection, quarantine)")
-		clipNorms  = fs.Bool("clip-norms", false, "additionally clip oversized update deltas to a running median-of-norms bound")
-		quarantine = fs.Int("quarantine-rounds", 0, "rounds a poisoning client stays excluded after rejection (0 = default 3, negative disables)")
+	fs.StringVar(&o.Config.Aggregator, "aggregator", "fedavg", "aggregation rule: fedavg, median, trimmed-mean, krum, multi-krum, norm-bound")
+	fs.IntVar(&o.Config.MaxByzantine, "max-byzantine", 0, "assumed number of malicious clients the robust aggregator tolerates")
+	fs.BoolVar(&o.NoScreen, "no-screen", false, "disable the Byzantine update screen (shape/NaN validation, rejection, quarantine)")
+	fs.BoolVar(&o.ClipNorms, "clip-norms", false, "additionally clip oversized update deltas to a running median-of-norms bound")
+	fs.IntVar(&o.QuarantineRounds, "quarantine-rounds", 0, "rounds a poisoning client stays excluded after rejection (0 = default 3, negative disables)")
 
-		compress  = fs.Bool("compress", false, "offer per-frame flate compression to clients")
-		quantize  = fs.String("quantize", "none", "stochastically quantize client uploads: none, int8, or int16 (incompatible with secure-aggregation defenses)")
-		topK      = fs.Float64("topk", 0, "sparsify quantized uploads to this top fraction of coordinates by magnitude, in (0,1) (0 = dense; requires -quantize)")
-		delta     = fs.Bool("delta", false, "delta-encode global broadcasts against each client's last completed round")
-		quantSeed = fs.Int64("quant-seed", 0, "stochastic-quantizer seed (0 = checkpoint's seed when resuming, else -seed)")
+	fs.BoolVar(&o.Compress, "compress", false, "offer per-frame flate compression to clients")
+	fs.StringVar(&o.Quantize, "quantize", "none", "stochastically quantize client uploads: none, int8, or int16 (incompatible with secure-aggregation defenses)")
+	fs.Float64Var(&o.TopK, "topk", 0, "sparsify quantized uploads to this top fraction of coordinates by magnitude, in (0,1) (0 = dense; requires -quantize)")
+	fs.BoolVar(&o.Delta, "delta", false, "delta-encode global broadcasts against each client's last completed round")
+	fs.Int64Var(&o.QuantSeed, "quant-seed", 0, "stochastic-quantizer seed (0 = checkpoint's seed when resuming, else -seed)")
 
-		pipeline = fs.Bool("pipeline", false, "overlap each round's checkpoint write with the next round's broadcast (the persisted chain stays bit-identical)")
+	fs.BoolVar(&o.Pipeline, "pipeline", false, "overlap each round's checkpoint write with the next round's broadcast (the persisted chain stays bit-identical)")
 
-		adminAddr = fs.String("admin-addr", "", "HTTP observability listen address serving /metrics, /healthz, and /debug/pprof/ (empty disables; \":0\" for an ephemeral port)")
+	fs.StringVar(&o.AdminAddr, "admin-addr", "", "HTTP observability listen address serving /metrics, /healthz, and /debug/pprof/ (empty disables; \":0\" for an ephemeral port)")
 
-		svcMode  = fs.Bool("service", false, "multi-tenant service mode: host many named federation jobs in one process, managed via the admin API (POST /jobs etc.); the per-federation flags above are ignored")
-		stateDir = fs.String("state-dir", "", "service-mode state directory holding the job manifest and every job's checkpoint chain (required with -service)")
+	fs.BoolVar(&s.service, "service", false, "multi-tenant service mode: host many named federation jobs in one process, managed via the admin API (POST /jobs etc.); the per-federation flags above are ignored")
+	fs.StringVar(&s.stateDir, "state-dir", "", "service-mode state directory holding the job manifest and every job's checkpoint chain (required with -service)")
 
-		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget after SIGINT/SIGTERM: the in-flight round may finish within it before the final checkpoint is written (a second signal aborts immediately)")
-	)
-	if err := fs.Parse(args); err != nil {
+	fs.DurationVar(&s.drainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown budget after SIGINT/SIGTERM: the in-flight round may finish within it before the final checkpoint is written (a second signal aborts immediately)")
+	return fs
+}
+
+func run(args []string) error {
+	var s settings
+	if err := flags(&s).Parse(args); err != nil {
 		return err
 	}
-
-	if *svcMode {
-		return runService(*addr, *stateDir, *adminAddr, *drainTimeout)
+	if s.service {
+		return runService(s.opts.Addr, s.stateDir, s.opts.AdminAddr, s.drainTimeout)
 	}
 
-	srv, err := dinar.NewMiddlewareServer(dinar.ServerOptions{
-		Addr: *addr,
-		Config: dinar.Config{
-			Dataset:      *dataset,
-			Defense:      *def,
-			Clients:      *clients,
-			Rounds:       *rounds,
-			Seed:         *seed,
-			Records:      *records,
-			Aggregator:   *aggregator,
-			MaxByzantine: *maxByz,
-		},
-		MinClients:       *minClients,
-		RoundDeadline:    *deadline,
-		SampleSize:       *sampleSize,
-		SampleSeed:       *sampleSeed,
-		AsyncStaleness:   *asyncStale,
-		Streaming:        *streaming,
-		Compress:         *compress,
-		Quantize:         *quantize,
-		TopK:             *topK,
-		Delta:            *delta,
-		QuantSeed:        *quantSeed,
-		Pipeline:         *pipeline,
-		CheckpointPath:   *ckpt,
-		NoScreen:         *noScreen,
-		ClipNorms:        *clipNorms,
-		QuarantineRounds: *quarantine,
-		AdminAddr:        *adminAddr,
-		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
-	})
+	s.opts.Logf = func(format string, args ...any) {
+		fmt.Printf(format+"\n", args...)
+	}
+	srv, err := dinar.NewMiddlewareServer(s.opts)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("dinar-server: listening on %s (dataset=%s defense=%s clients=%d rounds=%d)\n",
-		srv.Addr(), *dataset, *def, *clients, *rounds)
+		srv.Addr(), s.opts.Config.Dataset, s.opts.Config.Defense, s.opts.Config.Clients, s.opts.Config.Rounds)
 	if a := srv.AdminAddr(); a != "" {
 		fmt.Printf("dinar-server: observability on http://%s (/metrics /healthz /debug/pprof/)\n", a)
 	}
@@ -143,8 +124,8 @@ func run(args []string) error {
 		case <-ctx.Done():
 			return
 		}
-		fmt.Printf("dinar-server: signal received; draining (up to %s; signal again to abort)\n", *drainTimeout)
-		drainCtx, drainCancel := context.WithTimeout(ctx, *drainTimeout)
+		fmt.Printf("dinar-server: signal received; draining (up to %s; signal again to abort)\n", s.drainTimeout)
+		drainCtx, drainCancel := context.WithTimeout(ctx, s.drainTimeout)
 		defer drainCancel()
 		go func() {
 			select {

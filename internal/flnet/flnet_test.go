@@ -222,17 +222,34 @@ func TestFederationOverTCPDINAR(t *testing.T) {
 }
 
 func TestServerConfigValidation(t *testing.T) {
-	if _, err := NewServer(ServerConfig{NumClients: 0, Rounds: 1, Defense: defense.NewNone(), InitialState: []float64{1}}); err == nil {
-		t.Fatal("accepted zero clients")
+	valid := func() ServerConfig {
+		return ServerConfig{Addr: "127.0.0.1:0", NumClients: 1, Rounds: 1, Defense: defense.NewNone(), InitialState: []float64{1}}
 	}
-	if _, err := NewServer(ServerConfig{NumClients: 1, Rounds: 0, Defense: defense.NewNone(), InitialState: []float64{1}}); err == nil {
-		t.Fatal("accepted zero rounds")
+	srv, err := NewServer(valid())
+	if err != nil {
+		t.Fatalf("refused the valid base config: %v", err)
 	}
-	if _, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", NumClients: 1, Rounds: 1, InitialState: []float64{1}}); err == nil {
-		t.Fatal("accepted nil defense")
-	}
-	if _, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", NumClients: 1, Rounds: 1, Defense: defense.NewNone()}); err == nil {
-		t.Fatal("accepted empty state")
+	srv.Close()
+	for _, tc := range []struct {
+		name   string
+		mutate func(*ServerConfig)
+	}{
+		{"zero clients", func(c *ServerConfig) { c.NumClients = 0 }},
+		{"zero rounds", func(c *ServerConfig) { c.Rounds = 0 }},
+		{"nil defense", func(c *ServerConfig) { c.Defense = nil }},
+		{"empty state", func(c *ServerConfig) { c.InitialState = nil }},
+		// A negative deadline would silently mean none: the timer is
+		// armed only for a positive one.
+		{"negative round deadline", func(c *ServerConfig) { c.RoundDeadline = -time.Second }},
+		// A quantizer seed with nothing to seed would be dropped.
+		{"quant seed without quantization", func(c *ServerConfig) { c.QuantSeed = 7 }},
+	} {
+		cfg := valid()
+		tc.mutate(&cfg)
+		if srv, err := NewServer(cfg); err == nil {
+			srv.Close()
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ type ServerConfig struct {
 	// RoundDeadline bounds one round's update collection; after it expires
 	// the round proceeds with a quorum and evicts stragglers. 0 means no
 	// deadline: the round ends only when every live client has reported or
-	// failed.
+	// failed. A negative deadline is refused.
 	RoundDeadline time.Duration
 	// Defense is the server-side defense instance (its Aggregate hook runs
 	// here). It must already be Bound to the model layout.
@@ -135,7 +135,8 @@ type ServerConfig struct {
 	Delta bool
 	// QuantSeed seeds stochastic quantization. 0 means "unset": a
 	// checkpoint resume adopts the recorded seed, otherwise
-	// QuantSeedDefault applies (0 means 1), mirroring SampleSeed.
+	// QuantSeedDefault applies (0 means 1), mirroring SampleSeed. A nonzero
+	// QuantSeed without Quantize is refused.
 	QuantSeed        int64
 	QuantSeedDefault int64
 }
@@ -305,6 +306,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.AsyncStaleness < 0 {
 		return nil, fmt.Errorf("flnet: negative AsyncStaleness %d", cfg.AsyncStaleness)
+	}
+	if cfg.RoundDeadline < 0 {
+		return nil, fmt.Errorf("flnet: negative RoundDeadline %s (0 means no deadline)", cfg.RoundDeadline)
 	}
 	if cfg.Defense == nil {
 		return nil, fmt.Errorf("flnet: nil defense")

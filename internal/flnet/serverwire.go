@@ -25,6 +25,9 @@ func wireOffer(cfg *ServerConfig, cohortAware fl.CohortAware) (uint32, fl.QuantK
 	if cfg.TopK > 0 && quant == fl.QuantNone {
 		return 0, 0, fmt.Errorf("flnet: TopK sparsification requires quantization (set Quantize)")
 	}
+	if cfg.QuantSeed != 0 && quant == fl.QuantNone {
+		return 0, 0, fmt.Errorf("flnet: QuantSeed %d requires quantization (set Quantize)", cfg.QuantSeed)
+	}
 	if quant != fl.QuantNone && cohortAware != nil {
 		return 0, 0, fmt.Errorf("flnet: defense is cohort-aware (secure aggregation): quantized uploads would corrupt the pairwise mask cancellation; disable Quantize or the masking defense")
 	}

@@ -8,18 +8,18 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/fl"
 	"repro/internal/flnet"
 	"repro/internal/telemetry"
 )
 
-// Builder constructs the model-and-defense half of a job from its spec:
-// the bound defense and the initial global state vector. The control
-// plane stays ignorant of datasets and model architectures — the binary
-// wires in a builder backed by the dinar package. The builder may
-// normalize the spec in place (fill defaulted fields such as the seed)
-// before the job's flnet server is configured from it.
-type Builder func(spec *JobSpec) (fl.Defense, []float64, error)
+// Builder turns a job spec into its federation's server configuration:
+// the bound defense, the initial global state and every setting the spec
+// names. The control plane stays ignorant of datasets and model
+// architectures — the binary wires in dinar.JobBuilder, the construction a
+// standalone server uses — and adds only what a job owns: its listener,
+// registry, checkpoint path and log sink. The builder may normalize the
+// spec in place (fill defaulted fields such as the dataset).
+type Builder func(spec *JobSpec) (flnet.ServerConfig, error)
 
 // JobState is one stop in a job's lifecycle:
 // created → running → draining → done, with pause/resume as a detour
@@ -125,45 +125,17 @@ func (j *Job) start() error {
 	// Build outside the lock: model construction can be slow and touches
 	// nothing of the job's mutable state.
 	spec := j.spec
-	def, initial, err := j.builder(&spec)
+	cfg, err := j.builder(&spec)
 	if err != nil {
 		return fmt.Errorf("service: job %q: %w", j.spec.Name, err)
 	}
 	ln := flnet.ListenMem(jobBacklog)
-	name := spec.Name
-	logf := j.logf
-	srv, err := flnet.NewServer(flnet.ServerConfig{
-		NumClients:        spec.Clients,
-		MinClients:        spec.MinClients,
-		Rounds:            spec.Rounds,
-		RoundDeadline:     spec.RoundDeadline(),
-		SampleSize:        spec.SampleSize,
-		SampleSeed:        spec.SampleSeed,
-		SampleSeedDefault: spec.Seed,
-		AsyncStaleness:    spec.AsyncStaleness,
-		Streaming:         spec.Streaming,
-		Compress:          spec.Compress,
-		Quantize:          spec.Quantize,
-		TopK:              spec.TopK,
-		Delta:             spec.Delta,
-		QuantSeed:         spec.QuantSeed,
-		QuantSeedDefault:  spec.Seed,
-		Defense:           def,
-		InitialState:      initial,
-		CheckpointPath:    j.ckptPath,
-		Pipeline:          spec.Pipeline,
-		Dataset:           spec.Dataset,
-		NoScreen:          spec.NoScreen,
-		Screen: fl.ScreenConfig{
-			ClipNorms:        spec.ClipNorms,
-			QuarantineRounds: spec.QuarantineRounds,
-		},
-		Listener: ln,
-		Registry: j.reg,
-		Logf: func(format string, args ...any) {
-			logf("job %s: "+format, append([]any{name}, args...)...)
-		},
-	})
+	name, logf := spec.Name, j.logf
+	cfg.Listener, cfg.Registry, cfg.CheckpointPath = ln, j.reg, j.ckptPath
+	cfg.Logf = func(format string, args ...any) {
+		logf("job %s: "+format, append([]any{name}, args...)...)
+	}
+	srv, err := flnet.NewServer(cfg)
 	if err != nil {
 		ln.Close()
 		return fmt.Errorf("service: job %q: %w", j.spec.Name, err)

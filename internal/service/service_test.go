@@ -26,18 +26,29 @@ import (
 
 // testBuilder is the control-plane seam without the full dinar model
 // stack: a "none" defense over a dim-sized synthetic model, where dim
-// rides in spec.Records. The real binary plugs in dinar.JobBuilder here.
+// rides in spec.Records, and the spec's round policy mapped onto the
+// server. The real binary plugs in dinar.JobBuilder here.
 func testBuilder() Builder {
-	return func(spec *JobSpec) (fl.Defense, []float64, error) {
-		dim := spec.Records
-		if dim <= 0 {
-			dim = 8
-		}
+	return func(spec *JobSpec) (flnet.ServerConfig, error) {
+		dim := jobDim(*spec)
 		def := defense.NewNone()
 		if err := def.Bind(fl.ModelInfo{NumParams: dim, NumState: dim}); err != nil {
-			return nil, nil, err
+			return flnet.ServerConfig{}, err
 		}
-		return def, make([]float64, dim), nil
+		return flnet.ServerConfig{
+			NumClients:        spec.Clients,
+			MinClients:        spec.MinClients,
+			Rounds:            spec.Rounds,
+			RoundDeadline:     spec.RoundDeadline(),
+			SampleSize:        spec.SampleSize,
+			SampleSeed:        spec.SampleSeed,
+			SampleSeedDefault: spec.Seed,
+			AsyncStaleness:    spec.AsyncStaleness,
+			Streaming:         spec.Streaming,
+			Pipeline:          spec.Pipeline,
+			Defense:           def,
+			InitialState:      make([]float64, dim),
+		}, nil
 	}
 }
 
@@ -80,25 +91,13 @@ func runFleet(ctx context.Context, spec JobSpec, dial func(context.Context) (net
 func referenceFinal(t *testing.T, spec JobSpec) []float64 {
 	t.Helper()
 	ref := spec
-	def, initial, err := testBuilder()(&ref)
+	cfg, err := testBuilder()(&ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := flnet.ListenMem(ref.Clients)
-	srv, err := flnet.NewServer(flnet.ServerConfig{
-		NumClients:        ref.Clients,
-		MinClients:        ref.MinClients,
-		Rounds:            ref.Rounds,
-		RoundDeadline:     ref.RoundDeadline(),
-		SampleSize:        ref.SampleSize,
-		SampleSeed:        ref.SampleSeed,
-		SampleSeedDefault: ref.Seed,
-		AsyncStaleness:    ref.AsyncStaleness,
-		Streaming:         ref.Streaming,
-		Defense:           def,
-		InitialState:      initial,
-		Listener:          mem,
-	})
+	cfg.Listener = mem
+	srv, err := flnet.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package dinar
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"time"
@@ -17,6 +18,19 @@ import (
 	"repro/internal/optim"
 	"repro/internal/telemetry"
 )
+
+// BindFlags declares on fs, bound to c, the six flags a server and its
+// clients must agree on: -dataset -defense -clients -rounds -seed -records.
+// dinar-server and dinar-client both declare them here, so their names and
+// defaults cannot drift apart.
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	fs.StringVar(&c.Dataset, "dataset", "purchase100", "dataset name (shared by the server and every client)")
+	fs.StringVar(&c.Defense, "defense", "dinar", "defense name (shared by the server and every client)")
+	fs.IntVar(&c.Clients, "clients", 3, "number of FL clients (shared by the server and every client)")
+	fs.IntVar(&c.Rounds, "rounds", 5, "number of FL rounds (shared by the server and every client)")
+	fs.Int64Var(&c.Seed, "seed", 1, "federation seed (shared by the server and every client)")
+	fs.IntVar(&c.Records, "records", 1000, "dataset record count (shared by the server and every client)")
+}
 
 // ServerOptions configures a TCP middleware server process.
 type ServerOptions struct {
@@ -101,82 +115,82 @@ type MiddlewareServer struct {
 	admin *telemetry.AdminServer
 }
 
-// buildServerSide is the server half of the federation fc describes: the
-// assembly's initial model and the named defense, wrapped in the configured
-// aggregation rule and bound to that model. It returns the defense and the
-// initial global state. The single-tenant server and a service-mode job both
-// start from this one construction, which is what keeps them bit-identical.
-func buildServerSide(fc fl.Config, defenseName string) (fl.Defense, []float64, error) {
+// serverConfig is the one construction of a federation's server from the
+// facade's settings: defaults applied, the dataset's initial model built, the
+// named defense seeded, wrapped in the configured aggregation rule and bound
+// to that model, and every other setting mapped onto its flnet field.
+// NewMiddlewareServer adds a registry and an admin port; a service-mode job
+// (JobBuilder) adds its listener, registry, checkpoint path and log sink.
+// Both start from this call, which is what keeps them bit-identical.
+func (o ServerOptions) serverConfig() (flnet.ServerConfig, error) {
+	cfg := o.Config.withDefaults()
+	fc := cfg.flConfig()
 	m, err := fc.BuildModel()
 	if err != nil {
-		return nil, nil, err
+		return flnet.ServerConfig{}, err
 	}
-	def, err := defense.New(defenseName, fc.DefenseSeed(), fc.Clients)
+	def, err := defense.New(cfg.Defense, fc.DefenseSeed(), fc.Clients)
 	if err != nil {
-		return nil, nil, err
+		return flnet.ServerConfig{}, err
 	}
-	def, err = fl.WithAggregator(def, fc.Aggregator, fc.MaxByzantine)
-	if err != nil {
-		return nil, nil, err
+	if def, err = fl.WithAggregator(def, fc.Aggregator, fc.MaxByzantine); err != nil {
+		return flnet.ServerConfig{}, err
 	}
 	if err := def.Bind(fl.InfoOf(m)); err != nil {
-		return nil, nil, err
+		return flnet.ServerConfig{}, err
 	}
-	return def, m.StateVector(), nil
+	return flnet.ServerConfig{
+		Addr:          o.Addr,
+		NumClients:    fc.Clients,
+		MinClients:    o.MinClients,
+		Rounds:        fc.Rounds,
+		RoundDeadline: o.RoundDeadline,
+		SampleSize:    o.SampleSize,
+		// Passed through verbatim: 0 must reach flnet so a resumed
+		// federation adopts the checkpoint's recorded draw seed.
+		SampleSeed:        o.SampleSeed,
+		SampleSeedDefault: fc.Seed,
+		AsyncStaleness:    o.AsyncStaleness,
+		Streaming:         o.Streaming,
+		Compress:          o.Compress,
+		Quantize:          o.Quantize,
+		TopK:              o.TopK,
+		Delta:             o.Delta,
+		// Same pass-through contract as SampleSeed: 0 must reach flnet so
+		// a resumed federation adopts the checkpoint's quantizer seed.
+		QuantSeed:        o.QuantSeed,
+		QuantSeedDefault: fc.Seed,
+		Pipeline:         o.Pipeline,
+		Defense:          def,
+		InitialState:     m.StateVector(),
+		CheckpointPath:   o.CheckpointPath,
+		Dataset:          fc.Dataset,
+		NoScreen:         o.NoScreen,
+		Screen: fl.ScreenConfig{
+			ClipNorms:        o.ClipNorms,
+			QuarantineRounds: o.QuarantineRounds,
+		},
+		Logf: o.Logf,
+	}, nil
 }
 
 // NewMiddlewareServer builds the initial global model for the configured
 // dataset and starts listening.
 func NewMiddlewareServer(opts ServerOptions) (*MiddlewareServer, error) {
-	cfg := opts.Config.withDefaults()
-	fc := cfg.flConfig()
-	def, initial, err := buildServerSide(fc, cfg.Defense)
+	cfg, err := opts.serverConfig()
 	if err != nil {
 		return nil, err
 	}
 	// The federation's series live in a registry of this server's own; the
 	// admin port serves it beside the process-scoped one.
-	reg := telemetry.NewRegistry()
-	srv, err := flnet.NewServer(flnet.ServerConfig{
-		Addr:          opts.Addr,
-		NumClients:    fc.Clients,
-		MinClients:    opts.MinClients,
-		Rounds:        fc.Rounds,
-		RoundDeadline: opts.RoundDeadline,
-		SampleSize:    opts.SampleSize,
-		// Passed through verbatim: 0 must reach flnet so a resumed
-		// federation adopts the checkpoint's recorded draw seed.
-		SampleSeed:        opts.SampleSeed,
-		SampleSeedDefault: fc.Seed,
-		AsyncStaleness:    opts.AsyncStaleness,
-		Streaming:         opts.Streaming,
-		Compress:          opts.Compress,
-		Quantize:          opts.Quantize,
-		TopK:              opts.TopK,
-		Delta:             opts.Delta,
-		// Same pass-through contract as SampleSeed: 0 must reach flnet so
-		// a resumed federation adopts the checkpoint's quantizer seed.
-		QuantSeed:        opts.QuantSeed,
-		QuantSeedDefault: fc.Seed,
-		Pipeline:         opts.Pipeline,
-		Defense:          def,
-		InitialState:     initial,
-		CheckpointPath:   opts.CheckpointPath,
-		Dataset:          fc.Dataset,
-		NoScreen:         opts.NoScreen,
-		Screen: fl.ScreenConfig{
-			ClipNorms:        opts.ClipNorms,
-			QuarantineRounds: opts.QuarantineRounds,
-		},
-		Registry: reg,
-		Logf:     opts.Logf,
-	})
+	cfg.Registry = telemetry.NewRegistry()
+	srv, err := flnet.NewServer(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &MiddlewareServer{inner: srv}
 	if opts.AdminAddr != "" {
-		s.admin, err = telemetry.ServeAdmin(opts.AdminAddr, srv.Health, telemetry.Default(), reg)
+		s.admin, err = telemetry.ServeAdmin(opts.AdminAddr, srv.Health, telemetry.Default(), cfg.Registry)
 		if err != nil {
 			srv.Close()
 			return nil, err

@@ -1,6 +1,7 @@
 package dinar
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -8,10 +9,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/defense"
+	"repro/internal/fl"
+	"repro/internal/service"
 )
 
 // stateDigest is the SHA-256 of a state vector's float64 bits.
@@ -58,13 +62,75 @@ func tcpFinalState(t *testing.T, cfg Config, streaming bool) []float64 {
 	return final
 }
 
-// TestSystemMatchesTCP holds the networked path to the reference oracle: for
+// serviceFinalState runs cfg's federation as a job of the multi-tenant
+// service: service.New with JobBuilder on a loopback listener, the job
+// created from cfg's settings, cfg.Clients RunMiddlewareClient sessions
+// routed to it by name. It returns the final global state the clients
+// received (they must all agree) and the job's dinar_fl_agg_update_bytes_peak
+// sample, which tells the streamed fold from the materialized cohort.
+func serviceFinalState(t *testing.T, cfg Config, streaming bool) ([]float64, string) {
+	t.Helper()
+	svc, err := service.New(service.Options{Addr: "127.0.0.1:0", StateDir: t.TempDir(), Builder: JobBuilder()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	const job = "oracle"
+	if _, err := svc.CreateJob(service.JobSpec{
+		Name: job, Dataset: cfg.Dataset, Defense: cfg.Defense, Clients: cfg.Clients,
+		Rounds: cfg.Rounds, Seed: cfg.Seed, Records: cfg.Records, Streaming: streaming,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	finals := make([][]float64, cfg.Clients)
+	clientErrs := make(chan error, cfg.Clients)
+	for i := range finals {
+		go func(id int) {
+			res, err := RunMiddlewareClient(ctx, ClientOptions{Addr: svc.Addr().String(), Config: cfg, ClientID: id, MaxRetries: -1, Job: job})
+			if err != nil {
+				cancel()
+			} else {
+				finals[id] = res.FinalGlobalState
+			}
+			clientErrs <- err
+		}(i)
+	}
+	for range finals {
+		if err := <-clientErrs; err != nil {
+			t.Fatalf("client: %v", err)
+		}
+	}
+	for id, final := range finals[1:] {
+		if stateDigest(final) != stateDigest(finals[0]) {
+			t.Fatalf("clients 0 and %d ended on different global states", id+1)
+		}
+	}
+	var metrics bytes.Buffer
+	if err := svc.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	sample := fmt.Sprintf("dinar_fl_agg_update_bytes_peak{job=%q} ", job)
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if peak, ok := strings.CutPrefix(line, sample); ok {
+			return finals[0], peak
+		}
+	}
+	t.Fatalf("no %s sample in the service's metrics", sample)
+	return nil, ""
+}
+
+// TestSystemMatchesTCP holds the networked paths to the reference oracle: for
 // every defense, over seeds and both collection modes, the federation that
-// NewMiddlewareServer and RunMiddlewareClient run over a socket ends on the
-// final global state New + Train compute in process, bit for bit. Both sides
-// take their data, models, clients and seed streams from the one assembly
+// NewMiddlewareServer and RunMiddlewareClient run over a socket, and the same
+// federation run as a service job built by JobBuilder, end on the final
+// global state New + Train compute in process, bit for bit. All three take
+// their data, models, clients and seed streams from the one assembly
 // (fl.Config); what differs is everything else — codec, sessions, arrival
-// order, the streamed fold, one defense instance per process.
+// order, the streamed fold, one defense instance per process, the service's
+// front door. The two modes end on the same bits, so the job's peak
+// aggregation bytes show that it honoured Streaming.
 func TestSystemMatchesTCP(t *testing.T) {
 	names := defense.ExtendedNames
 	if testing.Short() {
@@ -84,10 +150,23 @@ func TestSystemMatchesTCP(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}
 			want := stateDigest(sys.sys.Server.GlobalState())
+			peaks := map[bool]string{}
 			for _, streaming := range []bool{false, true} {
 				if got := stateDigest(tcpFinalState(t, cfg, streaming)); got != want {
 					t.Errorf("%s seed %d streaming=%v: TCP ended on %s, fl.System on %s", name, seed, streaming, got, want)
 				}
+				final, peak := serviceFinalState(t, cfg, streaming)
+				if got := stateDigest(final); got != want {
+					t.Errorf("%s seed %d streaming=%v: service job ended on %s, fl.System on %s", name, seed, streaming, got, want)
+				}
+				peaks[streaming] = peak
+			}
+			def, err := defense.New(name, seed, cfg.Clients)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fl.StreamingOf(def) != nil && peaks[false] == peaks[true] {
+				t.Errorf("%s seed %d: the job held %s aggregation bytes at peak with and without Streaming", name, seed, peaks[true])
 			}
 		}
 	}
