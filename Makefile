@@ -90,9 +90,14 @@
 #                     round benchmark's own module is exempt)
 #   make oneacceptor - grep gate: non-test internal/flnet calls s.ln.Accept()
 #                     exactly once (one acceptor admits the cohort and every
-#                     rejoin for the whole run) and no non-test .go file
+#                     rejoin for the whole run); no non-test .go file
 #                     under internal/ calls SetDeadline( (registration is
-#                     bounded by a timer, never by a listener deadline)
+#                     bounded by a timer, never by a listener deadline);
+#                     ReadHello( is called exactly once in non-test
+#                     internal/flnet and once in non-test internal/service,
+#                     and non-test internal/service names no prefixConn,
+#                     TeeReader or ListenMem( (the front door parses a Hello
+#                     once and hands it to the job's Server.Admit)
 #   make oneserverconfig - grep gate: outside middleware.go, internal/flnet
 #                     and internal/bench no non-test .go file writes a
 #                     ServerConfig{ literal (a standalone server and a
@@ -238,6 +243,8 @@ oneclient:
 oneacceptor:
 	@hits=$$(grep -n 's\.ln\.Accept()' internal/flnet/*.go | grep -v '_test\.go:'); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo 'want exactly one s.ln.Accept() in internal/flnet (see above): admit every client through the one acceptor'; exit 1; fi
 	@if grep -rn 'SetDeadline(' --include='*.go' internal | grep -v '_test\.go:'; then echo 'a listener or connection deadline set under internal/ (see above): bound registration with the server timer, IO with SetRead/WriteDeadline'; exit 1; fi
+	@for d in flnet service; do hits=$$(grep -n 'ReadHello(' internal/$$d/*.go | grep -v '_test\.go:' | grep -v 'func ReadHello('); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo "want exactly one ReadHello( call in non-test internal/$$d (see above): parse a Hello once and admit it with Server.Admit"; exit 1; fi; done
+	@if grep -nE 'prefixConn|TeeReader|ListenMem\(' internal/service/*.go | grep -v '_test\.go:'; then echo 'a replayed Hello in internal/service (see above): the front door hands the parsed Hello to the job'"'"'s Server.Admit'; exit 1; fi
 
 oneserverconfig:
 	@if grep -rn 'ServerConfig{' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(middleware\.go|internal/flnet/|internal/bench/|benchmark/|\.bench_build/)'; then echo 'a second flnet.ServerConfig construction (see above): map the settings onto dinar.ServerOptions and call serverConfig'; exit 1; fi

@@ -218,4 +218,7 @@ func TestNewMiddlewareServerValidation(t *testing.T) {
 	if _, err := NewMiddlewareServer(ServerOptions{Addr: "127.0.0.1:0", Config: Config{Defense: "nope"}}); err == nil {
 		t.Fatal("accepted unknown defense")
 	}
+	if _, err := NewMiddlewareServer(ServerOptions{Addr: ""}); err == nil {
+		t.Fatal("accepted an empty listen address")
+	}
 }

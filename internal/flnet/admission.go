@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 )
 
@@ -69,40 +68,115 @@ func drainNotice() *Message {
 	return &Message{Kind: KindDrain, RetryAfterMs: int(defaultDrainRetryAfter / time.Millisecond)}
 }
 
-// register reads and validates one Hello frame. On success the session is
-// added to the live set; on failure (nil) the registrant gets a KindError
-// frame, the connection is closed, and the reject counter advances.
-func (s *Server) register(conn net.Conn) *session {
-	reject := func(reason string) *session {
-		s.sendError(conn, reason)
-		conn.Close()
-		s.mu.Lock()
-		s.rejects++
-		if s.rejects == s.maxRejects()+1 {
-			close(s.tooMany) // stops the acceptor and the registration wait
-		}
-		s.mu.Unlock()
-		s.tel.RegistrationsRejected.Inc()
-		s.logf(-1, -1, "flnet: rejected registrant from %v: %s", conn.RemoteAddr(), reason)
-		return nil
-	}
+// ErrRegistrationFull is returned by Admit when regSem, the bound on
+// registrations mid-validation, is full: the caller sheds the registrant
+// with a drain notice instead of queueing it behind a storm of half-open
+// ones.
+var ErrRegistrationFull = errors.New("flnet: registration bound full")
 
-	conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
-	msg, err := ReadHello(conn)
-	if err != nil {
-		return reject("malformed registration: want a hello frame")
+// ErrNotRunning is returned by Admit once Run has returned or the reject cap
+// has stopped admission.
+var ErrNotRunning = errors.New("flnet: server not admitting registrations")
+
+// Admit registers a client whose Hello its caller has already read, as the
+// service's front door does. It never blocks: it takes a regSem slot or
+// fails at once with ErrRegistrationFull, ErrDraining or ErrNotRunning,
+// leaving conn to the caller, who writes the KindDrain or KindError frame.
+// On success the server owns conn: validation, the codec ack and the hand-off
+// to the round loop run on a goroutine that Run joins. Admit is legal before
+// Run starts and refused after it returns.
+func (s *Server) Admit(conn net.Conn, hello *Message) error {
+	if err := s.reserve(); err != nil {
+		return err
 	}
+	go s.registration(conn, hello)
+	return nil
+}
+
+// reserve claims a regSem slot for one registrant and counts it in regs,
+// which Run joins. Run cancels regCtx under mu before it waits, so no slot
+// is claimed once the wait has begun.
+func (s *Server) reserve() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.regCtx.Done():
+		return ErrNotRunning
+	case <-s.tooMany:
+		return fmt.Errorf("%w: %w", ErrNotRunning, errTooManyRejects)
+	default:
+	}
+	if s.draining() {
+		return ErrDraining
+	}
+	select {
+	case s.regSem <- struct{}{}:
+	default:
+		s.tel.AdmissionShed.Inc()
+		return ErrRegistrationFull
+	}
+	s.regs.Add(1)
+	return nil
+}
+
+// registration runs one reserved registration: the Hello is read under
+// IOTimeout first when hello is nil (the acceptor's connections), then
+// validated, acked and delivered to the round loop on joinCh. Cancelling
+// regCtx aborts it: the conn closes, so a blocked read or ack write returns
+// at once and Run's join never waits out an IO timeout.
+func (s *Server) registration(conn net.Conn, hello *Message) {
+	defer s.regs.Done()
+	defer func() { <-s.regSem }()
+	defer context.AfterFunc(s.regCtx, func() { conn.Close() })()
+	if hello == nil {
+		conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
+		var err error
+		if hello, err = ReadHello(conn); err != nil {
+			s.reject(conn, "malformed registration: want a hello frame")
+			return
+		}
+	}
+	sess := s.admit(conn, hello)
+	if sess == nil {
+		return
+	}
+	select {
+	case s.joinCh <- sess:
+	case <-s.regCtx.Done():
+		sess.conn.Close()
+	}
+}
+
+// reject sends the registrant a KindError frame, closes the connection and
+// advances the reject counter. It returns nil, the failed registration.
+func (s *Server) reject(conn net.Conn, reason string) *session {
+	s.sendError(conn, reason)
+	conn.Close()
+	s.mu.Lock()
+	s.rejects++
+	if s.rejects == s.maxRejects()+1 {
+		close(s.tooMany) // stops the acceptor and the registration wait
+	}
+	s.mu.Unlock()
+	s.tel.RegistrationsRejected.Inc()
+	s.logf(-1, -1, "flnet: rejected registrant from %v: %s", conn.RemoteAddr(), reason)
+	return nil
+}
+
+// admit validates one Hello. On success the session is added to the live
+// set; on failure (nil) the registrant is rejected.
+func (s *Server) admit(conn net.Conn, msg *Message) *session {
 	if msg.Version != ProtocolVersion {
-		return reject(fmt.Sprintf("protocol version %d not supported, server speaks %d", msg.Version, ProtocolVersion))
+		return s.reject(conn, fmt.Sprintf("protocol version %d not supported, server speaks %d", msg.Version, ProtocolVersion))
 	}
 	if msg.ClientID < 0 || msg.ClientID >= s.cfg.NumClients {
-		return reject(fmt.Sprintf("client id %d outside [0,%d)", msg.ClientID, s.cfg.NumClients))
+		return s.reject(conn, fmt.Sprintf("client id %d outside [0,%d)", msg.ClientID, s.cfg.NumClients))
 	}
 	s.mu.Lock()
 	_, dup := s.live[msg.ClientID]
 	s.mu.Unlock()
 	if dup {
-		return reject(fmt.Sprintf("client id %d already registered", msg.ClientID))
+		return s.reject(conn, fmt.Sprintf("client id %d already registered", msg.ClientID))
 	}
 	sess := &session{conn: conn, clientID: msg.ClientID, lastRound: msg.LastRound, anchor: msg.LastRound}
 	// Codec negotiation: the intersection of the server's offer and the
@@ -126,7 +200,7 @@ func (s *Server) register(conn net.Conn) *session {
 		// Lost the insert race against a concurrent registration for the
 		// same id. An error frame carries no state, so it reads the same
 		// under whatever codec was just acked.
-		return reject(fmt.Sprintf("client id %d already registered", msg.ClientID))
+		return s.reject(conn, fmt.Sprintf("client id %d already registered", msg.ClientID))
 	}
 	s.live[msg.ClientID] = sess
 	s.tel.LiveClients.Set(int64(len(s.live)))
@@ -139,72 +213,33 @@ func (s *Server) register(conn net.Conn) *session {
 	return sess
 }
 
-// accept is the server's one acceptor: it runs for the whole of Run and
-// hands every registered session to the round loop on joinCh, the cohort's
-// as well as evicted clients' rejoins. Registrations are validated
+// accept is the standalone server's one acceptor: Run starts it when the
+// server has a listener and it hands every registrant to registration, the
+// cohort as well as evicted clients' rejoins. Registrations are validated
 // concurrently so one stalled hello cannot head-of-line-block the others,
-// and bounded by regSem: a connection past the bound is shed with a drain
-// frame instead of queueing behind a storm of half-open registrants, as is
-// every connection to a draining server. It stops when Run closes the
-// listener or the reject cap is hit.
-func (s *Server) accept(quit <-chan struct{}) {
-	var wg sync.WaitGroup
-	defer wg.Wait()
+// and bounded by regSem, whose slot is taken before the Hello is read so
+// half-open registrants stay bounded: a connection past the bound is shed
+// with a drain frame, as is every connection to a draining server. It stops
+// when Run closes the listener or the reject cap is hit.
+func (s *Server) accept() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed: Run is returning
 		}
-		select {
-		case <-s.tooMany:
+		switch err := s.reserve(); {
+		case errors.Is(err, errTooManyRejects):
 			conn.Close()
 			s.logf(-1, -1, "flnet: acceptor stopping: %v", errTooManyRejects)
 			return
-		default:
-		}
-		if s.draining() {
-			// Shed politely: the registrant should come back after the
-			// restart, not burn its retry budget on us.
+		case err != nil:
+			// Draining or shed: the registrant should come back later, not
+			// burn its retry budget on us.
 			s.sendDrain(conn)
 			conn.Close()
 			continue
 		}
-		select {
-		case s.regSem <- struct{}{}:
-		default:
-			// Validation capacity exhausted (a storm of half-open
-			// registrants); shed instead of queueing behind them.
-			s.tel.AdmissionShed.Inc()
-			s.sendDrain(conn)
-			conn.Close()
-			continue
-		}
-		wg.Add(1)
-		go func(conn net.Conn) {
-			defer wg.Done()
-			defer func() { <-s.regSem }()
-			// Abort a half-open registration the moment the run winds
-			// down: closing the conn unblocks register's reads so the
-			// acceptor join in Run never waits out an IO timeout.
-			regDone := make(chan struct{})
-			defer close(regDone)
-			go func() {
-				select {
-				case <-quit:
-					conn.Close()
-				case <-regDone:
-				}
-			}()
-			sess := s.register(conn)
-			if sess == nil {
-				return
-			}
-			select {
-			case s.joinCh <- sess:
-			case <-quit:
-				sess.conn.Close()
-			}
-		}(conn)
+		go s.registration(conn, nil)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -321,6 +322,11 @@ func TestServerRejectsDuplicateClientIDs(t *testing.T) {
 	}
 	c1 := dial(0)
 	defer c1.Close()
+	// Registrations are validated concurrently, so c1 must be live before
+	// the duplicate dials; otherwise either one may be the one turned away.
+	for srv.Health().RegisteredClients == 0 {
+		runtime.Gosched()
+	}
 	c2 := dial(0) // duplicate id: must be rejected with an error frame
 	defer c2.Close()
 	c2.SetReadDeadline(time.Now().Add(10 * time.Second))

@@ -7,14 +7,9 @@ import (
 	"sync"
 )
 
-// ErrListenerClosed is returned by a MemListener's Accept, Dial and Push
-// after Close.
+// ErrListenerClosed is returned by a MemListener's Accept and Dial after
+// Close.
 var ErrListenerClosed = errors.New("flnet: in-memory listener closed")
-
-// ErrBacklogFull is returned by Push when the pending-connection backlog
-// is full — the caller's signal to shed the client (a drain notice telling
-// it to retry) instead of queueing unboundedly.
-var ErrBacklogFull = errors.New("flnet: in-memory listener backlog full")
 
 type memAddr struct{}
 
@@ -22,19 +17,17 @@ func (memAddr) Network() string { return "mem" }
 func (memAddr) String() string  { return "mem" }
 
 // MemListener is the in-memory net.Listener behind ServerConfig.Listener
-// wherever no socket is wanted. It has two producers: Dial, for a fleet of
-// in-process clients (the server half of a net.Pipe is queued for Accept,
-// so 10k clients cost no file descriptors; net.Pipe supports deadlines, so
-// IO timeouts work unchanged), and Push, for a front door that accepted the
-// connection elsewhere and routes it here, with the bounded backlog as its
-// backpressure boundary.
+// wherever no socket is wanted. Its one producer is Dial, for a fleet of
+// in-process clients: the server half of a net.Pipe is queued for Accept, so
+// 10k clients cost no file descriptors, and net.Pipe supports deadlines, so
+// IO timeouts work unchanged.
 type MemListener struct {
 	conns  chan net.Conn
 	closed chan struct{}
 	once   sync.Once
 
-	// gate orders enqueueing against Close: Dial and Push send into conns
-	// only while holding it for reading with shut unset, and Close sets shut
+	// gate orders enqueueing against Close: Dial sends into conns only
+	// while holding it for reading with shut unset, and Close sets shut
 	// under the write lock before it drains the backlog. Without it a
 	// connection could be queued after the drain, stranding that client
 	// until its IO timeout.
@@ -73,23 +66,6 @@ func (l *MemListener) Dial(ctx context.Context) (net.Conn, error) {
 		return nil, ErrListenerClosed
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	}
-}
-
-// Push queues an already-established connection without blocking: a full
-// backlog returns ErrBacklogFull rather than stalling the caller's shared
-// accept path behind one slow server.
-func (l *MemListener) Push(conn net.Conn) error {
-	l.gate.RLock()
-	defer l.gate.RUnlock()
-	if l.shut {
-		return ErrListenerClosed
-	}
-	select {
-	case l.conns <- conn:
-		return nil
-	default:
-		return ErrBacklogFull
 	}
 }
 

@@ -71,27 +71,18 @@ func TestMemListenerDeadline(t *testing.T) {
 	if _, err := ln.Dial(context.Background()); !errors.Is(err, ErrListenerClosed) {
 		t.Fatalf("want ErrListenerClosed after close, got %v", err)
 	}
-	if err := ln.Push(nil); !errors.Is(err, ErrListenerClosed) {
-		t.Fatalf("Push after close: want ErrListenerClosed, got %v", err)
-	}
 }
 
-// TestMemListenerPushAndBlockedDial pins the two producers' behaviour on a
-// full backlog: Push refuses at once, Dial waits — for room, for Close, or
-// for its context.
-func TestMemListenerPushAndBlockedDial(t *testing.T) {
+// TestMemListenerBlockedDial pins Dial on a full backlog: it waits — for
+// room, for Close, or for its context — and Close shuts the queued
+// connection.
+func TestMemListenerBlockedDial(t *testing.T) {
 	ln := ListenMem(1)
-	server, client := net.Pipe()
-	defer client.Close()
-	if err := ln.Push(server); err != nil {
+	client, err := ln.Dial(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	other, otherPeer := net.Pipe()
-	defer other.Close()
-	defer otherPeer.Close()
-	if err := ln.Push(other); !errors.Is(err, ErrBacklogFull) {
-		t.Fatalf("Push on a full backlog: want ErrBacklogFull, got %v", err)
-	}
+	defer client.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

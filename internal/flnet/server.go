@@ -15,7 +15,8 @@ import (
 // ServerConfig configures the middleware server.
 type ServerConfig struct {
 	// Addr is the TCP listen address, e.g. "127.0.0.1:7070". Use ":0" for an
-	// ephemeral port (tests).
+	// ephemeral port (tests). Empty with a nil Listener opens no socket:
+	// clients then arrive only through Admit (a service job).
 	Addr string
 	// NumClients is the cohort size; the server waits up to IOTimeout for
 	// this many registrations before round 1 (MinClients suffice after the
@@ -251,8 +252,14 @@ type Server struct {
 	drainOnce sync.Once
 	killOnce  sync.Once
 
-	// regSem bounds the registrations mid-validation at once.
-	regSem chan struct{}
+	// regSem bounds the registrations mid-validation at once. regs counts
+	// the acceptor and every registration goroutine, and Run joins them;
+	// regCtx is cancelled (under mu) when Run begins that join, refusing new
+	// registrations and aborting those in flight.
+	regSem  chan struct{}
+	regs    sync.WaitGroup
+	regCtx  context.Context
+	regStop context.CancelFunc
 
 	// streamAgg is the defense's streaming aggregator (nil: the core
 	// retains each round's updates for the batch rule); cohortAware is
@@ -286,7 +293,8 @@ type Server struct {
 }
 
 // NewServer validates the configuration, loads a checkpoint when one is
-// configured and present, and starts listening.
+// configured and present, and starts listening unless it has neither a
+// Listener nor an Addr.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.NumClients <= 0 || cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("flnet: need positive NumClients/Rounds, got %d/%d", cfg.NumClients, cfg.Rounds)
@@ -406,7 +414,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 
 	ln := cfg.Listener
-	if ln == nil {
+	if ln == nil && cfg.Addr != "" {
 		ln, err = net.Listen("tcp", cfg.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("flnet: listen %s: %w", cfg.Addr, err)
@@ -441,6 +449,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		results: make(chan result, cfg.NumClients),
 		busy:    make(map[int]*session, cfg.NumClients),
 	}
+	srv.regCtx, srv.regStop = context.WithCancel(context.Background())
 	if offerCaps&(CapQuantInt8|CapQuantInt16|CapDelta) != 0 {
 		// A synchronous round's exchanges end with the round, so a session
 		// anchors on the newest broadcast or the one before it; a peer whose
@@ -544,11 +553,16 @@ func (s *Server) Health() telemetry.Health {
 	}
 }
 
-// Addr returns the bound listen address.
+// Addr returns the bound listen address of a server that has a listener.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Close stops the listener.
-func (s *Server) Close() error { return s.ln.Close() }
+// Close stops the listener, if the server has one.
+func (s *Server) Close() error {
+	if s.ln == nil {
+		return nil
+	}
+	return s.ln.Close()
+}
 
 // StartRound returns the round the federation (re)starts from: 0 for a
 // fresh run, the checkpointed round after a resume.
@@ -588,22 +602,26 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 	defer close(s.runDone)
 	defer s.closeLive()
 
-	// One acceptor admits clients for the whole run: the cohort, then
-	// evicted clients rejoining to resync. Run joins it before returning
+	// One acceptor admits clients for the whole run when the server has a
+	// listener: the cohort, then evicted clients rejoining to resync. Run
+	// joins it and every registration, Admit's included, before returning
 	// (and so before closeLive): a registration still holding an accepted
 	// socket after Run returns would keep the port busy and break an
 	// immediate same-address restart (Linux only rebinds over TIME_WAIT,
 	// not ESTABLISHED).
-	quit := make(chan struct{})
-	acceptDone := make(chan struct{})
-	go func() {
-		defer close(acceptDone)
-		s.accept(quit)
-	}()
+	if s.ln != nil {
+		s.regs.Add(1)
+		go func() {
+			defer s.regs.Done()
+			s.accept()
+		}()
+	}
 	defer func() {
-		s.ln.Close() // unblock Accept
-		close(quit)  // abort in-flight registrations
-		<-acceptDone
+		s.Close() // unblock Accept
+		s.mu.Lock()
+		s.regStop() // refuse new registrations, abort in-flight ones
+		s.mu.Unlock()
+		s.regs.Wait()
 	}()
 
 	if err := s.awaitCohort(ctx); err != nil {

@@ -52,10 +52,10 @@ type JobStatus struct {
 	Spec   JobSpec           `json:"spec"`
 }
 
-// Job supervises one federation: the flnet server, its in-memory
-// listener fed by the front door, its job-labeled telemetry registry, and
-// the lifecycle state machine. All mutable fields are guarded by mu; the run
-// goroutine owns srv.Run and reports back through runExit.
+// Job supervises one federation: the flnet server the front door admits
+// clients to, its job-labeled telemetry registry, and the lifecycle state
+// machine. All mutable fields are guarded by mu; the run goroutine owns
+// srv.Run and reports back through runExit.
 type Job struct {
 	spec     JobSpec
 	reg      *telemetry.Registry
@@ -69,7 +69,6 @@ type Job struct {
 	mu     sync.Mutex
 	state  JobState
 	detail string
-	ln     *flnet.MemListener
 	srv    *flnet.Server
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the run goroutine exits; nil when idle
@@ -129,15 +128,15 @@ func (j *Job) start() error {
 	if err != nil {
 		return fmt.Errorf("service: job %q: %w", j.spec.Name, err)
 	}
-	ln := flnet.ListenMem(jobBacklog)
+	// No listener and no address: the server opens no socket, and the
+	// front door hands it every client through Admit.
 	name, logf := spec.Name, j.logf
-	cfg.Listener, cfg.Registry, cfg.CheckpointPath = ln, j.reg, j.ckptPath
+	cfg.Listener, cfg.Addr, cfg.Registry, cfg.CheckpointPath = nil, "", j.reg, j.ckptPath
 	cfg.Logf = func(format string, args ...any) {
 		logf("job %s: "+format, append([]any{name}, args...)...)
 	}
 	srv, err := flnet.NewServer(cfg)
 	if err != nil {
-		ln.Close()
 		return fmt.Errorf("service: job %q: %w", j.spec.Name, err)
 	}
 
@@ -150,13 +149,11 @@ func (j *Job) start() error {
 		state := j.state
 		j.mu.Unlock()
 		cancel()
-		srv.Close()
 		return fmt.Errorf("service: job %q is %s, not startable", j.spec.Name, state)
 	}
 	j.spec = spec // builder-normalized
 	j.state = JobRunning
 	j.detail = ""
-	j.ln = ln
 	j.srv = srv
 	j.cancel = cancel
 	j.done = done
@@ -170,12 +167,11 @@ func (j *Job) start() error {
 }
 
 // run is the job's supervision goroutine: it owns srv.Run and translates
-// its outcome into the lifecycle state. Everything the server holds —
-// listener, acceptor, per-connection goroutines — is torn down
-// before done closes, so a waiter observes a LeakGuard-clean job.
+// its outcome into the lifecycle state. Run joins every registration and
+// per-connection goroutine the server holds before it returns, so a waiter
+// on done observes a LeakGuard-clean job.
 func (j *Job) run(ctx context.Context, srv *flnet.Server, done chan struct{}) {
 	final, err := srv.Run(ctx)
-	srv.Close() // idempotent; guarantees the listener is gone
 
 	j.mu.Lock()
 	j.final = final
@@ -202,7 +198,6 @@ func (j *Job) run(ctx context.Context, srv *flnet.Server, done chan struct{}) {
 		j.detail = err.Error()
 	}
 	j.srv = nil
-	j.ln = nil
 	j.cancel = nil
 	j.mu.Unlock()
 
@@ -210,16 +205,17 @@ func (j *Job) run(ctx context.Context, srv *flnet.Server, done chan struct{}) {
 	j.onChange()
 }
 
-// push routes one demultiplexed client connection into the job.
-func (j *Job) push(conn net.Conn) error {
+// admit hands one demultiplexed client, its Hello already read, to the
+// job's server (flnet.Server.Admit: non-blocking, and on error conn stays
+// the caller's).
+func (j *Job) admit(conn net.Conn, hello *flnet.Message) error {
 	j.mu.Lock()
-	ln := j.ln
-	state := j.state
+	srv, state := j.srv, j.state
 	j.mu.Unlock()
-	if ln == nil || (state != JobRunning && state != JobDraining) {
+	if srv == nil {
 		return fmt.Errorf("service: job %q is %s, not accepting clients", j.spec.Name, state)
 	}
-	return ln.Push(conn)
+	return srv.Admit(conn, hello)
 }
 
 // drain stops the federation gracefully: the in-flight round finishes

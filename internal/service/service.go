@@ -29,7 +29,7 @@ var (
 	telRouteRejected = telemetry.NewCounter("dinar_service_route_rejected_total",
 		"client connections rejected at the front door (bad hello, unknown or stopped job)")
 	telRouteShed = telemetry.NewCounter("dinar_service_route_shed_total",
-		"client connections shed with a retry notice (job backlog full)")
+		"client connections shed with a retry notice (job registration bound full, or job draining)")
 	telRateLimited = telemetry.NewCounter("dinar_service_rate_limited_total",
 		"client connections shed by the per-client hello rate limit")
 	telJobs = telemetry.NewGauge("dinar_service_jobs",
@@ -45,13 +45,10 @@ var ErrJobExists = errors.New("service: job already exists")
 
 // Front-door admission policy.
 const (
-	// jobBacklog bounds each job's pending-connection queue; a full backlog
-	// sheds new clients with a retry notice instead of stalling the shared
-	// accept path.
-	jobBacklog = 16
 	// clientRate is the sustained per-(job, client) hello admission rate
 	// per second and clientBurst the burst allowance: reconnect storms from
-	// one client are absorbed here, before they can occupy a job's backlog.
+	// one client are absorbed here, before they can occupy a job's
+	// registration bound.
 	clientRate  = 10
 	clientBurst = 20
 	// helloTimeout bounds how long the front door waits for a connection's
@@ -397,9 +394,6 @@ func (s *Service) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
 			s.mu.Lock()
 			closed := s.closed
 			s.mu.Unlock()
@@ -420,17 +414,15 @@ func (s *Service) reject(conn net.Conn, msg *flnet.Message) {
 	conn.Close()
 }
 
-// route reads one connection's Hello and hands the connection — Hello
-// bytes replayed — to the named job. Shedding decisions (rate limit,
-// full backlog) answer with a drain notice so well-behaved clients back
-// off and redial instead of hammering.
+// route reads one connection's Hello and admits the connection with it to
+// the named job's server, which parses nothing again. Shedding decisions
+// (rate limit, the job's registration bound full, a draining job) answer
+// with a drain notice so well-behaved clients back off and redial instead
+// of hammering.
 func (s *Service) route(conn net.Conn) {
 	defer s.routeWG.Done()
 	conn.SetReadDeadline(time.Now().Add(helloTimeout)) //nolint:errcheck
-	// The parser consumes exactly one frame, so the tee holds the Hello's
-	// bytes verbatim for the job's own registration to read again.
-	var raw bytes.Buffer
-	hello, err := flnet.ReadHello(io.TeeReader(conn, &raw))
+	hello, err := flnet.ReadHello(conn)
 	if err != nil {
 		telRouteRejected.Inc()
 		s.reject(conn, &flnet.Message{Kind: flnet.KindError, Err: "service: expected hello"})
@@ -466,11 +458,11 @@ func (s *Service) route(conn net.Conn) {
 		s.reject(conn, &flnet.Message{Kind: flnet.KindError, Err: "service: unknown job " + name})
 		return
 	}
-	err = j.push(&prefixConn{Conn: conn, prefix: raw.Bytes()})
+	err = j.admit(conn, hello)
 	switch {
 	case err == nil:
 		telRouted.Inc()
-	case errors.Is(err, flnet.ErrBacklogFull):
+	case errors.Is(err, flnet.ErrRegistrationFull), errors.Is(err, flnet.ErrDraining):
 		telRouteShed.Inc()
 		s.reject(conn, &flnet.Message{Kind: flnet.KindDrain, RetryAfterMs: int(retryAfter / time.Millisecond)})
 	default:

@@ -5,8 +5,9 @@
 // pieces: a job registry with a created→running→draining→done lifecycle
 // (plus pause/resume through the checkpoint chain), an admin REST API
 // (POST /jobs, status, drain/pause/resume/delete), a shared front-door
-// listener that routes each client Hello to its job with per-client rate
-// limiting and bounded-backlog backpressure, and a rolling-restart path
+// listener that reads each client's Hello once and admits the client with it
+// to its job's server (Server.Admit), with per-client rate limiting and the
+// job's registration bound as backpressure, and a rolling-restart path
 // that re-adopts every job's latest valid checkpoint from the state
 // directory's manifest.
 package service

@@ -175,8 +175,13 @@ func (o ServerOptions) serverConfig() (flnet.ServerConfig, error) {
 }
 
 // NewMiddlewareServer builds the initial global model for the configured
-// dataset and starts listening.
+// dataset and starts listening on opts.Addr, which must be set: an empty
+// address is a service job's admission-only server, which no client could
+// reach here.
 func NewMiddlewareServer(opts ServerOptions) (*MiddlewareServer, error) {
+	if opts.Addr == "" {
+		return nil, errors.New("dinar: empty listen address (use \":0\" for an ephemeral port)")
+	}
 	cfg, err := opts.serverConfig()
 	if err != nil {
 		return nil, err
