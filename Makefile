@@ -98,6 +98,12 @@
 #                     and non-test internal/service names no prefixConn,
 #                     TeeReader or ListenMem( (the front door parses a Hello
 #                     once and hands it to the job's Server.Admit)
+#   make oneconv    - grep gate: non-test .go code calls the convolution's
+#                     im2col( gather exactly once (from the tile loop, so no
+#                     second Conv2D path gathers its own columns), and no .go
+#                     file names conv2dDirectBudget, GEMMPanel or
+#                     forwardDirect (the direct path and its dispatch budget
+#                     are gone)
 #   make oneserverconfig - grep gate: outside middleware.go, internal/flnet
 #                     and internal/bench no non-test .go file writes a
 #                     ServerConfig{ literal (a standalone server and a
@@ -163,7 +169,7 @@
 
 GO ?= go
 
-.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneacceptor oneserverconfig oneassembly ownregistry onesweep exports exptables loc check fuzz bench bench-json bench-scaling
+.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneacceptor oneconv oneserverconfig oneassembly ownregistry onesweep exports exptables loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -246,6 +252,10 @@ oneacceptor:
 	@for d in flnet service; do hits=$$(grep -n 'ReadHello(' internal/$$d/*.go | grep -v '_test\.go:' | grep -v 'func ReadHello('); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo "want exactly one ReadHello( call in non-test internal/$$d (see above): parse a Hello once and admit it with Server.Admit"; exit 1; fi; done
 	@if grep -nE 'prefixConn|TeeReader|ListenMem\(' internal/service/*.go | grep -v '_test\.go:'; then echo 'a replayed Hello in internal/service (see above): the front door hands the parsed Hello to the job'"'"'s Server.Admit'; exit 1; fi
 
+oneconv:
+	@hits=$$(grep -rn 'im2col(' --include='*.go' internal | grep -v '_test\.go:' | grep -v 'func (c \*Conv2D) im2col('); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo 'want exactly one im2col( call in non-test internal/ (see above): gather columns only in the tile loop'; exit 1; fi
+	@if grep -rnE 'conv2dDirectBudget|GEMMPanel|forwardDirect' --include='*.go' .; then echo 'the direct convolution path or its budget is back (see above): Conv2D has one tiled path'; exit 1; fi
+
 oneserverconfig:
 	@if grep -rn 'ServerConfig{' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(middleware\.go|internal/flnet/|internal/bench/|benchmark/|\.bench_build/)'; then echo 'a second flnet.ServerConfig construction (see above): map the settings onto dinar.ServerOptions and call serverConfig'; exit 1; fi
 
@@ -277,7 +287,7 @@ loc:
 		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%6d  total\n' $$total
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneacceptor oneserverconfig oneassembly ownregistry onesweep exports exptables
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneacceptor oneconv oneserverconfig oneassembly ownregistry onesweep exports exptables
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/

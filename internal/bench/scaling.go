@@ -188,9 +188,9 @@ func CheckParallelDeterminism(workers int) error {
 		{"conv2d_step", func() []float64 {
 			return layerFingerprint(nn.NewConv2D(3, 4, 3, 1, 1, rand.New(rand.NewSource(11))), x4)
 		}},
-		{"conv2d_infer_direct", func() []float64 {
-			// Inference forwards dispatch to the direct (im2col-free) path;
-			// its batch-parallel window walk must stay serial-identical.
+		{"conv2d_infer", func() []float64 {
+			// An inference forward keeps nothing for Backward; its
+			// batch-parallel tiles must stay serial-identical too.
 			layer := nn.NewConv2D(3, 4, 3, 1, 1, rand.New(rand.NewSource(11)))
 			return append([]float64(nil), layer.Forward(x4, false).Data()...)
 		}},

@@ -19,10 +19,11 @@ const (
 // serial loop. The serial decision is taken with parallel.Chunks before any
 // closure is built so small steady-state steps stay allocation-free.
 
-// ReLU is the rectified-linear activation max(0, x).
+// ReLU is the rectified-linear activation: v where v > 0, +0 otherwise
+// (NaN included).
 type ReLU struct {
-	mask []bool
-	ws   tensor.Workspace
+	lastOut *tensor.Tensor
+	ws      tensor.Workspace
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -41,58 +42,59 @@ func (r *ReLU) cloneLayer() Layer { return NewReLU() }
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	out := r.ws.GetLike(actSlotOut, x)
 	data, xd := out.Data(), x.Data()
-	if cap(r.mask) < len(data) {
-		r.mask = make([]bool, len(data))
-	}
-	r.mask = r.mask[:len(data)]
-	mask := r.mask
+	r.lastOut = out
 	g := parallel.Grain(1)
 	if parallel.Chunks(len(data), g) <= 1 {
-		reluForwardRange(data, xd, mask, 0, len(data))
+		reluRange(data, xd, xd, 0, len(data))
 		return out
 	}
 	parallel.For(len(data), g, func(lo, hi int) {
-		reluForwardRange(data, xd, mask, lo, hi)
+		reluRange(data, xd, xd, lo, hi)
 	})
 	return out
 }
 
-func reluForwardRange(dst, src []float64, mask []bool, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if v := src[i]; v > 0 {
-			dst[i] = v
-			mask[i] = true
-		} else {
-			dst[i] = 0
-			mask[i] = false
-		}
-	}
-}
-
 // Backward implements Layer. The returned tensor is a workspace buffer valid
-// until the next Backward on this layer.
+// until the next Backward on this layer. The forward output is positive
+// exactly where the input was, so it carries the sign decisions.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	if r.lastOut == nil {
+		panic("nn: relu Backward before Forward")
+	}
 	grad := r.ws.GetLike(actSlotGradIn, gradOut)
-	data, god, mask := grad.Data(), gradOut.Data(), r.mask
+	data, god, od := grad.Data(), gradOut.Data(), r.lastOut.Data()
 	g := parallel.Grain(1)
 	if parallel.Chunks(len(data), g) <= 1 {
-		reluBackwardRange(data, god, mask, 0, len(data))
+		reluRange(data, god, od, 0, len(data))
 		return grad
 	}
 	parallel.For(len(data), g, func(lo, hi int) {
-		reluBackwardRange(data, god, mask, lo, hi)
+		reluRange(data, god, od, lo, hi)
 	})
 	return grad
 }
 
-func reluBackwardRange(dst, src []float64, mask []bool, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if mask[i] {
-			dst[i] = src[i]
-		} else {
-			dst[i] = 0
-		}
+// reluRange writes dst[i] = src[i] where sign[i] > 0 and +0 elsewhere (NaN
+// included) for i in [lo, hi): the ReLU forward with sign = src, its
+// backward with sign = the forward output. The sign of a BatchNorm output
+// is a coin flip, so the select is a mask, not a branch.
+func reluRange(dst, src, sign []float64, lo, hi int) {
+	src, sign = src[lo:hi], sign[lo:hi]
+	dst = dst[lo:hi][:len(src)]
+	for i, s := range sign[:len(src)] {
+		dst[i] = keepIf(s > 0, src[i])
 	}
+}
+
+// keepIf returns v when keep holds and +0 otherwise. keep becomes an
+// all-ones or all-zeros mask through a conditional move, so it costs no
+// branch however unpredictable it is.
+func keepIf(keep bool, v float64) float64 {
+	var m uint64
+	if keep {
+		m = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & m)
 }
 
 // Tanh is the hyperbolic-tangent activation.
@@ -177,9 +179,12 @@ func (t *Tanh) Params() []*tensor.Tensor { return nil }
 func (t *Tanh) Grads() []*tensor.Tensor { return nil }
 
 // Flatten reshapes [B, ...] inputs to [B, prod(...)]. It is a no-op on 2-D
-// inputs.
+// inputs. Its outputs are views of its inputs' storage, kept while the next
+// call's input has the same storage and shape, so a steady-state step
+// allocates nothing.
 type Flatten struct {
-	lastShape []int
+	lastShape   []int
+	out, gradIn *tensor.Tensor
 }
 
 var _ Layer = (*Flatten)(nil)
@@ -197,12 +202,31 @@ func (f *Flatten) cloneLayer() Layer { return NewFlatten() }
 func (f *Flatten) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	f.lastShape = recordShape(f.lastShape, x)
 	batch := x.Dim(0)
-	return x.MustReshape(batch, x.Len()/batch)
+	if !isViewOf(f.out, x, batch, x.Len()/batch) {
+		f.out = x.MustReshape(batch, x.Len()/batch)
+	}
+	return f.out
 }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return gradOut.MustReshape(f.lastShape...)
+	if !isViewOf(f.gradIn, gradOut, f.lastShape...) {
+		f.gradIn = gradOut.MustReshape(f.lastShape...)
+	}
+	return f.gradIn
+}
+
+// isViewOf reports whether view is x's storage under shape.
+func isViewOf(view, x *tensor.Tensor, shape ...int) bool {
+	if view == nil || view.Len() != x.Len() || x.Len() == 0 || &view.Data()[0] != &x.Data()[0] || view.Dims() != len(shape) {
+		return false
+	}
+	for i, d := range shape {
+		if view.Dim(i) != d {
+			return false
+		}
+	}
+	return true
 }
 
 // Params implements Layer.

@@ -4,8 +4,26 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
+
+// vgg11 builds the layer stack of model.VGG11 for 3×16×16 inputs and 10
+// classes (that package imports this one, so its constructor is out of
+// reach here).
+func vgg11(rng *rand.Rand) *Model {
+	var layers []Layer
+	in := 3
+	for i, w := range []int{4, 8, 16, 16, 32, 32, 32, 32} {
+		layers = append(layers, NewConv2D(in, w, 3, 1, 1, rng), NewBatchNorm(w), NewReLU())
+		if i == 0 || i == 1 || i == 3 || i == 7 {
+			layers = append(layers, NewMaxPool2D(2))
+		}
+		in = w
+	}
+	layers = append(layers, NewFlatten(), NewDenseAct(in, 32, ActReLU, rng), NewDense(32, 10, rng))
+	return NewModel(layers...)
+}
 
 // TestSteadyStateZeroAllocs is the allocation-regression guard for the
 // training hot path: after one warm-up step sizes every workspace, a
@@ -30,6 +48,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"maxpool1d", func(r *rand.Rand) Layer { return NewMaxPool1D(2) }, []int{3, 8}},
 		{"globalavgpool", func(r *rand.Rand) Layer { return NewGlobalAvgPool() }, []int{3, 4, 4}},
 		{"residual", func(r *rand.Rand) Layer { return NewResidual(2, 4, 2, r) }, []int{2, 6, 6}},
+		{"flatten", func(r *rand.Rand) Layer { return NewFlatten() }, []int{2, 3, 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,6 +69,41 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	// A VGG11 training step and an inference forward at the round
+	// benchmark's shape (batch 64, 3×16×16 inputs), on one worker so the
+	// serial kernels are what is measured: every convolution there runs
+	// more than one tile.
+	t.Run("vgg11", func(t *testing.T) {
+		prev := parallel.SetWorkers(1)
+		defer parallel.SetWorkers(prev)
+		m := vgg11(rand.New(rand.NewSource(67)))
+		x := batchInput(rand.New(rand.NewSource(68)), 64, []int{3, 16, 16})
+		labels := make([]int, 64)
+		for i := range labels {
+			labels[i] = i % 10
+		}
+		var loss SoftmaxCrossEntropy
+		var res LossResult
+		step := func() {
+			if err := loss.EvalInto(&res, m.Forward(x, true), labels); err != nil {
+				t.Fatal(err)
+			}
+			m.BackwardParams(res.Grad)
+			m.Forward(x, false)
+		}
+		step()
+		for _, l := range m.layers {
+			if c, ok := l.(*Conv2D); ok && c.tileRows() >= c.g.batch*c.g.oh*c.g.ow {
+				t.Errorf("%s runs one tile, want several", c.Name())
+			}
+		}
+		if raceEnabled {
+			t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+		}
+		if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
+			t.Errorf("steady-state VGG11 step and inference forward allocate %v times, want 0", allocs)
+		}
+	})
 	// The loss a training step evaluates into its one result, ragged last
 	// batch included.
 	t.Run("loss", func(t *testing.T) {

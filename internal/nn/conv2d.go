@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -12,38 +13,37 @@ import (
 // Conv2D is a 2-D convolution over [B, C, H, W] inputs. Weights have shape
 // [OutC, InC, KH, KW].
 //
-// Two execution paths share the layer, picked per shape and phase (see
-// useDirect):
+// The layer is a GEMM over the im2col column matrix col [B*oh*ow,
+// InC*KH*KW], whose rows are output positions and whose columns are window
+// taps, but that matrix never exists at batch size: each stage gathers the
+// block of it that it needs into a tile sized to stay in L2 (convTileBytes),
+// multiplies the tile with the blocked matmuls and moves on. Tables built
+// once per input size (setTaps) map every (position, tap) to its input
+// offset or to the padding, so a gather is one branch-free lookup loop per
+// batch item.
 //
-//   - im2col + GEMM: unroll windows into a column matrix, multiply against
-//     the weight matrix with the blocked matmuls. Always used for training
-//     forwards — the backward pass needs the column matrix for the weight
-//     gradient anyway, so a direct forward would just gather every window
-//     twice — and for wide layers whose weight matrix exceeds cache (the
-//     blocked GEMM tiles it properly).
-//   - direct: walk input windows in place, four output positions at a time,
-//     and multiply each gathered window panel against the packed transposed
-//     weights with the same SIMD micro kernel the blocked GEMM uses. Used
-//     for inference forwards of layers whose transposed weight panel stays
-//     cache-resident: the column matrix is never materialized.
+//   - Forward (training and inference alike): per tile of rows, out2d =
+//     col × Wmatᵀ (MatMulTransB), then the bias add and the permute of the
+//     tile into [B, OutC, oh, ow].
+//   - Weight gradient: per slab of convLanes taps, gather that slab over
+//     every position and multiply g2d (gradOut permuted to [B*oh*ow, OutC])
+//     by it (MatMulTransA), so each gw element is one accumulation over all
+//     positions in ascending order.
+//   - Input gradient: per tile of rows, gradCol = g2d × Wmat (MatMul),
+//     scattered into gradIn by col2im, tiles in ascending row order.
 //
-// Backward always runs from the training forward's column matrix, but for
-// budget-fitting shapes its input-gradient stage is fused: gradient-column
-// rows come out of the micro kernel four positions at a time and scatter
-// straight into gradIn, skipping the full gradient-column matrix round-trip.
+// Every output row depends on its own column row only, every gw element is
+// one kernel call over all positions, and every gradIn element takes its
+// contributions in ascending row order, so results are bit-identical to the
+// whole-matrix formulation whatever the tile size (property-tested against
+// it in conv2d_direct_test.go).
 //
-// All paths produce bit-identical outputs and gradients: the gathered window
-// rows carry exactly the im2col values (padding explicitly zero), and every
-// accumulator sees the same operation sequence (property-tested in
-// conv2d_direct_test.go).
-//
-// The matmuls run transpose-free against cached 2-D views of the weight and
-// weight-gradient tensors, and every per-step temporary (the im2col column
-// matrix, the permute staging buffers, the gradient buffers, the direct
-// path's window and output panels) lives in a grow-only per-layer workspace,
-// so a steady-state training step performs no allocations. Both paths
-// parallelize over the batch dimension (the direct path's gradient pass over
-// output channels).
+// Forward and input-gradient tiles split across the compute pool by batch
+// item and weight-gradient slabs by tap; each range writes disjoint outputs,
+// so the worker count cannot move a bit. Every per-step temporary (the
+// output, the permuted gradient, the input gradient, the tap table and one
+// tile workspace per pool range) is grow-only, so a steady-state training
+// step performs no allocations.
 type Conv2D struct {
 	InC, OutC   int
 	KH, KW      int
@@ -56,43 +56,44 @@ type Conv2D struct {
 	// gw's storage, built once so the hot path never re-reshapes.
 	wMat, gwMat *tensor.Tensor
 
-	lastCol             *tensor.Tensor
-	lastDirect          bool // whether the last Forward took the direct path
-	lastB, lastH, lastW int  // input geometry of the last Forward
-	ws                  tensor.Workspace
+	// The last Forward's input and geometry (Backward reads them when that
+	// Forward trained), its tap table (setTaps), and the current pass's
+	// layer-sized buffers, which the pool ranges read and write.
+	lastX            *tensor.Tensor
+	lastTrain        bool
+	g                convGeom
+	taps, slabTaps   []int
+	out, g2d, gradIn *tensor.Tensor
+
+	ws    tensor.Workspace
+	tiles []*tensor.Workspace // one per pool range
 }
+
+// convGeom is the geometry of one Forward: input batch×h×w, output oh×ow.
+type convGeom struct{ batch, h, w, oh, ow int }
 
 // Conv2D workspace slots. New slots must be appended, never renumbered.
 const (
-	convSlotCol = iota
-	convSlotOut2D
-	convSlotOut
+	convSlotOut = iota
 	convSlotG2D
-	convSlotGradCol
 	convSlotGradIn
-	convSlotWT     // direct: packed Wᵀ [colWidth, OutC]
-	convSlotPanelA // per-batch window (direct) / gradient-column (fused) panels
-	convSlotPanelB // direct: per-batch output panels
 )
 
-// convPanelRows is the number of output positions the direct path batches per
-// micro-kernel call — one register-tile row block (gemmMR).
-const convPanelRows = 4
+// Tile workspace slots.
+const (
+	tileSlotCol  = iota // a gathered column block, or a gradient-column tile
+	tileSlotProd        // a column block's GEMM result
+	tileSlotGrad        // an input-gradient tile's rows of g2d
+)
 
-// conv2dDirectBudget caps the weight-matrix footprint (bytes) for which the
-// direct inference forward and the fused input-gradient stage dispatch. Both
-// stream the whole weight panel once per four output positions, so it must
-// stay cache-resident; past roughly L2 size the im2col + blocked-GEMM path
-// wins because it tiles the weight matrix. Default picked from
-// BenchmarkConv2DDirectVsIm2col; tests move it through setConv2DDirectBudget
-// (export_test.go) to force either path at small shapes.
-var conv2dDirectBudget = 64 << 10
+// convTileBytes is the footprint of one forward or input-gradient tile: its
+// column rows plus their GEMM results. Picked from the tile-size sweep in
+// EXPERIMENTS.md.
+const convTileBytes = 256 << 10
 
-// useDirect reports whether this layer's shape dispatches to the direct
-// convolution paths (inference forward and fused input-gradient stage).
-func (c *Conv2D) useDirect(colWidth int) bool {
-	return colWidth*c.OutC*8 <= conv2dDirectBudget
-}
+// convLanes is the width of a GEMM register tile: a weight-gradient slab
+// is this many taps wide, and tiles hold whole strips of this many rows.
+const convLanes = 8
 
 var (
 	_ Layer          = (*Conv2D)(nil)
@@ -166,10 +167,19 @@ func (c *Conv2D) OutSize(h, w int) (int, int) {
 	return oh, ow
 }
 
+func (c *Conv2D) colWidth() int { return c.InC * c.KH * c.KW }
+
+// tileRows is the number of column rows in one forward or input-gradient
+// tile: as many whole convLanes-row strips as fit convTileBytes.
+func (c *Conv2D) tileRows() int {
+	n := convTileBytes / (8 * (c.colWidth() + c.OutC))
+	return max(convLanes, n/convLanes*convLanes)
+}
+
 // Forward implements Layer. The returned tensor is a workspace buffer valid
-// until the next Forward on this layer. Inference forwards (train false) of
-// budget-fitting shapes take the direct path, which keeps no state for
-// Backward; a training forward must precede Backward.
+// until the next Forward on this layer. Only a training Forward (train
+// true) prepares a Backward; it keeps a reference to x, which must not
+// change before that Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s got input %v", c.Name(), x.Shape()))
@@ -179,99 +189,38 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: %s output size %dx%d for input %v", c.Name(), oh, ow, x.Shape()))
 	}
-	colWidth := c.InC * c.KH * c.KW
-	if !train && c.useDirect(colWidth) {
-		return c.forwardDirect(x, batch, h, w, oh, ow, colWidth)
+	c.lastX, c.lastTrain = x, train
+	if c.g.h != h || c.g.w != w || len(c.taps) == 0 {
+		c.setTaps(h, w, oh, ow)
 	}
-	col := c.ws.Get2D(convSlotCol, batch*oh*ow, colWidth)
-	im2colInto(col, x, c.KH, c.KW, c.Stride, c.Pad, oh, ow)
-	c.lastCol = col
-	c.lastDirect = false
-	c.lastB, c.lastH, c.lastW = batch, h, w
-
-	// out2d = col × Wmatᵀ => [B*oh*ow, OutC], without materializing Wmatᵀ.
-	out2d := c.ws.Get2D(convSlotOut2D, batch*oh*ow, c.OutC)
-	if err := tensor.MatMulTransBInto(out2d, col, c.wMat); err != nil {
-		panic(err)
-	}
-	// Add bias and permute [B*oh*ow, OutC] -> [B, OutC, oh, ow].
-	out := c.ws.Get4D(convSlotOut, batch, c.OutC, oh, ow)
-	o2, od, bd := out2d.Data(), out.Data(), c.b.Data()
-	spatial := oh * ow
-	for bi := 0; bi < batch; bi++ {
-		for s := 0; s < spatial; s++ {
-			row := o2[(bi*spatial+s)*c.OutC : (bi*spatial+s+1)*c.OutC]
-			for oc, v := range row {
-				od[(bi*c.OutC+oc)*spatial+s] = v + bd[oc]
-			}
-		}
-	}
-	return out
+	c.g = convGeom{batch, h, w, oh, ow}
+	c.out = c.ws.Get4D(convSlotOut, batch, c.OutC, oh, ow)
+	c.fanOut(batch, oh*ow*c.colWidth()*c.OutC, (*Conv2D).forwardItems)
+	return c.out
 }
 
-// forwardDirect is the direct-convolution inference forward: per four output
-// positions, gather the input windows into a contiguous panel (carrying
-// exactly the im2col row values — padding explicitly zero) and multiply it
-// against the packed transposed weights with the shared SIMD micro kernel.
-// Each output element accumulates its colWidth products ascending with the
-// zero-skip convention, then adds the bias — the identical per-element
-// sequence to the im2col path's MatMulTransB + bias pass, so results are
-// bit-identical.
-func (c *Conv2D) forwardDirect(x *tensor.Tensor, batch, h, w, oh, ow, colWidth int) *tensor.Tensor {
-	c.lastCol = nil // direct forwards keep no state; Backward needs a training Forward
-	c.lastDirect = true
-	spatial := oh * ow
-
-	// Pack Wᵀ once per call so kernel lanes (output channels) read
-	// contiguously: wT[p][oc] = wMat[oc][p].
-	wT := c.ws.Get2D(convSlotWT, colWidth, c.OutC)
-	wd, wtd := c.wMat.Data(), wT.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		row := wd[oc*colWidth:][:colWidth]
-		for p, v := range row {
-			wtd[p*c.OutC+oc] = v
+// forwardItems computes the output of batch items [b0, b1) tile by tile.
+func (c *Conv2D) forwardItems(ws *tensor.Workspace, b0, b1 int) {
+	spatial := c.g.oh * c.g.ow
+	od, bd := c.out.Data(), c.b.Data()
+	c.eachTile(ws, c.taps, c.colWidth(), b0*spatial, b1*spatial, c.tileRows(), func(col *tensor.Tensor, r0, r1 int) {
+		prod := ws.Get2D(tileSlotProd, r1-r0, c.OutC)
+		if err := tensor.MatMulTransBInto(prod, col, c.wMat); err != nil {
+			panic(err)
 		}
-	}
-
-	out := c.ws.Get4D(convSlotOut, batch, c.OutC, oh, ow)
-	win := c.ws.Get2D(convSlotPanelA, batch, convPanelRows*colWidth)
-	pan := c.ws.Get2D(convSlotPanelB, batch, convPanelRows*c.OutC)
-	xd, od, bd := x.Data(), out.Data(), c.b.Data()
-	wind, pand := win.Data(), pan.Data()
-	g := parallel.Grain(spatial * colWidth * c.OutC)
-	if parallel.Chunks(batch, g) <= 1 {
-		c.forwardDirectRange(xd, od, bd, wtd, wind, pand, 0, batch, h, w, oh, ow, colWidth)
-		return out
-	}
-	parallel.For(batch, g, func(lo, hi int) {
-		c.forwardDirectRange(xd, od, bd, wtd, wind, pand, lo, hi, h, w, oh, ow, colWidth)
-	})
-	return out
-}
-
-// forwardDirectRange computes batch items [b0, b1). Panels are indexed by
-// batch item, so parallel workers touch disjoint scratch.
-func (c *Conv2D) forwardDirectRange(xd, od, bd, wtd, wind, pand []float64, b0, b1, h, w, oh, ow, colWidth int) {
-	spatial := oh * ow
-	for bi := b0; bi < b1; bi++ {
-		wrow := wind[bi*convPanelRows*colWidth:][:convPanelRows*colWidth]
-		prow := pand[bi*convPanelRows*c.OutC:][:convPanelRows*c.OutC]
-		for s0 := 0; s0 < spatial; s0 += convPanelRows {
-			rows := min(convPanelRows, spatial-s0)
-			for r := 0; r < rows; r++ {
-				s := s0 + r
-				conv2dWindow(wrow[r*colWidth:][:colWidth], xd, bi, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, s/ow, s%ow)
-			}
-			tensor.GEMMPanel(prow, c.OutC, wrow, colWidth, wtd, c.OutC, rows, colWidth, c.OutC)
-			for r := 0; r < rows; r++ {
-				s := s0 + r
-				res := prow[r*c.OutC:][:c.OutC]
-				for oc, v := range res {
-					od[(bi*c.OutC+oc)*spatial+s] = v + bd[oc]
+		pd := prod.Data()
+		for r := r0; r < r1; {
+			bi, s := r/spatial, r%spatial
+			n := min(spatial-s, r1-r) // the tile's rows of batch item bi
+			for oc, bv := range bd {
+				dst, src := od[(bi*c.OutC+oc)*spatial+s:][:n], pd[(r-r0)*c.OutC+oc:]
+				for j := range dst {
+					dst[j] = src[j*c.OutC] + bv
 				}
 			}
+			r += n
 		}
-	}
+	})
 }
 
 // Backward implements Layer. The returned tensor is a workspace buffer valid
@@ -286,143 +235,175 @@ func (c *Conv2D) backwardParams(gradOut *tensor.Tensor) { c.backward(gradOut, fa
 // backward stores the parameter gradients and, when needInput is set,
 // computes and returns the input gradient (nil otherwise).
 func (c *Conv2D) backward(gradOut *tensor.Tensor, needInput bool) *tensor.Tensor {
-	if c.lastCol == nil {
+	if !c.lastTrain {
 		panic("nn: conv2d Backward before training Forward")
 	}
-	batch, oh, ow := gradOut.Dim(0), gradOut.Dim(2), gradOut.Dim(3)
-	spatial := oh * ow
-	// Permute gradOut [B, OutC, oh, ow] -> [B*oh*ow, OutC].
-	g2d := c.ws.Get2D(convSlotG2D, batch*spatial, c.OutC)
-	gd, g2 := gradOut.Data(), g2d.Data()
-	for bi := 0; bi < batch; bi++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			src := gd[(bi*c.OutC+oc)*spatial : (bi*c.OutC+oc+1)*spatial]
-			for s, v := range src {
-				g2[(bi*spatial+s)*c.OutC+oc] = v
-			}
-		}
-	}
-	// gb = column sums of g2d.
+	g := c.g
+	spatial := g.oh * g.ow
+	// Permute gradOut [B, OutC, oh, ow] -> g2d [B*oh*ow, OutC], summing gb on
+	// the way: each gb element takes g2d's column in ascending row order.
+	c.g2d = c.ws.Get2D(convSlotG2D, g.batch*spatial, c.OutC)
+	gd, g2, gbd := gradOut.Data(), c.g2d.Data(), c.gb.Data()
 	c.gb.Zero()
-	gbd := c.gb.Data()
-	for r := 0; r < batch*spatial; r++ {
-		row := g2[r*c.OutC : (r+1)*c.OutC]
-		for oc, v := range row {
-			gbd[oc] += v
+	for bi := 0; bi < g.batch; bi++ {
+		for oc := range gbd {
+			src, dst := gd[(bi*c.OutC+oc)*spatial:][:spatial], g2[bi*spatial*c.OutC+oc:]
+			acc := gbd[oc]
+			for s, v := range src {
+				dst[s*c.OutC] = v
+				acc += v
+			}
+			gbd[oc] = acc
 		}
 	}
-	// gw = g2dᵀ × col => [OutC, InC*KH*KW], without materializing g2dᵀ.
-	if err := tensor.MatMulTransAInto(c.gwMat, g2d, c.lastCol); err != nil {
-		panic(err)
-	}
+	slabs := (c.colWidth() + convLanes - 1) / convLanes
+	c.fanOut(slabs, g.batch*spatial*convLanes*c.OutC, (*Conv2D).weightGradSlabs)
 	if !needInput {
 		return nil
 	}
-	// gradIn = scatter(g2d × Wmat). For budget-fitting shapes the fused
-	// stage runs the multiply four positions at a time straight out of g2d
-	// and scatters each gradient-column row immediately — the full
-	// [B*oh*ow, InC*KH*KW] gradient-column matrix never exists. Larger
-	// shapes materialize it and let the blocked GEMM tile the weight
-	// matrix. Per-element operation sequences are identical either way.
-	colWidth := c.InC * c.KH * c.KW
-	gradIn := c.ws.Get4D(convSlotGradIn, c.lastB, c.InC, c.lastH, c.lastW)
-	gradIn.Zero()
-	if c.useDirect(colWidth) {
-		gid := gradIn.Data()
-		gcol := c.ws.Get2D(convSlotPanelA, batch, convPanelRows*colWidth)
-		gcold, wd := gcol.Data(), c.wMat.Data()
-		gi := parallel.Grain(spatial * colWidth * c.OutC)
-		if parallel.Chunks(batch, gi) <= 1 {
-			c.gradInFusedRange(g2, gid, wd, gcold, 0, batch, oh, ow, colWidth)
-			return gradIn
-		}
-		parallel.For(batch, gi, func(lo, hi int) {
-			c.gradInFusedRange(g2, gid, wd, gcold, lo, hi, oh, ow, colWidth)
+	c.gradIn = c.ws.Get4D(convSlotGradIn, g.batch, c.InC, g.h, g.w)
+	c.fanOut(g.batch, spatial*c.colWidth()*c.OutC, (*Conv2D).inputGradItems)
+	return c.gradIn
+}
+
+// weightGradSlabs computes the gw columns of slabs [q0, q1): gw[:, slab] =
+// g2dᵀ × col[:, slab] over every position. A ragged last slab is gathered
+// convLanes wide with zero columns past the last tap, which are dropped.
+func (c *Conv2D) weightGradSlabs(ws *tensor.Workspace, q0, q1 int) {
+	rows, cw, block := c.g2d.Dim(0), c.colWidth(), c.g.oh*c.g.ow*convLanes
+	gw := c.gwMat.Data()
+	for q := q0; q < q1; q++ {
+		c.eachTile(ws, c.slabTaps[q*block:][:block], convLanes, 0, rows, rows, func(col *tensor.Tensor, _, _ int) {
+			prod := ws.Get2D(tileSlotProd, c.OutC, convLanes)
+			if err := tensor.MatMulTransAInto(prod, c.g2d, col); err != nil {
+				panic(err)
+			}
+			p0 := q * convLanes
+			for oc, pd := 0, prod.Data(); oc < c.OutC; oc++ {
+				copy(gw[oc*cw+p0:][:min(convLanes, cw-p0)], pd[oc*convLanes:])
+			}
 		})
-		return gradIn
 	}
-	gradCol := c.ws.Get2D(convSlotGradCol, batch*spatial, colWidth)
-	if err := tensor.MatMulInto(gradCol, g2d, c.wMat); err != nil {
-		panic(err)
-	}
-	col2imInto(gradIn, gradCol, c.KH, c.KW, c.Stride, c.Pad, oh, ow)
-	return gradIn
 }
 
-// gradInFusedRange computes gradIn for batch items [b0, b1): per four output
-// positions, multiply their g2d rows (already contiguous [r, OutC]) against
-// the weight matrix with the shared micro kernel — oc-ascending per element
-// with the zero-skip convention, exactly MatMul's sequence — and scatter the
-// resulting gradient-column rows into gradIn in col2im's loop order.
-func (c *Conv2D) gradInFusedRange(g2, gid, wd, gcold []float64, b0, b1, oh, ow, colWidth int) {
-	h, w := c.lastH, c.lastW
-	spatial := oh * ow
-	for bi := b0; bi < b1; bi++ {
-		gcrow := gcold[bi*convPanelRows*colWidth:][:convPanelRows*colWidth]
-		for s0 := 0; s0 < spatial; s0 += convPanelRows {
-			rows := min(convPanelRows, spatial-s0)
-			grow := g2[(bi*spatial+s0)*c.OutC:][:rows*c.OutC]
-			tensor.GEMMPanel(gcrow, colWidth, grow, c.OutC, wd, colWidth, rows, c.OutC, colWidth)
-			for r := 0; r < rows; r++ {
-				s := s0 + r
-				conv2dScatter(gid, gcrow[r*colWidth:][:colWidth], bi, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, s/ow, s%ow)
+// inputGradItems computes gradIn for batch items [b0, b1), tile by tile:
+// gradCol = g2d × Wmat, scattered back by col2im in ascending row order.
+func (c *Conv2D) inputGradItems(ws *tensor.Workspace, b0, b1 int) {
+	g, cw := c.g, c.colWidth()
+	spatial := g.oh * g.ow
+	gid, g2 := c.gradIn.Data(), c.g2d.Data()
+	clear(gid[b0*c.InC*g.h*g.w : b1*c.InC*g.h*g.w])
+	step := c.tileRows()
+	for r0 := b0 * spatial; r0 < b1*spatial; r0 += step {
+		r1 := min(r0+step, b1*spatial)
+		grad := ws.Get2D(tileSlotGrad, r1-r0, c.OutC)
+		copy(grad.Data(), g2[r0*c.OutC:r1*c.OutC])
+		gcol := ws.Get2D(tileSlotCol, r1-r0, cw)
+		if err := tensor.MatMulInto(gcol, grad, c.wMat); err != nil {
+			panic(err)
+		}
+		c.col2im(gid, gcol.Data(), r0, r1)
+	}
+}
+
+// fanOut splits n items (batch items or slabs, perItem multiply-adds each)
+// into contiguous ranges and runs fn on each with a tile workspace of its
+// own: serially, with no closure built, when one range carries the work,
+// and on the compute pool otherwise. Range boundaries depend only on n,
+// perItem and the pool size.
+func (c *Conv2D) fanOut(n, perItem int, fn func(*Conv2D, *tensor.Workspace, int, int)) {
+	chunks := parallel.Chunks(n, parallel.Grain(perItem))
+	for len(c.tiles) < max(chunks, 1) {
+		c.tiles = append(c.tiles, new(tensor.Workspace))
+	}
+	if chunks <= 1 {
+		fn(c, c.tiles[0], 0, n)
+		return
+	}
+	per := (n + chunks - 1) / chunks
+	parallel.For(chunks, 1, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			fn(c, c.tiles[ci], min(ci*per, n), min((ci+1)*per, n))
+		}
+	})
+}
+
+// eachTile gathers rows [r0, r1) of one block of the last input's column
+// matrix, rowStep rows at a time, into ws as a [rows, width] matrix and
+// hands each tile to fn with its first row and row end. taps is the
+// block's table: width entries per output position (see setTaps). It is
+// the one place column values are gathered.
+func (c *Conv2D) eachTile(ws *tensor.Workspace, taps []int, width, r0, r1, rowStep int, fn func(col *tensor.Tensor, r0, r1 int)) {
+	for r := r0; r < r1; r += rowStep {
+		re := min(r+rowStep, r1)
+		col := ws.Get2D(tileSlotCol, re-r, width)
+		c.im2col(col.Data(), taps, width, r, re)
+		fn(col, r, re)
+	}
+}
+
+// im2col writes rows [r0, r1) of a column block into dst, row-major: row r
+// holds, for output position s = r%(oh*ow) of batch item r/(oh*ow), the
+// input values the width taps[s*width:] point at, and +0 for padding. dst
+// may hold stale data on entry.
+func (c *Conv2D) im2col(dst []float64, taps []int, width, r0, r1 int) {
+	g, xd := c.g, c.lastX.Data()
+	spatial, item := g.oh*g.ow, c.InC*g.h*g.w
+	for r := r0; r < r1; {
+		bi, s := r/spatial, r%spatial
+		n := min(spatial-s, r1-r) // rows of batch item bi
+		xb, t, d := xd[bi*item:][:item], taps[s*width:][:n*width], dst[(r-r0)*width:][:n*width]
+		for j, off := range t {
+			keep := ^(off >> 63) // all ones, or zero for padding (-1)
+			d[j] = math.Float64frombits(math.Float64bits(xb[off&keep]) & uint64(keep))
+		}
+		r += n
+	}
+}
+
+// col2im accumulates the gradient-column rows [r0, r1) in gcol (all taps,
+// row-major) into gid, the adjoint of im2col: padding taps are skipped, and
+// contributions land in ascending (row, tap) order.
+func (c *Conv2D) col2im(gid, gcol []float64, r0, r1 int) {
+	g, cw := c.g, c.colWidth()
+	spatial, item := g.oh*g.ow, c.InC*g.h*g.w
+	bi, s := r0/spatial, r0%spatial
+	for r := r0; r < r1; r++ {
+		gb, taps := gid[bi*item:][:item], c.taps[s*cw:][:cw]
+		for p, v := range gcol[(r-r0)*cw:][:cw] {
+			if off := taps[p]; off >= 0 {
+				gb[off] += v
 			}
+		}
+		if s++; s == spatial {
+			s, bi = 0, bi+1
 		}
 	}
 }
 
-// conv2dWindow gathers one output position's input window into dst (length
-// colWidth), mirroring im2colRange for a single column row: clipped taps are
-// written as explicit zeros, so dst carries exactly the im2col row values.
-func conv2dWindow(dst, xd []float64, bi, ch, h, w, kh, kw, stride, pad, oy, ox int) {
-	iy0 := oy*stride - pad
-	ix0 := ox*stride - pad
-	for cc := 0; cc < ch; cc++ {
-		chanOff := (bi*ch + cc) * h * w
-		for ky := 0; ky < kh; ky++ {
-			iy := iy0 + ky
-			d := dst[(cc*kh+ky)*kw:][:kw]
-			if iy < 0 || iy >= h {
-				for kx := range d {
-					d[kx] = 0
+// setTaps fills the tap tables for input h×w (output oh×ow). taps[s*colWidth
+// + p] is the offset in one batch item's input [InC, h, w] that tap p
+// (input channel ch at window offset (ky, kx), p = (ch*KH + ky)*KW + kx)
+// reads at output position s, or -1 where it falls in the padding.
+// slabTaps holds the same entries slab by slab, convLanes per position:
+// slab q's entry for position s and tap q*convLanes + j sits at
+// (q*oh*ow + s)*convLanes + j, and is -1 past the last tap.
+func (c *Conv2D) setTaps(h, w, oh, ow int) {
+	cw, kk, spatial := c.colWidth(), c.KH*c.KW, oh*ow
+	slabs := (cw + convLanes - 1) / convLanes
+	c.taps = slices.Grow(c.taps[:0], spatial*cw)[:spatial*cw]
+	c.slabTaps = slices.Grow(c.slabTaps[:0], slabs*spatial*convLanes)[:slabs*spatial*convLanes]
+	for s := 0; s < spatial; s++ {
+		for p := 0; p < slabs*convLanes; p++ {
+			off := -1
+			if p < cw {
+				iy, ix := s/ow*c.Stride-c.Pad+p%kk/c.KW, s%ow*c.Stride-c.Pad+p%c.KW
+				if iy >= 0 && iy < h && ix >= 0 && ix < w {
+					off = (p/kk*h+iy)*w + ix
 				}
-				continue
+				c.taps[s*cw+p] = off
 			}
-			srcRow := chanOff + iy*w
-			for kx := range d {
-				ix := ix0 + kx
-				if ix < 0 || ix >= w {
-					d[kx] = 0
-					continue
-				}
-				d[kx] = xd[srcRow+ix]
-			}
-		}
-	}
-}
-
-// conv2dScatter accumulates one gradient-column row into od, mirroring
-// col2imRange for a single position: taps falling outside the input are
-// skipped, contributions land in (c, ky, kx) ascending order.
-func conv2dScatter(od, grow []float64, bi, ch, h, w, kh, kw, stride, pad, oy, ox int) {
-	iy0 := oy*stride - pad
-	ix0 := ox*stride - pad
-	for cc := 0; cc < ch; cc++ {
-		chanOff := (bi*ch + cc) * h * w
-		for ky := 0; ky < kh; ky++ {
-			iy := iy0 + ky
-			if iy < 0 || iy >= h {
-				continue
-			}
-			src := grow[(cc*kh+ky)*kw:][:kw]
-			dstRow := chanOff + iy*w
-			for kx, v := range src {
-				ix := ix0 + kx
-				if ix < 0 || ix >= w {
-					continue
-				}
-				od[dstRow+ix] += v
-			}
+			c.slabTaps[(p/convLanes*spatial+s)*convLanes+p%convLanes] = off
 		}
 	}
 }
@@ -432,111 +413,3 @@ func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.w, c.b} }
 
 // Grads implements Layer.
 func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.gw, c.gb} }
-
-// im2colInto unrolls convolution windows of x [B, C, H, W] into col, a matrix
-// of shape [B*oh*ow, C*kh*kw]. Every element of col is written (padding
-// positions are explicitly zeroed), so col may hold stale workspace data on
-// entry. Batch items are independent rows, so the loop fans out over the
-// batch dimension on the compute pool when the volume justifies it; the
-// serial decision is taken before any closure is built so small
-// steady-state steps stay allocation-free.
-func im2colInto(col, x *tensor.Tensor, kh, kw, stride, pad, oh, ow int) {
-	batch := x.Dim(0)
-	g := parallel.Grain(col.Len() / batch)
-	if parallel.Chunks(batch, g) <= 1 {
-		im2colRange(col, x, 0, batch, kh, kw, stride, pad, oh, ow)
-		return
-	}
-	parallel.For(batch, g, func(lo, hi int) {
-		im2colRange(col, x, lo, hi, kh, kw, stride, pad, oh, ow)
-	})
-}
-
-// im2colRange unrolls batch items [b0,b1).
-func im2colRange(col, x *tensor.Tensor, b0, b1, kh, kw, stride, pad, oh, ow int) {
-	ch, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
-	colWidth := ch * kh * kw
-	xd, cd := x.Data(), col.Data()
-	for bi := b0; bi < b1; bi++ {
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*stride - pad
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*stride - pad
-				rowOff := ((bi*oh+oy)*ow + ox) * colWidth
-				for c := 0; c < ch; c++ {
-					chanOff := (bi*ch + c) * h * w
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						dst := cd[rowOff+(c*kh+ky)*kw : rowOff+(c*kh+ky)*kw+kw]
-						if iy < 0 || iy >= h {
-							for kx := range dst {
-								dst[kx] = 0
-							}
-							continue
-						}
-						srcRow := chanOff + iy*w
-						for kx := range dst {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								dst[kx] = 0
-								continue
-							}
-							dst[kx] = xd[srcRow+ix]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// col2imInto scatters a column matrix back into out (shape [B, C, H, W]),
-// accumulating overlapping contributions. It is the adjoint of im2col; out
-// must be zeroed by the caller. Batch items scatter into disjoint regions of
-// out, so the loop fans out over the batch dimension on the compute pool
-// when the volume justifies it.
-func col2imInto(out, col *tensor.Tensor, kh, kw, stride, pad, oh, ow int) {
-	batch := out.Dim(0)
-	g := parallel.Grain(col.Len() / batch)
-	if parallel.Chunks(batch, g) <= 1 {
-		col2imRange(out, col, 0, batch, kh, kw, stride, pad, oh, ow)
-		return
-	}
-	parallel.For(batch, g, func(lo, hi int) {
-		col2imRange(out, col, lo, hi, kh, kw, stride, pad, oh, ow)
-	})
-}
-
-// col2imRange scatters batch items [b0,b1).
-func col2imRange(out, col *tensor.Tensor, b0, b1, kh, kw, stride, pad, oh, ow int) {
-	ch, h, w := out.Dim(1), out.Dim(2), out.Dim(3)
-	colWidth := ch * kh * kw
-	cd, od := col.Data(), out.Data()
-	for bi := b0; bi < b1; bi++ {
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*stride - pad
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*stride - pad
-				rowOff := ((bi*oh+oy)*ow + ox) * colWidth
-				for c := 0; c < ch; c++ {
-					chanOff := (bi*ch + c) * h * w
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						src := rowOff + (c*kh+ky)*kw
-						dstRow := chanOff + iy*w
-						for kx := 0; kx < kw; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							od[dstRow+ix] += cd[src+kx]
-						}
-					}
-				}
-			}
-		}
-	}
-}

@@ -51,10 +51,9 @@ type Dense struct {
 	gw, gb *tensor.Tensor
 
 	lastX *tensor.Tensor
-	// lastOut retains the activated forward output for the Tanh gradient
-	// (dtanh = 1 - out²); mask retains the ReLU sign decisions.
+	// lastOut retains the activated forward output for the activation
+	// gradient: dtanh = 1 - out², and ReLU passes gradOut where out > 0.
 	lastOut *tensor.Tensor
-	mask    []bool
 	ws      tensor.Workspace
 }
 
@@ -144,12 +143,6 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		panic(err)
 	}
 	od, bd := out.Data(), d.b.Data()
-	if d.Act == ActReLU {
-		if cap(d.mask) < len(od) {
-			d.mask = make([]bool, len(od))
-		}
-		d.mask = d.mask[:len(od)]
-	}
 	// Bias and activation in one pass. Rows are independent and every
 	// element's operation sequence is fixed, so the pool split over rows is
 	// bit-identical to the serial loop (and to the unfused two-layer stack).
@@ -165,9 +158,7 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 			d.biasActRange(od, bd, lo, hi)
 		})
 	}
-	if d.Act == ActTanh {
-		d.lastOut = out
-	}
+	d.lastOut = out
 	return out
 }
 
@@ -179,15 +170,9 @@ func (d *Dense) biasActRange(od, bd []float64, lo, hi int) {
 		row := od[i*d.Out : (i+1)*d.Out]
 		switch d.Act {
 		case ActReLU:
-			mrow := d.mask[i*d.Out : (i+1)*d.Out]
 			for j, v := range row {
-				if v += bd[j]; v > 0 {
-					row[j] = v
-					mrow[j] = true
-				} else {
-					row[j] = 0
-					mrow[j] = false
-				}
+				v += bd[j]
+				row[j] = keepIf(v > 0, v)
 			}
 		case ActTanh:
 			for j, v := range row {
@@ -262,7 +247,7 @@ func (d *Dense) backward(gradOut *tensor.Tensor, needInput bool) *tensor.Tensor 
 func (d *Dense) actGradRange(dst, god []float64, lo, hi int) {
 	switch d.Act {
 	case ActReLU:
-		reluBackwardRange(dst, god, d.mask, lo, hi)
+		reluRange(dst, god, d.lastOut.Data(), lo, hi)
 	case ActTanh:
 		tanhBackwardRange(dst, god, d.lastOut.Data(), lo, hi)
 	}

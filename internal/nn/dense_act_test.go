@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -60,6 +61,39 @@ func TestDenseActBitIdenticalComposition(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDenseActReLUSpecialValues holds the fused ReLU's branch-free select
+// to the branchy reference on special pre-activations: the bias carries
+// every value of selectSpecials, added to an all-zero row and to random
+// rows, and the reference runs the plain Dense, the branchy ReLU on its
+// output and the plain backward on the masked gradient.
+func TestDenseActReLUSpecialValues(t *testing.T) {
+	out := len(selectSpecials)
+	fused, plain := NewDenseAct(5, out, ActReLU, rand.New(rand.NewSource(58))), NewDense(5, out, rand.New(rand.NewSource(58)))
+	copy(fused.b.Data(), selectSpecials)
+	copy(plain.b.Data(), selectSpecials)
+	x := tensor.Randn(rand.New(rand.NewSource(59)), 0, 1, 3, 5)
+	clear(x.Data()[:5])
+	g := tensor.Randn(rand.New(rand.NewSource(60)), 0, 1, 3, out)
+	copy(g.Data()[out:], selectSpecials)
+
+	got := fused.Forward(x, true).Data()
+	pre := plain.Forward(x, true).Data()
+	masked := tensor.New(3, out)
+	for i, v := range pre {
+		if math.Float64bits(got[i]) != math.Float64bits(refReLU(v)) {
+			t.Errorf("relu(%v) = %v, want %v", v, got[i], refReLU(v))
+		}
+		if v > 0 {
+			masked.Data()[i] = g.Data()[i]
+		}
+	}
+	gin := fused.Backward(g)
+	wantGin := plain.Backward(masked)
+	if !sameBits(gin.Data(), wantGin.Data()) || !sameBits(fused.gw.Data(), plain.gw.Data()) || !sameBits(fused.gb.Data(), plain.gb.Data()) {
+		t.Error("fused ReLU backward diverges from the branchy reference")
 	}
 }
 

@@ -64,19 +64,127 @@ func TestBatchNormNegativeRunningVarianceClamped(t *testing.T) {
 	}
 }
 
+// selectSpecials are the values the branch-free selects must treat exactly
+// as the branchy loops they replace: both zeros, NaNs with payloads of
+// either sign, both infinities and both smallest subnormals.
+var selectSpecials = []float64{
+	-1, 2, math.Copysign(0, -1), 0,
+	math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff4_0000_0000_0001),
+	math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+}
+
+// refReLU is the branchy reference for ReLU's masked select: v where
+// v > 0, +0 otherwise.
+func refReLU(v float64) float64 {
+	if v > 0 {
+		return v
+	}
+	return 0
+}
+
+// TestReLUZeroesNegatives holds the ReLU forward and backward to the branchy
+// reference, bit for bit, on every special value: each is paired with every
+// other as the gradient, so NaN payloads, signed zeros and subnormals pass
+// through or become +0 exactly where the reference's do.
 func TestReLUZeroesNegatives(t *testing.T) {
-	r := NewReLU()
-	x := tensor.MustFromSlice([]float64{-1, 0, 2}, 1, 3)
-	out := r.Forward(x, true)
-	want := []float64{0, 0, 2}
-	for i, w := range want {
-		if out.Data()[i] != w {
-			t.Fatalf("relu[%d] = %v", i, out.Data()[i])
+	n := len(selectSpecials)
+	xd, gd := make([]float64, n*n), make([]float64, n*n)
+	for i, v := range selectSpecials {
+		for j, g := range selectSpecials {
+			xd[i*n+j], gd[i*n+j] = v, g
 		}
 	}
-	// Input is not mutated.
-	if x.Data()[0] != -1 {
+	x, g := tensor.MustFromSlice(xd, n, n), tensor.MustFromSlice(gd, n, n)
+	r := NewReLU()
+	out, gin := r.Forward(x, true).Data(), r.Backward(g).Data()
+	for i, v := range xd {
+		wantGin := 0.0
+		if v > 0 {
+			wantGin = gd[i]
+		}
+		if math.Float64bits(out[i]) != math.Float64bits(refReLU(v)) || math.Float64bits(gin[i]) != math.Float64bits(wantGin) {
+			t.Errorf("relu(%v) = %v, grad(%v) = %v; want %v, %v", v, out[i], gd[i], gin[i], refReLU(v), wantGin)
+		}
+	}
+	if math.Float64bits(x.Data()[0]) != math.Float64bits(-1) {
 		t.Fatal("ReLU mutated its input")
+	}
+}
+
+// refMaxPool2D is the branchy reference for MaxPool2D's window select: a
+// window keeps its first strict maximum, so a later NaN never wins and a
+// NaN in the first tap is never replaced.
+func refMaxPool2D(x []float64, planes, h, w, k int) (out []float64, argmax []int) {
+	oh, ow := h/k, w/k
+	for bc := 0; bc < planes; bc++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				bestIdx := bc*h*w + oy*k*w + ox*k
+				best := x[bestIdx]
+				for ky := 0; ky < k; ky++ {
+					for kx := 0; kx < k; kx++ {
+						if i := bc*h*w + (oy*k+ky)*w + ox*k + kx; x[i] > best {
+							best, bestIdx = x[i], i
+						}
+					}
+				}
+				out, argmax = append(out, best), append(argmax, bestIdx)
+			}
+		}
+	}
+	return out, argmax
+}
+
+// TestMaxPool2DSelectSpecialValues holds MaxPool2D's forward and backward to
+// the branchy reference, bit for bit, on windows with ties, a NaN first or
+// later, -0 against +0 in both orders, infinities and subnormals, and on
+// random planes salted with every special value.
+func TestMaxPool2DSelectSpecialValues(t *testing.T) {
+	nan, negZero := math.Float64frombits(0x7ff8_0000_dead_beef), math.Copysign(0, -1)
+	windows := [][4]float64{
+		{1, 1, 1, 1}, {0.5, 2, 2, 1}, {nan, 3, 4, 5}, {3, nan, 4, 1}, {1, 2, 3, nan},
+		{negZero, 0, negZero, 0}, {0, negZero, 0, negZero}, {math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1)},
+		{-math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, 0, math.SmallestNonzeroFloat64},
+	}
+	// One 2×2 window per output position of a 2 × 2k plane.
+	xd := make([]float64, 0, 4*len(windows))
+	for row := 0; row < 2; row++ {
+		for _, win := range windows {
+			xd = append(xd, win[2*row], win[2*row+1])
+		}
+	}
+	rng := rand.New(rand.NewSource(71))
+	random := make([]float64, 3*6*6)
+	for i := range random {
+		random[i] = selectSpecials[rng.Intn(len(selectSpecials))]
+		if rng.Intn(2) == 0 {
+			random[i] = float64(rng.Intn(3)) // ties
+		}
+	}
+	for _, tc := range []struct {
+		x            []float64
+		planes, h, w int
+	}{{xd, 1, 2, 2 * len(windows)}, {random, 3, 6, 6}} {
+		p := NewMaxPool2D(2)
+		out := p.Forward(tensor.MustFromSlice(tc.x, 1, tc.planes, tc.h, tc.w), true).Data()
+		wantOut, argmax := refMaxPool2D(tc.x, tc.planes, tc.h, tc.w, 2)
+		g := make([]float64, len(out))
+		wantGin := make([]float64, len(tc.x))
+		for i := range g {
+			g[i] = float64(i + 1)
+			wantGin[argmax[i]] += g[i]
+		}
+		gin := p.Backward(tensor.MustFromSlice(g, 1, tc.planes, tc.h/2, tc.w/2)).Data()
+		for i := range wantOut {
+			if math.Float64bits(out[i]) != math.Float64bits(wantOut[i]) {
+				t.Errorf("window %d: max = %v, want %v", i, out[i], wantOut[i])
+			}
+		}
+		for i := range wantGin {
+			if gin[i] != wantGin[i] {
+				t.Errorf("gradIn[%d] = %v, want %v: the gradient went to another tap", i, gin[i], wantGin[i])
+			}
+		}
 	}
 }
 

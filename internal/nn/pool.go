@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -29,6 +30,18 @@ func scatterRange(gid, god []float64, argmax []int, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		gid[argmax[i]] += god[i]
 	}
+}
+
+// firstMax returns (v, vi) when v > best and (best, bi) otherwise, so a
+// window keeps its first strict maximum and a later NaN never wins. Both
+// selects are masks: which tap of a window holds the maximum is a coin flip.
+func firstMax(best float64, bi int, v float64, vi int) (float64, int) {
+	var m uint64
+	if v > best {
+		m = ^uint64(0)
+	}
+	b, x := math.Float64bits(best), math.Float64bits(v)
+	return math.Float64frombits(b ^ (b^x)&m), bi ^ (bi^vi)&int(m)
 }
 
 // MaxPool2D is a 2-D max pooling layer over [B, C, H, W] inputs with a square
@@ -100,9 +113,7 @@ func (p *MaxPool2D) forwardRange(xd, od []float64, argmax []int, bc0, bc1, h, w,
 						if ix >= w {
 							break
 						}
-						if v := src[iy*w+ix]; v > best {
-							best, bestIdx = v, iy*w+ix
-						}
+						best, bestIdx = firstMax(best, bestIdx, src[iy*w+ix], iy*w+ix)
 					}
 				}
 				oi := (bc*oh+oy)*ow + ox

@@ -296,50 +296,3 @@ func gemmScalarTile(out, a, b []float64, i0, i1, j0, j1, k, n, lda, ldb int, aTr
 		}
 	}
 }
-
-// GEMMPanel computes the m×n panel C = A × B against row-major operands with
-// explicit leading dimensions: C[i*ldc+j] = Σ_p A[i*lda+p]·B[p*ldb+j]. Per
-// element the accumulation is k-ascending with the zero-skip convention —
-// bit-identical to the naive kernels and to the blocked matmul path. The
-// direct convolution path uses it to multiply gathered window panels against
-// packed weights without materializing an im2col matrix.
-func GEMMPanel(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, k, n int) {
-	if kernelISA < isaAVX2 {
-		gemmScalarPanel(c, ldc, a, lda, b, ldb, 0, m, 0, n, k)
-		return
-	}
-	i := 0
-	if kernelISA >= isaAVX512 {
-		i = gemmRows512(c, ldc, a, lda, false, b, ldb, 1, 0, m, 0, n, k)
-	}
-	for ; i+gemmMR <= m; i += gemmMR {
-		j := 0
-		for ; j+gemmNR <= n; j += gemmNR {
-			gemmNN4x8(&c[i*ldc+j], &a[i*lda], &b[j], k, lda, ldb, ldc)
-		}
-		if j < n {
-			gemmScalarPanel(c, ldc, a, lda, b, ldb, i, i+gemmMR, j, n, k)
-		}
-	}
-	if i < m {
-		gemmScalarPanel(c, ldc, a, lda, b, ldb, i, m, 0, n, k)
-	}
-}
-
-// gemmScalarPanel is the strided scalar edge kernel behind GEMMPanel: the
-// per-element operation sequence matches the SIMD lanes exactly.
-func gemmScalarPanel(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, i0, i1, j0, j1, k int) {
-	for i := i0; i < i1; i++ {
-		aRow := a[i*lda:][:k]
-		for j := j0; j < j1; j++ {
-			var acc float64
-			for p, av := range aRow {
-				if av == 0 {
-					continue
-				}
-				acc += av * b[p*ldb+j]
-			}
-			c[i*ldc+j] = acc
-		}
-	}
-}

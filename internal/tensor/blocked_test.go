@@ -493,49 +493,3 @@ func FuzzBlockedGEMM(f *testing.F) {
 		})
 	})
 }
-
-// TestGEMMPanelBitIdentical holds GEMMPanel, on every tier, to the naive
-// kernel at explicit strides wider than the panel (the direct convolution's
-// window panels), with ragged rows and columns for both tile heights and a
-// zero, NaN and ±Inf planted in each operand.
-func TestGEMMPanelBitIdentical(t *testing.T) {
-	forEachTier(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(67))
-		for _, m := range []int{1, 3, 4, 7, 8, 12, 13} {
-			for _, k := range []int{1, 9, 27} {
-				for _, n := range []int{1, 5, 8, 11, 16, 27} {
-					lda, ldb, ldc := k+3, n+2, n+5
-					a, b := randSlice(rng, m*lda), randSlice(rng, k*ldb)
-					// The hardware's own NaN, as in TestPackedTransBBitIdentical.
-					for i, v := range []float64{0, math.Float64frombits(0xfff8 << 48), math.Inf(1), math.Inf(-1)} {
-						a[(i*5+m)%len(a)] = v
-						b[(i*3+n)%len(b)] = v
-					}
-					// The reference: the naive kernel on dense copies.
-					ad, bd := make([]float64, m*k), make([]float64, k*n)
-					for i := 0; i < m; i++ {
-						copy(ad[i*k:(i+1)*k], a[i*lda:])
-					}
-					for p := 0; p < k; p++ {
-						copy(bd[p*n:(p+1)*n], b[p*ldb:])
-					}
-					want := make([]float64, m*n)
-					matMulRows(want, ad, bd, 0, m, k, n)
-					c := make([]float64, m*ldc)
-					for i := range c {
-						c[i] = 99
-					}
-					GEMMPanel(c, ldc, a, lda, b, ldb, m, k, n)
-					for i := 0; i < m; i++ {
-						compareBits(t, "panel", m, k, n, c[i*ldc:i*ldc+n], want[i*n:(i+1)*n])
-						for j := n; j < ldc; j++ {
-							if c[i*ldc+j] != 99 {
-								t.Fatalf("panel %dx%dx%d: wrote c[%d][%d] past the panel", m, k, n, i, j)
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-}
