@@ -287,6 +287,65 @@ func TestConv2DTiledBitIdenticalIm2col(t *testing.T) {
 	})
 }
 
+// TestConv2DDirectBitIdenticalIm2col holds the inference-only forward to
+// the whole-matrix im2col + GEMM reference on every case and tier: a fresh
+// layer that never ran a training Forward, called once and twice (cold and
+// warm workspaces). The name dates from the removed direct inference path;
+// inference now runs the same tiles as training.
+func TestConv2DDirectBitIdenticalIm2col(t *testing.T) {
+	tensor.ForEachKernelISA(func(isa string) {
+		for _, tc := range conv2dCases {
+			layer, x := tc.layer(), tc.input()
+			oh, ow := layer.OutSize(tc.h, tc.w)
+			want := refConvStep(layer, x, tc.gradOut([]int{tc.batch, tc.outC, oh, ow})).out
+			for _, steps := range []int{1, 2} {
+				layer := tc.layer()
+				var got *tensor.Tensor
+				for s := 0; s < steps; s++ {
+					got = layer.Forward(x, false)
+				}
+				if !sameBits(got.Data(), want.Data()) {
+					t.Errorf("%s/%s steps=%d: inference forward diverges from the whole-matrix reference", isa, tc.name, steps)
+				}
+			}
+		}
+	})
+}
+
+// TestConv2DDirectPoolParallelBitIdentical pins pool determinism over more
+// worker counts than the reference gates: the inference forward and a full
+// training step (tiles split by batch item, weight-gradient slabs by tap)
+// must be bit-identical to the serial run for any pool size.
+func TestConv2DDirectPoolParallelBitIdentical(t *testing.T) {
+	restorePool(t)
+	parallel.SetMinWork(32)
+	tc := conv2dCase{name: "parallel", inC: 3, outC: 16, k: 3, stride: 1, pad: 1, batch: 5, h: 12, w: 10}
+	x := tc.input()
+	infer := func() *tensor.Tensor {
+		layer := tc.layer()
+		layer.Forward(x, false)
+		return layer.Forward(x, false).Clone()
+	}
+
+	parallel.SetWorkers(1)
+	wantInfer, want := infer(), convTiledStep(t, tc, 2)
+	for _, workers := range []int{2, 4, 7} {
+		parallel.SetWorkers(workers)
+		if got := infer(); !sameBits(got.Data(), wantInfer.Data()) {
+			t.Errorf("workers=%d: inference forward diverges from serial", workers)
+		}
+		got := convTiledStep(t, tc, 2)
+		for _, c := range []struct {
+			what      string
+			got, want *tensor.Tensor
+		}{{"out", got.out, want.out}, {"gw", got.gw, want.gw}, {"gb", got.gb, want.gb}, {"gradIn", got.gin, want.gin}} {
+			if !sameBits(c.got.Data(), c.want.Data()) {
+				t.Errorf("workers=%d: %s diverges from serial", workers, c.what)
+			}
+		}
+	}
+}
+
 // TestConv2DFusedBackwardBitIdentical is the tiled backward's correctness
 // gate: gw (one slab at a time), gb and gradIn (gradient-column tiles
 // scattered straight into gradIn, the gradient-column matrix never
