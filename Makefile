@@ -68,17 +68,21 @@
 #                     synchronous anchor ring holds two broadcasts, a peer back
 #                     after a gap gets a full state, and a client decodes
 #                     into two rotating anchor buffers
-#   make wirebench  - wire-protocol benchmarks (binary frame encode/decode
-#                     throughput, the lossless flate+delta encode/decode of a
-#                     captured FCNN6 broadcast and upload with their frame
-#                     sizes, bytes per federation round with the full codec
-#                     stack, int8 upload encode at the FCNN6 state size,
-#                     top-k and dense), merged into BENCH_hotpath.json
-#   make bench-check - perf regression gate: rerun the benchmarks recorded
-#                     in BENCH_hotpath.json and fail past +15% ns/op (or if
-#                     a 0-alloc entry starts allocating); failing entries
-#                     are retried and the minimum kept, so the gate trips
-#                     on real regressions rather than scheduler noise
+#   make bench-pair - perf gate (not part of check): BASE (default HEAD~1)
+#                     checked out as a git worktree under .bench_build/
+#                     against the working tree; ten pairs, each linking both
+#                     sides' dinar-bench with a function order drawn from the
+#                     pair's number and running every entry on both back to
+#                     back, the change first in five of an entry's ten
+#                     (drawn from a fixed seed), every run at GOMAXPROCS=1;
+#                     about four and a half minutes; prints both sides'
+#                     quartiles, wins and a verdict per entry and metric, and
+#                     fails on a regression: worse in 9 of 10 pairs with a
+#                     median gap above BASE's IQR and past 5 % (B/op: plus
+#                     64 KiB), or a 0-alloc entry that allocates. ONLY=a,b
+#                     narrows it to those entries; the worktree is removed
+#                     on exit. Round workloads are compared with
+#                     benchmark/run.sh -all and -compare
 #   make benchmark-test - vet and test the round benchmark, a module of
 #                     its own (repro/benchmark) that the root ./... patterns
 #                     cannot see but that compiles against internal APIs
@@ -148,7 +152,14 @@
 #   make loc        - the line counter simplicity PRs quote: the root package,
 #                     each cmd/* and internal/* package, and in total, the
 #                     non-blank, non-// lines of non-test .go files
-#   make check      - everything above (but loc, which gates nothing)
+#   make check      - everything above but loc, which gates nothing, and
+#                     bench-pair, which takes minutes and a base revision
+#   make wirebench  - record the wire-protocol entries (binary frame
+#                     encode/decode, the lossless flate+delta encode/decode of
+#                     a captured FCNN6 broadcast and upload with their frame
+#                     sizes, bytes per federation round with the full codec
+#                     stack, int8 upload encode at the FCNN6 state size,
+#                     top-k and dense) into BENCH_hotpath.json
 #   make fuzz       - short fuzz pass over the frame parser and the Hello
 #                     parser, the top-k delta encoder against
 #                     its sort oracle, the exact accumulator's bit-extracting
@@ -161,15 +172,16 @@
 #                     dispatch (arbitrary shapes vs the naive reference),
 #                     and the service-mode job-spec decoder/validator
 #   make bench      - kernel + per-layer hot-path microbenchmarks
-#   make bench-json - rerun the tracked hot-path suite, updating
-#                     BENCH_hotpath.json (baseline section is preserved)
+#   make bench-json - rerun the tracked hot-path suite, recording it in
+#                     BENCH_hotpath.json (a record no gate reads; the
+#                     scaling section is preserved)
 #   make bench-scaling - GOMAXPROCS sweep: ns/op, speedup, and scaling
 #                     efficiency per CPU count, recorded in the same file;
 #                     fails if any parallel path diverges from serial
 
 GO ?= go
 
-.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneacceptor oneconv oneserverconfig oneassembly ownregistry onesweep exports exptables loc check fuzz bench bench-json bench-scaling
+.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-pair benchmark-test nogob oneclient oneacceptor oneconv oneserverconfig oneassembly ownregistry onesweep exports exptables loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -233,15 +245,16 @@ quant:
 wirebench:
 	$(GO) run ./cmd/dinar-bench -only wire_encode,wire_decode,wire_lossless_encode_global,wire_lossless_decode_global,wire_lossless_encode_update,wire_lossless_decode_update,bytes_per_round,quant_encode_topk,quant_encode_dense -json BENCH_hotpath.json
 
-bench-check:
-	$(GO) run ./cmd/dinar-bench -compare -json BENCH_hotpath.json
+BASE ?= HEAD~1
+bench-pair:
+	$(GO) run ./cmd/dinar-bench -pair $(BASE) $(if $(ONLY),-only $(ONLY))
 
 benchmark-test:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
 nogob:
-	@if grep -rn '"encoding/gob"' --include='*.go' .; then echo 'encoding/gob is imported (see above)'; exit 1; fi
+	@if grep -rn '"encoding/gob"' --include='*.go' . | grep -v '^\./\.bench_build/'; then echo 'encoding/gob is imported (see above)'; exit 1; fi
 
 oneclient:
 	@if grep -rnE 'KindWire|KindHello' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/flnet|benchmark|\.bench_build)/'; then echo 'a second client-side protocol speaker (see above): drive flnet.RunClient instead'; exit 1; fi
@@ -254,7 +267,7 @@ oneacceptor:
 
 oneconv:
 	@hits=$$(grep -rn 'im2col(' --include='*.go' internal | grep -v '_test\.go:' | grep -v 'func (c \*Conv2D) im2col('); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo 'want exactly one im2col( call in non-test internal/ (see above): gather columns only in the tile loop'; exit 1; fi
-	@if grep -rnE 'conv2dDirectBudget|GEMMPanel|forwardDirect' --include='*.go' .; then echo 'the direct convolution path or its budget is back (see above): Conv2D has one tiled path'; exit 1; fi
+	@if grep -rnE 'conv2dDirectBudget|GEMMPanel|forwardDirect' --include='*.go' . | grep -v '^\./\.bench_build/'; then echo 'the direct convolution path or its budget is back (see above): Conv2D has one tiled path'; exit 1; fi
 
 oneserverconfig:
 	@if grep -rn 'ServerConfig{' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(middleware\.go|internal/flnet/|internal/bench/|benchmark/|\.bench_build/)'; then echo 'a second flnet.ServerConfig construction (see above): map the settings onto dinar.ServerOptions and call serverConfig'; exit 1; fi
@@ -287,7 +300,7 @@ loc:
 		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%6d  total\n' $$total
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service quant wirebench bench-check benchmark-test nogob oneclient oneacceptor oneconv oneserverconfig oneassembly ownregistry onesweep exports exptables
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant benchmark-test nogob oneclient oneacceptor oneconv oneserverconfig oneassembly ownregistry onesweep exports exptables
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/

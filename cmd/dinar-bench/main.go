@@ -13,10 +13,9 @@
 //	                                     # and efficiency per CPU count, with
 //	                                     # a serial-vs-parallel bit-identity
 //	                                     # gate before any timing
-//	dinar-bench -compare -json BENCH_hotpath.json
-//	                                     # perf gate: rerun the recorded
-//	                                     # benchmarks, exit non-zero past
-//	                                     # +15% ns/op (see -threshold)
+//	dinar-bench -pair HEAD~1             # perf gate: ten alternated pairs of
+//	                                     # HEAD~1 and the working tree, exit
+//	                                     # non-zero on a regression
 //
 // The rows printed correspond to the bars/curves/cells of the paper's
 // artifact; EXPERIMENTS.md records paper-vs-measured values. Beyond the
@@ -55,43 +54,26 @@ func run(args []string) error {
 		records  = fs.Int("records", 0, "override dataset record count")
 		rounds   = fs.Int("rounds", 0, "override FL rounds")
 		clients  = fs.Int("clients", 0, "override FL client count")
-		jsonPath = fs.String("json", "", "run the hot-path benchmark suite and write results to this JSON file (preserving any recorded baseline)")
+		jsonPath = fs.String("json", "", "run the hot-path benchmark suite and write results to this JSON file (preserving its scaling section)")
 		only     = fs.String("only", "", "comma-separated benchmark names to run instead of the whole suite; with -json, named entries are merged into the file and the rest preserved")
 		scaling  = fs.Bool("scaling", false, "sweep the suite over GOMAXPROCS settings, verify parallel paths stay bit-identical to serial, and record speedup/efficiency (use with -json)")
 		cpus     = fs.String("cpus", "", "comma-separated GOMAXPROCS settings for -scaling (default 1,2,4,NumCPU)")
-		compare  = fs.Bool("compare", false, "rerun the benchmarks recorded in the -json file and exit non-zero on ns/op regression beyond -threshold (perf gate; does not rewrite the file)")
-		thresh   = fs.Float64("threshold", bench.DefaultCompareThreshold, "regression budget for -compare as a fraction (0.15 = fail beyond +15% ns/op)")
+		pair     = fs.String("pair", "", "perf gate: alternate this git revision and the working tree for ten pairs of runs and exit non-zero on a regression")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	names := strings.Fields(strings.ReplaceAll(*only, ",", " "))
 	if *list {
 		for _, id := range experiment.IDs() {
 			fmt.Println(id)
 		}
 		return nil
 	}
-	if *compare {
-		path := *jsonPath
-		if path == "" {
-			path = "BENCH_hotpath.json"
-		}
-		fmt.Printf("comparing against %s (threshold +%.0f%%)...\n", path, *thresh*100)
-		entries, ok, err := bench.RunCompare(path, *thresh, func(format string, a ...any) {
-			fmt.Printf(format, a...)
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		for _, e := range entries {
-			fmt.Println(e)
-		}
-		if !ok {
-			return fmt.Errorf("performance regression beyond +%.0f%%", *thresh*100)
-		}
-		fmt.Println("bench-check: no regressions")
-		return nil
+	if *pair != "" {
+		return bench.RunPair(ctx, *pair, names, os.Stdout)
 	}
 	if *scaling {
 		counts, err := parseCPUs(*cpus)
@@ -119,7 +101,6 @@ func run(args []string) error {
 		return nil
 	}
 	if *jsonPath != "" || *only != "" {
-		names := splitNames(*only)
 		if len(names) > 0 {
 			fmt.Printf("running hot-path benchmarks: %s\n", strings.Join(names, ", "))
 		} else {
@@ -165,9 +146,6 @@ func run(args []string) error {
 		o.Clients = *clients
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiment.IDs()
@@ -182,22 +160,6 @@ func run(args []string) error {
 		fmt.Printf("[%s completed in %s]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
-}
-
-// splitNames parses the -only flag ("a,b") into benchmark names; empty
-// means the whole suite.
-func splitNames(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	names := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			names = append(names, p)
-		}
-	}
-	return names
 }
 
 // parseCPUs parses the -cpus flag ("1,2,4") into CPU counts; empty means the

@@ -28,8 +28,14 @@ func TestRunTable1(t *testing.T) {
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil {
-		t.Fatal("bad flag should fail")
+	for _, args := range [][]string{
+		{"-bogus"},
+		{"-pair"},                             // no base revision
+		{"-pair", "no-such-rev-of-this-repo"}, // refused before any worktree or build
+	} {
+		if err := run(args); err == nil {
+			t.Fatalf("%q should fail", args)
+		}
 	}
 }
 

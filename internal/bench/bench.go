@@ -1,8 +1,8 @@
 // Package bench measures the training hot path — per-layer forward/backward
-// steps, the matmul kernels under them, and one end-to-end quick experiment —
-// and records the results in a JSON file (BENCH_hotpath.json at the repo
-// root) alongside a preserved baseline snapshot, so performance regressions
-// show up as a diff instead of an anecdote.
+// steps, the matmul kernels under them, the server path, and one end-to-end
+// quick experiment — records the results in a JSON file (BENCH_hotpath.json
+// at the repo root), and judges a change by paired runs against a base
+// commit (RunPair).
 //
 // The suite runs through testing.Benchmark, so each entry self-calibrates its
 // iteration count and reports ns/op, B/op, and allocs/op exactly like
@@ -14,9 +14,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -35,11 +37,16 @@ import (
 // file of any other version.
 const SchemaVersion = 2
 
+// suiteBenchtime is how long each entry of the suite is measured. It is
+// short because the suite is judged by ten alternated pairs of runs, not by
+// one long run: ten pairs of the whole suite fit in a few minutes.
+const suiteBenchtime = "100ms"
+
 // MinIterations is the fewest iterations a recorded result may rest on: a
-// single run of an entry slower than testing.Benchmark's one-second budget is
-// an anecdote (fig4_per_layer_protection was gated from one for twelve PRs).
-// RunOnly re-measures such an entry at exactly this count, and the writers
-// refuse a result with fewer.
+// single run of an entry slower than the suite's benchtime is an anecdote
+// (fig4_per_layer_protection was gated from one for twelve PRs). RunOnly
+// re-measures such an entry at exactly this count, and the writers refuse a
+// result with fewer.
 const MinIterations = 3
 
 // Result is one benchmark measurement.
@@ -59,8 +66,6 @@ type Result struct {
 
 // Snapshot is one full run of the hot-path suite.
 type Snapshot struct {
-	Commit string `json:"commit,omitempty"`
-	Note   string `json:"note,omitempty"`
 	// GOMAXPROCS is the setting the whole snapshot ran at; individual
 	// results carry their own copy.
 	GOMAXPROCS int               `json:"gomaxprocs"`
@@ -131,13 +136,11 @@ func (r *ScalingReport) MarkdownTable() string {
 	return b.String()
 }
 
-// File is the on-disk layout of BENCH_hotpath.json: the current snapshot, a
-// baseline that WriteFile preserves across regenerations, and the optional
-// scaling sweep. The baseline is updated only deliberately (by editing the
-// file), never by rerunning the suite.
+// File is the on-disk layout of BENCH_hotpath.json: the current snapshot and
+// the optional scaling sweep. It is a record of what the host's kernel tier
+// runs at; no gate reads it.
 type File struct {
 	SchemaVersion int            `json:"schema_version,omitempty"`
-	Baseline      *Snapshot      `json:"baseline,omitempty"`
 	Current       Snapshot       `json:"current"`
 	Scaling       *ScalingReport `json:"scaling,omitempty"`
 }
@@ -338,25 +341,21 @@ func Names() []string {
 func RunOnly(only []string, logf func(format string, args ...any)) (Snapshot, error) {
 	entries := suite
 	if len(only) > 0 {
-		byName := make(map[string]suiteEntry, len(suite))
-		for _, e := range suite {
-			byName[e.name] = e
-		}
-		entries = make([]suiteEntry, 0, len(only))
+		entries = nil
 		for _, name := range only {
-			e, ok := byName[name]
-			if !ok {
+			i := slices.IndexFunc(suite, func(e suiteEntry) bool { return e.name == name })
+			if i < 0 {
 				return Snapshot{}, fmt.Errorf("bench: unknown benchmark %q (known: %s)", name, strings.Join(Names(), ", "))
 			}
-			entries = append(entries, e)
+			entries = append(entries, suite[i])
 		}
 	}
 	procs, isa := runtime.GOMAXPROCS(0), tensor.KernelISA()
 	results := make(map[string]Result, len(entries))
 	for _, e := range entries {
-		r := testing.Benchmark(e.fn)
+		r := benchmarkFor(e.fn, suiteBenchtime)
 		if r.N < MinIterations {
-			r = benchmarkFixed(e.fn, MinIterations)
+			r = benchmarkFor(e.fn, fmt.Sprintf("%dx", MinIterations))
 		}
 		res := Result{
 			NsPerOp:     r.NsPerOp(),
@@ -365,12 +364,7 @@ func RunOnly(only []string, logf func(format string, args ...any)) (Snapshot, er
 			Iterations:  r.N,
 			GOMAXPROCS:  procs,
 			ISA:         isa,
-		}
-		if len(r.Extra) > 0 {
-			res.Extra = make(map[string]float64, len(r.Extra))
-			for k, v := range r.Extra {
-				res.Extra[k] = v
-			}
+			Extra:       maps.Clone(r.Extra),
 		}
 		results[e.name] = res
 		if logf != nil {
@@ -381,13 +375,12 @@ func RunOnly(only []string, logf func(format string, args ...any)) (Snapshot, er
 	return Snapshot{GOMAXPROCS: procs, Results: results}, nil
 }
 
-// benchmarkFixed measures fn over exactly n iterations, the way
-// `go test -benchtime <n>x` does.
-func benchmarkFixed(fn func(b *testing.B), n int) testing.BenchmarkResult {
+// benchmarkFor measures fn the way `go test -benchtime <benchtime>` does.
+func benchmarkFor(fn func(b *testing.B), benchtime string) testing.BenchmarkResult {
 	testing.Init() // registers test.benchtime; no effect inside a test binary
 	prev := flag.Lookup("test.benchtime").Value.String()
-	flag.Set("test.benchtime", fmt.Sprintf("%dx", n)) //nolint:errcheck // a well-formed count
-	defer flag.Set("test.benchtime", prev)            //nolint:errcheck // the value it had
+	flag.Set("test.benchtime", benchtime)  //nolint:errcheck // a well-formed duration or count
+	defer flag.Set("test.benchtime", prev) //nolint:errcheck // the value it had
 	return testing.Benchmark(fn)
 }
 
@@ -423,8 +416,7 @@ func ReadFile(path string) (File, error) {
 }
 
 // UpdateFile reads the file at path, applies mutate,
-// and writes the result back. Sections mutate does not touch — notably the
-// baseline — are preserved.
+// and writes the result back. Sections mutate does not touch are preserved.
 func UpdateFile(path string, mutate func(*File)) error {
 	f, err := ReadFile(path)
 	if err != nil {
@@ -443,7 +435,7 @@ func UpdateFile(path string, mutate func(*File)) error {
 }
 
 // WriteFile records cur as the file's current snapshot, preserving the
-// baseline and scaling sections already recorded at path (if any).
+// scaling section already recorded at path (if any).
 func WriteFile(path string, cur Snapshot) error {
 	if err := measuredEnough(cur); err != nil {
 		return err
@@ -461,11 +453,9 @@ func MergeResults(path string, partial Snapshot) error {
 	}
 	return UpdateFile(path, func(f *File) {
 		if f.Current.Results == nil {
-			f.Current.Results = make(map[string]Result, len(partial.Results))
+			f.Current.Results = map[string]Result{}
 		}
-		for name, r := range partial.Results {
-			f.Current.Results[name] = r
-		}
+		maps.Copy(f.Current.Results, partial.Results)
 		if f.Current.GOMAXPROCS == 0 {
 			f.Current.GOMAXPROCS = partial.GOMAXPROCS
 		}
@@ -473,7 +463,7 @@ func MergeResults(path string, partial Snapshot) error {
 }
 
 // WriteScaling records rep as the file's scaling section, preserving the
-// baseline and current sections.
+// current section.
 func WriteScaling(path string, rep *ScalingReport) error {
 	return UpdateFile(path, func(f *File) { f.Scaling = rep })
 }

@@ -36,15 +36,14 @@ func TestReadFileRefusesOtherVersions(t *testing.T) {
 }
 
 // TestUpdateFilePreservesSections checks the read-modify-write cycle keeps
-// the baseline and scaling sections intact while replacing the current
-// snapshot, and writes the schema version.
+// the scaling section intact while replacing the current snapshot, and the
+// current snapshot while replacing the scaling section, and writes the schema
+// version.
 func TestUpdateFilePreservesSections(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := UpdateFile(path, func(f *File) {
-		f.Baseline = &Snapshot{
-			Commit:  "seed000",
-			Results: map[string]Result{"matmul": {NsPerOp: 100, GOMAXPROCS: 1}},
-		}
+	if err := WriteFile(path, Snapshot{
+		GOMAXPROCS: 1,
+		Results:    map[string]Result{"dense_step": {NsPerOp: 70, GOMAXPROCS: 1, Iterations: MinIterations}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +59,9 @@ func TestUpdateFilePreservesSections(t *testing.T) {
 	}
 	if err := WriteScaling(path, rep); err != nil {
 		t.Fatal(err)
+	}
+	if f, err := ReadFile(path); err != nil || f.Current.Results["dense_step"].NsPerOp != 70 {
+		t.Fatalf("current section lost across WriteScaling: %+v, %v", f.Current, err)
 	}
 	if err := WriteFile(path, Snapshot{
 		GOMAXPROCS: 1,
@@ -78,9 +80,6 @@ func TestUpdateFilePreservesSections(t *testing.T) {
 	f, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if f.Baseline == nil || f.Baseline.Commit != "seed000" {
-		t.Fatal("baseline lost across WriteScaling/WriteFile")
 	}
 	if f.Scaling == nil || len(f.Scaling.Results["matmul"]) != 2 {
 		t.Fatal("scaling section lost across WriteFile")

@@ -22,13 +22,7 @@ import (
 func DefaultCPUCounts() []int {
 	counts := []int{1, 2, 4, runtime.NumCPU()}
 	sort.Ints(counts)
-	out := counts[:0]
-	for i, c := range counts {
-		if i == 0 || c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return out
+	return slices.Compact(counts)
 }
 
 // RunScaling sweeps the hot-path suite over the given GOMAXPROCS settings,
@@ -163,28 +157,19 @@ func CheckParallelDeterminism(workers int) error {
 	x4 := tensor.Randn(rng, 0, 1, 5, 3, 9, 9)
 	x2 := tensor.Randn(rng, 0, 1, 9, 13)
 
+	matmul := func(into func(out, x, y *tensor.Tensor) error, x, y *tensor.Tensor) func() []float64 {
+		return func() []float64 {
+			out := tensor.New(37, 29)
+			if err := into(out, x, y); err != nil {
+				panic(err)
+			}
+			return out.Data()
+		}
+	}
 	variants := []variant{
-		{"matmul", func() []float64 {
-			out := tensor.New(37, 29)
-			if err := tensor.MatMulInto(out, a, b); err != nil {
-				panic(err)
-			}
-			return out.Data()
-		}},
-		{"matmul_transb", func() []float64 {
-			out := tensor.New(37, 29)
-			if err := tensor.MatMulTransBInto(out, a, bt); err != nil {
-				panic(err)
-			}
-			return out.Data()
-		}},
-		{"matmul_transa", func() []float64 {
-			out := tensor.New(37, 29)
-			if err := tensor.MatMulTransAInto(out, at, b); err != nil {
-				panic(err)
-			}
-			return out.Data()
-		}},
+		{"matmul", matmul(tensor.MatMulInto, a, b)},
+		{"matmul_transb", matmul(tensor.MatMulTransBInto, a, bt)},
+		{"matmul_transa", matmul(tensor.MatMulTransAInto, at, b)},
 		{"conv2d_step", func() []float64 {
 			return layerFingerprint(nn.NewConv2D(3, 4, 3, 1, 1, rand.New(rand.NewSource(11))), x4)
 		}},
