@@ -41,7 +41,8 @@
 #                     lifecycle, the private-store restart test, and the
 #                     checkpoint corruption/retention table
 #   make soak       - overload-resilience soak at short scale under -race:
-#                     the in-memory listener and the fleet harness (real
+#                     the Server.Pipe hammer (piped clients racing Run's
+#                     exit, ten times over) and the fleet harness (real
 #                     flnet.RunClient sessions over synthetic trainers, pinned
 #                     to golden final-state digests), the sampled streaming /
 #                     partitioned-memory / async scale soaks, the
@@ -52,7 +53,7 @@
 #                     staleness-weighted FedAvg oracle
 #   make service    - multi-tenant control-plane acceptance under -race:
 #                     the concurrent-job soak (3 named federations in one
-#                     process on in-memory listeners), rolling restart with
+#                     process behind one front door), rolling restart with
 #                     bit-identical resume, the job-churn leak hammer, the
 #                     admin REST validation matrix, front-door rate
 #                     limiting and backlog shedding, pause/resume, the
@@ -99,9 +100,12 @@
 #                     bounded by a timer, never by a listener deadline);
 #                     ReadHello( is called exactly once in non-test
 #                     internal/flnet and once in non-test internal/service,
-#                     and non-test internal/service names no prefixConn,
-#                     TeeReader or ListenMem( (the front door parses a Hello
-#                     once and hands it to the job's Server.Admit)
+#                     and non-test internal/service names no prefixConn or
+#                     TeeReader (the front door parses a Hello once and hands
+#                     it to the job's Server.Admit); no .go file, tests
+#                     included, names MemListener, ListenMem or
+#                     ErrListenerClosed (in-process clients enter through
+#                     Server.Pipe, the acceptor's own admission)
 #   make oneconv    - grep gate: non-test .go code calls the convolution's
 #                     im2col( gather exactly once (from the tile loop, so no
 #                     second Conv2D path gathers its own columns), and no .go
@@ -227,7 +231,7 @@ chaos:
 
 soak:
 	$(GO) test -race ./internal/fleetsim/
-	$(GO) test -race -count=10 ./internal/flnet/ -run TestMemListener
+	$(GO) test -race -count=10 ./internal/flnet/ -run TestPipeRunExitHammer
 	$(GO) test -race -short ./internal/chaos/ -run 'TestScaleSoak|TestSampledCohortResumeIdentity|TestQuarantinedClientNeverResampled'
 	$(GO) test -race ./internal/flnet/ -run 'TestAsyncWithoutStragglersMatchesSync|TestAsyncStaleFoldOracle'
 
@@ -263,7 +267,8 @@ oneacceptor:
 	@hits=$$(grep -n 's\.ln\.Accept()' internal/flnet/*.go | grep -v '_test\.go:'); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo 'want exactly one s.ln.Accept() in internal/flnet (see above): admit every client through the one acceptor'; exit 1; fi
 	@if grep -rn 'SetDeadline(' --include='*.go' internal | grep -v '_test\.go:'; then echo 'a listener or connection deadline set under internal/ (see above): bound registration with the server timer, IO with SetRead/WriteDeadline'; exit 1; fi
 	@for d in flnet service; do hits=$$(grep -n 'ReadHello(' internal/$$d/*.go | grep -v '_test\.go:' | grep -v 'func ReadHello('); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo "want exactly one ReadHello( call in non-test internal/$$d (see above): parse a Hello once and admit it with Server.Admit"; exit 1; fi; done
-	@if grep -nE 'prefixConn|TeeReader|ListenMem\(' internal/service/*.go | grep -v '_test\.go:'; then echo 'a replayed Hello in internal/service (see above): the front door hands the parsed Hello to the job'"'"'s Server.Admit'; exit 1; fi
+	@if grep -nE 'prefixConn|TeeReader' internal/service/*.go | grep -v '_test\.go:'; then echo 'a replayed Hello in internal/service (see above): the front door hands the parsed Hello to the job'"'"'s Server.Admit'; exit 1; fi
+	@if grep -rnE 'MemListener|ListenMem|ErrListenerClosed' --include='*.go' . | grep -v '^\./\.bench_build/'; then echo 'a second in-memory network (see above): pipe in-process clients in with Server.Pipe'; exit 1; fi
 
 oneconv:
 	@hits=$$(grep -rn 'im2col(' --include='*.go' internal | grep -v '_test\.go:' | grep -v 'func (c \*Conv2D) im2col('); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo 'want exactly one im2col( call in non-test internal/ (see above): gather columns only in the tile loop'; exit 1; fi

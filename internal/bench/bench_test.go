@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/parallel"
 )
@@ -120,5 +121,36 @@ func TestDefaultCPUCounts(t *testing.T) {
 		if counts[i] <= counts[i-1] {
 			t.Fatalf("counts %v not strictly increasing", counts)
 		}
+	}
+}
+
+// runOnlySink keeps TestRunOnlyTopsUpSlowEntry's allocations on the heap.
+var runOnlySink []byte
+
+// TestRunOnlyTopsUpSlowEntry: an entry slower than the suite's benchtime is
+// measured over MinIterations runs of its body, the first one included, and
+// its time and allocations are summed over all of them.
+func TestRunOnlyTopsUpSlowEntry(t *testing.T) {
+	defer func(s []suiteEntry) { suite = s }(suite)
+	const perOp = 120 * time.Millisecond // past the 100 ms benchtime
+	runs := 0
+	suite = []suiteEntry{{"slow", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			runs++
+			runOnlySink = make([]byte, 1<<20)
+			time.Sleep(perOp)
+		}
+	}}}
+	snap, err := RunOnly(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := snap.Results["slow"]
+	if runs != MinIterations || r.Iterations != MinIterations {
+		t.Fatalf("body ran %d times for %d reported iterations, want %d of each", runs, r.Iterations, MinIterations)
+	}
+	if r.NsPerOp < int64(perOp) || r.BytesPerOp < 1<<20 || r.AllocsPerOp < 1 {
+		t.Fatalf("summed result %+v, want at least %d ns, 1 MiB and 1 alloc per op", r, perOp)
 	}
 }

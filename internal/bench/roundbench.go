@@ -15,9 +15,9 @@ import (
 )
 
 // benchRoundThroughput times the federation round loop end to end: a
-// sampled, streaming flnet server over the in-memory listener with a
-// fleetsim fleet (flnet.RunClient sessions over synthetic trainers)
-// answering every broadcast. One benchmark op is one full round
+// sampled, streaming flnet server with a fleetsim fleet (flnet.RunClient
+// sessions over synthetic trainers, piped in through Server.Pipe) answering
+// every broadcast. One benchmark op is one full round
 // (broadcast, cohort uploads, streamed aggregation), so ns/op is the
 // server's round latency and 1e9/ns_per_op its round throughput. The
 // federation runs b.N rounds in one piece; fleet registration happens once
@@ -36,11 +36,10 @@ func sampledFederation(b *testing.B, wire flnet.ServerConfig) {
 	if err := def.Bind(fl.ModelInfo{NumParams: wireDim, NumState: wireDim}); err != nil {
 		b.Fatal(err)
 	}
-	mem := flnet.ListenMem(numClients)
 	cfg := wire
 	cfg.NumClients, cfg.MinClients, cfg.SampleSize, cfg.SampleSeed = numClients, minClients, sampleSize, 11
 	cfg.Streaming, cfg.Rounds, cfg.Defense = true, b.N, def
-	cfg.InitialState, cfg.Listener, cfg.IOTimeout = make([]float64, wireDim), mem, 2*time.Minute
+	cfg.InitialState, cfg.IOTimeout = make([]float64, wireDim), 2*time.Minute
 	srv, err := flnet.NewServer(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -49,7 +48,7 @@ func sampledFederation(b *testing.B, wire flnet.ServerConfig) {
 	defer cancel()
 	fleet := &fleetsim.Fleet{
 		N: numClients, Dim: wireDim, Seed: 3,
-		Dial: mem.Dial, IOTimeout: 2 * time.Minute,
+		Dial: srv.Pipe, IOTimeout: 2 * time.Minute,
 	}
 	statsCh := make(chan *fleetsim.Stats, 1)
 	go func() { statsCh <- fleet.Run(ctx) }()

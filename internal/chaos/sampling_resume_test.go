@@ -16,10 +16,9 @@ import (
 )
 
 // sampledBed is one sampled in-memory federation: server + synthetic fleet
-// over a fresh MemListener. run() drives both to completion.
+// piped into it. start() drives both to completion.
 type sampledBed struct {
 	srv   *flnet.Server
-	mem   *flnet.MemListener
 	fleet *fleetsim.Fleet
 }
 
@@ -31,14 +30,12 @@ func newSampledBed(t *testing.T, cfg flnet.ServerConfig, fleet *fleetsim.Fleet) 
 		t.Fatal(err)
 	}
 	cfg.Defense = def
-	mem := flnet.ListenMem(cfg.NumClients)
-	cfg.Listener = mem
 	srv, err := flnet.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet.Dial = mem.Dial
-	return &sampledBed{srv: srv, mem: mem, fleet: fleet}
+	fleet.Dial = srv.Pipe
+	return &sampledBed{srv: srv, fleet: fleet}
 }
 
 // start launches the fleet and the server; the returned channels deliver

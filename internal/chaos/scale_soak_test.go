@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ type scaleParams struct {
 	dim        int
 	streaming  bool
 	// delaySeed jitters per-(client, round) think time; faultSeed assigns
-	// faultnet Delay plans to a quarter of the accepted connections. Both
+	// faultnet Delay plans to a quarter of the piped connections. Both
 	// perturb arrival order without changing update payloads.
 	delaySeed int64
 	faultSeed int64
@@ -36,24 +37,14 @@ type scaleParams struct {
 	reg *telemetry.Registry
 }
 
-// runScaleSoak runs one full federation of simulated clients over the
-// in-memory listener and returns the final global state, the per-round
+// runScaleSoak runs one full federation of simulated clients piped into
+// the server and returns the final global state, the per-round
 // reports, and the fleet's outcome counters.
 func runScaleSoak(t *testing.T, p scaleParams) ([]float64, []flnet.RoundReport, *fleetsim.Stats) {
 	t.Helper()
 	def := defense.NewNone()
 	if err := def.Bind(fl.ModelInfo{NumParams: p.dim, NumState: p.dim}); err != nil {
 		t.Fatal(err)
-	}
-	mem := flnet.ListenMem(p.numClients)
-	var ln net.Listener = mem
-	if p.faultSeed != 0 {
-		// A quarter of the connections become stragglers: every server-side
-		// read on them sleeps briefly, perturbing arrival order the way slow
-		// links would.
-		ln = faultnet.Listen(mem, faultnet.RandomSchedule(p.faultSeed,
-			faultnet.Plan{}, faultnet.Plan{}, faultnet.Plan{},
-			faultnet.Plan{Kind: faultnet.Delay, Delay: 500 * time.Microsecond}))
 	}
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		NumClients:    p.numClients,
@@ -65,12 +56,31 @@ func runScaleSoak(t *testing.T, p scaleParams) ([]float64, []flnet.RoundReport, 
 		RoundDeadline: p.deadline,
 		Defense:       def,
 		InitialState:  make([]float64, p.dim),
-		Listener:      ln,
 		IOTimeout:     2 * time.Minute,
 		Registry:      p.reg,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	dial := srv.Pipe
+	if p.faultSeed != 0 {
+		// A quarter of the connections become stragglers: every server-side
+		// read on them sleeps briefly, perturbing arrival order the way slow
+		// links would. The i-th dial gets the schedule's i-th plan, and the
+		// server reads its Hello as it would an accepted connection's.
+		schedule := faultnet.RandomSchedule(p.faultSeed,
+			faultnet.Plan{}, faultnet.Plan{}, faultnet.Plan{},
+			faultnet.Plan{Kind: faultnet.Delay, Delay: 500 * time.Microsecond})
+		var dials atomic.Int64
+		dial = func(context.Context) (net.Conn, error) {
+			server, client := net.Pipe()
+			if err := srv.Admit(faultnet.WrapConn(server, schedule(int(dials.Add(1)-1))), nil); err != nil {
+				server.Close()
+				client.Close()
+				return nil, err
+			}
+			return client, nil
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Minute)
@@ -82,7 +92,7 @@ func runScaleSoak(t *testing.T, p scaleParams) ([]float64, []flnet.RoundReport, 
 		DelaySeed: p.delaySeed,
 		MaxDelay:  2 * time.Millisecond,
 		Partition: p.partition,
-		Dial:      mem.Dial,
+		Dial:      dial,
 		IOTimeout: 2 * time.Minute,
 	}
 	statsCh := make(chan *fleetsim.Stats, 1)
@@ -236,7 +246,6 @@ func TestScaleSoakAsync(t *testing.T) {
 	if err := def.Bind(fl.ModelInfo{NumParams: p.dim, NumState: p.dim}); err != nil {
 		t.Fatal(err)
 	}
-	mem := flnet.ListenMem(p.numClients)
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		NumClients:     p.numClients,
 		MinClients:     p.minClients,
@@ -248,7 +257,6 @@ func TestScaleSoakAsync(t *testing.T) {
 		RoundDeadline:  p.deadline,
 		Defense:        def,
 		InitialState:   make([]float64, p.dim),
-		Listener:       mem,
 		IOTimeout:      time.Minute,
 	})
 	if err != nil {
@@ -259,7 +267,7 @@ func TestScaleSoakAsync(t *testing.T) {
 	fleet := &fleetsim.Fleet{
 		N: p.numClients, Dim: p.dim, Seed: 19,
 		DelaySeed: p.delaySeed, MaxDelay: 2 * time.Millisecond,
-		Partition: p.partition, Dial: mem.Dial, IOTimeout: time.Minute,
+		Partition: p.partition, Dial: srv.Pipe, IOTimeout: time.Minute,
 	}
 	statsCh := make(chan *fleetsim.Stats, 1)
 	go func() { statsCh <- fleet.Run(ctx) }()

@@ -1,8 +1,8 @@
 // Package fleetsim is the scale harness for soak tests: a fleet of real
 // flnet clients — flnet.RunClient, the session loop dinar-client ships —
 // each driving a synthetic trainer in place of a model and a dataset, so
-// one test process can run a server through thousands of clients over
-// flnet's in-memory listener and still assert bit-exact results.
+// one test process can run a server through thousands of clients piped in
+// with flnet.Server.Pipe and still assert bit-exact results.
 package fleetsim
 
 import (
@@ -86,8 +86,8 @@ type Fleet struct {
 	// tests use it to turn a client into a poisoner (NaN payloads) and
 	// watch the server's screen quarantine it.
 	Mutate func(id, round int, state []float64)
-	// Dial opens a connection to the server (typically
-	// flnet.MemListener.Dial).
+	// Dial opens a connection to the server (typically the server's
+	// flnet.Server.Pipe).
 	Dial func(ctx context.Context) (net.Conn, error)
 	// IOTimeout and MaxRetries are each client's
 	// flnet.ClientConfig.IOTimeout and MaxRetries.

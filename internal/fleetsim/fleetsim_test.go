@@ -35,7 +35,7 @@ func TestSynthStateDeterministic(t *testing.T) {
 }
 
 // TestFleetFederation drives a real flnet server with a fleet of synthetic-trainer clients
-// over the in-memory listener: every client must finish with the final
+// piped into it: every client must finish with the final
 // model and every round must aggregate the full cohort.
 func TestFleetFederation(t *testing.T) {
 	leakcheck.GuardTest(t, 5*time.Second)
@@ -48,13 +48,11 @@ func TestFleetFederation(t *testing.T) {
 	if err := def.Bind(fl.ModelInfo{NumParams: dim, NumState: dim}); err != nil {
 		t.Fatal(err)
 	}
-	ln := flnet.ListenMem(numClients)
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		NumClients:   numClients,
 		Rounds:       rounds,
 		Defense:      def,
 		InitialState: make([]float64, dim),
-		Listener:     ln,
 		IOTimeout:    20 * time.Second,
 	})
 	if err != nil {
@@ -63,7 +61,7 @@ func TestFleetFederation(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	fleet := &Fleet{N: numClients, Dim: dim, Seed: 11, Dial: ln.Dial, IOTimeout: 20 * time.Second}
+	fleet := &Fleet{N: numClients, Dim: dim, Seed: 11, Dial: srv.Pipe, IOTimeout: 20 * time.Second}
 	statsCh := make(chan *Stats, 1)
 	go func() { statsCh <- fleet.Run(ctx) }()
 

@@ -62,12 +62,11 @@ func TestFleetGoldenDigests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ln := flnet.ListenMem(tc.numClients)
-			cfg := wireServerConfig(tc.numClients, tc.rounds, tc.dim, ln)
+			cfg := wireServerConfig(tc.numClients, tc.rounds, tc.dim)
 			tc.server(&cfg)
 			final, _ := runWireFederation(t, cfg, &Fleet{
 				N: tc.numClients, Dim: tc.dim, Seed: tc.seed,
-				Dial: ln.Dial, IOTimeout: 20 * time.Second,
+				IOTimeout: 20 * time.Second,
 			})
 			if got := stateDigest(final); got != tc.want {
 				t.Fatalf("final state digest %s, want %s", got, tc.want)

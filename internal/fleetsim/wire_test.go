@@ -16,7 +16,7 @@ import (
 
 // wireServerConfig builds the standard config the wire tests drive: a
 // streaming sampled-free federation with the codec knobs passed through.
-func wireServerConfig(numClients, rounds, dim int, ln *flnet.MemListener) flnet.ServerConfig {
+func wireServerConfig(numClients, rounds, dim int) flnet.ServerConfig {
 	def := defense.NewNone()
 	if err := def.Bind(fl.ModelInfo{NumParams: dim, NumState: dim}); err != nil {
 		panic(err)
@@ -26,20 +26,20 @@ func wireServerConfig(numClients, rounds, dim int, ln *flnet.MemListener) flnet.
 		Rounds:       rounds,
 		Defense:      def,
 		InitialState: make([]float64, dim),
-		Listener:     ln,
 		Streaming:    true,
 		IOTimeout:    20 * time.Second,
 	}
 }
 
-// runWireFederation drives one fleet/server pair to completion and returns
-// the final state plus fleet stats.
+// runWireFederation drives one fleet/server pair to completion, the fleet
+// piped into the server, and returns the final state plus fleet stats.
 func runWireFederation(t *testing.T, cfg flnet.ServerConfig, fleet *Fleet) ([]float64, *Stats) {
 	t.Helper()
 	srv, err := flnet.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet.Dial = srv.Pipe
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	statsCh := make(chan *Stats, 1)
@@ -68,8 +68,7 @@ func TestWireFullCodecFederation(t *testing.T) {
 		rounds     = 3
 		dim        = 64
 	)
-	ln := flnet.ListenMem(numClients)
-	cfg := wireServerConfig(numClients, rounds, dim, ln)
+	cfg := wireServerConfig(numClients, rounds, dim)
 	cfg.Compress = true
 	cfg.Quantize = "int8"
 	cfg.TopK = 0.5
@@ -84,7 +83,7 @@ func TestWireFullCodecFederation(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	fleet := &Fleet{N: numClients, Dim: dim, Seed: 21, Dial: ln.Dial, IOTimeout: 20 * time.Second}
+	fleet := &Fleet{N: numClients, Dim: dim, Seed: 21, Dial: srv.Pipe, IOTimeout: 20 * time.Second}
 	statsCh := make(chan *Stats, 1)
 	go func() { statsCh <- fleet.Run(ctx) }()
 	final, err := srv.Run(ctx)
@@ -116,9 +115,8 @@ func TestWireBytesReduction(t *testing.T) {
 		dim        = 2048
 	)
 	run := func(coded bool) int64 {
-		ln := flnet.ListenMem(numClients)
-		cfg := wireServerConfig(numClients, rounds, dim, ln)
-		fleet := &Fleet{N: numClients, Dim: dim, Seed: 9, Dial: ln.Dial, IOTimeout: 20 * time.Second}
+		cfg := wireServerConfig(numClients, rounds, dim)
+		fleet := &Fleet{N: numClients, Dim: dim, Seed: 9, IOTimeout: 20 * time.Second}
 		if coded {
 			cfg.Compress = true
 			cfg.Quantize = "int8"
@@ -155,14 +153,13 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 	)
 	path := filepath.Join(t.TempDir(), "wire.ckpt")
 
-	ln := flnet.ListenMem(numClients)
-	cfg := wireServerConfig(numClients, 2, dim, ln)
+	cfg := wireServerConfig(numClients, 2, dim)
 	cfg.Compress = true
 	cfg.Quantize = "int8"
 	cfg.Delta = true
 	cfg.QuantSeed = seed
 	cfg.CheckpointPath = path
-	fleet := &Fleet{N: numClients, Dim: dim, Seed: 31, Dial: ln.Dial, IOTimeout: 20 * time.Second}
+	fleet := &Fleet{N: numClients, Dim: dim, Seed: 31, IOTimeout: 20 * time.Second}
 	runWireFederation(t, cfg, fleet)
 
 	snap, _, err := checkpoint.LoadLatestValid(path)
@@ -180,7 +177,7 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 	}
 
 	// A conflicting seed must be refused before any client connects.
-	conflict := wireServerConfig(numClients, 4, dim, flnet.ListenMem(numClients))
+	conflict := wireServerConfig(numClients, 4, dim)
 	conflict.Quantize = "int8"
 	conflict.QuantSeed = seed + 1
 	conflict.CheckpointPath = path
@@ -190,8 +187,7 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 
 	// Seed left unset: the resumed server adopts the recorded one and the
 	// federation completes its remaining rounds quantized.
-	ln2 := flnet.ListenMem(numClients)
-	resume := wireServerConfig(numClients, 4, dim, ln2)
+	resume := wireServerConfig(numClients, 4, dim)
 	resume.Compress = true
 	resume.Quantize = "int8"
 	resume.Delta = true
@@ -206,7 +202,7 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	fleet2 := &Fleet{N: numClients, Dim: dim, Seed: 31, Dial: ln2.Dial, IOTimeout: 20 * time.Second}
+	fleet2 := &Fleet{N: numClients, Dim: dim, Seed: 31, Dial: srv.Pipe, IOTimeout: 20 * time.Second}
 	statsCh := make(chan *Stats, 1)
 	go func() { statsCh <- fleet2.Run(ctx) }()
 	final, err := srv.Run(ctx)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"time"
 )
@@ -79,18 +80,34 @@ var ErrRegistrationFull = errors.New("flnet: registration bound full")
 var ErrNotRunning = errors.New("flnet: server not admitting registrations")
 
 // Admit registers a client whose Hello its caller has already read, as the
-// service's front door does. It never blocks: it takes a regSem slot or
-// fails at once with ErrRegistrationFull, ErrDraining or ErrNotRunning,
-// leaving conn to the caller, who writes the KindDrain or KindError frame.
-// On success the server owns conn: validation, the codec ack and the hand-off
-// to the round loop run on a goroutine that Run joins. Admit is legal before
-// Run starts and refused after it returns.
+// service's front door does; a nil hello means the server reads it under
+// IOTimeout, as it does for its own connections. It never blocks: it takes a
+// regSem slot or fails at once with ErrRegistrationFull, ErrDraining or
+// ErrNotRunning, leaving conn to the caller, who writes the KindDrain or
+// KindError frame. On success the server owns conn: validation, the codec
+// ack and the hand-off to the round loop run on a goroutine that Run joins.
+// Admit is legal before Run starts and refused after it returns.
 func (s *Server) Admit(conn net.Conn, hello *Message) error {
 	if err := s.reserve(); err != nil {
 		return err
 	}
 	go s.registration(conn, hello)
 	return nil
+}
+
+// Pipe connects an in-process client with no socket: the server half of a
+// net.Pipe enters through the acceptor's own admission, and the client half
+// is returned. It has ClientConfig.Dial's signature but never blocks, so it
+// has nothing for a context to bound; it fails with ErrNotRunning once Run
+// has returned or the reject cap has stopped admission. Like Admit it is
+// legal before Run starts.
+func (s *Server) Pipe(context.Context) (net.Conn, error) {
+	server, client := net.Pipe()
+	if err := s.enter(server); err != nil {
+		client.Close()
+		return nil, err
+	}
+	return client, nil
 }
 
 // reserve claims a regSem slot for one registrant and counts it in regs,
@@ -214,41 +231,62 @@ func (s *Server) admit(conn net.Conn, msg *Message) *session {
 }
 
 // accept is the standalone server's one acceptor: Run starts it when the
-// server has a listener and it hands every registrant to registration, the
-// cohort as well as evicted clients' rejoins. Registrations are validated
-// concurrently so one stalled hello cannot head-of-line-block the others,
-// and bounded by regSem, whose slot is taken before the Hello is read so
-// half-open registrants stay bounded: a connection past the bound is shed
-// with a drain frame, as is every connection to a draining server. It stops
-// when Run closes the listener or the reject cap is hit.
+// server has a listener and it hands every registrant to enter, the cohort
+// as well as evicted clients' rejoins. It stops when Run closes the listener
+// or admission stops.
 func (s *Server) accept() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed: Run is returning
 		}
-		switch err := s.reserve(); {
-		case errors.Is(err, errTooManyRejects):
-			conn.Close()
-			s.logf(-1, -1, "flnet: acceptor stopping: %v", errTooManyRejects)
+		if err := s.enter(conn); err != nil {
+			s.logf(-1, -1, "flnet: acceptor stopping: %v", err)
 			return
-		case err != nil:
-			// Draining or shed: the registrant should come back later, not
-			// burn its retry budget on us.
-			s.sendDrain(conn)
-			conn.Close()
-			continue
 		}
-		go s.registration(conn, nil)
 	}
 }
 
-// sendDrain tells one connection the server is draining or shedding load.
-func (s *Server) sendDrain(conn net.Conn) {
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-	// Best effort: the connection is being turned away either way.
-	_ = WriteMessage(conn, drainNotice())
-	s.tel.DrainNotices.Inc()
+// enter is the one admission of a connection whose Hello is still unread,
+// the acceptor's and Pipe's. Registrations are validated concurrently so
+// one stalled hello cannot head-of-line-block the others, and bounded by
+// regSem, whose slot is taken before the Hello is read so half-open
+// registrants stay bounded: a connection past the bound is turned away with
+// a drain notice, as is every connection to a draining server. Once Run has
+// returned or the reject cap is hit, conn is closed and ErrNotRunning
+// returned.
+func (s *Server) enter(conn net.Conn) error {
+	err := s.reserve()
+	switch {
+	case err == nil:
+		go s.registration(conn, nil)
+		return nil
+	case errors.Is(err, ErrNotRunning):
+		conn.Close()
+		return err
+	}
+	// Draining or shed: the registrant should come back later, not burn its
+	// retry budget on us.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.regCtx.Err() != nil {
+		conn.Close()
+		return ErrNotRunning
+	}
+	s.regs.Add(1)
+	go func() {
+		defer s.regs.Done()
+		// A pipe's write waits for its reader, and the client reads only
+		// after its Hello has gone out: discard the Hello meanwhile. The
+		// reader ends when conn closes.
+		go io.Copy(io.Discard, conn) //nolint:errcheck // the Hello is not wanted
+		conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
+		// Best effort: the connection is being turned away either way.
+		_ = WriteMessage(conn, drainNotice())
+		s.tel.DrainNotices.Inc()
+		conn.Close()
+	}()
+	return nil
 }
 
 func (s *Server) sendError(conn net.Conn, text string) {

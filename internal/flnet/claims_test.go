@@ -123,9 +123,9 @@ type tappedClient struct {
 	conn      net.Conn // the current session's connection
 }
 
-func (tc *tappedClient) dial(ln *MemListener) func(context.Context) (net.Conn, error) {
+func (tc *tappedClient) dial(srv *Server) func(context.Context) (net.Conn, error) {
 	return func(ctx context.Context) (net.Conn, error) {
-		conn, err := ln.Dial(ctx)
+		conn, err := srv.Pipe(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -179,14 +179,14 @@ func TestBroadcastRingRetainsClaimableRounds(t *testing.T) {
 			cfg := ServerConfig{Rounds: rounds, Defense: bed.defense("dinar"), Dataset: "purchase100",
 				CheckpointPath: filepath.Join(t.TempDir(), "fed.ckpt")}
 			setup.set(&cfg)
-			srv, ln := newMemServer(t, bed, cfg)
+			srv := newMemServer(t, bed, cfg)
 			held := make([]int, rounds+1) // the last is the Done frame's
 			hooked := &hookedDefense{Defense: bed.defense("dinar"), onGlobal: func(round int) {
 				// Round's broadcast is in the ring; the next cannot be before
 				// this client answers.
 				held[round] = ringLen(srv.ring)
 			}}
-			runMemFederation(t, bed, srv, ln, dinarFleet(bed, hooked))
+			runMemFederation(t, bed, srv, dinarFleet(bed, hooked))
 			for round, n := range held {
 				if n > 2 || round > 0 && n < 2 {
 					t.Errorf("round %d: the ring holds %d broadcasts, want %d", round, n, min(round+1, 2))
@@ -198,20 +198,20 @@ func TestBroadcastRingRetainsClaimableRounds(t *testing.T) {
 	bed3 := newFedBed(t, 3)
 	// lossless builds a three-client lossless-delta server; each client's
 	// frames and completed rounds are recorded.
-	lossless := func(t *testing.T, rounds int, set func(*ServerConfig)) (*Server, *MemListener, []*tappedClient) {
+	lossless := func(t *testing.T, rounds int, set func(*ServerConfig)) (*Server, []*tappedClient) {
 		cfg := ServerConfig{Rounds: rounds, Defense: bed3.defense("none"), Compress: true, Delta: true, MinClients: 1}
 		set(&cfg)
-		srv, ln := newMemServer(t, bed3, cfg)
-		return srv, ln, []*tappedClient{{}, {}, {}}
+		srv := newMemServer(t, bed3, cfg)
+		return srv, []*tappedClient{{}, {}, {}}
 	}
-	clientConfig := func(ln *MemListener, id int, tc *tappedClient, def fl.Defense) ClientConfig {
-		return ClientConfig{Dial: tc.dial(ln), Trainer: bed3.trainer(id), Defense: def, BaseBackoff: time.Millisecond,
+	clientConfig := func(srv *Server, id int, tc *tappedClient, def fl.Defense) ClientConfig {
+		return ClientConfig{Dial: tc.dial(srv), Trainer: bed3.trainer(id), Defense: def, BaseBackoff: time.Millisecond,
 			AfterRound: func(round int) { tc.completed = append(tc.completed, round) }}
 	}
 
 	t.Run("sampled", func(t *testing.T) {
-		srv, ln, tcs := lossless(t, 12, func(c *ServerConfig) { c.SampleSize, c.SampleSeed = 1, 3 })
-		runMemFleet(t, srv, 3, func(id int) ClientConfig { return clientConfig(ln, id, tcs[id], bed3.defense("none")) })
+		srv, tcs := lossless(t, 12, func(c *ServerConfig) { c.SampleSize, c.SampleSeed = 1, 3 })
+		runMemFleet(t, srv, 3, func(id int) ClientConfig { return clientConfig(srv, id, tcs[id], bed3.defense("none")) })
 		gapped := 0
 		for id, tc := range tcs {
 			gapped += checkGlobalAnchors(t, id, tc)
@@ -232,7 +232,7 @@ func TestBroadcastRingRetainsClaimableRounds(t *testing.T) {
 		for id, l := range leaves {
 			reached[l.back], returned[id] = make(chan struct{}), make(chan struct{})
 		}
-		srv, ln, tcs := lossless(t, 5, func(*ServerConfig) {})
+		srv, tcs := lossless(t, 5, func(*ServerConfig) {})
 		live := func(id int) bool {
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
@@ -241,7 +241,7 @@ func TestBroadcastRingRetainsClaimableRounds(t *testing.T) {
 		runMemFleet(t, srv, 3, func(id int) ClientConfig {
 			tc := tcs[id]
 			def := &hookedDefense{Defense: bed3.defense("none")}
-			cfg := clientConfig(ln, id, tc, def)
+			cfg := clientConfig(srv, id, tc, def)
 			if id == 0 {
 				def.onGlobal = func(round int) {
 					if ch, ok := reached[round]; ok {
@@ -315,7 +315,7 @@ func TestClientHoldsTwoAnchorBuffers(t *testing.T) {
 			cfg := ServerConfig{Rounds: 12, Defense: bed.defense("none")}
 			setup.set(&cfg)
 			cfg.CheckpointPath = ""
-			srv, ln := newMemServer(t, bed, cfg)
+			srv := newMemServer(t, bed, cfg)
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 			serverDone := make(chan error, 1)
@@ -333,7 +333,7 @@ func TestClientHoldsTwoAnchorBuffers(t *testing.T) {
 			anchors := &wireAnchors{round: -1, pendRound: -1}
 			last := -1
 			final, serr := runSession(ctx, ClientConfig{
-				Dial: ln.Dial, Trainer: &globalTap{Trainer: bed.trainer(0), see: see}, Defense: bed.defense("none"),
+				Dial: srv.Pipe, Trainer: &globalTap{Trainer: bed.trainer(0), see: see}, Defense: bed.defense("none"),
 				IOTimeout:  30 * time.Second,
 				AfterRound: func(int) { see(anchors.state); see(anchors.pendState) },
 			}, &last, anchors)
@@ -402,12 +402,12 @@ func TestFederationLiveStates(t *testing.T) {
 			cfg := ServerConfig{Rounds: rounds, Defense: bed.defense("dinar"), Dataset: "texas100",
 				CheckpointPath: filepath.Join(t.TempDir(), "fed.ckpt")}
 			setup.set(&cfg)
-			srv, ln := newMemServer(t, bed, cfg)
+			srv := newMemServer(t, bed, cfg)
 			measured := make(chan struct{})
 			var live float64
 			runMemFleet(t, srv, 2, func(id int) ClientConfig {
 				def := &hookedDefense{Defense: bed.defense("dinar")}
-				cfg := ClientConfig{Dial: ln.Dial, Trainer: bed.trainer(id), Defense: def}
+				cfg := ClientConfig{Dial: srv.Pipe, Trainer: bed.trainer(id), Defense: def}
 				if id == 0 {
 					cfg.AfterRound = func(round int) {
 						if round == rounds-1 {

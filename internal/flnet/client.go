@@ -30,9 +30,8 @@ type ClientConfig struct {
 	// Addr is the server's TCP address.
 	Addr string
 	// Dial, if non-nil, opens each session's connection in place of a TCP
-	// dial to Addr — the client-side mirror of ServerConfig.Listener
-	// (typically MemListener.Dial). An error is retried like a failed TCP
-	// dial.
+	// dial to Addr — typically an in-process server's Server.Pipe. An error
+	// is retried like a failed TCP dial.
 	Dial func(ctx context.Context) (net.Conn, error)
 	// Trainer is the local FL client.
 	Trainer Trainer

@@ -30,13 +30,11 @@ func TestWireNegotiationByHand(t *testing.T) {
 		{"extras without binary", CapFlate | CapDelta, 0},
 		{"no capabilities", 0, 0},
 	}
-	ln := ListenMem(len(peers))
 	srv, err := NewServer(ServerConfig{
 		NumClients:   len(peers),
 		Rounds:       rounds,
 		Defense:      boundDefense(t, dim),
 		InitialState: make([]float64, dim),
-		Listener:     ln,
 		Streaming:    true,
 		IOTimeout:    20 * time.Second,
 		Compress:     true,
@@ -55,7 +53,7 @@ func TestWireNegotiationByHand(t *testing.T) {
 	for id, peer := range peers {
 		go func() {
 			errs <- func() error {
-				conn, err := ln.Dial(ctx)
+				conn, err := srv.Pipe(ctx)
 				if err != nil {
 					return err
 				}

@@ -19,26 +19,26 @@ import (
 // ring, every broadcast and the checkpoint writer, so nothing may ever write
 // into one — and a round may not quietly go back to copying them.
 
-// newMemServer builds cfg's server for bed's fleet on an in-memory listener.
-func newMemServer(t *testing.T, bed *fedBed, cfg ServerConfig) (*Server, *MemListener) {
+// newMemServer builds cfg's server for bed's fleet, opening no socket: its
+// clients are piped in.
+func newMemServer(t *testing.T, bed *fedBed, cfg ServerConfig) *Server {
 	t.Helper()
-	ln := ListenMem(bed.numClients)
-	cfg.Listener, cfg.NumClients = ln, bed.numClients
+	cfg.NumClients = bed.numClients
 	cfg.InitialState, cfg.IOTimeout = bed.initialState(), 30*time.Second
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, ln
+	return srv
 }
 
 // runMemFederation runs srv to completion against one fl.Client per
 // registered client, each under the defense clientDefense builds for it, and
 // returns the final state.
-func runMemFederation(t *testing.T, bed *fedBed, srv *Server, ln *MemListener, clientDefense func(id int) fl.Defense) []float64 {
+func runMemFederation(t *testing.T, bed *fedBed, srv *Server, clientDefense func(id int) fl.Defense) []float64 {
 	t.Helper()
 	return runMemFleet(t, srv, bed.numClients, func(id int) ClientConfig {
-		return ClientConfig{Dial: ln.Dial, Trainer: bed.trainer(id), Defense: clientDefense(id)}
+		return ClientConfig{Dial: srv.Pipe, Trainer: bed.trainer(id), Defense: clientDefense(id)}
 	})
 }
 
@@ -81,7 +81,7 @@ func TestPublishedStateIsNeverWritten(t *testing.T) {
 						Pipeline:       pipeline, Streaming: streaming,
 					}
 					setWire(&cfg)
-					srv, ln := newMemServer(t, bed, cfg)
+					srv := newMemServer(t, bed, cfg)
 					type published struct {
 						state []float64
 						sum   [sha256.Size]byte
@@ -105,7 +105,7 @@ func TestPublishedStateIsNeverWritten(t *testing.T) {
 							record(bcast)
 						}
 					}}
-					final := runMemFederation(t, bed, srv, ln, dinarFleet(bed, hooked))
+					final := runMemFederation(t, bed, srv, dinarFleet(bed, hooked))
 					record(final)
 					if len(seen) < rounds+1 {
 						t.Fatalf("saw %d published states over %d rounds", len(seen), rounds)
@@ -188,8 +188,8 @@ func TestRoundByteBudget(t *testing.T) {
 			Rounds: last + 2, Defense: bed.defense("dinar"), Dataset: "purchase100",
 			CheckpointPath: filepath.Join(t.TempDir(), "fed.ckpt"), Compress: true, Delta: true,
 		}
-		srv, ln := newMemServer(t, bed, cfg)
-		runMemFederation(t, bed, srv, ln, dinarFleet(bed, hooked))
+		srv := newMemServer(t, bed, cfg)
+		runMemFederation(t, bed, srv, dinarFleet(bed, hooked))
 		check(t, from, to)
 	})
 }

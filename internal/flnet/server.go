@@ -16,7 +16,8 @@ import (
 type ServerConfig struct {
 	// Addr is the TCP listen address, e.g. "127.0.0.1:7070". Use ":0" for an
 	// ephemeral port (tests). Empty with a nil Listener opens no socket:
-	// clients then arrive only through Admit (a service job).
+	// clients then arrive only through Admit (a service job) or Pipe (an
+	// in-process fleet).
 	Addr string
 	// NumClients is the cohort size; the server waits up to IOTimeout for
 	// this many registrations before round 1 (MinClients suffice after the
@@ -104,8 +105,9 @@ type ServerConfig struct {
 	// Screen configures the update screen when screening is enabled; the
 	// zero value selects the fl.ScreenConfig defaults.
 	Screen fl.ScreenConfig
-	// Listener, if non-nil, is used instead of listening on Addr — tests
-	// inject faultnet wrappers here.
+	// Listener, if non-nil, is used instead of listening on Addr: a wrapped
+	// TCP listener, such as the tests' faultnet or the round benchmark's
+	// byte counter.
 	Listener net.Listener
 	// Registry is the telemetry registry the server's instruments (and
 	// its fl core's and screen's) register into; whoever serves /metrics
@@ -253,7 +255,8 @@ type Server struct {
 	killOnce  sync.Once
 
 	// regSem bounds the registrations mid-validation at once. regs counts
-	// the acceptor and every registration goroutine, and Run joins them;
+	// the acceptor, every registration goroutine and every drain notice
+	// being written to a turned-away connection, and Run joins them;
 	// regCtx is cancelled (under mu) when Run begins that join, refusing new
 	// registrations and aborting those in flight.
 	regSem  chan struct{}

@@ -16,9 +16,9 @@ import (
 // the bound defense, the initial global state and every setting the spec
 // names. The control plane stays ignorant of datasets and model
 // architectures — the binary wires in dinar.JobBuilder, the construction a
-// standalone server uses — and adds only what a job owns: its listener,
-// registry, checkpoint path and log sink. The builder may normalize the
-// spec in place (fill defaulted fields such as the dataset).
+// standalone server uses — and adds only what a job owns: its registry,
+// checkpoint path and log sink. The builder may normalize the spec in place
+// (fill defaulted fields such as the dataset).
 type Builder func(spec *JobSpec) (flnet.ServerConfig, error)
 
 // JobState is one stop in a job's lifecycle:
@@ -225,7 +225,9 @@ func (j *Job) admit(conn net.Conn, hello *flnet.Message) error {
 // manifest. Returns once the run goroutine has exited.
 func (j *Job) drain(ctx context.Context, pause, suspend bool) error {
 	j.mu.Lock()
-	if j.state != JobRunning && j.state != JobDraining {
+	// A suspend drain leaves the job running with no server until the
+	// service exits: there is nothing left to drain.
+	if j.state != JobRunning && j.state != JobDraining || j.srv == nil {
 		state := j.state
 		j.mu.Unlock()
 		return fmt.Errorf("service: job %q is %s, not drainable", j.spec.Name, state)

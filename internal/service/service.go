@@ -60,10 +60,7 @@ const (
 
 // Options configures a Service.
 type Options struct {
-	// Listener is the shared client-facing listener. When nil, Addr is
-	// listened on via TCP.
-	Listener net.Listener
-	// Addr is the TCP listen address used when Listener is nil.
+	// Addr is the TCP address of the shared client-facing listener.
 	Addr string
 	// StateDir holds the service manifest and every job's checkpoint
 	// chain; it is the unit of state a rolling restart re-adopts.
@@ -114,13 +111,9 @@ func New(opts Options) (*Service, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	ln := opts.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", opts.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("service: listen: %w", err)
-		}
+	ln, err := net.Listen("tcp", opts.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("service: listen: %w", err)
 	}
 	s := &Service{
 		opts:       opts,

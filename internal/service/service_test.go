@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -52,10 +53,12 @@ func testBuilder() Builder {
 	}
 }
 
-func newTestService(t *testing.T, stateDir string, front net.Listener) *Service {
+// newTestService starts a service on a loopback port nothing dials: the
+// tests' clients reach its front door through pipe.
+func newTestService(t *testing.T, stateDir string) *Service {
 	t.Helper()
 	svc, err := New(Options{
-		Listener: front,
+		Addr:     "127.0.0.1:0",
 		StateDir: stateDir,
 		Builder:  testBuilder(),
 	})
@@ -64,6 +67,21 @@ func newTestService(t *testing.T, stateDir string, front net.Listener) *Service 
 	}
 	t.Cleanup(func() { svc.Close() })
 	return svc
+}
+
+// pipe connects an in-process client to the front door with no socket: the
+// server half of a net.Pipe is routed as an accepted connection's would be.
+// It fails once the service is closed.
+func (s *Service) pipe(context.Context) (net.Conn, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, errors.New("service: closed")
+	}
+	server, client := net.Pipe()
+	s.routeWG.Add(1)
+	go s.route(server)
+	return client, nil
 }
 
 func jobDim(spec JobSpec) int {
@@ -95,8 +113,6 @@ func referenceFinal(t *testing.T, spec JobSpec) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := flnet.ListenMem(ref.Clients)
-	cfg.Listener = mem
 	srv, err := flnet.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +129,7 @@ func referenceFinal(t *testing.T, spec JobSpec) []float64 {
 	}()
 	refSpec := ref
 	refSpec.Name = "" // single-tenant server: no routing, plain hellos
-	runFleet(ctx, refSpec, mem.Dial)
+	runFleet(ctx, refSpec, srv.Pipe)
 	return <-finalCh
 }
 
@@ -160,13 +176,12 @@ func equalVec(a, b []float64) bool {
 
 // TestServiceConcurrentJobs is the acceptance soak: one service process
 // hosts three named jobs with different shapes (one pipelined, one
-// cohort-sampled) over a shared in-memory listener; every job must
+// cohort-sampled) behind one front door; every job must
 // finish and its final global model must be bit-identical to a
 // single-tenant run of the same federation.
 func TestServiceConcurrentJobs(t *testing.T) {
 	leakcheck.GuardTest(t, 5*time.Second)
-	mem := flnet.ListenMem(64)
-	svc := newTestService(t, t.TempDir(), mem)
+	svc := newTestService(t, t.TempDir())
 	api := httptest.NewServer(svc.AdminMux())
 	defer api.Close()
 
@@ -191,7 +206,7 @@ func TestServiceConcurrentJobs(t *testing.T) {
 		wg.Add(1)
 		go func(spec JobSpec) {
 			defer wg.Done()
-			stats := runFleet(ctx, spec, mem.Dial)
+			stats := runFleet(ctx, spec, svc.pipe)
 			if got := stats.Done.Load(); got != int64(spec.Clients) {
 				t.Errorf("job %s: %d/%d clients finished (gaveUp=%d)", spec.Name, got, spec.Clients, stats.GaveUp.Load())
 			}
@@ -248,15 +263,15 @@ func TestServiceRollingRestart(t *testing.T) {
 		{Name: "joby", Dataset: "synth", Clients: 3, Rounds: 8, Seed: 6, Records: 8, Pipeline: true},
 	}
 
-	var front atomic.Pointer[flnet.MemListener]
-	front.Store(flnet.ListenMem(32))
 	// A closed front door fails the dial; the clients' retry budget rides
-	// out the gap until the next generation's listener is swapped in.
+	// out the gap until the next generation is swapped in.
+	var front atomic.Pointer[Service]
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	dial := func(ctx context.Context) (net.Conn, error) { return front.Load().Dial(ctx) }
+	dial := func(ctx context.Context) (net.Conn, error) { return front.Load().pipe(ctx) }
 
-	svc1 := newTestService(t, stateDir, front.Load())
+	svc1 := newTestService(t, stateDir)
+	front.Store(svc1)
 	for _, spec := range specs {
 		if _, err := svc1.CreateJob(spec); err != nil {
 			t.Fatal(err)
@@ -308,8 +323,8 @@ func TestServiceRollingRestart(t *testing.T) {
 	drainCancel()
 
 	// Next process generation: same state dir, fresh front door.
-	front.Store(flnet.ListenMem(32))
-	svc2 := newTestService(t, stateDir, front.Load())
+	svc2 := newTestService(t, stateDir)
+	front.Store(svc2)
 	for _, spec := range specs {
 		st := waitState(t, svc2, spec.Name, JobRunning, 30*time.Second)
 		if st.StartRound < 2 {
@@ -336,8 +351,7 @@ func TestServiceRollingRestart(t *testing.T) {
 // service; the goroutine count must return to baseline.
 func TestJobChurnLeakHammer(t *testing.T) {
 	leakcheck.GuardTest(t, 10*time.Second)
-	mem := flnet.ListenMem(32)
-	svc := newTestService(t, t.TempDir(), mem)
+	svc := newTestService(t, t.TempDir())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
@@ -353,7 +367,7 @@ func TestJobChurnLeakHammer(t *testing.T) {
 			// Delete mid-run: the fleet is still dialing when the job is
 			// hard-cancelled; clients must fail fast, not hang.
 			fleetDone := make(chan *fleetsim.Stats, 1)
-			go func() { fleetDone <- runFleet(ctx, spec, mem.Dial) }()
+			go func() { fleetDone <- runFleet(ctx, spec, svc.pipe) }()
 			time.Sleep(2 * time.Millisecond)
 			if err := svc.DeleteJob(spec.Name); err != nil {
 				t.Fatal(err)
@@ -364,7 +378,7 @@ func TestJobChurnLeakHammer(t *testing.T) {
 				t.Fatalf("fleet for deleted job %s hung", spec.Name)
 			}
 		} else {
-			stats := runFleet(ctx, spec, mem.Dial)
+			stats := runFleet(ctx, spec, svc.pipe)
 			if got := stats.Done.Load(); got != int64(spec.Clients) {
 				t.Fatalf("job %s: %d/%d clients finished", spec.Name, got, spec.Clients)
 			}
@@ -383,8 +397,7 @@ func TestJobChurnLeakHammer(t *testing.T) {
 // specs are refused with typed 400 bodies before any job state exists.
 func TestAdminAPIValidation(t *testing.T) {
 	leakcheck.GuardTest(t, 5*time.Second)
-	mem := flnet.ListenMem(8)
-	svc := newTestService(t, t.TempDir(), mem)
+	svc := newTestService(t, t.TempDir())
 	api := httptest.NewServer(svc.AdminMux())
 	defer api.Close()
 
@@ -480,9 +493,9 @@ func TestAdminAPIValidation(t *testing.T) {
 
 // sendHello dials the front door and writes one hand-made Hello; the caller
 // reads (or ignores) what comes back and closes the connection.
-func sendHello(t *testing.T, front *flnet.MemListener, job string, id int, caps uint32) net.Conn {
+func sendHello(t *testing.T, svc *Service, job string, id int, caps uint32) net.Conn {
 	t.Helper()
-	conn, err := front.Dial(context.Background())
+	conn, err := svc.pipe(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,12 +516,11 @@ func sendHello(t *testing.T, front *flnet.MemListener, job string, id int, caps 
 // iff exactly one job exists.
 func TestFrontDoorRateLimitAndRouting(t *testing.T) {
 	leakcheck.GuardTest(t, 5*time.Second)
-	mem := flnet.ListenMem(16)
-	svc := newTestService(t, t.TempDir(), mem)
+	svc := newTestService(t, t.TempDir())
 
 	hello := func(job string, id int) *flnet.Message {
 		t.Helper()
-		conn := sendHello(t, mem, job, id, 0)
+		conn := sendHello(t, svc, job, id, 0)
 		defer conn.Close()
 		reply, err := flnet.ReadMessage(conn)
 		if err != nil {
@@ -554,7 +566,7 @@ func TestFrontDoorRateLimitAndRouting(t *testing.T) {
 	defer cancel()
 	unnamed := spec
 	unnamed.Name = "" // clients send no job; the front door routes to the sole job
-	stats := runFleet(ctx, unnamed, mem.Dial)
+	stats := runFleet(ctx, unnamed, svc.pipe)
 	if got := stats.Done.Load(); got != int64(spec.Clients) {
 		t.Fatalf("job-unaware fleet: %d/%d finished", got, spec.Clients)
 	}
@@ -567,8 +579,7 @@ func TestFrontDoorRateLimitAndRouting(t *testing.T) {
 // and the shared accept path keeps routing other jobs' clients meanwhile.
 func TestFrontDoorShedsOnFullBacklog(t *testing.T) {
 	leakcheck.GuardTest(t, 5*time.Second)
-	mem := flnet.ListenMem(64)
-	svc := newTestService(t, t.TempDir(), mem)
+	svc := newTestService(t, t.TempDir())
 	stuck := JobSpec{Name: "stuck", Dataset: "synth", Clients: 2, Rounds: 1, Seed: 1, Records: 4}
 	quick := JobSpec{Name: "quick", Dataset: "synth", Clients: 1, Rounds: 1, Seed: 2, Records: 4}
 	for _, spec := range []JobSpec{stuck, quick} {
@@ -586,7 +597,7 @@ func TestFrontDoorShedsOnFullBacklog(t *testing.T) {
 	// codec ack and reads one byte of it holds one of the job's registration
 	// slots (4·clients + 16) inside that write.
 	for i := 0; i < 4*stuck.Clients+16; i++ {
-		staller := sendHello(t, mem, stuck.Name, i%stuck.Clients, flnet.ClientCaps)
+		staller := sendHello(t, svc, stuck.Name, i%stuck.Clients, flnet.ClientCaps)
 		defer staller.Close()
 		if _, err := staller.Read(make([]byte, 1)); err != nil {
 			t.Fatalf("stalling registrant %d saw no ack: %v", i, err)
@@ -594,7 +605,7 @@ func TestFrontDoorShedsOnFullBacklog(t *testing.T) {
 	}
 
 	before := shed.Value()
-	overflow := sendHello(t, mem, stuck.Name, 0, 0)
+	overflow := sendHello(t, svc, stuck.Name, 0, 0)
 	defer overflow.Close()
 	reply, err := flnet.ReadMessage(overflow)
 	if err != nil {
@@ -609,7 +620,7 @@ func TestFrontDoorShedsOnFullBacklog(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if stats := runFleet(ctx, quick, mem.Dial); stats.Done.Load() != 1 {
+	if stats := runFleet(ctx, quick, svc.pipe); stats.Done.Load() != 1 {
 		t.Fatalf("second job's client did not finish behind the first job's full registration bound")
 	}
 	waitState(t, svc, quick.Name, JobDone, 10*time.Second)
@@ -619,8 +630,7 @@ func TestFrontDoorShedsOnFullBacklog(t *testing.T) {
 // with its checkpoints, refuses clients, and resumes bit-identically.
 func TestPauseResume(t *testing.T) {
 	leakcheck.GuardTest(t, 5*time.Second)
-	mem := flnet.ListenMem(16)
-	svc := newTestService(t, t.TempDir(), mem)
+	svc := newTestService(t, t.TempDir())
 	spec := JobSpec{Name: "parky", Dataset: "synth", Clients: 3, Rounds: 6, Seed: 9, Records: 8}
 	if _, err := svc.CreateJob(spec); err != nil {
 		t.Fatal(err)
@@ -636,7 +646,7 @@ func TestPauseResume(t *testing.T) {
 		// so give it a generous retry budget.
 		fleet := &fleetsim.Fleet{
 			N: spec.Clients, Dim: jobDim(spec), Seed: spec.Seed, Job: spec.Name,
-			Dial: mem.Dial, MaxRetries: 200,
+			Dial: svc.pipe, MaxRetries: 200,
 			// Think time keeps a round slower than the 5 ms status poll
 			// below, so the pause lands before the last round does.
 			DelaySeed: 1, MaxDelay: 40 * time.Millisecond,
@@ -683,7 +693,7 @@ func TestPauseResume(t *testing.T) {
 }
 
 // finishJobs creates each spec's job and drives its fleet to completion.
-func finishJobs(t *testing.T, svc *Service, mem *flnet.MemListener, specs ...JobSpec) {
+func finishJobs(t *testing.T, svc *Service, specs ...JobSpec) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -691,7 +701,7 @@ func finishJobs(t *testing.T, svc *Service, mem *flnet.MemListener, specs ...Job
 		if _, err := svc.CreateJob(spec); err != nil {
 			t.Fatal(err)
 		}
-		stats := runFleet(ctx, spec, mem.Dial)
+		stats := runFleet(ctx, spec, svc.pipe)
 		if got := stats.Done.Load(); got != int64(spec.Clients) {
 			t.Fatalf("job %s: %d/%d clients finished", spec.Name, got, spec.Clients)
 		}
@@ -705,8 +715,7 @@ func finishJobs(t *testing.T, svc *Service, mem *flnet.MemListener, specs ...Job
 // the client-side series, which belong to the process, are the exception.
 func TestMetricsFederationSeriesCarryJobLabel(t *testing.T) {
 	leakcheck.GuardTest(t, 5*time.Second)
-	mem := flnet.ListenMem(16)
-	svc := newTestService(t, t.TempDir(), mem)
+	svc := newTestService(t, t.TempDir())
 
 	check := func(when string, wantLabeled bool) {
 		t.Helper()
@@ -735,7 +744,7 @@ func TestMetricsFederationSeriesCarryJobLabel(t *testing.T) {
 	}
 
 	check("zero jobs", false)
-	finishJobs(t, svc, mem,
+	finishJobs(t, svc,
 		JobSpec{Name: "one", Dataset: "synth", Clients: 2, Rounds: 2, Seed: 5, Records: 4},
 		JobSpec{Name: "two", Dataset: "synth", Clients: 3, Rounds: 2, Seed: 6, Records: 4})
 	check("two finished jobs", true)
@@ -747,9 +756,8 @@ func TestMetricsFederationSeriesCarryJobLabel(t *testing.T) {
 func TestDeleteJobSparesNeighbourChain(t *testing.T) {
 	leakcheck.GuardTest(t, 5*time.Second)
 	stateDir := t.TempDir()
-	mem := flnet.ListenMem(16)
-	svc := newTestService(t, stateDir, mem)
-	finishJobs(t, svc, mem,
+	svc := newTestService(t, stateDir)
+	finishJobs(t, svc,
 		JobSpec{Name: "a", Dataset: "synth", Clients: 2, Rounds: 3, Seed: 7, Records: 4},
 		JobSpec{Name: "a.ckpt-b", Dataset: "synth", Clients: 2, Rounds: 3, Seed: 8, Records: 4})
 
@@ -770,5 +778,36 @@ func TestDeleteJobSparesNeighbourChain(t *testing.T) {
 	}
 	if left := chain("a"); !slices.Equal(left, neighbour) {
 		t.Errorf("after deleting job a, a.ckpt* = %v, want exactly the neighbour's chain %v", left, neighbour)
+	}
+}
+
+// TestDrainAfterSuspendRefused: Service.Shutdown's suspend drain leaves a job
+// running with no server until the service exits, and the admin API is up
+// meanwhile. A drain or a pause in that window is refused, and the job stays
+// running for the next generation to re-adopt.
+func TestDrainAfterSuspendRefused(t *testing.T) {
+	leakcheck.GuardTest(t, 5*time.Second)
+	svc := newTestService(t, t.TempDir())
+	spec := JobSpec{Name: "held", Dataset: "synth", Clients: 2, Rounds: 2, Seed: 4, Records: 4}
+	if _, err := svc.CreateJob(spec); err != nil {
+		t.Fatal(err)
+	}
+	j, err := svc.job(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := j.drain(ctx, false, true); err != nil {
+		t.Fatalf("suspend drain: %v", err)
+	}
+	if err := svc.DrainJob(ctx, spec.Name); err == nil || !strings.Contains(err.Error(), "not drainable") {
+		t.Errorf("drain after a suspend: %v, want a not-drainable error", err)
+	}
+	if err := svc.PauseJob(ctx, spec.Name); err == nil || !strings.Contains(err.Error(), "not drainable") {
+		t.Errorf("pause after a suspend: %v, want a not-drainable error", err)
+	}
+	if got := j.currentState(); got != JobRunning {
+		t.Errorf("job is %s after the refused drains, want %s", got, JobRunning)
 	}
 }
