@@ -42,7 +42,9 @@
 #                     checkpoint corruption/retention table
 #   make soak       - overload-resilience soak at short scale under -race:
 #                     the Server.Pipe hammer (piped clients racing Run's
-#                     exit, ten times over) and the fleet harness (real
+#                     exit, ten times over), the exit bound (Run's Done and
+#                     drain exits return within one IOTimeout however many
+#                     of 0-8 peers stop reading), and the fleet harness (real
 #                     flnet.RunClient sessions over synthetic trainers, pinned
 #                     to golden final-state digests), the sampled streaming /
 #                     partitioned-memory / async scale soaks, the
@@ -57,6 +59,10 @@
 #                     bit-identical resume, the job-churn leak hammer, the
 #                     admin REST validation matrix, front-door rate
 #                     limiting and backlog shedding, pause/resume, the
+#                     job transition table (every admin operation against
+#                     every job state), the manifest's currency (complete
+#                     mid-adoption, current when a drain returns, clean
+#                     after a failed create), the
 #                     pipelined-vs-sequential identity property tests, and the
 #                     published-state oracle (no state the server has exposed
 #                     is ever written again, while a background checkpoint
@@ -232,6 +238,7 @@ chaos:
 soak:
 	$(GO) test -race ./internal/fleetsim/
 	$(GO) test -race -count=10 ./internal/flnet/ -run TestPipeRunExitHammer
+	$(GO) test -race ./internal/flnet/ -run TestRunExitBoundedByIOTimeout
 	$(GO) test -race -short ./internal/chaos/ -run 'TestScaleSoak|TestSampledCohortResumeIdentity|TestQuarantinedClientNeverResampled'
 	$(GO) test -race ./internal/flnet/ -run 'TestAsyncWithoutStragglersMatchesSync|TestAsyncStaleFoldOracle'
 

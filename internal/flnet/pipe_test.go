@@ -3,6 +3,7 @@ package flnet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"sync"
@@ -272,5 +273,111 @@ func TestPipeRunExitHammer(t *testing.T) {
 			t.Fatalf("iteration %d: Pipe after Run returned: want ErrNotRunning, got %v", it, err)
 		}
 		cancel()
+	}
+}
+
+// TestRunExitBoundedByIOTimeout: k of a cohort's peers stop reading once
+// they have sent their last update, for k = 0…8, and Run's exit, after its
+// last round (Done) or after a drain, still returns within one IOTimeout.
+// The final notices go out to every peer at once, not one after another,
+// and Run joins every writer before it returns.
+func TestRunExitBoundedByIOTimeout(t *testing.T) {
+	leakcheck.GuardTest(t, 5*time.Second)
+	const numClients = 8
+	for _, drain := range []bool{false, true} {
+		for k := 0; k <= numClients; k++ {
+			name := fmt.Sprintf("done/stalled=%d", k)
+			if drain {
+				name = fmt.Sprintf("drain/stalled=%d", k)
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				stalledExit(t, numClients, k, drain)
+			})
+		}
+	}
+}
+
+// stalledExit runs one round for numClients piped peers, the last stalled of
+// which never read again after their update, and checks that Run's exit,
+// clean or (with drain) requested while the round is in flight, returns
+// within IOTimeout plus slack and hands every reading peer its notice.
+func stalledExit(t *testing.T, numClients, stalled int, drain bool) {
+	const (
+		dim       = 16
+		ioTimeout = time.Second
+		slack     = ioTimeout / 2
+	)
+	rounds, want := 1, KindDone
+	if drain {
+		rounds, want = 2, KindDrain
+	}
+	srv, err := NewServer(ServerConfig{
+		NumClients: numClients, Rounds: rounds, Defense: boundDefense(t, dim),
+		InitialState: make([]float64, dim), IOTimeout: ioTimeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make([]net.Conn, numClients)
+	for id := range conns {
+		conns[id] = pipeHello(t, srv, id)
+		defer conns[id].Close()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	type outcome struct {
+		err error
+		at  time.Time
+	}
+	runDone := make(chan outcome, 1)
+	go func() {
+		_, err := srv.Run(ctx)
+		runDone <- outcome{err, time.Now()}
+	}()
+	for id, conn := range conns {
+		if msg, err := ReadMessage(conn); err != nil || msg.Kind != KindGlobal {
+			t.Fatalf("client %d: want round 0's broadcast, got %v", id, err)
+		}
+	}
+	shutdown := make(chan error, 1)
+	if drain {
+		go func() { shutdown <- srv.Shutdown(ctx) }()
+		for deadline := time.Now().Add(10 * time.Second); srv.Health().Status != "draining"; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("server never started draining")
+			}
+		}
+	}
+	for id, conn := range conns {
+		if err := WriteMessage(conn, &Message{Kind: KindUpdate, ClientID: id, Round: 0, State: testState(int64(id), dim), NumSamples: 1}); err != nil {
+			t.Fatalf("client %d: update: %v", id, err)
+		}
+	}
+	start := time.Now()
+	var readers sync.WaitGroup
+	for id, conn := range conns[:numClients-stalled] {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			if msg, err := ReadMessage(conn); err != nil || msg.Kind != want {
+				t.Errorf("reading client %d: want a %v frame, got %v", id, want, err)
+			}
+		}()
+	}
+	out := <-runDone
+	readers.Wait()
+	if elapsed := out.at.Sub(start); elapsed > ioTimeout+slack {
+		t.Errorf("Run's exit took %s with %d stalled peers, want at most IOTimeout %s plus %s", elapsed, stalled, ioTimeout, slack)
+	}
+	if drain {
+		if !errors.Is(out.err, ErrDraining) {
+			t.Errorf("drained Run: want ErrDraining, got %v", out.err)
+		}
+		if err := <-shutdown; err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	} else if out.err != nil {
+		t.Errorf("Run: %v", out.err)
 	}
 }

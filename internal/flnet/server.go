@@ -243,7 +243,7 @@ type Server struct {
 	// ckptPending is the in-flight background checkpoint write in
 	// pipelined mode (nil when none). Owned by the round-loop goroutine:
 	// submitted after each aggregate, joined before the next submit, in
-	// drainExit, and before Run returns.
+	// exit, and before Run returns.
 	ckptPending *ckptPending
 
 	// Drain state machine: drainCh closes when Shutdown begins (the round
@@ -631,7 +631,7 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 		if errors.Is(err, ErrDraining) {
 			// Drained while waiting for the cohort: no round ran, so the
 			// resumed (or initial) state is already the latest checkpoint.
-			return s.drainExit(s.startRound)
+			return s.exit(s.startRound, true)
 		}
 		return nil, err
 	}
@@ -642,7 +642,7 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 
 	for round := s.startRound; round < s.cfg.Rounds; round++ {
 		if s.draining() {
-			return s.drainExit(round)
+			return s.exit(round, true)
 		}
 		report, err := s.runRound(ctx, round)
 		s.mu.Lock()
@@ -652,7 +652,7 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 			// The drain deadline expired mid-round: the round is abandoned
 			// (its updates were never aggregated — the checkpoint chain ends
 			// at the last completed round).
-			return s.drainExit(round)
+			return s.exit(round, true)
 		}
 		if err != nil {
 			return nil, err
@@ -677,41 +677,7 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 			report.Timing.Broadcast.Round(time.Microsecond), report.Timing.Wait.Round(time.Microsecond),
 			report.Timing.Screen.Round(time.Microsecond), report.Timing.Aggregate.Round(time.Microsecond))
 	}
-	// The final round's pipelined write must land before Run reports
-	// success — callers restart from this checkpoint.
-	if err := s.joinCheckpoint(); err != nil {
-		return nil, fmt.Errorf("flnet: final checkpoint: %w", err)
-	}
-	s.mu.Lock()
-	s.curRound = s.cfg.Rounds
-	s.status = "done"
-	s.mu.Unlock()
-
-	final := s.core.GlobalState()
-	var doneErrs []error
-	for _, sess := range s.liveSessions() {
-		msg := &Message{Kind: KindDone, Round: s.cfg.Rounds, State: final}
-		if err := s.send(sess, msg); err != nil {
-			// The federation already converged; a client that cannot
-			// receive Done lost only its own final install.
-			doneErrs = append(doneErrs, fmt.Errorf("client %d: %w", sess.clientID, err))
-		}
-	}
-	if len(doneErrs) > 0 {
-		s.logf(s.cfg.Rounds, -1, "flnet: done broadcast: %v", errors.Join(doneErrs...))
-	}
-	return final, nil
-}
-
-// liveSessions snapshots the live set.
-func (s *Server) liveSessions() []*session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sessions := make([]*session, 0, len(s.live))
-	for _, sess := range s.live {
-		sessions = append(sessions, sess)
-	}
-	return sessions
+	return s.exit(s.cfg.Rounds, false)
 }
 
 // closeLive closes every live session's connection and empties the live
@@ -726,43 +692,79 @@ func (s *Server) closeLive() {
 	s.tel.LiveClients.Set(0)
 }
 
-// drainExit finishes a graceful drain: the final checkpoint is written (a
-// no-op when the per-round save already covers the current round), every
-// live client gets a drain frame telling it to come back after the restart,
-// and Run returns the partial global state alongside ErrDraining.
-func (s *Server) drainExit(round int) ([]float64, error) {
-	var errs []error
-	// A pipelined write may still be in flight; land it before deciding
-	// whether a final save is needed (it usually already covers the last
-	// completed round).
-	if err := s.joinCheckpoint(); err != nil {
-		errs = append(errs, err)
-	}
-	if s.cfg.CheckpointPath != "" {
+// exit is Run's one way out after its last round and after a drain. It
+// lands the checkpoint chain, publishes the final round and status, bids
+// every live client farewell (the final model, or a drain notice telling it
+// to come back after the restart) and logs. The last round's pipelined write
+// must land before Run reports success, since callers restart from it; a
+// drain also saves when the chain is behind the last completed round (no
+// round ran, or a pipelined write failed), and returns the partial global
+// state alongside ErrDraining.
+func (s *Server) exit(round int, drained bool) ([]float64, error) {
+	err := s.joinCheckpoint()
+	if drained && s.cfg.CheckpointPath != "" {
 		s.mu.Lock()
 		behind := s.ckptRound < s.core.Round()
 		s.mu.Unlock()
 		if behind {
-			if err := s.saveCheckpoint(); err != nil {
-				errs = append(errs, err)
-			}
+			err = errors.Join(err, s.saveCheckpoint())
 		}
+	}
+	if err != nil && !drained {
+		return nil, fmt.Errorf("flnet: final checkpoint: %w", err)
+	}
+	final := s.core.GlobalState()
+	status, notice := "done", &Message{Kind: KindDone, Round: round, State: final}
+	if drained {
+		status, notice = "drained", drainNotice()
 	}
 	s.mu.Lock()
 	s.curRound = round
-	s.status = "drained"
+	s.status = status
+	ckptRound := s.ckptRound
 	s.mu.Unlock()
-	sessions := s.liveSessions()
-	for _, sess := range sessions {
-		// Best effort: the client's read will fail when the conn closes
-		// anyway; the drain frame just turns that into a polite back-off.
-		_ = s.send(sess, drainNotice())
-		s.tel.DrainNotices.Inc()
+	n, sendErr := s.farewell(notice)
+	if !drained {
+		// The federation already converged; a client that cannot receive
+		// Done lost only its own final install.
+		if sendErr != nil {
+			s.logf(round, -1, "flnet: done broadcast: %v", sendErr)
+		}
+		return final, nil
 	}
+	// Best effort: a client that misses its notice fails its read when the
+	// conn closes; the notice just turns that into a polite back-off.
+	s.tel.DrainNotices.Add(int64(n))
 	s.logf(round, -1, "flnet: drained before round %d (%d clients notified, checkpoint at round %d)",
-		round, len(sessions), s.ckptRound)
-	if len(errs) > 0 {
-		return s.core.GlobalState(), fmt.Errorf("%w: final checkpoint: %v", ErrDraining, errors.Join(errs...))
+		round, n, ckptRound)
+	if err != nil {
+		return final, fmt.Errorf("%w: final checkpoint: %v", ErrDraining, err)
 	}
-	return s.core.GlobalState(), ErrDraining
+	return final, ErrDraining
+}
+
+// farewell writes msg to every live session at once, each write on its own
+// goroutine under the session's IOTimeout write deadline, and joins them, so
+// peers that stop reading hold Run's exit for one IOTimeout however many
+// they are. As with round.launch's broadcasts, each session owns its codec
+// and msg is only read. It returns how many sessions it wrote to and the
+// failed writes.
+func (s *Server) farewell(msg *Message) (int, error) {
+	var wg sync.WaitGroup
+	s.mu.Lock()
+	errs := make([]error, len(s.live))
+	i := 0
+	for _, sess := range s.live {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := s.send(sess, msg); err != nil {
+				errs[i] = fmt.Errorf("client %d: %w", sess.clientID, err)
+			}
+		}(i)
+		i++
+	}
+	s.mu.Unlock()
+	wg.Wait()
+	return len(errs), errors.Join(errs...)
 }

@@ -163,7 +163,7 @@ type ckptPending struct {
 // blocking save would have run, so the persisted chain is bit-identical
 // to sequential mode — and only the encode+fsync overlaps the next
 // round. At most one write is in flight: callers join the previous one
-// first (Run's round loop, drainExit).
+// first (Run's round loop, exit).
 func (s *Server) submitCheckpoint() {
 	snap := s.buildSnapshot()
 	p := &ckptPending{done: make(chan struct{})}

@@ -188,83 +188,96 @@ const maxPooledBytes = 16 << 20
 // maxPooledBytes, so steady-state rounds reuse the same backing arrays.
 //
 // Byte planes on their way into or out of flate have a pool of their own:
-// a plane is an eighth of its frame, and a pool that hands out both sizes
-// re-grows the small buffers every time one is drawn for a frame.
+// a plane is an eighth of its frame, and one pool for both sizes would hand
+// planes' buffers to frames.
 var (
-	writeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	readBufPool  = sync.Pool{New: func() any { return new([]byte) }}
-	planeBufPool = sync.Pool{New: func() any { return new([]byte) }}
+	writeBufs = bufPool[*bytes.Buffer]{size: (*bytes.Buffer).Cap, fresh: func() *bytes.Buffer { return new(bytes.Buffer) }}
+	readBufs  = bufPool[*[]byte]{size: byteCap, fresh: func() *[]byte { return new([]byte) }}
+	planeBufs = bufPool[*[]byte]{size: byteCap, fresh: func() *[]byte { return new([]byte) }}
 )
 
-// putWriteBuf recycles a frame-encode buffer, dropping oversized ones.
-func putWriteBuf(buf *bytes.Buffer) {
-	if buf.Cap() > maxPooledBytes {
-		return
-	}
-	writeBufPool.Put(buf)
+func byteCap(bp *[]byte) int { return cap(*bp) }
+
+// maxDrawn bounds how many buffers one get draws from a pool.
+const maxDrawn = 16
+
+// bufPool keeps buffers in a sync.Pool, so a collection still drops what an
+// idle process holds, but does not hand out the pool's latest buffer as a
+// bare sync.Pool does. When the reads of some rounds do not overlap, that
+// one buffer serves them all and the rest wait unused until a second
+// collection drops them; the next round whose reads overlap re-allocates a
+// whole frame, and how often that happened depended on scheduling. get
+// draws every held buffer instead, which keeps each in use, and hands out
+// the smallest with room for n bytes, or the largest when none has room.
+// put drops buffers past maxPooledBytes.
+type bufPool[T any] struct {
+	size  func(T) int
+	fresh func() T
+
+	mu   sync.Mutex
+	pool sync.Pool
 }
 
-// putBuf recycles a buffer drawn from pool (readBufPool or planeBufPool),
-// dropping oversized ones.
-func putBuf(pool *sync.Pool, bp *[]byte) {
-	if cap(*bp) > maxPooledBytes {
-		return
+func (p *bufPool[T]) get(n int) T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	best, ok := p.pool.Get().(T)
+	if !ok {
+		return p.fresh()
 	}
-	pool.Put(bp)
+	var rest [maxDrawn]T
+	k := 0
+	for ; k < maxDrawn; k++ {
+		x, ok := p.pool.Get().(T)
+		if !ok {
+			break
+		}
+		if c, b := p.size(x), p.size(best); c >= n && (b < n || c < b) || b < n && c > b {
+			x, best = best, x
+		}
+		rest[k] = x
+	}
+	for _, x := range rest[:k] {
+		p.pool.Put(x)
+	}
+	return best
+}
+
+func (p *bufPool[T]) put(x T) {
+	if p.size(x) <= maxPooledBytes {
+		p.pool.Put(x)
+	}
 }
 
 // readPayload reads n bytes (a frame payload, or what a deflate stream
 // inflates to) into a buffer drawn from pool with the checkpoint envelope's
 // incremental-read discipline: capacity grows as bytes actually arrive
 // (doubling from a small start), so a corrupt or hostile length prefix on a
-// short stream costs a short read, not an n-byte allocation. Callers must
-// return the pool handle via putBuf.
-func readPayload(pool *sync.Pool, r io.Reader, n int) ([]byte, *[]byte, error) {
-	bp := pool.Get().(*[]byte)
-	if cap(*bp) < n {
-		start := cap(*bp)
-		if start < 64<<10 {
-			start = 64 << 10
-		}
-		if start > n {
-			start = n
-		}
-		buf := (*bp)[:0:cap(*bp)]
-		if cap(buf) < start {
-			buf = make([]byte, 0, start)
-		}
-		for len(buf) < n {
-			chunk := cap(buf) - len(buf)
-			if chunk == 0 {
-				grow := cap(buf) * 2
-				if grow > n {
-					grow = n
-				}
-				next := make([]byte, len(buf), grow)
-				copy(next, buf)
-				buf = next
-				chunk = cap(buf) - len(buf)
+// short stream costs a short read, not an n-byte allocation. The last growth
+// leaves an eighth of n spare: the frames of one federation grow by a few
+// bytes a round, and a buffer sized exactly to one would be re-grown, a
+// whole frame copied, for the next. Callers must return the handle to pool.
+func readPayload(pool *bufPool[*[]byte], r io.Reader, n int) ([]byte, *[]byte, error) {
+	bp := pool.get(n)
+	buf := (*bp)[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grow := min(max(2*cap(buf), 64<<10), n)
+			if grow == n {
+				grow += n / 8
 			}
-			if chunk > n-len(buf) {
-				chunk = n - len(buf)
-			}
-			m, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk])
-			buf = buf[:len(buf)+m]
-			if err != nil {
-				*bp = buf
-				putBuf(pool, bp)
-				return nil, nil, err
-			}
+			buf = append(make([]byte, 0, grow), buf...)
 		}
-		*bp = buf
-		return buf, bp, nil
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			*bp = buf
+			pool.put(bp)
+			return nil, nil, err
+		}
 	}
-	payload := (*bp)[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		putBuf(pool, bp)
-		return nil, nil, err
-	}
-	return payload, bp, nil
+	*bp = buf
+	return buf, bp, nil
 }
 
 // WriteMessage writes msg as one frame with no payload codec: what both

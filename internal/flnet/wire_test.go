@@ -2,6 +2,7 @@ package flnet
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -130,4 +131,35 @@ func TestStatePoolRetainsCohort(t *testing.T) {
 		}
 	}
 	t.Fatalf("the pool never handed back all %d buffers it was given", n)
+}
+
+// TestBufPoolKeepsIdleBuffers: rounds whose reads do not overlap draw one
+// buffer at a time, and the pool must still hold the second across
+// collections, so that the next round whose reads overlap finds it instead of
+// growing a fresh one. Each get hands out the best fit.
+func TestBufPoolKeepsIdleBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	// One P: a sync.Pool's per-P slots are not shared between Ps.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := bufPool[*[]byte]{size: byteCap, fresh: func() *[]byte { return new([]byte) }}
+	small, large := make([]byte, 0, 100), make([]byte, 0, 200)
+	p.put(&small)
+	p.put(&large)
+	for round := range 4 {
+		runtime.GC()
+		bp := p.get(150)
+		if cap(*bp) != 200 {
+			t.Fatalf("round %d: get(150) handed out capacity %d, want 200", round, cap(*bp))
+		}
+		p.put(bp)
+	}
+	a, b := p.get(50), p.get(50)
+	if cap(*a) != 100 || cap(*b) != 200 {
+		t.Fatalf("overlapping gets handed out capacities %d and %d, want 100 and 200", cap(*a), cap(*b))
+	}
+	if c := p.get(50); cap(*c) != 0 {
+		t.Fatalf("a third get found capacity %d in a pool of two", cap(*c))
+	}
 }

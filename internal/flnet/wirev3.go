@@ -272,8 +272,8 @@ func deflate(dst io.Writer, src []byte) error {
 
 // inflate decompresses stored, which must be one deflate stream of exactly
 // n bytes and nothing after it, into a buffer drawn from pool; the caller
-// returns the handle via putBuf.
-func inflate(pool *sync.Pool, stored []byte, n int) ([]byte, *[]byte, error) {
+// returns the handle to pool.
+func inflate(pool *bufPool[*[]byte], stored []byte, n int) ([]byte, *[]byte, error) {
 	in := inflaterPool.Get().(*inflater)
 	defer inflaterPool.Put(in)
 	in.src.Reset(stored)
@@ -294,7 +294,7 @@ func inflate(pool *sync.Pool, stored []byte, n int) ([]byte, *[]byte, error) {
 	default:
 		return raw, bp, nil
 	}
-	putBuf(pool, bp)
+	pool.put(bp)
 	return nil, nil, err
 }
 
@@ -479,8 +479,8 @@ func gatherPlanes(dst []float64, planes *[8][]byte, base []float64) {
 // flate into the frame.
 func appendPlanes(buf *bytes.Buffer, mask byte, state, base []float64) error {
 	dim, deflated := len(state), bits.OnesCount8(mask)
-	bp := planeBufPool.Get().(*[]byte)
-	defer putBuf(&planeBufPool, bp)
+	bp := planeBufs.get(deflated * dim)
+	defer planeBufs.put(bp)
 	if cap(*bp) < deflated*dim {
 		*bp = make([]byte, deflated*dim)
 	}
@@ -518,8 +518,8 @@ func appendPlanes(buf *bytes.Buffer, mask byte, state, base []float64) error {
 // deflated whole when compress is set and that shrinks it, and returns
 // flagFlate if so along with the serialized length.
 func appendQuantSection(buf *bytes.Buffer, p *fl.DeltaPayload, compress bool) (byte, int, error) {
-	secBP := readBufPool.Get().(*[]byte)
-	defer putBuf(&readBufPool, secBP)
+	secBP := readBufs.get(8 * p.Dim) // the raw state bounds the section
+	defer readBufs.put(secBP)
 	sec := encodeQuantSection((*secBP)[:0], p)
 	*secBP = sec[:0]
 	buf.Grow(len(sec))
@@ -669,10 +669,11 @@ func writeBinary(w io.Writer, msg *Message, c *Codec) error {
 			return fmt.Errorf("flnet: encode %v: cohort id %d does not fit int32", msg.Kind, id)
 		}
 	}
-	buf := writeBufPool.Get().(*bytes.Buffer)
-	defer putWriteBuf(buf)
-	buf.Reset()
 	head := 4 + minFrameLen + len(msg.Err) + 4*len(msg.Cohort)
+	// The raw state bounds the frame: the codecs only shrink it.
+	buf := writeBufs.get(head + 8*len(msg.State))
+	defer writeBufs.put(buf)
+	buf.Reset()
 	buf.Grow(head)
 	buf.Write(buf.AvailableBuffer()[:head])
 	flags, anchorRound, rawLen, err := encodeStateSection(buf, msg, c)
@@ -705,11 +706,11 @@ func readFrame(r io.Reader, msg *Message, c *Codec, maxLen uint32) error {
 	if n < minFrameLen || n > maxLen {
 		return fmt.Errorf("flnet: frame length %d out of range", n)
 	}
-	payload, bp, err := readPayload(&readBufPool, r, int(n))
+	payload, bp, err := readPayload(&readBufs, r, int(n))
 	if err != nil {
 		return fmt.Errorf("flnet: read payload: %w", err)
 	}
-	defer putBuf(&readBufPool, bp)
+	defer readBufs.put(bp)
 	if payload[0] != frameMagic {
 		return fmt.Errorf("flnet: bad frame magic 0x%02x", payload[0])
 	}
@@ -796,11 +797,11 @@ func decodeData(msg *Message, rd *binenc.Reader, flags byte, anchorRound int, c 
 	case flags&flagQuant != 0:
 		sec := stored
 		if flags&flagFlate != 0 {
-			raw, rbp, err := inflate(&readBufPool, stored, rawLen)
+			raw, rbp, err := inflate(&readBufs, stored, rawLen)
 			if err != nil {
 				return err
 			}
-			defer putBuf(&readBufPool, rbp)
+			defer readBufs.put(rbp)
 			sec = raw
 		} else if rawLen != len(stored) {
 			return fmt.Errorf("uncompressed state section stored %d bytes, declared %d", len(stored), rawLen)
@@ -864,7 +865,7 @@ func decodePlanes(msg *Message, sec []byte, dim int, delta bool, anchorRound int
 	defer func() {
 		for _, bp := range scratch {
 			if bp != nil {
-				putBuf(&planeBufPool, bp)
+				planeBufs.put(bp)
 			}
 		}
 	}()
@@ -873,7 +874,7 @@ func decodePlanes(msg *Message, sec []byte, dim int, delta bool, anchorRound int
 			continue
 		}
 		var err error
-		if planes[p], scratch[p], err = inflate(&planeBufPool, planes[p], dim); err != nil {
+		if planes[p], scratch[p], err = inflate(&planeBufs, planes[p], dim); err != nil {
 			return fmt.Errorf("plane %d: %w", p, err)
 		}
 	}

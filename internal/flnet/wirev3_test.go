@@ -474,17 +474,17 @@ func TestCapsLabel(t *testing.T) {
 func TestPoolsDropOversizedBuffers(t *testing.T) {
 	big := make([]byte, maxPooledBytes+1)
 	bp := &big
-	putBuf(&readBufPool, bp)
-	if got := readBufPool.Get().(*[]byte); cap(*got) > 0 && &(*got)[:1][0] == &big[0] {
-		t.Fatal("readBufPool kept a buffer beyond maxPooledBytes")
+	readBufs.put(bp)
+	if got := readBufs.get(len(big)); cap(*got) > 0 && &(*got)[:1][0] == &big[0] {
+		t.Fatal("readBufs kept a buffer beyond maxPooledBytes")
 	}
 
 	var wb bytes.Buffer
 	wb.Grow(maxPooledBytes + 1)
 	marker := wb.Bytes()[:1]
-	putWriteBuf(&wb)
-	if got := writeBufPool.Get().(*bytes.Buffer); got.Cap() > 0 && &got.Bytes()[:1][0] == &marker[0] {
-		t.Fatal("putWriteBuf pooled a buffer beyond maxPooledBytes")
+	writeBufs.put(&wb)
+	if got := writeBufs.get(wb.Cap()); got.Cap() > 0 && &got.Bytes()[:1][0] == &marker[0] {
+		t.Fatal("writeBufs kept a buffer beyond maxPooledBytes")
 	}
 
 	state := make([]float64, maxPooledBytes/8+1)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/flnet"
@@ -23,18 +24,46 @@ type Builder func(spec *JobSpec) (flnet.ServerConfig, error)
 
 // JobState is one stop in a job's lifecycle:
 // created → running → draining → done, with pause/resume as a detour
-// (running → draining → paused → running) and failed as the terminal
-// state of a job whose federation returned an error.
+// (running → draining → paused → running), suspended as the end of a
+// process-level shutdown's drain (the manifest records it, and the next
+// process generation re-adopts the job as it does a running one), and
+// failed as the terminal state of a job whose federation returned an error.
+// A job has a live server exactly while it is running or draining.
 type JobState string
 
 const (
-	JobCreated  JobState = "created"
-	JobRunning  JobState = "running"
-	JobDraining JobState = "draining"
-	JobPaused   JobState = "paused"
-	JobDone     JobState = "done"
-	JobFailed   JobState = "failed"
+	JobCreated   JobState = "created"
+	JobRunning   JobState = "running"
+	JobDraining  JobState = "draining"
+	JobPaused    JobState = "paused"
+	JobSuspended JobState = "suspended"
+	JobDone      JobState = "done"
+	JobFailed    JobState = "failed"
 )
+
+// jobOp is an admin operation gated by the job's state; its value is the
+// wording of a refusal. Delete is legal in every state and is not gated.
+type jobOp string
+
+const (
+	opStart jobOp = "startable"
+	opDrain jobOp = "drainable"
+	opAdmit jobOp = "accepting clients"
+)
+
+// legalFrom is the lifecycle's transition table: the states each gated
+// operation is legal from. Start (create, resume) needs a job without a
+// server to build one; drain and admit need the live server.
+var legalFrom = map[jobOp][]JobState{
+	opStart: {JobCreated, JobPaused},
+	opDrain: {JobRunning, JobDraining},
+	opAdmit: {JobRunning, JobDraining},
+}
+
+// drainTargets ranks where a drain can land the job, weakest first. A drain
+// that joins one in flight may raise the target but never lowers it: a
+// pause outranks a process suspend, which outranks a plain drain to done.
+var drainTargets = []JobState{JobDone, JobSuspended, JobPaused}
 
 // JobStatus is the admin API's view of one job.
 type JobStatus struct {
@@ -73,12 +102,9 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the run goroutine exits; nil when idle
 	final  []float64
-	// pausing marks an in-flight drain as a pause (ErrDraining lands in
-	// JobPaused, resumable); suspending marks it as a process-level
-	// shutdown (the state stays JobRunning so a restarted service
-	// re-adopts the job).
-	pausing    bool
-	suspending bool
+	// target is the state a drain of the current run lands the job in
+	// (one of drainTargets).
+	target JobState
 }
 
 func newJob(spec JobSpec, builder Builder, stateDir string, logf func(string, ...any), onChange func()) *Job {
@@ -106,6 +132,15 @@ func (j *Job) Name() string { return j.spec.Name }
 // exposition).
 func (j *Job) Registry() *telemetry.Registry { return j.reg }
 
+// allow refuses op unless the transition table permits it from the job's
+// state. Called with mu held.
+func (j *Job) allow(op jobOp) error {
+	if slices.Contains(legalFrom[op], j.state) {
+		return nil
+	}
+	return fmt.Errorf("service: job %q is %s, not %s", j.spec.Name, j.state, op)
+}
+
 // start builds the federation and launches the run goroutine. Legal from
 // created (first start) and paused (resume: the flnet server is rebuilt
 // and re-adopts the checkpoint chain; the labeled registry is reused, so
@@ -114,12 +149,11 @@ func (j *Job) Registry() *telemetry.Registry { return j.reg }
 // exactly as it was, never half-constructed.
 func (j *Job) start() error {
 	j.mu.Lock()
-	if j.state != JobCreated && j.state != JobPaused {
-		state := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("service: job %q is %s, not startable", j.spec.Name, state)
-	}
+	err := j.allow(opStart)
 	j.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	// Build outside the lock: model construction can be slow and touches
 	// nothing of the job's mutable state.
@@ -144,12 +178,11 @@ func (j *Job) start() error {
 	done := make(chan struct{})
 
 	j.mu.Lock()
-	if j.state != JobCreated && j.state != JobPaused {
+	if err := j.allow(opStart); err != nil {
 		// Lost a race with delete/close between the check and the build.
-		state := j.state
 		j.mu.Unlock()
 		cancel()
-		return fmt.Errorf("service: job %q is %s, not startable", j.spec.Name, state)
+		return err
 	}
 	j.spec = spec // builder-normalized
 	j.state = JobRunning
@@ -157,8 +190,7 @@ func (j *Job) start() error {
 	j.srv = srv
 	j.cancel = cancel
 	j.done = done
-	j.pausing = false
-	j.suspending = false
+	j.target = JobDone
 	j.mu.Unlock()
 
 	go j.run(ctx, srv, done)
@@ -169,7 +201,8 @@ func (j *Job) start() error {
 // run is the job's supervision goroutine: it owns srv.Run and translates
 // its outcome into the lifecycle state. Run joins every registration and
 // per-connection goroutine the server holds before it returns, so a waiter
-// on done observes a LeakGuard-clean job.
+// on done observes a LeakGuard-clean job, and the manifest already records
+// the state the run left it in.
 func (j *Job) run(ctx context.Context, srv *flnet.Server, done chan struct{}) {
 	final, err := srv.Run(ctx)
 
@@ -177,32 +210,21 @@ func (j *Job) run(ctx context.Context, srv *flnet.Server, done chan struct{}) {
 	j.final = final
 	switch {
 	case err == nil:
-		j.state = JobDone
-		j.detail = ""
+		j.state, j.detail = JobDone, ""
 	case errors.Is(err, flnet.ErrDraining):
-		switch {
-		case j.pausing:
-			j.state = JobPaused
-			j.detail = ""
-		case j.suspending:
-			// Process-level shutdown: keep JobRunning so the manifest
-			// records a job the next process generation must re-adopt.
-			j.state = JobRunning
-			j.detail = ""
-		default:
-			j.state = JobDone
+		j.state, j.detail = j.target, ""
+		if j.target == JobDone {
 			j.detail = "drained"
 		}
 	default:
-		j.state = JobFailed
-		j.detail = err.Error()
+		j.state, j.detail = JobFailed, err.Error()
 	}
 	j.srv = nil
 	j.cancel = nil
 	j.mu.Unlock()
 
-	close(done)
 	j.onChange()
+	close(done)
 }
 
 // admit hands one demultiplexed client, its Hello already read, to the
@@ -210,33 +232,31 @@ func (j *Job) run(ctx context.Context, srv *flnet.Server, done chan struct{}) {
 // the caller's).
 func (j *Job) admit(conn net.Conn, hello *flnet.Message) error {
 	j.mu.Lock()
-	srv, state := j.srv, j.state
+	srv, err := j.srv, j.allow(opAdmit)
 	j.mu.Unlock()
-	if srv == nil {
-		return fmt.Errorf("service: job %q is %s, not accepting clients", j.spec.Name, state)
+	if err != nil {
+		return err
 	}
 	return srv.Admit(conn, hello)
 }
 
 // drain stops the federation gracefully: the in-flight round finishes
 // (or ctx expires), the final state is checkpointed, clients get drain
-// notices. pause=true parks the job as paused (resumable); suspend=true
-// is the process-level variant that leaves the state running for the
-// manifest. Returns once the run goroutine has exited.
-func (j *Job) drain(ctx context.Context, pause, suspend bool) error {
+// notices, and the job lands in target: done, paused (resumable) or
+// suspended (a process-level shutdown, re-adopted by the next process
+// generation). Returns once the run goroutine has exited.
+func (j *Job) drain(ctx context.Context, target JobState) error {
 	j.mu.Lock()
-	// A suspend drain leaves the job running with no server until the
-	// service exits: there is nothing left to drain.
-	if j.state != JobRunning && j.state != JobDraining || j.srv == nil {
-		state := j.state
+	if err := j.allow(opDrain); err != nil {
 		j.mu.Unlock()
-		return fmt.Errorf("service: job %q is %s, not drainable", j.spec.Name, state)
+		return err
 	}
 	srv := j.srv
 	done := j.done
 	j.state = JobDraining
-	j.pausing = j.pausing || pause
-	j.suspending = j.suspending || suspend
+	if slices.Index(drainTargets, target) > slices.Index(drainTargets, j.target) {
+		j.target = target
+	}
 	j.mu.Unlock()
 	j.onChange()
 

@@ -184,7 +184,7 @@ func (s *Service) persistManifest() {
 }
 
 // adoptManifest loads the manifest and rebuilds the registry: jobs that
-// were running (or mid-drain) when the previous process exited are
+// were running, mid-drain or suspended when the previous process exited are
 // started again and resume from their checkpoint chains; paused and
 // terminal jobs are re-registered in their recorded states.
 func (s *Service) adoptManifest() error {
@@ -201,37 +201,40 @@ func (s *Service) adoptManifest() error {
 	if err := dec.Decode(&doc); err != nil {
 		return fmt.Errorf("service: manifest decode: %w", err)
 	}
+	// Every entry is registered before any job starts: a start writes the
+	// manifest, which must not forget the jobs not yet adopted should the
+	// process crash mid-adoption. A job to re-adopt stays created until then.
+	var adopt []*Job
 	for _, entry := range doc.Jobs {
 		if err := entry.Spec.Validate(); err != nil {
 			s.logf("service: manifest: skipping invalid job %q: %v", entry.Spec.Name, err)
 			continue
 		}
 		j := newJob(entry.Spec, s.opts.Builder, s.opts.StateDir, s.logf, s.persistManifest)
+		switch entry.State {
+		case JobRunning, JobDraining, JobSuspended, JobCreated:
+			adopt = append(adopt, j)
+		case JobPaused, JobDone, JobFailed:
+			j.state = entry.State
+		default:
+			s.logf("service: manifest: job %q has unknown state %q, parking as paused", j.Name(), entry.State)
+			j.state = JobPaused
+		}
 		s.mu.Lock()
 		s.jobs[j.Name()] = j
 		s.order = append(s.order, j.Name())
 		telJobs.Set(int64(len(s.jobs)))
 		s.mu.Unlock()
-		switch entry.State {
-		case JobRunning, JobDraining, JobCreated:
-			if err := j.start(); err != nil {
-				s.logf("service: re-adopt job %q: %v", j.Name(), err)
-				j.mu.Lock()
-				j.state = JobFailed
-				j.detail = err.Error()
-				j.mu.Unlock()
-			} else {
-				s.logf("service: re-adopted job %q from its checkpoint chain", j.Name())
-			}
-		case JobPaused, JobDone, JobFailed:
+	}
+	for _, j := range adopt {
+		if err := j.start(); err != nil {
+			s.logf("service: re-adopt job %q: %v", j.Name(), err)
 			j.mu.Lock()
-			j.state = entry.State
+			j.state = JobFailed
+			j.detail = err.Error()
 			j.mu.Unlock()
-		default:
-			s.logf("service: manifest: job %q has unknown state %q, parking as paused", j.Name(), entry.State)
-			j.mu.Lock()
-			j.state = JobPaused
-			j.mu.Unlock()
+		} else {
+			s.logf("service: re-adopted job %q from its checkpoint chain", j.Name())
 		}
 	}
 	s.persistManifest()
@@ -268,12 +271,13 @@ func (s *Service) CreateJob(spec JobSpec) (JobStatus, error) {
 		s.unregister(spec.Name)
 		return JobStatus{}, err
 	}
-	s.persistManifest()
 	return j.status(), nil
 }
 
-// unregister removes a job from the registry (its checkpoint files are
-// untouched; DeleteJob removes those).
+// unregister removes a job from the registry and writes the manifest, which
+// may list the job: another job's transition writes every registered job,
+// this one too while a create is still building it. Its checkpoint files are
+// untouched; DeleteJob removes those.
 func (s *Service) unregister(name string) {
 	s.mu.Lock()
 	delete(s.jobs, name)
@@ -285,6 +289,7 @@ func (s *Service) unregister(name string) {
 	}
 	telJobs.Set(int64(len(s.jobs)))
 	s.mu.Unlock()
+	s.persistManifest()
 }
 
 // job looks up a registered job.
@@ -324,28 +329,22 @@ func (s *Service) ListJobs() []JobStatus {
 
 // DrainJob gracefully stops a running job (terminal state "done").
 func (s *Service) DrainJob(ctx context.Context, name string) error {
-	j, err := s.job(name)
-	if err != nil {
-		return err
-	}
-	if err := j.drain(ctx, false, false); err != nil {
-		return err
-	}
-	s.persistManifest()
-	return nil
+	return s.drainJob(ctx, name, JobDone)
 }
 
 // PauseJob drains a running job into the resumable paused state.
 func (s *Service) PauseJob(ctx context.Context, name string) error {
+	return s.drainJob(ctx, name, JobPaused)
+}
+
+// drainJob drains the named job into target. The job's own transitions
+// write the manifest, the last one before the drain returns.
+func (s *Service) drainJob(ctx context.Context, name string, target JobState) error {
 	j, err := s.job(name)
 	if err != nil {
 		return err
 	}
-	if err := j.drain(ctx, true, false); err != nil {
-		return err
-	}
-	s.persistManifest()
-	return nil
+	return j.drain(ctx, target)
 }
 
 // ResumeJob restarts a paused job; it re-adopts its checkpoint chain and
@@ -355,11 +354,7 @@ func (s *Service) ResumeJob(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := j.start(); err != nil {
-		return err
-	}
-	s.persistManifest()
-	return nil
+	return j.start()
 }
 
 // DeleteJob stops a job (hard-cancelling any live federation), removes
@@ -371,7 +366,6 @@ func (s *Service) DeleteJob(name string) error {
 	}
 	j.stop()
 	s.unregister(name)
-	s.persistManifest()
 	// Every generation goes, so a recreated job starts fresh.
 	if err := checkpoint.RemoveChain(j.ckptPath); err != nil {
 		s.logf("service: delete job %q: %v", name, err)
@@ -500,9 +494,9 @@ func (s *Service) Health() telemetry.Health {
 }
 
 // Shutdown is the rolling-restart exit: every running job is drained
-// concurrently (finishing its in-flight round and checkpointing), the
-// manifest records them as running so the next process generation
-// re-adopts them, and the shared listener closes. Blocks until every
+// concurrently (finishing its in-flight round and checkpointing) into the
+// suspended state, which the manifest records for the next process
+// generation to re-adopt, and the shared listener closes. Blocks until every
 // route goroutine and job supervisor has exited.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -521,7 +515,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		wg.Add(1)
 		go func(j *Job) {
 			defer wg.Done()
-			if err := j.drain(ctx, false, true); err != nil {
+			if err := j.drain(ctx, JobSuspended); err != nil {
 				errCh <- err
 			}
 		}(j)
@@ -532,7 +526,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	for err := range errCh {
 		errs = append(errs, err)
 	}
-	s.persistManifest()
 	s.markClosed()
 	s.ln.Close()
 	<-s.acceptDone

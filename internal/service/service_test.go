@@ -782,9 +782,9 @@ func TestDeleteJobSparesNeighbourChain(t *testing.T) {
 }
 
 // TestDrainAfterSuspendRefused: Service.Shutdown's suspend drain leaves a job
-// running with no server until the service exits, and the admin API is up
+// suspended, with no server, until the service exits, and the admin API is up
 // meanwhile. A drain or a pause in that window is refused, and the job stays
-// running for the next generation to re-adopt.
+// suspended for the next generation to re-adopt.
 func TestDrainAfterSuspendRefused(t *testing.T) {
 	leakcheck.GuardTest(t, 5*time.Second)
 	svc := newTestService(t, t.TempDir())
@@ -798,7 +798,7 @@ func TestDrainAfterSuspendRefused(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := j.drain(ctx, false, true); err != nil {
+	if err := j.drain(ctx, JobSuspended); err != nil {
 		t.Fatalf("suspend drain: %v", err)
 	}
 	if err := svc.DrainJob(ctx, spec.Name); err == nil || !strings.Contains(err.Error(), "not drainable") {
@@ -807,7 +807,7 @@ func TestDrainAfterSuspendRefused(t *testing.T) {
 	if err := svc.PauseJob(ctx, spec.Name); err == nil || !strings.Contains(err.Error(), "not drainable") {
 		t.Errorf("pause after a suspend: %v, want a not-drainable error", err)
 	}
-	if got := j.currentState(); got != JobRunning {
-		t.Errorf("job is %s after the refused drains, want %s", got, JobRunning)
+	if got := j.currentState(); got != JobSuspended {
+		t.Errorf("job is %s after the refused drains, want %s", got, JobSuspended)
 	}
 }
