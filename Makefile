@@ -114,7 +114,9 @@
 #                     Server.Pipe, the acceptor's own admission)
 #   make oneconv    - grep gate: non-test .go code calls the convolution's
 #                     im2col( gather exactly once (from the tile loop, so no
-#                     second Conv2D path gathers its own columns), and no .go
+#                     second Conv2D path gathers its own columns), outside
+#                     internal/tensor calls GatherTaps( exactly once (from
+#                     im2col, so the vector gather has one caller), and no .go
 #                     file names conv2dDirectBudget, GEMMPanel or
 #                     forwardDirect (the direct path and its dispatch budget
 #                     are gone)
@@ -180,7 +182,10 @@
 #                     corruption invariants) and payload decoders, the
 #                     blocked-GEMM shape
 #                     dispatch (arbitrary shapes vs the naive reference),
-#                     and the service-mode job-spec decoder/validator
+#                     the convolution's tap gather (arbitrary tap tables,
+#                     out-of-range offsets included, vs the scalar loop on
+#                     every kernel tier), and the service-mode job-spec
+#                     decoder/validator
 #   make bench      - kernel + per-layer hot-path microbenchmarks
 #   make bench-json - rerun the tracked hot-path suite, recording it in
 #                     BENCH_hotpath.json (a record no gate reads; the
@@ -279,6 +284,7 @@ oneacceptor:
 
 oneconv:
 	@hits=$$(grep -rn 'im2col(' --include='*.go' internal | grep -v '_test\.go:' | grep -v 'func (c \*Conv2D) im2col('); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo 'want exactly one im2col( call in non-test internal/ (see above): gather columns only in the tile loop'; exit 1; fi
+	@hits=$$(grep -rn 'GatherTaps(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/tensor|\.bench_build)/'); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo 'want exactly one GatherTaps( call in non-test code outside internal/tensor (see above): gather columns only in im2col'; exit 1; fi
 	@if grep -rnE 'conv2dDirectBudget|GEMMPanel|forwardDirect' --include='*.go' . | grep -v '^\./\.bench_build/'; then echo 'the direct convolution path or its budget is back (see above): Conv2D has one tiled path'; exit 1; fi
 
 oneserverconfig:
@@ -334,4 +340,5 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzEnvelopeCorruption -fuzztime=30s ./internal/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzSnapshotPayload -fuzztime=30s ./internal/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzBlockedGEMM -fuzztime=30s ./internal/tensor/
+	$(GO) test -run=NONE -fuzz=FuzzGatherTaps -fuzztime=30s ./internal/tensor/
 	$(GO) test -run=NONE -fuzz=FuzzJobSpec -fuzztime=30s ./internal/service/

@@ -19,8 +19,12 @@ import (
 // block of it that it needs into a tile sized to stay in L2 (convTileBytes),
 // multiplies the tile with the blocked matmuls and moves on. Tables built
 // once per input size (setTaps) map every (position, tap) to its input
-// offset or to the padding, so a gather is one branch-free lookup loop per
-// batch item.
+// offset or to the padding. Columns move between the input and a tile at
+// vector width: per batch item, tensor.GatherTaps gathers a tile's rows
+// (padding reads +0) and tensor.ScatterAddRows adds gradient rows back in
+// ascending row order; on hosts below AVX-512, and past a kernel's prefix,
+// im2col's and col2im's scalar loops do the same work and are the kernels'
+// reference.
 //
 //   - Forward (training and inference alike): per tile of rows, out2d =
 //     col × Wmatᵀ (MatMulTransB), then the bias add and the permute of the
@@ -345,7 +349,8 @@ func (c *Conv2D) eachTile(ws *tensor.Workspace, taps []int, width, r0, r1, rowSt
 // im2col writes rows [r0, r1) of a column block into dst, row-major: row r
 // holds, for output position s = r%(oh*ow) of batch item r/(oh*ow), the
 // input values the width taps[s*width:] point at, and +0 for padding. dst
-// may hold stale data on entry.
+// may hold stale data on entry. tensor.GatherTaps moves each batch item's
+// rows at vector width; the loop here is its reference and takes the rest.
 func (c *Conv2D) im2col(dst []float64, taps []int, width, r0, r1 int) {
 	g, xd := c.g, c.lastX.Data()
 	spatial, item := g.oh*g.ow, c.InC*g.h*g.w
@@ -353,7 +358,8 @@ func (c *Conv2D) im2col(dst []float64, taps []int, width, r0, r1 int) {
 		bi, s := r/spatial, r%spatial
 		n := min(spatial-s, r1-r) // rows of batch item bi
 		xb, t, d := xd[bi*item:][:item], taps[s*width:][:n*width], dst[(r-r0)*width:][:n*width]
-		for j, off := range t {
+		for j := tensor.GatherTaps(d, xb, t); j < len(t); j++ {
+			off := t[j]
 			keep := ^(off >> 63) // all ones, or zero for padding (-1)
 			d[j] = math.Float64frombits(math.Float64bits(xb[off&keep]) & uint64(keep))
 		}
@@ -363,21 +369,22 @@ func (c *Conv2D) im2col(dst []float64, taps []int, width, r0, r1 int) {
 
 // col2im accumulates the gradient-column rows [r0, r1) in gcol (all taps,
 // row-major) into gid, the adjoint of im2col: padding taps are skipped, and
-// contributions land in ascending (row, tap) order.
+// contributions land in ascending (row, tap) order. tensor.ScatterAddRows
+// adds each batch item's rows at vector width; the loop here is its
+// reference and takes the rest.
 func (c *Conv2D) col2im(gid, gcol []float64, r0, r1 int) {
 	g, cw := c.g, c.colWidth()
 	spatial, item := g.oh*g.ow, c.InC*g.h*g.w
-	bi, s := r0/spatial, r0%spatial
-	for r := r0; r < r1; r++ {
-		gb, taps := gid[bi*item:][:item], c.taps[s*cw:][:cw]
-		for p, v := range gcol[(r-r0)*cw:][:cw] {
-			if off := taps[p]; off >= 0 {
-				gb[off] += v
+	for r := r0; r < r1; {
+		bi, s := r/spatial, r%spatial
+		n := min(spatial-s, r1-r) // rows of batch item bi
+		gb, t, v := gid[bi*item:][:item], c.taps[s*cw:][:n*cw], gcol[(r-r0)*cw:][:n*cw]
+		for j := tensor.ScatterAddRows(gb, v, t, cw) * cw; j < len(t); j++ {
+			if off := t[j]; off >= 0 {
+				gb[off] += v[j]
 			}
 		}
-		if s++; s == spatial {
-			s, bi = 0, bi+1
-		}
+		r += n
 	}
 }
 
@@ -404,6 +411,16 @@ func (c *Conv2D) setTaps(h, w, oh, ow int) {
 				c.taps[s*cw+p] = off
 			}
 			c.slabTaps[(p/convLanes*spatial+s)*convLanes+p%convLanes] = off
+		}
+	}
+	// The tap kernels trust no offset, but a bad one here is a bug: catch it
+	// once per geometry rather than as a panic deep inside a tile.
+	item := c.InC * h * w
+	for _, t := range [2][]int{c.taps, c.slabTaps} {
+		for _, off := range t {
+			if off < -1 || off >= item {
+				panic(fmt.Sprintf("nn: %s tap offset %d outside [-1, %d)", c.Name(), off, item))
+			}
 		}
 	}
 }

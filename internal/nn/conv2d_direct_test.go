@@ -379,3 +379,58 @@ func TestConv2DBackwardAfterInferencePanics(t *testing.T) {
 	}()
 	layer.Backward(out)
 }
+
+// TestConv2DColumnMovesBitIdentical holds im2col (the forward's tap table
+// and every weight-gradient slab) and col2im on every tier to the scalar
+// tier, called directly on every case of conv2dCases with NaNs of both
+// signs and distinct payloads planted in the input, the gradient columns
+// and gradIn's prior contents. The layer-level gates cannot plant those:
+// their values pass through GEMMs, whose NaN + NaN picks a payload by its
+// own operand order.
+func TestConv2DColumnMovesBitIdentical(t *testing.T) {
+	payloads := []float64{
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000abc),
+		math.Float64frombits(0x7ff4000000000123), math.Inf(-1), math.Copysign(0, -1),
+	}
+	plant := func(d []float64, seed int64) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		for i := range d {
+			if rng.Intn(3) == 0 {
+				d[i] = payloads[rng.Intn(len(payloads))]
+			}
+		}
+		return d
+	}
+	for _, tc := range conv2dCases {
+		layer, x := tc.layer(), tc.input()
+		plant(x.Data(), 48)
+		layer.Forward(x, true)
+		rows, cw := layer.g.batch*layer.g.oh*layer.g.ow, layer.colWidth()
+		gcol := plant(tensor.Randn(rand.New(rand.NewSource(49)), 0, 1, rows*cw).Data(), 50)
+		gin0 := plant(tensor.Randn(rand.New(rand.NewSource(51)), 0, 1, x.Len()).Data(), 52)
+		var want [][]float64
+		tensor.ForEachKernelISA(func(isa string) {
+			col := make([]float64, rows*cw)
+			layer.im2col(col, layer.taps, cw, 0, rows)
+			got := [][]float64{col}
+			block := layer.g.oh * layer.g.ow * convLanes
+			for q := 0; q < len(layer.slabTaps)/block; q++ {
+				slab := make([]float64, rows*convLanes)
+				layer.im2col(slab, layer.slabTaps[q*block:][:block], convLanes, 0, rows)
+				got = append(got, slab)
+			}
+			gin := append([]float64(nil), gin0...)
+			layer.col2im(gin, gcol, 0, rows)
+			got = append(got, gin)
+			if want == nil {
+				want = got
+				return
+			}
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Errorf("%s/%s: column move %d of %d diverges from the scalar tier", isa, tc.name, i, len(want))
+				}
+			}
+		})
+	}
+}

@@ -2,9 +2,10 @@ package tensor
 
 // Micro-kernel bindings: the AVX2 tier in gemm_amd64.s, the AVX-512 tier in
 // gemm512_amd64.s, the Adagrad steps in adagrad_amd64.s, the byte-plane
-// transposes in planes_amd64.s and the fixed-point fold and finalize in
-// fixed_amd64.s. Each file states its bit-identity contract; blocked.go,
-// adagrad.go, planes.go and fixed.go drive them.
+// transposes in planes_amd64.s, the fixed-point fold and finalize in
+// fixed_amd64.s and the convolution's tap gather and scatter-add in
+// taps_amd64.s. Each file states its bit-identity contract; blocked.go,
+// adagrad.go, planes.go, fixed.go and taps.go drive them.
 
 //go:noescape
 func gemmNN4x8(c, a, b *float64, k, lda, ldb, ldc int)
@@ -38,6 +39,12 @@ func fixedFoldAVX512(hi, lo *uint64, state *float64, n int, scale float64) int
 
 //go:noescape
 func fixedFinalizeAVX512(out *float64, hi, lo *uint64, bad *uint8, n int, div float64) int
+
+//go:noescape
+func gatherTapsAVX512(dst, src *float64, offs *int, n, lim int) int
+
+//go:noescape
+func scatterAddRowsAVX512(dst, src *float64, offs *int, rows, width, lim int) int
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

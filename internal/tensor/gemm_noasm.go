@@ -3,8 +3,8 @@
 package tensor
 
 // Non-amd64 builds have no SIMD micro kernels: every matmul, Adagrad step,
-// plane transpose and fixed-point fold stays on the scalar code, which checks
-// the tier before reaching these stubs.
+// plane transpose, fixed-point fold and tap move stays on the scalar code,
+// which checks the tier before reaching these stubs.
 const hostISA = isaScalar
 
 func gemmNN4x8(c, a, b *float64, k, lda, ldb, ldc int) { panic("tensor: no AVX2") }
@@ -32,5 +32,11 @@ func fixedFoldAVX512(hi, lo *uint64, state *float64, n int, scale float64) int {
 }
 
 func fixedFinalizeAVX512(out *float64, hi, lo *uint64, bad *uint8, n int, div float64) int {
+	panic("tensor: no AVX-512")
+}
+
+func gatherTapsAVX512(dst, src *float64, offs *int, n, lim int) int { panic("tensor: no AVX-512") }
+
+func scatterAddRowsAVX512(dst, src *float64, offs *int, rows, width, lim int) int {
 	panic("tensor: no AVX-512")
 }
