@@ -184,8 +184,11 @@
 #                     dispatch (arbitrary shapes vs the naive reference),
 #                     the convolution's tap gather (arbitrary tap tables,
 #                     out-of-range offsets included, vs the scalar loop on
-#                     every kernel tier), and the service-mode job-spec
-#                     decoder/validator
+#                     every kernel tier), the pointwise layer kernels
+#                     (BatchNorm normalize and input gradient, ReLU's
+#                     select and 2x2 max pooling at arbitrary shapes vs
+#                     their scalar loops on every kernel tier), and the
+#                     service-mode job-spec decoder/validator
 #   make bench      - kernel + per-layer hot-path microbenchmarks
 #   make bench-json - rerun the tracked hot-path suite, recording it in
 #                     BENCH_hotpath.json (a record no gate reads; the
@@ -341,4 +344,5 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSnapshotPayload -fuzztime=30s ./internal/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzBlockedGEMM -fuzztime=30s ./internal/tensor/
 	$(GO) test -run=NONE -fuzz=FuzzGatherTaps -fuzztime=30s ./internal/tensor/
+	$(GO) test -run=NONE -fuzz=FuzzPointwise -fuzztime=30s ./internal/tensor/
 	$(GO) test -run=NONE -fuzz=FuzzJobSpec -fuzztime=30s ./internal/service/

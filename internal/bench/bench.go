@@ -459,10 +459,20 @@ func WriteFile(path string, cur Snapshot) error {
 // MergeResults folds a partial snapshot (e.g. a -only rerun of a few
 // entries) into the file's current section: named results are replaced,
 // everything else — including results the partial run did not measure — is
-// preserved.
+// preserved. A snapshot taken at another GOMAXPROCS than the file's is
+// refused: the pool's fan-out changes both timings and allocations, so the
+// merged entries would not be comparable with the rest.
 func MergeResults(path string, partial Snapshot) error {
 	if err := measuredEnough(partial); err != nil {
 		return err
+	}
+	f, err := ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if have := f.Current.GOMAXPROCS; have != 0 && have != partial.GOMAXPROCS {
+		return fmt.Errorf("bench: %s records GOMAXPROCS=%d, this run measured at GOMAXPROCS=%d: rerun with GOMAXPROCS=%d",
+			path, have, partial.GOMAXPROCS, have)
 	}
 	return UpdateFile(path, func(f *File) {
 		if f.Current.Results == nil {

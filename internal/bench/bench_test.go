@@ -97,6 +97,42 @@ func TestUpdateFilePreservesSections(t *testing.T) {
 	}
 }
 
+// TestMergeResultsRefusesOtherGOMAXPROCS: a partial snapshot taken at
+// another GOMAXPROCS than the file's current section is refused with an
+// error naming both settings, and the file is left as it was; one taken at
+// the file's setting merges, and a file without a setting takes the
+// snapshot's.
+func TestMergeResultsRefusesOtherGOMAXPROCS(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	entry := func(ns int64, procs int) Snapshot {
+		return Snapshot{GOMAXPROCS: procs, Results: map[string]Result{"vgg11_train_step": {NsPerOp: ns, GOMAXPROCS: procs, Iterations: MinIterations}}}
+	}
+	if err := MergeResults(path, entry(90, 1)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = MergeResults(path, entry(150, 2))
+	if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS=1") || !strings.Contains(err.Error(), "GOMAXPROCS=2") {
+		t.Fatalf("MergeResults at GOMAXPROCS=2 into a GOMAXPROCS=1 file = %v, want a refusal naming both", err)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Fatalf("refused merge changed the file: %s", after)
+	}
+	if err := MergeResults(path, entry(80, 1)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := f.Current.Results["vgg11_train_step"]; f.Current.GOMAXPROCS != 1 || r.NsPerOp != 80 {
+		t.Fatalf("current %+v after a same-setting merge, want GOMAXPROCS 1 and 80 ns/op", f.Current)
+	}
+}
+
 // TestCheckParallelDeterminism runs the scaling sweep's divergence gate at a
 // pool size past the host CPU count; any non-bit-identical parallel kernel
 // fails here before it could be benchmarked as correct.

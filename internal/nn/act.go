@@ -76,13 +76,16 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 
 // reluRange writes dst[i] = src[i] where sign[i] > 0 and +0 elsewhere (NaN
 // included) for i in [lo, hi): the ReLU forward with sign = src, its
-// backward with sign = the forward output. The sign of a BatchNorm output
-// is a coin flip, so the select is a mask, not a branch.
+// backward with sign = the forward output. tensor.KeepPositive covers what
+// it can at vector width; this loop, its reference, runs the rest. The sign
+// of a BatchNorm output is a coin flip, so the select is a mask, not a
+// branch.
 func reluRange(dst, src, sign []float64, lo, hi int) {
 	src, sign = src[lo:hi], sign[lo:hi]
 	dst = dst[lo:hi][:len(src)]
-	for i, s := range sign[:len(src)] {
-		dst[i] = keepIf(s > 0, src[i])
+	sign = sign[:len(src)]
+	for i := tensor.KeepPositive(dst, src, sign); i < len(src); i++ {
+		dst[i] = keepIf(sign[i] > 0, src[i])
 	}
 }
 

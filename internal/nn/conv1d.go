@@ -12,7 +12,9 @@ import (
 // model). Weights have shape [OutC, InC, K].
 //
 // Output and input-gradient tensors live in a grow-only per-layer workspace,
-// so a steady-state training step performs no allocations.
+// so a steady-state training step on one compute worker performs no
+// allocations; on more, each split of parallel.For and of the blocked GEMM's
+// dispatch allocates.
 type Conv1D struct {
 	InC, OutC   int
 	K           int

@@ -47,7 +47,8 @@ import (
 // so the worker count cannot move a bit. Every per-step temporary (the
 // output, the permuted gradient, the input gradient, the tap table and one
 // tile workspace per pool range) is grow-only, so a steady-state training
-// step performs no allocations.
+// step on one compute worker performs no allocations; on more, each split of
+// parallel.For and of the blocked GEMM's dispatch allocates.
 type Conv2D struct {
 	InC, OutC   int
 	KH, KW      int

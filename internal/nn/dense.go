@@ -37,7 +37,9 @@ func (a Activation) String() string {
 //
 // The forward and backward passes are transpose-free (MatMulTransB /
 // MatMulTransA against W directly) and write into per-layer workspace
-// tensors, so a steady-state training step performs no allocations. When an
+// tensors, so a steady-state training step on one compute worker performs
+// no allocations; on more, each split of parallel.For and of the blocked
+// GEMM's dispatch allocates. When an
 // activation is fused, the bias add and the activation run in one pass over
 // the output tile instead of a separate layer re-traversing the tensor; the
 // per-element operation sequence (GEMM result + bias, then the activation)

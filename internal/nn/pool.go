@@ -95,31 +95,37 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// forwardRange pools planes [bc0,bc1).
+// forwardRange pools planes [bc0,bc1), output row by output row. When 2×2
+// windows at stride 2 tile the planes, tensor.MaxPool2x2 covers the rows it
+// can at vector width; this loop, its reference, runs the rest.
 func (p *MaxPool2D) forwardRange(xd, od []float64, argmax []int, bc0, bc1, h, w, oh, ow int) {
-	for bc := bc0; bc < bc1; bc++ {
+	r0, r1 := bc0*oh, bc1*oh
+	if p.K == 2 && p.Stride == 2 && h == 2*oh && w == 2*ow {
+		lo, hi := r0*ow, r1*ow
+		r0 += tensor.MaxPool2x2(od[lo:hi], argmax[lo:hi], xd[bc0*h*w:bc1*h*w], ow, bc0*h*w) / ow
+	}
+	for r := r0; r < r1; r++ {
+		bc, oy := r/oh, r%oh
 		src := xd[bc*h*w : (bc+1)*h*w]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				bestIdx := oy*p.Stride*w + ox*p.Stride
-				best := src[bestIdx]
-				for ky := 0; ky < p.K; ky++ {
-					iy := oy*p.Stride + ky
-					if iy >= h {
+		for ox := 0; ox < ow; ox++ {
+			bestIdx := oy*p.Stride*w + ox*p.Stride
+			best := src[bestIdx]
+			for ky := 0; ky < p.K; ky++ {
+				iy := oy*p.Stride + ky
+				if iy >= h {
+					break
+				}
+				for kx := 0; kx < p.K; kx++ {
+					ix := ox*p.Stride + kx
+					if ix >= w {
 						break
 					}
-					for kx := 0; kx < p.K; kx++ {
-						ix := ox*p.Stride + kx
-						if ix >= w {
-							break
-						}
-						best, bestIdx = firstMax(best, bestIdx, src[iy*w+ix], iy*w+ix)
-					}
+					best, bestIdx = firstMax(best, bestIdx, src[iy*w+ix], iy*w+ix)
 				}
-				oi := (bc*oh+oy)*ow + ox
-				od[oi] = best
-				argmax[oi] = bc*h*w + bestIdx
 			}
+			oi := r*ow + ox
+			od[oi] = best
+			argmax[oi] = bc*h*w + bestIdx
 		}
 	}
 }

@@ -3,9 +3,10 @@ package tensor
 // Micro-kernel bindings: the AVX2 tier in gemm_amd64.s, the AVX-512 tier in
 // gemm512_amd64.s, the Adagrad steps in adagrad_amd64.s, the byte-plane
 // transposes in planes_amd64.s, the fixed-point fold and finalize in
-// fixed_amd64.s and the convolution's tap gather and scatter-add in
-// taps_amd64.s. Each file states its bit-identity contract; blocked.go,
-// adagrad.go, planes.go, fixed.go and taps.go drive them.
+// fixed_amd64.s, the convolution's tap gather and scatter-add in
+// taps_amd64.s and the BatchNorm, ReLU and 2×2 max-pool kernels in
+// pointwise_amd64.s. Each file states its bit-identity contract; blocked.go,
+// adagrad.go, planes.go, fixed.go, taps.go and pointwise.go drive them.
 
 //go:noescape
 func gemmNN4x8(c, a, b *float64, k, lda, ldb, ldc int)
@@ -45,6 +46,18 @@ func gatherTapsAVX512(dst, src *float64, offs *int, n, lim int) int
 
 //go:noescape
 func scatterAddRowsAVX512(dst, src *float64, offs *int, rows, width, lim int) int
+
+//go:noescape
+func bnNormalizeAVX512(od, xd, mean, invStd, gamma, beta *float64, items, C, spatial int)
+
+//go:noescape
+func bnGradInAVX512(gid, god, xd, mean, invStd, k, dbeta, dgamma *float64, items, C, spatial int)
+
+//go:noescape
+func keepPositiveAVX512(dst, src, sign *float64, n int)
+
+//go:noescape
+func maxPool2x2AVX512(dst *float64, argmax *int, src *float64, blocks, chunks, w2, base int, t *poolTables)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -3,8 +3,9 @@
 package tensor
 
 // Non-amd64 builds have no SIMD micro kernels: every matmul, Adagrad step,
-// plane transpose, fixed-point fold and tap move stays on the scalar code,
-// which checks the tier before reaching these stubs.
+// plane transpose, fixed-point fold, tap move and pointwise layer kernel
+// stays on the scalar code, which checks the tier before reaching these
+// stubs.
 const hostISA = isaScalar
 
 func gemmNN4x8(c, a, b *float64, k, lda, ldb, ldc int) { panic("tensor: no AVX2") }
@@ -38,5 +39,19 @@ func fixedFinalizeAVX512(out *float64, hi, lo *uint64, bad *uint8, n int, div fl
 func gatherTapsAVX512(dst, src *float64, offs *int, n, lim int) int { panic("tensor: no AVX-512") }
 
 func scatterAddRowsAVX512(dst, src *float64, offs *int, rows, width, lim int) int {
+	panic("tensor: no AVX-512")
+}
+
+func bnNormalizeAVX512(od, xd, mean, invStd, gamma, beta *float64, items, C, spatial int) {
+	panic("tensor: no AVX-512")
+}
+
+func bnGradInAVX512(gid, god, xd, mean, invStd, k, dbeta, dgamma *float64, items, C, spatial int) {
+	panic("tensor: no AVX-512")
+}
+
+func keepPositiveAVX512(dst, src, sign *float64, n int) { panic("tensor: no AVX-512") }
+
+func maxPool2x2AVX512(dst *float64, argmax *int, src *float64, blocks, chunks, w2, base int, t *poolTables) {
 	panic("tensor: no AVX-512")
 }
