@@ -25,9 +25,11 @@
 #                     wire setups) the live heap is at most its budget in
 #                     states, nine below PR 24's
 #   make parallel   - compute-pool guards: pool invariants plus the
-#                     serial-vs-parallel and every-kernel-tier bit-identity
-#                     property tests (tensor, nn, fl, flnet, bench), under
-#                     -race
+#                     serial-vs-parallel bit-identity property tests of the
+#                     splits the pool keeps (the GEMMs, Conv2D's tiles,
+#                     Dense's bias+activation pass, fl.System's client
+#                     loops) and the every-kernel-tier ones (tensor, nn, fl,
+#                     flnet, bench), under -race
 #   make telemetry  - observability guards: registry/event-log/admin tests
 #                     under -race (including the rejoin log-serialization
 #                     hammer), the /metrics golden test, the instrument
@@ -119,7 +121,10 @@
 #                     im2col, so the vector gather has one caller), and no .go
 #                     file names conv2dDirectBudget, GEMMPanel or
 #                     forwardDirect (the direct path and its dispatch budget
-#                     are gone)
+#                     are gone); and non-test internal/nn calls parallel.
+#                     from two functions only, Conv2D's tile fan-out and
+#                     Dense's forward (its bias+activation pass): the
+#                     memory-bound layers run on the caller
 #   make oneserverconfig - grep gate: outside middleware.go, internal/flnet
 #                     and internal/bench no non-test .go file writes a
 #                     ServerConfig{ literal (a standalone server and a
@@ -146,7 +151,11 @@
 #   make exports    - type-checked gate: every exported top-level name,
 #                     exported method and exported struct field under
 #                     internal/ is used by some non-test .go file of the
-#                     module or of benchmark/ (examples/ included). A method
+#                     module or of benchmark/ (examples/ included), from a
+#                     live declaration: uses inside a dead type's methods,
+#                     a dead function or a blank var (var _ I = (*T)(nil))
+#                     do not count, so a type and constructor that name only
+#                     each other are dead together. A method
 #                     also counts when it makes its type satisfy an interface
 #                     that non-test code names (a type assertion's anonymous
 #                     interface included), as do String() string and
@@ -154,8 +163,9 @@
 #                     reads it. chaos, faultnet and leakcheck serve tests and
 #                     are exempt, and each other test-only name is listed with
 #                     its reason in exports_test.go (a type's entry covers its
-#                     methods and fields). Also runs the gate over the planted
-#                     tree in testdata/exportgate
+#                     methods and fields, and what a listed name uses is
+#                     kept). Also runs the gate over the planted tree in
+#                     testdata/exportgate
 #   make exptables  - byte-identity of the evaluation: rerun dinar-bench -exp all
 #                     -quick (seed 1, about two minutes) and diff every table
 #                     against internal/experiment/testdata/quick_seed1.golden;
@@ -289,6 +299,9 @@ oneconv:
 	@hits=$$(grep -rn 'im2col(' --include='*.go' internal | grep -v '_test\.go:' | grep -v 'func (c \*Conv2D) im2col('); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo 'want exactly one im2col( call in non-test internal/ (see above): gather columns only in the tile loop'; exit 1; fi
 	@hits=$$(grep -rn 'GatherTaps(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/tensor|\.bench_build)/'); if [ $$(printf '%s\n' "$$hits" | grep -c .) -ne 1 ]; then printf '%s\n' "$$hits"; echo 'want exactly one GatherTaps( call in non-test code outside internal/tensor (see above): gather columns only in im2col'; exit 1; fi
 	@if grep -rnE 'conv2dDirectBudget|GEMMPanel|forwardDirect' --include='*.go' . | grep -v '^\./\.bench_build/'; then echo 'the direct convolution path or its budget is back (see above): Conv2D has one tiled path'; exit 1; fi
+	@sites=$$(awk '/^[a-z]/ { fn = ($$2 !~ /^\(/) ? $$2 : ($$2 ~ /\)$$/) ? $$3 : $$4; sub(/[[(].*/, "", fn) } \
+		/parallel\.[A-Z]/ && !/^[[:space:]]*\/\// { print FILENAME ": " fn }' $$(ls internal/nn/*.go | grep -v _test.go) | sort -u); \
+	if [ "$$sites" != "$$(printf 'internal/nn/conv2d.go: fanOut\ninternal/nn/dense.go: Forward')" ]; then printf '%s\n' "$$sites"; echo 'want parallel. called in non-test internal/nn only by Conv2D.fanOut and Dense.Forward (see above): a memory-bound layer runs on the caller'; exit 1; fi
 
 oneserverconfig:
 	@if grep -rn 'ServerConfig{' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(middleware\.go|internal/flnet/|internal/bench/|benchmark/|\.bench_build/)'; then echo 'a second flnet.ServerConfig construction (see above): map the settings onto dinar.ServerOptions and call serverConfig'; exit 1; fi

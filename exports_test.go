@@ -43,6 +43,7 @@ var testOnlyExports = map[string]string{
 	"repro/internal/tensor.MatMulTransB":           "naive reference the blocked GEMM is checked against",
 	"repro/internal/tensor.Transpose2D":            "builds the transposed operands of the GEMM references",
 	"repro/internal/tensor.MustFromSlice":          "tensor fixture constructor",
+	"repro/internal/nn.NewTanh":                    "unfused reference DenseAct(ActTanh) is held bit-identical to",
 	"repro/internal/tensor.ForEachKernelISA":       "holds every kernel tier to the scalar loops of fl's and flnet's tier tests",
 	"repro/internal/data.SkewMetric":               "reference of the Dirichlet partition test",
 	"repro/internal/defense.ExtendedNames":         "row set of TestSystemMatchesTCP",
@@ -80,10 +81,12 @@ func TestEveryExportHasACaller(t *testing.T) {
 }
 
 // TestExportGateFixture runs the gate over a planted module tree and holds it
-// to exactly the dead method and the dead field planted there.
+// to exactly the dead method, the dead field and the pair that names only
+// each other planted there.
 func TestExportGateFixture(t *testing.T) {
 	dead, stale, err := deadExports(filepath.Join("testdata", "exportgate"), nil, map[string]string{
-		"fixture/internal/lib.Seam": "test seam: covers its method and field",
+		"fixture/internal/lib.Seam":   "test seam: covers its method and field",
+		"fixture/internal/lib.NewRef": "test seam: keeps the type it returns",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +96,7 @@ func TestExportGateFixture(t *testing.T) {
 		got = append(got, d[strings.LastIndex(d, " ")+1:])
 	}
 	sort.Strings(got)
-	want := []string{"fixture/internal/lib.Widget.Dead", "fixture/internal/lib.Widget.Unused"}
+	want := []string{"fixture/internal/lib.NewOrphan", "fixture/internal/lib.Orphan", "fixture/internal/lib.Widget.Dead", "fixture/internal/lib.Widget.Unused"}
 	if !reflect.DeepEqual(got, want) || len(stale) != 0 {
 		t.Errorf("dead = %q, stale = %q; want dead %q and nothing stale", dead, stale, want)
 	}
@@ -104,23 +107,32 @@ func TestExportGateFixture(t *testing.T) {
 // top-level name, exported method and exported struct field of the root
 // module's internal packages that no non-test file uses. Symbols read
 // "path.Name" or "path.Type.Name"; embedded fields are not gated. A name
-// counts as used when some file refers to it (types.Info.Uses, which also
-// records a method or field selected through embedding), when it is a
-// method that makes its type (or a type it is promoted into) satisfy an
-// interface that some file names, when it is String() string or Error()
+// counts as used when a live declaration refers to it (types.Info.Uses,
+// which also records a method or field selected through embedding), when it
+// is a method that makes its type (or a type it is promoted into) satisfy
+// an interface that some file names, when it is String() string or Error()
 // string, or when it is a tagged field, which a codec reads by reflection.
-// Generic types are not checked against interfaces. Packages in exempt are
-// not gated; allow lists the test-only names that stay, and an entry for a
-// type covers its methods and fields. stale reports allow entries that are
-// not gated names or that keep nothing unused.
+// Every top-level declaration that is not a gated export is live, and a
+// gated one is live once a live declaration uses it or one of its methods
+// or fields; a type's methods belong to the type's declaration, and a
+// blank var (var _ I = (*T)(nil)) is never live. So a constructor that only
+// its type's own method calls, and a type that only that constructor and a
+// blank assertion name, are dead together. Generic types are not checked
+// against interfaces. Packages in exempt are not gated; allow lists the
+// test-only names that stay, an entry for a type covers its methods and
+// fields, and a listed name's declaration is live for what it uses. stale
+// reports allow entries that are not gated names or that keep nothing
+// unused.
 func deadExports(root string, exempt map[string]bool, allow map[string]string) (dead, stale []string, err error) {
 	l := &gateLoader{
 		fset:   token.NewFileSet(),
 		std:    importer.Default(),
 		listed: map[string]listedPkg{},
 		pkgs:   map[string]*types.Package{},
+		files:  map[string][]*ast.File{},
 		info: &types.Info{
 			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
 			Uses:  map[*ast.Ident]types.Object{},
 		},
 	}
@@ -148,10 +160,9 @@ func deadExports(root string, exempt map[string]bool, allow map[string]string) (
 		}
 	}
 
-	used := map[types.Object]bool{}
-	for _, obj := range l.info.Uses {
-		used[obj] = true
-	}
+	gated := func(path string) bool { return strings.HasPrefix(path, module+"/internal/") && !exempt[path] }
+	g := l.declGraph(order, gated)
+
 	byMethod := map[string][]*types.Interface{} // method name -> interfaces that have it
 	seen := map[*types.Interface]bool{}
 	for _, tv := range l.info.Types {
@@ -167,6 +178,7 @@ func deadExports(root string, exempt map[string]bool, allow map[string]string) (
 
 	// A method is used when it makes a type satisfy an interface some file
 	// names, and a method promoted into that type counts as well.
+	satisfies := map[types.Object]bool{}
 	for _, pkg := range l.pkgs {
 		for _, name := range pkg.Scope().Names() {
 			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
@@ -179,7 +191,7 @@ func deadExports(root string, exempt map[string]bool, allow map[string]string) (
 				m := mset.At(i).Obj()
 				for _, it := range byMethod[m.Name()] {
 					if types.Implements(ptr, it) {
-						used[m] = true
+						satisfies[m] = true
 						break
 					}
 				}
@@ -187,31 +199,26 @@ func deadExports(root string, exempt map[string]bool, allow map[string]string) (
 		}
 	}
 
+	// A gated name is unused when no live declaration refers to it and no
+	// other rule counts it. The names unused with only the ungated
+	// declarations live are dead unless listed; a listed one's declaration
+	// then goes live, and what only it uses is not reported.
+	used := g.reach()
+	type gatedName struct {
+		sym, owner string // owner: the declaring type's symbol for a method or field
+		obj        types.Object
+	}
 	declared := map[string]bool{}
-	needed := map[string]bool{} // allowlist entries that keep an unused name
-	var deadObjs []types.Object
-	var deadSyms []string
-	// gate records sym, declared by obj; owner is the symbol of the type
-	// that declares a method or field, or "" for a top-level name.
+	var unused []gatedName
 	gate := func(sym, owner string, obj types.Object, isUsed bool) {
 		declared[sym] = true
-		if isUsed || used[obj] {
-			return
+		if !isUsed && !used[obj] {
+			unused = append(unused, gatedName{sym, owner, obj})
 		}
-		if _, ok := allow[sym]; ok {
-			needed[sym] = true
-			return
-		}
-		if _, ok := allow[owner]; ok {
-			needed[owner] = true
-			return
-		}
-		deadObjs = append(deadObjs, obj)
-		deadSyms = append(deadSyms, sym)
 	}
 	for _, path := range order {
 		pkg := l.pkgs[path]
-		if !strings.HasPrefix(path, module+"/internal/") || exempt[path] {
+		if !gated(path) {
 			continue
 		}
 		scope := pkg.Scope()
@@ -227,7 +234,7 @@ func deadExports(root string, exempt map[string]bool, allow map[string]string) (
 			named := tn.Type().(*types.Named)
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); m.Exported() {
-					gate(path+"."+name+"."+m.Name(), path+"."+name, m, alwaysUsed(m))
+					gate(path+"."+name+"."+m.Name(), path+"."+name, m, alwaysUsed(m) || satisfies[m])
 				}
 			}
 			if st, ok := named.Underlying().(*types.Struct); ok {
@@ -239,16 +246,34 @@ func deadExports(root string, exempt map[string]bool, allow map[string]string) (
 			}
 		}
 	}
+	needed := map[string]bool{} // allowlist entries that keep an unused name
+	for _, n := range unused {
+		for _, entry := range []string{n.sym, n.owner} {
+			if _, ok := allow[entry]; ok {
+				needed[entry] = true
+				if u := g.unitOf[n.obj]; u != nil {
+					g.roots[u] = true
+				}
+				break
+			}
+		}
+	}
+	used = g.reach()
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
 		return nil, nil, err
 	}
-	for i, obj := range deadObjs {
-		pos := l.fset.Position(obj.Pos())
+	for _, n := range unused {
+		_, listed := allow[n.sym]
+		_, ownerListed := allow[n.owner]
+		if used[n.obj] || listed || ownerListed {
+			continue
+		}
+		pos := l.fset.Position(n.obj.Pos())
 		if rel, err := filepath.Rel(absRoot, pos.Filename); err == nil {
 			pos.Filename = rel
 		}
-		dead = append(dead, pos.String()+": "+deadSyms[i])
+		dead = append(dead, pos.String()+": "+n.sym)
 	}
 	sort.Strings(dead)
 	for sym := range allow {
@@ -304,6 +329,134 @@ func goList(dir string) ([]listedPkg, error) {
 	}
 }
 
+// declGraph is who uses whom among the top-level declarations of the
+// loaded packages. A unit is the object that keys one declaration: a func,
+// a type (whose methods and fields belong to it) or the first name of a var
+// or const spec.
+type declGraph struct {
+	unitOf map[types.Object]types.Object   // declared object -> its unit
+	uses   map[types.Object][]types.Object // unit -> the objects it refers to
+	roots  map[types.Object]bool           // units that are live whatever uses them
+}
+
+// declGraph attributes every use in the packages of order to the
+// declaration it sits in. A declaration whose unit is not an exported name
+// of a package gated accepts is a root; a blank var spec gets no unit, so
+// its uses never count.
+func (l *gateLoader) declGraph(order []string, gated func(path string) bool) *declGraph {
+	g := &declGraph{unitOf: map[types.Object]types.Object{}, uses: map[types.Object][]types.Object{}, roots: map[types.Object]bool{}}
+	// record adds unit's declaration node; a nil unit records nothing.
+	record := func(path string, unit types.Object, node ast.Node) {
+		if unit == nil {
+			return
+		}
+		if !unit.Exported() || !gated(path) {
+			g.roots[unit] = true
+		}
+		ast.Inspect(node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && l.info.Uses[id] != nil {
+				g.uses[unit] = append(g.uses[unit], origin(l.info.Uses[id]))
+			}
+			return true
+		})
+	}
+	for _, path := range order {
+		for _, f := range l.files[path] {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					unit := l.info.Defs[d.Name]
+					if recv := unit.Type().(*types.Signature).Recv(); recv != nil {
+						unit = namedOf(recv.Type()).Obj()
+					}
+					g.unitOf[unit] = unit
+					record(path, unit, d)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							tn := l.info.Defs[sp.Name].(*types.TypeName)
+							g.unitOf[tn] = tn
+							if named, ok := tn.Type().(*types.Named); ok {
+								for i := 0; i < named.NumMethods(); i++ {
+									g.unitOf[named.Method(i)] = tn
+								}
+								switch u := named.Underlying().(type) {
+								case *types.Struct:
+									for i := 0; i < u.NumFields(); i++ {
+										g.unitOf[u.Field(i)] = tn
+									}
+								case *types.Interface:
+									for i := 0; i < u.NumExplicitMethods(); i++ {
+										g.unitOf[u.ExplicitMethod(i)] = tn
+									}
+								}
+							}
+							record(path, tn, sp)
+						case *ast.ValueSpec:
+							var unit types.Object
+							for _, name := range sp.Names {
+								if obj := l.info.Defs[name]; obj != nil && name.Name != "_" {
+									if unit == nil {
+										unit = obj
+									}
+									g.unitOf[obj] = unit
+								}
+							}
+							record(path, unit, sp)
+						}
+					}
+				}
+			}
+		}
+	}
+	return g
+}
+
+// reach returns every object a live unit refers to, the roots being live
+// and a unit going live once a live one refers to an object it declares.
+func (g *declGraph) reach() map[types.Object]bool {
+	used := map[types.Object]bool{}
+	live := map[types.Object]bool{}
+	var work []types.Object
+	for u := range g.roots {
+		live[u] = true
+		work = append(work, u)
+	}
+	for len(work) > 0 {
+		u := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, obj := range g.uses[u] {
+			used[obj] = true
+			if v := g.unitOf[obj]; v != nil && !live[v] {
+				live[v] = true
+				work = append(work, v)
+			}
+		}
+	}
+	return used
+}
+
+// origin maps a use of an instantiated generic method or field to the
+// declared one.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// namedOf returns the named type of a method receiver, through a pointer.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named)
+}
+
 // gateLoader type-checks module packages from source, each once and into one
 // shared types.Info, and serves every other import from the standard
 // library's export data. Sharing the objects lets a method of one package
@@ -313,6 +466,7 @@ type gateLoader struct {
 	std    types.Importer
 	listed map[string]listedPkg
 	pkgs   map[string]*types.Package
+	files  map[string][]*ast.File
 	info   *types.Info
 }
 
@@ -338,5 +492,6 @@ func (l *gateLoader) Import(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
 	l.pkgs[path] = pkg
+	l.files[path] = files
 	return pkg, nil
 }

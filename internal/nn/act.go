@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -12,12 +11,6 @@ const (
 	actSlotOut = iota
 	actSlotGradIn
 )
-
-// The activation kernels are purely elementwise, so they fan out over the
-// flat element range on the compute pool: chunk boundaries never change the
-// per-element arithmetic, keeping parallel output bit-identical to the
-// serial loop. The serial decision is taken with parallel.Chunks before any
-// closure is built so small steady-state steps stay allocation-free.
 
 // ReLU is the rectified-linear activation: v where v > 0, +0 otherwise
 // (NaN included).
@@ -41,16 +34,8 @@ func (r *ReLU) cloneLayer() Layer { return NewReLU() }
 // until the next Forward on this layer.
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	out := r.ws.GetLike(actSlotOut, x)
-	data, xd := out.Data(), x.Data()
 	r.lastOut = out
-	g := parallel.Grain(1)
-	if parallel.Chunks(len(data), g) <= 1 {
-		reluRange(data, xd, xd, 0, len(data))
-		return out
-	}
-	parallel.For(len(data), g, func(lo, hi int) {
-		reluRange(data, xd, xd, lo, hi)
-	})
+	keepPositive(out.Data(), x.Data(), x.Data())
 	return out
 }
 
@@ -62,28 +47,17 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		panic("nn: relu Backward before Forward")
 	}
 	grad := r.ws.GetLike(actSlotGradIn, gradOut)
-	data, god, od := grad.Data(), gradOut.Data(), r.lastOut.Data()
-	g := parallel.Grain(1)
-	if parallel.Chunks(len(data), g) <= 1 {
-		reluRange(data, god, od, 0, len(data))
-		return grad
-	}
-	parallel.For(len(data), g, func(lo, hi int) {
-		reluRange(data, god, od, lo, hi)
-	})
+	keepPositive(grad.Data(), gradOut.Data(), r.lastOut.Data())
 	return grad
 }
 
-// reluRange writes dst[i] = src[i] where sign[i] > 0 and +0 elsewhere (NaN
-// included) for i in [lo, hi): the ReLU forward with sign = src, its
-// backward with sign = the forward output. tensor.KeepPositive covers what
-// it can at vector width; this loop, its reference, runs the rest. The sign
-// of a BatchNorm output is a coin flip, so the select is a mask, not a
-// branch.
-func reluRange(dst, src, sign []float64, lo, hi int) {
-	src, sign = src[lo:hi], sign[lo:hi]
-	dst = dst[lo:hi][:len(src)]
-	sign = sign[:len(src)]
+// keepPositive writes dst[i] = src[i] where sign[i] > 0 and +0 elsewhere
+// (NaN included): the ReLU forward with sign = src, its backward with sign =
+// the forward output. tensor.KeepPositive covers what it can at vector
+// width; this loop, its reference, runs the rest. The sign of a BatchNorm
+// output is a coin flip, so the select is a mask, not a branch.
+func keepPositive(dst, src, sign []float64) {
+	dst, sign = dst[:len(src)], sign[:len(src)]
 	for i := tensor.KeepPositive(dst, src, sign); i < len(src); i++ {
 		dst[i] = keepIf(sign[i] > 0, src[i])
 	}
@@ -117,31 +91,16 @@ func (t *Tanh) Name() string { return "tanh" }
 // cloneLayer implements layer cloning with an unshared workspace.
 func (t *Tanh) cloneLayer() Layer { return NewTanh() }
 
-// tanhOpCost weights math.Tanh against the one-flop unit parallel.Grain
-// assumes, so the pool splits tanh loops at proportionally smaller sizes.
-const tanhOpCost = 8
-
 // Forward implements Layer. The returned tensor is a workspace buffer valid
 // until the next Forward on this layer.
 func (t *Tanh) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	out := t.ws.GetLike(actSlotOut, x)
-	od, xd := out.Data(), x.Data()
-	g := parallel.Grain(tanhOpCost)
-	if parallel.Chunks(len(od), g) <= 1 {
-		tanhForwardRange(od, xd, 0, len(od))
-	} else {
-		parallel.For(len(od), g, func(lo, hi int) {
-			tanhForwardRange(od, xd, lo, hi)
-		})
+	od := out.Data()
+	for i, v := range x.Data() {
+		od[i] = math.Tanh(v)
 	}
 	t.lastOut = out
 	return out
-}
-
-func tanhForwardRange(dst, src []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = math.Tanh(src[i])
-	}
 }
 
 // Backward implements Layer. The returned tensor is a workspace buffer valid
@@ -151,21 +110,16 @@ func (t *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		panic("nn: tanh Backward before Forward")
 	}
 	grad := t.ws.GetLike(actSlotGradIn, gradOut)
-	gd, god, od := grad.Data(), gradOut.Data(), t.lastOut.Data()
-	g := parallel.Grain(1)
-	if parallel.Chunks(len(gd), g) <= 1 {
-		tanhBackwardRange(gd, god, od, 0, len(gd))
-		return grad
-	}
-	parallel.For(len(gd), g, func(lo, hi int) {
-		tanhBackwardRange(gd, god, od, lo, hi)
-	})
+	tanhGrad(grad.Data(), gradOut.Data(), t.lastOut.Data())
 	return grad
 }
 
-func tanhBackwardRange(dst, god, od []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = god[i] * (1 - od[i]*od[i])
+// tanhGrad writes dst[i] = god[i]·(1 − out[i]²), tanh's derivative taken
+// through its output.
+func tanhGrad(dst, god, out []float64) {
+	dst, out = dst[:len(god)], out[:len(god)]
+	for i, g := range god {
+		dst[i] = g * (1 - out[i]*out[i])
 	}
 }
 

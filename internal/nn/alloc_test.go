@@ -28,47 +28,63 @@ func vgg11(rng *rand.Rand) *Model {
 // TestSteadyStateZeroAllocs is the allocation-regression guard for the
 // training hot path: after one warm-up step sizes every workspace, a
 // Forward+Backward step on each layer must allocate nothing. Shapes are kept
-// small so the kernels stay on their serial paths regardless of GOMAXPROCS
-// (the parallel paths necessarily allocate goroutine closures).
+// small so the layers that split across the pool (Dense, Conv2D, Residual's
+// convolutions) stay on their serial paths regardless of GOMAXPROCS (the
+// parallel paths necessarily allocate goroutine closures); the layers that
+// run on the caller (onCaller) are held to zero at two workers too.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	cases := []struct {
-		name string
-		mk   func(rng *rand.Rand) Layer
-		dims []int
+		name     string
+		mk       func(rng *rand.Rand) Layer
+		dims     []int
+		onCaller bool
 	}{
-		{"dense", func(r *rand.Rand) Layer { return NewDense(16, 8, r) }, []int{16}},
-		{"dense+relu", func(r *rand.Rand) Layer { return NewDenseAct(16, 8, ActReLU, r) }, []int{16}},
-		{"dense+tanh", func(r *rand.Rand) Layer { return NewDenseAct(16, 8, ActTanh, r) }, []int{16}},
-		{"conv2d", func(r *rand.Rand) Layer { return NewConv2D(2, 3, 3, 1, 1, r) }, []int{2, 8, 8}},
-		{"conv1d", func(r *rand.Rand) Layer { return NewConv1D(2, 3, 5, 2, 2, r) }, []int{2, 16}},
-		{"batchnorm", func(r *rand.Rand) Layer { return NewBatchNorm(3) }, []int{3, 4, 4}},
-		{"relu", func(r *rand.Rand) Layer { return NewReLU() }, []int{12}},
-		{"tanh", func(r *rand.Rand) Layer { return NewTanh() }, []int{12}},
-		{"maxpool2d", func(r *rand.Rand) Layer { return NewMaxPool2D(2) }, []int{2, 6, 6}},
-		{"maxpool1d", func(r *rand.Rand) Layer { return NewMaxPool1D(2) }, []int{3, 8}},
-		{"globalavgpool", func(r *rand.Rand) Layer { return NewGlobalAvgPool() }, []int{3, 4, 4}},
-		{"residual", func(r *rand.Rand) Layer { return NewResidual(2, 4, 2, r) }, []int{2, 6, 6}},
-		{"flatten", func(r *rand.Rand) Layer { return NewFlatten() }, []int{2, 3, 3}},
+		{"dense", func(r *rand.Rand) Layer { return NewDense(16, 8, r) }, []int{16}, false},
+		{"dense+relu", func(r *rand.Rand) Layer { return NewDenseAct(16, 8, ActReLU, r) }, []int{16}, false},
+		{"dense+tanh", func(r *rand.Rand) Layer { return NewDenseAct(16, 8, ActTanh, r) }, []int{16}, false},
+		{"conv2d", func(r *rand.Rand) Layer { return NewConv2D(2, 3, 3, 1, 1, r) }, []int{2, 8, 8}, false},
+		{"conv1d", func(r *rand.Rand) Layer { return NewConv1D(2, 3, 5, 2, 2, r) }, []int{2, 16}, true},
+		{"batchnorm", func(r *rand.Rand) Layer { return NewBatchNorm(3) }, []int{3, 4, 4}, true},
+		{"relu", func(r *rand.Rand) Layer { return NewReLU() }, []int{12}, true},
+		{"tanh", func(r *rand.Rand) Layer { return NewTanh() }, []int{12}, true},
+		{"maxpool2d", func(r *rand.Rand) Layer { return NewMaxPool2D(2) }, []int{2, 6, 6}, true},
+		{"maxpool1d", func(r *rand.Rand) Layer { return NewMaxPool1D(2) }, []int{3, 8}, true},
+		{"globalavgpool", func(r *rand.Rand) Layer { return NewGlobalAvgPool() }, []int{3, 4, 4}, true},
+		{"residual", func(r *rand.Rand) Layer { return NewResidual(2, 4, 2, r) }, []int{2, 6, 6}, false},
+		{"flatten", func(r *rand.Rand) Layer { return NewFlatten() }, []int{2, 3, 3}, true},
+	}
+	steadyAllocs := func(t *testing.T, mk func(rng *rand.Rand) Layer, dims []int) {
+		layer := mk(rand.New(rand.NewSource(61)))
+		x := batchInput(rand.New(rand.NewSource(62)), 4, dims)
+		// Warm-up step: grows every workspace to its steady-state size.
+		out := layer.Forward(x, true)
+		g := tensor.Randn(rand.New(rand.NewSource(63)), 0, 1, out.Shape()...)
+		layer.Backward(g)
+
+		allocs := testing.AllocsPerRun(10, func() {
+			layer.Forward(x, true)
+			layer.Backward(g)
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state Forward+Backward allocates %v times per step, want 0", allocs)
+		}
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			layer := tc.mk(rand.New(rand.NewSource(61)))
-			x := batchInput(rand.New(rand.NewSource(62)), 4, tc.dims)
-			// Warm-up step: grows every workspace to its steady-state size.
-			out := layer.Forward(x, true)
-			g := tensor.Randn(rand.New(rand.NewSource(63)), 0, 1, out.Shape()...)
-			layer.Backward(g)
-
-			allocs := testing.AllocsPerRun(10, func() {
-				layer.Forward(x, true)
-				layer.Backward(g)
-			})
-			if allocs != 0 {
-				t.Errorf("%s: steady-state Forward+Backward allocates %v times per step, want 0",
-					tc.name, allocs)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { steadyAllocs(t, tc.mk, tc.dims) })
 	}
+	// Two workers with the split threshold lowered, at which every onCaller
+	// layer but Flatten and Conv1D would split these shapes if it still
+	// fanned out.
+	t.Run("two workers", func(t *testing.T) {
+		restorePool(t)
+		parallel.SetWorkers(2)
+		parallel.SetMinWork(32)
+		for _, tc := range cases {
+			if tc.onCaller {
+				t.Run(tc.name, func(t *testing.T) { steadyAllocs(t, tc.mk, tc.dims) })
+			}
+		}
+	})
 	// A VGG11 training step and an inference forward at the round
 	// benchmark's shape (batch 64, 3×16×16 inputs), on one worker so the
 	// serial kernels are what is measured: every convolution there runs

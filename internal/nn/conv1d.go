@@ -11,10 +11,9 @@ import (
 // Conv1D is a 1-D convolution over [B, C, L] inputs (used by the M18 audio
 // model). Weights have shape [OutC, InC, K].
 //
-// Output and input-gradient tensors live in a grow-only per-layer workspace,
-// so a steady-state training step on one compute worker performs no
-// allocations; on more, each split of parallel.For and of the blocked GEMM's
-// dispatch allocates.
+// Its loops are scalar and run on the calling goroutine, and its output and
+// input-gradient tensors live in a grow-only per-layer workspace, so a
+// steady-state training step performs no allocations at any pool size.
 type Conv1D struct {
 	InC, OutC   int
 	K           int

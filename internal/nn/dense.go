@@ -131,6 +131,10 @@ func (d *Dense) cloneLayer() Layer {
 	}
 }
 
+// tanhOpCost weights math.Tanh against the one-flop unit parallel.Grain
+// assumes, so the pool splits tanh rows at proportionally smaller batches.
+const tanhOpCost = 8
+
 // Forward implements Layer. x has shape [B, In]. The returned tensor is a
 // workspace buffer valid until the next Forward on this layer.
 func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
@@ -209,14 +213,11 @@ func (d *Dense) backward(gradOut *tensor.Tensor, needInput bool) *tensor.Tensor 
 	// unchanged dense backward consumes the result.
 	if d.Act != ActNone {
 		ga := d.ws.Get2D(denseSlotGradAct, batch, d.Out)
-		gad, god := ga.Data(), gradOut.Data()
-		g := parallel.Grain(1)
-		if parallel.Chunks(len(gad), g) <= 1 {
-			d.actGradRange(gad, god, 0, len(gad))
-		} else {
-			parallel.For(len(gad), g, func(lo, hi int) {
-				d.actGradRange(gad, god, lo, hi)
-			})
+		switch d.Act {
+		case ActReLU:
+			keepPositive(ga.Data(), gradOut.Data(), d.lastOut.Data())
+		case ActTanh:
+			tanhGrad(ga.Data(), gradOut.Data(), d.lastOut.Data())
 		}
 		gradOut = ga
 	}
@@ -242,17 +243,6 @@ func (d *Dense) backward(gradOut *tensor.Tensor, needInput bool) *tensor.Tensor 
 		panic(err)
 	}
 	return gradIn
-}
-
-// actGradRange maps upstream gradients through the fused activation's
-// derivative for flat elements [lo, hi).
-func (d *Dense) actGradRange(dst, god []float64, lo, hi int) {
-	switch d.Act {
-	case ActReLU:
-		reluRange(dst, god, d.lastOut.Data(), lo, hi)
-	case ActTanh:
-		tanhBackwardRange(dst, god, d.lastOut.Data(), lo, hi)
-	}
 }
 
 // Params implements Layer.

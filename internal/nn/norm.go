@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -21,9 +20,9 @@ import (
 // side, each in its own ascending (batch, spatial) order. The normalize and
 // input-gradient loops run at vector width through tensor.BatchNormNormalize
 // and tensor.BatchNormGradIn; their scalar loops here are the kernels'
-// reference and the fallback below AVX-512. Every per-step buffer is
-// grow-only, so a steady-state training step on one compute worker performs
-// no allocations; on more, each split of parallel.For allocates.
+// reference and the fallback below AVX-512. Every pass runs on the calling
+// goroutine, and every per-step buffer is grow-only, so a steady-state
+// training step performs no allocations.
 type BatchNorm struct {
 	C        int
 	Eps      float64
@@ -53,8 +52,8 @@ const (
 	bnSlotGradIn
 )
 
-// bnLanes is how many channels' reductions bnStatsRange runs side by side
-// (bnGradSumsRange, with two chains a channel, pairs them). Every channel
+// bnLanes is how many channels' reductions bnStats runs side by side
+// (bnGradSums, with two chains a channel, pairs them). Every channel
 // keeps its own serial chain, so the width moves no bit: it only lets the
 // chains' adds overlap instead of each waiting on the one before.
 const bnLanes = 4
@@ -140,19 +139,7 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	invStd := b.invStd[:b.C]
 	xd := x.Data()
 	if train {
-		// Batch statistics reduce over (batch, spatial) per channel, so the
-		// fan-out is across channels, in whole groups of bnLanes: every
-		// channel keeps its serial accumulation order and the loop that
-		// runs it, so parallel results stay bit-identical.
-		groups := (b.C + bnLanes - 1) / bnLanes
-		g := parallel.Grain(2 * batch * spatial * bnLanes)
-		if parallel.Chunks(groups, g) <= 1 {
-			bnStatsRange(xd, mean, variance, 0, b.C, batch, b.C, spatial)
-		} else {
-			parallel.For(groups, g, func(lo, hi int) {
-				bnStatsRange(xd, mean, variance, lo*bnLanes, min(hi*bnLanes, b.C), batch, b.C, spatial)
-			})
-		}
+		bnStats(xd, mean, variance, batch, b.C, spatial)
 		rm, rv := b.runMean.Data(), b.runVar.Data()
 		for c := 0; c < b.C; c++ {
 			rm[c] = (1-b.Momentum)*rm[c] + b.Momentum*mean[c]
@@ -174,30 +161,17 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 
 	out := b.ws.Get(bnSlotOut, b.lastShape...)
-	od, gd, bd := out.Data(), b.gamma.Data(), b.beta.Data()
-	// Normalization is elementwise given the per-channel coefficients, so
-	// it fans out over the batch dimension.
-	bg := parallel.Grain(b.C * spatial)
-	if parallel.Chunks(batch, bg) <= 1 {
-		bnNormalizeRange(od, xd, mean, invStd, gd, bd, 0, batch, b.C, spatial)
-		return out
-	}
-	parallel.For(batch, bg, func(lo, hi int) {
-		bnNormalizeRange(od, xd, mean, invStd, gd, bd, lo, hi, b.C, spatial)
-	})
+	bnNormalize(out.Data(), xd, mean, invStd, b.gamma.Data(), b.beta.Data(), batch, b.C, spatial)
 	return out
 }
 
-// bnStatsRange computes batch mean and variance for channels [c0,c1),
-// reducing over (batch, spatial) in ascending order — the same order as the
-// serial loop, so chunked execution is bit-identical. Groups of bnLanes
-// channels share one pass; the channels past the last whole group take
-// bnStatsChannel. Chunks start on a group, so a channel takes the same
-// loop, and keeps the same NaN payloads, whatever the pool size.
-func bnStatsRange(xd, mean, variance []float64, c0, c1, batch, C, spatial int) {
+// bnStats computes every channel's batch mean and variance, reducing over
+// (batch, spatial) in ascending order. Groups of bnLanes channels share one
+// pass; the channels past the last whole group take bnStatsChannel.
+func bnStats(xd, mean, variance []float64, batch, C, spatial int) {
 	n := float64(batch * spatial)
-	c := c0
-	for ; c+bnLanes <= c1; c += bnLanes {
+	c := 0
+	for ; c+bnLanes <= C; c += bnLanes {
 		var s0, s1, s2, s3 float64
 		for bi := 0; bi < batch; bi++ {
 			run := xd[(bi*C+c)*spatial:][:bnLanes*spatial]
@@ -227,12 +201,12 @@ func bnStatsRange(xd, mean, variance []float64, c0, c1, batch, C, spatial int) {
 		}
 		variance[c], variance[c+1], variance[c+2], variance[c+3] = s0/n, s1/n, s2/n, s3/n
 	}
-	for ; c < c1; c++ {
+	for ; c < C; c++ {
 		bnStatsChannel(xd, mean, variance, c, batch, C, spatial)
 	}
 }
 
-// bnStatsChannel is bnStatsRange for the one channel c.
+// bnStatsChannel is bnStats for the one channel c.
 func bnStatsChannel(xd, mean, variance []float64, c, batch, C, spatial int) {
 	n := float64(batch * spatial)
 	s := 0.0
@@ -253,12 +227,10 @@ func bnStatsChannel(xd, mean, variance []float64, c, batch, C, spatial int) {
 	variance[c] = s / n
 }
 
-// bnNormalizeRange writes od = γ·((x − mean)·invStd) + β for batch items
-// [b0,b1): tensor.BatchNormNormalize covers the items it can, this loop the
-// rest.
-func bnNormalizeRange(od, xd, mean, invStd, gd, bd []float64, b0, b1, C, spatial int) {
-	lo, hi := b0*C*spatial, b1*C*spatial
-	for bi := b0 + tensor.BatchNormNormalize(od[lo:hi], xd[lo:hi], mean, invStd, gd, bd, C, spatial); bi < b1; bi++ {
+// bnNormalize writes od = γ·((x − mean)·invStd) + β for all batch items:
+// tensor.BatchNormNormalize covers the items it can, this loop the rest.
+func bnNormalize(od, xd, mean, invStd, gd, bd []float64, batch, C, spatial int) {
+	for bi := tensor.BatchNormNormalize(od, xd, mean, invStd, gd, bd, C, spatial); bi < batch; bi++ {
 		for c := 0; c < C; c++ {
 			x := xd[(bi*C+c)*spatial:][:spatial]
 			o := od[(bi*C+c)*spatial:][:len(x)]
@@ -287,19 +259,7 @@ func (b *BatchNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	ggd, gbd := b.gGamma.Data(), b.gBeta.Data()
 	god, xd := gradOut.Data(), b.lastX.Data()
 	mean, invStd := b.meanBuf[:b.C], b.invStd[:b.C]
-	// The gamma/beta gradients reduce over (batch, spatial) per channel, so
-	// the fan-out is across channels, in whole pairs; each channel keeps the
-	// serial batch-ascending accumulation order and the loop that runs it,
-	// so results are bit-identical.
-	pairs := (b.C + 1) / 2
-	cg := parallel.Grain(4 * batch * spatial)
-	if parallel.Chunks(pairs, cg) <= 1 {
-		bnGradSumsRange(god, xd, mean, invStd, ggd, gbd, 0, b.C, batch, b.C, spatial)
-	} else {
-		parallel.For(pairs, cg, func(lo, hi int) {
-			bnGradSumsRange(god, xd, mean, invStd, ggd, gbd, 2*lo, min(2*hi, b.C), batch, b.C, spatial)
-		})
-	}
+	bnGradSums(god, xd, mean, invStd, ggd, gbd, batch, b.C, spatial)
 
 	if cap(b.gradCoef) < 3*b.C {
 		b.gradCoef = make([]float64, 3*b.C)
@@ -312,30 +272,20 @@ func (b *BatchNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	}
 
 	gradIn := b.ws.Get(bnSlotGradIn, b.lastShape...)
-	gid := gradIn.Data()
-	bg := parallel.Grain(b.C * spatial)
-	if parallel.Chunks(batch, bg) <= 1 {
-		bnGradInRange(gid, god, xd, mean, invStd, k, dbeta, dgamma, 0, batch, b.C, spatial)
-		return gradIn
-	}
-	parallel.For(batch, bg, func(lo, hi int) {
-		bnGradInRange(gid, god, xd, mean, invStd, k, dbeta, dgamma, lo, hi, b.C, spatial)
-	})
+	bnGradIn(gradIn.Data(), god, xd, mean, invStd, k, dbeta, dgamma, batch, b.C, spatial)
 	return gradIn
 }
 
-// bnGradSumsRange accumulates the beta and gamma gradients for channels
-// [c0,c1), recomputing each normalized input as Forward did. Per channel
-// the (batch, spatial) order matches the serial loop. Pairs of channels
-// share one pass, four chains side by side; the channel left over takes
-// bnGradSumsChannel. Chunks start on a pair, as bnStatsRange's on a group.
-// Which of two NaN payloads a sum keeps is the compiler's choice: the
+// bnGradSums accumulates every channel's beta and gamma gradients over
+// (batch, spatial) in ascending order, recomputing each normalized input as
+// Forward did. Pairs of channels share one pass, four chains side by side;
+// the channel left over takes bnGradSumsChannel. Which of two NaN payloads a sum keeps is the compiler's choice: the
 // compiled g·xh keeps xh, which lives in a register, as its first source,
 // so where both are NaN dγ takes xh's payload (a cached xhat, read from
 // memory, gave g's), and -race builds choose differently again.
-func bnGradSumsRange(god, xd, mean, invStd, ggd, gbd []float64, c0, c1, batch, C, spatial int) {
-	c := c0
-	for ; c+2 <= c1; c += 2 {
+func bnGradSums(god, xd, mean, invStd, ggd, gbd []float64, batch, C, spatial int) {
+	c := 0
+	for ; c+2 <= C; c += 2 {
 		var sb0, sb1, sg0, sg1 float64
 		m0, m1, is0, is1 := mean[c], mean[c+1], invStd[c], invStd[c+1]
 		for bi := 0; bi < batch; bi++ {
@@ -359,12 +309,12 @@ func bnGradSumsRange(god, xd, mean, invStd, ggd, gbd []float64, c0, c1, batch, C
 		ggd[c] += sg0
 		ggd[c+1] += sg1
 	}
-	if c < c1 {
+	if c < C {
 		bnGradSumsChannel(god, xd, mean, invStd, ggd, gbd, c, batch, C, spatial)
 	}
 }
 
-// bnGradSumsChannel is bnGradSumsRange for the one channel c.
+// bnGradSumsChannel is bnGradSums for the one channel c.
 func bnGradSumsChannel(god, xd, mean, invStd, ggd, gbd []float64, c, batch, C, spatial int) {
 	sb, sg := 0.0, 0.0
 	m, is := mean[c], invStd[c]
@@ -383,14 +333,12 @@ func bnGradSumsChannel(god, xd, mean, invStd, ggd, gbd []float64, c, batch, C, s
 	ggd[c] += sg
 }
 
-// bnGradInRange writes the input gradient
-// k·(gradOut − dβ − ((x − mean)·invStd)·dγ) for batch items [b0,b1), with
-// the per-channel coefficients k = γ·invStd, dβ/n and dγ/n Backward
-// computed: tensor.BatchNormGradIn covers the items it can, this loop the
-// rest.
-func bnGradInRange(gid, god, xd, mean, invStd, k, dbeta, dgamma []float64, b0, b1, C, spatial int) {
-	lo, hi := b0*C*spatial, b1*C*spatial
-	for bi := b0 + tensor.BatchNormGradIn(gid[lo:hi], god[lo:hi], xd[lo:hi], mean, invStd, k, dbeta, dgamma, C, spatial); bi < b1; bi++ {
+// bnGradIn writes the input gradient
+// k·(gradOut − dβ − ((x − mean)·invStd)·dγ) for all batch items, with the
+// per-channel coefficients k = γ·invStd, dβ/n and dγ/n Backward computed:
+// tensor.BatchNormGradIn covers the items it can, this loop the rest.
+func bnGradIn(gid, god, xd, mean, invStd, k, dbeta, dgamma []float64, batch, C, spatial int) {
+	for bi := tensor.BatchNormGradIn(gid, god, xd, mean, invStd, k, dbeta, dgamma, C, spatial); bi < batch; bi++ {
 		for c := 0; c < C; c++ {
 			x := xd[(bi*C+c)*spatial:][:spatial]
 			g := god[(bi*C+c)*spatial:][:len(x)]

@@ -120,11 +120,10 @@ func refBatchNormStep(b *BatchNorm, x, gradOut *tensor.Tensor, train bool) bnSte
 	return bnStepResult{out, gid, ggd, gbd, rm, rv}
 }
 
-// TestBatchNormBitIdentical holds BatchNorm, on every kernel tier and with
-// the pool sized 1 and 3 (minimum work lowered so the small shapes split),
-// to the cached-xhat formulation it replaced: training and inference
-// Forward, Backward, both parameter gradients and the running statistics,
-// bit for bit, after one and after two steps. Shapes cover a dense input
+// TestBatchNormBitIdentical holds BatchNorm, on every kernel tier, to the
+// cached-xhat formulation it replaced: training and inference Forward,
+// Backward, both parameter gradients and the running statistics, bit for
+// bit, after one and after two steps. Shapes cover a dense input
 // (spatial 1), VGG11's late planes (4), odd tails (7, 9) and a 16×16 plane,
 // channel counts that are not a multiple of the reductions' interleave,
 // and batch 1. x, γ, β and gradOut hold ±0, ±Inf and the hardware's NaN
@@ -133,53 +132,48 @@ func refBatchNormStep(b *BatchNorm, x, gradOut *tensor.Tensor, train bool) bnSte
 // is the compiler's choice and differs under -race.
 // TestPointwiseLayersBitIdentical plants payloads, tier against tier.
 func TestBatchNormBitIdentical(t *testing.T) {
-	restorePool(t)
-	parallel.SetMinWork(32)
 	shapes := [][]int{
 		{5, 9}, {1, 6}, {3, 5, 4}, {4, 7, 7}, {2, 6, 3, 3}, {3, 5, 16, 16}, {1, 3, 2, 2}, {6, 8, 2, 2},
 	}
 	tensor.ForEachKernelISA(func(isa string) {
-		for _, workers := range []int{1, 3} {
-			parallel.SetWorkers(workers)
-			for si, shape := range shapes {
-				for _, train := range []bool{true, false} {
-					rng := rand.New(rand.NewSource(int64(300 + si)))
-					x := tensor.Randn(rng, 0, 1, shape...)
-					g := tensor.Randn(rng, 0, 1, shape...)
-					plantSpecials(x.Data(), int64(310+si))
-					plantSpecials(g.Data(), int64(320+si))
-					layer := NewBatchNorm(shape[1])
-					for pi, p := range layer.Params() {
-						d := p.Data()
-						for i := range d {
-							d[i] += 0.5 * rng.NormFloat64()
-						}
-						plantSpecials(d, int64(330+2*si+pi))
+		for si, shape := range shapes {
+			for _, train := range []bool{true, false} {
+				rng := rand.New(rand.NewSource(int64(300 + si)))
+				x := tensor.Randn(rng, 0, 1, shape...)
+				g := tensor.Randn(rng, 0, 1, shape...)
+				plantSpecials(x.Data(), int64(310+si))
+				plantSpecials(g.Data(), int64(320+si))
+				layer := NewBatchNorm(shape[1])
+				for pi, p := range layer.Params() {
+					d := p.Data()
+					for i := range d {
+						d[i] += 0.5 * rng.NormFloat64()
 					}
-					rv := layer.runVar.Data()
-					for c := range rv {
-						rv[c] = 0.5 + rng.Float64()
-					}
-					for step := 1; step <= 2; step++ {
-						want := refBatchNormStep(layer, x, g, train)
-						out := layer.Forward(x, train).Clone()
-						gradIn := layer.Backward(g)
-						where := fmt.Sprintf("%s/workers=%d shape=%v train=%v step=%d", isa, workers, shape, train, step)
-						for _, c := range []struct {
-							what      string
-							got, want []float64
-						}{
-							{"output", out.Data(), want.out},
-							{"input gradient", gradIn.Data(), want.gradIn},
-							{"dγ", layer.gGamma.Data(), want.gGamma},
-							{"dβ", layer.gBeta.Data(), want.gBeta},
-							{"running mean", layer.runMean.Data(), want.runMean},
-							{"running variance", layer.runVar.Data(), want.runVar},
-						} {
-							if i := firstDiff(c.got, c.want); i >= 0 {
-								t.Fatalf("%s: %s[%d] = %#x, cached-xhat form %#x", where, c.what, i,
-									math.Float64bits(c.got[i]), math.Float64bits(c.want[i]))
-							}
+					plantSpecials(d, int64(330+2*si+pi))
+				}
+				rv := layer.runVar.Data()
+				for c := range rv {
+					rv[c] = 0.5 + rng.Float64()
+				}
+				for step := 1; step <= 2; step++ {
+					want := refBatchNormStep(layer, x, g, train)
+					out := layer.Forward(x, train).Clone()
+					gradIn := layer.Backward(g)
+					where := fmt.Sprintf("%s/shape=%v train=%v step=%d", isa, shape, train, step)
+					for _, c := range []struct {
+						what      string
+						got, want []float64
+					}{
+						{"output", out.Data(), want.out},
+						{"input gradient", gradIn.Data(), want.gradIn},
+						{"dγ", layer.gGamma.Data(), want.gGamma},
+						{"dβ", layer.gBeta.Data(), want.gBeta},
+						{"running mean", layer.runMean.Data(), want.runMean},
+						{"running variance", layer.runVar.Data(), want.runVar},
+					} {
+						if i := firstDiff(c.got, c.want); i >= 0 {
+							t.Fatalf("%s: %s[%d] = %#x, cached-xhat form %#x", where, c.what, i,
+								math.Float64bits(c.got[i]), math.Float64bits(c.want[i]))
 						}
 					}
 				}
@@ -203,10 +197,11 @@ func firstDiff(a, b []float64) int {
 }
 
 // TestPointwiseLayersBitIdentical holds ReLU, DenseAct's fused ReLU,
-// MaxPool2D and BatchNorm on every kernel tier, with the pool sized 1 and 3,
-// to the scalar tier, bit for bit (pooling's argmax through its input
-// gradient), over inputs and gradients holding NaN payloads, ±Inf, −0 and,
-// for the pools, ties; BatchNorm's γ and β hold payloads too. Only the
+// MaxPool2D and BatchNorm on every kernel tier (DenseAct, which splits its
+// bias+activation pass, with the pool sized 1 and 3) to the scalar tier,
+// bit for bit (pooling's argmax through its input gradient), over inputs
+// and gradients holding NaN payloads, ±Inf, −0 and, for the pools, ties;
+// BatchNorm's γ and β hold payloads too. Only the
 // kernels differ between tiers, so every payload must land where the scalar
 // loops put it. BatchNorm's NaNs go by channel (plantByChannel), since one
 // NaN in a channel's gradOut makes its dβ NaN, whose payload then hides
@@ -267,8 +262,12 @@ func TestPointwiseLayersBitIdentical(t *testing.T) {
 		}
 
 		var want [][]float64
+		pools := []int{1}
+		if strings.HasPrefix(tc.name, "dense") {
+			pools = append(pools, 3)
+		}
 		tensor.ForEachKernelISA(func(isa string) {
-			for _, workers := range []int{1, 3} {
+			for _, workers := range pools {
 				parallel.SetWorkers(workers)
 				got := run(tc.mk, x, g)
 				if isa == "scalar" && workers == 1 {

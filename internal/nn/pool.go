@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -14,21 +13,12 @@ const (
 	poolSlotGradIn
 )
 
-// Every pooling kernel is independent per (batch, channel) plane, so the
-// loops fan out over the flattened batch*channel dimension on the compute
-// pool. Chunk boundaries fall on plane boundaries, each plane's arithmetic
-// order is unchanged, and planes write disjoint output regions, so parallel
-// results are bit-identical to the serial loops. The serial decision is
-// taken with parallel.Chunks before any closure is built so small
-// steady-state steps stay allocation-free.
-
-// scatterRange accumulates god[lo:hi) into gid at the cached argmax
-// positions — the shared backward kernel of the max-pooling layers. Chunk
-// ranges must align to plane boundaries: argmax targets stay inside the
-// source plane, so aligned chunks never write the same element.
-func scatterRange(gid, god []float64, argmax []int, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		gid[argmax[i]] += god[i]
+// scatterArgmax accumulates god into gid at the cached argmax positions —
+// the shared backward kernel of the max-pooling layers.
+func scatterArgmax(gid, god []float64, argmax []int) {
+	argmax = argmax[:len(god)]
+	for i, g := range god {
+		gid[argmax[i]] += g
 	}
 }
 
@@ -82,27 +72,17 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		p.argmax = make([]int, n)
 	}
 	p.argmax = p.argmax[:n]
-	xd, od, argmax := x.Data(), out.Data(), p.argmax
-	nbc := batch * ch
-	g := parallel.Grain(oh * ow * p.K * p.K)
-	if parallel.Chunks(nbc, g) <= 1 {
-		p.forwardRange(xd, od, argmax, 0, nbc, h, w, oh, ow)
-		return out
-	}
-	parallel.For(nbc, g, func(lo, hi int) {
-		p.forwardRange(xd, od, argmax, lo, hi, h, w, oh, ow)
-	})
+	p.pool(x.Data(), out.Data(), p.argmax, batch*ch, h, w, oh, ow)
 	return out
 }
 
-// forwardRange pools planes [bc0,bc1), output row by output row. When 2×2
-// windows at stride 2 tile the planes, tensor.MaxPool2x2 covers the rows it
-// can at vector width; this loop, its reference, runs the rest.
-func (p *MaxPool2D) forwardRange(xd, od []float64, argmax []int, bc0, bc1, h, w, oh, ow int) {
-	r0, r1 := bc0*oh, bc1*oh
+// pool pools all nbc planes, output row by output row. When 2×2 windows at
+// stride 2 tile the planes, tensor.MaxPool2x2 covers the rows it can at
+// vector width; this loop, its reference, runs the rest.
+func (p *MaxPool2D) pool(xd, od []float64, argmax []int, nbc, h, w, oh, ow int) {
+	r0, r1 := 0, nbc*oh
 	if p.K == 2 && p.Stride == 2 && h == 2*oh && w == 2*ow {
-		lo, hi := r0*ow, r1*ow
-		r0 += tensor.MaxPool2x2(od[lo:hi], argmax[lo:hi], xd[bc0*h*w:bc1*h*w], ow, bc0*h*w) / ow
+		r0 = tensor.MaxPool2x2(od, argmax, xd[:nbc*h*w], ow, 0) / ow
 	}
 	for r := r0; r < r1; r++ {
 		bc, oy := r/oh, r%oh
@@ -134,17 +114,7 @@ func (p *MaxPool2D) forwardRange(xd, od []float64, argmax []int, bc0, bc1, h, w,
 func (p *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := p.ws.Get(poolSlotGradIn, p.lastShape...)
 	gradIn.Zero() // the argmax scatter below accumulates
-	gid, god, argmax := gradIn.Data(), gradOut.Data(), p.argmax
-	nbc := p.lastShape[0] * p.lastShape[1]
-	spatial := len(god) / nbc
-	g := parallel.Grain(spatial)
-	if parallel.Chunks(nbc, g) <= 1 {
-		scatterRange(gid, god, argmax, 0, len(god))
-		return gradIn
-	}
-	parallel.For(nbc, g, func(lo, hi int) {
-		scatterRange(gid, god, argmax, lo*spatial, hi*spatial)
-	})
+	scatterArgmax(gradIn.Data(), gradOut.Data(), p.argmax)
 	return gradIn
 }
 
@@ -191,22 +161,13 @@ func (p *MaxPool1D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		p.argmax = make([]int, n)
 	}
 	p.argmax = p.argmax[:n]
-	xd, od, argmax := x.Data(), out.Data(), p.argmax
-	nbc := batch * ch
-	g := parallel.Grain(ol * p.K)
-	if parallel.Chunks(nbc, g) <= 1 {
-		p.forwardRange(xd, od, argmax, 0, nbc, l, ol)
-		return out
-	}
-	parallel.For(nbc, g, func(lo, hi int) {
-		p.forwardRange(xd, od, argmax, lo, hi, l, ol)
-	})
+	p.pool(x.Data(), out.Data(), p.argmax, batch*ch, l, ol)
 	return out
 }
 
-// forwardRange pools planes [bc0,bc1).
-func (p *MaxPool1D) forwardRange(xd, od []float64, argmax []int, bc0, bc1, l, ol int) {
-	for bc := bc0; bc < bc1; bc++ {
+// pool pools all nbc planes.
+func (p *MaxPool1D) pool(xd, od []float64, argmax []int, nbc, l, ol int) {
+	for bc := 0; bc < nbc; bc++ {
 		src := xd[bc*l : (bc+1)*l]
 		for o := 0; o < ol; o++ {
 			bestIdx := o * p.Stride
@@ -231,17 +192,7 @@ func (p *MaxPool1D) forwardRange(xd, od []float64, argmax []int, bc0, bc1, l, ol
 func (p *MaxPool1D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := p.ws.Get(poolSlotGradIn, p.lastShape...)
 	gradIn.Zero() // the argmax scatter below accumulates
-	gid, god, argmax := gradIn.Data(), gradOut.Data(), p.argmax
-	nbc := p.lastShape[0] * p.lastShape[1]
-	ol := len(god) / nbc
-	g := parallel.Grain(ol)
-	if parallel.Chunks(nbc, g) <= 1 {
-		scatterRange(gid, god, argmax, 0, len(god))
-		return gradIn
-	}
-	parallel.For(nbc, g, func(lo, hi int) {
-		scatterRange(gid, god, argmax, lo*ol, hi*ol)
-	})
+	scatterArgmax(gradIn.Data(), gradOut.Data(), p.argmax)
 	return gradIn
 }
 
@@ -279,28 +230,15 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	p.lastShape = recordShape(p.lastShape, x)
 	out := p.ws.Get2D(poolSlotOut, batch, ch)
 	xd, od := x.Data(), out.Data()
-	nbc := batch * ch
-	g := parallel.Grain(spatial)
-	if parallel.Chunks(nbc, g) <= 1 {
-		globalAvgForwardRange(od, xd, 0, nbc, spatial)
-		return out
-	}
-	parallel.For(nbc, g, func(lo, hi int) {
-		globalAvgForwardRange(od, xd, lo, hi, spatial)
-	})
-	return out
-}
-
-// globalAvgForwardRange averages planes [bc0,bc1).
-func globalAvgForwardRange(od, xd []float64, bc0, bc1, spatial int) {
 	inv := 1.0 / float64(spatial)
-	for bc := bc0; bc < bc1; bc++ {
+	for bc := range od {
 		s := 0.0
 		for _, v := range xd[bc*spatial : (bc+1)*spatial] {
 			s += v
 		}
 		od[bc] = s * inv
 	}
+	return out
 }
 
 // Backward implements Layer.
@@ -308,29 +246,16 @@ func (p *GlobalAvgPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := p.ws.Get(poolSlotGradIn, p.lastShape...)
 	batch, ch := p.lastShape[0], p.lastShape[1]
 	spatial := gradIn.Len() / (batch * ch)
-	gid, god := gradIn.Data(), gradOut.Data()
-	nbc := batch * ch
-	g := parallel.Grain(spatial)
-	if parallel.Chunks(nbc, g) <= 1 {
-		globalAvgBackwardRange(gid, god, 0, nbc, spatial)
-		return gradIn
-	}
-	parallel.For(nbc, g, func(lo, hi int) {
-		globalAvgBackwardRange(gid, god, lo, hi, spatial)
-	})
-	return gradIn
-}
-
-// globalAvgBackwardRange broadcasts gradients into planes [bc0,bc1).
-func globalAvgBackwardRange(gid, god []float64, bc0, bc1, spatial int) {
+	gid := gradIn.Data()
 	inv := 1.0 / float64(spatial)
-	for bc := bc0; bc < bc1; bc++ {
-		g := god[bc] * inv
+	for bc, g := range gradOut.Data()[:batch*ch] {
+		g *= inv
 		dst := gid[bc*spatial : (bc+1)*spatial]
 		for i := range dst {
 			dst[i] = g
 		}
 	}
+	return gradIn
 }
 
 // Params implements Layer.

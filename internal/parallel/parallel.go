@@ -1,6 +1,23 @@
-// Package parallel is the process-wide bounded compute pool under every
-// data-parallel kernel in the repository (matmul, im2col, activations,
-// batch-norm statistics, pooling, and client-level federation loops).
+// Package parallel is the process-wide bounded compute pool under the
+// repository's data-parallel work. Five splits use it, each kept because it
+// measurably pays at two workers (times on a 2-vCPU host, GOMAXPROCS=2,
+// alternated pairs):
+//
+//   - the blocked GEMM (internal/tensor): with the pool at 2 workers instead
+//     of 1, an FCNN6 training step went 12.0 → 9.2 ms, 5 of 5 pairs;
+//   - Conv2D's tile fan-out over batch items and weight-gradient slabs
+//     (internal/nn): serializing it made a Conv2D step 0.99 → 1.39 ms and a
+//     VGG11 step 9.3 → 11.3 ms, 0 of 7;
+//   - Dense's forward bias+activation pass (internal/nn), compute-bound
+//     under tanh: serializing it made an FCNN6 client round 28.7 → 30.8 ms,
+//     1 of 15;
+//   - the naive matmuls (internal/tensor), the only kernels on hosts
+//     without AVX2;
+//   - fl.System's client loops, one client per range.
+//
+// The memory-bound layer passes (ReLU, batch-norm, pooling, Dense's
+// activation gradient) run on the caller: serializing all of them left
+// every hot-path entry inside the split version's interquartile range.
 //
 // Before this package existed, each kernel independently fanned out to
 // GOMAXPROCS goroutines, so N concurrent FL clients scheduled N×GOMAXPROCS
@@ -22,8 +39,8 @@
 // counterparts: the same fn invocations happen with the same [lo, hi)
 // arguments, only their placement (caller vs pooled goroutine) varies.
 // Reductions stay bit-identical by reducing along the serial axis inside
-// each parallel index (e.g. batch-norm sums per channel, parallelized
-// across channels).
+// each parallel index (e.g. a GEMM's inner products, parallelized across
+// row strips).
 //
 // # Allocation discipline
 //

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// bnNormalizeScalar is BatchNorm's normalize loop (bnNormalizeRange in
+// bnNormalizeScalar is BatchNorm's normalize loop (bnNormalize in
 // internal/nn) over every item of xd.
 func bnNormalizeScalar(od, xd, mean, invStd, gd, bd []float64, C, spatial int) {
 	for bi := 0; bi < len(xd)/(C*spatial); bi++ {
@@ -23,7 +23,7 @@ func bnNormalizeScalar(od, xd, mean, invStd, gd, bd []float64, C, spatial int) {
 	}
 }
 
-// bnGradInScalar is BatchNorm's input-gradient loop (bnGradInRange in
+// bnGradInScalar is BatchNorm's input-gradient loop (bnGradIn in
 // internal/nn) over every item of xd.
 func bnGradInScalar(gid, god, xd, mean, invStd, k, dbeta, dgamma []float64, C, spatial int) {
 	for bi := 0; bi < len(xd)/(C*spatial); bi++ {
@@ -40,8 +40,8 @@ func bnGradInScalar(gid, god, xd, mean, invStd, k, dbeta, dgamma []float64, C, s
 	}
 }
 
-// keepPositiveScalar is reluRange's loop in internal/nn: src where sign is
-// positive, +0 elsewhere.
+// keepPositiveScalar is keepPositive's loop in internal/nn: src where sign
+// is positive, +0 elsewhere.
 func keepPositiveScalar(dst, src, sign []float64) {
 	for i, s := range sign[:len(src)] {
 		var m uint64

@@ -1,6 +1,9 @@
-// Package lib plants one dead method and one dead field among exports that
-// each rule of the export gate counts as used.
+// Package lib plants one dead method, one dead field and a dead pair that
+// names only each other among exports that each rule of the export gate
+// counts as used.
 package lib
+
+import "fmt"
 
 // Widget has a used, a dead, a tagged and a benchmark-only field.
 type Widget struct {
@@ -30,3 +33,22 @@ type Seam struct{ Field int }
 
 // Probe is covered by Seam's entry.
 func (Seam) Probe() int { return 0 }
+
+// Orphan is named only by NewOrphan and a blank assertion.
+type Orphan struct{}
+
+var _ fmt.Stringer = (*Orphan)(nil)
+
+// NewOrphan is called only from Orphan's own method.
+func NewOrphan() *Orphan { return &Orphan{} }
+
+// String satisfies fmt.Stringer.
+func (o *Orphan) String() string { return fmt.Sprint(o.clone() == o) }
+
+func (o *Orphan) clone() *Orphan { return NewOrphan() }
+
+// Ref is named only by NewRef, whose listing keeps it.
+type Ref struct{}
+
+// NewRef is test-only and listed.
+func NewRef() *Ref { return &Ref{} }
