@@ -143,6 +143,11 @@
 #                     internal/service/service.go): a federation's series live
 #                     in the registry its server was handed, never in a
 #                     process-global bundle
+#   make fuzzlist   - grep gate: every func Fuzz… in a _test.go file is run by
+#                     make fuzz, make fuzz names only targets that exist
+#                     (each in its own package), and no non-test .go file
+#                     imports internal/kerneltest (the kernel harness serves
+#                     tests only)
 #   make onesweep   - grep gate: in internal/experiment no type but
 #                     SweepResult has a Table method, and metrics.NewTable is
 #                     called only in its renderer and in the static Table 1
@@ -209,7 +214,7 @@
 
 GO ?= go
 
-.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-pair benchmark-test nogob oneclient oneacceptor oneconv oneserverconfig oneassembly ownregistry onesweep exports exptables loc check fuzz bench bench-json bench-scaling
+.PHONY: verify vet fmt-check race adversary alloc parallel telemetry chaos soak service quant wirebench bench-pair benchmark-test nogob oneclient oneacceptor oneconv oneserverconfig oneassembly ownregistry onesweep fuzzlist exports exptables loc check fuzz bench bench-json bench-scaling
 
 verify:
 	$(GO) build ./...
@@ -319,6 +324,14 @@ onesweep:
 		END { if (bad) { print "a second renderer in internal/experiment (see above): make the artifact an entry of experiment.Sweeps"; exit 1 } }' \
 		$$(ls internal/experiment/*.go | grep -v _test.go)
 
+fuzzlist:
+	@listed=$$($(MAKE) -s --no-print-directory -n fuzz | sed -n 's#.*-fuzz=\(Fuzz[A-Za-z0-9_]*\).* \(\./[^ ]*[^/]\)/*$$#\2 \1#p'); \
+	defined=$$(grep -rn --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*(' . | grep -v '^\./\.bench_build/' | sed 's#^\(.*\)/[^/]*:[0-9]*:func \(Fuzz[A-Za-z0-9_]*\)(.*#\1 \2#'); \
+	bad=$$( { printf '%s\n' "$$defined" | grep -vxF "$$listed" | sed 's/^/not run by make fuzz: /'; \
+		printf '%s\n' "$$listed" | grep -vxF "$$defined" | sed 's/^/make fuzz names no such target: /'; } ); \
+	if [ -n "$$bad" ]; then printf '%s\n' "$$bad"; echo 'run every func Fuzz… in make fuzz, and name only targets that exist'; exit 1; fi
+	@if grep -rln '"repro/internal/kerneltest"' --include='*.go' . | grep -v '_test\.go$$' | grep -v '^\./\.bench_build/'; then echo 'a non-test file imports the kernel harness (see above): internal/kerneltest serves tests only'; exit 1; fi
+
 exports:
 	$(GO) test . -run 'TestEveryExportHasACaller|TestExportGateFixture'
 
@@ -334,7 +347,7 @@ loc:
 		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%6d  total\n' $$total
 
-check: verify vet race adversary alloc parallel telemetry chaos soak service quant benchmark-test nogob oneclient oneacceptor oneconv oneserverconfig oneassembly ownregistry onesweep exports exptables
+check: verify vet race adversary alloc parallel telemetry chaos soak service quant benchmark-test nogob oneclient oneacceptor oneconv oneserverconfig oneassembly ownregistry onesweep fuzzlist exports exptables
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor/ ./internal/nn/

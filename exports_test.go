@@ -23,9 +23,10 @@ import (
 // exportGateExempt lists the internal packages that exist to serve tests, so
 // their exports need no non-test caller.
 var exportGateExempt = map[string]bool{
-	"repro/internal/chaos":     true,
-	"repro/internal/faultnet":  true,
-	"repro/internal/leakcheck": true,
+	"repro/internal/chaos":      true,
+	"repro/internal/faultnet":   true,
+	"repro/internal/kerneltest": true,
+	"repro/internal/leakcheck":  true,
 }
 
 // testOnlyExports are the internal exports that only tests call, each with
@@ -44,7 +45,7 @@ var testOnlyExports = map[string]string{
 	"repro/internal/tensor.Transpose2D":            "builds the transposed operands of the GEMM references",
 	"repro/internal/tensor.MustFromSlice":          "tensor fixture constructor",
 	"repro/internal/nn.NewTanh":                    "unfused reference DenseAct(ActTanh) is held bit-identical to",
-	"repro/internal/tensor.ForEachKernelISA":       "holds every kernel tier to the scalar loops of fl's and flnet's tier tests",
+	"repro/internal/tensor.ForEachKernelISA":       "the tier loop the kernel harness (internal/kerneltest) runs the nn, fl and flnet rows on",
 	"repro/internal/data.SkewMetric":               "reference of the Dirichlet partition test",
 	"repro/internal/defense.ExtendedNames":         "row set of TestSystemMatchesTCP",
 	"repro/internal/adversary.Mark":                "schedule of the chaos soak",

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kerneltest"
 	"repro/internal/tensor"
 )
 
@@ -260,10 +261,8 @@ func TestBatchesMatchesShuffled(t *testing.T) {
 				if !slices.Equal(x.Shape(), wantX.Shape()) || !slices.Equal(y, wantY) {
 					t.Fatalf("batch %d seeded=%v: shape %v labels %v, want %v %v", batchSize, seeded, x.Shape(), y, wantX.Shape(), wantY)
 				}
-				for i, v := range x.Data() {
-					if math.Float64bits(v) != math.Float64bits(wantX.Data()[i]) {
-						t.Fatalf("batch %d seeded=%v: value %d of the batch ending at %d differs", batchSize, seeded, i, lo)
-					}
+				if i := kerneltest.FirstDiff(x.Data(), wantX.Data()); i >= 0 {
+					t.Fatalf("batch %d seeded=%v: value %d of the batch ending at %d differs", batchSize, seeded, i, lo)
 				}
 				return nil
 			})

@@ -3,6 +3,7 @@ package defense
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/fl"
@@ -342,6 +343,27 @@ func TestDeltaOfErrors(t *testing.T) {
 	}
 	if d[0] != 2 || d[1] != 3 {
 		t.Fatalf("delta = %v", d)
+	}
+}
+
+// TestClientHooksFailClosed plants a state shorter than the model's
+// parameters: each client-side mechanism must refuse it with deltaOf's error
+// rather than upload the raw update.
+func TestClientHooksFailClosed(t *testing.T) {
+	info, global := testInfoAndState(t)
+	for _, d := range []fl.Defense{NewLDP(7), NewWDP(7), NewDPFedSAM(7), NewGC()} {
+		if err := d.Bind(info); err != nil {
+			t.Fatal(err)
+		}
+		u := &fl.Update{State: global[:info.NumParams-1], NumSamples: 1}
+		func() {
+			defer func() {
+				if err, ok := recover().(error); !ok || !strings.Contains(err.Error(), "shorter than params") {
+					t.Errorf("%T: BeforeUpload of a short state panicked with %v, want deltaOf's error", d, err)
+				}
+			}()
+			d.BeforeUpload(0, global, u)
+		}()
 	}
 }
 

@@ -47,7 +47,7 @@ func (d *LDP) BeforeUpload(round int, global []float64, u *fl.Update) {
 	n := d.Info().NumParams
 	delta, err := deltaOf(u.State, global, n)
 	if err != nil {
-		return // layout mismatch: leave update unprotected rather than corrupt it
+		panic(err) // fail closed: never upload the raw update
 	}
 	clipNorm(delta, d.Clip)
 	sigma := gaussianSigma(d.Clip, d.Epsilon, d.Delta)
@@ -142,7 +142,7 @@ func (d *WDP) BeforeUpload(round int, global []float64, u *fl.Update) {
 	n := d.Info().NumParams
 	delta, err := deltaOf(u.State, global, n)
 	if err != nil {
-		return
+		panic(err)
 	}
 	clipNorm(delta, d.Bound)
 	rng := seededRNG(d.Seed, round, u.ClientID)

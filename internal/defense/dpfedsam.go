@@ -43,7 +43,7 @@ func (d *DPFedSAM) BeforeUpload(round int, global []float64, u *fl.Update) {
 	n := d.Info().NumParams
 	delta, err := deltaOf(u.State, global, n)
 	if err != nil {
-		return
+		panic(err)
 	}
 	clipNorm(delta, d.Clip)
 	rng := seededRNG(d.Seed, round, u.ClientID)

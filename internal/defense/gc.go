@@ -32,7 +32,7 @@ func (d *GC) BeforeUpload(_ int, global []float64, u *fl.Update) {
 	n := d.Info().NumParams
 	delta, err := deltaOf(u.State, global, n)
 	if err != nil {
-		return
+		panic(err)
 	}
 	keep := int(float64(n) * d.Ratio)
 	if keep < 1 {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kerneltest"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -109,49 +111,57 @@ func FuzzFixFromFloat(f *testing.F) {
 				state[i] = x
 			}
 		}
-		tensor.ForEachKernelISA(func(isa string) {
-			checkVec(t, isa, hi, lo, state, scale)
-		})
+		kt.Check(t, vecCase(fmt.Sprint(state), hi, lo, state, scale))
 	})
 }
 
-// checkVec folds state·scale into an exactVec whose every cell starts at
+// kt is the kernel harness over the tensor kernels' tier loop, at one pool
+// size: neither the exact fold nor FedAvg's tiles use the compute pool.
+var kt = kerneltest.Env{Tiers: tensor.ForEachKernelISA, SetWorkers: parallel.SetWorkers, SetMinWork: parallel.SetMinWork, Pools: []int{1}}
+
+// vecCase folds state·scale into an exactVec whose every cell starts at
 // (hi, lo) and into the reference, and requires the same cells, the same
-// poison marks (by cause) and the same finalized bits.
-func checkVec(t *testing.T, isa string, hi, lo uint64, state []float64, scale float64) {
-	t.Helper()
+// poison marks (by cause) and the same finalized bits under four divisors.
+func vecCase(name string, hi, lo uint64, state []float64, scale float64) kerneltest.Case {
 	n := len(state)
-	var v exactVec
-	v.reset(n)
-	ref := newRefVec(n)
-	for i := range state {
-		v.hi[i], v.lo[i] = hi, lo
-		ref.acc[i] = refAcc{hi, lo}
-	}
-	v.addScaled(state, scale)
-	ref.addScaled(state, scale)
-	for i, x := range state {
-		c := x * scale
-		var mark uint8
-		switch {
-		case math.IsNaN(c) || math.IsInf(c, 0):
-			mark = poisonNonFinite
-		case math.Abs(c) >= 1<<40:
-			mark = poisonRange
+	outputs := func(his, los []uint64, marks []uint8, finalize func(float64, []float64)) [][]float64 {
+		res := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+		for i := range state {
+			res[0][i], res[1][i], res[2][i] = math.Float64frombits(his[i]), math.Float64frombits(los[i]), float64(marks[i])
 		}
-		if v.bad[i] != mark || v.hi[i] != ref.acc[i].hi || v.lo[i] != ref.acc[i].lo {
-			t.Fatalf("%s: %g·%g at %d into %#x:%#x: cell %#x:%#x mark %d; reference %#x:%#x mark %d",
-				isa, x, scale, i, hi, lo, v.hi[i], v.lo[i], v.bad[i], ref.acc[i].hi, ref.acc[i].lo, mark)
+		for _, div := range []float64{1, 3, 0.7, 1e-300} {
+			res = append(res, make([]float64, n))
+			finalize(div, res[len(res)-1])
 		}
+		return res
 	}
-	for _, div := range []float64{1, 3, 0.7, 1e-300} {
-		got, want := make([]float64, n), make([]float64, n)
-		v.finalize(div, got)
-		ref.finalize(div, want)
-		if i := sameBits(got, want); i >= 0 {
-			t.Fatalf("%s: finalize /%g at %d: %#x, reference %#x", isa, div, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
-	}
+	return kerneltest.Case{Name: fmt.Sprintf("%s·%g into %#x:%#x", name, scale, hi, lo),
+		Ref: func([][]float64) [][]float64 {
+			ref, his, los, marks := newRefVec(n), make([]uint64, n), make([]uint64, n), make([]uint8, n)
+			for i := range ref.acc {
+				ref.acc[i] = refAcc{hi, lo}
+			}
+			ref.addScaled(state, scale)
+			for i, x := range state {
+				his[i], los[i] = ref.acc[i].hi, ref.acc[i].lo
+				switch c := x * scale; {
+				case math.IsNaN(c) || math.IsInf(c, 0):
+					marks[i] = poisonNonFinite
+				case math.Abs(c) >= 1<<40:
+					marks[i] = poisonRange
+				}
+			}
+			return outputs(his, los, marks, ref.finalize)
+		},
+		Run: func([][]float64) ([][]float64, int) {
+			var v exactVec
+			v.reset(n)
+			for i := range state {
+				v.hi[i], v.lo[i] = hi, lo
+			}
+			v.addScaled(state, scale)
+			return outputs(v.hi, v.lo, v.bad, v.finalize), -1
+		}}
 }
 
 // TestExactKernelBitIdentical holds the fold and finalize, on every kernel
@@ -171,19 +181,19 @@ func TestExactKernelBitIdentical(t *testing.T) {
 		edges = append(edges, math.Nextafter(p, 0), p, math.Nextafter(p, math.Inf(1)), -p)
 	}
 	cells := [][2]uint64{{0, 0}, {^uint64(0), ^uint64(0)}, {0x0123456789abcdef, 1 << 63}, {1<<63 | 0xfedcba9876543210, 5}, {1 << 63, 0}}
-	rng := rand.New(rand.NewSource(41))
 	const n = 3*8 + 5 // three blocks and a tail
-	tensor.ForEachKernelISA(func(isa string) {
+	kt.Run(t, func(emit func(kerneltest.Case)) {
+		g := kerneltest.NewGen(41, nil)
 		for _, x := range edges {
 			for lane := 0; lane < n; lane++ {
-				state := make([]float64, n)
+				state := g.Normal(n)
 				for i := range state {
-					state[i] = rng.NormFloat64() * 100
+					state[i] *= 100
 				}
 				state[lane] = x
 				for _, scale := range []float64{1, 300, 1.0 / 3, 0} {
 					for _, c := range cells {
-						checkVec(t, isa, c[0], c[1], state, scale)
+						emit(vecCase(fmt.Sprintf("%g at %d", x, lane), c[0], c[1], state, scale))
 					}
 				}
 			}
@@ -199,27 +209,21 @@ func TestExactKernelBitIdentical(t *testing.T) {
 func TestFedAvgTiledBitIdentical(t *testing.T) {
 	specials := []float64{math.NaN(), math.Inf(-1), math.Ldexp(1, 41), -1e300, math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.Ldexp(1, -61)}
 	lengths := []int{0, 1, 7, 8, 9, 100, fedAvgTile - 1, fedAvgTile, fedAvgTile + 1, 2*fedAvgTile + 13}
-	tensor.ForEachKernelISA(func(isa string) {
-		rng := rand.New(rand.NewSource(43))
+	kt.Run(t, func(emit func(kerneltest.Case)) {
+		g := kerneltest.NewGen(43, specials)
 		for trial := 0; trial < 60; trial++ {
 			dim := lengths[trial%len(lengths)]
-			ups := make([]*Update, 1+rng.Intn(4))
+			ups := make([]*Update, 1+g.Intn(4))
 			for i := range ups {
-				u := &Update{ClientID: i, State: make([]float64, dim)}
+				u := &Update{ClientID: i, State: g.Plant(g.Normal(dim), 50)}
 				switch trial % 3 { // all zero, all non-zero, mixed
 				case 1:
-					u.NumSamples = 1 + rng.Intn(500)
+					u.NumSamples = 1 + g.Intn(500)
 				case 2:
-					u.NumSamples = rng.Intn(2) * (1 + rng.Intn(500))
+					u.NumSamples = g.Intn(2) * (1 + g.Intn(500))
 				}
-				if rng.Intn(3) == 0 {
-					u.Staleness = 1 + rng.Intn(6)
-				}
-				for j := range u.State {
-					u.State[j] = rng.NormFloat64()
-					if rng.Intn(50) == 0 {
-						u.State[j] = specials[rng.Intn(len(specials))]
-					}
+				if g.Intn(3) == 0 {
+					u.Staleness = 1 + g.Intn(6)
 				}
 				ups[i] = u
 			}
@@ -239,24 +243,27 @@ func TestFedAvgTiledBitIdentical(t *testing.T) {
 					ups[len(ups)-1] = &bad
 				}
 			}
-			got, gotErr := FedAvg(ups)
-			agg := NewStreamingFedAvg()
-			var wantErr error
-			for _, u := range ups {
-				if wantErr = agg.Fold(u); wantErr != nil {
-					break
-				}
-			}
-			var want []float64
-			if wantErr == nil {
-				want, wantErr = agg.Finalize()
-			}
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("%s trial %d: error %v, streaming %v", isa, trial, gotErr, wantErr)
-			}
-			if i := sameBits(got, want); wantErr == nil && i >= 0 {
-				t.Fatalf("%s trial %d (dim %d): coordinate %d is %#x, streaming %#x", isa, trial, dim, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
+			emit(kerneltest.Case{Name: fmt.Sprintf("trial %d (dim %d)", trial, dim), Rejects: trial%10 == 9,
+				Ref: func([][]float64) [][]float64 {
+					agg := NewStreamingFedAvg()
+					for _, u := range ups {
+						if err := agg.Fold(u); err != nil {
+							panic(err)
+						}
+					}
+					want, err := agg.Finalize()
+					if err != nil {
+						panic(err)
+					}
+					return [][]float64{want}
+				},
+				Run: func([][]float64) ([][]float64, int) {
+					got, err := FedAvg(ups)
+					if err != nil {
+						panic(err)
+					}
+					return [][]float64{got}, -1
+				}})
 		}
 	})
 }
@@ -280,18 +287,6 @@ func permutations(ups []*Update, fn func([]*Update)) {
 		}
 	}
 	rec(len(ups))
-}
-
-func sameBits(a, b []float64) int {
-	if len(a) != len(b) {
-		return 0
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestStreamingFedAvgMatchesReference is the property the one-accumulator
@@ -346,14 +341,14 @@ func TestStreamingFedAvgMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i := sameBits(ref, want); i >= 0 {
+			if i := kerneltest.FirstDiff(ref, want); i >= 0 {
 				t.Fatalf("trial %d order %v: the reference itself depends on order at %d", trial, describe(order), i)
 			}
 			for name, got := range map[string][]float64{
 				"fresh":  foldAll(t, NewStreamingFedAvg(), nil, order),
 				"reused": foldAll(t, reused, make([]float64, dim), order),
 			} {
-				if i := sameBits(got, want); i >= 0 {
+				if i := kerneltest.FirstDiff(got, want); i >= 0 {
 					t.Fatalf("trial %d order %v, %s aggregator, coordinate %d: %v (%#x), reference %v (%#x)",
 						trial, describe(order), name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 				}
@@ -362,7 +357,7 @@ func TestStreamingFedAvgMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i := sameBits(got, want); i >= 0 {
+			if i := kerneltest.FirstDiff(got, want); i >= 0 {
 				t.Fatalf("trial %d order %v, FedAvg, coordinate %d: %v, reference %v", trial, describe(order), i, got[i], want[i])
 			}
 		})
@@ -395,7 +390,7 @@ func TestFoldRejectsVanishingWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, order := range [][]*Update{{edge, real}, {real, edge}} {
-		if i := sameBits(foldAll(t, NewStreamingFedAvg(), nil, order), want); i >= 0 {
+		if i := kerneltest.FirstDiff(foldAll(t, NewStreamingFedAvg(), nil, order), want); i >= 0 {
 			t.Fatalf("edge weight 2^-60 first=%d: not the reference's bits", order[0].ClientID)
 		}
 	}

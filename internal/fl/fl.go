@@ -86,7 +86,8 @@ type Defense interface {
 	// update's State field is the post-training state; implementations mutate
 	// or replace it. global is the state the round started from, so
 	// delta-based mechanisms (DP noise on updates, gradient compression) can
-	// operate on state − global.
+	// operate on state − global. A mechanism that cannot apply (a state
+	// shorter than the model) panics rather than upload the update raw.
 	BeforeUpload(round int, global []float64, u *Update)
 	// Aggregate combines the round's updates into the next global state on
 	// the server side; prevGlobal is the state the round started from. Most

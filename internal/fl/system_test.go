@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/kerneltest"
 	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -373,10 +374,8 @@ func TestClientRoundMatchesFullBackward(t *testing.T) {
 			}
 		}
 		want := ref.StateVector()
-		for i, v := range u.State {
-			if math.Float64bits(v) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: state[%d] = %v through BackwardParams, %v through Backward", name, i, v, want[i])
-			}
+		if i := kerneltest.FirstDiff(u.State, want); i >= 0 {
+			t.Fatalf("%s: state[%d] = %v through BackwardParams, %v through Backward", name, i, u.State[i], want[i])
 		}
 	}
 }

@@ -2,13 +2,13 @@ package flnet
 
 import (
 	"context"
-	"math"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fl"
+	"repro/internal/kerneltest"
 )
 
 // The async side of the round engine: with nobody late it must compute what
@@ -41,10 +41,6 @@ func sortedIDs(ids []int) []int {
 	ids = slices.Clone(ids)
 	slices.Sort(ids)
 	return ids
-}
-
-func bitsEqual(a, b []float64) bool {
-	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestAsyncWithoutStragglersMatchesSync: with MinClients == NumClients no
@@ -95,7 +91,7 @@ func TestAsyncWithoutStragglersMatchesSync(t *testing.T) {
 				continue // the reference run itself
 			}
 			state, reports := run(staleness, streaming)
-			if !bitsEqual(state, wantState) {
+			if kerneltest.FirstDiff(state, wantState) >= 0 {
 				t.Errorf("staleness %d streaming %v: final state differs from the synchronous retained run", staleness, streaming)
 			}
 			for r, rep := range reports {
@@ -215,7 +211,7 @@ func TestAsyncStaleFoldOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bitsEqual(out.state, want) {
+		if kerneltest.FirstDiff(out.state, want) >= 0 {
 			t.Errorf("streaming %v: final state is not the staleness-weighted FedAvg of the fresh and the late update", streaming)
 		}
 	}

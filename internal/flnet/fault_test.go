@@ -19,6 +19,7 @@ import (
 	"repro/internal/defense"
 	"repro/internal/faultnet"
 	"repro/internal/fl"
+	"repro/internal/kerneltest"
 	"repro/internal/leakcheck"
 	"repro/internal/model"
 	"repro/internal/optim"
@@ -630,10 +631,8 @@ func TestLosslessUploadFallsBackWithoutAnchor(t *testing.T) {
 	if out.err != nil {
 		t.Fatalf("federation failed: %v", out.err)
 	}
-	for i := range want {
-		if math.Float64bits(out.state[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("state[%d] = %x, the codec-free federation ends on %x", i, math.Float64bits(out.state[i]), math.Float64bits(want[i]))
-		}
+	if i := kerneltest.FirstDiff(out.state, want); i >= 0 {
+		t.Fatalf("state[%d] = %x, the codec-free federation ends on %x", i, math.Float64bits(out.state[i]), math.Float64bits(want[i]))
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/binenc"
+	"repro/internal/kerneltest"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -243,10 +245,8 @@ func TestPlaneSectionMatchesInterleavedOracle(t *testing.T) {
 						if len(got.State) != dim {
 							t.Fatalf("frame %d decoded %d values, want %d", i, len(got.State), dim)
 						}
-						for j, v := range state {
-							if math.Float64bits(got.State[j]) != math.Float64bits(v) {
-								t.Fatalf("frame %d: state[%d] = %x, want %x", i, j, math.Float64bits(got.State[j]), math.Float64bits(v))
-							}
+						if j := kerneltest.FirstDiff(got.State, state); j >= 0 {
+							t.Fatalf("frame %d: state[%d] = %x, want %x", i, j, math.Float64bits(got.State[j]), math.Float64bits(state[j]))
 						}
 						PutState(got.State)
 					}
@@ -324,69 +324,62 @@ func TestPlaneFrameSteadyStateAllocs(t *testing.T) {
 // one as long as the state. The state is built so that after the XOR each
 // plane runs through all 256 byte values (at the FCNN6 size), and a few
 // coordinates carry NaN payloads, a signalling NaN among them, that a float
-// operation would rewrite.
+// operation would rewrite. The planes are compared packed: byte p of
+// coordinate i's output is plane p's byte i.
 func TestPlaneTransposeBitIdentical(t *testing.T) {
-	lengths := []int{485572}
-	for n := 0; n <= 80; n++ {
-		lengths = append(lengths, n)
-	}
 	nans := []uint64{0x7ff0000000000001, 0xfff8dead0000beef, 0x7ff8000000000001, 0xffffffffffffffff}
-	tensor.ForEachKernelISA(func(isa string) {
-		t.Run(isa, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(61))
-			for _, n := range lengths {
-				for _, anchored := range []bool{false, true} {
-					var base []float64
-					if anchored {
-						base = make([]float64, n)
-						for i := range base {
-							base[i] = math.Float64frombits(rng.Uint64())
-						}
-					}
-					// want[i]'s byte p is what plane p must hold at i.
-					want := make([]uint64, n)
-					for i := range want {
-						for p := 0; p < 8; p++ {
-							want[i] |= uint64(byte(i+37*p)^byte(rng.Intn(2))) << (8 * p)
-						}
-						if i%11 == 3 {
-							want[i] = rng.Uint64()
-						}
-					}
-					state := make([]float64, n)
-					for i := range state {
-						x := want[i]
-						if i%13 == 5 {
-							x = nans[i%len(nans)]
-						}
-						want[i] = x
-						if anchored {
-							x ^= math.Float64bits(base[i])
-						}
-						state[i] = math.Float64frombits(x)
-					}
-					var planes [8][]byte
-					for p := range planes {
-						planes[p] = make([]byte, n)
-					}
-					scatterPlanes(&planes, state, base)
-					for i, x := range want {
-						for p := range planes {
-							if planes[p][i] != byte(x>>(8*p)) {
-								t.Fatalf("n=%d anchored=%v: plane %d byte %d = %#02x, want %#02x", n, anchored, p, i, planes[p][i], byte(x>>(8*p)))
-							}
-						}
-					}
-					got := make([]float64, n)
-					gatherPlanes(got, &planes, base)
-					for i := range got {
-						if math.Float64bits(got[i]) != math.Float64bits(state[i]) {
-							t.Fatalf("n=%d anchored=%v: gathered %#x at %d, want %#x", n, anchored, math.Float64bits(got[i]), i, math.Float64bits(state[i]))
-						}
+	kt := kerneltest.Env{Tiers: tensor.ForEachKernelISA, SetWorkers: parallel.SetWorkers, SetMinWork: parallel.SetMinWork, Pools: []int{1}}
+	kt.Run(t, func(emit func(kerneltest.Case)) {
+		rng := rand.New(rand.NewSource(61))
+		for _, n := range kerneltest.Lengths(80, 485572) {
+			for _, anchored := range []bool{false, true} {
+				var base []float64
+				if anchored {
+					base = make([]float64, n)
+					for i := range base {
+						base[i] = math.Float64frombits(rng.Uint64())
 					}
 				}
+				// want[i]'s byte p is what plane p must hold at i.
+				want, state := make([]float64, n), make([]float64, n)
+				for i := range want {
+					var x uint64
+					for p := 0; p < 8; p++ {
+						x |= uint64(byte(i+37*p)^byte(rng.Intn(2))) << (8 * p)
+					}
+					if i%11 == 3 {
+						x = rng.Uint64()
+					}
+					if i%13 == 5 {
+						x = nans[i%len(nans)]
+					}
+					want[i] = math.Float64frombits(x)
+					if anchored {
+						x ^= math.Float64bits(base[i])
+					}
+					state[i] = math.Float64frombits(x)
+				}
+				emit(kerneltest.Case{Name: fmt.Sprintf("n=%d anchored=%v", n, anchored), Dst: [][]float64{make([]float64, n)},
+					Ref: func(d [][]float64) [][]float64 { copy(d[0], state); return [][]float64{want, d[0]} },
+					Run: func(d [][]float64) ([][]float64, int) {
+						var planes [8][]byte
+						for p := range planes {
+							planes[p] = make([]byte, n)
+						}
+						scatterPlanes(&planes, state, base)
+						packed := make([]float64, n)
+						for i := range packed {
+							var x uint64
+							for p := range planes {
+								x |= uint64(planes[p][i]) << (8 * p)
+							}
+							packed[i] = math.Float64frombits(x)
+						}
+						gatherPlanes(d[0], &planes, base)
+						return [][]float64{packed, d[0]}, -1
+					}})
 			}
-		})
+		}
 	})
 }
 

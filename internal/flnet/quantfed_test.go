@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/kerneltest"
 )
 
 // runFedWithWire runs one complete federation on the shared fedBed fixtures
@@ -143,10 +145,8 @@ func TestQuantizedTopKFederationDeterministic(t *testing.T) {
 	if len(first) == 0 || len(first) != len(second) {
 		t.Fatalf("runs produced %d and %d values", len(first), len(second))
 	}
-	for i := range first {
-		if math.Float64bits(first[i]) != math.Float64bits(second[i]) {
-			t.Fatalf("state[%d] = %x in the first run, %x in the second", i,
-				math.Float64bits(first[i]), math.Float64bits(second[i]))
-		}
+	if i := kerneltest.FirstDiff(first, second); i >= 0 {
+		t.Fatalf("state[%d] = %x in the first run, %x in the second", i,
+			math.Float64bits(first[i]), math.Float64bits(second[i]))
 	}
 }

@@ -1,12 +1,12 @@
 package model
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/kerneltest"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -239,10 +239,8 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		m.ZeroGrads()
 		m.BackwardParams(res.Grad)
 		for i, g := range m.Grads() {
-			for j, v := range g.Data() {
-				if w := want[i].Data()[j]; math.Float64bits(v) != math.Float64bits(w) {
-					t.Fatalf("%s: grad tensor %d[%d] = %v through BackwardParams, %v through Backward", name, i, j, v, w)
-				}
+			if j := kerneltest.FirstDiff(g.Data(), want[i].Data()); j >= 0 {
+				t.Fatalf("%s: grad tensor %d[%d] = %v through BackwardParams, %v through Backward", name, i, j, g.Data()[j], want[i].Data()[j])
 			}
 		}
 		// Flatten's reshaped view is all a warmed-up backward pass allocates.

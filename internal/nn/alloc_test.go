@@ -76,9 +76,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	// layer but Flatten and Conv1D would split these shapes if it still
 	// fanned out.
 	t.Run("two workers", func(t *testing.T) {
-		restorePool(t)
-		parallel.SetWorkers(2)
-		parallel.SetMinWork(32)
+		workers, minWork := parallel.SetWorkers(2), parallel.SetMinWork(32)
+		defer func() { parallel.SetWorkers(workers); parallel.SetMinWork(minWork) }()
 		for _, tc := range cases {
 			if tc.onCaller {
 				t.Run(tc.name, func(t *testing.T) { steadyAllocs(t, tc.mk, tc.dims) })

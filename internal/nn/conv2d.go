@@ -40,7 +40,7 @@ import (
 // one kernel call over all positions, and every gradIn element takes its
 // contributions in ascending row order, so results are bit-identical to the
 // whole-matrix formulation whatever the tile size (property-tested against
-// it in conv2d_direct_test.go).
+// it in conv2d_tiles_test.go).
 //
 // Forward and input-gradient tiles split across the compute pool by batch
 // item and weight-gradient slabs by tap; each range writes disjoint outputs,

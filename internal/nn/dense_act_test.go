@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/kerneltest"
 	"repro/internal/tensor"
 )
 
@@ -46,17 +47,17 @@ func TestDenseActBitIdenticalComposition(t *testing.T) {
 			for step := 0; step < 2; step++ {
 				fusedOut := fused.Forward(x, true)
 				stackOut := stack.Forward(x, true)
-				if !equalData(fusedOut.Data(), stackOut.Data()) {
+				if kerneltest.FirstDiff(fusedOut.Data(), stackOut.Data()) >= 0 {
 					t.Fatalf("%s batch=%d step=%d: fused forward diverges from composition", act, batch, step)
 				}
 				fusedGin := fused.Backward(g)
 				stackGin := stack.Backward(g)
-				if !equalData(fusedGin.Data(), stackGin.Data()) {
+				if kerneltest.FirstDiff(fusedGin.Data(), stackGin.Data()) >= 0 {
 					t.Fatalf("%s batch=%d step=%d: fused input grad diverges from composition", act, batch, step)
 				}
 				want := stack.GradVector()
 				got := append(append([]float64(nil), fused.gw.Data()...), fused.gb.Data()...)
-				if !equalData(got, want) {
+				if kerneltest.FirstDiff(got, want) >= 0 {
 					t.Fatalf("%s batch=%d step=%d: fused param grads diverge from composition", act, batch, step)
 				}
 			}
@@ -92,7 +93,7 @@ func TestDenseActReLUSpecialValues(t *testing.T) {
 	}
 	gin := fused.Backward(g)
 	wantGin := plain.Backward(masked)
-	if !sameBits(gin.Data(), wantGin.Data()) || !sameBits(fused.gw.Data(), plain.gw.Data()) || !sameBits(fused.gb.Data(), plain.gb.Data()) {
+	if kerneltest.FirstDiff(gin.Data(), wantGin.Data()) >= 0 || kerneltest.FirstDiff(fused.gw.Data(), plain.gw.Data()) >= 0 || kerneltest.FirstDiff(fused.gb.Data(), plain.gb.Data()) >= 0 {
 		t.Error("fused ReLU backward diverges from the branchy reference")
 	}
 }
@@ -105,7 +106,7 @@ func TestDenseActClone(t *testing.T) {
 	if clone.Act != ActTanh {
 		t.Fatalf("clone dropped the fused activation: %v", clone.Act)
 	}
-	if !equalData(clone.w.Data(), orig.w.Data()) {
+	if kerneltest.FirstDiff(clone.w.Data(), orig.w.Data()) >= 0 {
 		t.Fatal("clone weights differ")
 	}
 	x := tensor.Randn(rand.New(rand.NewSource(56)), 0, 1, 3, 6)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kerneltest"
 	"repro/internal/tensor"
 )
 
@@ -175,10 +176,8 @@ func TestMaxPool2DSelectSpecialValues(t *testing.T) {
 			wantGin[argmax[i]] += g[i]
 		}
 		gin := p.Backward(tensor.MustFromSlice(g, 1, tc.planes, tc.h/2, tc.w/2)).Data()
-		for i := range wantOut {
-			if math.Float64bits(out[i]) != math.Float64bits(wantOut[i]) {
-				t.Errorf("window %d: max = %v, want %v", i, out[i], wantOut[i])
-			}
+		if i := kerneltest.FirstDiff(out, wantOut); i >= 0 {
+			t.Errorf("window %d: max = %v, want %v", i, out[i], wantOut[i])
 		}
 		for i := range wantGin {
 			if gin[i] != wantGin[i] {

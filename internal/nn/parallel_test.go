@@ -1,114 +1,88 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/kerneltest"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// restorePool resets compute-pool configuration mutated by a test.
-func restorePool(t *testing.T) {
+// kt is the kernel harness over the tensor kernels' tier loop and the
+// compute pool, whose minimum work is lowered so test-sized shapes split.
+var kt = kerneltest.Env{Tiers: tensor.ForEachKernelISA, SetWorkers: parallel.SetWorkers, SetMinWork: parallel.SetMinWork, MinWork: 16}
+
+// poolCase is a layer of the pool-parallel rows, run at each batch size on
+// an input of shape [batch, dims...].
+type poolCase struct {
+	name    string
+	mk      func() Layer
+	batches []int
+	dims    []int
+}
+
+// poolRow holds a Forward+Backward step of each case, on every tier with
+// the pool sized 1, 2, 4 and 7, and the inference Forwards after it, to one
+// serial step. A second step runs on warm buffers and must reproduce it,
+// since the layers recompute their gradients each Backward rather than
+// accumulate them.
+func poolRow(t *testing.T, cases []poolCase) {
 	t.Helper()
-	prevW, prevM := parallel.Workers(), parallel.MinWork()
-	t.Cleanup(func() {
-		parallel.SetWorkers(prevW)
-		parallel.SetMinWork(prevM)
+	kt.WithPools(1, 2, 4, 7).Run(t, func(emit func(kerneltest.Case)) {
+		for _, tc := range cases {
+			for _, batch := range tc.batches {
+				x := batchInput(rand.New(rand.NewSource(17)), batch, tc.dims)
+				g := tensor.Randn(rand.New(rand.NewSource(6)), 0, 1, tc.mk().Forward(x, true).Shape()...)
+				for i := range g.Data() {
+					if i%4 == 0 { // exact zeros: the zero-skip convention under every split
+						g.Data()[i] = 0
+					}
+				}
+				for steps := 1; steps <= 2; steps++ {
+					emit(kerneltest.Case{Name: fmt.Sprintf("%s batch=%d steps=%d", tc.name, batch, steps),
+						Ref: func([][]float64) [][]float64 { return layerStep(tc.mk, x, g, 1) },
+						Run: func([][]float64) ([][]float64, int) { return layerStep(tc.mk, x, g, steps), -1 }})
+				}
+			}
+		}
 	})
 }
 
 // TestLayersPoolParallelBitIdentical is the property test behind the
 // pool's determinism guarantee: a Forward+Backward step of every layer that
-// splits across the pool (Conv2D's tiles, Dense's GEMMs and bias+activation
-// pass) must be bit-identical with the pool sized 1 (serial) and sized past
-// the chunk count. Batch sizes cover the odd shapes — one item (always
-// serial), batch == workers, prime batch.
+// splits across the pool (Conv2D's tiles, split by batch item, and its
+// weight-gradient slabs, by tap; Dense's GEMMs and bias+activation pass)
+// must be bit-identical, on every tier, with the pool sized 1 (serial) and
+// sized past the chunk count, and so must the inference Forwards. Batch
+// sizes cover the odd shapes — one item (always serial), batch == workers,
+// prime batch.
 func TestLayersPoolParallelBitIdentical(t *testing.T) {
-	restorePool(t)
-	parallel.SetMinWork(32) // force parallel paths on test-sized shapes
-	cases := []struct {
-		name string
-		mk   func(rng *rand.Rand) Layer
-		dims []int
-	}{
-		{"conv2d", func(r *rand.Rand) Layer { return NewConv2D(3, 5, 3, 1, 1, r) }, []int{3, 9, 7}},
-		{"dense+relu", func(r *rand.Rand) Layer { return NewDenseAct(11, 9, ActReLU, r) }, []int{11}},
-		{"dense+tanh", func(r *rand.Rand) Layer { return NewDenseAct(11, 9, ActTanh, r) }, []int{11}},
-	}
-	batches := []int{1, 3, 4, 7, 13}
-	for _, tc := range cases {
-		for _, batch := range batches {
-			x := batchInput(rand.New(rand.NewSource(17)), batch, tc.dims)
-
-			// Serial reference.
-			parallel.SetWorkers(1)
-			ref := tc.mk(rand.New(rand.NewSource(5)))
-			refOut := ref.Forward(x, true)
-			g := tensor.Randn(rand.New(rand.NewSource(6)), 0, 1, refOut.Shape()...)
-			wantOut := refOut.Clone()
-			wantGrad := ref.Backward(g).Clone()
-			wantParamGrads := cloneAll(ref.Grads())
-
-			for _, workers := range []int{2, 4, 7} {
-				parallel.SetWorkers(workers)
-				layer := tc.mk(rand.New(rand.NewSource(5)))
-				// Warm-up sizes the workspaces, then a second step runs on
-				// warm buffers — both must match the serial reference.
-				for step := 0; step < 2; step++ {
-					gotOut := layer.Forward(x, true)
-					gotGrad := layer.Backward(g)
-					if !equalData(gotOut.Data(), wantOut.Data()) {
-						t.Fatalf("%s batch=%d workers=%d step=%d: forward diverges from serial",
-							tc.name, batch, workers, step)
-					}
-					if !equalData(gotGrad.Data(), wantGrad.Data()) {
-						t.Fatalf("%s batch=%d workers=%d step=%d: input grad diverges from serial",
-							tc.name, batch, workers, step)
-					}
-					for pi, pg := range layer.Grads() {
-						if !equalData(pg.Data(), wantParamGrads[pi].Data()) {
-							t.Fatalf("%s batch=%d workers=%d step=%d: param grad %d diverges from serial",
-								tc.name, batch, workers, step, pi)
-						}
-					}
-					// The serial reference ran one step; grads of stateless
-					// accumulation layers are recomputed each Backward, so
-					// repeating the step must reproduce them exactly.
-				}
-			}
-		}
-	}
+	poolRow(t, []poolCase{
+		{"conv2d", func() Layer { return NewConv2D(3, 5, 3, 1, 1, rand.New(rand.NewSource(5))) }, []int{1, 3, 4, 7, 13}, []int{3, 9, 7}},
+		{"dense+relu", func() Layer { return NewDenseAct(11, 9, ActReLU, rand.New(rand.NewSource(5))) }, []int{1, 3, 4, 7, 13}, []int{11}},
+		{"dense+tanh", func() Layer { return NewDenseAct(11, 9, ActTanh, rand.New(rand.NewSource(5))) }, []int{1, 3, 4, 7, 13}, []int{11}},
+	})
 }
 
-func cloneAll(ts []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(ts))
-	for i, t := range ts {
-		out[i] = t.Clone()
-	}
-	return out
-}
-
-func equalData(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// TestConv2DDirectPoolParallelBitIdentical pins Conv2D's pool determinism
+// at the 3-to-16-channel geometry (batch 5, 12×10): the training step (tiles
+// split by batch item, weight-gradient slabs by tap) and the inference
+// Forwards must be bit-identical to the serial run at every pool size. The
+// name dates from the removed direct inference path.
+func TestConv2DDirectPoolParallelBitIdentical(t *testing.T) {
+	poolRow(t, []poolCase{
+		{"conv2d 3→16", func() Layer { return NewConv2D(3, 16, 3, 1, 1, rand.New(rand.NewSource(41))) }, []int{5}, []int{3, 12, 10}},
+	})
 }
 
 // TestModelPoolParallelBitIdentical trains a small conv+bn+pool+dense model
-// for a few steps under serial and oversized pools and requires bit-equal
-// parameter vectors — the end-to-end form of the determinism guarantee.
+// for a few steps on every tier under serial and oversized pools and
+// requires bit-equal parameter vectors — the end-to-end form of the
+// determinism guarantee.
 func TestModelPoolParallelBitIdentical(t *testing.T) {
-	restorePool(t)
-	parallel.SetMinWork(16)
-
-	run := func() []float64 {
+	run := func([][]float64) ([][]float64, int) {
 		rng := rand.New(rand.NewSource(33))
 		m := NewModel(
 			NewConv2D(2, 4, 3, 1, 1, rng),
@@ -122,10 +96,9 @@ func TestModelPoolParallelBitIdentical(t *testing.T) {
 		labels := []int{0, 1, 2, 3, 4, 0}
 		var loss SoftmaxCrossEntropy
 		for step := 0; step < 3; step++ {
-			out := m.Forward(x, true)
-			res, err := loss.Eval(out, labels)
+			res, err := loss.Eval(m.Forward(x, true), labels)
 			if err != nil {
-				t.Fatal(err)
+				panic(err)
 			}
 			m.Backward(res.Grad)
 			params, grads := m.Params(), m.Grads()
@@ -136,21 +109,7 @@ func TestModelPoolParallelBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		return m.StateVector()
+		return [][]float64{m.StateVector()}, -1
 	}
-
-	parallel.SetWorkers(1)
-	want := run()
-	for _, workers := range []int{2, 4, 8} {
-		parallel.SetWorkers(workers)
-		got := run()
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: state length %d != %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: state[%d] = %v, serial %v", workers, i, got[i], want[i])
-			}
-		}
-	}
+	kt.WithPools(1, 2, 4, 8).Run(t, func(emit func(kerneltest.Case)) { emit(kerneltest.Case{Name: "model", Run: run}) })
 }

@@ -7,70 +7,47 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/parallel"
+	"repro/internal/kerneltest"
 	"repro/internal/tensor"
 )
-
-// pointwiseSpecials are planted in the pointwise layers' inputs: quiet and
-// signalling NaNs of both signs with distinct payloads, ±Inf and −0.
-var pointwiseSpecials = []float64{
-	math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000abc),
-	math.Float64frombits(0x7ff4000000000123), math.Float64frombits(0xfff0000000000777),
-	math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
-}
-
-// plantPayloads replaces about one in eight of v with a pointwise special.
-func plantPayloads(rng *rand.Rand, v []float64) {
-	for i := range v {
-		if rng.Intn(8) == 0 {
-			v[i] = pointwiseSpecials[rng.Intn(len(pointwiseSpecials))]
-		}
-	}
-}
-
-// bnStepResult is one BatchNorm training step's outputs and gradients.
-type bnStepResult struct{ out, gradIn, gGamma, gBeta, runMean, runVar []float64 }
 
 // refBatchNormStep is the cached-xhat formulation BatchNorm had before it
 // recomputed the normalized input: Forward stores xhat = (x − mean)·invStd
 // and Backward reads it back. It runs one Forward and Backward serially
-// with γ and β taken from b, starting from b's running statistics.
-func refBatchNormStep(b *BatchNorm, x, gradOut *tensor.Tensor, train bool) bnStepResult {
+// with γ and β taken from b, starting from and updating b's running
+// statistics, and returns the output, the input gradient, dγ, dβ and the
+// running mean and variance.
+func refBatchNormStep(b *BatchNorm, x, gradOut *tensor.Tensor, train bool) [][]float64 {
 	batch, C := x.Dim(0), b.C
 	spatial := x.Len() / (batch * C)
 	n := float64(batch * spatial)
 	xd, god, gd, bd := x.Data(), gradOut.Data(), b.gamma.Data(), b.beta.Data()
-	mean, variance := make([]float64, C), make([]float64, C)
-	rm, rv := append([]float64(nil), b.runMean.Data()...), append([]float64(nil), b.runVar.Data()...)
-	if train {
-		for c := 0; c < C; c++ {
-			s := 0.0
-			for bi := 0; bi < batch; bi++ {
-				base := (bi*C + c) * spatial
-				for i := 0; i < spatial; i++ {
-					s += xd[base+i]
+	// each calls f on every element of every channel, item by item.
+	each := func(f func(c, i int)) {
+		for bi := 0; bi < batch; bi++ {
+			for c := 0; c < C; c++ {
+				for i := (bi*C + c) * spatial; i < (bi*C+c+1)*spatial; i++ {
+					f(c, i)
 				}
 			}
-			mean[c] = s / n
 		}
-		for c := 0; c < C; c++ {
-			s := 0.0
-			for bi := 0; bi < batch; bi++ {
-				base := (bi*C + c) * spatial
-				for i := 0; i < spatial; i++ {
-					d := xd[base+i] - mean[c]
-					s += d * d
-				}
+	}
+	// sum adds f over channel c's elements in the same order.
+	sum := func(c int, f func(i int) float64) (s float64) {
+		each(func(cc, i int) {
+			if cc == c {
+				s += f(i)
 			}
-			variance[c] = s / n
-		}
-		for c := 0; c < C; c++ {
-			rm[c] = (1-b.Momentum)*rm[c] + b.Momentum*mean[c]
-			rv[c] = (1-b.Momentum)*rv[c] + b.Momentum*variance[c]
-		}
-	} else {
-		copy(mean, rm)
-		copy(variance, rv)
+		})
+		return s
+	}
+	rm, rv := b.runMean.Data(), b.runVar.Data()
+	mean, variance := append([]float64(nil), rm...), append([]float64(nil), rv...)
+	for c := 0; c < C && train; c++ {
+		mean[c] = sum(c, func(i int) float64 { return xd[i] }) / n
+		variance[c] = sum(c, func(i int) float64 { d := xd[i] - mean[c]; return d * d }) / n
+		rm[c] = (1-b.Momentum)*rm[c] + b.Momentum*mean[c]
+		rv[c] = (1-b.Momentum)*rv[c] + b.Momentum*variance[c]
 	}
 	invStd := make([]float64, C)
 	for c := range invStd {
@@ -80,138 +57,104 @@ func refBatchNormStep(b *BatchNorm, x, gradOut *tensor.Tensor, train bool) bnSte
 		}
 		invStd[c] = 1 / math.Sqrt(v+b.Eps)
 	}
-	xhat, out := make([]float64, len(xd)), make([]float64, len(xd))
-	for bi := 0; bi < batch; bi++ {
-		for c := 0; c < C; c++ {
-			base := (bi*C + c) * spatial
-			m, is, g, bt := mean[c], invStd[c], gd[c], bd[c]
-			for i := 0; i < spatial; i++ {
-				xh := (xd[base+i] - m) * is
-				xhat[base+i] = xh
-				out[base+i] = g*xh + bt
-			}
-		}
-	}
+	xhat, out, gid := make([]float64, len(xd)), make([]float64, len(xd)), make([]float64, len(xd))
+	each(func(c, i int) {
+		xhat[i] = (xd[i] - mean[c]) * invStd[c]
+		out[i] = gd[c]*xhat[i] + bd[c]
+	})
 	ggd, gbd := make([]float64, C), make([]float64, C)
 	for c := 0; c < C; c++ {
-		sb, sg := 0.0, 0.0
-		for bi := 0; bi < batch; bi++ {
-			base := (bi*C + c) * spatial
-			for i := 0; i < spatial; i++ {
-				g := god[base+i]
-				sb += g
-				sg += g * xhat[base+i]
-			}
-		}
-		gbd[c] += sb
-		ggd[c] += sg
+		gbd[c] += sum(c, func(i int) float64 { return god[i] })
+		ggd[c] += sum(c, func(i int) float64 { return god[i] * xhat[i] })
 	}
-	gid := make([]float64, len(xd))
-	for bi := 0; bi < batch; bi++ {
-		for c := 0; c < C; c++ {
-			base := (bi*C + c) * spatial
-			k := gd[c] * invStd[c]
-			dbeta, dgamma := gbd[c]/n, ggd[c]/n
-			for i := 0; i < spatial; i++ {
-				gid[base+i] = k * (god[base+i] - dbeta - xhat[base+i]*dgamma)
-			}
-		}
-	}
-	return bnStepResult{out, gid, ggd, gbd, rm, rv}
+	each(func(c, i int) { gid[i] = gd[c] * invStd[c] * (god[i] - gbd[c]/n - xhat[i]*(ggd[c]/n)) })
+	return [][]float64{out, gid, ggd, gbd, append([]float64(nil), rm...), append([]float64(nil), rv...)}
 }
 
-// TestBatchNormBitIdentical holds BatchNorm, on every kernel tier, to the
-// cached-xhat formulation it replaced: training and inference Forward,
-// Backward, both parameter gradients and the running statistics, bit for
-// bit, after one and after two steps. Shapes cover a dense input
-// (spatial 1), VGG11's late planes (4), odd tails (7, 9) and a 16×16 plane,
-// channel counts that are not a multiple of the reductions' interleave,
-// and batch 1. x, γ, β and gradOut hold ±0, ±Inf and the hardware's NaN
-// (plantSpecials): the two formulations' channel sums are Go whose
-// compiled operand order, and so which of two NaN payloads a sum keeps,
-// is the compiler's choice and differs under -race.
+// layerStep returns, for a fresh layer from mk, the output, input gradient
+// and parameter gradients of the last of steps training passes on x and
+// gradOut g, then the output of an inference Forward after them and that of
+// another fresh layer's steps-th inference Forward (cold and warm
+// workspaces).
+func layerStep(mk func() Layer, x, g *tensor.Tensor, steps int) [][]float64 {
+	layer, infer := mk(), mk()
+	var res [][]float64
+	for s := 0; s < steps; s++ {
+		res = [][]float64{layer.Forward(x, true).Clone().Data(), layer.Backward(g).Clone().Data()}
+		for _, pg := range layer.Grads() {
+			res = append(res, pg.Clone().Data())
+		}
+	}
+	for s := 1; s < steps; s++ {
+		infer.Forward(x, false)
+	}
+	return append(res, layer.Forward(x, false).Clone().Data(), infer.Forward(x, false).Data())
+}
+
+// TestBatchNormBitIdentical holds BatchNorm, on every kernel tier (it never
+// calls the compute pool), to the cached-xhat formulation it replaced:
+// training and inference Forward, Backward, both parameter gradients and
+// the running statistics, bit for bit, after one and after two steps.
+// Shapes cover a dense input (spatial 1), VGG11's late planes (4), odd
+// tails (7, 9) and a 16×16 plane, channel counts that are not a multiple of
+// the reductions' interleave, and batch 1. x, γ, β and gradOut hold
+// kerneltest.HardwareNaN: the two formulations' channel sums are Go whose
+// compiled operand order, and so which of two NaN payloads a sum keeps, is
+// the compiler's choice and differs under -race.
 // TestPointwiseLayersBitIdentical plants payloads, tier against tier.
 func TestBatchNormBitIdentical(t *testing.T) {
 	shapes := [][]int{
 		{5, 9}, {1, 6}, {3, 5, 4}, {4, 7, 7}, {2, 6, 3, 3}, {3, 5, 16, 16}, {1, 3, 2, 2}, {6, 8, 2, 2},
 	}
-	tensor.ForEachKernelISA(func(isa string) {
+	kt.WithPools(1).Run(t, func(emit func(kerneltest.Case)) {
 		for si, shape := range shapes {
+			g := kerneltest.NewGen(int64(300+si), kerneltest.HardwareNaN)
+			x, gradOut := tensor.Randn(g.Rand, 0, 1, shape...), tensor.Randn(g.Rand, 0, 1, shape...)
+			g.Plant(x.Data(), 8)
+			g.Plant(gradOut.Data(), 8)
+			proto := plantedBatchNorm(g, shape[1], 8)
+			for c := range proto.runVar.Data() {
+				proto.runVar.Data()[c] = 0.5 + g.Float64()
+			}
+			mk := func() *BatchNorm { return proto.cloneLayer().(*BatchNorm) }
 			for _, train := range []bool{true, false} {
-				rng := rand.New(rand.NewSource(int64(300 + si)))
-				x := tensor.Randn(rng, 0, 1, shape...)
-				g := tensor.Randn(rng, 0, 1, shape...)
-				plantSpecials(x.Data(), int64(310+si))
-				plantSpecials(g.Data(), int64(320+si))
-				layer := NewBatchNorm(shape[1])
-				for pi, p := range layer.Params() {
-					d := p.Data()
-					for i := range d {
-						d[i] += 0.5 * rng.NormFloat64()
-					}
-					plantSpecials(d, int64(330+2*si+pi))
-				}
-				rv := layer.runVar.Data()
-				for c := range rv {
-					rv[c] = 0.5 + rng.Float64()
-				}
-				for step := 1; step <= 2; step++ {
-					want := refBatchNormStep(layer, x, g, train)
-					out := layer.Forward(x, train).Clone()
-					gradIn := layer.Backward(g)
-					where := fmt.Sprintf("%s/shape=%v train=%v step=%d", isa, shape, train, step)
-					for _, c := range []struct {
-						what      string
-						got, want []float64
-					}{
-						{"output", out.Data(), want.out},
-						{"input gradient", gradIn.Data(), want.gradIn},
-						{"dγ", layer.gGamma.Data(), want.gGamma},
-						{"dβ", layer.gBeta.Data(), want.gBeta},
-						{"running mean", layer.runMean.Data(), want.runMean},
-						{"running variance", layer.runVar.Data(), want.runVar},
-					} {
-						if i := firstDiff(c.got, c.want); i >= 0 {
-							t.Fatalf("%s: %s[%d] = %#x, cached-xhat form %#x", where, c.what, i,
-								math.Float64bits(c.got[i]), math.Float64bits(c.want[i]))
-						}
-					}
+				for steps := 1; steps <= 2; steps++ {
+					emit(kerneltest.Case{Name: fmt.Sprintf("shape=%v train=%v steps=%d", shape, train, steps),
+						Ref: func([][]float64) (want [][]float64) {
+							layer := mk()
+							for s := 0; s < steps; s++ {
+								want = refBatchNormStep(layer, x, gradOut, train)
+							}
+							return want
+						},
+						Run: func([][]float64) ([][]float64, int) {
+							layer := mk()
+							var out, gradIn *tensor.Tensor
+							for s := 0; s < steps; s++ {
+								out = layer.Forward(x, train).Clone()
+								gradIn = layer.Backward(gradOut)
+							}
+							return [][]float64{out.Data(), gradIn.Data(), layer.gGamma.Data(), layer.gBeta.Data(),
+								layer.runMean.Data(), layer.runVar.Data()}, -1
+						}})
 				}
 			}
 		}
 	})
 }
 
-// firstDiff reports the first index where a and b hold different bit
-// patterns, or -1.
-func firstDiff(a, b []float64) int {
-	if len(a) != len(b) {
-		return 0
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
 // TestPointwiseLayersBitIdentical holds ReLU, DenseAct's fused ReLU,
-// MaxPool2D and BatchNorm on every kernel tier (DenseAct, which splits its
-// bias+activation pass, with the pool sized 1 and 3) to the scalar tier,
-// bit for bit (pooling's argmax through its input gradient), over inputs
-// and gradients holding NaN payloads, ±Inf, −0 and, for the pools, ties;
-// BatchNorm's γ and β hold payloads too. Only the
-// kernels differ between tiers, so every payload must land where the scalar
-// loops put it. BatchNorm's NaNs go by channel (plantByChannel), since one
-// NaN in a channel's gradOut makes its dβ NaN, whose payload then hides
-// every later operand's. The pooling shapes cover output widths the vector
-// kernel takes (1, 2, 4, 8, 16) and leaves (3, 5), and planes the 2×2
-// windows do not tile (odd sides). Outputs, input gradients and parameter
-// gradients are compared.
+// MaxPool2D and BatchNorm on every kernel tier and pool size to the scalar
+// tier's serial run, bit for bit (pooling's argmax through its input
+// gradient), over inputs and gradients holding kerneltest.Payloads and, for
+// the pools, ties; BatchNorm's γ and β hold payloads too. Only the kernels
+// differ between tiers, so every payload must land where the scalar loops
+// put it. BatchNorm's NaNs go by channel (plantByChannel), since one NaN in
+// a channel's gradOut makes its dβ NaN, whose payload then hides every
+// later operand's. The pooling shapes cover output widths the vector kernel
+// takes (1, 2, 4, 8, 16) and leaves (3, 5), and planes the 2×2 windows do
+// not tile (odd sides).
 func TestPointwiseLayersBitIdentical(t *testing.T) {
-	restorePool(t)
-	parallel.SetMinWork(32)
 	cases := []struct {
 		name  string
 		mk    func() Layer
@@ -232,72 +175,46 @@ func TestPointwiseLayersBitIdentical(t *testing.T) {
 		{"batchnorm 7x7", func() Layer { return payloadBatchNorm(5) }, []int{3, 5, 7, 7}},
 		{"batchnorm 2x2", func() Layer { return payloadBatchNorm(8) }, []int{6, 8, 2, 2}},
 	}
-	// run returns a layer's output, then its input gradient, then each
-	// parameter gradient, after two Forwards and a Backward.
-	run := func(mk func() Layer, x, g *tensor.Tensor) [][]float64 {
-		layer := mk()
-		layer.Forward(x, true)
-		res := [][]float64{layer.Forward(x, true).Clone().Data(), layer.Backward(g).Data()}
-		for _, pg := range layer.Grads() {
-			res = append(res, pg.Data())
-		}
-		return res
-	}
-	for ci, tc := range cases {
-		rng := rand.New(rand.NewSource(int64(400 + ci)))
-		x := tensor.Randn(rng, 0, 1, tc.shape...)
-		xd := x.Data()
-		for i := range xd {
-			if strings.HasPrefix(tc.name, "maxpool") && rng.Intn(3) == 0 {
-				xd[i] = float64(rng.Intn(3)) // ties
-			}
-		}
-		g := tensor.Randn(rng, 0, 1, tc.mk().Forward(x, true).Shape()...)
-		if strings.HasPrefix(tc.name, "batchnorm") {
-			plantByChannel(rng, xd, tc.shape, 1)
-			plantByChannel(rng, g.Data(), tc.shape, 0)
-		} else {
-			plantPayloads(rng, xd)
-			plantPayloads(rng, g.Data())
-		}
-
-		var want [][]float64
-		pools := []int{1}
-		if strings.HasPrefix(tc.name, "dense") {
-			pools = append(pools, 3)
-		}
-		tensor.ForEachKernelISA(func(isa string) {
-			for _, workers := range pools {
-				parallel.SetWorkers(workers)
-				got := run(tc.mk, x, g)
-				if isa == "scalar" && workers == 1 {
-					want = got
-					continue
-				}
-				for k := range got {
-					if i := firstDiff(got[k], want[k]); i >= 0 {
-						t.Fatalf("%s %s/workers=%d: result %d (output, input gradient, parameter gradients)[%d] = %#x, scalar %#x",
-							tc.name, isa, workers, k, i, math.Float64bits(got[k][i]), math.Float64bits(want[k][i]))
-					}
+	kt.Run(t, func(emit func(kerneltest.Case)) {
+		for ci, tc := range cases {
+			g := kerneltest.NewGen(int64(400+ci), kerneltest.Payloads)
+			x := tensor.Randn(g.Rand, 0, 1, tc.shape...)
+			xd := x.Data()
+			for i := range xd {
+				if strings.HasPrefix(tc.name, "maxpool") && g.Intn(3) == 0 {
+					xd[i] = float64(g.Intn(3)) // ties
 				}
 			}
-		})
-	}
+			gradOut := tensor.Randn(g.Rand, 0, 1, tc.mk().Forward(x, true).Shape()...)
+			if strings.HasPrefix(tc.name, "batchnorm") {
+				plantByChannel(g, xd, tc.shape, 1)
+				plantByChannel(g, gradOut.Data(), tc.shape, 0)
+			} else {
+				g.Plant(xd, 8)
+				g.Plant(gradOut.Data(), 8)
+			}
+			emit(kerneltest.Case{Name: tc.name, Run: func([][]float64) ([][]float64, int) {
+				return layerStep(tc.mk, x, gradOut, 2), -1
+			}})
+		}
+	})
 }
 
 // payloadBatchNorm returns a BatchNorm over c channels whose γ and β are
-// drawn around 1 and 0, about one in three replaced by a NaN payload, ±Inf
-// or −0.
+// drawn around 1 and 0, about one in three replaced by a payload.
 func payloadBatchNorm(c int) *BatchNorm {
-	rng := rand.New(rand.NewSource(int64(500 + c)))
+	return plantedBatchNorm(kerneltest.NewGen(int64(500+c), kerneltest.Payloads), c, 3)
+}
+
+// plantedBatchNorm returns a BatchNorm over c channels whose γ and β are
+// drawn around 1 and 0 from g, about one in every replaced by a special.
+func plantedBatchNorm(g *kerneltest.Gen, c, every int) *BatchNorm {
 	b := NewBatchNorm(c)
 	for _, p := range b.Params() {
-		d := p.Data()
-		for i := range d {
-			if d[i] += 0.5 * rng.NormFloat64(); rng.Intn(3) == 0 {
-				d[i] = pointwiseSpecials[rng.Intn(len(pointwiseSpecials))]
-			}
+		for i := range p.Data() {
+			p.Data()[i] += 0.5 * g.NormFloat64()
 		}
+		g.Plant(p.Data(), every)
 	}
 	return b
 }
@@ -307,12 +224,12 @@ func payloadBatchNorm(c int) *BatchNorm {
 // with x skipping 1 and gradOut 0, channels 0 mod 3 hold NaN payloads in x
 // alone (so two x payloads meet in the input gradient's products), 1 mod 3
 // in gradOut alone and 2 mod 3 in both.
-func plantByChannel(rng *rand.Rand, v []float64, shape []int, skip int) {
+func plantByChannel(g *kerneltest.Gen, v []float64, shape []int, skip int) {
 	C := shape[1]
 	spatial := len(v) / (shape[0] * C)
 	for j := range v {
-		if j/spatial%C%3 != skip && rng.Intn(4) == 0 {
-			v[j] = pointwiseSpecials[rng.Intn(len(pointwiseSpecials))]
+		if j/spatial%C%3 != skip && g.Intn(4) == 0 {
+			v[j] = g.Special()
 		}
 	}
 }

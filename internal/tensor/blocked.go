@@ -98,21 +98,8 @@ func putPackBuf(pb *packBuf) { packBufPool.Put(pb) }
 // gemmBlocked computes out = A × B for the logical m×k matrix A and k×n
 // matrix B. aTrans marks a as storing Aᵀ row-major (k×m, the MatMulTransA
 // case); bTrans marks b as storing Bᵀ row-major (n×k, the MatMulTransB
-// case).
+// case). Only useBlockedGEMM's callers reach it, on a SIMD tier.
 func gemmBlocked(out, a, b []float64, m, k, n int, aTrans, bTrans bool) {
-	if kernelISA < isaAVX2 {
-		// Test-only path on machines without the micro kernels: fall back to
-		// the serial naive kernels (production dispatch never gets here).
-		switch {
-		case aTrans:
-			matMulTransACols(out, a, b, 0, m, m, k, n)
-		case bTrans:
-			matMulTransBRows(out, a, b, 0, m, k, n)
-		default:
-			matMulRows(out, a, b, 0, m, k, n)
-		}
-		return
-	}
 	lda := k
 	if aTrans {
 		lda = m

@@ -2,8 +2,9 @@ package tensor
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
+
+	"repro/internal/kerneltest"
 )
 
 // BenchmarkGEMMBlockSweep is the committed block-size sweep behind the
@@ -31,9 +32,9 @@ func BenchmarkGEMMBlockSweep(b *testing.B) {
 	}
 	mcs := []int{32, 64, 128, 256}
 	ncs := []int{64, 128, 256, 512}
-	rng := rand.New(rand.NewSource(47))
+	g := kerneltest.NewGen(47, nil)
 	for _, s := range shapes {
-		a, bb := gemmOperands(rng, s.m, s.k, s.n, s.layout)
+		a, bb := gemmOperands(g, s.m, s.k, s.n)
 		out := make([]float64, s.m*s.n)
 		for _, mc := range mcs {
 			for _, nc := range ncs {
@@ -42,7 +43,7 @@ func BenchmarkGEMMBlockSweep(b *testing.B) {
 					gemmMinVolume = 1
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						runBlocked(out, a, bb, s.m, s.k, s.n, s.layout)
+						gemmKernels[s.layout].dispatch(out, a, bb, s.m, s.k, s.n)
 					}
 				})
 			}
@@ -73,16 +74,16 @@ func BenchmarkGEMMTiers(b *testing.B) {
 		{"fcnn6_gradin_64x512x256", 64, 512, 256, "nn"},
 		{"vgg11_conv1_gw_4x16384x27", 4, 16384, 27, "ta"},
 	}
-	rng := rand.New(rand.NewSource(53))
+	g := kerneltest.NewGen(53, nil)
 	for _, s := range shapes {
-		a, bb := gemmOperands(rng, s.m, s.k, s.n, s.layout)
+		a, bb := gemmOperands(g, s.m, s.k, s.n)
 		out := make([]float64, s.m*s.n)
 		ForEachKernelISA(func(name string) {
 			b.Run(s.name+"/"+name, func(b *testing.B) {
 				gemmMinVolume = 1
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					matMulLayout(out, a, bb, s.m, s.k, s.n, s.layout)
+					gemmKernels[s.layout].dispatch(out, a, bb, s.m, s.k, s.n)
 				}
 			})
 		})

@@ -3,49 +3,47 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
+
+	"repro/internal/kerneltest"
 )
 
-// bnNormalizeScalar is BatchNorm's normalize loop (bnNormalize in
-// internal/nn) over every item of xd.
-func bnNormalizeScalar(od, xd, mean, invStd, gd, bd []float64, C, spatial int) {
-	for bi := 0; bi < len(xd)/(C*spatial); bi++ {
+// bnEach calls f with the channel and index of every element of xd, item
+// by item from item from on, as BatchNorm's loops in internal/nn walk them.
+func bnEach(xd []float64, C, spatial, from int, f func(c, i int)) {
+	for bi := from; bi < len(xd)/(C*spatial); bi++ {
 		for c := 0; c < C; c++ {
-			x := xd[(bi*C+c)*spatial:][:spatial]
-			o := od[(bi*C+c)*spatial:][:len(x)]
-			m, is, g, bt := mean[c], invStd[c], gd[c], bd[c]
-			for i, v := range x {
-				xh := (v - m) * is
-				o[i] = g*xh + bt
+			for i := (bi*C + c) * spatial; i < (bi*C+c+1)*spatial; i++ {
+				f(c, i)
 			}
 		}
 	}
+}
+
+// bnNormalizeScalar is BatchNorm's normalize loop (bnNormalize in
+// internal/nn) from item from on.
+func bnNormalizeScalar(od, xd, mean, invStd, gd, bd []float64, C, spatial, from int) {
+	bnEach(xd, C, spatial, from, func(c, i int) {
+		xh := (xd[i] - mean[c]) * invStd[c]
+		od[i] = gd[c]*xh + bd[c]
+	})
 }
 
 // bnGradInScalar is BatchNorm's input-gradient loop (bnGradIn in
-// internal/nn) over every item of xd.
-func bnGradInScalar(gid, god, xd, mean, invStd, k, dbeta, dgamma []float64, C, spatial int) {
-	for bi := 0; bi < len(xd)/(C*spatial); bi++ {
-		for c := 0; c < C; c++ {
-			x := xd[(bi*C+c)*spatial:][:spatial]
-			g := god[(bi*C+c)*spatial:][:len(x)]
-			gi := gid[(bi*C+c)*spatial:][:len(x)]
-			m, is, kc, db, dg := mean[c], invStd[c], k[c], dbeta[c], dgamma[c]
-			for i, v := range x {
-				xh := (v - m) * is
-				gi[i] = kc * (g[i] - db - xh*dg)
-			}
-		}
-	}
+// internal/nn) from item from on.
+func bnGradInScalar(gid, god, xd, mean, invStd, k, dbeta, dgamma []float64, C, spatial, from int) {
+	bnEach(xd, C, spatial, from, func(c, i int) {
+		xh := (xd[i] - mean[c]) * invStd[c]
+		gid[i] = k[c] * (god[i] - dbeta[c] - xh*dgamma[c])
+	})
 }
 
-// keepPositiveScalar is keepPositive's loop in internal/nn: src where sign
-// is positive, +0 elsewhere.
-func keepPositiveScalar(dst, src, sign []float64) {
-	for i, s := range sign[:len(src)] {
+// keepPositiveScalar is keepPositive's loop in internal/nn from element
+// from on: src where sign is positive, +0 elsewhere.
+func keepPositiveScalar(dst, src, sign []float64, from int) {
+	for i := from; i < len(src); i++ {
 		var m uint64
-		if s > 0 {
+		if sign[i] > 0 {
 			m = ^uint64(0)
 		}
 		dst[i] = math.Float64frombits(math.Float64bits(src[i]) & m)
@@ -53,77 +51,21 @@ func keepPositiveScalar(dst, src, sign []float64) {
 }
 
 // maxPool2x2Scalar is MaxPool2D's forward loop in internal/nn for 2×2
-// windows at stride 2 over rows of width 2·ow: the first strict maximum of
-// each window in row-major tap order, and its index plus base.
-func maxPool2x2Scalar(dst []float64, argmax []int, src []float64, ow, base int) {
+// windows at stride 2 over rows of width 2·ow, from output from on: the
+// first strict maximum of each window in row-major tap order, and its index
+// plus base.
+func maxPool2x2Scalar(dst []float64, argmax []int, src []float64, ow, base, from int) {
 	w := 2 * ow
-	for r := 0; r < len(dst)/ow; r++ {
-		for ox := 0; ox < ow; ox++ {
-			bi := 2*r*w + 2*ox
-			best := src[bi]
-			for _, i := range [4]int{bi, bi + 1, bi + w, bi + w + 1} {
-				if src[i] > best {
-					best, bi = src[i], i
-				}
+	for o := from; o < len(dst); o++ {
+		bi := 2*(o/ow)*w + 2*(o%ow)
+		best := src[bi]
+		for _, i := range [4]int{bi, bi + 1, bi + w, bi + w + 1} {
+			if src[i] > best {
+				best, bi = src[i], i
 			}
-			dst[r*ow+ox], argmax[r*ow+ox] = best, base+bi
 		}
+		dst[o], argmax[o] = best, base+bi
 	}
-}
-
-// The helpers below run a wrapper and then the scalar loop over what it
-// left, as the nn layers do, and return the wrapper's prefix.
-
-func bnNormalize(od, xd, mean, invStd, gd, bd []float64, C, spatial int) int {
-	k := BatchNormNormalize(od, xd, mean, invStd, gd, bd, C, spatial)
-	r := k * C * spatial
-	bnNormalizeScalar(od[r:], xd[r:], mean, invStd, gd, bd, C, spatial)
-	return k
-}
-
-func bnGradIn(gid, god, xd, mean, invStd, k, dbeta, dgamma []float64, C, spatial int) int {
-	n := BatchNormGradIn(gid, god, xd, mean, invStd, k, dbeta, dgamma, C, spatial)
-	r := n * C * spatial
-	bnGradInScalar(gid[r:], god[r:], xd[r:], mean, invStd, k, dbeta, dgamma, C, spatial)
-	return n
-}
-
-func keepPositive(dst, src, sign []float64) int {
-	k := KeepPositive(dst, src, sign)
-	keepPositiveScalar(dst[k:], src[k:], sign[k:])
-	return k
-}
-
-func maxPool2x2(dst []float64, argmax []int, src []float64, ow, base int) int {
-	k := MaxPool2x2(dst, argmax, src, ow, base)
-	maxPool2x2Scalar(dst[k:], argmax[k:], src[4*k:], ow, base+4*k)
-	return k
-}
-
-// guardLanes is how many elements past a destination's end withGuard
-// fills: one vector's worth, what a store without its tail mask would reach.
-const guardLanes = 8
-
-// withGuard returns a copy of stale whose backing array runs guardLanes
-// past its end, filled with a NaN payload no test value has.
-func withGuard(stale []float64) []float64 {
-	buf := make([]float64, len(stale)+guardLanes)
-	copy(buf, stale)
-	for i := len(stale); i < len(buf); i++ {
-		buf[i] = math.Float64frombits(0x7ff80000deadbeef)
-	}
-	return buf[:len(stale)]
-}
-
-// guardIntact reports whether the elements withGuard placed past dst's end
-// still hold their sentinel.
-func guardIntact(dst []float64) bool {
-	for _, v := range dst[len(dst):cap(dst)] {
-		if math.Float64bits(v) != 0x7ff80000deadbeef {
-			return false
-		}
-	}
-	return true
 }
 
 // bnShape is one BatchNorm input shape: items of C channels of spatial
@@ -145,149 +87,125 @@ func bnShapes() []bnShape {
 	return shapes
 }
 
-// TestBatchNormNormalizeBitIdentical holds BatchNormNormalize plus the
-// scalar rest, on every tier the host runs, to the scalar loop over
-// bnShapes, with NaN payloads, ±Inf and −0 planted in x, the mean, invStd,
-// γ and β and in the stale output. On the AVX-512 tier the kernel must
-// cover every item, and no test writes past the end of its output.
-func TestBatchNormNormalizeBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(211))
-	forEachTier(t, func(t *testing.T) {
-		for _, s := range bnShapes() {
-			n := s.items * s.C * s.spatial
-			xd := tapValues(rng, n)
-			mean, invStd, gd, bd := tapValues(rng, s.C), tapValues(rng, s.C), tapValues(rng, s.C), tapValues(rng, s.C)
-			stale := tapValues(rng, n)
-			want, got := append([]float64(nil), stale...), withGuard(stale)
-			bnNormalizeScalar(want, xd, mean, invStd, gd, bd, s.C, s.spatial)
-			k := bnNormalize(got, xd, mean, invStd, gd, bd, s.C, s.spatial)
-			if kernelISA >= isaAVX512 && k != s.items {
-				t.Fatalf("%+v: kernel covered %d items", s, k)
-			}
-			if !guardIntact(got) {
-				t.Fatalf("%+v: wrote past the end of od", s)
-			}
-			if i := firstBitDiff(got, want); i >= 0 {
-				t.Fatalf("%+v: od[%d] = %#x, scalar %#x (x %#x)", s, i,
-					math.Float64bits(got[i]), math.Float64bits(want[i]), math.Float64bits(xd[i]))
-			}
-		}
-	})
-}
-
-// TestBatchNormGradInBitIdentical is the normalize test for
-// BatchNormGradIn, with the specials also in gradOut, k, dβ and dγ.
-func TestBatchNormGradInBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(223))
-	forEachTier(t, func(t *testing.T) {
-		for _, s := range bnShapes() {
-			n := s.items * s.C * s.spatial
-			xd, god := tapValues(rng, n), tapValues(rng, n)
-			mean, invStd := tapValues(rng, s.C), tapValues(rng, s.C)
-			kc, dbeta, dgamma := tapValues(rng, s.C), tapValues(rng, s.C), tapValues(rng, s.C)
-			stale := tapValues(rng, n)
-			want, got := append([]float64(nil), stale...), withGuard(stale)
-			bnGradInScalar(want, god, xd, mean, invStd, kc, dbeta, dgamma, s.C, s.spatial)
-			k := bnGradIn(got, god, xd, mean, invStd, kc, dbeta, dgamma, s.C, s.spatial)
-			if kernelISA >= isaAVX512 && k != s.items {
-				t.Fatalf("%+v: kernel covered %d items", s, k)
-			}
-			if !guardIntact(got) {
-				t.Fatalf("%+v: wrote past the end of gid", s)
-			}
-			if i := firstBitDiff(got, want); i >= 0 {
-				t.Fatalf("%+v: gid[%d] = %#x, scalar %#x", s, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		}
-	})
-}
-
-// TestKeepPositiveBitIdentical holds KeepPositive plus the scalar rest, on
-// every tier the host runs, to the scalar loop at every length up to 33 and
-// at 1029: as the ReLU forward (sign = src) and as its backward (an
-// independent sign), with specials in both and in the stale destination.
-// On the AVX-512 tier the kernel must cover everything.
-func TestKeepPositiveBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(227))
-	lengths := []int{1029}
-	for n := 0; n <= 33; n++ {
-		lengths = append(lengths, n)
+// bnCase holds BatchNormNormalize, or BatchNormGradIn when grad, plus the
+// scalar rest to the scalar loop on one shape, with specials in every input
+// (x, the mean, invStd, γ, β; gradOut, k, dβ, dγ) and in the stale output.
+// The kernel covers every item.
+func bnCase(g *kerneltest.Gen, s bnShape, grad bool) kerneltest.Case {
+	n := s.items * s.C * s.spatial
+	xd, god, stale := g.Values(n), g.Values(n), g.Values(n)
+	c := [5][]float64{g.Values(s.C), g.Values(s.C), g.Values(s.C), g.Values(s.C), g.Values(s.C)}
+	name := fmt.Sprintf("grad=%v %+v", grad, s)
+	if grad {
+		return kerneltest.Prefix(name, stale, s.items,
+			func(gid []float64) int {
+				return BatchNormGradIn(gid, god, xd, c[0], c[1], c[2], c[3], c[4], s.C, s.spatial)
+			},
+			func(gid []float64, k int) {
+				bnGradInScalar(gid, god, xd, c[0], c[1], c[2], c[3], c[4], s.C, s.spatial, k)
+			})
 	}
-	forEachTier(t, func(t *testing.T) {
-		for _, n := range lengths {
-			src := tapValues(rng, n)
-			for _, sign := range [][]float64{src, tapValues(rng, n)} {
-				stale := tapValues(rng, n)
-				want, got := append([]float64(nil), stale...), withGuard(stale)
-				keepPositiveScalar(want, src, sign)
-				k := keepPositive(got, src, sign)
-				if kernelISA >= isaAVX512 && k != n {
-					t.Fatalf("n=%d: kernel covered %d", n, k)
-				}
-				if !guardIntact(got) {
-					t.Fatalf("n=%d: wrote past the end of dst", n)
-				}
-				if i := firstBitDiff(got, want); i >= 0 {
-					t.Fatalf("n=%d: dst[%d] = %#x, scalar %#x (src %#x, sign %#x)", n, i,
-						math.Float64bits(got[i]), math.Float64bits(want[i]),
-						math.Float64bits(src[i]), math.Float64bits(sign[i]))
-				}
-			}
+	return kerneltest.Prefix(name, stale, s.items,
+		func(od []float64) int { return BatchNormNormalize(od, xd, c[0], c[1], c[2], c[3], s.C, s.spatial) },
+		func(od []float64, k int) { bnNormalizeScalar(od, xd, c[0], c[1], c[2], c[3], s.C, s.spatial, k) })
+}
+
+// testBatchNorm is bnCase over bnShapes.
+func testBatchNorm(t *testing.T, seed int64, grad bool) {
+	serial.Run(t, func(emit func(kerneltest.Case)) {
+		g := kerneltest.NewGen(seed, kerneltest.Payloads)
+		for _, s := range bnShapes() {
+			emit(bnCase(g, s, grad))
 		}
 	})
 }
 
-// poolValues returns n values drawn from a handful of small integers, ±0,
-// ±Inf and NaN payloads, so windows hold ties (the first must win, and
-// +0 and −0 tie), NaNs at every tap and infinities.
-func poolValues(rng *rand.Rand, n int) []float64 {
+func TestBatchNormNormalizeBitIdentical(t *testing.T) { testBatchNorm(t, 211, false) }
+
+func TestBatchNormGradInBitIdentical(t *testing.T) { testBatchNorm(t, 223, true) }
+
+// keepPositiveCase holds KeepPositive plus the scalar rest to the scalar
+// loop at length n, as the ReLU forward (sign = src) or as its backward (an
+// independent sign); the kernel covers everything.
+func keepPositiveCase(g *kerneltest.Gen, n int, forward bool) kerneltest.Case {
+	src, sign := g.Values(n), g.Values(n)
+	if forward {
+		sign = src
+	}
+	return kerneltest.Prefix(fmt.Sprintf("n=%d forward=%v", n, forward), g.Values(n), n,
+		func(dst []float64) int { return KeepPositive(dst, src, sign) },
+		func(dst []float64, k int) { keepPositiveScalar(dst, src, sign, k) })
+}
+
+// poolValues returns n values drawn from a handful of small integers, +0
+// and the specials, so windows hold ties (the first must win, and +0 and −0
+// tie), NaNs at every tap and infinities.
+func poolValues(g *kerneltest.Gen, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
-		switch rng.Intn(6) {
+		switch g.Intn(6) {
 		case 0:
-			v[i] = tapSpecials[rng.Intn(len(tapSpecials))]
+			v[i] = g.Special()
 		case 1:
 			v[i] = 0
 		default:
-			v[i] = float64(rng.Intn(4) - 1)
+			v[i] = float64(g.Intn(4) - 1)
 		}
 	}
 	return v
 }
 
-// TestMaxPool2x2BitIdentical holds MaxPool2x2 plus the scalar rest, on
-// every tier the host runs, to the scalar loop: output widths the kernel
-// takes (1, 2, 4, 8, 16, 24) and ones it leaves (3, 5, 6, 12), 0 to 9
-// output rows, and a base offset, over poolValues. Values and argmax
-// indices must match; on the AVX-512 tier the kernel must cover every
-// whole block.
+// maxPoolCase holds MaxPool2x2 plus the scalar rest to the scalar loop on
+// rows of output width ow over poolValues: values and argmax indices (the
+// latter with guard lanes of their own). The kernel covers every whole
+// block of the widths it takes, those dividing or divided by 8.
+func maxPoolCase(g *kerneltest.Gen, ow, rows, base int) kerneltest.Case {
+	n := rows * ow
+	src, cover := poolValues(g, 4*n), 0
+	if 8%ow == 0 || ow%8 == 0 {
+		cover = n &^ 7
+	}
+	pool := func(d [][]float64, kernel bool) ([][]float64, int) {
+		arg, k := make([]int, n+8), 0
+		for i := range arg {
+			arg[i] = -1
+		}
+		if kernel {
+			k = MaxPool2x2(d[0], arg[:n], src, ow, base)
+		}
+		maxPool2x2Scalar(d[0], arg[:n], src, ow, base, k)
+		args := make([]float64, len(arg))
+		for i, a := range arg {
+			args[i] = float64(a)
+		}
+		return append(d, args), k
+	}
+	return kerneltest.Case{Name: fmt.Sprintf("max-pool ow=%d rows=%d", ow, rows), Dst: [][]float64{g.Values(n)}, Cover: cover,
+		Ref: func(d [][]float64) [][]float64 { out, _ := pool(d, false); return out },
+		Run: func(d [][]float64) ([][]float64, int) { return pool(d, true) }}
+}
+
+// TestKeepPositiveBitIdentical is keepPositiveCase at every length up to 33
+// and at 1029, forward and backward.
+func TestKeepPositiveBitIdentical(t *testing.T) {
+	serial.Run(t, func(emit func(kerneltest.Case)) {
+		g := kerneltest.NewGen(227, kerneltest.Payloads)
+		for _, n := range kerneltest.Lengths(33, 1029) {
+			emit(keepPositiveCase(g, n, true))
+			emit(keepPositiveCase(g, n, false))
+		}
+	})
+}
+
+// TestMaxPool2x2BitIdentical is maxPoolCase at output widths the kernel
+// takes (1, 2, 4, 8, 16, 24) and ones it leaves (3, 5, 6, 12), 0 to 9 output
+// rows and a base offset.
 func TestMaxPool2x2BitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(229))
-	forEachTier(t, func(t *testing.T) {
+	serial.Run(t, func(emit func(kerneltest.Case)) {
+		g := kerneltest.NewGen(229, kerneltest.Payloads)
 		for _, ow := range []int{1, 2, 3, 4, 5, 6, 8, 12, 16, 24} {
 			for rows := 0; rows <= 9; rows++ {
-				n, base := rows*ow, rng.Intn(100)
-				src := poolValues(rng, 4*n)
-				want, got := tapValues(rng, n), tapValues(rng, n)
-				copy(got, want)
-				wantArg, gotArg := make([]int, n), make([]int, n)
-				maxPool2x2Scalar(want, wantArg, src, ow, base)
-				k := maxPool2x2(got, gotArg, src, ow, base)
-				wantK := 0
-				if kernelISA >= isaAVX512 && (8%ow == 0 || ow%8 == 0) {
-					wantK = n &^ 7
-				}
-				if k != wantK {
-					t.Fatalf("ow=%d rows=%d: kernel covered %d outputs, want %d", ow, rows, k, wantK)
-				}
-				if i := firstBitDiff(got, want); i >= 0 {
-					t.Fatalf("ow=%d rows=%d: dst[%d] = %#x, scalar %#x", ow, rows, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-				}
-				for i := range gotArg {
-					if gotArg[i] != wantArg[i] {
-						t.Fatalf("ow=%d rows=%d: argmax[%d] = %d, scalar %d", ow, rows, i, gotArg[i], wantArg[i])
-					}
-				}
+				emit(maxPoolCase(g, ow, rows, g.Intn(100)))
 			}
 		}
 	})
@@ -297,92 +215,44 @@ func TestMaxPool2x2BitIdentical(t *testing.T) {
 // the AVX-512 tier a slice shorter than what the kernel would touch panics
 // before the kernel writes anything.
 func TestPointwiseKernelsShortSlicePanics(t *testing.T) {
-	if hostISA < isaAVX512 {
-		t.Skip("no AVX-512 tier on this host")
-	}
-	rng := rand.New(rand.NewSource(233))
-	mustPanic := func(what string, dst []float64, f func()) {
-		t.Helper()
-		before := append([]float64(nil), dst...)
-		defer func() {
-			t.Helper()
-			if recover() == nil {
-				t.Errorf("%s did not panic", what)
-			}
-			if i := firstBitDiff(dst, before); i >= 0 {
-				t.Errorf("%s wrote dst[%d] before panicking", what, i)
-			}
-		}()
-		f()
-	}
 	const C, spatial = 3, 5
-	x, coef := randSlice(rng, 2*C*spatial), randSlice(rng, C)
-	dst := randSlice(rng, len(x))
-	mustPanic("BatchNormNormalize into a short od", dst, func() {
-		BatchNormNormalize(dst[:len(x)-1], x, coef, coef, coef, coef, C, spatial)
+	serial.Run(t, func(emit func(kerneltest.Case)) {
+		g := kerneltest.NewGen(233, kerneltest.Payloads)
+		x, coef, pooled := g.Normal(2*C*spatial), g.Normal(C), g.Normal(32)
+		emit(kerneltest.Short("BatchNormNormalize into a short od", g.Normal(len(x)-1), func(dst []float64) {
+			BatchNormNormalize(dst, x, coef, coef, coef, coef, C, spatial)
+		}))
+		emit(kerneltest.Short("BatchNormNormalize with a short β", g.Normal(len(x)), func(dst []float64) {
+			BatchNormNormalize(dst, x, coef, coef, coef, coef[:C-1], C, spatial)
+		}))
+		emit(kerneltest.Short("BatchNormGradIn from a short gradOut", g.Normal(len(x)), func(dst []float64) {
+			BatchNormGradIn(dst, x[:len(x)-1], x, coef, coef, coef, coef, coef, C, spatial)
+		}))
+		emit(kerneltest.Short("BatchNormGradIn with a short dγ", g.Normal(len(x)), func(dst []float64) {
+			BatchNormGradIn(dst, x, x, coef, coef, coef, coef, coef[:C-1], C, spatial)
+		}))
+		emit(kerneltest.Short("KeepPositive with a short sign", g.Normal(len(x)), func(dst []float64) { KeepPositive(dst, x, x[:len(x)-1]) }))
+		emit(kerneltest.Short("KeepPositive into a short dst", g.Normal(len(x)-1), func(dst []float64) { KeepPositive(dst, x, x) }))
+		emit(kerneltest.Short("MaxPool2x2 from a short src", g.Normal(8), func(dst []float64) { MaxPool2x2(dst, make([]int, 8), pooled[:31], 4, 0) }))
+		emit(kerneltest.Short("MaxPool2x2 with a short argmax", g.Normal(8), func(dst []float64) { MaxPool2x2(dst, make([]int, 7), pooled, 4, 0) }))
 	})
-	mustPanic("BatchNormNormalize with a short β", dst, func() {
-		BatchNormNormalize(dst, x, coef, coef, coef, coef[:C-1], C, spatial)
-	})
-	mustPanic("BatchNormGradIn from a short gradOut", dst, func() {
-		BatchNormGradIn(dst, x[:len(x)-1], x, coef, coef, coef, coef, coef, C, spatial)
-	})
-	mustPanic("BatchNormGradIn with a short dγ", dst, func() {
-		BatchNormGradIn(dst, x, x, coef, coef, coef, coef, coef[:C-1], C, spatial)
-	})
-	mustPanic("KeepPositive with a short sign", dst, func() { KeepPositive(dst, x, x[:len(x)-1]) })
-	mustPanic("KeepPositive into a short dst", dst, func() { KeepPositive(dst[:len(x)-1], x, x) })
-	pooled := randSlice(rng, 8)
-	mustPanic("MaxPool2x2 from a short src", pooled, func() { MaxPool2x2(pooled, make([]int, 8), randSlice(rng, 31), 4, 0) })
-	mustPanic("MaxPool2x2 with a short argmax", pooled, func() { MaxPool2x2(pooled, make([]int, 7), randSlice(rng, 32), 4, 0) })
 }
 
-// FuzzPointwise holds every pointwise kernel plus its scalar rest to the
-// scalar loop, on every tier the host runs, over arbitrary shapes: the
-// BatchNorm kernels at items × C × spatial, KeepPositive at that length
-// and MaxPool2x2 at widths up to 32, all over values with specials.
+// FuzzPointwise holds every pointwise kernel family to its scalar loop over
+// arbitrary shapes: the BatchNorm kernels at items × C × spatial,
+// KeepPositive at that length and MaxPool2x2 at widths up to 32.
 func FuzzPointwise(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), int64(1))
 	f.Add(uint8(3), uint8(5), uint8(4), int64(2))
 	f.Add(uint8(2), uint8(7), uint8(9), int64(3))
 	f.Add(uint8(1), uint8(2), uint8(255), int64(4))
 	f.Fuzz(func(t *testing.T, iu, cu, su uint8, seed int64) {
-		items, C, spatial := int(iu%8)+1, int(cu%16)+1, int(su)+1
-		rng := rand.New(rand.NewSource(seed))
-		n := items * C * spatial
-		xd, god := tapValues(rng, n), tapValues(rng, n)
-		coef := make([][]float64, 5)
-		for i := range coef {
-			coef[i] = tapValues(rng, C)
-		}
-		ow := int(cu%32) + 1
-		src := poolValues(rng, 4*items*ow)
-		wantOd, wantGid, wantRelu := make([]float64, n), make([]float64, n), make([]float64, n)
-		bnNormalizeScalar(wantOd, xd, coef[0], coef[1], coef[2], coef[3], C, spatial)
-		bnGradInScalar(wantGid, god, xd, coef[0], coef[1], coef[2], coef[3], coef[4], C, spatial)
-		keepPositiveScalar(wantRelu, god, xd)
-		wantPool, wantArg := make([]float64, items*ow), make([]int, items*ow)
-		maxPool2x2Scalar(wantPool, wantArg, src, ow, int(seed&0xff))
-		ForEachKernelISA(func(name string) {
-			od, gid, relu := make([]float64, n), make([]float64, n), make([]float64, n)
-			bnNormalize(od, xd, coef[0], coef[1], coef[2], coef[3], C, spatial)
-			bnGradIn(gid, god, xd, coef[0], coef[1], coef[2], coef[3], coef[4], C, spatial)
-			keepPositive(relu, god, xd)
-			pool, arg := make([]float64, items*ow), make([]int, items*ow)
-			maxPool2x2(pool, arg, src, ow, int(seed&0xff))
-			for what, pair := range map[string][2][]float64{
-				"normalize": {od, wantOd}, "grad-in": {gid, wantGid}, "keep-positive": {relu, wantRelu}, "max-pool": {pool, wantPool},
-			} {
-				if i := firstBitDiff(pair[0], pair[1]); i >= 0 {
-					t.Fatalf("%s %s: [%d] = %#x, scalar %#x", name, what, i, math.Float64bits(pair[0][i]), math.Float64bits(pair[1][i]))
-				}
-			}
-			for i := range arg {
-				if arg[i] != wantArg[i] {
-					t.Fatalf("%s: argmax[%d] = %d, scalar %d", name, i, arg[i], wantArg[i])
-				}
-			}
-		})
+		s := bnShape{int(iu%8) + 1, int(cu%16) + 1, int(su) + 1}
+		g := kerneltest.NewGen(seed, kerneltest.Payloads)
+		serial.Check(t, bnCase(g, s, false))
+		serial.Check(t, bnCase(g, s, true))
+		serial.Check(t, keepPositiveCase(g, s.items*s.C*s.spatial, false))
+		serial.Check(t, maxPoolCase(g, int(cu%32)+1, s.items, int(seed&0xff)))
 	})
 }
 
@@ -390,17 +260,12 @@ func FuzzPointwise(f *testing.F) {
 // fifth BatchNorm at batch 64 (4 channels of 16×16, 32 channels of 2×2) on
 // every tier the host runs, kernel plus scalar rest as the layer runs them.
 func BenchmarkBatchNormNormalize(b *testing.B) {
-	rng := rand.New(rand.NewSource(239))
+	g := kerneltest.NewGen(239, nil)
 	for _, s := range []bnShape{{64, 4, 256}, {64, 32, 4}} {
 		n := s.items * s.C * s.spatial
-		xd, od, coef := randSlice(rng, n), make([]float64, n), randSlice(rng, s.C)
-		ForEachKernelISA(func(name string) {
-			b.Run(fmt.Sprintf("%s/C=%d/spatial=%d", name, s.C, s.spatial), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					bnNormalize(od, xd, coef, coef, coef, coef, s.C, s.spatial)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
-			})
+		xd, od, coef := g.Normal(n), make([]float64, n), g.Normal(s.C)
+		kt.Bench(b, fmt.Sprintf("C=%d/spatial=%d", s.C, s.spatial), n, "elem", func() {
+			bnNormalizeScalar(od, xd, coef, coef, coef, coef, s.C, s.spatial, BatchNormNormalize(od, xd, coef, coef, coef, coef, s.C, s.spatial))
 		})
 	}
 }
@@ -408,16 +273,9 @@ func BenchmarkBatchNormNormalize(b *testing.B) {
 // BenchmarkKeepPositive times the ReLU over VGG11's first activation at
 // batch 64 (64 × 4 × 16 × 16) on every tier the host runs.
 func BenchmarkKeepPositive(b *testing.B) {
-	src := randSlice(rand.New(rand.NewSource(241)), 64*4*256)
+	src := kerneltest.NewGen(241, nil).Normal(64 * 4 * 256)
 	dst := make([]float64, len(src))
-	ForEachKernelISA(func(name string) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				keepPositive(dst, src, src)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src)), "ns/elem")
-		})
-	})
+	kt.Bench(b, "", len(src), "elem", func() { keepPositiveScalar(dst, src, src, KeepPositive(dst, src, src)) })
 }
 
 // BenchmarkMaxPool2x2 times VGG11's first and last pools at batch 64
@@ -425,17 +283,10 @@ func BenchmarkKeepPositive(b *testing.B) {
 // host runs. Below AVX-512 it times this file's branching reference, not
 // MaxPool2D's masked loop.
 func BenchmarkMaxPool2x2(b *testing.B) {
-	rng := rand.New(rand.NewSource(251))
+	g := kerneltest.NewGen(251, nil)
 	for _, s := range []struct{ planes, ow int }{{64 * 4, 8}, {64 * 32, 1}} {
 		n := s.planes * s.ow * s.ow
-		src, dst, arg := randSlice(rng, 4*n), make([]float64, n), make([]int, n)
-		ForEachKernelISA(func(name string) {
-			b.Run(fmt.Sprintf("%s/ow=%d", name, s.ow), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					maxPool2x2(dst, arg, src, s.ow, 0)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/out")
-			})
-		})
+		src, dst, arg := g.Normal(4*n), make([]float64, n), make([]int, n)
+		kt.Bench(b, fmt.Sprintf("ow=%d", s.ow), n, "out", func() { maxPool2x2Scalar(dst, arg, src, s.ow, 0, MaxPool2x2(dst, arg, src, s.ow, 0)) })
 	}
 }
