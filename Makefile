@@ -11,8 +11,9 @@
 #   make alloc      - allocation-regression guard: the training hot path,
 #                     every optimizer's per-round Reset and its steps, the
 #                     reusable quantized-delta encoder, the exact
-#                     FedAvg fold and the lossless wire's plane-frame encode
-#                     must stay zero-allocation in steady state (the decode
+#                     FedAvg fold, the lossless wire's plane-frame encode
+#                     and the quantized wire's section decode must stay
+#                     zero-allocation in steady state (a frame decode
 #                     allocates only what compress/flate does per stream);
 #                     and a round makes no state-sized garbage: a steady-state
 #                     round of an fl.System and of a two-client in-memory
@@ -71,7 +72,9 @@
 #                     reads what the next round shares)
 #   make quant      - quantized-wire guards under -race: the linear-time
 #                     top-k encoder against its sort oracle and golden
-#                     payload digests, and the quantized federations (each
+#                     payload digests, the section decoder against
+#                     fl.DeltaPayload.Apply and its refusals of a broken
+#                     gap stream, and the quantized federations (each
 #                     session and the server's round loop own their encoder
 #                     scratch; the race detector proves none is shared); the
 #                     synchronous anchor ring holds two broadcasts, a peer back
@@ -239,7 +242,7 @@ alloc:
 	$(GO) test ./internal/tensor/ -run TestWorkspaceSteadyStateAllocs -v
 	$(GO) test ./internal/optim/ -run 'TestResetKeepsStateBuffers|TestResetStepZeroAllocs' -v
 	$(GO) test ./internal/fl/ -run 'TestDeltaEncoderSteadyStateAllocs|TestStreamingFedAvgSteadyStateAllocs' -v
-	$(GO) test ./internal/flnet/ -run 'TestPlaneFrameSteadyStateAllocs|TestStatePoolRetainsCohort|TestRoundByteBudget|TestFederationLiveStates' -v
+	$(GO) test ./internal/flnet/ -run 'TestPlaneFrameSteadyStateAllocs|TestQuantizedDecodeSteadyStateAllocs|TestStatePoolRetainsCohort|TestRoundByteBudget|TestFederationLiveStates' -v
 	$(GO) test ./internal/data/ -run TestBatchesBytesPerEpoch -v
 	$(GO) test ./internal/core/ -run TestPersonalizedStateIsTheClientsOwn -v
 

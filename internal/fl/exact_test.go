@@ -234,8 +234,8 @@ func TestFedAvgTiledBitIdentical(t *testing.T) {
 					bad.NumSamples = -1
 				case 1:
 					bad.State = bad.State[:0:0]
-				case 2:
-					bad.Staleness = 1 << 61
+				case 2: // a weight of 2^-61, the TestFoldRejectsVanishingWeight shape
+					bad.NumSamples, bad.Staleness = 1, 1<<61
 				default:
 					ups[len(ups)-1] = nil
 				}
@@ -366,20 +366,32 @@ func TestStreamingFedAvgMatchesReference(t *testing.T) {
 
 // TestFoldRejectsVanishingWeight: a non-zero weight below 2^-60 truncates to
 // a zero term in the weight total, so the zero-weight switch would miss it
-// and the result would depend on arrival order; the fold refuses it.
+// and the result would depend on arrival order; the fold refuses it. On a
+// zero-sample update the weight that counts is the decay alone, which the
+// zero-weight mean's total would truncate the same way.
 func TestFoldRejectsVanishingWeight(t *testing.T) {
-	tiny := &Update{ClientID: 9, NumSamples: 1, Staleness: 1 << 61, State: []float64{1e6}}
 	real := &Update{ClientID: 3, NumSamples: 5, State: []float64{2}}
-	for _, order := range [][]*Update{{tiny, real}, {real, tiny}} {
-		agg := NewStreamingFedAvg()
-		var err error
-		for _, u := range order {
-			if e := agg.Fold(u); e != nil {
-				err = e
+	for _, tc := range []struct {
+		name       string
+		tiny, mate *Update
+	}{
+		{"one sample", &Update{ClientID: 9, NumSamples: 1, Staleness: 1 << 61, State: []float64{1e6}}, real},
+		{"zero samples", &Update{ClientID: 9, Staleness: 1 << 61, State: []float64{1e6}}, &Update{ClientID: 3, State: []float64{2}}},
+	} {
+		for _, order := range [][]*Update{{tc.tiny, tc.mate}, {tc.mate, tc.tiny}} {
+			agg := NewStreamingFedAvg()
+			var err error
+			for _, u := range order {
+				if e := agg.Fold(u); e != nil {
+					err = e
+				}
 			}
-		}
-		if err == nil || !strings.Contains(err.Error(), "client 9") || !strings.Contains(err.Error(), "unrepresentable weight") {
-			t.Fatalf("error %v, want client 9's weight refused as unrepresentable", err)
+			_, ferr := FedAvg(order)
+			for _, err := range []error{err, ferr} {
+				if err == nil || !strings.Contains(err.Error(), "client 9") || !strings.Contains(err.Error(), "unrepresentable weight") {
+					t.Fatalf("%s, client %d first: error %v, want client 9's weight refused as unrepresentable", tc.name, order[0].ClientID, err)
+				}
+			}
 		}
 	}
 	// The smallest weight that survives truncation folds, in either order,

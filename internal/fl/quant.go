@@ -249,35 +249,26 @@ func EncodeDelta(kind QuantKind, seed int64, stream, round, baseRound int, base,
 	return p, nil
 }
 
-// Dequant returns the reconstructed delta value for carried coordinate j.
-func (p *DeltaPayload) Dequant(j int) float64 {
+// Level returns the delta value level q dequantizes to: Lo + q/levels·(Hi−Lo),
+// or Lo for a constant payload. It reads neither Q nor Indices, so a decoder
+// that parses levels off the wire gets Apply's bits from the header alone.
+func (p *DeltaPayload) Level(q uint16) float64 {
 	if p.Hi == p.Lo {
 		return p.Lo
 	}
-	return p.Lo + float64(p.Q[j])/float64(p.Kind.levels())*(p.Hi-p.Lo)
+	return p.Lo + float64(q)/float64(p.Kind.levels())*(p.Hi-p.Lo)
 }
 
 // Validate checks the payload's structural invariants (sizes, kind, index
 // ordering and bounds) so a decoder can reject a corrupt frame before
 // touching any base state.
 func (p *DeltaPayload) Validate() error {
-	if p.Kind != QuantInt8 && p.Kind != QuantInt16 {
-		return fmt.Errorf("fl: delta payload has quantization kind %v", p.Kind)
+	if err := p.ValidateHeader(len(p.Q), p.Indices != nil); err != nil {
+		return err
 	}
-	if p.Dim <= 0 {
-		return fmt.Errorf("fl: delta payload has dimension %d", p.Dim)
-	}
-	if math.IsNaN(p.Lo) || math.IsInf(p.Lo, 0) || math.IsNaN(p.Hi) || math.IsInf(p.Hi, 0) || p.Hi < p.Lo {
-		return fmt.Errorf("fl: delta payload has range [%g, %g]", p.Lo, p.Hi)
-	}
-	if p.Indices == nil {
-		if len(p.Q) != p.Dim {
-			return fmt.Errorf("fl: dense delta payload has %d levels for dimension %d", len(p.Q), p.Dim)
-		}
-	} else {
-		if len(p.Indices) != len(p.Q) || len(p.Indices) == 0 || len(p.Indices) > p.Dim {
-			return fmt.Errorf("fl: sparse delta payload has %d indices for %d levels (dimension %d)",
-				len(p.Indices), len(p.Q), p.Dim)
+	if p.Indices != nil {
+		if len(p.Indices) != len(p.Q) {
+			return fmt.Errorf("fl: sparse delta payload has %d indices for %d levels", len(p.Indices), len(p.Q))
 		}
 		prev := -1
 		for _, ix := range p.Indices {
@@ -293,6 +284,29 @@ func (p *DeltaPayload) Validate() error {
 				return fmt.Errorf("fl: delta payload level %d exceeds %v maximum %d", q, p.Kind, max)
 			}
 		}
+	}
+	return nil
+}
+
+// ValidateHeader checks what a payload holds beside its levels and indices
+// (kind, dimension, range) and that count levels fit the dimension: all Dim
+// of them when dense, 1 to Dim when sparse. A decoder that writes levels
+// straight into a state checks the header with it first.
+func (p *DeltaPayload) ValidateHeader(count int, sparse bool) error {
+	if p.Kind != QuantInt8 && p.Kind != QuantInt16 {
+		return fmt.Errorf("fl: delta payload has quantization kind %v", p.Kind)
+	}
+	if p.Dim <= 0 {
+		return fmt.Errorf("fl: delta payload has dimension %d", p.Dim)
+	}
+	if math.IsNaN(p.Lo) || math.IsInf(p.Lo, 0) || math.IsNaN(p.Hi) || math.IsInf(p.Hi, 0) || p.Hi < p.Lo {
+		return fmt.Errorf("fl: delta payload has range [%g, %g]", p.Lo, p.Hi)
+	}
+	if !sparse && count != p.Dim {
+		return fmt.Errorf("fl: dense delta payload has %d levels for dimension %d", count, p.Dim)
+	}
+	if sparse && (count == 0 || count > p.Dim) {
+		return fmt.Errorf("fl: sparse delta payload has %d levels for dimension %d", count, p.Dim)
 	}
 	return nil
 }
@@ -314,12 +328,12 @@ func (p *DeltaPayload) Apply(base, dst []float64) ([]float64, error) {
 	copy(dst, base)
 	if p.Indices == nil {
 		for i := range dst {
-			dst[i] += p.Dequant(i)
+			dst[i] += p.Level(p.Q[i])
 		}
 		return dst, nil
 	}
 	for j, ix := range p.Indices {
-		dst[ix] += p.Dequant(j)
+		dst[ix] += p.Level(p.Q[j])
 	}
 	return dst, nil
 }

@@ -166,12 +166,18 @@ func admit(u *Update, dim int) error {
 // the totals and returns both, or refuses a weight the totals cannot take.
 // A non-zero weight under 2^-60 would add nothing to wTotal, and Fold reads
 // wTotal to tell whether every weight so far is zero, so it is refused too.
+// A zero-sample update weighs its decay alone, which the zero-weight mean
+// divides by cTotal, so its decay must clear 2^-60 the same way.
 func weigh(u *Update, wTotal, cTotal *fixAcc) (w, decay float64, err error) {
 	decay = StalenessWeight(u.Staleness)
 	w = float64(u.NumSamples) * decay
-	tooSmall := w != 0 && w < 1.0/(1<<fixFracBits)
+	counted := w
+	if u.NumSamples == 0 {
+		counted = decay
+	}
+	tooSmall := counted != 0 && counted < 1.0/(1<<fixFracBits)
 	if tooSmall || !wTotal.addFloat(w) || !cTotal.addFloat(decay) {
-		return 0, 0, fmt.Errorf("fl: update from client %d has unrepresentable weight %g", u.ClientID, w)
+		return 0, 0, fmt.Errorf("fl: update from client %d has unrepresentable weight %g", u.ClientID, counted)
 	}
 	return w, decay, nil
 }

@@ -847,8 +847,9 @@ func TestHelloVersionValidated(t *testing.T) {
 	}, nil)
 
 	// 3 is the version whose flate-flagged float sections were one
-	// interleaved stream: it would inflate a plane section as garbage.
-	for _, version := range []int{1, 3, ProtocolVersion + 1} {
+	// interleaved stream: it would inflate a plane section as garbage. 4
+	// read a sparse quantized section's indices as absolute u32s, not gaps.
+	for _, version := range []int{1, 3, 4, ProtocolVersion + 1} {
 		conn, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {
 			t.Fatal(err)

@@ -42,10 +42,12 @@ var (
 )
 
 // ProtocolVersion is the wire protocol version carried in every Hello
-// frame; a server turns any other version away with a KindError. Version 4
-// writes a flate-flagged float64 state section as byte planes, which a
-// version 3 peer would inflate as one stream and misread.
-const ProtocolVersion = 4
+// frame; a server turns any other version away with a KindError. Version 5
+// writes a sparse quantized section's indices as varint gaps, where a
+// version 4 peer reads absolute u32s; version 4 wrote a flate-flagged
+// float64 state section as byte planes, which a version 3 peer would
+// inflate as one stream.
+const ProtocolVersion = 5
 
 // Capability bits a client advertises in Hello.WireCaps and the server
 // answers (intersected with its own configuration) in the KindWire ack.

@@ -62,7 +62,8 @@ import (
 //	                            one deflate stream of rawLen bytes when flate is set:
 //	                              u8 quantKind  u8 sparse  u32le dim  u32le count
 //	                              f64le lo  f64le hi
-//	                              [count × u32le indices when sparse]
+//	                              [count uvarint index gaps when sparse: the
+//	                                first index, then index − previous − 1]
 //	                              count × (u8 | u16le) levels
 //
 // A deflate stream must end exactly where its declared length does, in
@@ -244,25 +245,38 @@ type inflater struct {
 	tail [1]byte
 }
 
+// Two writer levels serve three kinds of data. BestSpeed's LZ77 is what
+// byte planes and a constant quantized delta need: runs of zero bytes. The
+// levels of a live quantized delta have no runs to match, only a skewed
+// distribution; BestSpeed's short matches break up its statistics, and
+// Huffman-only coding stores FCNN6's dense int8 broadcast levels in 1.9 bits
+// each against BestSpeed's 2.6, two to three times faster.
 var (
-	flateWriterPool = sync.Pool{New: func() any {
-		zw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-		if err != nil {
-			panic(err) // BestSpeed is a valid level
-		}
-		return zw
-	}}
-	inflaterPool = sync.Pool{New: func() any {
+	bestSpeedWriters = writerPool(flate.BestSpeed)
+	huffmanWriters   = writerPool(flate.HuffmanOnly)
+	inflaterPool     = sync.Pool{New: func() any {
 		in := new(inflater)
 		in.zr = flate.NewReader(&in.src)
 		return in
 	}}
 )
 
-// deflate appends src to dst as one deflate stream.
-func deflate(dst io.Writer, src []byte) error {
-	zw := flateWriterPool.Get().(*flate.Writer)
-	defer flateWriterPool.Put(zw)
+// writerPool pools flate writers of one level.
+func writerPool(level int) *sync.Pool {
+	return &sync.Pool{New: func() any {
+		zw, err := flate.NewWriter(io.Discard, level)
+		if err != nil {
+			panic(err) // both levels are valid
+		}
+		return zw
+	}}
+}
+
+// deflate appends src to dst as one deflate stream written by a writer from
+// pool.
+func deflate(dst io.Writer, src []byte, pool *sync.Pool) error {
+	zw := pool.Get().(*flate.Writer)
+	defer pool.Put(zw)
 	zw.Reset(dst)
 	if _, err := zw.Write(src); err != nil {
 		return err
@@ -299,7 +313,9 @@ func inflate(pool *bufPool[*[]byte], stored []byte, n int) ([]byte, *[]byte, err
 }
 
 // encodeQuantSection serializes a validated fl.DeltaPayload as the frame's
-// state section.
+// state section. A top-k payload's indices ascend with a mean gap of ten on
+// FCNN6, so as varint gaps they take about one byte each, not an index's
+// four.
 func encodeQuantSection(sec []byte, p *fl.DeltaPayload) []byte {
 	sparse := byte(0)
 	if p.Indices != nil {
@@ -310,8 +326,10 @@ func encodeQuantSection(sec []byte, p *fl.DeltaPayload) []byte {
 	sec = binenc.AppendU32(sec, uint32(len(p.Q)))
 	sec = binenc.AppendF64(sec, p.Lo)
 	sec = binenc.AppendF64(sec, p.Hi)
+	next := uint32(0)
 	for _, ix := range p.Indices {
-		sec = binenc.AppendU32(sec, ix)
+		sec = binary.AppendUvarint(sec, uint64(ix-next))
+		next = ix + 1
 	}
 	if p.Kind == fl.QuantInt8 {
 		for _, q := range p.Q {
@@ -325,58 +343,97 @@ func encodeQuantSection(sec []byte, p *fl.DeltaPayload) []byte {
 	return sec
 }
 
-// decodeQuantSection parses a quantized state section back into a payload.
-// The payload copies nothing out of sec for Q/Indices — it allocates — so
-// callers may recycle sec afterwards.
-func decodeQuantSection(sec []byte, anchorRound int) (*fl.DeltaPayload, error) {
+// decodeQuantSection reconstructs the state a quantized section encodes
+// against anchorRound's state, base + the dequantized delta, straight into
+// msg.State: the bits fl.DeltaPayload.Apply computes, with no payload in
+// between. It refuses every payload Validate does, and does so before it
+// writes the state, which it sizes only once the anchor vouches for the
+// dimension; msg.State's backing array is all it may allocate.
+func decodeQuantSection(msg *Message, sec []byte, anchorRound int, c *Codec) error {
 	const head = 2 + 4 + 4 + 8 + 8
 	if len(sec) < head {
-		return nil, fmt.Errorf("quant section truncated at %d bytes", len(sec))
+		return fmt.Errorf("quant section truncated at %d bytes", len(sec))
 	}
-	p := &fl.DeltaPayload{
-		Kind:      fl.QuantKind(sec[0]),
-		BaseRound: anchorRound,
-		Dim:       int(binary.LittleEndian.Uint32(sec[2:])),
-		Lo:        math.Float64frombits(binary.LittleEndian.Uint64(sec[10:])),
-		Hi:        math.Float64frombits(binary.LittleEndian.Uint64(sec[18:])),
+	p := fl.DeltaPayload{
+		Kind: fl.QuantKind(sec[0]),
+		Dim:  int(binary.LittleEndian.Uint32(sec[2:])),
+		Lo:   math.Float64frombits(binary.LittleEndian.Uint64(sec[10:])),
+		Hi:   math.Float64frombits(binary.LittleEndian.Uint64(sec[18:])),
 	}
-	sparse := sec[1]
+	sparse := sec[1] != 0
 	count := int(binary.LittleEndian.Uint32(sec[6:]))
-	if count <= 0 || count > maxFrameBytes/2 {
-		return nil, fmt.Errorf("quant section carries %d coordinates", count)
+	if err := p.ValidateHeader(count, sparse); err != nil {
+		return err
 	}
-	rest := sec[head:]
-	if sparse != 0 {
-		if len(rest) < 4*count {
-			return nil, fmt.Errorf("quant section truncated in indices")
+	gaps, levels := sec[head:head], sec[head:]
+	if sparse {
+		n, err := scanGaps(levels, count, p.Dim)
+		if err != nil {
+			return err
 		}
-		p.Indices = make([]uint32, count)
-		for j := range p.Indices {
-			p.Indices[j] = binary.LittleEndian.Uint32(rest[4*j:])
-		}
-		rest = rest[4*count:]
+		gaps, levels = levels[:n], levels[n:]
 	}
+	// A level's width is its kind's, so no level exceeds the kind's maximum.
 	width := 1
 	if p.Kind == fl.QuantInt16 {
 		width = 2
 	}
-	if len(rest) != width*count {
-		return nil, fmt.Errorf("quant section has %d level bytes, want %d", len(rest), width*count)
+	if len(levels) != width*count {
+		return fmt.Errorf("quant section has %d level bytes after index %d of %d, want %d", len(levels), count-1, count, width*count)
 	}
-	p.Q = make([]uint16, count)
+	base := c.lookup(anchorRound)
+	if len(base) != p.Dim {
+		return fmt.Errorf("no shared anchor state for round %d (dimension %d)", anchorRound, p.Dim)
+	}
+	dst := sizeState(msg, p.Dim)
+	var table [256]float64 // an int8 level's value, computed once
 	if width == 1 {
-		for j := range p.Q {
-			p.Q[j] = uint16(rest[j])
-		}
-	} else {
-		for j := range p.Q {
-			p.Q[j] = binary.LittleEndian.Uint16(rest[2*j:])
+		for q := range table {
+			table[q] = p.Level(uint16(q))
 		}
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
+	if sparse {
+		copy(dst, base)
 	}
-	return p, nil
+	i := -1
+	for j := range count {
+		var d float64
+		if width == 1 {
+			d = table[levels[j]]
+		} else {
+			d = p.Level(binary.LittleEndian.Uint16(levels[2*j:]))
+		}
+		if sparse {
+			gap, n := binary.Uvarint(gaps)
+			gaps, i = gaps[n:], i+int(gap)+1
+		} else {
+			i = j
+		}
+		dst[i] = base[i] + d
+	}
+	return nil
+}
+
+// scanGaps walks the count index gaps that open sec and returns the bytes
+// they take. It refuses a varint that is cut or runs past 64 bits, and a gap
+// that leads to an index at or past dim; strict ascent holds by
+// construction, so a repeated index is a gap that wraps past dim.
+func scanGaps(sec []byte, count, dim int) (int, error) {
+	at, next := 0, 0 // next: the least index the next gap can lead to
+	for j := range count {
+		gap, n := binary.Uvarint(sec[at:])
+		switch {
+		case n == 0:
+			return 0, fmt.Errorf("quant section index %d of %d: gap cut after %d bytes", j, count, len(sec)-at)
+		case n < 0:
+			return 0, fmt.Errorf("quant section index %d of %d: gap varint runs past 64 bits", j, count)
+		case gap >= uint64(dim-next):
+			return 0, fmt.Errorf("quant section index %d of %d: gap %d leads past dimension %d", j, count, gap, dim)
+		}
+		at += n
+		next += int(gap) + 1
+	}
+	return at, nil
 }
 
 // Byte planes. The XOR of two consecutive FCNN6 broadcasts (or of an upload
@@ -506,7 +563,7 @@ func appendPlanes(buf *bytes.Buffer, mask byte, state, base []float64) error {
 		}
 		at := buf.Len()
 		buf.Write([]byte{0, 0, 0, 0})
-		if err := deflate(buf, plane); err != nil {
+		if err := deflate(buf, plane, bestSpeedWriters); err != nil {
 			return err
 		}
 		binary.LittleEndian.PutUint32(buf.Bytes()[at:], uint32(buf.Len()-at-4))
@@ -516,7 +573,9 @@ func appendPlanes(buf *bytes.Buffer, mask byte, state, base []float64) error {
 
 // appendQuantSection appends a serialized payload to the frame in buf,
 // deflated whole when compress is set and that shrinks it, and returns
-// flagFlate if so along with the serialized length.
+// flagFlate if so along with the serialized length. A constant delta (every
+// level 0) keeps BestSpeed, whose matches store its runs in a few hundred
+// bytes where Huffman-only would spend a bit on each level.
 func appendQuantSection(buf *bytes.Buffer, p *fl.DeltaPayload, compress bool) (byte, int, error) {
 	secBP := readBufs.get(8 * p.Dim) // the raw state bounds the section
 	defer readBufs.put(secBP)
@@ -524,8 +583,12 @@ func appendQuantSection(buf *bytes.Buffer, p *fl.DeltaPayload, compress bool) (b
 	*secBP = sec[:0]
 	buf.Grow(len(sec))
 	if compress && len(sec) > 64 {
+		pool := huffmanWriters
+		if p.Hi == p.Lo {
+			pool = bestSpeedWriters
+		}
 		at := buf.Len()
-		if err := deflate(buf, sec); err != nil {
+		if err := deflate(buf, sec, pool); err != nil {
 			return 0, 0, err
 		}
 		if buf.Len()-at < len(sec) {
@@ -806,16 +869,7 @@ func decodeData(msg *Message, rd *binenc.Reader, flags byte, anchorRound int, c 
 		} else if rawLen != len(stored) {
 			return fmt.Errorf("uncompressed state section stored %d bytes, declared %d", len(stored), rawLen)
 		}
-		p, err := decodeQuantSection(sec, anchorRound)
-		if err != nil {
-			return err
-		}
-		base := c.lookup(anchorRound)
-		if len(base) != p.Dim {
-			return fmt.Errorf("no shared anchor state for round %d (dimension %d)", anchorRound, p.Dim)
-		}
-		msg.State, err = p.Apply(base, msg.State)
-		return err
+		return decodeQuantSection(msg, sec, anchorRound, c)
 	case rawLen%8 != 0:
 		return fmt.Errorf("state section length %d is not a float64 multiple", rawLen)
 	case flags&flagFlate != 0:

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -211,6 +213,151 @@ func TestBinaryRoundTrip(t *testing.T) {
 	})
 }
 
+// TestQuantizedSectionMatchesApply holds the fused section decoder to
+// fl.DeltaPayload.Apply bit for bit: int8 and int16, dense and sparse,
+// constant and spread ranges, indices at both ends of the state and gaps of
+// one, two and three varint bytes, over a base with NaN, ±Inf and −0 in it.
+func TestQuantizedSectionMatchesApply(t *testing.T) {
+	const dim = 70000
+	rng := rand.New(rand.NewSource(47))
+	base := testState(3, dim)
+	copy(base, []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)})
+	codec := NewCodec(CapBinary|CapQuantInt16|CapTopK, 0, 0, ringBase(map[int][]float64{3: base}))
+	spread := [][2]float64{{-0.75, 1.5e-3}, {0.25, 0.25}, {-3e-9, 7e5}}
+	for _, kind := range []fl.QuantKind{fl.QuantInt8, fl.QuantInt16} {
+		for _, indices := range [][]uint32{nil, {0}, {dim - 1}, {0, 1, 2, 140, 20000, dim - 1}, randomIndices(rng, dim, dim/9)} {
+			for _, r := range spread {
+				p := &fl.DeltaPayload{Kind: kind, Dim: dim, BaseRound: 3, Lo: r[0], Hi: r[1], Indices: indices, Q: make([]uint16, dim)}
+				if indices != nil {
+					p.Q = p.Q[:len(indices)]
+				}
+				top := 255
+				if kind == fl.QuantInt16 {
+					top = math.MaxUint16
+				}
+				for j := range p.Q {
+					p.Q[j] = uint16(rng.Intn(top + 1))
+				}
+				p.Q[0] = uint16(top)
+				want, err := p.Apply(base, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var msg Message
+				if err := decodeQuantSection(&msg, encodeQuantSection(nil, p), 3, codec); err != nil {
+					t.Fatalf("%v, %d indices, range %v: %v", kind, len(indices), r, err)
+				}
+				for i := range want {
+					if math.Float64bits(msg.State[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%v, %d indices, range %v: state[%d] = %v, Apply wrote %v", kind, len(indices), r, i, msg.State[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// bytesPerRun returns the bytes the heap handed out per call of f, averaged
+// over runs calls after a first one that warms the pools.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// randomIndices draws n distinct ascending indices below dim.
+func randomIndices(rng *rand.Rand, dim, n int) []uint32 {
+	ix := make([]uint32, 0, n)
+	for i, left := 0, n; i < dim && left > 0; i++ {
+		if rng.Intn(dim-i) < left {
+			ix = append(ix, uint32(i))
+			left--
+		}
+	}
+	return ix
+}
+
+// TestQuantizedDecodeSteadyStateAllocs is the allocation guard on the
+// quantized wire's decode: parsed straight into a state with room for it, a
+// quantized section (dense broadcast or top-k upload) allocates nothing. A
+// whole frame adds what decoding any frame does and compress/flate's link
+// tables for a dynamic Huffman block's long codes, a few kilobytes, never a
+// level or index per coordinate.
+func TestQuantizedDecodeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	const dim = 1 << 16
+	base, states := oracleStates(dim)
+	codec := NewCodec(CapBinary|CapFlate|CapQuantInt8|CapTopK|CapDelta, 7, 0.1, ringBase(map[int][]float64{3: base}))
+	for _, topK := range []float64{0, 0.1} {
+		p, err := fl.EncodeDelta(fl.QuantInt8, 7, 1, 3, 3, base, states["trained"], topK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec := encodeQuantSection(nil, p)
+		msg := Message{State: make([]float64, 0, dim)}
+		if n := testing.AllocsPerRun(20, func() {
+			if err := decodeQuantSection(&msg, sec, 3, codec); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("top-k %g: decoding a quantized section allocates %.0f times, want 0", topK, n)
+		}
+		frame := binaryFrame(t, &Message{Kind: KindUpdate, ClientID: 1, Round: 3, State: states["trained"]}, codec)
+		if topK == 0 {
+			frame = binaryFrame(t, &Message{Kind: KindGlobal, Round: 4, State: states["trained"], Canon: p}, codec)
+		}
+		if flags, _, _, _ := stateSection(frame); flags != flagState|flagQuant|flagDelta|flagFlate {
+			t.Fatalf("flags %#x: not a deflated quantized frame", flags)
+		}
+		r := bytes.NewReader(frame)
+		if n := bytesPerRun(20, func() {
+			r.Reset(frame)
+			if err := ReadMessageWith(r, &msg, codec); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 16<<10 {
+			t.Errorf("top-k %g: decoding a quantized frame allocates %d bytes, want at most compress/flate's tables (16 KiB)", topK, n)
+		}
+	}
+}
+
+// TestQuantizedConstantDeltaKeepsLZ77 pins the section that stays with
+// BestSpeed: a constant delta has every level 0, which Huffman-only coding
+// would store in a bit each (60 kB at FCNN6's 485,572 values) and LZ77's
+// matches store in a few hundred bytes.
+func TestQuantizedConstantDeltaKeepsLZ77(t *testing.T) {
+	const dim = 485572
+	prev, next := make([]float64, dim), make([]float64, dim)
+	for i := range next {
+		next[i] = 0.25
+	}
+	canon, err := fl.EncodeDelta(fl.QuantInt8, 1, -1, 4, 3, prev, next, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canon.Hi != canon.Lo {
+		t.Fatalf("range [%g, %g]: not a constant delta", canon.Lo, canon.Hi)
+	}
+	codec := NewCodec(CapBinary|CapFlate|CapQuantInt8|CapDelta, 1, 0, ringBase(map[int][]float64{3: prev}))
+	frame := binaryFrame(t, &Message{Kind: KindGlobal, Round: 4, State: next, Canon: canon}, codec)
+	if flags, _, rawLen, stored := stateSection(frame); flags != flagState|flagQuant|flagDelta|flagFlate || len(stored) >= 2<<10 {
+		t.Fatalf("a constant %d-value delta stored %d of its %d bytes (flags %#x), want under 2 KiB", dim, len(stored), rawLen, flags)
+	}
+	var got Message
+	if err := ReadMessageWith(bytes.NewReader(frame), &got, codec); err != nil {
+		t.Fatal(err)
+	}
+	assertMessageEqual(t, &got, &Message{Kind: KindGlobal, Round: 4, State: next})
+}
+
 // assertMessageEqual compares every wire-carried field exactly.
 func assertMessageEqual(t *testing.T, got, want *Message) {
 	t.Helper()
@@ -317,6 +464,66 @@ func TestBinaryFrameMalformed(t *testing.T) {
 	const rawLenAt = 4 + fixedHeaderLen + 4 + 4
 	if quant[4+2] != flagState|flagQuant|flagDelta|flagFlate {
 		t.Fatalf("quantized upload went out with flags %#x, want a deflated section", quant[4+2])
+	}
+
+	// A sparse section written by hand and stored raw: indices 10 and 200,
+	// as gaps 10 and 189 (two varint bytes), then their int8 levels.
+	const gapDim, quantFlags = 256, flagState | flagQuant | flagDelta
+	gapped := NewCodec(CapBinary|CapQuantInt8|CapTopK, 0, 0, ringBase(map[int][]float64{3: make([]float64, gapDim)}))
+	quantFrame := func(sparse byte, dim, count int, body ...byte) []byte {
+		sec := []byte{byte(fl.QuantInt8), sparse}
+		sec = binary.LittleEndian.AppendUint32(sec, uint32(dim))
+		sec = binary.LittleEndian.AppendUint32(sec, uint32(count))
+		sec = binary.LittleEndian.AppendUint64(sec, math.Float64bits(-1))
+		sec = binary.LittleEndian.AppendUint64(sec, math.Float64bits(1))
+		sec = append(sec, body...)
+		return handFrame(quantFlags, 3, len(sec), sec)
+	}
+	twoGaps := []byte{10, 0xBD, 0x01, 0, 255}
+	var sparseMsg Message
+	if err := ReadMessageWith(bytes.NewReader(quantFrame(1, gapDim, 2, twoGaps...)), &sparseMsg, gapped); err != nil {
+		t.Fatalf("the well-formed sparse frame the gap rows break: %v", err)
+	}
+	if got := sparseMsg.State; got[10] != -1 || got[200] != 1 || got[11] != 0 {
+		t.Fatalf("the well-formed sparse frame decoded to %v at 10, %v at 200", got[10], got[200])
+	}
+	allOnes := append(bytes.Repeat([]byte{0xFF}, 9), 0x01) // 2^64 − 1 in ten bytes
+	gapCases := []struct {
+		name    string
+		raw     []byte
+		wantErr string
+	}{
+		{"gap varint past ten bytes", quantFrame(1, gapDim, 2, append(bytes.Repeat([]byte{0x80}, 10), 0, 0, 0)...), "index 0 of 2: gap varint runs past 64 bits"},
+		{"gap varint past 64 bits", quantFrame(1, gapDim, 2, append(allOnes[:9:9], 0x02, 0, 0)...), "index 0 of 2: gap varint runs past 64 bits"},
+		{"gaps run past the dimension", quantFrame(1, gapDim, 2, 10, 0xF5, 0x01, 0, 255), "index 1 of 2: gap 245 leads past dimension 256"},
+		{"index at the dimension", quantFrame(1, gapDim, 1, 0x80, 0x02, 0), "index 0 of 1: gap 256 leads past"},
+		{"gap bytes short of the count", quantFrame(1, gapDim, 3, twoGaps[:3]...), "index 2 of 3: gap cut after 0 bytes"},
+		{"gap cut inside its varint", quantFrame(1, gapDim, 2, twoGaps[:2]...), "index 1 of 2: gap cut after 1 bytes"},
+		{"index repeats", quantFrame(1, gapDim, 2, append(append([]byte{10}, allOnes...), 0, 255)...), "index 1 of 2: gap 18446744073709551615 leads past"},
+		{"byte after the levels", quantFrame(1, gapDim, 2, append(twoGaps, 7)...), "3 level bytes after index 1 of 2, want 2"},
+		{"levels short", quantFrame(1, gapDim, 2, twoGaps[:4]...), "1 level bytes after index 1 of 2, want 2"},
+		{"sparse count past the bytes", quantFrame(1, 1<<26, 1<<24, twoGaps...), "index 3 of 16777216: gap cut"},
+		{"dense count past the bytes", quantFrame(0, 1<<24, 1<<24, 0, 255), "2 level bytes after index 16777215 of 16777216"},
+		{"sparse count past the dimension", quantFrame(1, 2, 3, 0, 0, 0, 1, 2, 3), "3 levels for dimension 2"},
+		{"no index", quantFrame(1, gapDim, 0), "0 levels for dimension 256"},
+	}
+	for _, tc := range gapCases {
+		t.Run(tc.name, func(t *testing.T) {
+			var msg Message
+			err := ReadMessageWith(bytes.NewReader(tc.raw), &msg, gapped)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %v, want one that mentions %q", err, tc.wantErr)
+			}
+			if cap(msg.State) != 0 {
+				t.Fatalf("a refused section sized the state to %d", cap(msg.State))
+			}
+			// What a refusal costs is bounded by the bytes that arrived,
+			// whatever the section claims: never a count- or
+			// dimension-sized buffer.
+			if n := bytesPerRun(8, func() { ReadMessageWith(bytes.NewReader(tc.raw), &msg, gapped) }); n > uint64(4*len(tc.raw))+64<<10 {
+				t.Fatalf("refusing a %d-byte frame allocated %d bytes", len(tc.raw), n)
+			}
+		})
 	}
 
 	cases := []struct {
@@ -542,16 +749,22 @@ func FuzzFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	farApart := append([]float64(nil), anchor...)
+	farApart[3] += 40
+	farApart[200] -= 40
 	for _, seed := range []struct {
 		caps uint32
 		msg  *Message
+		topK float64
 	}{
-		{CapBinary | CapQuantInt8 | CapTopK | CapFlate, &Message{Kind: KindUpdate, ClientID: 1, Round: 2, State: moved, NumSamples: 4}},
-		{CapBinary | CapQuantInt16, &Message{Kind: KindUpdate, ClientID: 2, Round: 2, State: moved, NumSamples: 4}},
-		{CapBinary | CapQuantInt8 | CapDelta, &Message{Kind: KindGlobal, Round: 2, State: moved, Canon: canon}},
+		{CapBinary | CapQuantInt8 | CapTopK | CapFlate, &Message{Kind: KindUpdate, ClientID: 1, Round: 2, State: moved, NumSamples: 4}, 0.5},
+		{CapBinary | CapQuantInt16, &Message{Kind: KindUpdate, ClientID: 2, Round: 2, State: moved, NumSamples: 4}, 0.5},
+		{CapBinary | CapQuantInt8 | CapDelta, &Message{Kind: KindGlobal, Round: 2, State: moved, Canon: canon}, 0.5},
+		// Two indices, 3 and 200: the second gap takes two varint bytes.
+		{CapBinary | CapQuantInt8 | CapTopK, &Message{Kind: KindUpdate, ClientID: 3, Round: 2, State: farApart, NumSamples: 4}, 2.0 / 256},
 	} {
 		var buf bytes.Buffer
-		if err := WriteMessageWith(&buf, seed.msg, NewCodec(seed.caps, 3, 0.5, base)); err != nil {
+		if err := WriteMessageWith(&buf, seed.msg, NewCodec(seed.caps, 3, seed.topK, base)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
